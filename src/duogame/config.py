@@ -99,7 +99,11 @@ class ExperimentConfig:
         return config_to_dict(self)
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.canonical_dict(), sort_keys=True)
+        """Hash of every key that changes results; the output directory and
+        the worker count do not, so a resume may change either."""
+        keys = {k: v for k, v in self.canonical_dict().items()
+                if k not in ("out_dir", "jobs")}
+        payload = json.dumps(keys, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -4,11 +4,15 @@ Two players share a strategy list (symmetric game) or carry separate payoff
 tables (general game). Symmetric storage keeps one record per unordered
 profile, (S^2 - S)/2 + S in total, each holding the raw payoff samples of
 the player using the first strategy and of the player using the second.
+
+Every solver reads one array form of the game: three (2, S, S) arrays
+``mean``, ``count`` and ``var`` indexed ``[player, row, col]``, filled for
+both orders of a symmetric profile whenever its samples are stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,11 +58,11 @@ class EmpiricalGame:
 
     def __init__(self, space: StrategySpace):
         self.space = space
-        self.n = len(space)
+        self.n = n = len(space)
         self._samples: dict = {}   # canonical profile -> (samples_p1, samples_p2)
-        # canonical profile -> ((mean, n, var), (mean, n, var)); set by matrix
-        # import so summary statistics survive a round trip bit for bit
-        self._stats_override: dict = {}
+        self.mean = np.full((2, n, n), np.nan)
+        self.count = np.zeros((2, n, n), dtype=np.int64)
+        self.var = np.full((2, n, n), np.nan)
 
     # -- construction ------------------------------------------------------
 
@@ -70,15 +74,36 @@ class EmpiricalGame:
             return (b, a), True
         return (a, b), False
 
-    def set_samples(self, profile, samples_p1, samples_p2):
+    def set_samples(self, profile, samples_p1, samples_p2, stats=None):
+        """Store one profile's samples and its per-player summary.
+
+        ``stats`` gives ``((mean, n, var), (mean, n, var))`` per player to
+        store in place of the sample statistics, so that a matrix import
+        keeps the written numbers bit for bit.
+        """
         key, swapped = self._canonical(profile)
         p1 = np.asarray(samples_p1, dtype=float)
         p2 = np.asarray(samples_p2, dtype=float)
-        if swapped:
-            p1, p2 = p2, p1
         if p1.size == 0 or p2.size == 0:
             raise ParameterError("empty sample set")
+        if stats is None:
+            stats = [(float(s.mean()), s.size,
+                      float(s.var(ddof=1)) if s.size > 1 else 0.0)
+                     for s in (p1, p2)]
+        if swapped:
+            p1, p2 = p2, p1
+            stats = stats[::-1]
         self._samples[key] = (p1, p2)
+        a, b = key
+        for player, (mean, count, var) in enumerate(stats):
+            self.mean[player, a, b] = mean
+            self.count[player, a, b] = count
+            self.var[player, a, b] = var
+        if self.space.symmetric and a != b:
+            # the transposed profile swaps the player roles; the diagonal
+            # keeps its own player order
+            for arr in (self.mean, self.count, self.var):
+                arr[:, b, a] = arr[::-1, a, b]
 
     @classmethod
     def from_payoff_matrices(cls, u1, u2=None, symmetric=None):
@@ -97,12 +122,8 @@ class EmpiricalGame:
             symmetric = False if symmetric is None else symmetric
         space = StrategySpace([{"index": i} for i in range(n)], symmetric=symmetric)
         game = cls(space)
-        for a in range(n):
-            for b in range(n):
-                key, _ = game._canonical((a, b))
-                if key in game._samples:
-                    continue
-                game.set_samples(key, [u1[key[0], key[1]]], [u2[key[0], key[1]]])
+        for a, b in game.profiles():
+            game.set_samples((a, b), [u1[a, b]], [u2[a, b]])
         return game
 
     # -- queries -----------------------------------------------------------
@@ -113,70 +134,34 @@ class EmpiricalGame:
             return [(a, b) for a in range(self.n) for b in range(a, self.n)]
         return [(a, b) for a in range(self.n) for b in range(self.n)]
 
-    def has_profile(self, profile) -> bool:
-        key, _ = self._canonical(profile)
-        return key in self._samples
-
     def missing_profiles(self):
         return [p for p in self.profiles() if p not in self._samples]
 
-    def samples(self, profile, player: int) -> np.ndarray:
+    def _stored(self, profile):
+        """Canonical key of a simulated profile and whether it was swapped."""
         key, swapped = self._canonical(profile)
         if key not in self._samples:
             raise IncompleteGameError(f"profile {profile} was never simulated",
                                       missing=[profile])
-        pair = self._samples[key]
-        idx = player ^ 1 if swapped else player
-        return pair[idx]
+        return key, swapped
 
-    def _stat(self, profile, player: int):
-        key, swapped = self._canonical(profile)
-        if key not in self._stats_override:
-            return None
-        return self._stats_override[key][player ^ 1 if swapped else player]
-
-    def set_stats_override(self, profile, stats_p1, stats_p2):
-        key, swapped = self._canonical(profile)
-        pair = (tuple(stats_p2), tuple(stats_p1)) if swapped else \
-            (tuple(stats_p1), tuple(stats_p2))
-        self._stats_override[key] = pair
+    def samples(self, profile, player: int) -> np.ndarray:
+        key, swapped = self._stored(profile)
+        return self._samples[key][player ^ 1 if swapped else player]
 
     def payoff(self, profile, player: int) -> float:
-        stat = self._stat(profile, player)
-        if stat is not None:
-            return stat[0]
-        return float(self.samples(profile, player).mean())
+        self._stored(profile)
+        return float(self.mean[(player, *profile)])
 
     def sample_count(self, profile, player: int) -> int:
-        stat = self._stat(profile, player)
-        if stat is not None:
-            return int(stat[1])
-        return int(self.samples(profile, player).size)
+        self._stored(profile)
+        return int(self.count[(player, *profile)])
 
     def sample_variance(self, profile, player: int) -> float:
-        stat = self._stat(profile, player)
-        if stat is not None:
-            return stat[2]
-        s = self.samples(profile, player)
-        return float(s.var(ddof=1)) if s.size > 1 else 0.0
-
-    def mean_matrices(self):
-        u1 = np.full((self.n, self.n), np.nan)
-        u2 = np.full((self.n, self.n), np.nan)
-        for a in range(self.n):
-            for b in range(self.n):
-                u1[a, b] = self.payoff((a, b), 0)
-                u2[a, b] = self.payoff((a, b), 1)
-        return u1, u2
+        self._stored(profile)
+        return float(self.var[(player, *profile)])
 
     # -- equilibrium machinery ----------------------------------------------
-
-    def deviation_set(self, profile, player: int):
-        """All profiles reachable by the player changing strategy, itself included."""
-        a, b = profile
-        if player == 0:
-            return [(s, b) for s in range(self.n)]
-        return [(a, s) for s in range(self.n)]
 
     def regret(self, profile) -> float:
         """Best unilateral improvement over the profile payoff.
@@ -188,15 +173,11 @@ class EmpiricalGame:
         if self.n < 2:
             raise ParameterError("regret needs at least two strategies")
         self._require_complete()
+        self._canonical(profile)  # range check: np.delete wraps negatives
         a, b = profile
-        best = -np.inf
-        for player, own in ((0, a), (1, b)):
-            here = self.payoff(profile, player)
-            for dev in self.deviation_set(profile, player):
-                if dev[player] == own:
-                    continue
-                best = max(best, self.payoff(dev, player) - here)
-        return float(best)
+        u0, u1 = self.mean
+        return float(max(np.delete(u0[:, b], a).max() - u0[a, b],
+                         np.delete(u1[a, :], b).max() - u1[a, b]))
 
     def _require_complete(self):
         missing = self.missing_profiles()
@@ -204,37 +185,21 @@ class EmpiricalGame:
             raise IncompleteGameError(
                 f"game is missing {len(missing)} profiles", missing=missing)
 
-    def is_epsilon_equilibrium(self, profile, epsilon: float) -> bool:
-        a, b = profile
-        for player, here in ((0, self.payoff(profile, 0)),
-                             (1, self.payoff(profile, 1))):
-            for dev in self.deviation_set(profile, player):
-                if self.payoff(dev, player) > here + epsilon:
-                    return False
-        return True
-
-    def best_response_profiles(self, profile, player: int):
-        """Profiles reached by the player's best responses; ties all kept."""
-        devs = self.deviation_set(profile, player)
-        payoffs = np.array([self.payoff(d, player) for d in devs])
-        best = payoffs.max()
-        return [d for d, p in zip(devs, payoffs) if p == best]
-
     def pure_nash(self, epsilon: float = 0.0):
         """All profiles no player can improve on by more than ``epsilon``.
 
-        Every profile gets a full deviation check; iterative best-response
-        search can miss equilibria under payoff noise, and at these game
-        sizes the complete scan is cheap.
+        Every profile gets a full deviation check: the row player's payoff
+        must be within ``epsilon`` of its column maximum and the column
+        player's of its row maximum. Iterative best-response search can miss
+        equilibria under payoff noise.
         """
         if epsilon < 0:
             raise ParameterError("epsilon must be >= 0")
         self._require_complete()
-        result = []
-        for profile in self.profiles():
-            if self.is_epsilon_equilibrium(profile, epsilon):
-                result.append(profile)
-        return result
+        u0, u1 = self.mean
+        stable = ((u0.max(axis=0)[None, :] <= u0 + epsilon)
+                  & (u1.max(axis=1)[:, None] <= u1 + epsilon))
+        return [p for p in self.profiles() if stable[p]]
 
     def min_regret_profile(self):
         profiles = self.profiles()

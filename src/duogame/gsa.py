@@ -271,11 +271,7 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         raise ParameterError("steps must be >= 10")
     game._require_complete()
     n = game.n
-    u = np.zeros((2, n, n))
-    for a in range(n):
-        for b in range(n):
-            u[0, a, b] = game.payoff((a, b), 0)
-            u[1, a, b] = game.payoff((a, b), 1)
+    u = game.mean
 
     if as_tol is None:
         sol_samples = game.samples(solution, 0)
@@ -289,14 +285,8 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
 
     resample = noise == "resample"
     if resample:
-        counts = np.zeros((2, n, n), dtype=np.int64)
-        maxn = 1
-        for a in range(n):
-            for b in range(n):
-                counts[0, a, b] = game.sample_count((a, b), 0)
-                counts[1, a, b] = game.sample_count((a, b), 1)
-                maxn = max(maxn, counts[0, a, b], counts[1, a, b])
-        bank = np.zeros((2, n, n, maxn))
+        counts = game.count
+        bank = np.zeros((2, n, n, max(1, int(counts.max()))))
         for a in range(n):
             for b in range(n):
                 for pl in (0, 1):

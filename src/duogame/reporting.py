@@ -79,11 +79,8 @@ def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
     for (a, b), per_player in stats.items():
         if symmetric and a > b:
             continue
-        samples = []
-        for mean, count, var in per_player:
-            samples.append(_synthetic_samples(mean, count, var))
-        game.set_samples((a, b), samples[0], samples[1])
-        game.set_stats_override((a, b), per_player[0], per_player[1])
+        p1, p2 = (_synthetic_samples(*stat) for stat in per_player)
+        game.set_samples((a, b), p1, p2, stats=per_player)
     return game
 
 
@@ -103,18 +100,6 @@ def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:
         out = np.full(count, mean)
         out[:k] += spread
         out[count - k:] -= spread
-    return out
-
-
-def matrix_roundtrip_stats(game: EmpiricalGame):
-    """(mean, n, variance) per profile per player, the round-trip contract."""
-    out = {}
-    for a in range(game.n):
-        for b in range(game.n):
-            out[(a, b)] = [(game.payoff((a, b), p),
-                            game.sample_count((a, b), p),
-                            game.sample_variance((a, b), p))
-                           for p in (0, 1)]
     return out
 
 

@@ -101,6 +101,9 @@ class SimulationSettings:
             raise ParameterError("run_length_days must be >= 1")
         if not 0 < self.dt <= 1:
             raise ParameterError("dt must be in (0, 1]")
+        # a day runs round(1/dt) sub-steps of length dt
+        if abs(round(1 / self.dt) * self.dt - 1) > 1e-9:
+            raise ParameterError(f"dt must divide a day, got {self.dt}")
         if self.n_agents < 2:
             raise ParameterError("n_agents must be >= 2")
         if self.marketing_period < 1:

@@ -356,72 +356,6 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     return new
 
 
-def step_production(state: SDState, p: SDParams, order_rate: float,
-                    material_rate: float | None = None,
-                    noise: NoiseDraws = ZERO_NOISE, dt: float = 0.25) -> SDState:
-    """Production-side step: WIP/labor rates and integration only.
-
-    Logistics stocks (inventory, backlog) are left untouched; pass
-    ``material_rate`` to override the raw-material availability computed from
-    the mirrored sub-chain.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    state.check_finite()
-    order_r = max(0.0, order_rate + noise.order)
-    r = _production_rates(state, p, order_r, noise, dt)
-    if material_rate is not None:
-        r["msr"] = material_rate
-        r["prod_br"] = max(0.0, min(state.labor * p.daily_capacity_per_worker,
-                                    material_rate, r["d_prod_br"]))
-    new = copy.copy(state)
-    new.order_r = order_r
-    new.d_inv, new.d_wip, new.d_prod_br = r["d_inv"], r["d_wip"], r["d_prod_br"]
-    new.a_prod, new.a_wip = r["a_prod"], r["a_wip"]
-    new.a_labor, new.a_vac = r["a_labor"], r["a_vac"]
-    new.prod_br, new.prod_cr = r["prod_br"], r["prod_cr"]
-    new.msr = r["msr"]
-    new.hire_r, new.retire_r = r["hire_r"], r["retire_r"]
-    new.layoff_r, new.vac_br = r["layoff_r"], r["vac_br"]
-    new.wip = state.wip + dt * (new.prod_br - new.prod_cr)
-    new.labor = state.labor + dt * (new.hire_r - new.retire_r - new.layoff_r)
-    new.vac = state.vac + dt * (new.vac_br - new.hire_r)
-    return new
-
-
-def step_logistics(state: SDState, p: SDParams, order_rate: float,
-                   noise: NoiseDraws = ZERO_NOISE, dt: float = 0.25) -> SDState:
-    """Logistics-side step: orders, shipment, backlog, inventories.
-
-    The production inflow uses the completion rate already stored on the
-    state; the raw-material sub-chain is updated with the stored begin rate
-    as its usage.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    state.check_finite()
-    order_r = max(0.0, order_rate + noise.order)
-    d_inv = max(0.0, (p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv)
-    ship_r, fulfill = _shipment_rates(state, p, order_r, d_inv, dt)
-
-    rm_desired = p.rm_inventory_cov * state.d_prod_br
-    rm_fulfill = fulfillment_ratio(state.rm_inv, rm_desired) if rm_desired > 0 else 1.0
-    msr = min(state.d_prod_br * rm_fulfill, state.rm_inv / dt)
-    rm_order_r = max(0.0, state.prod_br + (rm_desired - state.rm_inv) / p.rm_lead_time)
-    rm_arrival_r = min(state.rm_transit / p.rm_lead_time, state.rm_transit / dt)
-
-    new = copy.copy(state)
-    new.order_r, new.d_inv = order_r, d_inv
-    new.ship_r, new.fulfillment = ship_r, fulfill
-    new.msr, new.rm_order_r, new.rm_arrival_r = msr, rm_order_r, rm_arrival_r
-    new.inv = state.inv + dt * (state.prod_cr - ship_r)
-    new.backlog = state.backlog + dt * (order_r - ship_r)
-    new.rm_inv = state.rm_inv + dt * (rm_arrival_r - state.prod_br)
-    new.rm_transit = state.rm_transit + dt * (rm_order_r - rm_arrival_r)
-    new.inv_cov = new.inv / ship_r if ship_r > 0 else p.max_inv_cov
-    return new
-
-
 def price_multipliers(p: SDParams, mp: float, inv_cov: float) -> tuple:
     """Cost and coverage effects on price for one company."""
     if mp <= 0:

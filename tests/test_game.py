@@ -68,23 +68,6 @@ class TestRegret:
         assert err.value.missing
 
 
-class TestDeviationSet:
-    def test_cardinality(self):
-        game, _ = random_symmetric_game(np.random.default_rng(1), 16)
-        assert len(game.deviation_set((3, 7), 0)) == 16
-
-    def test_contains_itself(self):
-        game, _ = random_symmetric_game(np.random.default_rng(1), 4)
-        assert (2, 3) in game.deviation_set((2, 3), 0)
-
-    def test_player_one_varies_first_coordinate(self):
-        game, _ = random_symmetric_game(np.random.default_rng(1), 4)
-        devs = game.deviation_set((1, 2), 0)
-        assert all(b == 2 for _, b in devs)
-        devs2 = game.deviation_set((1, 2), 1)
-        assert all(a == 1 for a, _ in devs2)
-
-
 class TestPureNash:
     def test_prisoners_dilemma(self):
         game = EmpiricalGame.from_payoff_matrices(PD_U1)
@@ -143,11 +126,16 @@ class TestStorage:
         space = StrategySpace([{"x": 0}, {"x": 1}])
         game = EmpiricalGame(space)
         game.set_samples((0, 1), [10.0, 12.0], [3.0, 5.0])
-        game.set_samples((0, 0), [1.0], [1.0])
-        game.set_samples((1, 1), [2.0], [2.0])
+        game.set_samples((0, 0), [1.0], [7.0])
+        game.set_samples((1, 1), [2.0], [8.0])
         assert game.payoff((0, 1), 0) == pytest.approx(11.0)
         assert game.payoff((1, 0), 1) == pytest.approx(11.0)
         assert game.payoff((1, 0), 0) == pytest.approx(4.0)
+        # the diagonal is its own transpose and keeps the player order
+        assert game.payoff((0, 0), 0) == 1.0
+        assert game.payoff((0, 0), 1) == 7.0
+        assert game.payoff((1, 1), 0) == 2.0
+        assert game.payoff((1, 1), 1) == 8.0
 
     def test_sample_bookkeeping(self):
         space = StrategySpace([{"x": 0}, {"x": 1}])

@@ -17,9 +17,7 @@ from duogame.supply_chain import (
     stationary_market_price,
     steady_state,
     step_company,
-    step_logistics,
     step_pricing,
-    step_production,
 )
 
 DT = 0.25
@@ -109,24 +107,29 @@ class TestFixedPoint:
 
 
 class TestStepProduction:
+    """Production-side branches of :func:`step_company`."""
+
     def test_zero_labor_means_zero_production(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         s.labor = 0.0
-        s1 = step_production(s, p, order_rate=100.0, dt=DT)
+        s1 = step_company(s, p, order_rate=100.0, dt=DT)
         assert s1.prod_br == 0.0
 
     def test_material_rate_bottleneck(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
-        s1 = step_production(s, p, order_rate=100.0, material_rate=7.0, dt=DT)
-        assert s1.prod_br == pytest.approx(7.0)
+        s.rm_inv = 7.0
+        s1 = step_company(s, p, order_rate=100.0, dt=DT)
+        assert s1.msr < s1.d_prod_br
+        assert s1.msr == pytest.approx(7.0 / p.rm_inventory_cov)
+        assert s1.prod_br == s1.msr
 
     def test_dt_must_be_positive(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         with pytest.raises(ParameterError):
-            step_production(s, p, 100.0, dt=0.0)
+            step_company(s, p, 100.0, dt=0.0)
 
     def test_hand_computed_euler_step(self):
         """Straight-line re-evaluation of one sub-step from a documented seed state."""
@@ -190,20 +193,22 @@ class TestStepProduction:
 
 
 class TestStepLogistics:
+    """Shipment-side branches of :func:`step_company`."""
+
     def test_no_orders_no_backlog_ships_nothing(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         s.backlog = 0.0
-        s1 = step_logistics(s, p, order_rate=0.0, dt=DT)
+        s1 = step_company(s, p, order_rate=0.0, dt=DT)
         assert s1.ship_r == 0.0
-        assert s1.inv == pytest.approx(s.inv + DT * s.prod_cr)
+        assert s1.inv == pytest.approx(s.inv + DT * s1.prod_cr)
 
     def test_full_inventory_ships_orders(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         s.inv = s.d_inv * 2.0
         s.backlog = 0.0
-        s1 = step_logistics(s, p, order_rate=100.0, dt=DT)
+        s1 = step_company(s, p, order_rate=100.0, dt=DT)
         assert s1.ship_r == pytest.approx(100.0)
 
     def test_half_inventory_ships_half(self):
@@ -212,14 +217,14 @@ class TestStepLogistics:
         d_inv = (p.order_processing_time + p.safety_stock_cov) * 100.0
         s.inv = 0.5 * d_inv
         s.backlog = 0.0
-        s1 = step_logistics(s, p, order_rate=100.0, dt=DT)
+        s1 = step_company(s, p, order_rate=100.0, dt=DT)
         assert s1.ship_r == pytest.approx(50.0)
 
     def test_idle_line_coverage_pegged(self):
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         s.backlog = 0.0
-        s1 = step_logistics(s, p, order_rate=0.0, dt=DT)
+        s1 = step_company(s, p, order_rate=0.0, dt=DT)
         assert s1.inv_cov == p.max_inv_cov
 
 
