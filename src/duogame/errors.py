@@ -22,12 +22,21 @@ class StateError(DuogameError):
 
 
 class ReplicationError(DuogameError):
-    """A replication blew up numerically. Carries the simulated day and seed."""
+    """A replication blew up numerically.
 
-    def __init__(self, message, day=None, seed=None):
+    Carries the simulated day, the replication's seed (which replays it) and
+    its position ``index`` among the replications of the call.
+    """
+
+    def __init__(self, message, day=None, seed=None, index=None):
         super().__init__(message)
         self.day = day
         self.seed = seed
+        self.index = index
+
+    def __reduce__(self):
+        # keep the attributes when a pool worker sends the error back
+        return type(self), (str(self), self.day, self.seed, self.index)
 
 
 class IncompleteGameError(DuogameError):

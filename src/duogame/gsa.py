@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .doe import FactorEffect, doe_significance
-from .errors import ParameterError
+from .errors import ParameterError, ReplicationError
 from .factors import (
     FactorPlan,
     detailed_children,
@@ -139,17 +139,28 @@ class SimulationPayoffSource:
 
 
 def _simulate_profile(source, labels, a, b, baseline, policy, tag):
-    """Initial batch plus value-of-information top-up for one profile."""
-    payoffs = source(labels[a], labels[b], baseline, policy.initial_n, tag)
-    total = payoffs.shape[0]
-    if total >= 2 and policy.cap > total:
-        spread = float(max(payoffs[:, 0].std(ddof=1), payoffs[:, 1].std(ddof=1)))
-        target = decide_sample_size(total, spread, policy.ecvi_floor,
-                                    policy.cap, policy.batch, policy.alpha)
-        if target > total:
-            extra = source(labels[a], labels[b], baseline, target - total,
-                           tag, start=total)
-            payoffs = np.vstack([payoffs, extra])
+    """Initial batch plus value-of-information top-up for one profile.
+
+    A diverging replication is re-raised with the profile and its tag; the
+    profile's specs and the error's seed replay it through
+    :func:`~duogame.runner.run_replication`.
+    """
+    try:
+        payoffs = source(labels[a], labels[b], baseline, policy.initial_n, tag)
+        total = payoffs.shape[0]
+        if total >= 2 and policy.cap > total:
+            spread = float(max(payoffs[:, 0].std(ddof=1), payoffs[:, 1].std(ddof=1)))
+            target = decide_sample_size(total, spread, policy.ecvi_floor,
+                                        policy.cap, policy.batch, policy.alpha)
+            if target > total:
+                extra = source(labels[a], labels[b], baseline, target - total,
+                               tag, start=total)
+                payoffs = np.vstack([payoffs, extra])
+    except ReplicationError as exc:
+        raise ReplicationError(
+            f"profile ({a}, {b}), tag {tag}, replication {exc.index} "
+            f"(seed {exc.seed}): {exc}", day=exc.day, seed=exc.seed,
+            index=exc.index) from exc
     return payoffs
 
 

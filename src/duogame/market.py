@@ -9,14 +9,16 @@ a cross-company interaction co-state and per-brand marketing forces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ParameterError
 from .network import SocialNetwork
 
 NO_BRAND = -1
+BRANDS = np.arange(2)
 
 # The interaction co-state is positively unstable whenever the co-state
 # factors and total force are positive, so forward integration saturates it
@@ -47,14 +49,21 @@ def update_perceptions(mf, i_ad, i_pm, i_ft):
 
 
 def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
-    """One Euler step of the 2x2 cross-company interaction system."""
+    """One Euler step of the 2x2 cross-company interaction system.
+
+    ``inter``, ``prices`` and ``pms`` hold one brand pair in the last axis,
+    with any leading replication axes; ``force`` has the leading shape. The
+    coupling product is a stacked matrix-vector product, which rounds the
+    same for one pair or many.
+    """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     inter = np.asarray(inter, dtype=float)
     prices = np.asarray(prices, dtype=float)
     pms = np.asarray(pms, dtype=float)
+    force = np.asarray(force, dtype=float)[..., None]
     coupling = np.array([[d1, d1 * d2], [d2 * d1, d2]])
-    drift = coupling @ ((rho + force) * inter) - prices * (1.0 - pms)
+    drift = (coupling @ ((rho + force) * inter)[..., None])[..., 0] - prices * (1.0 - pms)
     return inter + dt * drift
 
 
@@ -110,30 +119,44 @@ class MarketParams:
 
 @dataclass
 class MarketingState:
-    """Per-brand marketing levels plus the shared interaction co-state."""
+    """Per-brand marketing levels plus the shared interaction co-state.
 
-    mb: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    ad: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    pm: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    ad_spend: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    pm_spend: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    spend_rate: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    force: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    inter: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    total_force: float = 0.0
+    Every array has one row per replication; the brand pair is the last axis.
+    """
+
+    mb: np.ndarray
+    ad: np.ndarray
+    pm: np.ndarray
+    ad_spend: np.ndarray
+    pm_spend: np.ndarray
+    spend_rate: np.ndarray
+    force: np.ndarray
+    inter: np.ndarray
+    total_force: np.ndarray   # shape (replications,)
+
+    @classmethod
+    def zeros(cls, replications: int) -> "MarketingState":
+        pairs = [np.zeros((replications, 2)) for _ in range(8)]
+        return cls(*pairs, total_force=np.zeros(replications))
 
 
 class ConsumerMarket:
-    """Population state plus the per-day market step.
+    """Population state plus the per-day market step, for a block of
+    replications that share one population and advance in lockstep.
 
-    The update is synchronous: every agent reads the previous day's adoption
-    of its neighbors, so the result does not depend on agent order.
+    Adoption is held as (replications, agents). Rows never interact: each
+    replication has its own marketing state, prices and tie-break stream,
+    so a row's trajectory does not depend on the block it runs in. The
+    update is synchronous: every agent reads the previous day's adoption of
+    its neighbors, so the result does not depend on agent order.
     """
 
     def __init__(self, network: SocialNetwork, params: MarketParams,
-                 population_rng: np.random.Generator):
+                 population_rng: np.random.Generator, replications: int = 1):
         if network.n == 0:
             raise ParameterError("empty network")
+        if replications < 1:
+            raise ParameterError(f"replications must be >= 1, got {replications}")
         self.network = network
         self.params = params
         self.n = network.n
@@ -146,28 +169,38 @@ class ConsumerMarket:
         self.i_ad = draw(params.i_ad)
         self.i_pm = draw(params.i_pm)
         self.i_ft = draw(params.i_ft)
-        self.adopted = np.full(self.n, NO_BRAND, dtype=np.int8)
-        self.marketing = MarketingState()
-        self.shares = np.zeros(2)
+        self.adopted = np.full((replications, self.n), NO_BRAND, dtype=np.int8)
+        self.marketing = MarketingState.zeros(replications)
+        self._adjacency = sparse.csr_matrix(
+            (np.ones(network.indices.size), network.indices, network.indptr),
+            shape=(self.n, self.n))
         self._degrees = np.maximum(network.degrees, 1)
 
+    def truncate(self, replications: int) -> None:
+        """Keep only the first ``replications`` rows of the block."""
+        self.adopted = self.adopted[:replications]
+        mk = self.marketing
+        for f in fields(mk):
+            setattr(mk, f.name, getattr(mk, f.name)[:replications])
+
     def neighbor_influence(self) -> np.ndarray:
-        """Fraction of each agent's neighbors adopting each brand, shape (n, 2)."""
-        inf = np.zeros((self.n, 2))
-        neighbor_brand = self.adopted[self.network.indices]
-        for b in (0, 1):
-            counts = np.add.reduceat((neighbor_brand == b).astype(np.int64),
-                                     self.network.indptr[:-1])
-            inf[:, b] = counts / self._degrees
-        return inf
+        """Fraction of each agent's neighbors adopting each brand, shape
+        (n, 2 * replications) with column ``2 * r + b`` for brand ``b`` in
+        replication ``r``."""
+        r, n = self.adopted.shape
+        # one indicator column per (replication, brand), counted in one product
+        indicator = (self.adopted.T[:, :, None] == BRANDS).reshape(n, 2 * r)
+        return (self._adjacency @ indicator.astype(float)) / self._degrees[:, None]
 
-    def step(self, prices, rng: np.random.Generator,
-             mirror: bool = False) -> np.ndarray:
-        """Advance one day; returns the two market shares (they sum to 1).
+    def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
+        """Advance every replication one day; returns the (replications, 2)
+        market shares (each row sums to 1).
 
-        ``mirror`` flips the interpretation of tie-break draws, which is the
-        documented label transposition that makes brand-swapped runs mirror
-        exactly.
+        ``prices`` has one brand pair per replication and ``rngs`` one
+        tie-break generator per replication, drawn only for that row's tied
+        agents. ``mirror`` flips the interpretation of tie-break draws, which
+        is the documented label transposition that makes brand-swapped runs
+        mirror exactly.
         """
         p = self.params
         mk = self.marketing
@@ -179,27 +212,29 @@ class ConsumerMarket:
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,
                                    mk.total_force, prices, mk.pm, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
-        mk.total_force = float(mk.force.sum())
+        mk.total_force = mk.force.sum(axis=1)
 
         inf = self.neighbor_influence()
-        price_sum = prices.sum() if p.price_sum_mode == "sum" else prices.mean()
-        # per-agent, per-brand scores via broadcasting
-        sens_p = price_sensitivity(prices[None, :], mk.pm[None, :], price_sum,
-                                   p.s, self.m_agent[:, None])
+        price_sum = prices.sum(axis=1)
+        if p.price_sum_mode == "average":
+            price_sum = price_sum / 2
+        # scores per agent (rows) and per replication and brand (columns
+        # 2r + b) via broadcasting
+        flat_prices, pm, ad = prices.ravel(), mk.pm.ravel(), mk.ad.ravel()
+        sens_p = price_sensitivity(flat_prices, pm, np.repeat(price_sum, 2), p.s,
+                                   self.m_agent[:, None])
         sus_ad, sens_pm, ft = update_perceptions(
-            mk.force[None, :], self.i_ad[:, None], self.i_pm[:, None],
-            self.i_ft[:, None])
-        scores = motivation(sens_p, prices[None, :], mk.pm[None, :],
-                            sus_ad, mk.ad[None, :], sens_pm, ft, inf)
+            mk.force.ravel(), self.i_ad[:, None], self.i_pm[:, None], self.i_ft[:, None])
+        scores = motivation(sens_p, flat_prices, pm, sus_ad, ad, sens_pm, ft, inf)
 
-        diff = scores[:, 0] - scores[:, 1]
+        diff = scores[:, 0::2] - scores[:, 1::2]
         choice = np.where(diff > 0, 0, 1).astype(np.int8)
         tied = diff == 0
-        if tied.any():
-            draws = rng.integers(0, 2, size=int(tied.sum())).astype(np.int8)
+        for r in np.flatnonzero(tied.any(axis=0)):
+            draws = rngs[r].integers(0, 2, size=int(tied[:, r].sum())).astype(np.int8)
             if mirror:
                 draws = 1 - draws
-            choice[tied] = draws
-        self.adopted = choice
-        self.shares = np.array([(choice == 0).mean(), (choice == 1).mean()])
-        return self.shares.copy()
+            choice[tied[:, r], r] = draws
+        self.adopted = choice.T
+        first = np.count_nonzero(choice == 0, axis=0)
+        return np.stack([first, self.n - first], axis=1) / self.n

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,12 +187,19 @@ def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
 
 
 def load_checkpoint(out_dir, iteration: int, fingerprint: str):
-    """Return ``(game, report_dict, baseline)`` or None when absent/stale."""
+    """Return ``(game, report_dict, baseline)`` or None when absent/stale.
+
+    A stale checkpoint, written under another config fingerprint, is
+    reported on stderr; the caller then recomputes and overwrites it.
+    """
     path = checkpoint_path(out_dir, iteration)
     if not path.exists():
         return None
     payload = json.loads(path.read_text())
-    if payload.get("fingerprint") != fingerprint:
+    found = payload.get("fingerprint")
+    if found != fingerprint:
+        print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
+              f"this run {fingerprint}; recomputing", file=sys.stderr)
         return None
     labels = payload["labels"]
     space = StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))])

@@ -1,10 +1,16 @@
-"""One full replication of the coupled duopoly simulation.
+"""Replications of the coupled duopoly simulation.
 
 Each simulated day the consumer market splits total demand between the two
 companies, then each company's supply chain advances in sub-daily Euler
 steps and prices are re-set at the market level. Physical quantities
 (units produced, shipped, unit-days of inventory, ...) are accumulated so
 payoffs can be priced with any cost-rate vector afterwards.
+
+Replications run in lockstep blocks of at most ``BLOCK``: one market call
+advances the whole block by a day, then each replication steps its two
+companies and its pricing in plain floats. Replications share nothing but
+the population, so every output depends on its seed alone; results do not
+depend on the sample count ``n`` or on the block size.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -25,10 +31,10 @@ from .errors import ParameterError, ReplicationError, StateError
 from .market import ConsumerMarket, MarketParams, sunk_cost
 from .network import generate_ba_network
 from .supply_chain import (
+    ZERO_NOISE,
     NoiseDraws,
     PricingState,
     SDParams,
-    SDState,
     steady_state,
     step_company,
     step_pricing,
@@ -145,6 +151,14 @@ class ReplicationOutput:
 
 _network_cache: dict = {}
 
+# Replications advanced in lockstep by one pass of the kernel. The cap bounds
+# the market's per-day temporaries, (agents, 2 * BLOCK) floats: at 200 agents
+# they stay at 100 KiB, under the 128 KiB at which the C allocator hands out
+# fresh memory maps, and larger blocks ran slower per replication-day.
+BLOCK = 32
+
+SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
+
 
 def _population(settings: SimulationSettings):
     key = (settings.population_seed, settings.n_agents,
@@ -162,38 +176,115 @@ def _period_draw(rng, lo, hi, deterministic):
     return rng.uniform(lo, hi)
 
 
-def run_replication(specs, settings: SimulationSettings, seed: int,
-                    mirror: bool = False) -> ReplicationOutput:
-    """Simulate ``run_length_days`` and return the full replication record.
+def _noise_draws(rng, p: SDParams) -> NoiseDraws:
+    if not (p.sigma_wip > 0 or p.sigma_prod > 0 or p.sigma_order > 0 or p.sigma_inv > 0):
+        return ZERO_NOISE
+    return NoiseDraws(
+        wip=rng.normal(0, p.sigma_wip) if p.sigma_wip > 0 else 0.0,
+        prod=rng.normal(0, p.sigma_prod) if p.sigma_prod > 0 else 0.0,
+        order=rng.normal(0, p.sigma_order) if p.sigma_order > 0 else 0.0,
+        inv=rng.normal(0, p.sigma_inv) if p.sigma_inv > 0 else 0.0)
 
-    ``specs`` is the pair of company strategies. With ``mirror=True`` the
-    company noise streams are transposed and tie-break labels flipped; running
-    the swapped strategy pair that way reproduces the original replication
-    with the two companies exchanged, bit for bit.
+
+class _Replication:
+    """One replication of a block: its RNG streams, its two companies and
+    pricing state in plain floats, and its accumulators."""
+
+    def __init__(self, seed, specs, initial, mirror, days):
+        child = np.random.SeedSequence(seed).spawn(3)
+        self.seed = seed
+        self.tie_rng = np.random.default_rng(child[0])
+        self.rngs = [np.random.default_rng(child[1]), np.random.default_rng(child[2])]
+        if mirror:
+            self.rngs.reverse()
+        self.sd = [replace(state) for state in initial]
+        self.prices = (specs[0].sd.mfg_price, specs[1].sd.mfg_price)
+        self.pricing = PricingState(mp=(self.prices[0] + self.prices[1]) / 2.0)
+        # per company: revenue, units produced, purchased and shipped,
+        # inventory and backlog unit-days, marketing spend, own sunk cost
+        self.totals = [[0.0] * 8 for _ in COMPANIES]
+        self.period_revenue = [0.0, 0.0]
+        self.sunk_total = 0.0
+        self.daily = np.empty((days, 2 * len(SERIES)))    # SERIES order, by company
+
+    def start_period(self, day, specs, settings):
+        """Budgets and advertising and promotion levels of a marketing period."""
+        if day == 0:
+            mb = [specs[i].mb_pct * self.prices[i] * settings.total_order_rate
+                  * settings.marketing_period for i in COMPANIES]
+        else:
+            mb = [specs[i].mb_pct * self.period_revenue[i] for i in COMPANIES]
+        self.period_revenue = [0.0, 0.0]
+        det = settings.deterministic_marketing
+        ad = [_period_draw(self.rngs[i], *specs[i].ad_range, det) for i in COMPANIES]
+        pm = [_period_draw(self.rngs[i], *specs[i].pm_range, det) for i in COMPANIES]
+        return mb, ad, pm
+
+    def advance_day(self, day, shares, spend_rate, collect, params, tor, dt,
+                    substeps, mp_bounds):
+        """Both supply chains and the pricing loop through one day."""
+        sd, prices, pricing = self.sd, self.prices, self.pricing
+        totals, period_revenue = self.totals, self.period_revenue
+        orders = (tor * shares[0], tor * shares[1])
+        noises = [_noise_draws(self.rngs[i], params[i]) for i in COMPANIES]
+        if collect:
+            totals[0][6] += spend_rate[0]    # one day's worth
+            totals[1][6] += spend_rate[1]
+        for _ in range(substeps):
+            for i in COMPANIES:
+                s = step_company(sd[i], params[i], orders[i], noises[i], dt)
+                income = s.ship_r * prices[i] * dt
+                if collect:
+                    t = totals[i]
+                    t[0] += income
+                    t[1] += s.prod_br * dt
+                    t[2] += s.rm_order_r * dt
+                    t[3] += s.ship_r * dt
+                    t[4] += s.inv * dt
+                    t[5] += s.backlog * dt
+                period_revenue[i] += income
+            prices, pricing = step_pricing(prices, pricing, params,
+                                           (sd[0].inv_cov, sd[1].inv_cov),
+                                           dt=dt, mp_bounds=mp_bounds)
+            sd[0].price, sd[1].price = prices
+        self.prices = prices
+        s0, s1 = sd
+        self.daily[day] = (prices[0], prices[1], s0.inv, s1.inv, s0.backlog, s1.backlog,
+                           s0.ship_r, s1.ship_r, shares[0], shares[1],
+                           s0.labor, s1.labor, s0.wip, s1.wip)
+
+    def close_period(self, mb, inter):
+        """Sunk interaction cost of a finished marketing period."""
+        self.sunk_total += max(0.0, sunk_cost(mb, inter))
+        for i in COMPANIES:
+            self.totals[i][7] += max(0.0, mb[i] * inter[i])
+
+    def output(self, settings) -> ReplicationOutput:
+        daily = self.daily.reshape(len(self.daily), len(SERIES), 2)
+        t = np.array(self.totals).T.copy()
+        return ReplicationOutput(
+            seed=self.seed, run_length=settings.run_length_days,
+            warmup=settings.warmup_days,
+            series={name: daily[:, k] for k, name in enumerate(SERIES)},
+            revenue=t[0], units_produced=t[1], units_purchased=t[2],
+            units_shipped=t[3], inv_unit_days=t[4], backlog_unit_days=t[5],
+            marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total)
+
+
+def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list:
+    """Replications of validated specs, one lockstep day at a time.
+
+    The market advances every replication's day in one call; then each
+    replication runs its own companies and pricing. A replication that
+    diverges ends the block for itself and every later one; the block then
+    raises for the lowest-index replication that diverged.
     """
-    specs = tuple(specs)
-    if len(specs) != 2:
-        raise ParameterError("exactly two company specs required")
-    for s in specs:
-        s.validate()
-    settings.validate()
-
-    child = np.random.SeedSequence(seed).spawn(3)
-    tie_rng = np.random.default_rng(child[0])
-    company_rngs = [np.random.default_rng(child[1]), np.random.default_rng(child[2])]
-    if mirror:
-        company_rngs.reverse()
-
-    network = _population(settings)
-    pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
-    market = ConsumerMarket(network, settings.market, pop_rng)
-
     tor = settings.total_order_rate
     dt = settings.dt
     substeps = max(1, round(1.0 / dt))
-    days = settings.run_length_days
-
-    sd = []
+    period = settings.marketing_period
+    params = (specs[0].sd, specs[1].sd)
+    initial = []
     for spec in specs:
         base = steady_state(spec.sd, tor / 2.0)
         init = replace(base)
@@ -201,113 +292,83 @@ def run_replication(specs, settings: SimulationSettings, seed: int,
             setattr(init, name, getattr(base, name) * settings.initial_stock_fraction)
         init.a_wip = init.a_prod = init.a_labor = init.a_vac = 0.0
         init.price = spec.sd.mfg_price
-        sd.append(init)
-    prices = (specs[0].sd.mfg_price, specs[1].sd.mfg_price)
-    mp0 = (prices[0] + prices[1]) / 2.0
-    pricing = PricingState(mp=mp0)
-    mp_bounds = (mp0 * min(specs[0].sd.mp_floor_ratio, specs[1].sd.mp_floor_ratio),
-                 mp0 * max(specs[0].sd.mp_cap_ratio, specs[1].sd.mp_cap_ratio))
+        initial.append(init)
+    reps = [_Replication(seed, specs, initial, mirror, settings.run_length_days)
+            for seed in seeds]
+    mp0 = (params[0].mfg_price + params[1].mfg_price) / 2.0
+    mp_bounds = (mp0 * min(params[0].mp_floor_ratio, params[1].mp_floor_ratio),
+                 mp0 * max(params[0].mp_cap_ratio, params[1].mp_cap_ratio))
 
-    series = {name: np.zeros((days, 2)) for name in
-              ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")}
-    revenue = np.zeros(2)
-    units_produced = np.zeros(2)
-    units_purchased = np.zeros(2)
-    units_shipped = np.zeros(2)
-    inv_unit_days = np.zeros(2)
-    backlog_unit_days = np.zeros(2)
-    marketing_spend = np.zeros(2)
-    sunk_own = np.zeros(2)
-    sunk_total = 0.0
-    period_revenue = np.zeros(2)
-
-    params = (specs[0].sd, specs[1].sd)
-    try:
-        for day in range(days):
-            collect = not (settings.truncate_warmup and day < settings.warmup_days)
-
-            if day % settings.marketing_period == 0:
-                if day == 0:
-                    mb = np.array([specs[i].mb_pct * prices[i] * tor *
-                                   settings.marketing_period for i in COMPANIES])
-                else:
-                    mb = np.array([specs[i].mb_pct * period_revenue[i]
-                                   for i in COMPANIES])
-                period_revenue[:] = 0.0
-                market.marketing.mb = mb
-                market.marketing.ad = np.array([
-                    _period_draw(company_rngs[i], *specs[i].ad_range,
-                                 settings.deterministic_marketing)
-                    for i in COMPANIES])
-                market.marketing.pm = np.array([
-                    _period_draw(company_rngs[i], *specs[i].pm_range,
-                                 settings.deterministic_marketing)
-                    for i in COMPANIES])
-
-            if settings.fixed_share_split is None:
-                shares = market.step(prices, tie_rng, mirror=mirror)
-            else:
-                market.step(prices, tie_rng, mirror=mirror)
-                shares = np.array([settings.fixed_share_split,
-                                   1.0 - settings.fixed_share_split])
-            if collect:
-                marketing_spend += market.marketing.spend_rate  # one day's worth
-
-            noises = []
-            for i in COMPANIES:
-                p = params[i]
-                rng = company_rngs[i]
-                noises.append(NoiseDraws(
-                    wip=rng.normal(0, p.sigma_wip) if p.sigma_wip > 0 else 0.0,
-                    prod=rng.normal(0, p.sigma_prod) if p.sigma_prod > 0 else 0.0,
-                    order=rng.normal(0, p.sigma_order) if p.sigma_order > 0 else 0.0,
-                    inv=rng.normal(0, p.sigma_inv) if p.sigma_inv > 0 else 0.0))
-
-            for _ in range(substeps):
-                for i in COMPANIES:
-                    sd[i] = step_company(sd[i], params[i], tor * shares[i],
-                                         noise=noises[i], dt=dt)
-                    if collect:
-                        revenue[i] += sd[i].ship_r * prices[i] * dt
-                        units_produced[i] += sd[i].prod_br * dt
-                        units_purchased[i] += sd[i].rm_order_r * dt
-                        units_shipped[i] += sd[i].ship_r * dt
-                        inv_unit_days[i] += sd[i].inv * dt
-                        backlog_unit_days[i] += sd[i].backlog * dt
-                    period_revenue[i] += sd[i].ship_r * prices[i] * dt
-                prices, pricing = step_pricing(
-                    prices, pricing, params, (sd[0].inv_cov, sd[1].inv_cov),
-                    dt=dt, mp_bounds=mp_bounds)
-                for i in COMPANIES:
-                    sd[i].price = prices[i]
-
-            if day % settings.marketing_period == settings.marketing_period - 1:
-                if collect:
-                    total = sunk_cost(market.marketing.mb, market.marketing.inter)
-                    sunk_total += max(0.0, total)
-                    for i in COMPANIES:
-                        own = market.marketing.mb[i] * market.marketing.inter[i]
-                        sunk_own[i] += max(0.0, own)
-
-            for i in COMPANIES:
-                sd[i].check_finite()
-                series["price"][day, i] = prices[i]
-                series["inv"][day, i] = sd[i].inv
-                series["backlog"][day, i] = sd[i].backlog
-                series["ship_r"][day, i] = sd[i].ship_r
-                series["ms"][day, i] = shares[i]
-                series["labor"][day, i] = sd[i].labor
-                series["wip"][day, i] = sd[i].wip
-    except StateError as exc:
+    pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
+    market = ConsumerMarket(_population(settings), settings.market, pop_rng,
+                            replications=len(reps))
+    mk = market.marketing
+    fixed = settings.fixed_share_split
+    failure = None
+    for day in range(settings.run_length_days):
+        collect = not (settings.truncate_warmup and day < settings.warmup_days)
+        if day % period == 0:
+            for r, rep in enumerate(reps):
+                mk.mb[r], mk.ad[r], mk.pm[r] = rep.start_period(day, specs, settings)
+        shares = market.step([rep.prices for rep in reps],
+                             [rep.tie_rng for rep in reps], mirror=mirror).tolist()
+        spend_rate = mk.spend_rate.tolist()
+        period_end = collect and day % period == period - 1
+        for r, rep in enumerate(reps):
+            try:
+                rep.advance_day(day, shares[r] if fixed is None else (fixed, 1.0 - fixed),
+                                spend_rate[r], collect, params, tor, dt, substeps,
+                                mp_bounds)
+            except StateError as exc:
+                failure = (r, day, exc)
+                del reps[r:]
+                market.truncate(r)
+                break
+            if period_end:
+                rep.close_period(mk.mb[r], mk.inter[r])
+        if not reps:
+            break
+    if failure is not None:
+        r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",
-                               day=day, seed=seed) from exc
+                               day=day, seed=seeds[r], index=r) from exc
+    return [rep.output(settings) for rep in reps]
 
-    return ReplicationOutput(
-        seed=seed, run_length=days, warmup=settings.warmup_days, series=series,
-        revenue=revenue, units_produced=units_produced,
-        units_purchased=units_purchased, units_shipped=units_shipped,
-        inv_unit_days=inv_unit_days, backlog_unit_days=backlog_unit_days,
-        marketing_spend=marketing_spend, sunk_own=sunk_own, sunk_total=sunk_total)
+
+def run_replication(specs, settings: SimulationSettings, seed,
+                    mirror: bool = False):
+    """Simulate ``run_length_days`` and return the full replication record.
+
+    ``specs`` is the pair of company strategies. ``seed`` is one seed, giving
+    one :class:`ReplicationOutput`, or a sequence of seeds, giving a list of
+    outputs in the same order. Replications run in lockstep blocks of at
+    most ``BLOCK``; each output depends on its seed only, not on the other
+    seeds or on the block size. A replication that diverges raises
+    :class:`ReplicationError` carrying its day, seed and position ``index``;
+    with several, the lowest position is reported.
+
+    With ``mirror=True`` the company noise streams are transposed and
+    tie-break labels flipped; running the swapped strategy pair that way
+    reproduces the original replication with the two companies exchanged,
+    bit for bit.
+    """
+    specs = tuple(specs)
+    if len(specs) != 2:
+        raise ParameterError("exactly two company specs required")
+    for s in specs:
+        s.validate()
+    settings.validate()
+    if isinstance(seed, (int, np.integer)):
+        return _run_block(specs, settings, [seed], mirror)[0]
+    seeds = list(seed)
+    outputs = []
+    for start in range(0, len(seeds), BLOCK):
+        try:
+            outputs += _run_block(specs, settings, seeds[start:start + BLOCK], mirror)
+        except ReplicationError as exc:
+            exc.index += start
+            raise
+    return outputs
 
 
 def compute_payoff(rep: ReplicationOutput, rates: CostRates,
@@ -369,16 +430,27 @@ def replication_seeds(master_seed: int, profile_tag: int, n: int,
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
                      n: int, seeds, mirror: bool = False) -> PayoffSampleSet:
-    """Run ``n`` independent replications and collect both players' payoffs."""
+    """Run ``n`` independent replications and collect both players' payoffs.
+
+    Replications run in lockstep blocks of at most ``BLOCK``; the payoffs do
+    not depend on ``n`` or on the block size, only on each seed.
+    """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
     seeds = list(seeds)[:n]
     if len(seeds) < n:
         raise ParameterError("not enough seeds supplied")
     payoffs = np.zeros((n, 2))
-    for j, seed in enumerate(seeds):
-        rep = run_replication(specs, settings, seed, mirror=mirror)
-        payoffs[j] = compute_payoff(rep, rates, settings.sunk_cost_mode)
+    for start in range(0, n, BLOCK):
+        try:
+            reps = run_replication(specs, settings, seeds[start:start + BLOCK],
+                                   mirror=mirror)
+        except ReplicationError as exc:
+            exc.index += start
+            raise
+        for j, rep in enumerate(reps, start):
+            payoffs[j] = compute_payoff(rep, rates, settings.sunk_cost_mode)
+        del reps    # the block's series are not kept while the next one runs
     return PayoffSampleSet(payoffs=payoffs, seeds=seeds)
 
 

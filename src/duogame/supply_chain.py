@@ -14,7 +14,6 @@ exact up to floating point.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -132,7 +131,7 @@ ZERO_NOISE = NoiseDraws()
 
 @dataclass
 class SDState:
-    """Stocks, smoothed adjustments, last-computed rates and cost accumulators."""
+    """Stocks, smoothed adjustments, last-computed rates and auxiliaries."""
 
     # stocks
     wip: float = 0.0
@@ -170,14 +169,6 @@ class SDState:
     inv_cov: float = 0.0
     price: float = 1.0
 
-    # cost / revenue accumulators (currency)
-    total_revenue: float = 0.0
-    cost_production: float = 0.0
-    cost_raw: float = 0.0
-    cost_inventory: float = 0.0
-    cost_backlog: float = 0.0
-    cost_transport: float = 0.0
-
     STOCK_FIELDS = ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit")
 
     def stocks(self) -> dict:
@@ -206,9 +197,7 @@ class PricingState:
     """Market-level pricing co-state shared by the two companies."""
 
     mp: float                      # market expected price
-    f_cost: tuple = (1.0, 1.0)     # cost-on-price multipliers, per company
-    f_invcov: tuple = (1.0, 1.0)   # coverage-on-price multipliers, per company
-    price_cr: float = 0.0
+    price_cr: float = 0.0          # last change rate of ``mp`` (per day)
 
 
 @dataclass
@@ -238,122 +227,139 @@ def fulfillment_ratio(inv: float, desired_inv: float) -> float:
     return min(1.0, max(0.0, inv / desired_inv))
 
 
-def _production_rates(state: SDState, p: SDParams, order_rate: float,
-                      noise: NoiseDraws, dt: float) -> dict:
-    """Compute every production-side rate from the previous-step state.
+def step_company(state: SDState, p: SDParams, order_rate: float,
+                 noise: NoiseDraws = ZERO_NOISE, dt: float = 0.25,
+                 ledger: FlowLedger | None = None) -> SDState:
+    """Advance ``state`` by one Euler sub-step of the full chain, in place.
 
-    Returns the new smoothed adjusters, desired quantities and rates without
-    touching the state, so callers control when integration happens.
+    Every rate is computed from the start-of-step stocks, then all stocks
+    are integrated together and checked, so one inadmissible stock raises
+    :class:`StateError` on the sub-step that produced it. ``order_rate`` is
+    the demand before noise; pricing is applied separately at the pair
+    level by :func:`step_pricing`. ``p`` is trusted to be validated; the
+    smoothing and fulfillment formulas are those of :func:`smooth_adjust`
+    and :func:`fulfillment_ratio`. Returns ``state``.
     """
-    d_inv = max(0.0, (p.order_processing_time + p.safety_stock_cov) * order_rate + noise.inv)
-    a_prod = smooth_adjust(d_inv, state.inv, p.inv_fulfillment_time, state.a_prod, p.lam_prod)
-    d_wip = max(0.0, (a_prod + order_rate) * p.cycle_time + noise.wip)
-    a_wip = smooth_adjust(d_wip, state.wip, p.wip_fulfillment_time, state.a_wip, p.lam_wip)
-    d_prod_br = max(0.0, a_wip + a_prod + order_rate + noise.prod)
+    if dt <= 0:
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    # ``y if y < x else x`` is ``min(x, y)`` and ``x if x > 0.0 else 0.0`` is
+    # ``max(0.0, x)``, NaN included, at a fraction of the call's cost
+    wip, inv, labor, vac = state.wip, state.inv, state.labor, state.vac
+    backlog, rm_inv, rm_transit = state.backlog, state.rm_inv, state.rm_transit
+    x = order_rate + noise.order
+    order_r = x if x > 0.0 else 0.0
+
+    # production: smoothed gap-closing toward desired inventory and WIP
+    lam = p.lam_prod
+    x = (p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv
+    d_inv = x if x > 0.0 else 0.0
+    a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * state.a_prod
+    lam = p.lam_wip
+    x = (a_prod + order_r) * p.cycle_time + noise.wip
+    d_wip = x if x > 0.0 else 0.0
+    a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * state.a_wip
+    x = a_wip + a_prod + order_r + noise.prod
+    d_prod_br = x if x > 0.0 else 0.0
 
     # raw material sub-chain, mirroring finished-goods logistics with an
     # infinite upstream and a first-order transit delay
     rm_desired = p.rm_inventory_cov * d_prod_br
     if rm_desired > 0:
-        rm_fulfill = fulfillment_ratio(state.rm_inv, rm_desired)
+        x = rm_inv / rm_desired
+        x = x if x > 0.0 else 0.0
+        rm_fulfill = x if x < 1.0 else 1.0
     else:
         rm_fulfill = 1.0
-    msr = min(d_prod_br * rm_fulfill, state.rm_inv / dt)
-    rm_arrival_r = min(state.rm_transit / p.rm_lead_time, state.rm_transit / dt)
+    x, y = d_prod_br * rm_fulfill, rm_inv / dt
+    msr = y if y < x else x
+    x, y = rm_transit / p.rm_lead_time, rm_transit / dt
+    rm_arrival_r = y if y < x else x
 
-    capacity = state.labor * p.daily_capacity_per_worker
-    prod_br = max(0.0, min(capacity, msr, d_prod_br))
-    prod_cr = min(state.wip / p.cycle_time, state.wip / dt)
+    per_worker = p.labor_productivity * p.labor_hours
+    x = labor * per_worker
+    if msr < x:
+        x = msr
+    if d_prod_br < x:
+        x = d_prod_br
+    prod_br = x if x > 0.0 else 0.0
+    x, y = wip / p.cycle_time, wip / dt
+    prod_cr = y if y < x else x
     # reorder to replace actual usage plus an inventory-gap correction
-    rm_order_r = max(0.0, prod_br + (rm_desired - state.rm_inv) / p.rm_lead_time)
+    x = prod_br + (rm_desired - rm_inv) / p.rm_lead_time
+    rm_order_r = x if x > 0.0 else 0.0
 
     # labor chain
-    d_labor = d_prod_br / p.daily_capacity_per_worker
-    a_labor = smooth_adjust(d_labor, state.labor, p.labor_fulfillment_time,
-                            state.a_labor, p.lam_labor)
-    d_vac = max(0.0, p.vac_fulfillment_time * a_labor)
-    a_vac = smooth_adjust(d_vac, state.vac, p.vac_creation_time, state.a_vac, p.lam_vac)
-    vac_br = max(0.0, a_labor + a_vac)
-    hire_r = min(state.vac / p.vac_fulfillment_time, state.vac / dt)
-    retire_r = state.labor / p.employment_time
-    layoff_r = min(max(0.0, -a_labor), state.labor / p.layoff_time)
-    if p.max_layoff_rate is not None:
-        layoff_r = min(layoff_r, p.max_layoff_rate)
+    lam = p.lam_labor
+    a_labor = (lam * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
+               + (1.0 - lam) * state.a_labor)
+    x = p.vac_fulfillment_time * a_labor
+    d_vac = x if x > 0.0 else 0.0
+    lam = p.lam_vac
+    a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * state.a_vac
+    x = a_labor + a_vac
+    vac_br = x if x > 0.0 else 0.0
+    x, y = vac / p.vac_fulfillment_time, vac / dt
+    hire_r = y if y < x else x
+    retire_r = labor / p.employment_time
+    x = -a_labor
+    x = x if x > 0.0 else 0.0
+    y = labor / p.layoff_time
+    layoff_r = y if y < x else x
+    if p.max_layoff_rate is not None and p.max_layoff_rate < layoff_r:
+        layoff_r = p.max_layoff_rate
     labor_out = retire_r + layoff_r
-    if labor_out * dt > state.labor:
-        scale = state.labor / (labor_out * dt)
+    if labor_out * dt > labor:
+        scale = labor / (labor_out * dt)
         retire_r *= scale
         layoff_r *= scale
 
-    return dict(d_inv=d_inv, a_prod=a_prod, d_wip=d_wip, a_wip=a_wip,
-                d_prod_br=d_prod_br, msr=msr, rm_order_r=rm_order_r,
-                rm_arrival_r=rm_arrival_r, prod_br=prod_br, prod_cr=prod_cr,
-                a_labor=a_labor, a_vac=a_vac, vac_br=vac_br, hire_r=hire_r,
-                retire_r=retire_r, layoff_r=layoff_r)
-
-
-def _shipment_rates(state: SDState, p: SDParams, order_r: float, d_inv: float,
-                    dt: float) -> tuple:
-    """Shipment rate with backlog clearance, limited by on-hand inventory."""
+    # shipments with backlog clearance, limited by on-hand inventory
     if d_inv > 0:
-        fulfill = fulfillment_ratio(state.inv, d_inv)
+        x = inv / d_inv
+        x = x if x > 0.0 else 0.0
+        fulfill = x if x < 1.0 else 1.0
     else:
-        fulfill = 1.0 if state.inv > 0 else 0.0
-    desired_ship = order_r + state.backlog / p.order_processing_time
-    ship_r = desired_ship * fulfill
-    ship_r = min(ship_r, state.inv / dt, order_r + state.backlog / dt)
-    return max(0.0, ship_r), fulfill
+        fulfill = 1.0 if inv > 0 else 0.0
+    x = (order_r + backlog / p.order_processing_time) * fulfill
+    y = inv / dt
+    if y < x:
+        x = y
+    y = order_r + backlog / dt
+    if y < x:
+        x = y
+    ship_r = x if x > 0.0 else 0.0
 
+    state.wip = wip = wip + dt * (prod_br - prod_cr)
+    state.inv = inv = inv + dt * (prod_cr - ship_r)
+    state.labor = labor = labor + dt * (hire_r - retire_r - layoff_r)
+    state.vac = vac = vac + dt * (vac_br - hire_r)
+    state.backlog = backlog = backlog + dt * (order_r - ship_r)
+    state.rm_inv = rm_inv = rm_inv + dt * (rm_arrival_r - prod_br)
+    state.rm_transit = rm_transit = rm_transit + dt * (rm_order_r - rm_arrival_r)
+    if not (wip >= 0 and inv >= 0 and labor >= 0 and vac >= 0 and backlog >= 0
+            and rm_inv >= 0 and rm_transit >= 0
+            and math.isfinite(wip + inv + labor + vac + backlog + rm_inv
+                              + rm_transit)):
+        state.check_finite()
 
-def step_company(state: SDState, p: SDParams, order_rate: float,
-                 noise: NoiseDraws = ZERO_NOISE, dt: float = 0.25,
-                 ledger: FlowLedger | None = None) -> SDState:
-    """One Euler sub-step of the full chain (production + logistics).
-
-    ``order_rate`` is the demand before noise; pricing is applied separately
-    at the pair level by :func:`step_pricing`.
-    """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    state.check_finite()
-
-    order_r = max(0.0, order_rate + noise.order)
-    r = _production_rates(state, p, order_r, noise, dt)
-    ship_r, fulfill = _shipment_rates(state, p, order_r, r["d_inv"], dt)
-
-    new = copy.copy(state)
-    new.order_r = order_r
-    new.d_inv, new.d_wip, new.d_prod_br = r["d_inv"], r["d_wip"], r["d_prod_br"]
-    new.a_prod, new.a_wip = r["a_prod"], r["a_wip"]
-    new.a_labor, new.a_vac = r["a_labor"], r["a_vac"]
-    new.prod_br, new.prod_cr = r["prod_br"], r["prod_cr"]
-    new.msr, new.rm_order_r, new.rm_arrival_r = r["msr"], r["rm_order_r"], r["rm_arrival_r"]
-    new.hire_r, new.retire_r = r["hire_r"], r["retire_r"]
-    new.layoff_r, new.vac_br = r["layoff_r"], r["vac_br"]
-    new.ship_r, new.fulfillment = ship_r, fulfill
-
-    new.wip = state.wip + dt * (new.prod_br - new.prod_cr)
-    new.inv = state.inv + dt * (new.prod_cr - new.ship_r)
-    new.labor = state.labor + dt * (new.hire_r - new.retire_r - new.layoff_r)
-    new.vac = state.vac + dt * (new.vac_br - new.hire_r)
-    new.backlog = state.backlog + dt * (new.order_r - new.ship_r)
-    new.rm_inv = state.rm_inv + dt * (new.rm_arrival_r - new.prod_br)
-    new.rm_transit = state.rm_transit + dt * (new.rm_order_r - new.rm_arrival_r)
-
-    if new.ship_r > 0:
-        new.inv_cov = new.inv / new.ship_r
-    else:
-        new.inv_cov = p.max_inv_cov  # idle line: coverage pegged to capacity
+    state.a_prod, state.a_wip, state.a_labor, state.a_vac = a_prod, a_wip, a_labor, a_vac
+    state.prod_br, state.prod_cr, state.ship_r, state.order_r = prod_br, prod_cr, ship_r, order_r
+    state.hire_r, state.retire_r, state.layoff_r, state.vac_br = hire_r, retire_r, layoff_r, vac_br
+    state.msr, state.rm_order_r, state.rm_arrival_r = msr, rm_order_r, rm_arrival_r
+    state.d_inv, state.d_wip, state.d_prod_br = d_inv, d_wip, d_prod_br
+    state.fulfillment = fulfill
+    # idle line: coverage pegged to capacity
+    state.inv_cov = inv / ship_r if ship_r > 0 else p.max_inv_cov
 
     if ledger is not None:
-        ledger.add("wip", new.prod_br - new.prod_cr, dt)
-        ledger.add("inv", new.prod_cr - new.ship_r, dt)
-        ledger.add("labor", new.hire_r - new.retire_r - new.layoff_r, dt)
-        ledger.add("vac", new.vac_br - new.hire_r, dt)
-        ledger.add("backlog", new.order_r - new.ship_r, dt)
-        ledger.add("rm_inv", new.rm_arrival_r - new.prod_br, dt)
-        ledger.add("rm_transit", new.rm_order_r - new.rm_arrival_r, dt)
-    return new
+        ledger.add("wip", prod_br - prod_cr, dt)
+        ledger.add("inv", prod_cr - ship_r, dt)
+        ledger.add("labor", hire_r - retire_r - layoff_r, dt)
+        ledger.add("vac", vac_br - hire_r, dt)
+        ledger.add("backlog", order_r - ship_r, dt)
+        ledger.add("rm_inv", rm_arrival_r - prod_br, dt)
+        ledger.add("rm_transit", rm_order_r - rm_arrival_r, dt)
+    return state
 
 
 def price_multipliers(p: SDParams, mp: float, inv_cov: float) -> tuple:
@@ -370,32 +376,39 @@ def price_multipliers(p: SDParams, mp: float, inv_cov: float) -> tuple:
 def step_pricing(prices: tuple, shared: PricingState, params: tuple,
                  inv_covs: tuple, dt: float = 0.25,
                  mp_bounds: tuple | None = None) -> tuple:
-    """Update both prices and the market expected price.
+    """Update both prices and, in place, the market expected price.
 
-    ``params`` and ``inv_covs`` are per-company pairs. ``mp_bounds`` clips
-    the market expected price into a saturation band. Returns
-    ``(new_prices, new_shared)``.
+    ``params`` and ``inv_covs`` are per-company pairs; the multipliers are
+    those of :func:`price_multipliers`. ``mp_bounds`` clips the market
+    expected price into a saturation band. Returns ``(new_prices, shared)``
+    and raises :class:`StateError` when a new price is not finite and
+    positive.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    if shared.mp <= 0:
-        raise StateError(f"market expected price must be > 0, got {shared.mp}")
-    f_cost = []
-    f_invcov = []
+    mp = shared.mp
+    if mp <= 0:
+        raise StateError(f"market expected price must be > 0, got {mp}")
     new_prices = []
     for p, cov in zip(params, inv_covs):
-        fc, fi = price_multipliers(p, shared.mp, cov)
-        f_cost.append(fc)
-        f_invcov.append(fi)
-        new_prices.append(shared.mp * fc * fi)
-    price_cr = ((new_prices[0] + new_prices[1]) / 2.0 - shared.mp) / params[0].mp_fulfillment_time
-    new_mp = shared.mp + dt * price_cr
+        f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / mp - 1.0)
+        if f_cost < 1e-9:
+            f_cost = 1e-9
+        if cov < EPS_COVERAGE:
+            cov = EPS_COVERAGE
+        price = mp * f_cost * (cov / p.max_inv_cov) ** p.price_sens_invcov
+        if not 0.0 < price < math.inf:
+            raise StateError(f"inadmissible price: {price}")
+        new_prices.append(price)
+    price_cr = ((new_prices[0] + new_prices[1]) / 2.0 - mp) / params[0].mp_fulfillment_time
+    mp = mp + dt * price_cr
     if mp_bounds is not None:
-        new_mp = min(max(new_mp, mp_bounds[0]), mp_bounds[1])
-    new_shared = PricingState(mp=new_mp,
-                              f_cost=tuple(f_cost), f_invcov=tuple(f_invcov),
-                              price_cr=price_cr)
-    return tuple(new_prices), new_shared
+        if mp_bounds[0] > mp:
+            mp = mp_bounds[0]
+        if mp_bounds[1] < mp:
+            mp = mp_bounds[1]
+    shared.mp, shared.price_cr = mp, price_cr
+    return tuple(new_prices), shared
 
 
 def steady_state(p: SDParams, order_rate: float) -> SDState:

@@ -140,8 +140,9 @@ def test_c05_sd_conservation():
 def test_c06_sd_fixed_point():
     p = SDParams().validate()
     s0 = steady_state(p, order_rate=100.0)
+    before_step = s0.stocks()
     s1 = step_company(s0, p, order_rate=100.0, dt=DT)
-    for name, before in s0.stocks().items():
+    for name, before in before_step.items():
         assert abs(getattr(s1, name) - before) <= 1e-9, name
     report(6, "zero-noise steady state is a fixed point")
 
@@ -272,6 +273,7 @@ def _load_reports(out_dir):
     return [json.loads(f.read_text())["report"] for f in files]
 
 
+@pytest.mark.slow
 def test_c13_end_to_end_desk_scale(desk_runs):
     outs, elapsed = desk_runs
     for t in elapsed:
@@ -303,6 +305,7 @@ def test_c13_end_to_end_desk_scale(desk_runs):
     report(13, f"desk-scale loop, {elapsed[0] / 60:.1f} min, reproducible")
 
 
+@pytest.mark.slow
 def test_c14_payoff_trend_soft(desk_runs):
     outs, _ = desk_runs
     reports = _load_reports(outs[0])

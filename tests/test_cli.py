@@ -213,6 +213,40 @@ class TestGsaCommand:
                      "--jobs", "2"]) == 0
         assert [c.stat().st_mtime_ns for c in checkpoints] == before
 
+    def test_stale_checkpoint_reported_then_recomputed(self, desk_config, tmp_path,
+                                                       capsys):
+        out = tmp_path / "g"
+        main(["gsa", "--config", str(desk_config), "--out", str(out)])
+        checkpoint = out / "checkpoints" / "iteration_00.json"
+        payload = json.loads(checkpoint.read_text())
+        fingerprint = payload["fingerprint"]
+        matrix = (out / "payoff_matrix_00.csv").read_bytes()
+        payload["fingerprint"] = "f" * len(fingerprint)
+        checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["gsa", "--config", str(desk_config), "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "iteration 0" in err[0]
+        assert fingerprint in err[0] and "f" * len(fingerprint) in err[0]
+        recomputed = json.loads(checkpoint.read_text())
+        assert recomputed["fingerprint"] == fingerprint
+        assert recomputed["samples"] == payload["samples"]
+        assert (out / "payoff_matrix_00.csv").read_bytes() == matrix
+
+    def test_diverging_replication_names_profile(self, tmp_path, capsys):
+        # without the price band the high coverage sensitivity runs away
+        config = dict(DESK_CONFIG, sd_defaults={"max_inv_cov": 1e9,
+                                                "mp_cap_ratio": float("inf")})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["gsa", "--config", str(path), "--out", str(tmp_path / "g")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "runtime error: profile (" in err
+        assert ", tag " in err and "(seed " in err and "diverged on day" in err
+
     def test_report_command(self, desk_config, tmp_path, capsys):
         out = tmp_path / "g"
         main(["gsa", "--config", str(desk_config), "--out", str(out)])

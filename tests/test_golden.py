@@ -1,0 +1,90 @@
+"""Golden pins of the replication kernel.
+
+The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
+cover the kernel's branches: a replication block boundary, the saturated
+price band with tie-breaks, all four noise draws and mirrored runs. A pin
+may change only for a stated reason, such as a changed RNG protocol.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from duogame.runner import (
+    CompanySpec,
+    CostRates,
+    SimulationSettings,
+    compute_payoff,
+    estimate_payoffs,
+    replication_seeds,
+    run_replication,
+)
+from duogame.supply_chain import SDParams
+
+
+def digest(payoffs) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(payoffs, dtype="<f8").tobytes()).hexdigest()
+
+
+def corner_specs():
+    corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
+                                     safety_stock_cov=2.0))
+    return (corner, corner)
+
+
+def noisy_specs():
+    a = CompanySpec(sd=SDParams(sigma_wip=2.0, sigma_prod=3.0, sigma_order=5.0,
+                                sigma_inv=4.0))
+    b = CompanySpec(sd=SDParams(mfg_price=1.6, sigma_wip=1.0, sigma_prod=1.0,
+                                sigma_order=8.0, sigma_inv=2.0))
+    return (a, b)
+
+
+def mirror_specs():
+    sd = SDParams(sigma_order=5.0)
+    return (CompanySpec(sd=sd), CompanySpec(sd=sd))
+
+
+# name -> (specs, settings, n, master seed, mirror, sha256 of the payoffs)
+CASES = {
+    "default_n70": (lambda: (CompanySpec(), CompanySpec()),
+                    SimulationSettings(), 70, 101, False,
+                    "13c3023912b04fdc01901d5778c9a51bebb521a4590885b9fd92704565d0dcff"),
+    "runaway_corner": (corner_specs,
+                       SimulationSettings(deterministic_marketing=True),
+                       6, 102, False,
+                       "72483ec4796e2cb991e5c50647eafbaefcef78ab75c8f3f094639ee0d8f3976e"),
+    "all_noise": (noisy_specs, SimulationSettings(), 6, 103, False,
+                  "3a8a013beaf54c2eb136feeb8fa4ac7b579d5927eb5c00bb447a0486a99f6e81"),
+    "mirror": (mirror_specs, SimulationSettings(deterministic_marketing=True),
+               6, 104, True,
+               "2be800e36fce4b89219884e3ec56066d213ecafcbb4606bdbcf9fc286808ec3d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payoff_pin(name):
+    make_specs, settings, n, master, mirror, pin = CASES[name]
+    seeds = replication_seeds(master, 0, n)
+    sample = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds,
+                              mirror=mirror)
+    assert digest(sample.payoffs) == pin
+
+
+def test_batch_rows_equal_single_replications():
+    settings = SimulationSettings()
+    rates = CostRates()
+    specs = (CompanySpec(), CompanySpec())
+    seeds = replication_seeds(101, 0, 70)
+    sample = estimate_payoffs(specs, settings, rates, 70, seeds)
+    block = run_replication(specs, settings, seeds)
+    assert len(block) == 70
+    for j, seed in enumerate(seeds):
+        alone = run_replication(specs, settings, seed)
+        assert np.array_equal(sample.payoffs[j],
+                              compute_payoff(alone, rates, settings.sunk_cost_mode))
+        assert block[j].seed == seed
+        for name, series in alone.series.items():
+            assert np.array_equal(block[j].series[name], series), (j, name)

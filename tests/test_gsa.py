@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duogame.errors import ConfigError, ParameterError
+from duogame.errors import ConfigError, ParameterError, ReplicationError
 from duogame.factors import (
     FACTORS,
     FactorPlan,
@@ -15,6 +15,7 @@ from duogame.gsa import (
     GsaSettings,
     SamplingPolicy,
     StabilityClass,
+    _simulate_profile,
     neighbor_strictness_test,
     run_gsa,
     stability_analysis,
@@ -315,3 +316,15 @@ class TestStability:
             final = enumerate_path(a0, b0)
             expect_as = final == (0, 0)
             assert (cls is StabilityClass.ASYMPTOTICALLY_STABLE) == expect_as
+
+
+def test_simulate_profile_failure_names_profile_and_tag():
+    def source(labels_a, labels_b, baseline, n, tag, start=0):
+        raise ReplicationError("replication diverged on day 7: x", day=7,
+                               seed=1234, index=2)
+
+    labels = [{"pricing": "L"}, {"pricing": "H"}]
+    with pytest.raises(ReplicationError) as err:
+        _simulate_profile(source, labels, 0, 1, {}, SamplingPolicy(), 77)
+    assert (err.value.day, err.value.seed, err.value.index) == (7, 1234, 2)
+    assert str(err.value).startswith("profile (0, 1), tag 77, replication 2 (seed 1234): ")

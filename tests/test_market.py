@@ -114,10 +114,11 @@ class TestMotivation:
         assert a == b
 
 
-def make_market(seed=0, n=200, params=None):
+def make_market(seed=0, n=200, params=None, replications=1):
     net = generate_ba_network(n, m0=5, m=3, seed=seed)
     params = params or MarketParams().validate()
-    return ConsumerMarket(net, params, np.random.default_rng(seed + 1000))
+    return ConsumerMarket(net, params, np.random.default_rng(seed + 1000),
+                          replications=replications)
 
 
 class TestStepMarket:
@@ -125,7 +126,7 @@ class TestStepMarket:
         market = make_market()
         rng = np.random.default_rng(5)
         for _ in range(10):
-            shares = market.step((1.5, 1.4), rng)
+            shares = market.step([(1.5, 1.4)], [rng])[0]
             assert shares.sum() == pytest.approx(1.0)
             assert 0.0 <= shares[0] <= 1.0
 
@@ -134,17 +135,17 @@ class TestStepMarket:
         for seed in range(50):
             market = make_market(seed=seed)
             rng = np.random.default_rng(seed)
-            shares = market.step((1.5, 1.5), rng)
+            shares = market.step([(1.5, 1.5)], [rng])[0]
             vals.append(shares[0])
         assert 0.45 <= float(np.mean(vals)) <= 0.55
 
     def test_dominant_brand_takes_all(self):
         market = make_market()
         rng = np.random.default_rng(1)
-        market.marketing.ad = np.array([0.9, 0.0])
-        market.marketing.pm = np.array([0.0, 0.0])
-        market.marketing.inter = np.array([1.0, 0.0])
-        shares = market.step((1.0, 1.0), rng)
+        market.marketing.ad = np.array([[0.9, 0.0]])
+        market.marketing.pm = np.array([[0.0, 0.0]])
+        market.marketing.inter = np.array([[1.0, 0.0]])
+        shares = market.step([(1.0, 1.0)], [rng])[0]
         assert shares[0] == 1.0
 
     def test_three_agent_path_hand_enumeration(self):
@@ -164,7 +165,7 @@ class TestStepMarket:
         #   brand0: (-2**(1.0-2.4) + 1) * 1.0 = 0.6211
         #   brand1: (-2**(1.4-2.4) + 1) * 1.4 = 0.7000  -> brand 1 sweeps
         market = fresh()
-        shares = market.step(prices, np.random.default_rng(3))
+        shares = market.step([prices], [np.random.default_rng(3)])[0]
         assert shares[1] == 1.0
 
         # case 2: promotion on brand 0 only; force = w2*pm = (0.5, 0),
@@ -172,8 +173,8 @@ class TestStepMarket:
         #   brand0: (-2**(0.5-2.4) + 1) * 0.5 + 0.25*0.5 = 0.4910
         #   brand1: 0.7000 -> brand 1 still sweeps
         market = fresh()
-        market.marketing.pm = np.array([0.5, 0.0])
-        shares = market.step(prices, np.random.default_rng(3))
+        market.marketing.pm = np.array([[0.5, 0.0]])
+        shares = market.step([prices], [np.random.default_rng(3)])[0]
         assert shares[1] == 1.0
 
         # case 3: neighbor influence splits the path; adoption [0, 0, 1] gives
@@ -181,18 +182,18 @@ class TestStepMarket:
         #   agents 0, 2: 0.6211 + 0.155  = 0.7761 > 0.7 -> brand 0
         #   agent 1:     0.6211 + 0.0775 = 0.6986 < 0.7 -> brand 1
         market = fresh()
-        market.adopted = np.array([0, 0, 1], dtype=np.int8)
-        market.marketing.inter = np.array([0.31, 0.0])
-        shares = market.step(prices, np.random.default_rng(3))
+        market.adopted = np.array([[0, 0, 1]], dtype=np.int8)
+        market.marketing.inter = np.array([[0.31, 0.0]])
+        shares = market.step([prices], [np.random.default_rng(3)])[0]
         assert shares[0] == pytest.approx(2.0 / 3.0)
-        assert list(market.adopted) == [0, 1, 0]
+        assert list(market.adopted[0]) == [0, 1, 0]
 
     def test_determinism(self):
         runs = []
         for _ in range(2):
             market = make_market(seed=9)
             rng = np.random.default_rng(99)
-            traj = [market.step((1.5, 1.5), rng)[0] for _ in range(20)]
+            traj = [market.step([(1.5, 1.5)], [rng])[0, 0] for _ in range(20)]
             runs.append(traj)
         assert runs[0] == runs[1]
 
@@ -203,11 +204,48 @@ class TestStepMarket:
         rng_b = np.random.default_rng(123)
         prices = (1.3, 1.7)
         for _ in range(15):
-            s_a = base.step(prices, rng_a)
-            s_b = swapped.step(prices[::-1], rng_b, mirror=True)
+            s_a = base.step([prices], [rng_a])[0]
+            s_b = swapped.step([prices[::-1]], [rng_b], mirror=True)[0]
             assert s_a[0] == s_b[1]
             assert s_a[1] == s_b[0]
             assert np.array_equal(base.adopted, 1 - swapped.adopted)
+
+    def test_block_rows_equal_single_markets(self):
+        # each row of a lockstep block follows its own prices, marketing and
+        # tie-break stream exactly as a one-replication market does
+        prices = [(1.5, 1.5), (1.3, 1.7), (1.6, 1.2), (1.5, 1.5), (1.4, 1.45)]
+        ad = np.array([[0.3, 0.3], [0.25, 0.35], [0.3, 0.28], [0.3, 0.3], [0.33, 0.26]])
+        block = make_market(seed=6, replications=5)
+        block.marketing.mb[:] = 100.0
+        block.marketing.ad[:] = ad
+        block.marketing.pm[:] = 0.3
+        singles = []
+        for r in range(5):
+            single = make_market(seed=6)
+            single.marketing.mb[:] = 100.0
+            single.marketing.ad[:] = ad[r]
+            single.marketing.pm[:] = 0.3
+            singles.append(single)
+        block_rngs = [np.random.default_rng(40 + r) for r in range(5)]
+        single_rngs = [np.random.default_rng(40 + r) for r in range(5)]
+        for _ in range(15):
+            shares = block.step(prices, block_rngs, mirror=True)
+            for r, single in enumerate(singles):
+                alone = single.step([prices[r]], [single_rngs[r]], mirror=True)
+                assert np.array_equal(shares[r], alone[0])
+                assert np.array_equal(block.adopted[r], single.adopted[0])
+                assert np.array_equal(block.marketing.inter[r], single.marketing.inter[0])
+
+    def test_truncate_keeps_leading_rows(self):
+        market = make_market(seed=2, n=50, replications=4)
+        market.marketing.ad[:] = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
+        market.truncate(2)
+        assert market.adopted.shape == (2, 50)
+        assert market.marketing.ad.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert market.marketing.total_force.shape == (2,)
+        shares = market.step([(1.5, 1.4), (1.4, 1.5)],
+                             [np.random.default_rng(0), np.random.default_rng(1)])
+        assert shares.shape == (2, 2)
 
     def test_raising_ad_never_lowers_motivation(self):
         rng = np.random.default_rng(17)

@@ -113,6 +113,64 @@ class TestRunReplication:
         assert compute_payoff(base, rates)[0] == compute_payoff(mirrored, rates)[1]
 
 
+def diverging_specs(price_sens_invcov):
+    # without the price band, a large coverage capacity lets the market
+    # price run away; order noise makes the day of divergence seed-dependent
+    bad = CompanySpec(sd=SDParams(price_sens_invcov=price_sens_invcov,
+                                  max_inv_cov=1e6, mp_cap_ratio=float("inf"),
+                                  sigma_order=20.0))
+    return (bad, bad)
+
+
+def replay_error(specs, settings, seed):
+    with pytest.raises(ReplicationError) as err:
+        run_replication(specs, settings, seed)
+    return err.value
+
+
+class TestReplicationFailures:
+    # under these specs seeds 4, 5, 7 and 10 diverge on day 56 of 57 and
+    # seeds 0-3 and 6 run to the end
+    SETTINGS = SimulationSettings(run_length_days=57)
+
+    def test_block_reports_replication_three_of_five(self):
+        specs = diverging_specs(-0.7)
+        seeds = [0, 1, 2, 4, 6]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                estimate_payoffs(specs, self.SETTINGS, CostRates(), 5, seeds)
+            alone = replay_error(specs, self.SETTINGS, 4)
+        assert (err.value.index, err.value.seed, err.value.day) == (3, 4, 56)
+        assert (alone.index, alone.seed, alone.day) == (0, 4, 56)
+
+    def test_index_counts_across_blocks(self):
+        specs = diverging_specs(-0.7)
+        seeds = [0, 1, 2, 3, 6] * 7 + [5]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                run_replication(specs, self.SETTINGS, seeds)
+        assert (err.value.index, err.value.seed, err.value.day) == (35, 5, 56)
+
+    def test_lowest_index_wins_over_earliest_day(self):
+        # seed 1 diverges on day 31, seed 0 already on day 30
+        specs = diverging_specs(-0.9)
+        settings = SimulationSettings(run_length_days=32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                run_replication(specs, settings, [1, 0])
+            alone = replay_error(specs, settings, 1)
+        assert (err.value.index, err.value.seed, err.value.day) == (0, 1, 31)
+        assert alone.day == 31
+
+    def test_error_survives_pickling(self):
+        import pickle
+
+        err = ReplicationError("replication diverged on day 3: x", day=3,
+                               seed=17, index=2)
+        back = pickle.loads(pickle.dumps(err))
+        assert (str(back), back.day, back.seed, back.index) == (str(err), 3, 17, 2)
+
+
 class TestComputePayoff:
     def make_rep(self, **kw):
         base = dict(seed=0, run_length=3, warmup=0, series={},

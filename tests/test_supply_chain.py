@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from duogame.errors import ParameterError
+from duogame.errors import ParameterError, StateError
 from duogame.supply_chain import (
     EPS_COVERAGE,
     FlowLedger,
@@ -80,8 +80,9 @@ class TestFixedPoint:
     def test_steady_state_is_stationary_one_step(self):
         p = SDParams().validate()
         s0 = steady_state(p, order_rate=100.0)
+        before_step = s0.stocks()
         s1 = step_company(s0, p, order_rate=100.0, dt=DT)
-        for name, before in s0.stocks().items():
+        for name, before in before_step.items():
             assert abs(getattr(s1, name) - before) <= 1e-9, name
 
     def test_steady_state_is_stationary_many_steps(self):
@@ -101,8 +102,9 @@ class TestFixedPoint:
         assert s0.a_prod == pytest.approx(0.0, abs=1e-9)
         assert s0.a_wip == pytest.approx(0.0, abs=1e-9)
         assert s0.inv == pytest.approx(s0.d_inv, rel=1e-9)
+        before_step = s0.stocks()
         s1 = step_company(s0, p, order_rate=100.0, dt=DT)
-        for name, before in s0.stocks().items():
+        for name, before in before_step.items():
             assert abs(getattr(s1, name) - before) <= 1e-9, name
 
 
@@ -199,9 +201,10 @@ class TestStepLogistics:
         p = SDParams().validate()
         s = steady_state(p, 100.0)
         s.backlog = 0.0
+        inv = s.inv
         s1 = step_company(s, p, order_rate=0.0, dt=DT)
         assert s1.ship_r == 0.0
-        assert s1.inv == pytest.approx(s.inv + DT * s1.prod_cr)
+        assert s1.inv == pytest.approx(inv + DT * s1.prod_cr)
 
     def test_full_inventory_ships_orders(self):
         p = SDParams().validate()
@@ -226,6 +229,28 @@ class TestStepLogistics:
         s.backlog = 0.0
         s1 = step_company(s, p, order_rate=0.0, dt=DT)
         assert s1.inv_cov == p.max_inv_cov
+
+
+class TestStepAdmissibility:
+    def test_steps_in_place(self):
+        p = SDParams().validate()
+        s = steady_state(p, 100.0)
+        assert step_company(s, p, order_rate=120.0, dt=DT) is s
+        assert s.order_r == 120.0
+
+    def test_negative_stock_raises_on_the_step_that_made_it(self):
+        p = SDParams().validate()
+        s = steady_state(p, 100.0)
+        s.inv = -1000.0
+        with pytest.raises(StateError, match="negative stock inv"):
+            step_company(s, p, order_rate=100.0, dt=DT)
+
+    def test_vanishing_price_raises(self):
+        # unbounded coverage drives the coverage multiplier to zero
+        p = SDParams().validate()
+        with pytest.raises(StateError, match="inadmissible price"):
+            step_pricing((1.5, 1.5), PricingState(mp=1.5), (p, p),
+                         (math.inf, 10.0), dt=DT)
 
 
 class TestStepPricing:
