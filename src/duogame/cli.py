@@ -176,7 +176,11 @@ def cmd_gsa(args) -> int:
 def cmd_stability(args) -> int:
     game = read_payoff_matrix(args.game)
     if args.solution:
-        a, b = (int(x) for x in args.solution.split(","))
+        try:
+            a, b = (int(x) for x in args.solution.split(","))
+        except ValueError:
+            raise ParameterError(f"--solution must be two strategy indices "
+                                 f"'a,b', got {args.solution!r}") from None
         solution = (a, b)
     else:
         solution = game.min_regret_profile()

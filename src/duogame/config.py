@@ -82,6 +82,7 @@ class ExperimentConfig:
         self.spec_defaults.validate()
         self.cost_rates.validate()
         self.sampling.validate()
+        self.gsa.validate()
         if self.settings.run_length_days <= self.settings.warmup_days:
             raise ConfigError("run length must exceed the warm-up")
         if self.schedule is not None and not self.schedule:

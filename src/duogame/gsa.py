@@ -9,6 +9,7 @@ evaluates equilibrium strictness and stability.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +67,10 @@ class SamplingPolicy:
         return 1.0 - self.confidence
 
 
+STABILITY_NOISE = ("resample", "none")
+STABILITY_UPDATE = ("alternating", "simultaneous")
+
+
 @dataclass
 class GsaSettings:
     """Loop-level knobs independent of the simulation scenario."""
@@ -73,13 +78,34 @@ class GsaSettings:
     epsilon_solve: float = 0.0
     epsilon_stability: float = 1500.0
     stability_steps: int = 2000
-    stability_noise: str = "resample"      # "resample" | "none"
-    stability_update: str = "alternating"  # "alternating" | "simultaneous"
+    stability_noise: str = "resample"      # one of STABILITY_NOISE
+    stability_update: str = "alternating"  # one of STABILITY_UPDATE
     neighbor_count: int = 10
     alpha: float = 0.05
     max_iterations: int = 10
     tolerance_grid: tuple = tuple(float(x) for x in np.linspace(0, 3000, 13))
     run_stability: bool = True
+
+    def validate(self):
+        if self.stability_steps < 10:
+            raise ParameterError("stability_steps must be >= 10")
+        if self.stability_noise not in STABILITY_NOISE:
+            raise ParameterError(
+                f"stability_noise must be one of {', '.join(STABILITY_NOISE)}")
+        if self.stability_update not in STABILITY_UPDATE:
+            raise ParameterError(
+                f"stability_update must be one of {', '.join(STABILITY_UPDATE)}")
+        if self.epsilon_solve < 0 or self.epsilon_stability < 0:
+            raise ParameterError("epsilon_solve and epsilon_stability must be >= 0")
+        if any(eps < 0 for eps in self.tolerance_grid):
+            raise ParameterError("tolerance_grid points must be >= 0")
+        if self.neighbor_count < 0:
+            raise ParameterError("neighbor_count must be >= 0")
+        if not 0.0 < self.alpha < 1.0:
+            raise ParameterError("alpha must be in (0, 1)")
+        if self.max_iterations < 1:
+            raise ParameterError("max_iterations must be >= 1")
+        return self
 
 
 @dataclass
@@ -141,9 +167,10 @@ class SimulationPayoffSource:
 def _simulate_profile(source, labels, a, b, baseline, policy, tag):
     """Initial batch plus value-of-information top-up for one profile.
 
-    A diverging replication is re-raised with the profile and its tag; the
-    profile's specs and the error's seed replay it through
-    :func:`~duogame.runner.run_replication`.
+    A diverging replication is re-raised with the profile, its tag and both
+    strategies' factor labels (as JSON, the form ``duogame simulate
+    --profile`` takes); the profile's specs and the error's seed replay it
+    through :func:`~duogame.runner.run_replication`.
     """
     try:
         payoffs = source(labels[a], labels[b], baseline, policy.initial_n, tag)
@@ -159,8 +186,9 @@ def _simulate_profile(source, labels, a, b, baseline, policy, tag):
     except ReplicationError as exc:
         raise ReplicationError(
             f"profile ({a}, {b}), tag {tag}, replication {exc.index} "
-            f"(seed {exc.seed}): {exc}", day=exc.day, seed=exc.seed,
-            index=exc.index) from exc
+            f"(seed {exc.seed}), strategies {json.dumps(labels[a], sort_keys=True)} "
+            f"vs {json.dumps(labels[b], sort_keys=True)}: {exc}",
+            day=exc.day, seed=exc.seed, index=exc.index) from exc
     return payoffs
 
 
@@ -262,6 +290,21 @@ class StabilityReport:
                 "steps": self.steps}
 
 
+def _sample_bank(game: EmpiricalGame):
+    """Every stored sample in one flat array and the (2, n, n) offsets of
+    each cell's samples; a symmetric game's transposed cells point at the
+    same samples with the players swapped."""
+    cells = [(player, a, b) for a, b in game.profiles() for player in (0, 1)]
+    parts = [game.samples((a, b), player) for player, a, b in cells]
+    offsets = np.zeros((2, game.n, game.n), dtype=np.int64)
+    starts = np.cumsum([0] + [s.size for s in parts[:-1]])
+    offsets[tuple(np.array(cells).T)] = starts
+    if game.space.symmetric:
+        rows, cols = np.tril_indices(game.n, -1)
+        offsets[:, rows, cols] = offsets[::-1, cols, rows]
+    return np.concatenate(parts), offsets
+
+
 def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                        steps: int = 2000, noise: str = "resample",
                        update: str = "alternating", seed: int = 0,
@@ -273,13 +316,20 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     model. The final tenth of the trajectory decides the class: payoffs
     pinned to the solution payoff are asymptotically stable, payoffs inside
     the tolerance band are marginally stable, anything else is instable.
+
+    All n² trajectories advance together. Under ``resample`` each move draws
+    the sample indices of every start in one call, from a generator on child
+    n² of ``SeedSequence(seed)``; child i breaks the ties of start i
+    (row-major), and only those.
     """
-    if noise not in ("resample", "none"):
+    if noise not in STABILITY_NOISE:
         raise ParameterError(f"unknown noise model {noise!r}")
-    if update not in ("alternating", "simultaneous"):
+    if update not in STABILITY_UPDATE:
         raise ParameterError(f"unknown update rule {update!r}")
     if steps < 10:
         raise ParameterError("steps must be >= 10")
+    if epsilon < 0:
+        raise ParameterError("epsilon must be >= 0")
     game._require_complete()
     n = game.n
     u = game.mean
@@ -291,64 +341,48 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                          confidence_interval(game.samples(solution, 1))[1])
         else:
             as_tol = 1e-9
-    sol_pay = np.array([u[0, solution[0], solution[1]],
-                        u[1, solution[0], solution[1]]])
+    sol_pay = u[:, solution[0], solution[1], None]
 
+    # column k of a player's table: its n candidates against opponent
+    # strategy k; a move gathers one (n, n²) block, a column per start
+    means = (u[0], u[1].T)
     resample = noise == "resample"
     if resample:
-        counts = game.count
-        bank = np.zeros((2, n, n, max(1, int(counts.max()))))
-        for a in range(n):
-            for b in range(n):
-                for pl in (0, 1):
-                    s = game.samples((a, b), pl)
-                    bank[pl, a, b, :s.size] = s
+        flat, offsets = _sample_bank(game)
+        offsets = (offsets[0], offsets[1].T)
+        sizes = (game.count[0], game.count[1].T)
+    children = np.random.SeedSequence(seed).spawn(n * n + 1)
+    draws = np.random.default_rng(children[-1])
+    tie_rngs = {}
 
+    a, b = np.divmod(np.arange(n * n), n)
     window = max(1, steps // 10)
-    classes = {}
-    ss = np.random.SeedSequence(seed)
-    for (a0, b0), child in zip(
-            [(a, b) for a in range(n) for b in range(n)],
-            ss.spawn(n * n)):
-        rng = np.random.default_rng(child)
-        a, b = a0, b0
-        deviations = []  # worst payoff distance from the solution, per step
-        for step in range(steps):
-            movers = ((step % 2,) if update == "alternating" else (0, 1))
-            next_a, next_b = a, b
-            for player in movers:
-                if player == 0:
-                    cand_rows, cand_cols = np.arange(n), np.full(n, b)
-                else:
-                    cand_rows, cand_cols = np.full(n, a), np.arange(n)
-                if resample:
-                    cnt = counts[player, cand_rows, cand_cols]
-                    idx = rng.integers(0, cnt)
-                    vals = bank[player, cand_rows, cand_cols, idx]
-                else:
-                    vals = u[player, cand_rows, cand_cols]
-                best = np.flatnonzero(vals == vals.max())
-                pick = int(best[0]) if best.size == 1 else int(rng.choice(best))
-                if player == 0:
-                    next_a = pick
-                else:
-                    next_b = pick
-            a, b = next_a, next_b
-            if step >= steps - window:
-                pay = u[:, a, b]
-                deviations.append(float(np.max(np.abs(pay - sol_pay))))
-        worst = max(deviations)
-        if worst <= as_tol:
-            cls = StabilityClass.ASYMPTOTICALLY_STABLE
-        elif worst <= epsilon:
-            cls = StabilityClass.MARGINALLY_STABLE
-        else:
-            cls = StabilityClass.INSTABLE
-        classes[(a0, b0)] = cls
+    worst = np.zeros(n * n)  # worst payoff distance from the solution
+    for step in range(steps):
+        movers = ((step % 2,) if update == "alternating" else (0, 1))
+        picks = {}
+        for player in movers:
+            opp = b if player == 0 else a
+            if resample:
+                idx = draws.integers(0, sizes[player][:, opp])
+                vals = flat[offsets[player][:, opp] + idx]
+            else:
+                vals = means[player][:, opp]
+            tied = vals == vals.max(axis=0)
+            pick = tied.argmax(axis=0)
+            for r in np.flatnonzero(tied.sum(axis=0) > 1):
+                if r not in tie_rngs:
+                    tie_rngs[r] = np.random.default_rng(children[r])
+                pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
+            picks[player] = pick
+        a, b = picks.get(0, a), picks.get(1, b)
+        if step >= steps - window:
+            worst = np.maximum(worst, np.abs(u[:, a, b] - sol_pay).max(axis=0))
 
-    total = len(classes)
-    ratios = {c.value: sum(1 for v in classes.values() if v is c) / total
-              for c in StabilityClass}
+    order = list(StabilityClass)
+    codes = np.where(worst <= as_tol, 0, np.where(worst <= epsilon, 1, 2)).tolist()
+    classes = {divmod(i, n): order[c] for i, c in enumerate(codes)}
+    ratios = {c.value: codes.count(k) / len(codes) for k, c in enumerate(order)}
     return StabilityReport(ratios=ratios, classes=classes, epsilon=epsilon,
                            steps=steps)
 
@@ -378,7 +412,7 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     the latest solution's levels through ``baseline``. A ``checkpoints``
     store resumes interrupted runs iteration by iteration.
     """
-    gsa = gsa or GsaSettings()
+    gsa = (gsa or GsaSettings()).validate()
     policy.validate()
     baseline = dict(baseline or {})
     reports, games, plans, baselines = [], [], [], []

@@ -94,6 +94,39 @@ class TestLoadConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize("gsa, match", [
+        ({"stability_steps": 9}, "stability_steps"),
+        ({"stability_noise": "bogus"}, "stability_noise"),
+        ({"stability_update": "bogus"}, "stability_update"),
+        ({"epsilon_solve": -1.0}, "epsilon"),
+        ({"epsilon_stability": -3.0}, "epsilon"),
+        ({"tolerance_grid": [0.0, -500.0]}, "tolerance_grid"),
+        ({"neighbor_count": -1}, "neighbor_count"),
+        ({"alpha": 0.0}, "alpha"),
+        ({"alpha": 1.0}, "alpha"),
+        ({"max_iterations": 0}, "max_iterations"),
+    ], ids=["steps", "noise", "update", "epsilon_solve", "epsilon_stability",
+            "tolerance_grid", "neighbor_count", "alpha_zero", "alpha_one",
+            "max_iterations"])
+    def test_gsa_setting_rejected(self, tmp_path, gsa, match):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gsa": gsa}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["gsa", "--config", str(path),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert not (tmp_path / "g").exists()
+
+    def test_gsa_settings_at_their_bounds_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gsa": {
+            "stability_steps": 10, "stability_noise": "none",
+            "stability_update": "simultaneous", "epsilon_solve": 0.0,
+            "epsilon_stability": 0.0, "tolerance_grid": [0.0],
+            "neighbor_count": 0, "alpha": 0.5, "max_iterations": 1}}))
+        assert load_config(path).gsa.stability_steps == 10
+
+
 class TestMatrixRoundTrip:
     def build_game(self):
         rng = np.random.default_rng(7)
@@ -277,6 +310,15 @@ class TestSolveAndStability:
         result = json.loads(capsys.readouterr().out)
         assert result["ratios"]["instable"] == 0.0
         assert sum(result["ratios"].values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("solution", ["1,2,3", "x"])
+    def test_malformed_solution_is_validation_error(self, tmp_path, capsys,
+                                                    solution):
+        path = self.make_matrix(tmp_path)
+        assert main(["stability", "--game", str(path), "--steps", "20",
+                     "--solution", solution]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --solution") and solution in err
 
     def test_missing_matrix_is_validation_error(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "none.csv")]) == 2

@@ -1,16 +1,25 @@
-"""Golden pins of the replication kernel.
+"""Golden pins of the replication kernel, the stability analysis and a
+small ``gsa`` run.
 
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
 cover the kernel's branches: a replication block boundary, the saturated
-price band with tie-breaks, all four noise draws and mirrored runs. A pin
-may change only for a stated reason, such as a changed RNG protocol.
+price band with tie-breaks, all four noise draws and mirrored runs. The
+stability classes of a seeded 16-strategy game pin the ``resample`` stream,
+and ``tests/golden/`` holds the config and output hashes of a one-iteration
+``gsa`` run on four two-level factors. A pin may change only for a stated
+reason, such as a changed RNG protocol.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from duogame.cli import main
+from duogame.game import EmpiricalGame, StrategySpace
+from duogame.gsa import stability_analysis
 from duogame.runner import (
     CompanySpec,
     CostRates,
@@ -88,3 +97,42 @@ def test_batch_rows_equal_single_replications():
         assert block[j].seed == seed
         for name, series in alone.series.items():
             assert np.array_equal(block[j].series[name], series), (j, name)
+
+
+# sha256 of "a,b,class" lines, row-major, of the resample run below
+STABILITY_PIN = "63c3e866a8b62cd6cb1d0d2a8c4524d06b228df041ae54889b16b1f83b477c51"
+
+
+def test_stability_resample_pin():
+    rng = np.random.default_rng(16)
+    n = 16
+    u = rng.normal(5000.0, 800.0, (n, n))
+    for s in (3, 9):
+        u[s, s] = u[:, s].max() + 400.0
+    game = EmpiricalGame(StrategySpace([{"i": i} for i in range(n)]))
+    for a in range(n):
+        for b in range(a, n):
+            k = int(rng.integers(5, 60))
+            game.set_samples((a, b), rng.normal(u[a, b], 100.0, k),
+                             rng.normal(u[b, a], 100.0, k))
+    report = stability_analysis(game, game.min_regret_profile(), 300.0,
+                                steps=400, seed=3)
+    assert len(set(report.classes.values())) == 3
+    text = "\n".join(f"{a},{b},{cls.value}"
+                     for (a, b), cls in sorted(report.classes.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == STABILITY_PIN
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_small_gsa_run_pin(tmp_path):
+    pins = json.loads((GOLDEN / "small_gsa_hashes.json").read_text())
+    out = tmp_path / "g"
+    assert main(["gsa", "--config", str(GOLDEN / "small_gsa_config.json"),
+                 "--out", str(out)]) == 0
+    matrix = (out / "payoff_matrix_00.csv").read_bytes()
+    report = json.loads((out / "iteration_00.json").read_text())
+    report["report"].pop("runtime_seconds")
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(matrix).hexdigest() == pins["payoff_matrix_00.csv"]
+    assert hashlib.sha256(text.encode()).hexdigest() == pins["iteration_00.json"]

@@ -11,6 +11,7 @@ from duogame.factors import (
 )
 from duogame.doe import FactorEffect
 from duogame.game import EmpiricalGame
+from duogame.stats import confidence_interval
 from duogame.gsa import (
     GsaSettings,
     SamplingPolicy,
@@ -283,6 +284,11 @@ class TestStability:
         assert report.ratios[StabilityClass.MARGINALLY_STABLE.value] > 0.0
         assert report.ratios[StabilityClass.INSTABLE.value] == 0.0
 
+    def test_negative_epsilon_rejected(self):
+        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        with pytest.raises(ParameterError, match="epsilon"):
+            stability_analysis(game, (1, 1), epsilon=-0.5, steps=20)
+
     def test_resample_noise_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         u1 = rng.normal(0, 1, size=(3, 3))
@@ -318,6 +324,121 @@ class TestStability:
             assert (cls is StabilityClass.ASYMPTOTICALLY_STABLE) == expect_as
 
 
+def reference_stability(game, solution, epsilon, steps, noise, update, seed):
+    """The per-start loop stability analysis ran before it advanced all
+    starts in lockstep: one generator per start draws its resamples and
+    breaks its ties. Kept as an oracle for the lockstep version."""
+    n = game.n
+    u = game.mean
+    sol_samples = game.samples(solution, 0)
+    if sol_samples.size >= 2 and sol_samples.std(ddof=1) > 0:
+        as_tol = max(confidence_interval(sol_samples)[1],
+                     confidence_interval(game.samples(solution, 1))[1])
+    else:
+        as_tol = 1e-9
+    sol_pay = np.array([u[0, solution[0], solution[1]],
+                        u[1, solution[0], solution[1]]])
+    counts = game.count
+    bank = np.zeros((2, n, n, max(1, int(counts.max()))))
+    for a in range(n):
+        for b in range(n):
+            for pl in (0, 1):
+                s = game.samples((a, b), pl)
+                bank[pl, a, b, :s.size] = s
+    window = max(1, steps // 10)
+    classes = {}
+    starts = [(a, b) for a in range(n) for b in range(n)]
+    for (a0, b0), child in zip(starts, np.random.SeedSequence(seed).spawn(n * n)):
+        rng = np.random.default_rng(child)
+        a, b = a0, b0
+        deviations = []
+        for step in range(steps):
+            movers = ((step % 2,) if update == "alternating" else (0, 1))
+            next_a, next_b = a, b
+            for player in movers:
+                if player == 0:
+                    rows, cols = np.arange(n), np.full(n, b)
+                else:
+                    rows, cols = np.full(n, a), np.arange(n)
+                if noise == "resample":
+                    idx = rng.integers(0, counts[player, rows, cols])
+                    vals = bank[player, rows, cols, idx]
+                else:
+                    vals = u[player, rows, cols]
+                best = np.flatnonzero(vals == vals.max())
+                pick = int(best[0]) if best.size == 1 else int(rng.choice(best))
+                if player == 0:
+                    next_a = pick
+                else:
+                    next_b = pick
+            a, b = next_a, next_b
+            if step >= steps - window:
+                deviations.append(float(np.max(np.abs(u[:, a, b] - sol_pay))))
+        worst = max(deviations)
+        if worst <= as_tol:
+            classes[(a0, b0)] = StabilityClass.ASYMPTOTICALLY_STABLE
+        elif worst <= epsilon:
+            classes[(a0, b0)] = StabilityClass.MARGINALLY_STABLE
+        else:
+            classes[(a0, b0)] = StabilityClass.INSTABLE
+    return classes
+
+
+class TestStabilityAgainstReference:
+    def test_none_noise_classes_match_exactly(self):
+        # small integer payoffs tie often: ties must draw from the same
+        # per-start streams as the reference
+        rng = np.random.default_rng(2024)
+        games_with_ties, seen = 0, set()
+        for trial in range(240):
+            n = int(rng.integers(2, 7))
+            u1 = rng.integers(-2, 3, size=(n, n)).astype(float)
+            if trial % 2:
+                game = EmpiricalGame.from_payoff_matrices(u1)
+            else:
+                u2 = rng.integers(-2, 3, size=(n, n)).astype(float)
+                game = EmpiricalGame.from_payoff_matrices(u1, u2)
+            games_with_ties += any(
+                np.count_nonzero(col == col.max()) > 1
+                for col in np.concatenate([game.mean[0].T, game.mean[1]]))
+            solution = (int(rng.integers(n)), int(rng.integers(n)))
+            epsilon = float(rng.integers(0, 3))
+            update = ("alternating", "simultaneous")[(trial // 2) % 2]
+            steps = int(rng.integers(10, 40))
+            seed = int(rng.integers(1 << 30))
+            report = stability_analysis(game, solution, epsilon, steps=steps,
+                                        noise="none", update=update, seed=seed)
+            assert report.classes == reference_stability(
+                game, solution, epsilon, steps, "none", update, seed), trial
+            seen.update(report.classes.values())
+        assert games_with_ties > 150 and seen == set(StabilityClass)
+
+    def test_resample_class_ratios_match_in_distribution(self):
+        # three strict equilibria, 0.4 and 2.0 below the solution, with
+        # samples noisy enough that trajectories leave the third one's basin
+        rng = np.random.default_rng(11)
+        u1 = np.array([[5.0, 0.0, 1.5], [0.0, 4.6, 1.5], [1.5, 1.5, 3.0]])
+        game = EmpiricalGame.from_payoff_matrices(u1)
+        for a, b in game.profiles():
+            k = int(rng.integers(8, 15))
+            game.set_samples((a, b), u1[a, b] + rng.normal(0, 0.6, k),
+                             u1[b, a] + rng.normal(0, 0.6, k))
+        new, old = [], []
+        for seed in range(120):
+            report = stability_analysis(game, (0, 0), 0.8, steps=40, seed=seed)
+            new.append(list(report.ratios.values()))
+            classes = reference_stability(game, (0, 0), 0.8, 40, "resample",
+                                          "alternating", seed)
+            old.append([sum(v is c for v in classes.values()) / len(classes)
+                        for c in StabilityClass])
+        new, old = np.array(new), np.array(old)
+        assert np.all(old.mean(axis=0) > 0.05)  # every class occurs
+        assert np.all(old.std(axis=0) > 0.05)  # and varies with the seed
+        spread = np.sqrt(new.var(axis=0, ddof=1) / len(new)
+                         + old.var(axis=0, ddof=1) / len(old))
+        assert np.all(np.abs(new.mean(axis=0) - old.mean(axis=0)) < 4 * spread)
+
+
 def test_simulate_profile_failure_names_profile_and_tag():
     def source(labels_a, labels_b, baseline, n, tag, start=0):
         raise ReplicationError("replication diverged on day 7: x", day=7,
@@ -327,4 +448,6 @@ def test_simulate_profile_failure_names_profile_and_tag():
     with pytest.raises(ReplicationError) as err:
         _simulate_profile(source, labels, 0, 1, {}, SamplingPolicy(), 77)
     assert (err.value.day, err.value.seed, err.value.index) == (7, 1234, 2)
-    assert str(err.value).startswith("profile (0, 1), tag 77, replication 2 (seed 1234): ")
+    assert str(err.value).startswith(
+        "profile (0, 1), tag 77, replication 2 (seed 1234), "
+        'strategies {"pricing": "L"} vs {"pricing": "H"}: ')
