@@ -75,25 +75,32 @@ def _source(config):
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     profile = _load_profile(args.profile) or dict(config.default_profile)
+    opponent = _load_profile(args.opponent) or profile
     source = _source(config)
-    specs = source.specs_for(profile, profile, baseline={})
+    specs = source.specs_for(profile, opponent, baseline={})
+    if args.replication_seed is None:
+        seeds = replication_seeds(config.master_seed, 0, args.n)
+    elif args.n == 1:
+        seeds = [args.replication_seed]
+    else:
+        raise ParameterError("--replication-seed runs one replication; drop --n")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = replication_seeds(config.master_seed, 0, args.n)
     payoffs = []
-    for j, seed in enumerate(seeds):
-        rep = run_replication(specs, config.settings, seed)
+    for j, rep in enumerate(run_replication(specs, config.settings, seeds)):
         pay = compute_payoff(rep, config.cost_rates,
                              config.settings.sunk_cost_mode)
-        payoffs.append({"seed": seed, "payoff": [float(pay[0]), float(pay[1])]})
+        payoffs.append({"seed": rep.seed, "payoff": [float(pay[0]), float(pay[1])]})
         if args.trace:
             write_trace_csv(rep, out_dir / f"trace_{j:03d}.csv")
     means = np.mean([p["payoff"] for p in payoffs], axis=0)
-    (out_dir / "payoffs.json").write_text(json.dumps(
-        {"profile": profile, "n": args.n, "replications": payoffs,
-         "mean": [float(means[0]), float(means[1])]},
-        indent=2, sort_keys=True) + "\n")
+    record = {"profile": profile, "n": args.n, "replications": payoffs,
+              "mean": [float(means[0]), float(means[1])]}
+    if opponent != profile:
+        record["opponent"] = opponent
+    (out_dir / "payoffs.json").write_text(json.dumps(record, indent=2,
+                                                     sort_keys=True) + "\n")
     print(f"simulated {args.n} replications -> {out_dir / 'payoffs.json'}")
     return 0
 
@@ -237,7 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run replications of one profile")
     common(p)
     p.add_argument("--profile", help="JSON mapping of factor to level label")
+    p.add_argument("--opponent",
+                   help="the column player's labels, as --profile (default: --profile)")
     p.add_argument("--n", type=int, default=1, help="replication count")
+    p.add_argument("--replication-seed", type=int,
+                   help="run the one replication with this seed, such as one "
+                        "a gsa failure names")
     p.add_argument("--trace", action="store_true",
                    help="write per-replication daily trace CSVs")
     p.set_defaults(func=cmd_simulate)

@@ -157,65 +157,94 @@ class SimulationPayoffSource:
         spec_b = materialize(labels_b, baseline, self.sd_defaults, self.spec_defaults)
         return spec_a, spec_b
 
-    def __call__(self, labels_a, labels_b, baseline, n, tag, start=0):
-        specs = self.specs_for(labels_a, labels_b, baseline)
-        seeds = replication_seeds(self.master_seed, tag, n, start=start)
-        sample = estimate_payoffs(specs, self.settings, self.rates, n, seeds)
-        return sample.payoffs
+    def __call__(self, labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
+        """Payoffs of replications ``start`` to ``start + n`` of each profile,
+        shape (profiles, n, 2), for equal-length sequences of row labels,
+        column labels and profile tags, simulated together."""
+        pairs = [self.specs_for(la, lb, baseline) for la, lb in zip(labels_a, labels_b)]
+        specs = [pair for pair in pairs for _ in range(n)]
+        seeds = [seed for tag in tags
+                 for seed in replication_seeds(self.master_seed, tag, n, start=start)]
+        sample = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
+                                  seeds, jobs=jobs)
+        return sample.payoffs.reshape(len(pairs), n, 2)
 
 
-def _simulate_profile(source, labels, a, b, baseline, policy, tag):
-    """Initial batch plus value-of-information top-up for one profile.
+def _replay_labels(labels: dict, baseline: dict) -> dict:
+    """One strategy's labels over the baseline as the single mapping that
+    ``duogame simulate --profile`` takes: baseline entries the labels
+    override are left out, so the key order does not matter."""
+    covered = {child for name in labels for child in detailed_children(name)}
+    kept = {name: label for name, label in baseline.items() if name not in covered}
+    return {**kept, **labels}
 
-    A diverging replication is re-raised with the profile, its tag and both
-    strategies' factor labels (as JSON, the form ``duogame simulate
-    --profile`` takes); the profile's specs and the error's seed replay it
-    through :func:`~duogame.runner.run_replication`.
+
+def _simulate_profile(source, labels, a, b, baseline, policy, tag, jobs=1):
+    """Initial batch plus value-of-information top-up for one profile, or for
+    equal-length sequences ``a``, ``b`` and ``tag`` of profiles together.
+
+    Every profile's initial batch goes to the source in one call; top-ups
+    follow in one call per extra count. Returns the (n, 2) payoffs of one
+    profile, or a list of them for sequences. A diverging replication is
+    re-raised with the profile, its tag, the replication's index in the
+    profile's stream and both strategies' factor labels over the baseline
+    (as JSON, the form ``duogame simulate --profile`` and ``--opponent``
+    take); those and the error's seed replay it.
     """
-    try:
-        payoffs = source(labels[a], labels[b], baseline, policy.initial_n, tag)
-        total = payoffs.shape[0]
-        if total >= 2 and policy.cap > total:
-            spread = float(max(payoffs[:, 0].std(ddof=1), payoffs[:, 1].std(ddof=1)))
+    single = isinstance(tag, (int, np.integer))
+    if single:
+        a, b, tag = [a], [b], [tag]
+
+    def call(profiles, n, start=0):
+        try:
+            return source([labels[a[k]] for k in profiles],
+                          [labels[b[k]] for k in profiles], baseline, n,
+                          [tag[k] for k in profiles], start=start, jobs=jobs)
+        except ReplicationError as exc:
+            k, j = divmod(exc.index, n)
+            k, j = profiles[k], start + j
+            row, col = (json.dumps(_replay_labels(labels[x], baseline), sort_keys=True)
+                        for x in (a[k], b[k]))
+            raise ReplicationError(
+                f"profile ({a[k]}, {b[k]}), tag {tag[k]}, replication {j} "
+                f"(seed {exc.seed}), strategies {row} vs {col}: {exc}",
+                day=exc.day, seed=exc.seed, index=j) from exc
+
+    total = policy.initial_n
+    payoffs = list(call(range(len(tag)), total))
+    topups = {}     # extra count -> profiles
+    if total >= 2 and policy.cap > total:
+        for k, p in enumerate(payoffs):
+            spread = float(max(p[:, 0].std(ddof=1), p[:, 1].std(ddof=1)))
             target = decide_sample_size(total, spread, policy.ecvi_floor,
                                         policy.cap, policy.batch, policy.alpha)
             if target > total:
-                extra = source(labels[a], labels[b], baseline, target - total,
-                               tag, start=total)
-                payoffs = np.vstack([payoffs, extra])
-    except ReplicationError as exc:
-        raise ReplicationError(
-            f"profile ({a}, {b}), tag {tag}, replication {exc.index} "
-            f"(seed {exc.seed}), strategies {json.dumps(labels[a], sort_keys=True)} "
-            f"vs {json.dumps(labels[b], sort_keys=True)}: {exc}",
-            day=exc.day, seed=exc.seed, index=exc.index) from exc
-    return payoffs
+                topups.setdefault(target - total, []).append(k)
+    for extra, profiles in sorted(topups.items()):
+        for k, more in zip(profiles, call(profiles, extra, start=total)):
+            payoffs[k] = np.vstack([payoffs[k], more])
+    return payoffs[0] if single else payoffs
 
 
 def build_empirical_game(plan: FactorPlan, source, baseline: dict,
                          policy: SamplingPolicy, iteration: int,
                          jobs: int = 1):
-    """Simulate every unordered profile of the plan's strategy set."""
+    """Simulate every unordered profile of the plan's strategy set.
+
+    All profiles are sampled together: their replications share lockstep
+    blocks and, with ``jobs`` > 1, one process pool per source call.
+    """
     labels = plan.strategy_labels()
     space = StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))])
     game = EmpiricalGame(space)
     n = len(labels)
     tasks = [(a, b) for a in range(n) for b in range(a, n)]
-    tags = {t: profile_tag(iteration, *t) for t in tasks}
+    rows, cols = zip(*tasks)
+    tags = [profile_tag(iteration, a, b) for a, b in tasks]
+    results = _simulate_profile(source, labels, rows, cols, baseline, policy,
+                                tags, jobs=jobs)
     sizes = {}
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {t: pool.submit(_simulate_profile, source, labels, t[0],
-                                      t[1], baseline, policy, tags[t])
-                       for t in tasks}
-            results = {t: f.result() for t, f in futures.items()}
-    else:
-        results = {t: _simulate_profile(source, labels, t[0], t[1], baseline,
-                                        policy, tags[t]) for t in tasks}
-
-    for (a, b), payoffs in results.items():
+    for (a, b), payoffs in zip(tasks, results):
         sizes[f"{a},{b}"] = int(payoffs.shape[0])
         p1, p2 = payoffs[:, 0], payoffs[:, 1]
         if payoffs.shape[0] > 2 * policy.trim_per_tail:

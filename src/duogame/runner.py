@@ -186,11 +186,37 @@ def _noise_draws(rng, p: SDParams) -> NoiseDraws:
         inv=rng.normal(0, p.sigma_inv) if p.sigma_inv > 0 else 0.0)
 
 
-class _Replication:
-    """One replication of a block: its RNG streams, its two companies and
-    pricing state in plain floats, and its accumulators."""
+def _setup(specs, settings: SimulationSettings):
+    """A validated spec pair's kernel inputs: the specs, their SD parameters,
+    both companies' initial states and the market-price band."""
+    specs = tuple(specs)
+    if len(specs) != 2:
+        raise ParameterError("exactly two company specs required")
+    for s in specs:
+        s.validate()
+    tor = settings.total_order_rate
+    params = (specs[0].sd, specs[1].sd)
+    initial = []
+    for spec in specs:
+        base = steady_state(spec.sd, tor / 2.0)
+        init = replace(base)
+        for name in ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit"):
+            setattr(init, name, getattr(base, name) * settings.initial_stock_fraction)
+        init.a_wip = init.a_prod = init.a_labor = init.a_vac = 0.0
+        init.price = spec.sd.mfg_price
+        initial.append(init)
+    mp0 = (params[0].mfg_price + params[1].mfg_price) / 2.0
+    mp_bounds = (mp0 * min(params[0].mp_floor_ratio, params[1].mp_floor_ratio),
+                 mp0 * max(params[0].mp_cap_ratio, params[1].mp_cap_ratio))
+    return specs, params, initial, mp_bounds
 
-    def __init__(self, seed, specs, initial, mirror, days):
+
+class _Replication:
+    """One replication of a block: its spec pair, RNG streams, its two
+    companies and pricing state in plain floats, and its accumulators."""
+
+    def __init__(self, seed, setup, mirror, days):
+        self.specs, self.params, initial, self.mp_bounds = setup
         child = np.random.SeedSequence(seed).spawn(3)
         self.seed = seed
         self.tie_rng = np.random.default_rng(child[0])
@@ -198,7 +224,7 @@ class _Replication:
         if mirror:
             self.rngs.reverse()
         self.sd = [replace(state) for state in initial]
-        self.prices = (specs[0].sd.mfg_price, specs[1].sd.mfg_price)
+        self.prices = (self.specs[0].sd.mfg_price, self.specs[1].sd.mfg_price)
         self.pricing = PricingState(mp=(self.prices[0] + self.prices[1]) / 2.0)
         # per company: revenue, units produced, purchased and shipped,
         # inventory and backlog unit-days, marketing spend, own sunk cost
@@ -207,8 +233,9 @@ class _Replication:
         self.sunk_total = 0.0
         self.daily = np.empty((days, 2 * len(SERIES)))    # SERIES order, by company
 
-    def start_period(self, day, specs, settings):
+    def start_period(self, day, settings):
         """Budgets and advertising and promotion levels of a marketing period."""
+        specs = self.specs
         if day == 0:
             mb = [specs[i].mb_pct * self.prices[i] * settings.total_order_rate
                   * settings.marketing_period for i in COMPANIES]
@@ -220,10 +247,9 @@ class _Replication:
         pm = [_period_draw(self.rngs[i], *specs[i].pm_range, det) for i in COMPANIES]
         return mb, ad, pm
 
-    def advance_day(self, day, shares, spend_rate, collect, params, tor, dt,
-                    substeps, mp_bounds):
+    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
         """Both supply chains and the pricing loop through one day."""
-        sd, prices, pricing = self.sd, self.prices, self.pricing
+        sd, prices, pricing, params = self.sd, self.prices, self.pricing, self.params
         totals, period_revenue = self.totals, self.period_revenue
         orders = (tor * shares[0], tor * shares[1])
         noises = [_noise_draws(self.rngs[i], params[i]) for i in COMPANIES]
@@ -245,7 +271,7 @@ class _Replication:
                 period_revenue[i] += income
             prices, pricing = step_pricing(prices, pricing, params,
                                            (sd[0].inv_cov, sd[1].inv_cov),
-                                           dt=dt, mp_bounds=mp_bounds)
+                                           dt=dt, mp_bounds=self.mp_bounds)
             sd[0].price, sd[1].price = prices
         self.prices = prices
         s0, s1 = sd
@@ -271,9 +297,11 @@ class _Replication:
             marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total)
 
 
-def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list:
-    """Replications of validated specs, one lockstep day at a time.
+def _run_block(rows, settings: SimulationSettings, mirror: bool) -> list:
+    """Replications of ``rows``, (setup, seed) pairs from :func:`_setup`, one
+    lockstep day at a time.
 
+    Rows may belong to different spec pairs: every market input is per row.
     The market advances every replication's day in one call; then each
     replication runs its own companies and pricing. A replication that
     diverges ends the block for itself and every later one; the block then
@@ -283,21 +311,8 @@ def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list
     dt = settings.dt
     substeps = max(1, round(1.0 / dt))
     period = settings.marketing_period
-    params = (specs[0].sd, specs[1].sd)
-    initial = []
-    for spec in specs:
-        base = steady_state(spec.sd, tor / 2.0)
-        init = replace(base)
-        for name in ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit"):
-            setattr(init, name, getattr(base, name) * settings.initial_stock_fraction)
-        init.a_wip = init.a_prod = init.a_labor = init.a_vac = 0.0
-        init.price = spec.sd.mfg_price
-        initial.append(init)
-    reps = [_Replication(seed, specs, initial, mirror, settings.run_length_days)
-            for seed in seeds]
-    mp0 = (params[0].mfg_price + params[1].mfg_price) / 2.0
-    mp_bounds = (mp0 * min(params[0].mp_floor_ratio, params[1].mp_floor_ratio),
-                 mp0 * max(params[0].mp_cap_ratio, params[1].mp_cap_ratio))
+    reps = [_Replication(seed, setup, mirror, settings.run_length_days)
+            for setup, seed in rows]
 
     pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
     market = ConsumerMarket(_population(settings), settings.market, pop_rng,
@@ -309,7 +324,7 @@ def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list
         collect = not (settings.truncate_warmup and day < settings.warmup_days)
         if day % period == 0:
             for r, rep in enumerate(reps):
-                mk.mb[r], mk.ad[r], mk.pm[r] = rep.start_period(day, specs, settings)
+                mk.mb[r], mk.ad[r], mk.pm[r] = rep.start_period(day, settings)
         shares = market.step([rep.prices for rep in reps],
                              [rep.tie_rng for rep in reps], mirror=mirror).tolist()
         spend_rate = mk.spend_rate.tolist()
@@ -317,8 +332,7 @@ def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list
         for r, rep in enumerate(reps):
             try:
                 rep.advance_day(day, shares[r] if fixed is None else (fixed, 1.0 - fixed),
-                                spend_rate[r], collect, params, tor, dt, substeps,
-                                mp_bounds)
+                                spend_rate[r], collect, tor, dt, substeps)
             except StateError as exc:
                 failure = (r, day, exc)
                 del reps[r:]
@@ -331,8 +345,19 @@ def _run_block(specs, settings: SimulationSettings, seeds, mirror: bool) -> list
     if failure is not None:
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",
-                               day=day, seed=seeds[r], index=r) from exc
+                               day=day, seed=rows[r][1], index=r) from exc
     return [rep.output(settings) for rep in reps]
+
+
+def _per_seed(specs, n: int) -> list:
+    """One spec pair per replication: ``specs`` is one pair of company specs,
+    or a sequence of ``n`` such pairs."""
+    specs = list(specs)
+    if specs and isinstance(specs[0], CompanySpec):
+        return [specs] * n
+    if len(specs) != n:
+        raise ParameterError(f"{len(specs)} spec pairs given for {n} replications")
+    return specs
 
 
 def run_replication(specs, settings: SimulationSettings, seed,
@@ -341,34 +366,35 @@ def run_replication(specs, settings: SimulationSettings, seed,
 
     ``specs`` is the pair of company strategies. ``seed`` is one seed, giving
     one :class:`ReplicationOutput`, or a sequence of seeds, giving a list of
-    outputs in the same order. Replications run in lockstep blocks of at
-    most ``BLOCK``; each output depends on its seed only, not on the other
-    seeds or on the block size. A replication that diverges raises
-    :class:`ReplicationError` carrying its day, seed and position ``index``;
-    with several, the lowest position is reported.
+    outputs in the same order; with a sequence of seeds ``specs`` may also be
+    a sequence of pairs, one per seed. Replications run in lockstep blocks of
+    at most ``BLOCK``, which may mix pairs; each output depends on its pair
+    and seed only, not on the other rows or on the block size. A replication
+    that diverges raises :class:`ReplicationError` carrying its day, seed and
+    position ``index``; with several, the lowest position is reported.
 
     With ``mirror=True`` the company noise streams are transposed and
     tie-break labels flipped; running the swapped strategy pair that way
     reproduces the original replication with the two companies exchanged,
     bit for bit.
     """
-    specs = tuple(specs)
-    if len(specs) != 2:
-        raise ParameterError("exactly two company specs required")
-    for s in specs:
-        s.validate()
     settings.validate()
-    if isinstance(seed, (int, np.integer)):
-        return _run_block(specs, settings, [seed], mirror)[0]
-    seeds = list(seed)
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else list(seed)
+    setups = {}     # one setup per distinct pair object
+    rows = []
+    for pair, s in zip(_per_seed(specs, len(seeds)), seeds):
+        if id(pair) not in setups:
+            setups[id(pair)] = _setup(pair, settings)
+        rows.append((setups[id(pair)], s))
     outputs = []
-    for start in range(0, len(seeds), BLOCK):
+    for start in range(0, len(rows), BLOCK):
         try:
-            outputs += _run_block(specs, settings, seeds[start:start + BLOCK], mirror)
+            outputs += _run_block(rows[start:start + BLOCK], settings, mirror)
         except ReplicationError as exc:
             exc.index += start
             raise
-    return outputs
+    return outputs[0] if single else outputs
 
 
 def compute_payoff(rep: ReplicationOutput, rates: CostRates,
@@ -428,30 +454,61 @@ def replication_seeds(master_seed: int, profile_tag: int, n: int,
             for s in ss.spawn(start + n)[start:]]
 
 
-def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
-                     n: int, seeds, mirror: bool = False) -> PayoffSampleSet:
-    """Run ``n`` independent replications and collect both players' payoffs.
-
-    Replications run in lockstep blocks of at most ``BLOCK``; the payoffs do
-    not depend on ``n`` or on the block size, only on each seed.
-    """
-    if n < 1:
-        raise ParameterError("sample count must be >= 1")
-    seeds = list(seeds)[:n]
-    if len(seeds) < n:
-        raise ParameterError("not enough seeds supplied")
-    payoffs = np.zeros((n, 2))
-    for start in range(0, n, BLOCK):
+def _payoff_rows(specs, settings: SimulationSettings, rates: CostRates, seeds,
+                 mirror: bool) -> np.ndarray:
+    """Payoffs of one replication per seed, (len(seeds), 2), for one spec
+    pair per seed, computed one block at a time so that only one block's
+    series are held."""
+    payoffs = np.zeros((len(seeds), 2))
+    for start in range(0, len(seeds), BLOCK):
         try:
-            reps = run_replication(specs, settings, seeds[start:start + BLOCK],
-                                   mirror=mirror)
+            reps = run_replication(specs[start:start + BLOCK], settings,
+                                   seeds[start:start + BLOCK], mirror=mirror)
         except ReplicationError as exc:
             exc.index += start
             raise
         for j, rep in enumerate(reps, start):
             payoffs[j] = compute_payoff(rep, rates, settings.sunk_cost_mode)
         del reps    # the block's series are not kept while the next one runs
-    return PayoffSampleSet(payoffs=payoffs, seeds=seeds)
+    return payoffs
+
+
+def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
+                     n: int, seeds, mirror: bool = False,
+                     jobs: int = 1) -> PayoffSampleSet:
+    """Run ``n`` independent replications and collect both players' payoffs.
+
+    ``specs`` is one spec pair for every replication, or a sequence of ``n``
+    pairs, one per seed. Replications run in lockstep blocks of at most
+    ``BLOCK``, which may mix pairs; with ``jobs`` > 1 the rows are split into
+    ``jobs`` contiguous chunks run by as many worker processes. The payoffs
+    depend only on each row's pair and seed, not on ``n``, the block size or
+    ``jobs``. A diverging replication raises :class:`ReplicationError` with
+    its position among the ``n`` rows as ``index``.
+    """
+    if n < 1:
+        raise ParameterError("sample count must be >= 1")
+    seeds = list(seeds)[:n]
+    if len(seeds) < n:
+        raise ParameterError("not enough seeds supplied")
+    specs = _per_seed(specs, n)
+    chunks = min(jobs, n)
+    bounds = [n * c // chunks for c in range(chunks + 1)]
+    parts = [(specs[lo:hi], settings, rates, seeds[lo:hi], mirror)
+             for lo, hi in zip(bounds, bounds[1:])]
+    done = []
+    try:
+        if chunks == 1:
+            done.append(_payoff_rows(*parts[0]))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=chunks) as pool:
+                for payoffs in pool.map(_payoff_rows, *zip(*parts)):
+                    done.append(payoffs)
+    except ReplicationError as exc:
+        exc.index += bounds[len(done)]    # map yields in chunk order
+        raise
+    return PayoffSampleSet(payoffs=np.concatenate(done), seeds=seeds)
 
 
 def detect_warmup(rep: ReplicationOutput, rel_tol: float = 0.02,

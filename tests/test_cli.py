@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -194,6 +195,42 @@ class TestSimulateCommand:
                      "--profile", '{"pricing": "XXL"}',
                      "--out", str(tmp_path / "x")])
         assert code == 2
+
+
+    def test_replication_seed_runs_one_replication(self, desk_config, tmp_path):
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(desk_config), "--out", str(out),
+                     "--profile", '{"pricing": "L"}', "--opponent", '{"pricing": "H"}',
+                     "--replication-seed", "12345"]) == 0
+        record = json.loads((out / "payoffs.json").read_text())
+        assert [r["seed"] for r in record["replications"]] == [12345]
+        assert record["opponent"] == {"pricing": "H"}
+        assert main(["simulate", "--config", str(desk_config), "--n", "2",
+                     "--replication-seed", "12345", "--out", str(out)]) == 2
+
+    def test_replays_gsa_failure(self, tmp_path, capsys):
+        # without the price band the asymmetric manufacturing profile runs
+        # away first, in the first of its replications
+        config = {"master_seed": 3, "run_length_days": 57,
+                  "sampling": {"initial_n": 3, "trim_per_tail": 0, "cap": 3},
+                  "schedule": [{"g": 1, "factors": [{"name": "manufacturing"}]}],
+                  "sd_defaults": {"max_inv_cov": 1e6, "mp_cap_ratio": float("inf"),
+                                  "sigma_order": 20.0, "price_sens_invcov": -0.7}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["gsa", "--config", str(path), "--out", str(tmp_path / "g")]) == 3
+            err = capsys.readouterr().err.strip()
+            match = re.fullmatch(r"runtime error: profile \(0, 1\), tag 1, replication 0 "
+                                 r"\(seed (\d+)\), strategies (\{.*\}) vs (\{.*\}): "
+                                 r"(replication diverged on day \d+: .*)", err)
+            assert match, err
+            seed, row, col, failure = match.groups()
+            assert row != col
+            assert main(["simulate", "--config", str(path), "--profile", row,
+                         "--opponent", col, "--replication-seed", seed,
+                         "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err.strip() == f"runtime error: {failure}"
 
 
 class TestEstimateCommand:

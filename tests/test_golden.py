@@ -125,14 +125,21 @@ def test_stability_resample_pin():
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_small_gsa_run_pin(tmp_path):
+def check_small_gsa_run(out, *args):
     pins = json.loads((GOLDEN / "small_gsa_hashes.json").read_text())
-    out = tmp_path / "g"
     assert main(["gsa", "--config", str(GOLDEN / "small_gsa_config.json"),
-                 "--out", str(out)]) == 0
+                 "--out", str(out), *args]) == 0
     matrix = (out / "payoff_matrix_00.csv").read_bytes()
     report = json.loads((out / "iteration_00.json").read_text())
     report["report"].pop("runtime_seconds")
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(matrix).hexdigest() == pins["payoff_matrix_00.csv"]
     assert hashlib.sha256(text.encode()).hexdigest() == pins["iteration_00.json"]
+
+
+def test_small_gsa_run_pin(tmp_path):
+    check_small_gsa_run(tmp_path / "g")
+
+
+def test_small_gsa_run_pin_two_jobs(tmp_path):
+    check_small_gsa_run(tmp_path / "g", "--jobs", "2")

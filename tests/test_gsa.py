@@ -10,17 +10,29 @@ from duogame.factors import (
     refine_plan,
 )
 from duogame.doe import FactorEffect
-from duogame.game import EmpiricalGame
-from duogame.stats import confidence_interval
+from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import (
     GsaSettings,
     SamplingPolicy,
+    SimulationPayoffSource,
     StabilityClass,
+    _replay_labels,
     _simulate_profile,
+    build_empirical_game,
     neighbor_strictness_test,
+    profile_tag,
     run_gsa,
     stability_analysis,
 )
+from duogame.runner import (
+    CostRates,
+    SimulationSettings,
+    estimate_payoffs,
+    replication_seeds,
+    run_replication,
+)
+from duogame.stats import confidence_interval, decide_sample_size, trim_samples
+from duogame.supply_chain import SDParams
 
 PD_U1 = np.array([[3.0, 0.0], [5.0, 1.0]])
 MP_U1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -136,16 +148,19 @@ class TestRefinePlan:
 def stub_source_factory(coef=None, sigma=0.5):
     coef = coef or {}
 
-    def source(labels_a, labels_b, baseline, n, tag, start=0):
+    def source(labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
         def score(lbl):
             total = 0.0
             for name, label in lbl.items():
                 lv = {"L": 0.0, "ML": 1.0, "MH": 2.0, "H": 3.0}[label]
                 total += coef.get(name, 1.0) * lv
             return total
-        rng = np.random.default_rng((tag, start))
-        base = np.array([score(labels_a), score(labels_b)])
-        return base[None, :] + rng.normal(0, sigma, size=(n, 2))
+        out = []
+        for row, col, tag in zip(labels_a, labels_b, tags):
+            rng = np.random.default_rng((tag, start))
+            base = np.array([score(row), score(col)])
+            out.append(base[None, :] + rng.normal(0, sigma, size=(n, 2)))
+        return np.array(out)
 
     return source
 
@@ -440,7 +455,7 @@ class TestStabilityAgainstReference:
 
 
 def test_simulate_profile_failure_names_profile_and_tag():
-    def source(labels_a, labels_b, baseline, n, tag, start=0):
+    def source(labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
         raise ReplicationError("replication diverged on day 7: x", day=7,
                                seed=1234, index=2)
 
@@ -451,3 +466,107 @@ def test_simulate_profile_failure_names_profile_and_tag():
     assert str(err.value).startswith(
         "profile (0, 1), tag 77, replication 2 (seed 1234), "
         'strategies {"pricing": "L"} vs {"pricing": "H"}: ')
+
+
+def reference_build(plan, source, policy, iteration):
+    """The game built one profile at a time: each profile's initial batch,
+    its top-up target and its top-up through ``estimate_payoffs`` alone."""
+    labels = plan.strategy_labels()
+    game = EmpiricalGame(StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))]))
+    sizes = {}
+    for a in range(len(labels)):
+        for b in range(a, len(labels)):
+            specs = source.specs_for(labels[a], labels[b], {})
+            tag = profile_tag(iteration, a, b)
+
+            def run(n, start):
+                seeds = replication_seeds(source.master_seed, tag, n, start=start)
+                return estimate_payoffs(specs, source.settings, source.rates, n,
+                                        seeds).payoffs
+
+            payoffs = run(policy.initial_n, 0)
+            total = policy.initial_n
+            if total >= 2 and policy.cap > total:
+                spread = max(payoffs[:, 0].std(ddof=1), payoffs[:, 1].std(ddof=1))
+                target = decide_sample_size(total, float(spread), policy.ecvi_floor,
+                                            policy.cap, policy.batch, policy.alpha)
+                if target > total:
+                    payoffs = np.vstack([payoffs, run(target - total, total)])
+            sizes[f"{a},{b}"] = payoffs.shape[0]
+            p1, p2 = payoffs[:, 0], payoffs[:, 1]
+            if payoffs.shape[0] > 2 * policy.trim_per_tail:
+                p1 = trim_samples(p1, policy.trim_per_tail)
+                p2 = trim_samples(p2, policy.trim_per_tail)
+            game.set_samples((a, b), p1, p2)
+    return game, sizes
+
+
+class TestBatchedBuild:
+    PLAN = FactorPlan([PlanFactor("pricing"), PlanFactor("marketing")])
+
+    def source(self):
+        settings = SimulationSettings(run_length_days=30, warmup_days=10, n_agents=50)
+        return SimulationPayoffSource(settings, CostRates(), 11)
+
+    def assert_same_game(self, built, reference):
+        (game, sizes), (ref, ref_sizes) = built, reference
+        assert sizes == ref_sizes
+        for name in ("mean", "count", "var"):
+            assert np.array_equal(getattr(game, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_equals_per_profile_reference(self, jobs):
+        # 10 profiles of 2 replications: 20 rows, not a multiple of 3
+        policy = SamplingPolicy(initial_n=2, trim_per_tail=0, cap=2)
+        source = self.source()
+        self.assert_same_game(
+            build_empirical_game(self.PLAN, source, {}, policy, 1, jobs=jobs),
+            reference_build(self.PLAN, source, policy, 1))
+
+    def test_topups_equal_per_profile_reference(self):
+        policy = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
+                                ecvi_floor=20.0)
+        source = self.source()
+        built = build_empirical_game(self.PLAN, source, {}, policy, 0, jobs=2)
+        # no top-up, and top-ups of more than one extra count
+        assert len(set(built[1].values()) - {policy.initial_n}) >= 2
+        assert policy.initial_n in built[1].values()
+        self.assert_same_game(built, reference_build(self.PLAN, source, policy, 0))
+
+
+def test_divergence_in_second_pool_chunk_names_profile_and_seed():
+    # without the price band these profiles run away; at 55 days, replications
+    # 4 and 5 of profile (2, 3) diverge and every other one runs to the end
+    settings = SimulationSettings(run_length_days=55)
+    sd = SDParams(max_inv_cov=1e6, mp_cap_ratio=float("inf"), sigma_order=20.0,
+                  price_sens_invcov=-0.7)
+    source = SimulationPayoffSource(settings, CostRates(), 3, sd_defaults=sd)
+    labels = [{"logistics": "L"}, {"logistics": "H"},
+              {"manufacturing": "L"}, {"manufacturing": "H"}]
+    a, b = [1, 1, 2, 2], [1, 2, 3, 2]
+    tags = [profile_tag(0, x, y) for x, y in zip(a, b)]
+    policy = SamplingPolicy(initial_n=6, trim_per_tail=1, cap=6)
+    # 24 rows in two chunks of 12; replication 4 of (2, 3) is row 16, inside
+    # the second chunk's block of rows from (2, 3) and (2, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ReplicationError) as err:
+            _simulate_profile(source, labels, a, b, {}, policy, tags, jobs=2)
+        seed = replication_seeds(3, tags[2], 1, start=4)[0]
+        with pytest.raises(ReplicationError) as alone:
+            run_replication(source.specs_for(labels[2], labels[3], {}), settings, seed)
+    assert (err.value.index, err.value.seed, err.value.day) == (4, seed, alone.value.day)
+    assert str(err.value) == (
+        f"profile (2, 3), tag {tags[2]}, replication 4 (seed {seed}), "
+        'strategies {"manufacturing": "L"} vs {"manufacturing": "H"}: '
+        f"{alone.value}")
+
+
+def test_replay_labels_materialize_as_labels_over_baseline():
+    # the baseline holds a child of an active aggregated factor, which sorts
+    # after it, and a factor the labels leave alone
+    baseline = {"rm_lead_time": "H", "inv_fulfillment_time": "H", "mfg_price": "H"}
+    labels = {"logistics": "L", "marketing": "H"}
+    replay = _replay_labels(labels, baseline)
+    assert replay == {"mfg_price": "H", "logistics": "L", "marketing": "H"}
+    in_key_order = dict(sorted(replay.items()))
+    assert materialize(in_key_order) == materialize(labels, baseline)

@@ -171,6 +171,39 @@ class TestReplicationFailures:
         assert (str(back), back.day, back.seed, back.index) == (str(err), 3, 17, 2)
 
 
+ACCUMULATORS = ("revenue", "units_produced", "units_purchased", "units_shipped",
+                "inv_unit_days", "backlog_unit_days", "marketing_spend", "sunk_own",
+                "sunk_total")
+
+
+class TestMixedBlocks:
+    def test_rows_equal_lone_runs(self):
+        # the runaway corner saturates the price band and ties agents;
+        # the noisy pair draws all four noises; 36 rows cross a block
+        corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
+                                         safety_stock_cov=2.0))
+        noisy = CompanySpec(sd=SDParams(sigma_wip=2.0, sigma_prod=3.0,
+                                        sigma_order=5.0, sigma_inv=4.0))
+        pairs = [default_specs(), (corner, corner), pricing_asymmetric_specs(),
+                 (noisy, CompanySpec())]
+        settings = SimulationSettings(deterministic_marketing=True)
+        seeds = replication_seeds(105, 0, 36)
+        specs = [pairs[j % len(pairs)] for j in range(len(seeds))]
+        block = run_replication(specs, settings, seeds)
+        for j, seed in enumerate(seeds):
+            alone = run_replication(specs[j], settings, seed)
+            assert block[j].seed == seed
+            for name, series in alone.series.items():
+                assert np.array_equal(block[j].series[name], series), (j, name)
+            for name in ACCUMULATORS:
+                assert np.array_equal(getattr(block[j], name),
+                                      getattr(alone, name)), (j, name)
+
+    def test_pair_count_must_match_seeds(self):
+        with pytest.raises(ParameterError):
+            run_replication([default_specs()] * 2, SimulationSettings(), [1, 2, 3])
+
+
 class TestComputePayoff:
     def make_rep(self, **kw):
         base = dict(seed=0, run_length=3, warmup=0, series={},
