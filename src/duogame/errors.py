@@ -18,7 +18,14 @@ class ConfigError(DuogameError, ValueError):
 
 
 class StateError(DuogameError):
-    """Simulation state is inadmissible (NaN, negative stock, non-positive price)."""
+    """Simulation state is inadmissible (NaN, negative stock, non-positive price).
+
+    An array step over many rows sets ``row`` to the lowest inadmissible row.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ReplicationError(DuogameError):

@@ -6,11 +6,18 @@ steps and prices are re-set at the market level. Physical quantities
 (units produced, shipped, unit-days of inventory, ...) are accumulated so
 payoffs can be priced with any cost-rate vector afterwards.
 
-Replications run in lockstep blocks of at most ``BLOCK``: one market call
-advances the whole block by a day, then each replication steps its two
-companies and its pricing in plain floats. Replications share nothing but
-the population, so every output depends on its seed alone; results do not
-depend on the sample count ``n`` or on the block size.
+All replications of a call run in lockstep, one day at a time, at two
+widths. The market advances them in sub-blocks of at most ``BLOCK`` rows,
+one call per sub-block, which keeps its per-agent temporaries in cache.
+The supply chains and pricing advance the whole call together: from
+``WIDE`` rows on, both companies of every row are (rows, 2) arrays stepped
+by one array step and one array pricing step per sub-step; below it, where
+the array step's fixed cost of 100-200 us per sub-step outweighs the
+2.6 us of a plain-float company step, each replication steps its two
+companies and its pricing in plain floats. Both kernels perform the same
+float operations in the same order. Replications share nothing but the
+population, so every output depends on its pair and seed alone; results do
+not depend on the sample count ``n``, the width or the kernel.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -34,7 +41,9 @@ from .supply_chain import (
     ZERO_NOISE,
     NoiseDraws,
     PricingState,
+    SDParamRows,
     SDParams,
+    SDRows,
     steady_state,
     step_company,
     step_pricing,
@@ -151,11 +160,22 @@ class ReplicationOutput:
 
 _network_cache: dict = {}
 
-# Replications advanced in lockstep by one pass of the kernel. The cap bounds
-# the market's per-day temporaries, (agents, 2 * BLOCK) floats: at 200 agents
-# they stay at 100 KiB, under the 128 KiB at which the C allocator hands out
-# fresh memory maps, and larger blocks ran slower per replication-day.
+# Rows of one market call. The cap bounds the market's per-day temporaries,
+# (agents, 2 * BLOCK) floats: at 200 agents they stay at 100 KiB, under the
+# 128 KiB at which the C allocator hands out fresh memory maps, and larger
+# blocks ran slower per replication-day.
 BLOCK = 32
+
+# Rows from which the supply chains step as (rows, 2) arrays, one array step
+# per sub-step for the whole call; fewer rows step in plain floats, one
+# company at a time. An array step costs 100-200 us whatever the width up to
+# a few dozen rows, a plain-float company step about 2.6 us; at 20 rows the
+# two kernels measured even per replication.
+WIDE = 20
+
+# Rows per kernel pass when only payoffs are wanted: bounds the daily series
+# held at once, whatever the number of rows.
+PASS_ROWS = 512
 
 SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
 
@@ -211,18 +231,23 @@ def _setup(specs, settings: SimulationSettings):
     return specs, params, initial, mp_bounds
 
 
+def _streams(seed, mirror):
+    """A replication's tie-break generator and its two company generators."""
+    child = np.random.SeedSequence(seed).spawn(3)
+    rngs = [np.random.default_rng(child[1]), np.random.default_rng(child[2])]
+    if mirror:
+        rngs.reverse()
+    return np.random.default_rng(child[0]), rngs
+
+
 class _Replication:
-    """One replication of a block: its spec pair, RNG streams, its two
-    companies and pricing state in plain floats, and its accumulators."""
+    """One replication of the narrow kernel: its spec pair, RNG streams, its
+    two companies and pricing state in plain floats, and its accumulators."""
 
     def __init__(self, seed, setup, mirror, days):
         self.specs, self.params, initial, self.mp_bounds = setup
-        child = np.random.SeedSequence(seed).spawn(3)
         self.seed = seed
-        self.tie_rng = np.random.default_rng(child[0])
-        self.rngs = [np.random.default_rng(child[1]), np.random.default_rng(child[2])]
-        if mirror:
-            self.rngs.reverse()
+        self.tie_rng, self.rngs = _streams(seed, mirror)
         self.sd = [replace(state) for state in initial]
         self.prices = (self.specs[0].sd.mfg_price, self.specs[1].sd.mfg_price)
         self.pricing = PricingState(mp=(self.prices[0] + self.prices[1]) / 2.0)
@@ -297,56 +322,258 @@ class _Replication:
             marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total)
 
 
-def _run_block(rows, settings: SimulationSettings, mirror: bool) -> list:
+class _Narrow:
+    """The narrow kernel: each row a :class:`_Replication` stepping its
+    companies and pricing in plain floats."""
+
+    def __init__(self, rows, settings, mirror):
+        days = settings.run_length_days
+        self.reps = [_Replication(seed, setup, mirror, days) for setup, seed in rows]
+        self.tie_rngs = [rep.tie_rng for rep in self.reps]
+
+    @property
+    def rows(self) -> int:
+        return len(self.reps)
+
+    @property
+    def prices(self) -> list:
+        return [rep.prices for rep in self.reps]
+
+    def start_period(self, day, settings):
+        return [np.array(x) for x in
+                zip(*(rep.start_period(day, settings) for rep in self.reps))]
+
+    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
+        """Every row through one day; returns ``(row, error)`` for the row
+        that diverged, after dropping it and every later row, or None."""
+        shares, spend_rate = shares.tolist(), spend_rate.tolist()
+        for r, rep in enumerate(self.reps):
+            try:
+                rep.advance_day(day, shares[r], spend_rate[r], collect, tor, dt,
+                                substeps)
+            except StateError as exc:
+                del self.reps[r:], self.tie_rngs[r:]
+                return r, exc
+        return None
+
+    def close_period(self, mb, inter):
+        for r, rep in enumerate(self.reps):
+            rep.close_period(mb[r], inter[r])
+
+    def outputs(self, settings) -> list:
+        return [rep.output(settings) for rep in self.reps]
+
+
+class _Wide:
+    """The wide kernel: both companies of every row held as (rows, 2) arrays
+    and advanced by one array step and one array pricing step per sub-step.
+
+    The noise and marketing draws stay per-row scalar calls on each row's
+    own generators, in the narrow kernel's order.
+    """
+
+    def __init__(self, rows, settings, mirror):
+        distinct = {}
+        for setup, _ in rows:
+            distinct.setdefault(id(setup), (len(distinct), setup))
+        index = np.array([distinct[id(setup)][0] for setup, _ in rows])
+        setups = [setup for _, setup in distinct.values()]
+        self.p = SDParamRows([setup[1] for setup in setups], index)
+        self.s = SDRows([setup[2] for setup in setups], index)
+        self.pricing = PricingState(mp=(self.s.price[:, 0] + self.s.price[:, 1]) / 2.0)
+        bounds = np.array([setup[3] for setup in setups])[index]
+        self.bounds = (bounds[:, 0], bounds[:, 1])
+        self.specs = [setups[k][0] for k in index]
+        self.mb_pct = np.array([[s.mb_pct for s in specs] for specs in self.specs])
+        streams = [_streams(seed, mirror) for _, seed in rows]
+        self.tie_rngs = [tie for tie, _ in streams]
+        self.rngs = [rngs for _, rngs in streams]
+        self.noisy = []     # (row, company, sigmas) of each noisy company
+        for r, specs in enumerate(self.specs):
+            for i, spec in enumerate(specs):
+                sd = spec.sd
+                sigmas = (sd.sigma_wip, sd.sigma_prod, sd.sigma_order, sd.sigma_inv)
+                if any(sigma > 0 for sigma in sigmas):
+                    self.noisy.append((r, i, sigmas))
+        self.seeds = [seed for _, seed in rows]
+        n = len(rows)
+        self.totals = np.zeros((8, n, 2))     # the narrow kernel's totals order
+        self.period_revenue = np.zeros((n, 2))
+        self.sunk_total = [0.0] * n
+        self.daily = np.empty((settings.run_length_days, len(SERIES), n, 2))
+
+    @property
+    def rows(self) -> int:
+        return len(self.seeds)
+
+    @property
+    def prices(self):
+        return self.s.price
+
+    def truncate(self, rows: int) -> None:
+        """Keep only the first ``rows`` rows."""
+        self.s.truncate(rows)
+        self.p.truncate(rows)
+        self.pricing.mp = self.pricing.mp[:rows]
+        self.bounds = tuple(b[:rows] for b in self.bounds)
+        for name in ("specs", "mb_pct", "tie_rngs", "rngs", "seeds",
+                     "period_revenue", "sunk_total"):
+            setattr(self, name, getattr(self, name)[:rows])
+        self.noisy = [entry for entry in self.noisy if entry[0] < rows]
+        self.totals = self.totals[:, :rows]
+        self.daily = self.daily[:, :, :rows]
+
+    def start_period(self, day, settings):
+        if day == 0:
+            mb = (self.mb_pct * self.s.price * settings.total_order_rate
+                  * settings.marketing_period)
+        else:
+            mb = self.mb_pct * self.period_revenue
+        self.period_revenue = np.zeros_like(self.period_revenue)
+        det = settings.deterministic_marketing
+        ad, pm = np.empty_like(mb), np.empty_like(mb)
+        for r, (specs, rngs) in enumerate(zip(self.specs, self.rngs)):
+            for i in COMPANIES:
+                ad[r, i] = _period_draw(rngs[i], *specs[i].ad_range, det)
+                pm[r, i] = _period_draw(rngs[i], *specs[i].pm_range, det)
+        return mb, ad, pm
+
+    def _noise(self):
+        if not self.noisy:
+            return None
+        draws = np.zeros((4, self.rows, 2))     # NoiseDraws field order
+        for r, i, sigmas in self.noisy:
+            rng = self.rngs[r][i]
+            for k, sigma in enumerate(sigmas):
+                if sigma > 0:
+                    draws[k, r, i] = rng.normal(0, sigma)
+        return draws
+
+    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
+        """Every row through one day; returns ``(row, error)`` for the lowest
+        row that diverged, after dropping it and every later row, or None."""
+        s, p = self.s, self.p
+        orders = tor * shares
+        draws = self._noise()
+        if collect:
+            self.totals[6] += spend_rate     # one day's worth
+        failure = None
+        for _ in range(substeps):
+            noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
+            failed = None
+            try:
+                step_company(s, p, orders, noise, dt)
+            except StateError as exc:
+                failed = exc
+            income = s.ship_r * s.price * dt
+            if collect:
+                t = self.totals
+                t[0] += income
+                t[1] += s.prod_br * dt
+                t[2] += s.rm_order_r * dt
+                t[3] += s.ship_r * dt
+                t[4] += s.inv * dt
+                t[5] += s.backlog * dt
+            self.period_revenue += income
+            try:
+                step_pricing(s.price, self.pricing, p, s.inv_cov, dt=dt,
+                             mp_bounds=self.bounds)
+            except StateError as exc:
+                if failed is None or exc.row < failed.row:
+                    failed = exc
+            if failed is not None:
+                row = failed.row
+                failure = (row, failed)
+                self.truncate(row)
+                if not row:
+                    return failure
+                orders, shares = orders[:row], shares[:row]
+                if draws is not None:
+                    draws = draws[:, :row]
+        d = self.daily[day]
+        d[0], d[1], d[2], d[3] = s.price, s.inv, s.backlog, s.ship_r
+        d[4], d[5], d[6] = shares, s.labor, s.wip
+        return failure
+
+    def close_period(self, mb, inter):
+        for r in range(self.rows):
+            self.sunk_total[r] += max(0.0, sunk_cost(mb[r], inter[r]))
+        x = mb * inter
+        self.totals[7] += np.where(x > 0.0, x, 0.0)
+
+    def outputs(self, settings) -> list:
+        t = self.totals
+        return [ReplicationOutput(
+            seed=seed, run_length=settings.run_length_days,
+            warmup=settings.warmup_days,
+            series={name: self.daily[:, k, r] for k, name in enumerate(SERIES)},
+            revenue=t[0, r], units_produced=t[1, r], units_purchased=t[2, r],
+            units_shipped=t[3, r], inv_unit_days=t[4, r], backlog_unit_days=t[5, r],
+            marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=self.sunk_total[r])
+            for r, seed in enumerate(self.seeds)]
+
+
+def _joined(parts):
+    """The per-sub-block arrays ``parts`` as one array over all rows."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _run_rows(rows, settings: SimulationSettings, mirror: bool) -> list:
     """Replications of ``rows``, (setup, seed) pairs from :func:`_setup`, one
     lockstep day at a time.
 
-    Rows may belong to different spec pairs: every market input is per row.
-    The market advances every replication's day in one call; then each
-    replication runs its own companies and pricing. A replication that
-    diverges ends the block for itself and every later one; the block then
-    raises for the lowest-index replication that diverged.
+    Rows may belong to different spec pairs: every input is per row. Each
+    day the market advances the rows in sub-blocks of at most ``BLOCK``, one
+    call per sub-block; then the supply chains and pricing of every row
+    advance, as arrays from ``WIDE`` rows on and in plain floats below. A
+    replication that diverges ends the run for itself and every later one;
+    the call then raises for the lowest-index replication that diverged.
     """
     tor = settings.total_order_rate
     dt = settings.dt
     substeps = max(1, round(1.0 / dt))
     period = settings.marketing_period
-    reps = [_Replication(seed, setup, mirror, settings.run_length_days)
-            for setup, seed in rows]
-
-    pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
-    market = ConsumerMarket(_population(settings), settings.market, pop_rng,
-                            replications=len(reps))
-    mk = market.marketing
+    chain = (_Wide if len(rows) >= WIDE else _Narrow)(rows, settings, mirror)
+    markets = []
+    for lo in range(0, len(rows), BLOCK):
+        # every market draws the same population from its own generator
+        pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
+        markets.append(ConsumerMarket(_population(settings), settings.market, pop_rng,
+                                      replications=min(BLOCK, len(rows) - lo)))
     fixed = settings.fixed_share_split
     failure = None
     for day in range(settings.run_length_days):
         collect = not (settings.truncate_warmup and day < settings.warmup_days)
         if day % period == 0:
-            for r, rep in enumerate(reps):
-                mk.mb[r], mk.ad[r], mk.pm[r] = rep.start_period(day, settings)
-        shares = market.step([rep.prices for rep in reps],
-                             [rep.tie_rng for rep in reps], mirror=mirror).tolist()
-        spend_rate = mk.spend_rate.tolist()
-        period_end = collect and day % period == period - 1
-        for r, rep in enumerate(reps):
-            try:
-                rep.advance_day(day, shares[r] if fixed is None else (fixed, 1.0 - fixed),
-                                spend_rate[r], collect, tor, dt, substeps)
-            except StateError as exc:
-                failure = (r, day, exc)
-                del reps[r:]
-                market.truncate(r)
-                break
-            if period_end:
-                rep.close_period(mk.mb[r], mk.inter[r])
-        if not reps:
+            mb, ad, pm = chain.start_period(day, settings)
+            for lo, market in zip(range(0, len(rows), BLOCK), markets):
+                mk = market.marketing
+                hi = lo + len(mk.mb)
+                mk.mb[:], mk.ad[:], mk.pm[:] = mb[lo:hi], ad[lo:hi], pm[lo:hi]
+        prices, rngs = chain.prices, chain.tie_rngs
+        shares = _joined([market.step(prices[lo:lo + BLOCK], rngs[lo:lo + BLOCK],
+                                      mirror=mirror)
+                          for lo, market in zip(range(0, len(rows), BLOCK), markets)])
+        if fixed is not None:
+            shares[:] = (fixed, 1.0 - fixed)
+        spend_rate = _joined([market.marketing.spend_rate for market in markets])
+        failed = chain.advance_day(day, shares, spend_rate, collect, tor, dt, substeps)
+        if failed is not None:
+            r, exc = failed
+            failure = (r, day, exc)
+            del markets[-(-r // BLOCK):]
+            if r % BLOCK:
+                markets[-1].truncate(r % BLOCK)
+        if not chain.rows:
             break
+        if collect and day % period == period - 1:
+            chain.close_period(_joined([m.marketing.mb for m in markets]),
+                               _joined([m.marketing.inter for m in markets]))
     if failure is not None:
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",
                                day=day, seed=rows[r][1], index=r) from exc
-    return [rep.output(settings) for rep in reps]
+    return chain.outputs(settings)
 
 
 def _per_seed(specs, n: int) -> list:
@@ -367,9 +594,9 @@ def run_replication(specs, settings: SimulationSettings, seed,
     ``specs`` is the pair of company strategies. ``seed`` is one seed, giving
     one :class:`ReplicationOutput`, or a sequence of seeds, giving a list of
     outputs in the same order; with a sequence of seeds ``specs`` may also be
-    a sequence of pairs, one per seed. Replications run in lockstep blocks of
-    at most ``BLOCK``, which may mix pairs; each output depends on its pair
-    and seed only, not on the other rows or on the block size. A replication
+    a sequence of pairs, one per seed. All replications run in lockstep,
+    mixing pairs; each output depends on its pair and seed only, not on the
+    other rows or on how many there are. A replication
     that diverges raises :class:`ReplicationError` carrying its day, seed and
     position ``index``; with several, the lowest position is reported.
 
@@ -387,13 +614,7 @@ def run_replication(specs, settings: SimulationSettings, seed,
         if id(pair) not in setups:
             setups[id(pair)] = _setup(pair, settings)
         rows.append((setups[id(pair)], s))
-    outputs = []
-    for start in range(0, len(rows), BLOCK):
-        try:
-            outputs += _run_block(rows[start:start + BLOCK], settings, mirror)
-        except ReplicationError as exc:
-            exc.index += start
-            raise
+    outputs = _run_rows(rows, settings, mirror)
     return outputs[0] if single else outputs
 
 
@@ -437,14 +658,6 @@ class PayoffSampleSet:
     def samples(self, player: int) -> np.ndarray:
         return self.payoffs[:, player].copy()
 
-    def merge(self, other: "PayoffSampleSet") -> "PayoffSampleSet":
-        """Order-independent merge keyed by replication seed."""
-        payoffs = np.vstack([self.payoffs, other.payoffs])
-        seeds = self.seeds + other.seeds
-        order = np.argsort(np.asarray(seeds, dtype=np.int64), kind="stable")
-        return PayoffSampleSet(payoffs=payoffs[order],
-                               seeds=[seeds[i] for i in order])
-
 
 def replication_seeds(master_seed: int, profile_tag: int, n: int,
                       start: int = 0) -> list:
@@ -457,19 +670,21 @@ def replication_seeds(master_seed: int, profile_tag: int, n: int,
 def _payoff_rows(specs, settings: SimulationSettings, rates: CostRates, seeds,
                  mirror: bool) -> np.ndarray:
     """Payoffs of one replication per seed, (len(seeds), 2), for one spec
-    pair per seed, computed one block at a time so that only one block's
-    series are held."""
-    payoffs = np.zeros((len(seeds), 2))
-    for start in range(0, len(seeds), BLOCK):
+    pair per seed, computed in even kernel passes of at most ``PASS_ROWS``
+    rows so that only one pass's daily series are held."""
+    n = len(seeds)
+    passes = -(-n // PASS_ROWS)
+    bounds = [n * k // passes for k in range(passes + 1)]
+    payoffs = np.zeros((n, 2))
+    for lo, hi in zip(bounds, bounds[1:]):
         try:
-            reps = run_replication(specs[start:start + BLOCK], settings,
-                                   seeds[start:start + BLOCK], mirror=mirror)
+            reps = run_replication(specs[lo:hi], settings, seeds[lo:hi], mirror=mirror)
         except ReplicationError as exc:
-            exc.index += start
+            exc.index += lo
             raise
-        for j, rep in enumerate(reps, start):
+        for j, rep in enumerate(reps, lo):
             payoffs[j] = compute_payoff(rep, rates, settings.sunk_cost_mode)
-        del reps    # the block's series are not kept while the next one runs
+        del reps    # the pass's series are not kept while the next one runs
     return payoffs
 
 
@@ -479,11 +694,10 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     """Run ``n`` independent replications and collect both players' payoffs.
 
     ``specs`` is one spec pair for every replication, or a sequence of ``n``
-    pairs, one per seed. Replications run in lockstep blocks of at most
-    ``BLOCK``, which may mix pairs; with ``jobs`` > 1 the rows are split into
-    ``jobs`` contiguous chunks run by as many worker processes. The payoffs
-    depend only on each row's pair and seed, not on ``n``, the block size or
-    ``jobs``. A diverging replication raises :class:`ReplicationError` with
+    pairs, one per seed. Replications run in lockstep, mixing pairs; with
+    ``jobs`` > 1 the rows are split into ``jobs`` contiguous chunks run by as
+    many worker processes. The payoffs depend only on each row's pair and
+    seed, not on ``n``, the chunking or ``jobs``. A diverging replication raises :class:`ReplicationError` with
     its position among the ``n`` rows as ``index``.
     """
     if n < 1:

@@ -10,12 +10,20 @@ negative within a step, which keeps the bookkeeping identity
     stock(T) - stock(0) == sum over steps of dt * (inflow - outflow)
 
 exact up to floating point.
+
+:func:`step_company` and :func:`step_pricing` advance either one company
+pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
+once (:class:`SDRows`, :class:`SDParamRows`), every quantity then a
+(rows, 2) array stepped with the same operations in the same order, so a
+row's numbers do not depend on the form that computed them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import ParameterError, StateError
 
@@ -210,21 +218,62 @@ class FlowLedger:
         self.flows[stock] = self.flows.get(stock, 0.0) + net_rate * dt
 
 
-def smooth_adjust(desired: float, actual: float, fulfill_time: float,
-                  prev_adjust: float, lam: float) -> float:
-    """Exponentially smoothed gap-closing rate toward a desired quantity."""
-    if fulfill_time <= 0:
-        raise ParameterError(f"fulfill_time must be > 0, got {fulfill_time}")
-    if not 0.0 < lam <= 1.0:
-        raise ParameterError(f"smoothing factor must be in (0, 1], got {lam}")
-    return lam * (desired - actual) / fulfill_time + (1.0 - lam) * prev_adjust
+class SDRows:
+    """Both companies' chains of many replications: each of ``FIELDS`` is a
+    (rows, 2) array, column ``i`` for company ``i``.
+
+    These are the quantities a replication carries from one sub-step to the
+    next; the other rates and auxiliaries of :class:`SDState` are not kept.
+    """
+
+    FIELDS = SDState.STOCK_FIELDS + ("a_wip", "a_prod", "a_labor", "a_vac",
+                                     "prod_br", "ship_r", "rm_order_r",
+                                     "inv_cov", "price")
+
+    def __init__(self, pairs, index):
+        """The states of ``pairs``, a sequence of :class:`SDState` pairs,
+        one row per entry of ``index``."""
+        for name, table in _tables(pairs, self.FIELDS).items():
+            setattr(self, name, table[index])
+
+    def truncate(self, rows: int) -> None:
+        """Keep only the first ``rows`` rows."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[:rows])
 
 
-def fulfillment_ratio(inv: float, desired_inv: float) -> float:
-    """Fraction of demand that can ship, clamped to [0, 1]."""
-    if desired_inv <= 0:
-        raise ParameterError(f"desired inventory must be > 0, got {desired_inv}")
-    return min(1.0, max(0.0, inv / desired_inv))
+class SDParamRows:
+    """:class:`SDParams` of many replications' company pairs, each field a
+    (rows, 2) array; ``max_layoff_rate`` None is held as +inf, which never
+    caps."""
+
+    FIELDS = tuple(f.name for f in fields(SDParams))
+
+    def __init__(self, pairs, index):
+        """The parameters of ``pairs``, a sequence of :class:`SDParams`
+        pairs, one row per entry of ``index``."""
+        for name, table in _tables(pairs, self.FIELDS).items():
+            setattr(self, name, table[index])
+        # the coverage multiplier is a per-element C ``pow``: ``np.power``
+        # rounds differently on a few percent of arguments
+        self.invcov_exponents = self.price_sens_invcov.ravel().tolist()
+
+    def truncate(self, rows: int) -> None:
+        """Keep only the first ``rows`` rows."""
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[:rows])
+        self.invcov_exponents = self.invcov_exponents[:2 * rows]
+
+
+def _tables(pairs, names) -> dict:
+    """(len(pairs), 2) float arrays of the attributes ``names`` of each
+    pair, None read as +inf."""
+    def value(obj, name):
+        v = getattr(obj, name)
+        return math.inf if v is None else v
+    return {name: np.array([[value(obj, name) for obj in pair] for pair in pairs],
+                           dtype=float)
+            for name in names}
 
 
 def step_company(state: SDState, p: SDParams, order_rate: float,
@@ -236,12 +285,21 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     are integrated together and checked, so one inadmissible stock raises
     :class:`StateError` on the sub-step that produced it. ``order_rate`` is
     the demand before noise; pricing is applied separately at the pair
-    level by :func:`step_pricing`. ``p`` is trusted to be validated; the
-    smoothing and fulfillment formulas are those of :func:`smooth_adjust`
-    and :func:`fulfillment_ratio`. Returns ``state``.
+    level by :func:`step_pricing`. ``p`` is trusted to be validated. Each
+    adjuster closes its gap exponentially smoothed,
+    ``lam * (desired - actual) / time + (1 - lam) * previous``, and
+    shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
+    [0, 1]. Returns ``state``.
+
+    With an :class:`SDRows` state, ``p`` is an :class:`SDParamRows` and
+    ``order_rate`` and the noise fields are (rows, 2) arrays (or scalars);
+    every row advances, then the lowest inadmissible row raises with its
+    own message and ``row`` set. ``ledger`` is for one company only.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
+    if isinstance(state, SDRows):
+        return _step_rows(state, p, order_rate, noise, dt)
     # ``y if y < x else x`` is ``min(x, y)`` and ``x if x > 0.0 else 0.0`` is
     # ``max(0.0, x)``, NaN included, at a fraction of the call's cost
     wip, inv, labor, vac = state.wip, state.inv, state.labor, state.vac
@@ -362,30 +420,28 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     return state
 
 
-def price_multipliers(p: SDParams, mp: float, inv_cov: float) -> tuple:
-    """Cost and coverage effects on price for one company."""
-    if mp <= 0:
-        raise StateError(f"market expected price must be > 0, got {mp}")
-    f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / mp - 1.0)
-    f_cost = max(f_cost, 1e-9)
-    cov = max(inv_cov, EPS_COVERAGE)
-    f_invcov = (cov / p.max_inv_cov) ** p.price_sens_invcov
-    return f_cost, f_invcov
-
-
 def step_pricing(prices: tuple, shared: PricingState, params: tuple,
                  inv_covs: tuple, dt: float = 0.25,
                  mp_bounds: tuple | None = None) -> tuple:
     """Update both prices and, in place, the market expected price.
 
-    ``params`` and ``inv_covs`` are per-company pairs; the multipliers are
-    those of :func:`price_multipliers`. ``mp_bounds`` clips the market
+    ``params`` and ``inv_covs`` are per-company pairs. A price is the
+    market expected price times a cost multiplier (floored at 1e-9) and a
+    coverage multiplier ``(cov / max_inv_cov) ** price_sens_invcov``, with
+    ``cov`` floored at ``EPS_COVERAGE``. ``mp_bounds`` clips the market
     expected price into a saturation band. Returns ``(new_prices, shared)``
     and raises :class:`StateError` when a new price is not finite and
     positive.
+
+    With :class:`SDParamRows` ``params``, ``prices`` and ``inv_covs`` are
+    (rows, 2) arrays and ``shared.mp`` and both bounds (rows,) arrays;
+    every row is updated, ``prices`` in place, then the lowest inadmissible
+    row raises with its own message and ``row`` set.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
+    if isinstance(params, SDParamRows):
+        return _price_rows(prices, shared, params, inv_covs, dt, mp_bounds)
     mp = shared.mp
     if mp <= 0:
         raise StateError(f"market expected price must be > 0, got {mp}")
@@ -409,6 +465,148 @@ def step_pricing(prices: tuple, shared: PricingState, params: tuple,
             mp = mp_bounds[1]
     shared.mp, shared.price_cr = mp, price_cr
     return tuple(new_prices), shared
+
+
+def _pos(x):
+    """``x if x > 0.0 else 0.0`` elementwise: ``fmax`` drops NaN for 0.0 and
+    adding 0.0 turns its -0.0 into 0.0."""
+    return np.fmax(x, 0.0) + 0.0
+
+
+def _step_rows(s: SDRows, p: SDParamRows, order_rate, noise: NoiseDraws,
+               dt: float) -> SDRows:
+    """:func:`step_company` over every row of ``s`` at once.
+
+    The operations and their order are those of the scalar step, with
+    ``np.where(y < x, y, x)`` for ``y if y < x else x`` (NaN included) and
+    both branches of a guarded division computed, so each element rounds as
+    its plain-float counterpart does.
+    """
+    where = np.where
+    with np.errstate(all="ignore"):
+        wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
+        backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
+        x = order_rate + noise.order
+        order_r = _pos(x)
+
+        lam = p.lam_prod
+        x = (p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv
+        d_inv = _pos(x)
+        a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * s.a_prod
+        lam = p.lam_wip
+        x = (a_prod + order_r) * p.cycle_time + noise.wip
+        d_wip = _pos(x)
+        a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * s.a_wip
+        x = a_wip + a_prod + order_r + noise.prod
+        d_prod_br = _pos(x)
+
+        rm_desired = p.rm_inventory_cov * d_prod_br
+        x = rm_inv / rm_desired
+        x = _pos(x)
+        rm_fulfill = where(rm_desired > 0, where(x < 1.0, x, 1.0), 1.0)
+        x, y = d_prod_br * rm_fulfill, rm_inv / dt
+        msr = where(y < x, y, x)
+        x, y = rm_transit / p.rm_lead_time, rm_transit / dt
+        rm_arrival_r = where(y < x, y, x)
+
+        per_worker = p.labor_productivity * p.labor_hours
+        x = labor * per_worker
+        x = where(msr < x, msr, x)
+        x = where(d_prod_br < x, d_prod_br, x)
+        prod_br = _pos(x)
+        x, y = wip / p.cycle_time, wip / dt
+        prod_cr = where(y < x, y, x)
+        x = prod_br + (rm_desired - rm_inv) / p.rm_lead_time
+        rm_order_r = _pos(x)
+
+        lam = p.lam_labor
+        a_labor = (lam * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
+                   + (1.0 - lam) * s.a_labor)
+        x = p.vac_fulfillment_time * a_labor
+        d_vac = _pos(x)
+        lam = p.lam_vac
+        a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * s.a_vac
+        x = a_labor + a_vac
+        vac_br = _pos(x)
+        x, y = vac / p.vac_fulfillment_time, vac / dt
+        hire_r = where(y < x, y, x)
+        retire_r = labor / p.employment_time
+        x = -a_labor
+        x = _pos(x)
+        y = labor / p.layoff_time
+        layoff_r = where(y < x, y, x)
+        layoff_r = where(p.max_layoff_rate < layoff_r, p.max_layoff_rate, layoff_r)
+        out = (retire_r + layoff_r) * dt
+        over = out > labor
+        scale = labor / out
+        retire_r = where(over, retire_r * scale, retire_r)
+        layoff_r = where(over, layoff_r * scale, layoff_r)
+
+        x = inv / d_inv
+        x = _pos(x)
+        fulfill = where(d_inv > 0, where(x < 1.0, x, 1.0), where(inv > 0, 1.0, 0.0))
+        x = (order_r + backlog / p.order_processing_time) * fulfill
+        y = inv / dt
+        x = where(y < x, y, x)
+        y = order_r + backlog / dt
+        x = where(y < x, y, x)
+        ship_r = _pos(x)
+
+        s.wip = wip = wip + dt * (prod_br - prod_cr)
+        s.inv = inv = inv + dt * (prod_cr - ship_r)
+        s.labor = labor = labor + dt * (hire_r - retire_r - layoff_r)
+        s.vac = vac = vac + dt * (vac_br - hire_r)
+        s.backlog = backlog = backlog + dt * (order_r - ship_r)
+        s.rm_inv = rm_inv = rm_inv + dt * (rm_arrival_r - prod_br)
+        s.rm_transit = rm_transit = rm_transit + dt * (rm_order_r - rm_arrival_r)
+        s.a_prod, s.a_wip, s.a_labor, s.a_vac = a_prod, a_wip, a_labor, a_vac
+        s.prod_br, s.ship_r, s.rm_order_r = prod_br, ship_r, rm_order_r
+        s.inv_cov = where(ship_r > 0, inv / ship_r, p.max_inv_cov)
+        ok = ((wip >= 0) & (inv >= 0) & (labor >= 0) & (vac >= 0) & (backlog >= 0)
+              & (rm_inv >= 0) & (rm_transit >= 0)
+              & np.isfinite(wip + inv + labor + vac + backlog + rm_inv + rm_transit))
+    if not ok.all():
+        row, company = divmod(int(np.argmin(ok.ravel())), 2)
+        stocks = {name: float(getattr(s, name)[row, company])
+                  for name in SDState.STOCK_FIELDS}
+        try:
+            SDState(**stocks).check_finite()
+        except StateError as exc:
+            raise StateError(str(exc), row=row) from None
+    return s
+
+
+def _price_rows(prices, shared: PricingState, p: SDParamRows, inv_covs,
+                dt: float, mp_bounds) -> tuple:
+    """:func:`step_pricing` over every row at once, in the scalar step's
+    operations and order."""
+    where = np.where
+    mp = shared.mp
+    with np.errstate(all="ignore"):
+        m = mp[:, None]
+        f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / m - 1.0)
+        f_cost = where(f_cost < 1e-9, 1e-9, f_cost)
+        cov = where(inv_covs < EPS_COVERAGE, EPS_COVERAGE, inv_covs)
+        base = (cov / p.max_inv_cov).ravel().tolist()
+        f_invcov = np.array(list(map(pow, base, p.invcov_exponents)))
+        new = m * f_cost * f_invcov.reshape(cov.shape)
+        price_cr = ((new[:, 0] + new[:, 1]) / 2.0 - mp) / p.mp_fulfillment_time[:, 0]
+        new_mp = mp + dt * price_cr
+        if mp_bounds is not None:
+            new_mp = where(mp_bounds[0] > new_mp, mp_bounds[0], new_mp)
+            new_mp = where(mp_bounds[1] < new_mp, mp_bounds[1], new_mp)
+        ok = (new > 0.0) & (new < math.inf)
+    prices[...] = new
+    shared.mp, shared.price_cr = new_mp, price_cr
+    bad = (mp <= 0) | ~ok.all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if mp[row] <= 0:
+            message = f"market expected price must be > 0, got {float(mp[row])}"
+        else:
+            message = f"inadmissible price: {float(new[row, int(np.argmin(ok[row]))])}"
+        raise StateError(message, row=row)
+    return prices, shared
 
 
 def steady_state(p: SDParams, order_rate: float) -> SDState:
@@ -457,15 +655,3 @@ def steady_state(p: SDParams, order_rate: float) -> SDState:
     )
     return state
 
-
-def stationary_market_price(p: SDParams, inv_cov: float) -> float:
-    """Market expected price at which the pricing loop is stationary.
-
-    Solves ``f_cost(mp) * f_invcov == 1`` for a fixed coverage. Raises when
-    the cost sensitivity cannot balance the coverage effect.
-    """
-    _, f_invcov = price_multipliers(p, 1.0, inv_cov)
-    denom = 1.0 / f_invcov - 1.0 + p.price_sens_cost
-    if denom <= 0 or p.price_sens_cost <= 0:
-        raise ParameterError("pricing loop has no stationary point for these parameters")
-    return p.price_sens_cost * p.unit_cost / denom

@@ -2,8 +2,9 @@
 small ``gsa`` run.
 
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
-cover the kernel's branches: a replication block boundary, the saturated
-price band with tie-breaks, all four noise draws and mirrored runs. The
+cover the kernel's branches: a market sub-block boundary, the saturated
+price band with tie-breaks, all four noise draws and mirrored runs; each
+pin holds for the plain-float and the array kernel alike. The
 stability classes of a seeded 16-strategy game pin the ``resample`` stream,
 and ``tests/golden/`` holds the config and output hashes of a one-iteration
 ``gsa`` run on four two-level factors. A pin may change only for a stated
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from duogame import runner
 from duogame.cli import main
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
@@ -30,6 +32,8 @@ from duogame.runner import (
     run_replication,
 )
 from duogame.supply_chain import SDParams
+
+pytestmark = pytest.mark.golden
 
 
 def digest(payoffs) -> str:
@@ -73,13 +77,26 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_payoff_pin(name):
+def check_payoff_pin(name):
     make_specs, settings, n, master, mirror, pin = CASES[name]
     seeds = replication_seeds(master, 0, n)
     sample = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds,
                               mirror=mirror)
     assert digest(sample.payoffs) == pin
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payoff_pin(name):
+    check_payoff_pin(name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_payoff_pin_other_kernel(name, monkeypatch):
+    # the same pins through the kernel that the row count does not pick:
+    # plain floats for the 70-row case, arrays for the 6-row ones
+    n = CASES[name][2]
+    monkeypatch.setattr(runner, "WIDE", n + 1 if n >= runner.WIDE else 1)
+    check_payoff_pin(name)
 
 
 def test_batch_rows_equal_single_replications():

@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from duogame.errors import ParameterError, ReplicationError
+from duogame import runner
+from duogame.errors import ParameterError, ReplicationError, StateError
 from duogame.runner import (
     CompanySpec,
     CostRates,
@@ -14,7 +18,17 @@ from duogame.runner import (
     run_replication,
     time_replication,
 )
-from duogame.supply_chain import SDParams
+from duogame.supply_chain import (
+    NoiseDraws,
+    PricingState,
+    SDParamRows,
+    SDParams,
+    SDRows,
+    SDState,
+    steady_state,
+    step_company,
+    step_pricing,
+)
 
 
 def default_specs():
@@ -204,6 +218,276 @@ class TestMixedBlocks:
             run_replication([default_specs()] * 2, SimulationSettings(), [1, 2, 3])
 
 
+def same(a, b) -> bool:
+    """Bit-identical floats, any NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return bool(np.array_equal(np.isnan(a), np.isnan(b))
+                and np.array_equal(a[~np.isnan(a)].view(np.uint64),
+                                   b[~np.isnan(b)].view(np.uint64)))
+
+
+def random_company(rng):
+    """Parameters drawn wide, including layoff times below one sub-step, and
+    a state around their steady state with some stocks emptied."""
+    p = SDParams(
+        vac_creation_time=rng.uniform(1, 5), layoff_time=rng.uniform(0.1, 7),
+        labor_fulfillment_time=rng.uniform(4, 12),
+        wip_fulfillment_time=rng.uniform(1, 3),
+        inv_fulfillment_time=rng.uniform(2, 14), rm_lead_time=rng.uniform(1, 7),
+        safety_stock_cov=rng.uniform(2, 14), rm_inventory_cov=rng.uniform(1, 7),
+        price_sens_cost=rng.uniform(0, 1), price_sens_invcov=rng.uniform(-1, 0),
+        mfg_price=rng.uniform(1, 2), lam_wip=rng.uniform(0.1, 1),
+        lam_prod=rng.uniform(0.1, 1), lam_labor=rng.uniform(0.1, 1),
+        lam_vac=rng.uniform(0.1, 1),
+        max_layoff_rate=None if rng.random() < 0.5 else rng.uniform(0.01, 3)).validate()
+    s = steady_state(p, 100.0)
+    for name in SDState.STOCK_FIELDS:
+        setattr(s, name, getattr(s, name) * (0.0 if rng.random() < 0.15
+                                             else rng.uniform(0, 2)))
+    for name in ("a_wip", "a_prod", "a_labor", "a_vac"):
+        setattr(s, name, rng.normal(0, 30))
+    s.price = rng.uniform(0.5, 3)
+    order = 0.0 if rng.random() < 0.2 else rng.uniform(0, 200)
+    noise = NoiseDraws(*rng.normal(0, 40, 4)) if rng.random() < 0.5 else NoiseDraws()
+    return p, s, order, noise
+
+
+def special_companies():
+    """(params, state, order, noise) rows that force the step's branches."""
+    p = SDParams().validate()
+    base = steady_state(p, 100.0)
+    quiet = NoiseDraws()
+    layoffs = replace(base, labor=2.0, a_labor=-40.0)
+    return [
+        # no production wanted, so no raw material wanted: rm_desired == 0
+        (p, replace(base, inv=5000.0, wip=5000.0, a_prod=-500.0), 0.0, quiet),
+        # nothing ordered or desired: d_inv == 0 with and without stock
+        (p, replace(base, inv=0.0, backlog=0.0), 0.0, quiet),
+        (p, replace(base, backlog=3.0), 0.0, NoiseDraws(inv=-50.0)),
+        # outflow over the workforce within a sub-step is rescaled
+        (SDParams(layoff_time=0.1).validate(), layoffs, 100.0, quiet),
+        # a capped layoff rate
+        (SDParams(max_layoff_rate=0.05).validate(), layoffs, 100.0, quiet),
+        # idle line: nothing ships, coverage pegged to capacity
+        (p, replace(base, backlog=0.0), 0.0, quiet),
+        # NaN in an adjuster, an order rate and a noise draw, stocks finite
+        (p, replace(base, a_prod=math.nan), 100.0, quiet),
+        (p, base, math.nan, quiet),
+        (p, base, 100.0, NoiseDraws(prod=math.nan)),
+        # inadmissible: negative, non-finite and overflowing stocks
+        (p, replace(base, inv=-1000.0), 100.0, quiet),
+        (p, replace(base, wip=math.nan), 100.0, quiet),
+        (p, replace(base, **{n: 1e308 for n in SDState.STOCK_FIELDS}), 100.0, quiet),
+        # unbounded coverage drives the price to zero
+        (p, replace(base, inv=math.inf, backlog=0.0), 0.0, quiet),
+    ]
+
+
+def scalar_step(row, dt=0.25):
+    """One sub-step of a row in plain floats: the new states, prices and
+    pricing state, or the error message."""
+    params, states, orders, noises, mp, bounds = row
+    states = [replace(s) for s in states]
+    try:
+        for i in (0, 1):
+            step_company(states[i], params[i], orders[i], noises[i], dt)
+        prices, shared = step_pricing((states[0].price, states[1].price),
+                                      PricingState(mp=mp), params,
+                                      (states[0].inv_cov, states[1].inv_cov),
+                                      dt=dt, mp_bounds=bounds)
+    except StateError as exc:
+        return str(exc)
+    for s, price in zip(states, prices):
+        s.price = price
+    return states, shared
+
+
+def array_step(rows, dt=0.25):
+    """One array sub-step of ``rows``: the rows' state, pricing state and
+    the error of the lowest failing row (None if none failed)."""
+    index = np.arange(len(rows))
+    params = SDParamRows([row[0] for row in rows], index)
+    state = SDRows([row[1] for row in rows], index)
+    orders = np.array([row[2] for row in rows], dtype=float)
+    noise = NoiseDraws(*np.array([[[getattr(n, f) for n in row[3]]
+                                   for row in rows]
+                                  for f in ("wip", "prod", "order", "inv")]))
+    shared = PricingState(mp=np.array([row[4] for row in rows]))
+    bounds = tuple(np.array([row[5][k] for row in rows]) for k in (0, 1))
+    error = None
+    try:
+        step_company(state, params, orders, noise, dt)
+    except StateError as exc:
+        error = exc
+    try:
+        step_pricing(state.price, shared, params, state.inv_cov, dt=dt,
+                     mp_bounds=bounds)
+    except StateError as exc:
+        if error is None or exc.row < error.row:
+            error = exc
+    return state, shared, error
+
+
+class TestArrayStep:
+    def rows(self):
+        rng = np.random.default_rng(2024)
+        companies = [random_company(rng) for _ in range(300)] + special_companies()
+        rows = []
+        for j, first in enumerate(companies):
+            second = companies[(7 * j + 3) % len(companies)]
+            pair = (first, second) if j % 2 else (second, first)
+            mp = rng.uniform(0.2, 4)
+            bounds = (mp * rng.uniform(0.1, 1), mp * rng.uniform(1, 6))
+            rows.append(tuple(tuple(c[k] for c in pair) for k in range(4))
+                        + (mp, bounds))
+        # pricing failures ahead of the first stock failure: an infinite
+        # price and a market price that is not positive
+        rows[5] = rows[5][:4] + (math.inf, (0.0, math.inf))
+        rows[6] = rows[6][:4] + (-1.0, (-2.0, 0.0))
+        return rows
+
+    def test_matches_plain_float_step(self):
+        rows = self.rows()
+        with np.errstate(all="ignore"):
+            expected = [scalar_step(row) for row in rows]
+            state, shared, error = array_step(rows)
+        failed = [r for r, e in enumerate(expected) if isinstance(e, str)]
+        assert failed and len(failed) < len(rows)
+        assert (error.row, str(error)) == (failed[0], expected[failed[0]])
+        for r, result in enumerate(expected):
+            if isinstance(result, str):
+                continue
+            states, pricing = result
+            for name in SDRows.FIELDS:
+                got = getattr(state, name)[r]
+                assert same(got, [getattr(s, name) for s in states]), (r, name)
+            assert same(shared.mp[r], pricing.mp), r
+            assert same(shared.price_cr[r], pricing.price_cr), r
+
+    def test_every_failure_message_matches(self):
+        rows = self.rows()
+        with np.errstate(all="ignore"):
+            for r, row in enumerate(rows):
+                expected = scalar_step(row)
+                if isinstance(expected, str):
+                    error = array_step([row])[2]
+                    assert (error.row, str(error)) == (0, expected), r
+
+    def test_branches_reached(self):
+        p = SDParams().validate()
+        cases = special_companies()
+        states = [step_company(replace(s), p_, o, n) for p_, s, o, n in cases[:9]]
+        assert states[0].d_prod_br == 0.0
+        assert states[1].d_inv == 0.0 and states[1].fulfillment == 0.0
+        assert states[2].d_inv == 0.0 and states[2].fulfillment == 1.0
+        assert states[3].retire_r + states[3].layoff_r == pytest.approx(2.0 / 0.25)
+        assert states[4].layoff_r == 0.05
+        assert states[5].ship_r == 0.0 and states[5].inv_cov == p.max_inv_cov
+        assert math.isnan(states[6].a_prod) and math.isfinite(states[6].inv)
+
+
+def mixed_pairs():
+    corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
+                                     safety_stock_cov=2.0))
+    noisy = CompanySpec(sd=SDParams(sigma_wip=2.0, sigma_prod=3.0,
+                                    sigma_order=5.0, sigma_inv=4.0))
+    a, b = pricing_asymmetric_specs()
+    return [default_specs(), (corner, corner), (noisy, CompanySpec()),
+            (CompanySpec(), noisy), (a, b), (b, a)]
+
+
+class TestKernelWidths:
+    SETTINGS = SimulationSettings(run_length_days=14)
+
+    @pytest.mark.parametrize("width,mirror", [(1, False), (31, False), (33, False),
+                                              (70, False), (101, False),
+                                              (33, True)])
+    def test_rows_equal_lone_runs(self, width, mirror):
+        pairs = mixed_pairs()
+        seeds = replication_seeds(width, 0, width)
+        specs = [pairs[j % len(pairs)] for j in range(width)]
+        together = run_replication(specs, self.SETTINGS, seeds, mirror=mirror)
+        for j, seed in enumerate(seeds):
+            alone = run_replication(specs[j], self.SETTINGS, seed, mirror=mirror)
+            for name, series in alone.series.items():
+                assert same(together[j].series[name], series), (j, name)
+            for name in ACCUMULATORS:
+                assert same(getattr(together[j], name), getattr(alone, name)), (j, name)
+
+    @pytest.mark.parametrize("changes", [
+        {"fixed_share_split": 0.3}, {"warmup_days": 12, "truncate_warmup": True},
+        {"dt": 0.5}, {"dt": 1.0}, {"marketing_period": 3}])
+    def test_settings_agree_across_kernels(self, changes, monkeypatch):
+        settings = replace(self.SETTINGS, run_length_days=25, **changes)
+        pairs = mixed_pairs()
+        seeds = replication_seeds(5, 1, 40)
+        specs = [pairs[j % len(pairs)] for j in range(40)]
+        runs = []
+        for wide in (len(seeds) + 1, 1):
+            monkeypatch.setattr(runner, "WIDE", wide)
+            runs.append(run_replication(specs, settings, seeds))
+        for j, (narrow, wide) in enumerate(zip(*runs)):
+            for name, series in narrow.series.items():
+                assert same(wide.series[name], series), (j, name)
+            for name in ACCUMULATORS:
+                assert same(getattr(wide, name), getattr(narrow, name)), (j, name)
+
+    def test_both_kernels_reached(self, monkeypatch):
+        made = []
+        for cls in (runner._Narrow, runner._Wide):
+            def record(self, *args, _init=cls.__init__, _name=cls.__name__):
+                made.append(_name)
+                _init(self, *args)
+            monkeypatch.setattr(cls, "__init__", record)
+        run_replication(default_specs(), self.SETTINGS, [1] * (runner.WIDE - 1))
+        run_replication(default_specs(), self.SETTINGS, [1] * runner.WIDE)
+        assert made == ["_Narrow", "_Wide"]
+
+
+class TestWideDivergence:
+    def test_failure_in_second_market_block_matches_replay(self):
+        # 40 rows: the diverging row sits in the second market sub-block
+        settings = SimulationSettings(run_length_days=57)
+        bad = diverging_specs(-0.7)
+        specs = [default_specs()] * 40
+        specs[37] = bad
+        seeds = list(range(100, 140))
+        seeds[37] = 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                run_replication(specs, settings, seeds)
+            alone = replay_error(bad, settings, 4)
+        assert (err.value.index, err.value.seed, err.value.day) == (37, 4, 56)
+        assert str(err.value) == str(alone)
+
+    def test_lowest_index_wins_over_earlier_day(self):
+        # seed 1 diverges on day 31 at row 34, seed 0 on day 30 at row 38
+        settings = SimulationSettings(run_length_days=32)
+        bad = diverging_specs(-0.9)
+        specs = [default_specs()] * 40
+        specs[34] = specs[38] = bad
+        seeds = list(range(100, 140))
+        seeds[34], seeds[38] = 1, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                estimate_payoffs(specs, settings, CostRates(), 40, seeds)
+            alone = replay_error(bad, settings, 1)
+        assert (err.value.index, err.value.seed, err.value.day) == (34, 1, 31)
+        assert str(err.value) == str(alone)
+
+    def test_stock_failure_outranks_price_failure_of_its_row(self):
+        # an infinite initial WIP makes both the WIP stock and the coverage,
+        # hence the price, inadmissible on the first sub-step; the
+        # plain-float kernel stops at the stock check
+        specs = (CompanySpec(sd=SDParams(cycle_time=1e308)), CompanySpec())
+        settings = SimulationSettings(run_length_days=3)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ReplicationError) as err:
+                run_replication(specs, settings, list(range(runner.WIDE)))
+            alone = replay_error(specs, settings, 0)
+        assert str(alone) == "replication diverged on day 0: non-finite stock wip: nan"
+        assert (err.value.index, err.value.day, str(err.value)) == (0, 0, str(alone))
+
 class TestComputePayoff:
     def make_rep(self, **kw):
         base = dict(seed=0, run_length=3, warmup=0, series={},
@@ -276,14 +560,6 @@ class TestEstimatePayoffs:
                              seeds=[1, 2, 3, 4])
         assert ss.mean(0) == pytest.approx(2.5)
         assert ss.variance(0) == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-
-    def test_merge_is_order_independent(self):
-        a = PayoffSampleSet(payoffs=np.array([[1.0, 1.0], [2.0, 2.0]]), seeds=[5, 1])
-        b = PayoffSampleSet(payoffs=np.array([[3.0, 3.0]]), seeds=[3])
-        m1 = a.merge(b)
-        m2 = b.merge(a)
-        assert np.array_equal(m1.payoffs, m2.payoffs)
-        assert m1.seeds == m2.seeds
 
     def test_run_order_permutation_same_multiset(self):
         settings = SimulationSettings(run_length_days=20)

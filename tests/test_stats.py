@@ -7,7 +7,6 @@ from duogame.errors import InsufficientDataError, ParameterError
 from duogame.stats import (
     confidence_interval,
     decide_sample_size,
-    ecvi_gain,
     ecvi_gain_limit,
     t_test,
     trim_samples,
@@ -122,26 +121,19 @@ class TestTTest:
 
 class TestEcvi:
     def test_no_noise_no_value(self):
-        assert ecvi_gain(50, 0.0, 100) == 0.0
-
-    def test_large_q_limit(self):
-        limit = ecvi_gain_limit(50, 100.0)
-        approx = ecvi_gain(50, 100.0, 10 ** 10)
-        assert approx == pytest.approx(limit, rel=1e-4)
+        assert ecvi_gain_limit(50, 0.0) == 0.0
 
     def test_direct_evaluation(self):
-        # 1.96 * 100 * (1/sqrt(50) - 1/sqrt(500))
-        gain = ecvi_gain(50, 100.0, 450)
-        assert gain == pytest.approx(18.95, abs=0.02)
+        # 1.96 * 100 / sqrt(50)
+        assert ecvi_gain_limit(50, 100.0) == pytest.approx(27.72, abs=0.01)
 
     def test_monotonicity(self):
-        assert ecvi_gain(50, 100.0, 100) > ecvi_gain(50, 100.0, 50) > 0
-        assert ecvi_gain(50, 200.0, 50) > ecvi_gain(50, 100.0, 50)
-        assert ecvi_gain(100, 100.0, 50) < ecvi_gain(50, 100.0, 50)
+        assert ecvi_gain_limit(50, 200.0) > ecvi_gain_limit(50, 100.0) > 0
+        assert ecvi_gain_limit(100, 100.0) < ecvi_gain_limit(50, 100.0)
 
     def test_needs_two_current(self):
         with pytest.raises(InsufficientDataError):
-            ecvi_gain(1, 10.0, 5)
+            ecvi_gain_limit(1, 10.0)
 
 
 class TestDecideSampleSize:
@@ -168,3 +160,40 @@ class TestDecideSampleSize:
             decide_sample_size(0, 1.0, 1.0, 10)
         with pytest.raises(ParameterError):
             decide_sample_size(50, 1.0, 1.0, 10)
+
+
+class TestScipySpecialParity:
+    """``duogame.stats`` evaluates t and normal distributions with the
+    ``scipy.special`` functions instead of importing ``scipy.stats``."""
+
+    QS = [1e-12, 0.001, 0.025, 0.1, 0.5, 0.9, 0.95, 0.975, 0.995, 1 - 1e-12]
+    DFS = [1.0, 1.5, 2.0, 3.0, 7.3, 30.0, 98.0, 498.0, 1e4, 1e6]
+    XS = [-math.inf, -1e3, -12.5, -2.0, -0.3, -0.0, 0.0, 0.3, 1.96, 4.0, 50.0,
+          math.inf]
+
+    def test_bit_identical_to_scipy_stats(self):
+        from scipy import special
+        from scipy import stats as sps
+
+        q, df = np.meshgrid(self.QS, self.DFS)
+        np.testing.assert_array_equal(special.stdtrit(df, q), sps.t.ppf(q, df))
+        x, df = np.meshgrid(self.XS, self.DFS)
+        np.testing.assert_array_equal(special.stdtr(df, -x), sps.t.sf(x, df))
+        np.testing.assert_array_equal(special.stdtr(df, x), sps.t.cdf(x, df))
+        q = np.array(self.QS)
+        np.testing.assert_array_equal(special.ndtri(q), sps.norm.ppf(q))
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import duogame
+
+        src = str(Path(duogame.__file__).resolve().parents[1])
+        code = "import sys, duogame.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

@@ -11,10 +11,6 @@ from duogame.supply_chain import (
     PricingState,
     SDParams,
     SDState,
-    fulfillment_ratio,
-    price_multipliers,
-    smooth_adjust,
-    stationary_market_price,
     steady_state,
     step_company,
     step_pricing,
@@ -40,40 +36,61 @@ def random_params(rng):
     ).validate()
 
 
+def stepped(p=None, order=100.0, **stocks):
+    """One sub-step from a state holding only ``stocks`` (zero elsewhere)."""
+    p = p or SDParams().validate()
+    return step_company(SDState(**stocks), p, order_rate=order, dt=DT)
+
+
 class TestSmoothAdjust:
+    """The production adjuster ``a_prod`` closes the inventory gap with
+    exponential smoothing; default specs want 10 days of orders, 1000."""
+
     def test_fixed_point_when_desired_equals_actual(self):
-        assert smooth_adjust(10.0, 10.0, 3.0, 0.0, 0.5) == 0.0
+        assert stepped(inv=1000.0, a_prod=0.0).a_prod == 0.0
 
     def test_full_weight_discards_history(self):
-        assert smooth_adjust(10.0, 0.0, 2.0, 99.0, 1.0) == 5.0
+        p = SDParams(lam_prod=1.0, inv_fulfillment_time=2.0).validate()
+        assert stepped(p, inv=0.0, a_prod=99.0).a_prod == 500.0
 
     def test_half_weight_blends(self):
-        # 0.5 * (10 - 4) / 3 + 0.5 * 2 = 2.0
-        assert smooth_adjust(10.0, 4.0, 3.0, 2.0, 0.5) == pytest.approx(2.0)
+        # 0.5 * (1000 - 994) / 3 + 0.5 * 2 = 2.0
+        p = SDParams(lam_prod=0.5, inv_fulfillment_time=3.0).validate()
+        assert stepped(p, inv=994.0, a_prod=2.0).a_prod == pytest.approx(2.0)
 
     def test_nonpositive_fulfill_time_rejected(self):
         with pytest.raises(ParameterError):
-            smooth_adjust(1.0, 0.0, 0.0, 0.0, 0.5)
+            SDParams(inv_fulfillment_time=0.0).validate()
         with pytest.raises(ParameterError):
-            smooth_adjust(1.0, 0.0, -2.0, 0.0, 0.5)
+            SDParams(inv_fulfillment_time=-2.0).validate()
 
 
 class TestFulfillmentRatio:
+    """Shipments scale with on-hand over desired inventory (1000 here),
+    clamped to [0, 1]."""
+
     def test_full_coverage(self):
-        assert fulfillment_ratio(100.0, 100.0) == 1.0
+        s = stepped(inv=1000.0)
+        assert s.fulfillment == 1.0
+        assert s.ship_r == 100.0
 
     def test_empty(self):
-        assert fulfillment_ratio(0.0, 50.0) == 0.0
+        s = stepped(inv=0.0)
+        assert s.fulfillment == 0.0
+        assert s.ship_r == 0.0
 
     def test_partial(self):
-        assert fulfillment_ratio(40.0, 100.0) == pytest.approx(0.4)
+        s = stepped(inv=400.0)
+        assert s.fulfillment == pytest.approx(0.4)
+        assert s.ship_r == pytest.approx(40.0)
 
     def test_overfull_clamps(self):
-        assert fulfillment_ratio(500.0, 100.0) == 1.0
+        assert stepped(inv=5000.0).fulfillment == 1.0
 
-    def test_nonpositive_desired_rejected(self):
-        with pytest.raises(ParameterError):
-            fulfillment_ratio(10.0, 0.0)
+    def test_zero_desired_ships_from_stock(self):
+        # no orders: nothing is desired, so any stock counts as covering it
+        assert stepped(order=0.0, inv=10.0, backlog=4.0).fulfillment == 1.0
+        assert stepped(order=0.0, inv=0.0, backlog=4.0).fulfillment == 0.0
 
 
 class TestFixedPoint:
@@ -271,9 +288,11 @@ class TestStepPricing:
         assert prices[1] == pytest.approx(1.5)
 
     def test_market_price_stationary_when_prices_match(self):
+        # f_cost(mp) * f_invcov == 1 at a fixed coverage solves for mp
         p = SDParams().validate()
         cov = 10.0
-        mp = stationary_market_price(p, cov)
+        f_invcov = (cov / p.max_inv_cov) ** p.price_sens_invcov
+        mp = p.price_sens_cost * p.unit_cost / (1.0 / f_invcov - 1.0 + p.price_sens_cost)
         shared = PricingState(mp=mp)
         prices, new_shared = step_pricing((mp, mp), shared, (p, p), (cov, cov), dt=DT)
         assert prices[0] == pytest.approx(mp)
@@ -285,18 +304,19 @@ class TestStepPricing:
         for _ in range(100):
             p = random_params(rng)
             mp = rng.uniform(0.5, 3.0)
-            covs = sorted(rng.uniform(EPS_COVERAGE, 40.0, size=2))
-            _, fi_low = price_multipliers(p, mp, covs[0])
-            _, fi_high = price_multipliers(p, mp, covs[1])
+            covs = tuple(sorted(rng.uniform(EPS_COVERAGE, 40.0, size=2)))
+            (low, high), _ = step_pricing((mp, mp), PricingState(mp=mp), (p, p),
+                                          covs, dt=DT)
             # price non-increasing in coverage
-            assert fi_low >= fi_high - 1e-12
+            assert low >= high - 1e-12
             costs = sorted(rng.uniform(0.1, 2.0, size=2))
             p_low = SDParams(**{**p.__dict__, "unit_cost": costs[0]})
             p_high = SDParams(**{**p.__dict__, "unit_cost": costs[1]})
-            fc_low, _ = price_multipliers(p_low, mp, covs[0])
-            fc_high, _ = price_multipliers(p_high, mp, covs[0])
+            (cheap, dear), _ = step_pricing((mp, mp), PricingState(mp=mp),
+                                            (p_low, p_high), (covs[0], covs[0]),
+                                            dt=DT)
             if p.price_sens_cost > 0:
-                assert fc_high >= fc_low - 1e-12
+                assert dear >= cheap - 1e-12
 
 
 class TestInvariants:
