@@ -596,9 +596,9 @@ def run_replication(specs, settings: SimulationSettings, seed,
     outputs in the same order; with a sequence of seeds ``specs`` may also be
     a sequence of pairs, one per seed. All replications run in lockstep,
     mixing pairs; each output depends on its pair and seed only, not on the
-    other rows or on how many there are. A replication
-    that diverges raises :class:`ReplicationError` carrying its day, seed and
-    position ``index``; with several, the lowest position is reported.
+    other rows or on how many there are. A replication that diverges raises
+    :class:`ReplicationError` carrying its day, seed and position ``index``;
+    with several, the lowest position is reported.
 
     With ``mirror=True`` the company noise streams are transposed and
     tie-break labels flipped; running the swapped strategy pair that way
@@ -697,8 +697,9 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     pairs, one per seed. Replications run in lockstep, mixing pairs; with
     ``jobs`` > 1 the rows are split into ``jobs`` contiguous chunks run by as
     many worker processes. The payoffs depend only on each row's pair and
-    seed, not on ``n``, the chunking or ``jobs``. A diverging replication raises :class:`ReplicationError` with
-    its position among the ``n`` rows as ``index``.
+    seed, not on ``n``, the chunking or ``jobs``. A diverging replication
+    raises :class:`ReplicationError` with its position among the ``n`` rows
+    as ``index``.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")

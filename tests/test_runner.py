@@ -248,7 +248,9 @@ def random_company(rng):
         setattr(s, name, rng.normal(0, 30))
     s.price = rng.uniform(0.5, 3)
     order = 0.0 if rng.random() < 0.2 else rng.uniform(0, 200)
-    noise = NoiseDraws(*rng.normal(0, 40, 4)) if rng.random() < 0.5 else NoiseDraws()
+    noise = NoiseDraws()
+    if rng.random() < 0.5:
+        noise = NoiseDraws(*rng.normal(0, 40, 4).tolist())
     return p, s, order, noise
 
 
