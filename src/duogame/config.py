@@ -96,13 +96,10 @@ class ExperimentConfig:
             return self.initial_plan
         raise ConfigError("config declares neither a schedule nor an initial plan")
 
-    def canonical_dict(self) -> dict:
-        return config_to_dict(self)
-
     def fingerprint(self) -> str:
         """Hash of every key that changes results; the output directory and
         the worker count do not, so a resume may change either."""
-        keys = {k: v for k, v in self.canonical_dict().items()
+        keys = {k: v for k, v in config_to_dict(self).items()
                 if k not in ("out_dir", "jobs")}
         payload = json.dumps(keys, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -145,13 +142,20 @@ def _fill_dataclass(cls, data: dict, context: str, **fixed):
         raise ConfigError(f"bad {context}: {exc}") from exc
 
 
+# top-level and ``network`` keys of SimulationSettings; a key a config leaves
+# out takes the dataclass default
+SETTINGS_KEYS = (
+    "run_length_days", "dt", "agents", "per_capita_demand", "marketing_period",
+    "initial_stock_fraction", "deterministic_marketing", "fixed_share_split",
+    "sunk_cost_mode", "warmup_days", "truncate_warmup",
+)
+NETWORK_KEYS = ("m0", "m", "population_seed")
+# keys named apart from the field they set
+FIELD_NAMES = {"agents": "n_agents", "m0": "network_m0", "m": "network_m"}
 TOP_LEVEL_KEYS = {
-    "schema_version", "master_seed", "out_dir", "jobs",
-    "run_length_days", "dt", "agents", "network", "per_capita_demand",
-    "marketing_period", "initial_stock_fraction", "deterministic_marketing",
-    "fixed_share_split", "sunk_cost_mode", "warmup_days", "truncate_warmup",
-    "market", "sd_defaults", "company_defaults", "cost_rates", "sampling",
-    "gsa", "schedule", "initial_plan", "default_profile",
+    "schema_version", "master_seed", "out_dir", "jobs", *SETTINGS_KEYS,
+    "network", "market", "sd_defaults", "company_defaults", "cost_rates",
+    "sampling", "gsa", "schedule", "initial_plan", "default_profile",
 }
 
 
@@ -159,37 +163,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _reject_unknown(data, TOP_LEVEL_KEYS, "config")
 
     network = dict(data.get("network", {}))
-    _reject_unknown(network, {"m0", "m", "population_seed"}, "network")
-    market = _fill_dataclass(MarketParams, data.get("market", {}), "market")
-    settings_kwargs = dict(
-        run_length_days=data.get("run_length_days", 100),
-        dt=data.get("dt", 0.25),
-        n_agents=data.get("agents", 200),
-        network_m0=network.get("m0", 5),
-        network_m=network.get("m", 3),
-        population_seed=network.get("population_seed", 20_000),
-        per_capita_demand=data.get("per_capita_demand", 1.0),
-        marketing_period=data.get("marketing_period", 10),
-        initial_stock_fraction=data.get("initial_stock_fraction", 0.4),
-        deterministic_marketing=data.get("deterministic_marketing", False),
-        fixed_share_split=data.get("fixed_share_split"),
-        sunk_cost_mode=data.get("sunk_cost_mode", "total"),
-        warmup_days=data.get("warmup_days", 50),
-        truncate_warmup=data.get("truncate_warmup", False),
-        market=market,
-    )
-    settings = SimulationSettings(**settings_kwargs)
+    _reject_unknown(network, NETWORK_KEYS, "network")
+    settings = SimulationSettings(
+        market=_fill_dataclass(MarketParams, data.get("market", {}), "market"),
+        **{FIELD_NAMES.get(key, key): data[key] for key in SETTINGS_KEYS if key in data},
+        **{FIELD_NAMES.get(key, key): value for key, value in network.items()})
 
     sd_defaults = _fill_dataclass(SDParams, data.get("sd_defaults", {}),
                                   "sd_defaults")
     company = dict(data.get("company_defaults", {}))
-    _reject_unknown(company, {"mb_pct", "ad_range", "pm_range"},
-                    "company_defaults")
-    spec_defaults = CompanySpec(
-        sd=sd_defaults,
-        mb_pct=company.get("mb_pct", 0.10),
-        ad_range=tuple(company.get("ad_range", (0.25, 0.35))),
-        pm_range=tuple(company.get("pm_range", (0.25, 0.35))))
+    for name in ("ad_range", "pm_range"):
+        if name in company:
+            company[name] = tuple(company[name])
+    spec_defaults = _fill_dataclass(CompanySpec, company, "company_defaults",
+                                    sd=sd_defaults)
 
     cost_rates = _fill_dataclass(CostRates, data.get("cost_rates", {}),
                                  "cost_rates")
@@ -211,11 +198,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if data.get("initial_plan") is not None:
         initial_plan = _plan_from_dict(data["initial_plan"])
 
+    top = {key: data[key] for key in ("schema_version", "master_seed", "out_dir", "jobs")
+           if key in data}
+    if "default_profile" in data:
+        top["default_profile"] = dict(data["default_profile"])
     config = ExperimentConfig(
-        schema_version=data.get("schema_version", SCHEMA_VERSION),
-        master_seed=data.get("master_seed", 20240101),
-        out_dir=data.get("out_dir", "out"),
-        jobs=data.get("jobs", 1),
         settings=settings,
         sd_defaults=sd_defaults,
         spec_defaults=spec_defaults,
@@ -224,7 +211,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         gsa=gsa,
         schedule=schedule,
         initial_plan=initial_plan,
-        default_profile=dict(data.get("default_profile", {})))
+        **top)
     try:
         return config.validate()
     except ParameterError as exc:

@@ -454,7 +454,6 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
         if restored is not None:
             game, report_dict, saved_baseline = restored
             report = GsaIterationReport(**report_dict)
-            labels = current.strategy_labels()
             solution = tuple(report.solution["profile"])
             effects = [FactorEffect(**e) for e in report.effects]
             reports.append(report)
@@ -464,88 +463,81 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
             solution_samples.append(np.concatenate(
                 [game.samples(solution, 0), game.samples(solution, 1)]))
             baseline = dict(saved_baseline)
-            iteration += 1
-            if schedule is not None:
-                current = schedule[iteration] if iteration < len(schedule) else None
-            else:
-                result = refine_plan(current, effects)
-                current = None if result.terminated else result.plan
-            continue
+        else:
+            t0 = time.perf_counter()
+            game, sizes = build_empirical_game(current, source, baseline, policy,
+                                               iteration, jobs=jobs)
+            labels = current.strategy_labels()
+            equilibria = game.pure_nash(gsa.epsilon_solve)
+            solution = _solution_profile(game, equilibria)
+            effects = screen_effects(game, current, gsa.alpha)
 
-        t0 = time.perf_counter()
-        game, sizes = build_empirical_game(current, source, baseline, policy,
-                                           iteration, jobs=jobs)
-        labels = current.strategy_labels()
-        equilibria = game.pure_nash(gsa.epsilon_solve)
-        solution = _solution_profile(game, equilibria)
-        effects = screen_effects(game, current, gsa.alpha)
+            eq_entries = []
+            for p in equilibria:
+                entry = {"profile": list(p),
+                         "labels": [labels[p[0]], labels[p[1]]],
+                         "mean": [game.payoff(p, 0), game.payoff(p, 1)],
+                         "half_width": [], "n": [game.sample_count(p, 0),
+                                                 game.sample_count(p, 1)]}
+                for player in (0, 1):
+                    s = game.samples(p, player)
+                    entry["half_width"].append(
+                        confidence_interval(s, gsa.alpha)[1] if s.size >= 2 else 0.0)
+                eq_entries.append(entry)
 
-        eq_entries = []
-        for p in equilibria:
-            entry = {"profile": list(p),
-                     "labels": [labels[p[0]], labels[p[1]]],
-                     "mean": [game.payoff(p, 0), game.payoff(p, 1)],
-                     "half_width": [], "n": [game.sample_count(p, 0),
-                                             game.sample_count(p, 1)]}
-            for player in (0, 1):
-                s = game.samples(p, player)
-                entry["half_width"].append(
-                    confidence_interval(s, gsa.alpha)[1] if s.size >= 2 else 0.0)
-            eq_entries.append(entry)
+            neighbor_p = {str(player): neighbor_strictness_test(
+                game, solution, player, gsa.neighbor_count, gsa.alpha)
+                for player in (0, 1)}
 
-        neighbor_p = {str(player): neighbor_strictness_test(
-            game, solution, player, gsa.neighbor_count, gsa.alpha)
-            for player in (0, 1)}
+            pooled = np.concatenate([game.samples(solution, 0),
+                                     game.samples(solution, 1)])
+            cross = {}
+            for j, earlier in enumerate(solution_samples):
+                if earlier.size >= 2 and pooled.size >= 2:
+                    cross[str(j)] = t_test(earlier, pooled, alternative="less")
+            solution_samples.append(pooled)
 
-        pooled = np.concatenate([game.samples(solution, 0),
-                                 game.samples(solution, 1)])
-        cross = {}
-        for j, earlier in enumerate(solution_samples):
-            if earlier.size >= 2 and pooled.size >= 2:
-                cross[str(j)] = t_test(earlier, pooled, alternative="less")
-        solution_samples.append(pooled)
+            stability = None
+            if gsa.run_stability:
+                stability = stability_analysis(
+                    game, solution, gsa.epsilon_stability, gsa.stability_steps,
+                    noise=gsa.stability_noise, update=gsa.stability_update,
+                    seed=stability_seed + iteration).as_dict()
 
-        stability = None
-        if gsa.run_stability:
-            stability = stability_analysis(
-                game, solution, gsa.epsilon_stability, gsa.stability_steps,
-                noise=gsa.stability_noise, update=gsa.stability_update,
-                seed=stability_seed + iteration).as_dict()
+            report = GsaIterationReport(
+                index=iteration, g=current.g,
+                factors={f.name: list(f.levels) for f in current.factors},
+                n_strategies=len(labels),
+                n_profiles=symmetric_profile_count(len(labels)),
+                sample_sizes=sizes,
+                effects=[{"name": e.name, "effect": e.effect, "p_value": e.p_value,
+                          "significant": e.significant} for e in effects],
+                equilibria=eq_entries,
+                solution={"profile": list(solution),
+                          "labels": [labels[solution[0]], labels[solution[1]]],
+                          "mean": [game.payoff(solution, 0),
+                                   game.payoff(solution, 1)]},
+                epsilon=gsa.epsilon_solve,
+                tolerance_curve=tolerance_sweep(game, gsa.tolerance_grid),
+                neighbor_p_values=neighbor_p,
+                cross_iteration_p=cross,
+                stability=stability,
+                runtime_seconds=time.perf_counter() - t0)
+            reports.append(report)
+            games.append(game)
+            plans.append(current)
+            baselines.append(dict(baseline))
+            if on_iteration is not None:
+                on_iteration(report, game)
 
-        report = GsaIterationReport(
-            index=iteration, g=current.g,
-            factors={f.name: list(f.levels) for f in current.factors},
-            n_strategies=len(labels),
-            n_profiles=symmetric_profile_count(len(labels)),
-            sample_sizes=sizes,
-            effects=[{"name": e.name, "effect": e.effect, "p_value": e.p_value,
-                      "significant": e.significant} for e in effects],
-            equilibria=eq_entries,
-            solution={"profile": list(solution),
-                      "labels": [labels[solution[0]], labels[solution[1]]],
-                      "mean": [game.payoff(solution, 0),
-                               game.payoff(solution, 1)]},
-            epsilon=gsa.epsilon_solve,
-            tolerance_curve=tolerance_sweep(game, gsa.tolerance_grid),
-            neighbor_p_values=neighbor_p,
-            cross_iteration_p=cross,
-            stability=stability,
-            runtime_seconds=time.perf_counter() - t0)
-        reports.append(report)
-        games.append(game)
-        plans.append(current)
-        baselines.append(dict(baseline))
-        if on_iteration is not None:
-            on_iteration(report, game)
+            # freeze every active factor at the solution's row-strategy level
+            solution_labels = labels[solution[0]]
+            for name, label in solution_labels.items():
+                for child in detailed_children(name):
+                    baseline[child] = label
 
-        # freeze every active factor at the solution's row-strategy level
-        solution_labels = labels[solution[0]]
-        for name, label in solution_labels.items():
-            for child in detailed_children(name):
-                baseline[child] = label
-
-        if checkpoints is not None:
-            checkpoints.save(iteration, game, report, baseline)
+            if checkpoints is not None:
+                checkpoints.save(iteration, game, report, baseline)
         iteration += 1
         if schedule is not None:
             current = schedule[iteration] if iteration < len(schedule) else None

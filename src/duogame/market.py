@@ -5,6 +5,11 @@ built from price sensitivity, advertisement susceptibility, promotion
 sensitivity and the adoption of network neighbors, then adopts the argmax
 brand (ties broken uniformly at random). Marketing budgets drive spend,
 a cross-company interaction co-state and per-brand marketing forces.
+
+One :class:`ConsumerMarket` advances many replications in lockstep. Their
+marketing and co-state arrays update together; agents are scored in slices
+of at most ``BLOCK`` replications, which keeps the per-agent temporaries in
+cache.
 """
 
 from __future__ import annotations
@@ -25,6 +30,12 @@ BRANDS = np.arange(2)
 # at this bound to keep long runs finite; the default roughly offsets the
 # advertisement and promotion force terms at their mid levels.
 DEFAULT_INTER_CAP = 0.7
+
+# Replications scored together. The cap bounds the per-day temporaries,
+# (agents, 2 * BLOCK) floats: at 200 agents they stay at 100 KiB, under the
+# 128 KiB at which the C allocator hands out fresh memory maps, and larger
+# slices ran slower per replication-day.
+BLOCK = 32
 
 
 def marketing_spend(mb, ad, pm, k, adj_time) -> tuple:
@@ -141,14 +152,15 @@ class MarketingState:
 
 
 class ConsumerMarket:
-    """Population state plus the per-day market step, for a block of
-    replications that share one population and advance in lockstep.
+    """Population state plus the per-day market step, for replications that
+    share one population and advance in lockstep.
 
-    Adoption is held as (replications, agents). Rows never interact: each
-    replication has its own marketing state, prices and tie-break stream,
-    so a row's trajectory does not depend on the block it runs in. The
-    update is synchronous: every agent reads the previous day's adoption of
-    its neighbors, so the result does not depend on agent order.
+    Adoption is held agent-major, as (agents, replications). Rows never
+    interact: each replication has its own marketing state, prices and
+    tie-break stream, so a row's trajectory does not depend on how many rows
+    run beside it. The update is synchronous: every agent reads the previous
+    day's adoption of its neighbors, so the result does not depend on agent
+    order.
     """
 
     def __init__(self, network: SocialNetwork, params: MarketParams,
@@ -169,7 +181,7 @@ class ConsumerMarket:
         self.i_ad = draw(params.i_ad)
         self.i_pm = draw(params.i_pm)
         self.i_ft = draw(params.i_ft)
-        self.adopted = np.full((replications, self.n), NO_BRAND, dtype=np.int8)
+        self.adopted = np.full((self.n, replications), NO_BRAND, dtype=np.int8)
         self.marketing = MarketingState.zeros(replications)
         self._adjacency = sparse.csr_matrix(
             (np.ones(network.indices.size), network.indices, network.indptr),
@@ -177,19 +189,20 @@ class ConsumerMarket:
         self._degrees = np.maximum(network.degrees, 1)
 
     def truncate(self, replications: int) -> None:
-        """Keep only the first ``replications`` rows of the block."""
-        self.adopted = self.adopted[:replications]
+        """Keep only the first ``replications`` rows."""
+        self.adopted = self.adopted[:, :replications]
         mk = self.marketing
         for f in fields(mk):
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
 
-    def neighbor_influence(self) -> np.ndarray:
-        """Fraction of each agent's neighbors adopting each brand, shape
-        (n, 2 * replications) with column ``2 * r + b`` for brand ``b`` in
-        replication ``r``."""
-        r, n = self.adopted.shape
+    def neighbor_influence(self, rows: slice) -> np.ndarray:
+        """Fraction of each agent's neighbors adopting each brand in the
+        replications ``rows``, shape (n, 2 * replications) with column
+        ``2 * r + b`` for brand ``b`` in the ``r``-th of them."""
+        adopted = self.adopted[:, rows]
+        n, r = adopted.shape
         # one indicator column per (replication, brand), counted in one product
-        indicator = (self.adopted.T[:, :, None] == BRANDS).reshape(n, 2 * r)
+        indicator = (adopted[:, :, None] == BRANDS).reshape(n, 2 * r)
         return (self._adjacency @ indicator.astype(float)) / self._degrees[:, None]
 
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
@@ -200,7 +213,8 @@ class ConsumerMarket:
         tie-break generator per replication, drawn only for that row's tied
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
-        mirror exactly.
+        mirror exactly. Marketing updates for every row at once; agents are
+        scored ``BLOCK`` rows at a time.
         """
         p = self.params
         mk = self.marketing
@@ -213,28 +227,36 @@ class ConsumerMarket:
                                    mk.total_force, prices, mk.pm, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
         mk.total_force = mk.force.sum(axis=1)
-
-        inf = self.neighbor_influence()
         price_sum = prices.sum(axis=1)
         if p.price_sum_mode == "average":
             price_sum = price_sum / 2
-        # scores per agent (rows) and per replication and brand (columns
-        # 2r + b) via broadcasting
-        flat_prices, pm, ad = prices.ravel(), mk.pm.ravel(), mk.ad.ravel()
-        sens_p = price_sensitivity(flat_prices, pm, np.repeat(price_sum, 2), p.s,
-                                   self.m_agent[:, None])
-        sus_ad, sens_pm, ft = update_perceptions(
-            mk.force.ravel(), self.i_ad[:, None], self.i_pm[:, None], self.i_ft[:, None])
-        scores = motivation(sens_p, flat_prices, pm, sus_ad, ad, sens_pm, ft, inf)
 
-        diff = scores[:, 0::2] - scores[:, 1::2]
-        choice = np.where(diff > 0, 0, 1).astype(np.int8)
-        tied = diff == 0
-        for r in np.flatnonzero(tied.any(axis=0)):
-            draws = rngs[r].integers(0, 2, size=int(tied[:, r].sum())).astype(np.int8)
-            if mirror:
-                draws = 1 - draws
-            choice[tied[:, r], r] = draws
-        self.adopted = choice.T
-        first = np.count_nonzero(choice == 0, axis=0)
-        return np.stack([first, self.n - first], axis=1) / self.n
+        shares = np.empty((len(prices), 2))
+        for lo in range(0, len(prices), BLOCK):
+            block = slice(lo, lo + BLOCK)
+            inf = self.neighbor_influence(block)
+            # scores per agent (rows) and per replication and brand (columns
+            # 2r + b) via broadcasting
+            flat_prices = prices[block].ravel()
+            pm, ad = mk.pm[block].ravel(), mk.ad[block].ravel()
+            sens_p = price_sensitivity(flat_prices, pm, np.repeat(price_sum[block], 2),
+                                       p.s, self.m_agent[:, None])
+            sus_ad, sens_pm, ft = update_perceptions(
+                mk.force[block].ravel(), self.i_ad[:, None], self.i_pm[:, None],
+                self.i_ft[:, None])
+            scores = motivation(sens_p, flat_prices, pm, sus_ad, ad, sens_pm, ft, inf)
+
+            diff = scores[:, 0::2] - scores[:, 1::2]
+            choice = np.where(diff > 0, 0, 1).astype(np.int8)
+            tied = diff == 0
+            for r in np.flatnonzero(tied.any(axis=0)):
+                draws = rngs[lo + r].integers(0, 2, size=int(tied[:, r].sum()))
+                draws = draws.astype(np.int8)
+                if mirror:
+                    draws = 1 - draws
+                choice[tied[:, r], r] = draws
+            self.adopted[:, block] = choice
+            first = np.count_nonzero(choice == 0, axis=0)
+            shares[block, 0] = first / self.n
+            shares[block, 1] = (self.n - first) / self.n
+        return shares

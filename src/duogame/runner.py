@@ -6,18 +6,17 @@ steps and prices are re-set at the market level. Physical quantities
 (units produced, shipped, unit-days of inventory, ...) are accumulated so
 payoffs can be priced with any cost-rate vector afterwards.
 
-All replications of a call run in lockstep, one day at a time, at two
-widths. The market advances them in sub-blocks of at most ``BLOCK`` rows,
-one call per sub-block, which keeps its per-agent temporaries in cache.
-The supply chains and pricing advance the whole call together: from
-``WIDE`` rows on, both companies of every row are (rows, 2) arrays stepped
-by one array step and one array pricing step per sub-step; below it, where
-the array step's fixed cost of 100-200 us per sub-step outweighs the
-2.6 us of a plain-float company step, each replication steps its two
-companies and its pricing in plain floats. Both kernels perform the same
-float operations in the same order. Replications share nothing but the
-population, so every output depends on its pair and seed alone; results do
-not depend on the sample count ``n``, the width or the kernel.
+All replications of a call run in lockstep, one day at a time. One market
+call advances every row each day. The supply chains and pricing advance the
+whole call together, at one of two widths: from ``WIDE`` rows on, both
+companies of every row are one stacked :class:`SDState` of (rows, 2)
+arrays, stepped by one array step and one array pricing step per sub-step;
+below it, where the array step's fixed cost of 100-200 us per sub-step
+outweighs the 2.6 us of a plain-float company step, each replication steps
+its two companies and its pricing in plain floats. Both kernels perform the
+same float operations in the same order. Replications share nothing but
+the population, so every output depends on its pair and seed alone; results
+do not depend on the sample count ``n``, the width or the kernel.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -43,7 +42,7 @@ from .supply_chain import (
     PricingState,
     SDParamRows,
     SDParams,
-    SDRows,
+    SDState,
     steady_state,
     step_company,
     step_pricing,
@@ -160,12 +159,6 @@ class ReplicationOutput:
 
 _network_cache: dict = {}
 
-# Rows of one market call. The cap bounds the market's per-day temporaries,
-# (agents, 2 * BLOCK) floats: at 200 agents they stay at 100 KiB, under the
-# 128 KiB at which the C allocator hands out fresh memory maps, and larger
-# blocks ran slower per replication-day.
-BLOCK = 32
-
 # Rows from which the supply chains step as (rows, 2) arrays, one array step
 # per sub-step for the whole call; fewer rows step in plain floats, one
 # company at a time. An array step costs 100-200 us whatever the width up to
@@ -240,128 +233,116 @@ def _streams(seed, mirror):
     return np.random.default_rng(child[0]), rngs
 
 
-class _Replication:
-    """One replication of the narrow kernel: its spec pair, RNG streams, its
-    two companies and pricing state in plain floats, and its accumulators."""
-
-    def __init__(self, seed, setup, mirror, days):
-        self.specs, self.params, initial, self.mp_bounds = setup
-        self.seed = seed
-        self.tie_rng, self.rngs = _streams(seed, mirror)
-        self.sd = [replace(state) for state in initial]
-        self.prices = (self.specs[0].sd.mfg_price, self.specs[1].sd.mfg_price)
-        self.pricing = PricingState(mp=(self.prices[0] + self.prices[1]) / 2.0)
-        # per company: revenue, units produced, purchased and shipped,
-        # inventory and backlog unit-days, marketing spend, own sunk cost
-        self.totals = [[0.0] * 8 for _ in COMPANIES]
-        self.period_revenue = [0.0, 0.0]
-        self.sunk_total = 0.0
-        self.daily = np.empty((days, 2 * len(SERIES)))    # SERIES order, by company
-
-    def start_period(self, day, settings):
-        """Budgets and advertising and promotion levels of a marketing period."""
-        specs = self.specs
-        if day == 0:
-            mb = [specs[i].mb_pct * self.prices[i] * settings.total_order_rate
-                  * settings.marketing_period for i in COMPANIES]
-        else:
-            mb = [specs[i].mb_pct * self.period_revenue[i] for i in COMPANIES]
-        self.period_revenue = [0.0, 0.0]
-        det = settings.deterministic_marketing
-        ad = [_period_draw(self.rngs[i], *specs[i].ad_range, det) for i in COMPANIES]
-        pm = [_period_draw(self.rngs[i], *specs[i].pm_range, det) for i in COMPANIES]
-        return mb, ad, pm
-
-    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
-        """Both supply chains and the pricing loop through one day."""
-        sd, prices, pricing, params = self.sd, self.prices, self.pricing, self.params
-        totals, period_revenue = self.totals, self.period_revenue
-        orders = (tor * shares[0], tor * shares[1])
-        noises = [_noise_draws(self.rngs[i], params[i]) for i in COMPANIES]
-        if collect:
-            totals[0][6] += spend_rate[0]    # one day's worth
-            totals[1][6] += spend_rate[1]
-        for _ in range(substeps):
-            for i in COMPANIES:
-                s = step_company(sd[i], params[i], orders[i], noises[i], dt)
-                income = s.ship_r * prices[i] * dt
-                if collect:
-                    t = totals[i]
-                    t[0] += income
-                    t[1] += s.prod_br * dt
-                    t[2] += s.rm_order_r * dt
-                    t[3] += s.ship_r * dt
-                    t[4] += s.inv * dt
-                    t[5] += s.backlog * dt
-                period_revenue[i] += income
-            prices, pricing = step_pricing(prices, pricing, params,
-                                           (sd[0].inv_cov, sd[1].inv_cov),
-                                           dt=dt, mp_bounds=self.mp_bounds)
-            sd[0].price, sd[1].price = prices
-        self.prices = prices
-        s0, s1 = sd
-        self.daily[day] = (prices[0], prices[1], s0.inv, s1.inv, s0.backlog, s1.backlog,
-                           s0.ship_r, s1.ship_r, shares[0], shares[1],
-                           s0.labor, s1.labor, s0.wip, s1.wip)
-
-    def close_period(self, mb, inter):
-        """Sunk interaction cost of a finished marketing period."""
-        self.sunk_total += max(0.0, sunk_cost(mb, inter))
-        for i in COMPANIES:
-            self.totals[i][7] += max(0.0, mb[i] * inter[i])
-
-    def output(self, settings) -> ReplicationOutput:
-        daily = self.daily.reshape(len(self.daily), len(SERIES), 2)
-        t = np.array(self.totals).T.copy()
-        return ReplicationOutput(
-            seed=self.seed, run_length=settings.run_length_days,
-            warmup=settings.warmup_days,
-            series={name: daily[:, k] for k, name in enumerate(SERIES)},
-            revenue=t[0], units_produced=t[1], units_purchased=t[2],
-            units_shipped=t[3], inv_unit_days=t[4], backlog_unit_days=t[5],
-            marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total)
+def _truncate(obj, rows: int) -> None:
+    """Keep only the first ``rows`` entries of every attribute of ``obj``."""
+    for name, value in list(vars(obj).items()):
+        setattr(obj, name, value[:rows])
 
 
 class _Narrow:
-    """The narrow kernel: each row a :class:`_Replication` stepping its
-    companies and pricing in plain floats."""
+    """The narrow kernel: each row's spec pair, RNG streams, two companies
+    and pricing state in plain floats, and its accumulators. Every attribute
+    holds one entry per row."""
 
     def __init__(self, rows, settings, mirror):
+        self.specs = [setup[0] for setup, _ in rows]
+        self.params = [setup[1] for setup, _ in rows]
+        self.sd = [[replace(state) for state in setup[2]] for setup, _ in rows]
+        self.bounds = [setup[3] for setup, _ in rows]
+        self.seeds = [seed for _, seed in rows]
+        streams = [_streams(seed, mirror) for seed in self.seeds]
+        self.tie_rngs = [tie for tie, _ in streams]
+        self.rngs = [rngs for _, rngs in streams]
+        self.prices = [(specs[0].sd.mfg_price, specs[1].sd.mfg_price)
+                       for specs in self.specs]
+        self.pricing = [PricingState(mp=(p[0] + p[1]) / 2.0) for p in self.prices]
+        # per company: revenue, units produced, purchased and shipped,
+        # inventory and backlog unit-days, marketing spend, own sunk cost
+        self.totals = [[[0.0] * 8 for _ in COMPANIES] for _ in rows]
+        self.period_revenue = [[0.0, 0.0] for _ in rows]
+        self.sunk_total = [0.0] * len(rows)
         days = settings.run_length_days
-        self.reps = [_Replication(seed, setup, mirror, days) for setup, seed in rows]
-        self.tie_rngs = [rep.tie_rng for rep in self.reps]
+        self.daily = [np.empty((days, 2 * len(SERIES))) for _ in rows]  # SERIES order
 
     @property
     def rows(self) -> int:
-        return len(self.reps)
-
-    @property
-    def prices(self) -> list:
-        return [rep.prices for rep in self.reps]
+        return len(self.seeds)
 
     def start_period(self, day, settings):
-        return [np.array(x) for x in
-                zip(*(rep.start_period(day, settings) for rep in self.reps))]
+        """Budgets and advertising and promotion levels of a marketing period."""
+        det = settings.deterministic_marketing
+        mb, ad, pm = [], [], []
+        for r, (specs, rngs) in enumerate(zip(self.specs, self.rngs)):
+            if day == 0:
+                mb.append([specs[i].mb_pct * self.prices[r][i] * settings.total_order_rate
+                           * settings.marketing_period for i in COMPANIES])
+            else:
+                mb.append([specs[i].mb_pct * self.period_revenue[r][i] for i in COMPANIES])
+            self.period_revenue[r] = [0.0, 0.0]
+            ad.append([_period_draw(rngs[i], *specs[i].ad_range, det) for i in COMPANIES])
+            pm.append([_period_draw(rngs[i], *specs[i].pm_range, det) for i in COMPANIES])
+        return np.array(mb), np.array(ad), np.array(pm)
 
     def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
         """Every row through one day; returns ``(row, error)`` for the row
         that diverged, after dropping it and every later row, or None."""
         shares, spend_rate = shares.tolist(), spend_rate.tolist()
-        for r, rep in enumerate(self.reps):
+        for r, sd in enumerate(self.sd):
+            params, prices, pricing = self.params[r], self.prices[r], self.pricing[r]
+            totals, period_revenue, share = self.totals[r], self.period_revenue[r], shares[r]
+            orders = (tor * share[0], tor * share[1])
+            noises = [_noise_draws(self.rngs[r][i], params[i]) for i in COMPANIES]
+            if collect:
+                totals[0][6] += spend_rate[r][0]    # one day's worth
+                totals[1][6] += spend_rate[r][1]
             try:
-                rep.advance_day(day, shares[r], spend_rate[r], collect, tor, dt,
-                                substeps)
+                for _ in range(substeps):
+                    for i in COMPANIES:
+                        s = step_company(sd[i], params[i], orders[i], noises[i], dt)
+                        income = s.ship_r * prices[i] * dt
+                        if collect:
+                            t = totals[i]
+                            t[0] += income
+                            t[1] += s.prod_br * dt
+                            t[2] += s.rm_order_r * dt
+                            t[3] += s.ship_r * dt
+                            t[4] += s.inv * dt
+                            t[5] += s.backlog * dt
+                        period_revenue[i] += income
+                    prices, pricing = step_pricing(prices, pricing, params,
+                                                   (sd[0].inv_cov, sd[1].inv_cov),
+                                                   dt=dt, mp_bounds=self.bounds[r])
+                    sd[0].price, sd[1].price = prices
             except StateError as exc:
-                del self.reps[r:], self.tie_rngs[r:]
+                _truncate(self, r)
                 return r, exc
+            self.prices[r] = prices
+            s0, s1 = sd
+            self.daily[r][day] = (prices[0], prices[1], s0.inv, s1.inv, s0.backlog,
+                                  s1.backlog, s0.ship_r, s1.ship_r, share[0], share[1],
+                                  s0.labor, s1.labor, s0.wip, s1.wip)
         return None
 
     def close_period(self, mb, inter):
-        for r, rep in enumerate(self.reps):
-            rep.close_period(mb[r], inter[r])
+        """Sunk interaction cost of a finished marketing period."""
+        for r, totals in enumerate(self.totals):
+            self.sunk_total[r] += max(0.0, sunk_cost(mb[r], inter[r]))
+            for i in COMPANIES:
+                totals[i][7] += max(0.0, mb[r][i] * inter[r][i])
 
     def outputs(self, settings) -> list:
-        return [rep.output(settings) for rep in self.reps]
+        outputs = []
+        for r, seed in enumerate(self.seeds):
+            daily = self.daily[r].reshape(len(self.daily[r]), len(SERIES), 2)
+            t = np.array(self.totals[r]).T.copy()
+            outputs.append(ReplicationOutput(
+                seed=seed, run_length=settings.run_length_days,
+                warmup=settings.warmup_days,
+                series={name: daily[:, k] for k, name in enumerate(SERIES)},
+                revenue=t[0], units_produced=t[1], units_purchased=t[2],
+                units_shipped=t[3], inv_unit_days=t[4], backlog_unit_days=t[5],
+                marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total[r]))
+        return outputs
 
 
 class _Wide:
@@ -379,7 +360,7 @@ class _Wide:
         index = np.array([distinct[id(setup)][0] for setup, _ in rows])
         setups = [setup for _, setup in distinct.values()]
         self.p = SDParamRows([setup[1] for setup in setups], index)
-        self.s = SDRows([setup[2] for setup in setups], index)
+        self.s = SDState.stacked([setup[2] for setup in setups], index)
         self.pricing = PricingState(mp=(self.s.price[:, 0] + self.s.price[:, 1]) / 2.0)
         bounds = np.array([setup[3] for setup in setups])[index]
         self.bounds = (bounds[:, 0], bounds[:, 1])
@@ -412,7 +393,7 @@ class _Wide:
 
     def truncate(self, rows: int) -> None:
         """Keep only the first ``rows`` rows."""
-        self.s.truncate(rows)
+        _truncate(self.s, rows)
         self.p.truncate(rows)
         self.pricing.mp = self.pricing.mp[:rows]
         self.bounds = tuple(b[:rows] for b in self.bounds)
@@ -513,62 +494,44 @@ class _Wide:
             for r, seed in enumerate(self.seeds)]
 
 
-def _joined(parts):
-    """The per-sub-block arrays ``parts`` as one array over all rows."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _run_rows(rows, settings: SimulationSettings, mirror: bool) -> list:
     """Replications of ``rows``, (setup, seed) pairs from :func:`_setup`, one
     lockstep day at a time.
 
     Rows may belong to different spec pairs: every input is per row. Each
-    day the market advances the rows in sub-blocks of at most ``BLOCK``, one
-    call per sub-block; then the supply chains and pricing of every row
-    advance, as arrays from ``WIDE`` rows on and in plain floats below. A
-    replication that diverges ends the run for itself and every later one;
-    the call then raises for the lowest-index replication that diverged.
+    day one market call advances every row; then the supply chains and
+    pricing of every row advance, as arrays from ``WIDE`` rows on and in
+    plain floats below. A replication that diverges ends the run for itself
+    and every later one; the call then raises for the lowest-index
+    replication that diverged.
     """
     tor = settings.total_order_rate
     dt = settings.dt
     substeps = max(1, round(1.0 / dt))
     period = settings.marketing_period
     chain = (_Wide if len(rows) >= WIDE else _Narrow)(rows, settings, mirror)
-    markets = []
-    for lo in range(0, len(rows), BLOCK):
-        # every market draws the same population from its own generator
-        pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
-        markets.append(ConsumerMarket(_population(settings), settings.market, pop_rng,
-                                      replications=min(BLOCK, len(rows) - lo)))
+    pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
+    market = ConsumerMarket(_population(settings), settings.market, pop_rng,
+                            replications=len(rows))
+    mk = market.marketing
     fixed = settings.fixed_share_split
     failure = None
     for day in range(settings.run_length_days):
         collect = not (settings.truncate_warmup and day < settings.warmup_days)
         if day % period == 0:
-            mb, ad, pm = chain.start_period(day, settings)
-            for lo, market in zip(range(0, len(rows), BLOCK), markets):
-                mk = market.marketing
-                hi = lo + len(mk.mb)
-                mk.mb[:], mk.ad[:], mk.pm[:] = mb[lo:hi], ad[lo:hi], pm[lo:hi]
-        prices, rngs = chain.prices, chain.tie_rngs
-        shares = _joined([market.step(prices[lo:lo + BLOCK], rngs[lo:lo + BLOCK],
-                                      mirror=mirror)
-                          for lo, market in zip(range(0, len(rows), BLOCK), markets)])
+            mk.mb[:], mk.ad[:], mk.pm[:] = chain.start_period(day, settings)
+        shares = market.step(chain.prices, chain.tie_rngs, mirror=mirror)
         if fixed is not None:
             shares[:] = (fixed, 1.0 - fixed)
-        spend_rate = _joined([market.marketing.spend_rate for market in markets])
-        failed = chain.advance_day(day, shares, spend_rate, collect, tor, dt, substeps)
+        failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor, dt, substeps)
         if failed is not None:
             r, exc = failed
             failure = (r, day, exc)
-            del markets[-(-r // BLOCK):]
-            if r % BLOCK:
-                markets[-1].truncate(r % BLOCK)
+            market.truncate(r)
         if not chain.rows:
             break
         if collect and day % period == period - 1:
-            chain.close_period(_joined([m.marketing.mb for m in markets]),
-                               _joined([m.marketing.inter for m in markets]))
+            chain.close_period(mk.mb, mk.inter)
     if failure is not None:
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",

@@ -13,9 +13,10 @@ exact up to floating point.
 
 :func:`step_company` and :func:`step_pricing` advance either one company
 pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
-once (:class:`SDRows`, :class:`SDParamRows`), every quantity then a
-(rows, 2) array stepped with the same operations in the same order, so a
-row's numbers do not depend on the form that computed them.
+once (an :class:`SDState` from :meth:`SDState.stacked`, and
+:class:`SDParamRows`), every quantity then a (rows, 2) array stepped with the
+same operations in the same order, so a row's numbers do not depend on the
+form that computed them.
 """
 
 from __future__ import annotations
@@ -139,7 +140,13 @@ ZERO_NOISE = NoiseDraws()
 
 @dataclass
 class SDState:
-    """Stocks, smoothed adjustments, last-computed rates and auxiliaries."""
+    """What a company carries from one sub-step to the next: stocks,
+    smoothed adjustments, the rates that are booked and the price inputs.
+
+    Each field is a float for one company, or a (rows, 2) array, column
+    ``i`` for company ``i``, for many replications' pairs
+    (:meth:`stacked`).
+    """
 
     # stocks
     wip: float = 0.0
@@ -156,28 +163,20 @@ class SDState:
     a_labor: float = 0.0
     a_vac: float = 0.0
 
-    # last computed rates (per day)
+    # last computed rates (per day) and pricing inputs
     prod_br: float = 0.0
-    prod_cr: float = 0.0
     ship_r: float = 0.0
-    order_r: float = 0.0
-    hire_r: float = 0.0
-    retire_r: float = 0.0
-    layoff_r: float = 0.0
-    vac_br: float = 0.0
-    msr: float = 0.0             # raw material supply rate available to production
     rm_order_r: float = 0.0
-    rm_arrival_r: float = 0.0
-
-    # last computed auxiliaries
-    d_inv: float = 0.0
-    d_wip: float = 0.0
-    d_prod_br: float = 0.0
-    fulfillment: float = 1.0
     inv_cov: float = 0.0
     price: float = 1.0
 
     STOCK_FIELDS = ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit")
+
+    @classmethod
+    def stacked(cls, pairs, index) -> "SDState":
+        """The states of ``pairs``, a sequence of :class:`SDState` pairs, as
+        one state of (rows, 2) arrays, one row per entry of ``index``."""
+        return cls(**_tables(pairs, [f.name for f in fields(cls)], index))
 
     def stocks(self) -> dict:
         return {name: getattr(self, name) for name in self.STOCK_FIELDS}
@@ -218,30 +217,6 @@ class FlowLedger:
         self.flows[stock] = self.flows.get(stock, 0.0) + net_rate * dt
 
 
-class SDRows:
-    """Both companies' chains of many replications: each of ``FIELDS`` is a
-    (rows, 2) array, column ``i`` for company ``i``.
-
-    These are the quantities a replication carries from one sub-step to the
-    next; the other rates and auxiliaries of :class:`SDState` are not kept.
-    """
-
-    FIELDS = SDState.STOCK_FIELDS + ("a_wip", "a_prod", "a_labor", "a_vac",
-                                     "prod_br", "ship_r", "rm_order_r",
-                                     "inv_cov", "price")
-
-    def __init__(self, pairs, index):
-        """The states of ``pairs``, a sequence of :class:`SDState` pairs,
-        one row per entry of ``index``."""
-        for name, table in _tables(pairs, self.FIELDS).items():
-            setattr(self, name, table[index])
-
-    def truncate(self, rows: int) -> None:
-        """Keep only the first ``rows`` rows."""
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[:rows])
-
-
 class SDParamRows:
     """:class:`SDParams` of many replications' company pairs, each field a
     (rows, 2) array; ``max_layoff_rate`` None is held as +inf, which never
@@ -252,8 +227,7 @@ class SDParamRows:
     def __init__(self, pairs, index):
         """The parameters of ``pairs``, a sequence of :class:`SDParams`
         pairs, one row per entry of ``index``."""
-        for name, table in _tables(pairs, self.FIELDS).items():
-            setattr(self, name, table[index])
+        vars(self).update(_tables(pairs, self.FIELDS, index))
         # the coverage multiplier is a per-element C ``pow``: ``np.power``
         # rounds differently on a few percent of arguments
         self.invcov_exponents = self.price_sens_invcov.ravel().tolist()
@@ -265,14 +239,14 @@ class SDParamRows:
         self.invcov_exponents = self.invcov_exponents[:2 * rows]
 
 
-def _tables(pairs, names) -> dict:
-    """(len(pairs), 2) float arrays of the attributes ``names`` of each
-    pair, None read as +inf."""
+def _tables(pairs, names, index) -> dict:
+    """(len(index), 2) float arrays of the attributes ``names`` of the pairs
+    ``pairs[index]``, None read as +inf."""
     def value(obj, name):
         v = getattr(obj, name)
         return math.inf if v is None else v
     return {name: np.array([[value(obj, name) for obj in pair] for pair in pairs],
-                           dtype=float)
+                           dtype=float)[index]
             for name in names}
 
 
@@ -291,14 +265,14 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
     [0, 1]. Returns ``state``.
 
-    With an :class:`SDRows` state, ``p`` is an :class:`SDParamRows` and
+    With an :class:`SDParamRows` ``p``, ``state`` is a stacked state and
     ``order_rate`` and the noise fields are (rows, 2) arrays (or scalars);
     every row advances, then the lowest inadmissible row raises with its
     own message and ``row`` set. ``ledger`` is for one company only.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    if isinstance(state, SDRows):
+    if isinstance(p, SDParamRows):
         return _step_rows(state, p, order_rate, noise, dt)
     # ``y if y < x else x`` is ``min(x, y)`` and ``x if x > 0.0 else 0.0`` is
     # ``max(0.0, x)``, NaN included, at a fraction of the call's cost
@@ -401,11 +375,7 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
         state.check_finite()
 
     state.a_prod, state.a_wip, state.a_labor, state.a_vac = a_prod, a_wip, a_labor, a_vac
-    state.prod_br, state.prod_cr, state.ship_r, state.order_r = prod_br, prod_cr, ship_r, order_r
-    state.hire_r, state.retire_r, state.layoff_r, state.vac_br = hire_r, retire_r, layoff_r, vac_br
-    state.msr, state.rm_order_r, state.rm_arrival_r = msr, rm_order_r, rm_arrival_r
-    state.d_inv, state.d_wip, state.d_prod_br = d_inv, d_wip, d_prod_br
-    state.fulfillment = fulfill
+    state.prod_br, state.ship_r, state.rm_order_r = prod_br, ship_r, rm_order_r
     # idle line: coverage pegged to capacity
     state.inv_cov = inv / ship_r if ship_r > 0 else p.max_inv_cov
 
@@ -473,8 +443,8 @@ def _pos(x):
     return np.fmax(x, 0.0) + 0.0
 
 
-def _step_rows(s: SDRows, p: SDParamRows, order_rate, noise: NoiseDraws,
-               dt: float) -> SDRows:
+def _step_rows(s: SDState, p: SDParamRows, order_rate, noise: NoiseDraws,
+               dt: float) -> SDState:
     """:func:`step_company` over every row of ``s`` at once.
 
     The operations and their order are those of the scalar step, with
@@ -644,13 +614,7 @@ def steady_state(p: SDParams, order_rate: float) -> SDState:
         rm_inv=p.rm_inventory_cov * d_prod_br,
         rm_transit=order_rate * p.rm_lead_time,
         a_wip=a_wip, a_prod=a_prod, a_labor=a_labor, a_vac=0.0,
-        prod_br=order_rate, prod_cr=order_rate, ship_r=order_rate,
-        order_r=order_rate, hire_r=vac / p.vac_fulfillment_time,
-        retire_r=labor / p.employment_time, layoff_r=0.0,
-        vac_br=max(0.0, a_labor), msr=d_prod_br,
-        rm_order_r=order_rate, rm_arrival_r=order_rate,
-        d_inv=d_inv, d_wip=(a_prod + order_rate) * p.cycle_time,
-        d_prod_br=d_prod_br, fulfillment=inv / d_inv,
+        prod_br=order_rate, ship_r=order_rate, rm_order_r=order_rate,
         inv_cov=inv / order_rate, price=p.mfg_price,
     )
     return state

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from duogame.cli import main
-from duogame.config import config_to_dict, default_config, load_config
+from duogame.config import config_from_dict, config_to_dict, default_config, load_config
 from duogame.errors import ConfigError
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
@@ -46,6 +47,29 @@ class TestLoadConfig:
         # echo back the fully resolved tree
         echoed = config_to_dict(config)
         assert echoed["sampling"]["initial_n"] == 70
+
+    def test_defaults_pinned(self):
+        # a changed default changes every default run's results and turns
+        # every checkpoint written under the defaults stale
+        config = default_config()
+        tree = json.dumps(config_to_dict(config), sort_keys=True)
+        assert config.fingerprint() == "0e7528dae9d2ab38"
+        assert hashlib.sha256(tree.encode()).hexdigest() == (
+            "ff26434fde0b090d4519a0563072a99a863a42ce9701b517937c55fcc2fe4d40")
+
+    def test_every_settings_key_reaches_its_field(self):
+        data = {"run_length_days": 80, "dt": 0.5, "agents": 60,
+                "network": {"m0": 4, "m": 2, "population_seed": 7},
+                "per_capita_demand": 1.5, "marketing_period": 5,
+                "initial_stock_fraction": 0.5, "deterministic_marketing": True,
+                "fixed_share_split": 0.4, "sunk_cost_mode": "own",
+                "warmup_days": 20, "truncate_warmup": True,
+                "company_defaults": {"mb_pct": 0.2, "ad_range": [0.1, 0.2],
+                                     "pm_range": [0.3, 0.4]},
+                "schema_version": 1, "master_seed": 5, "out_dir": "elsewhere",
+                "jobs": 2, "default_profile": {"pricing": "H"}}
+        echoed = config_to_dict(config_from_dict(data))
+        assert {key: echoed[key] for key in data} == data
 
     def test_default_schedule_is_paper_shape(self):
         config = default_config()

@@ -182,11 +182,11 @@ class TestStepMarket:
         #   agents 0, 2: 0.6211 + 0.155  = 0.7761 > 0.7 -> brand 0
         #   agent 1:     0.6211 + 0.0775 = 0.6986 < 0.7 -> brand 1
         market = fresh()
-        market.adopted = np.array([[0, 0, 1]], dtype=np.int8)
+        market.adopted = np.array([[0], [0], [1]], dtype=np.int8)
         market.marketing.inter = np.array([[0.31, 0.0]])
         shares = market.step([prices], [np.random.default_rng(3)])[0]
         assert shares[0] == pytest.approx(2.0 / 3.0)
-        assert list(market.adopted[0]) == [0, 1, 0]
+        assert list(market.adopted[:, 0]) == [0, 1, 0]
 
     def test_determinism(self):
         runs = []
@@ -212,35 +212,40 @@ class TestStepMarket:
 
     def test_block_rows_equal_single_markets(self):
         # each row of a lockstep block follows its own prices, marketing and
-        # tie-break stream exactly as a one-replication market does
-        prices = [(1.5, 1.5), (1.3, 1.7), (1.6, 1.2), (1.5, 1.5), (1.4, 1.45)]
-        ad = np.array([[0.3, 0.3], [0.25, 0.35], [0.3, 0.28], [0.3, 0.3], [0.33, 0.26]])
-        block = make_market(seed=6, replications=5)
-        block.marketing.mb[:] = 100.0
-        block.marketing.ad[:] = ad
-        block.marketing.pm[:] = 0.3
-        singles = []
-        for r in range(5):
-            single = make_market(seed=6)
-            single.marketing.mb[:] = 100.0
-            single.marketing.ad[:] = ad[r]
-            single.marketing.pm[:] = 0.3
-            singles.append(single)
-        block_rngs = [np.random.default_rng(40 + r) for r in range(5)]
-        single_rngs = [np.random.default_rng(40 + r) for r in range(5)]
-        for _ in range(15):
-            shares = block.step(prices, block_rngs, mirror=True)
-            for r, single in enumerate(singles):
-                alone = single.step([prices[r]], [single_rngs[r]], mirror=True)
-                assert np.array_equal(shares[r], alone[0])
-                assert np.array_equal(block.adopted[r], single.adopted[0])
-                assert np.array_equal(block.marketing.inter[r], single.marketing.inter[0])
+        # tie-break stream exactly as a one-replication market does, also
+        # across the market's internal slices of BLOCK rows (widths 33, 70)
+        base_prices = [(1.5, 1.5), (1.3, 1.7), (1.6, 1.2), (1.5, 1.5), (1.4, 1.45)]
+        base_ad = [[0.3, 0.3], [0.25, 0.35], [0.3, 0.28], [0.3, 0.3], [0.33, 0.26]]
+        for width in (5, 33, 70):
+            prices = [base_prices[r % 5] for r in range(width)]
+            ad = np.array([base_ad[r % 5] for r in range(width)])
+            block = make_market(seed=6, replications=width)
+            block.marketing.mb[:] = 100.0
+            block.marketing.ad[:] = ad
+            block.marketing.pm[:] = 0.3
+            singles = []
+            for r in range(width):
+                single = make_market(seed=6)
+                single.marketing.mb[:] = 100.0
+                single.marketing.ad[:] = ad[r]
+                single.marketing.pm[:] = 0.3
+                singles.append(single)
+            block_rngs = [np.random.default_rng(40 + r) for r in range(width)]
+            single_rngs = [np.random.default_rng(40 + r) for r in range(width)]
+            for _ in range(15):
+                shares = block.step(prices, block_rngs, mirror=True)
+                for r, single in enumerate(singles):
+                    alone = single.step([prices[r]], [single_rngs[r]], mirror=True)
+                    assert np.array_equal(shares[r], alone[0]), (width, r)
+                    assert np.array_equal(block.adopted[:, r], single.adopted[:, 0])
+                    assert np.array_equal(block.marketing.inter[r],
+                                          single.marketing.inter[0])
 
     def test_truncate_keeps_leading_rows(self):
         market = make_market(seed=2, n=50, replications=4)
         market.marketing.ad[:] = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
         market.truncate(2)
-        assert market.adopted.shape == (2, 50)
+        assert market.adopted.shape == (50, 2)
         assert market.marketing.ad.tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert market.marketing.total_force.shape == (2,)
         shares = market.step([(1.5, 1.4), (1.4, 1.5)],

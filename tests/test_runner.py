@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from duogame.supply_chain import (
     PricingState,
     SDParamRows,
     SDParams,
-    SDRows,
     SDState,
     steady_state,
     step_company,
@@ -309,7 +308,7 @@ def array_step(rows, dt=0.25):
     the error of the lowest failing row (None if none failed)."""
     index = np.arange(len(rows))
     params = SDParamRows([row[0] for row in rows], index)
-    state = SDRows([row[1] for row in rows], index)
+    state = SDState.stacked([row[1] for row in rows], index)
     orders = np.array([row[2] for row in rows], dtype=float)
     noise = NoiseDraws(*np.array([[[getattr(n, f) for n in row[3]]
                                    for row in rows]
@@ -360,7 +359,7 @@ class TestArrayStep:
             if isinstance(result, str):
                 continue
             states, pricing = result
-            for name in SDRows.FIELDS:
+            for name in (f.name for f in fields(SDState)):
                 got = getattr(state, name)[r]
                 assert same(got, [getattr(s, name) for s in states]), (r, name)
             assert same(shared.mp[r], pricing.mp), r
@@ -379,11 +378,18 @@ class TestArrayStep:
         p = SDParams().validate()
         cases = special_companies()
         states = [step_company(replace(s), p_, o, n) for p_, s, o, n in cases[:9]]
-        assert states[0].d_prod_br == 0.0
-        assert states[1].d_inv == 0.0 and states[1].fulfillment == 0.0
-        assert states[2].d_inv == 0.0 and states[2].fulfillment == 1.0
-        assert states[3].retire_r + states[3].layoff_r == pytest.approx(2.0 / 0.25)
-        assert states[4].layoff_r == 0.05
+        # no order and no noise: desired production is max(0, a_wip + a_prod)
+        assert states[0].a_wip + states[0].a_prod <= 0.0
+        # nothing desired: an empty stock ships nothing, any stock ships the
+        # backlog clearance in full
+        assert states[1].ship_r == 0.0
+        assert states[2].ship_r == 3.0 / p.order_processing_time
+        # the workforce outflow is rescaled to exactly the 2 workers on hand,
+        # then capped at 0.05 layoffs a day
+        hire = min(cases[3][1].vac / p.vac_fulfillment_time, cases[3][1].vac / 0.25)
+        assert states[3].labor == pytest.approx(0.25 * hire)
+        retire = 2.0 / p.employment_time
+        assert states[4].labor == pytest.approx(2.0 + 0.25 * (hire - retire - 0.05))
         assert states[5].ship_r == 0.0 and states[5].inv_cov == p.max_inv_cov
         assert math.isnan(states[6].a_prod) and math.isfinite(states[6].inv)
 
