@@ -37,6 +37,8 @@ VALIDATION_ERRORS = (ConfigError, ParameterError, DesignError)
 
 
 def _config_from_args(args):
+    """The config file's, or the default, config with the command line's
+    overrides, validated together."""
     if getattr(args, "config", None):
         config = load_config(args.config)
     else:
@@ -47,14 +49,20 @@ def _config_from_args(args):
         config.jobs = args.jobs
     if getattr(args, "out", None):
         config.out_dir = args.out
-    return config
+    return config.validate()
 
 
 def _load_profile(raw: str | None) -> dict:
+    """A profile given as a JSON object, or as the name of a file holding one."""
     if not raw:
         return {}
-    path = Path(raw)
-    text = path.read_text() if path.exists() else raw
+    text = raw
+    if not raw.lstrip().startswith("{"):
+        try:
+            text = Path(raw).read_text()
+        except OSError as exc:
+            raise ConfigError(f"profile is neither a JSON object nor a readable "
+                              f"file: {exc}") from exc
     try:
         profile = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -73,6 +81,10 @@ def _source(config):
 
 
 def cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise ParameterError(f"--n must be >= 1, got {args.n}")
+    if args.replication_seed is not None and args.replication_seed < 0:
+        raise ParameterError(f"--replication-seed must be >= 0, got {args.replication_seed}")
     config = _config_from_args(args)
     profile = _load_profile(args.profile) or dict(config.default_profile)
     opponent = _load_profile(args.opponent) or profile

@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
         self.settings.validate()
         self.sd_defaults.validate()
         self.spec_defaults.validate()
@@ -225,19 +227,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "master_seed": config.master_seed,
         "out_dir": config.out_dir,
         "jobs": config.jobs,
-        "run_length_days": s.run_length_days,
-        "dt": s.dt,
-        "agents": s.n_agents,
-        "network": {"m0": s.network_m0, "m": s.network_m,
-                    "population_seed": s.population_seed},
-        "per_capita_demand": s.per_capita_demand,
-        "marketing_period": s.marketing_period,
-        "initial_stock_fraction": s.initial_stock_fraction,
-        "deterministic_marketing": s.deterministic_marketing,
-        "fixed_share_split": s.fixed_share_split,
-        "sunk_cost_mode": s.sunk_cost_mode,
-        "warmup_days": s.warmup_days,
-        "truncate_warmup": s.truncate_warmup,
+        **{key: getattr(s, FIELD_NAMES.get(key, key)) for key in SETTINGS_KEYS},
+        "network": {key: getattr(s, FIELD_NAMES.get(key, key)) for key in NETWORK_KEYS},
         "market": dataclasses.asdict(s.market),
         "sd_defaults": dataclasses.asdict(config.sd_defaults),
         "company_defaults": {"mb_pct": config.spec_defaults.mb_pct,

@@ -64,6 +64,9 @@ def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
         raise ConfigError(f"payoff matrix {path} is empty")
     labels = rows[0][1:]
     n = len(labels)
+    if len(rows) != n + 1:
+        raise ConfigError(f"payoff matrix {path} has {len(rows) - 1} rows for "
+                          f"{n} strategies")
     space = StrategySpace([{"index": i} for i in range(n)], labels=labels,
                           symmetric=symmetric)
     game = EmpiricalGame(space)
@@ -72,17 +75,26 @@ def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
         if len(row) != n + 1:
             raise ConfigError(f"malformed payoff row {a} in {path}")
         for b, cell in enumerate(row[1:]):
-            per_player = []
-            for part in cell.split("|"):
-                mean_s, n_s, var_s = part.split(";")
-                per_player.append((float(mean_s), int(n_s), float(var_s)))
-            stats[(a, b)] = per_player
+            try:
+                stats[(a, b)] = _cell_stats(cell)
+            except ValueError:
+                raise ConfigError(f"malformed payoff cell {cell!r} at row {a}, "
+                                  f"column {b} in {path}") from None
     for (a, b), per_player in stats.items():
         if symmetric and a > b:
             continue
         p1, p2 = (_synthetic_samples(*stat) for stat in per_player)
         game.set_samples((a, b), p1, p2, stats=per_player)
     return game
+
+
+def _cell_stats(cell: str) -> list:
+    """Both players' ``(mean, n, variance)`` in a matrix cell; raises
+    ValueError when the cell is malformed."""
+    parts = [part.split(";") for part in cell.split("|")]
+    if len(parts) != 2 or any(len(part) != 3 for part in parts):
+        raise ValueError(cell)
+    return [(float(mean), int(count), float(var)) for mean, count, var in parts]
 
 
 def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:

@@ -6,17 +6,22 @@ steps and prices are re-set at the market level. Physical quantities
 (units produced, shipped, unit-days of inventory, ...) are accumulated so
 payoffs can be priced with any cost-rate vector afterwards.
 
-All replications of a call run in lockstep, one day at a time. One market
-call advances every row each day. The supply chains and pricing advance the
-whole call together, at one of two widths: from ``WIDE`` rows on, both
-companies of every row are one stacked :class:`SDState` of (rows, 2)
-arrays, stepped by one array step and one array pricing step per sub-step;
-below it, where the array step's fixed cost of 100-200 us per sub-step
-outweighs the 2.6 us of a plain-float company step, each replication steps
-its two companies and its pricing in plain floats. Both kernels perform the
-same float operations in the same order. Replications share nothing but
-the population, so every output depends on its pair and seed alone; results
-do not depend on the sample count ``n``, the width or the kernel.
+All replications of a call run in lockstep, one day at a time, held by one
+row-state class: every row's prices, market-price band, RNG streams and
+accumulators are one list or array entry per row, whatever the width. Each
+day one market call advances every row, then the supply chains and pricing
+of every row run the day's sub-steps. Only the sub-step body depends on the
+row count: from ``WIDE`` rows on, both companies of every row are one
+stacked :class:`SDState` of (rows, 2) arrays, stepped by one array step and
+one array pricing step per sub-step; below it, where the array step's fixed
+cost of 100-200 us per sub-step outweighs the 2.6 us of a plain-float
+company step, each replication steps its two companies and its pricing in
+plain floats. Both bodies perform the same float operations in the same
+order. :func:`estimate_payoffs` splits its rows once, into passes of at
+most ``PASS_ROWS`` rows run in process or on a worker pool. Replications
+share nothing but the population, so every output depends on its pair and
+seed alone; results do not depend on the sample count ``n``, the width,
+the body or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -163,11 +168,11 @@ _network_cache: dict = {}
 # per sub-step for the whole call; fewer rows step in plain floats, one
 # company at a time. An array step costs 100-200 us whatever the width up to
 # a few dozen rows, a plain-float company step about 2.6 us; at 20 rows the
-# two kernels measured even per replication.
+# two sub-step bodies measured even per replication.
 WIDE = 20
 
-# Rows per kernel pass when only payoffs are wanted: bounds the daily series
-# held at once, whatever the number of rows.
+# Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a
+# process holds at once, whatever the number of rows.
 PASS_ROWS = 512
 
 SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
@@ -187,16 +192,6 @@ def _period_draw(rng, lo, hi, deterministic):
     if deterministic:
         return (lo + hi) / 2.0
     return rng.uniform(lo, hi)
-
-
-def _noise_draws(rng, p: SDParams) -> NoiseDraws:
-    if not (p.sigma_wip > 0 or p.sigma_prod > 0 or p.sigma_order > 0 or p.sigma_inv > 0):
-        return ZERO_NOISE
-    return NoiseDraws(
-        wip=rng.normal(0, p.sigma_wip) if p.sigma_wip > 0 else 0.0,
-        prod=rng.normal(0, p.sigma_prod) if p.sigma_prod > 0 else 0.0,
-        order=rng.normal(0, p.sigma_order) if p.sigma_order > 0 else 0.0,
-        inv=rng.normal(0, p.sigma_inv) if p.sigma_inv > 0 else 0.0)
 
 
 def _setup(specs, settings: SimulationSettings):
@@ -233,142 +228,31 @@ def _streams(seed, mirror):
     return np.random.default_rng(child[0]), rngs
 
 
-def _truncate(obj, rows: int) -> None:
-    """Keep only the first ``rows`` entries of every attribute of ``obj``."""
-    for name, value in list(vars(obj).items()):
-        setattr(obj, name, value[:rows])
+class _Rows:
+    """Every row of a kernel pass: its spec pair, RNG streams, prices,
+    market-price band, noisy companies and accumulators, each one list or
+    array entry per row, plus the two companies' supply chains.
 
-
-class _Narrow:
-    """The narrow kernel: each row's spec pair, RNG streams, two companies
-    and pricing state in plain floats, and its accumulators. Every attribute
-    holds one entry per row."""
-
-    def __init__(self, rows, settings, mirror):
-        self.specs = [setup[0] for setup, _ in rows]
-        self.params = [setup[1] for setup, _ in rows]
-        self.sd = [[replace(state) for state in setup[2]] for setup, _ in rows]
-        self.bounds = [setup[3] for setup, _ in rows]
-        self.seeds = [seed for _, seed in rows]
-        streams = [_streams(seed, mirror) for seed in self.seeds]
-        self.tie_rngs = [tie for tie, _ in streams]
-        self.rngs = [rngs for _, rngs in streams]
-        self.prices = [(specs[0].sd.mfg_price, specs[1].sd.mfg_price)
-                       for specs in self.specs]
-        self.pricing = [PricingState(mp=(p[0] + p[1]) / 2.0) for p in self.prices]
-        # per company: revenue, units produced, purchased and shipped,
-        # inventory and backlog unit-days, marketing spend, own sunk cost
-        self.totals = [[[0.0] * 8 for _ in COMPANIES] for _ in rows]
-        self.period_revenue = [[0.0, 0.0] for _ in rows]
-        self.sunk_total = [0.0] * len(rows)
-        days = settings.run_length_days
-        self.daily = [np.empty((days, 2 * len(SERIES))) for _ in rows]  # SERIES order
-
-    @property
-    def rows(self) -> int:
-        return len(self.seeds)
-
-    def start_period(self, day, settings):
-        """Budgets and advertising and promotion levels of a marketing period."""
-        det = settings.deterministic_marketing
-        mb, ad, pm = [], [], []
-        for r, (specs, rngs) in enumerate(zip(self.specs, self.rngs)):
-            if day == 0:
-                mb.append([specs[i].mb_pct * self.prices[r][i] * settings.total_order_rate
-                           * settings.marketing_period for i in COMPANIES])
-            else:
-                mb.append([specs[i].mb_pct * self.period_revenue[r][i] for i in COMPANIES])
-            self.period_revenue[r] = [0.0, 0.0]
-            ad.append([_period_draw(rngs[i], *specs[i].ad_range, det) for i in COMPANIES])
-            pm.append([_period_draw(rngs[i], *specs[i].pm_range, det) for i in COMPANIES])
-        return np.array(mb), np.array(ad), np.array(pm)
-
-    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
-        """Every row through one day; returns ``(row, error)`` for the row
-        that diverged, after dropping it and every later row, or None."""
-        shares, spend_rate = shares.tolist(), spend_rate.tolist()
-        for r, sd in enumerate(self.sd):
-            params, prices, pricing = self.params[r], self.prices[r], self.pricing[r]
-            totals, period_revenue, share = self.totals[r], self.period_revenue[r], shares[r]
-            orders = (tor * share[0], tor * share[1])
-            noises = [_noise_draws(self.rngs[r][i], params[i]) for i in COMPANIES]
-            if collect:
-                totals[0][6] += spend_rate[r][0]    # one day's worth
-                totals[1][6] += spend_rate[r][1]
-            try:
-                for _ in range(substeps):
-                    for i in COMPANIES:
-                        s = step_company(sd[i], params[i], orders[i], noises[i], dt)
-                        income = s.ship_r * prices[i] * dt
-                        if collect:
-                            t = totals[i]
-                            t[0] += income
-                            t[1] += s.prod_br * dt
-                            t[2] += s.rm_order_r * dt
-                            t[3] += s.ship_r * dt
-                            t[4] += s.inv * dt
-                            t[5] += s.backlog * dt
-                        period_revenue[i] += income
-                    prices, pricing = step_pricing(prices, pricing, params,
-                                                   (sd[0].inv_cov, sd[1].inv_cov),
-                                                   dt=dt, mp_bounds=self.bounds[r])
-                    sd[0].price, sd[1].price = prices
-            except StateError as exc:
-                _truncate(self, r)
-                return r, exc
-            self.prices[r] = prices
-            s0, s1 = sd
-            self.daily[r][day] = (prices[0], prices[1], s0.inv, s1.inv, s0.backlog,
-                                  s1.backlog, s0.ship_r, s1.ship_r, share[0], share[1],
-                                  s0.labor, s1.labor, s0.wip, s1.wip)
-        return None
-
-    def close_period(self, mb, inter):
-        """Sunk interaction cost of a finished marketing period."""
-        for r, totals in enumerate(self.totals):
-            self.sunk_total[r] += max(0.0, sunk_cost(mb[r], inter[r]))
-            for i in COMPANIES:
-                totals[i][7] += max(0.0, mb[r][i] * inter[r][i])
-
-    def outputs(self, settings) -> list:
-        outputs = []
-        for r, seed in enumerate(self.seeds):
-            daily = self.daily[r].reshape(len(self.daily[r]), len(SERIES), 2)
-            t = np.array(self.totals[r]).T.copy()
-            outputs.append(ReplicationOutput(
-                seed=seed, run_length=settings.run_length_days,
-                warmup=settings.warmup_days,
-                series={name: daily[:, k] for k, name in enumerate(SERIES)},
-                revenue=t[0], units_produced=t[1], units_purchased=t[2],
-                units_shipped=t[3], inv_unit_days=t[4], backlog_unit_days=t[5],
-                marketing_spend=t[6], sunk_own=t[7], sunk_total=self.sunk_total[r]))
-        return outputs
-
-
-class _Wide:
-    """The wide kernel: both companies of every row held as (rows, 2) arrays
-    and advanced by one array step and one array pricing step per sub-step.
-
-    The noise and marketing draws stay per-row scalar calls on each row's
-    own generators, in the narrow kernel's order.
+    Only a day's sub-steps depend on the width, fixed for the pass: from
+    ``WIDE`` rows on the supply chains are one stacked :class:`SDState` of
+    (rows, 2) arrays, advanced by one array step and one array pricing step
+    per sub-step; below it each row steps its two companies and its pricing
+    in plain floats. Both bodies perform the same float operations in the
+    same order.
     """
 
-    def __init__(self, rows, settings, mirror):
-        distinct = {}
-        for setup, _ in rows:
-            distinct.setdefault(id(setup), (len(distinct), setup))
-        index = np.array([distinct[id(setup)][0] for setup, _ in rows])
-        setups = [setup for _, setup in distinct.values()]
-        self.p = SDParamRows([setup[1] for setup in setups], index)
-        self.s = SDState.stacked([setup[2] for setup in setups], index)
-        self.pricing = PricingState(mp=(self.s.price[:, 0] + self.s.price[:, 1]) / 2.0)
-        bounds = np.array([setup[3] for setup in setups])[index]
-        self.bounds = (bounds[:, 0], bounds[:, 1])
+    def __init__(self, setups, index, seeds, settings, mirror):
+        n = len(seeds)
+        self.seeds = list(seeds)
         self.specs = [setups[k][0] for k in index]
-        self.mb_pct = np.array([[s.mb_pct for s in specs] for specs in self.specs])
-        streams = [_streams(seed, mirror) for _, seed in rows]
+        streams = [_streams(seed, mirror) for seed in seeds]
         self.tie_rngs = [tie for tie, _ in streams]
         self.rngs = [rngs for _, rngs in streams]
+        self.mb_pct = np.array([[spec.mb_pct for spec in specs] for specs in self.specs])
+        self.prices = np.array([[spec.sd.mfg_price for spec in specs]
+                                for specs in self.specs])
+        self.pricing = PricingState(mp=(self.prices[:, 0] + self.prices[:, 1]) / 2.0)
+        self.bounds = np.array([setup[3] for setup in setups])[index]
         self.noisy = []     # (row, company, sigmas) of each noisy company
         for r, specs in enumerate(self.specs):
             for i, spec in enumerate(specs):
@@ -376,37 +260,45 @@ class _Wide:
                 sigmas = (sd.sigma_wip, sd.sigma_prod, sd.sigma_order, sd.sigma_inv)
                 if any(sigma > 0 for sigma in sigmas):
                     self.noisy.append((r, i, sigmas))
-        self.seeds = [seed for _, seed in rows]
-        n = len(rows)
-        self.totals = np.zeros((8, n, 2))     # the narrow kernel's totals order
+        # per company: revenue, units produced, purchased and shipped,
+        # inventory and backlog unit-days, marketing spend, own sunk cost
+        self.totals = np.zeros((8, n, 2))
         self.period_revenue = np.zeros((n, 2))
         self.sunk_total = [0.0] * n
         self.daily = np.empty((settings.run_length_days, len(SERIES), n, 2))
+        self.wide = n >= WIDE
+        if self.wide:
+            self.p = SDParamRows([setup[1] for setup in setups], index)
+            self.s = SDState.stacked([setup[2] for setup in setups], index)
+            self.s.price = self.prices     # stepped in place by the array pricing
+        else:
+            self.params = [setups[k][1] for k in index]
+            self.sd = [[replace(state) for state in setups[k][2]] for k in index]
 
     @property
     def rows(self) -> int:
         return len(self.seeds)
 
-    @property
-    def prices(self):
-        return self.s.price
-
     def truncate(self, rows: int) -> None:
         """Keep only the first ``rows`` rows."""
-        _truncate(self.s, rows)
-        self.p.truncate(rows)
-        self.pricing.mp = self.pricing.mp[:rows]
-        self.bounds = tuple(b[:rows] for b in self.bounds)
-        for name in ("specs", "mb_pct", "tie_rngs", "rngs", "seeds",
-                     "period_revenue", "sunk_total"):
+        for name in ("seeds", "specs", "tie_rngs", "rngs", "mb_pct", "prices",
+                     "bounds", "period_revenue", "sunk_total"):
             setattr(self, name, getattr(self, name)[:rows])
+        self.pricing.mp = self.pricing.mp[:rows]
         self.noisy = [entry for entry in self.noisy if entry[0] < rows]
         self.totals = self.totals[:, :rows]
         self.daily = self.daily[:, :, :rows]
+        if self.wide:
+            for name, value in list(vars(self.s).items()):
+                setattr(self.s, name, value[:rows])
+            self.p.truncate(rows)
+        else:
+            self.sd, self.params = self.sd[:rows], self.params[:rows]
 
     def start_period(self, day, settings):
+        """Budgets and advertising and promotion levels of a marketing period."""
         if day == 0:
-            mb = (self.mb_pct * self.s.price * settings.total_order_rate
+            mb = (self.mb_pct * self.prices * settings.total_order_rate
                   * settings.marketing_period)
         else:
             mb = self.mb_pct * self.period_revenue
@@ -420,9 +312,11 @@ class _Wide:
         return mb, ad, pm
 
     def _noise(self):
+        """The day's noise draws, (4, rows, 2) in :class:`NoiseDraws` field
+        order, or None when no company is noisy."""
         if not self.noisy:
             return None
-        draws = np.zeros((4, self.rows, 2))     # NoiseDraws field order
+        draws = np.zeros((4, self.rows, 2))
         for r, i, sigmas in self.noisy:
             rng = self.rngs[r][i]
             for k, sigma in enumerate(sigmas):
@@ -433,11 +327,15 @@ class _Wide:
     def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
         """Every row through one day; returns ``(row, error)`` for the lowest
         row that diverged, after dropping it and every later row, or None."""
-        s, p = self.s, self.p
-        orders = tor * shares
-        draws = self._noise()
         if collect:
             self.totals[6] += spend_rate     # one day's worth
+        body = self._array_steps if self.wide else self._float_steps
+        return body(day, tor * shares, shares, self._noise(), collect, dt, substeps)
+
+    def _array_steps(self, day, orders, shares, draws, collect, dt, substeps):
+        """A day's sub-steps of every row at once, then the day's ``SERIES``
+        of the rows left; returns the failure as :meth:`advance_day`."""
+        s, p = self.s, self.p
         failure = None
         for _ in range(substeps):
             noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
@@ -458,7 +356,7 @@ class _Wide:
             self.period_revenue += income
             try:
                 step_pricing(s.price, self.pricing, p, s.inv_cov, dt=dt,
-                             mp_bounds=self.bounds)
+                             mp_bounds=(self.bounds[:, 0], self.bounds[:, 1]))
             except StateError as exc:
                 if failed is None or exc.row < failed.row:
                     failed = exc
@@ -466,17 +364,67 @@ class _Wide:
                 row = failed.row
                 failure = (row, failed)
                 self.truncate(row)
-                if not row:
-                    return failure
                 orders, shares = orders[:row], shares[:row]
                 if draws is not None:
                     draws = draws[:, :row]
-        d = self.daily[day]
-        d[0], d[1], d[2], d[3] = s.price, s.inv, s.backlog, s.ship_r
-        d[4], d[5], d[6] = shares, s.labor, s.wip
+                if not row:
+                    break
+        self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
+        return failure
+
+    def _float_steps(self, day, orders, shares, draws, collect, dt, substeps):
+        """As :meth:`_array_steps`, one row at a time in plain floats read
+        from and written back to the row arrays."""
+        orders, shares, bounds = orders.tolist(), shares.tolist(), self.bounds.tolist()
+        if draws is None:
+            noises = [(ZERO_NOISE, ZERO_NOISE)] * self.rows
+        else:
+            noises = [[NoiseDraws(*d) for d in row]
+                      for row in np.moveaxis(draws, 0, -1).tolist()]
+        prices, mps = self.prices.tolist(), self.pricing.mp.tolist()
+        totals = self.totals.transpose(1, 2, 0).tolist()
+        revenue = self.period_revenue.tolist()
+        ends, failure = [], None
+        for r, (sd, params) in enumerate(zip(self.sd, self.params)):
+            price, period_revenue = prices[r], revenue[r]
+            pricing = PricingState(mp=mps[r])
+            try:
+                for _ in range(substeps):
+                    for i in COMPANIES:
+                        s = step_company(sd[i], params[i], orders[r][i], noises[r][i], dt)
+                        income = s.ship_r * price[i] * dt
+                        if collect:
+                            t = totals[r][i]
+                            t[0] += income
+                            t[1] += s.prod_br * dt
+                            t[2] += s.rm_order_r * dt
+                            t[3] += s.ship_r * dt
+                            t[4] += s.inv * dt
+                            t[5] += s.backlog * dt
+                        period_revenue[i] += income
+                    price, pricing = step_pricing(price, pricing, params,
+                                                  (sd[0].inv_cov, sd[1].inv_cov),
+                                                  dt=dt, mp_bounds=bounds[r])
+            except StateError as exc:
+                failure = (r, exc)
+                break
+            prices[r], mps[r] = price, pricing.mp
+            s0, s1 = sd
+            ends.append((price, (s0.inv, s1.inv), (s0.backlog, s1.backlog),
+                         (s0.ship_r, s1.ship_r), shares[r], (s0.labor, s1.labor),
+                         (s0.wip, s1.wip)))
+        self.prices[:] = prices
+        self.pricing.mp[:] = mps
+        self.totals.transpose(1, 2, 0)[:] = totals
+        self.period_revenue[:] = revenue
+        if ends:    # the rows that finished the day
+            self.daily[day].transpose(1, 0, 2)[:len(ends)] = ends
+        if failure is not None:
+            self.truncate(failure[0])
         return failure
 
     def close_period(self, mb, inter):
+        """Sunk interaction cost of a finished marketing period."""
         for r in range(self.rows):
             self.sunk_total[r] += max(0.0, sunk_cost(mb[r], inter[r]))
         x = mb * inter
@@ -494,25 +442,24 @@ class _Wide:
             for r, seed in enumerate(self.seeds)]
 
 
-def _run_rows(rows, settings: SimulationSettings, mirror: bool) -> list:
-    """Replications of ``rows``, (setup, seed) pairs from :func:`_setup`, one
-    lockstep day at a time.
+def _run_rows(setups, index, seeds, settings: SimulationSettings,
+              mirror: bool) -> list:
+    """Replications of ``seeds``, row ``r`` under ``setups[index[r]]`` (from
+    :func:`_setup`), one lockstep day at a time.
 
-    Rows may belong to different spec pairs: every input is per row. Each
-    day one market call advances every row; then the supply chains and
-    pricing of every row advance, as arrays from ``WIDE`` rows on and in
-    plain floats below. A replication that diverges ends the run for itself
-    and every later one; the call then raises for the lowest-index
-    replication that diverged.
+    Each day one market call advances every row, then the supply chains and
+    pricing of every row advance. A replication that diverges ends the run
+    for itself and every later one; the call then raises for the
+    lowest-index replication that diverged.
     """
     tor = settings.total_order_rate
     dt = settings.dt
     substeps = max(1, round(1.0 / dt))
     period = settings.marketing_period
-    chain = (_Wide if len(rows) >= WIDE else _Narrow)(rows, settings, mirror)
     pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
     market = ConsumerMarket(_population(settings), settings.market, pop_rng,
-                            replications=len(rows))
+                            replications=len(seeds))
+    chain = _Rows(setups, index, seeds, settings, mirror)
     mk = market.marketing
     fixed = settings.fixed_share_split
     failure = None
@@ -535,7 +482,7 @@ def _run_rows(rows, settings: SimulationSettings, mirror: bool) -> list:
     if failure is not None:
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",
-                               day=day, seed=rows[r][1], index=r) from exc
+                               day=day, seed=seeds[r], index=r) from exc
     return chain.outputs(settings)
 
 
@@ -571,13 +518,13 @@ def run_replication(specs, settings: SimulationSettings, seed,
     settings.validate()
     single = isinstance(seed, (int, np.integer))
     seeds = [seed] if single else list(seed)
-    setups = {}     # one setup per distinct pair object
-    rows = []
-    for pair, s in zip(_per_seed(specs, len(seeds)), seeds):
-        if id(pair) not in setups:
-            setups[id(pair)] = _setup(pair, settings)
-        rows.append((setups[id(pair)], s))
-    outputs = _run_rows(rows, settings, mirror)
+    setups, index, known = [], [], {}     # one setup per distinct pair object
+    for pair in _per_seed(specs, len(seeds)):
+        if id(pair) not in known:
+            known[id(pair)] = len(setups)
+            setups.append(_setup(pair, settings))
+        index.append(known[id(pair)])
+    outputs = _run_rows(setups, np.array(index), seeds, settings, mirror)
     return outputs[0] if single else outputs
 
 
@@ -630,25 +577,11 @@ def replication_seeds(master_seed: int, profile_tag: int, n: int,
             for s in ss.spawn(start + n)[start:]]
 
 
-def _payoff_rows(specs, settings: SimulationSettings, rates: CostRates, seeds,
-                 mirror: bool) -> np.ndarray:
-    """Payoffs of one replication per seed, (len(seeds), 2), for one spec
-    pair per seed, computed in even kernel passes of at most ``PASS_ROWS``
-    rows so that only one pass's daily series are held."""
-    n = len(seeds)
-    passes = -(-n // PASS_ROWS)
-    bounds = [n * k // passes for k in range(passes + 1)]
-    payoffs = np.zeros((n, 2))
-    for lo, hi in zip(bounds, bounds[1:]):
-        try:
-            reps = run_replication(specs[lo:hi], settings, seeds[lo:hi], mirror=mirror)
-        except ReplicationError as exc:
-            exc.index += lo
-            raise
-        for j, rep in enumerate(reps, lo):
-            payoffs[j] = compute_payoff(rep, rates, settings.sunk_cost_mode)
-        del reps    # the pass's series are not kept while the next one runs
-    return payoffs
+def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,
+                  mirror: bool) -> np.ndarray:
+    """Payoffs of one kernel pass, (len(seeds), 2)."""
+    reps = run_replication(specs, settings, seeds, mirror=mirror)
+    return np.array([compute_payoff(rep, rates, settings.sunk_cost_mode) for rep in reps])
 
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
@@ -657,12 +590,14 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     """Run ``n`` independent replications and collect both players' payoffs.
 
     ``specs`` is one spec pair for every replication, or a sequence of ``n``
-    pairs, one per seed. Replications run in lockstep, mixing pairs; with
-    ``jobs`` > 1 the rows are split into ``jobs`` contiguous chunks run by as
-    many worker processes. The payoffs depend only on each row's pair and
-    seed, not on ``n``, the chunking or ``jobs``. A diverging replication
-    raises :class:`ReplicationError` with its position among the ``n`` rows
-    as ``index``.
+    pairs, one per seed. The rows are split once into even contiguous kernel
+    passes of at most ``PASS_ROWS`` rows, a multiple of ``jobs`` of them, so
+    that only one pass's daily series are held per process; with ``jobs`` >
+    1 the passes run on as many worker processes. Each pass runs its
+    replications in lockstep, mixing pairs. The payoffs depend only on each
+    row's pair and seed, not on ``n``, the passes or ``jobs``. A diverging
+    replication raises :class:`ReplicationError` with its position among the
+    ``n`` rows as ``index``.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
@@ -670,21 +605,22 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     if len(seeds) < n:
         raise ParameterError("not enough seeds supplied")
     specs = _per_seed(specs, n)
-    chunks = min(jobs, n)
-    bounds = [n * c // chunks for c in range(chunks + 1)]
+    passes = min(n, jobs * -(-n // (jobs * PASS_ROWS)))
+    bounds = [n * k // passes for k in range(passes + 1)]
     parts = [(specs[lo:hi], settings, rates, seeds[lo:hi], mirror)
              for lo, hi in zip(bounds, bounds[1:])]
     done = []
     try:
-        if chunks == 1:
-            done.append(_payoff_rows(*parts[0]))
+        if jobs == 1 or passes == 1:
+            for part in parts:
+                done.append(_pass_payoffs(*part))
         else:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=chunks) as pool:
-                for payoffs in pool.map(_payoff_rows, *zip(*parts)):
+            with ProcessPoolExecutor(max_workers=min(jobs, passes)) as pool:
+                for payoffs in pool.map(_pass_payoffs, *zip(*parts)):
                     done.append(payoffs)
     except ReplicationError as exc:
-        exc.index += bounds[len(done)]    # map yields in chunk order
+        exc.index += bounds[len(done)]    # passes finish in order
         raise
     return PayoffSampleSet(payoffs=np.concatenate(done), seeds=seeds)
 

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 from duogame.cli import main
 from duogame.config import config_from_dict, config_to_dict, default_config, load_config
 from duogame.errors import ConfigError
+from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
 
@@ -232,6 +234,25 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(desk_config), "--n", "2",
                      "--replication-seed", "12345", "--out", str(out)]) == 2
 
+    def test_long_profile_is_json_not_a_file_name(self, desk_config, tmp_path):
+        # all fourteen detailed factors, as a gsa failure from iteration 1 on
+        # names them: longer than a file name may be
+        raw = json.dumps({name: "H" for name in FACTORS})
+        assert len(raw.encode()) == 352
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(desk_config), "--profile", raw,
+                     "--opponent", raw, "--replication-seed", "7",
+                     "--out", str(out)]) == 0
+        record = json.loads((out / "payoffs.json").read_text())
+        assert record["profile"] == json.loads(raw)
+        # a file holding the profile reads the same
+        path = tmp_path / "profile.json"
+        path.write_text(raw)
+        assert main(["simulate", "--config", str(desk_config), "--profile", str(path),
+                     "--replication-seed", "7", "--out", str(tmp_path / "f")]) == 0
+        assert (tmp_path / "f" / "payoffs.json").read_bytes() == \
+            (out / "payoffs.json").read_bytes()
+
     def test_replays_gsa_failure(self, tmp_path, capsys):
         # without the price band the asymmetric manufacturing profile runs
         # away first, in the first of its replications
@@ -255,6 +276,18 @@ class TestSimulateCommand:
                          "--opponent", col, "--replication-seed", seed,
                          "--out", str(tmp_path / "s")]) == 3
         assert capsys.readouterr().err.strip() == f"runtime error: {failure}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--jobs", "0"], ["gsa", "--jobs", "0"], ["simulate", "--seed", "-1"],
+    ["simulate", "--n", "-1"], ["simulate", "--n", "0"],
+    ["simulate", "--replication-seed", "-1"]],
+    ids=["estimate-jobs", "gsa-jobs", "seed", "n-negative", "n-zero", "replication-seed"])
+def test_bad_override_exits_2_before_any_output(desk_config, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(desk_config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -380,6 +413,25 @@ class TestSolveAndStability:
                      "--solution", solution]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --solution") and solution in err
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    @pytest.mark.parametrize("cell, where", [
+        ("abc", "at row 1, column 0"), ("2.0;2|3.0;2;0.1", "at row 1, column 0"),
+        (None, "has 1 rows for 2 strategies")], ids=["text", "short-part", "missing-row"])
+    def test_malformed_matrix_is_validation_error(self, tmp_path, capsys, command,
+                                                  cell, where):
+        path = self.make_matrix(tmp_path)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        if cell is None:
+            rows.pop()
+        else:
+            rows[2][1] = cell
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        steps = ["--steps", "20"] if command == "stability" else []
+        assert main([command, "--game", str(path), *steps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and str(path) in err
 
     def test_missing_matrix_is_validation_error(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "none.csv")]) == 2

@@ -4,10 +4,11 @@ small ``gsa`` run.
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
 cover the kernel's branches: a market sub-block boundary, the saturated
 price band with tie-breaks, all four noise draws and mirrored runs; each
-pin holds for the plain-float and the array kernel alike. The
+pin holds for the plain-float and the array sub-step body alike. The
 stability classes of a seeded 16-strategy game pin the ``resample`` stream,
-and ``tests/golden/`` holds the config and output hashes of a one-iteration
-``gsa`` run on four two-level factors. A pin may change only for a stated
+and ``tests/golden/`` holds the config and output hashes (payoff matrix,
+iteration report, solution trace) of a one-iteration ``gsa`` run on four
+two-level factors. A pin may change only for a stated
 reason, such as a changed RNG protocol.
 """
 
@@ -92,8 +93,8 @@ def test_payoff_pin(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payoff_pin_other_kernel(name, monkeypatch):
-    # the same pins through the kernel that the row count does not pick:
-    # plain floats for the 70-row case, arrays for the 6-row ones
+    # the same pins through the sub-step body that the row count does not
+    # pick: plain floats for the 70-row case, arrays for the 6-row ones
     n = CASES[name][2]
     monkeypatch.setattr(runner, "WIDE", n + 1 if n >= runner.WIDE else 1)
     check_payoff_pin(name)
@@ -146,11 +147,13 @@ def check_small_gsa_run(out, *args):
     pins = json.loads((GOLDEN / "small_gsa_hashes.json").read_text())
     assert main(["gsa", "--config", str(GOLDEN / "small_gsa_config.json"),
                  "--out", str(out), *args]) == 0
-    matrix = (out / "payoff_matrix_00.csv").read_bytes()
     report = json.loads((out / "iteration_00.json").read_text())
     report["report"].pop("runtime_seconds")
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(matrix).hexdigest() == pins["payoff_matrix_00.csv"]
+    # the solution trace is one replication, the only output of the
+    # plain-float sub-step body whose daily series are pinned
+    for name in ("payoff_matrix_00.csv", "solution_trace_00.csv"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == pins[name]
     assert hashlib.sha256(text.encode()).hexdigest() == pins["iteration_00.json"]
 
 

@@ -111,6 +111,10 @@ class TestRunReplication:
         with pytest.raises(ParameterError):
             run_replication((CompanySpec(mb_pct=1.5), CompanySpec()), settings, 0)
 
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ParameterError, match="replications must be >= 1"):
+            run_replication(default_specs(), SimulationSettings(), [])
+
     def test_mirrored_runs_swap_exactly(self):
         a, b = pricing_asymmetric_specs()
         a.sd.sigma_order = 5.0
@@ -441,15 +445,19 @@ class TestKernelWidths:
                 assert same(getattr(wide, name), getattr(narrow, name)), (j, name)
 
     def test_both_kernels_reached(self, monkeypatch):
-        made = []
-        for cls in (runner._Narrow, runner._Wide):
-            def record(self, *args, _init=cls.__init__, _name=cls.__name__):
-                made.append(_name)
-                _init(self, *args)
-            monkeypatch.setattr(cls, "__init__", record)
+        # each sub-step body runs on its own side of WIDE, once a day
+        calls = []
+        for name in ("_float_steps", "_array_steps"):
+            def record(self, *args, _body=getattr(runner._Rows, name), _name=name):
+                calls.append((_name, self.rows))
+                return _body(self, *args)
+            monkeypatch.setattr(runner._Rows, name, record)
+        days = self.SETTINGS.run_length_days
         run_replication(default_specs(), self.SETTINGS, [1] * (runner.WIDE - 1))
+        assert calls == [("_float_steps", runner.WIDE - 1)] * days
+        calls.clear()
         run_replication(default_specs(), self.SETTINGS, [1] * runner.WIDE)
-        assert made == ["_Narrow", "_Wide"]
+        assert calls == [("_array_steps", runner.WIDE)] * days
 
 
 class TestWideDivergence:
@@ -575,6 +583,25 @@ class TestEstimatePayoffs:
         fwd = estimate_payoffs(default_specs(), settings, CostRates(), 3, seeds)
         rev = estimate_payoffs(default_specs(), settings, CostRates(), 3, seeds[::-1])
         assert sorted(fwd.payoffs[:, 0]) == pytest.approx(sorted(rev.payoffs[:, 0]))
+
+    def test_passes_agree_across_jobs_and_report_global_index(self):
+        # more than two passes' worth of short rows: four passes at jobs 2
+        settings = SimulationSettings(run_length_days=3)
+        n = 2 * runner.PASS_ROWS + 50
+        pairs = mixed_pairs()
+        specs = [pairs[j % len(pairs)] for j in range(n)]
+        seeds = replication_seeds(11, 0, n)
+        one, two = (estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
+                    for jobs in (1, 2))
+        assert np.array_equal(one.payoffs, two.payoffs)
+        # an infinite initial WIP diverges on day 0, here in the last pass
+        j = n - 7
+        specs[j] = (CompanySpec(sd=SDParams(cycle_time=1e308)), CompanySpec())
+        for jobs in (1, 2):
+            with np.errstate(all="ignore"):
+                with pytest.raises(ReplicationError) as err:
+                    estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
+            assert (err.value.index, err.value.seed, err.value.day) == (j, seeds[j], 0)
 
 
 class TestWarmup:
