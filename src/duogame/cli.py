@@ -167,8 +167,8 @@ def cmd_gsa(args) -> int:
                      jobs=config.jobs, stability_seed=config.master_seed + 1,
                      checkpoints=store)
 
-    for report, game, plan, baseline in zip(result.reports, result.games,
-                                            result.plans, result.baselines):
+    for report, game, baseline in zip(result.reports, result.games,
+                                      result.baselines):
         write_iteration_report(report, out_dir / f"iteration_{report.index:02d}.json")
         write_payoff_matrix(game, out_dir / f"payoff_matrix_{report.index:02d}.csv")
         solution = dict(report.solution["labels"][0])

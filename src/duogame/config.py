@@ -107,7 +107,7 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _plan_from_dict(entry: dict, max_strategies: int = 16) -> FactorPlan:
+def _plan_from_dict(entry: dict) -> FactorPlan:
     if "factors" not in entry:
         raise ConfigError("schedule entries need a 'factors' list")
     factors = []
@@ -117,8 +117,7 @@ def _plan_from_dict(entry: dict, max_strategies: int = 16) -> FactorPlan:
         else:
             _reject_unknown(f, {"name", "levels"}, "schedule factor")
             factors.append(PlanFactor(f["name"], tuple(f.get("levels", ("L", "H")))))
-    return FactorPlan(factors, g=int(entry.get("g", 1)),
-                      max_strategies=max_strategies)
+    return FactorPlan(factors, g=int(entry.get("g", 1)))
 
 
 def _plan_to_dict(plan: FactorPlan) -> dict:

@@ -19,6 +19,8 @@ from .runner import CompanySpec
 from .supply_chain import SDParams
 
 LEVEL_LABELS = ("L", "ML", "MH", "H")
+# strategies per player in one iteration's design
+MAX_STRATEGIES = 16
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,6 @@ class FactorPlan:
 
     factors: list
     g: int = 1
-    max_strategies: int = 16
 
     def level_count(self) -> int:
         counts = {len(f.levels) for f in self.factors}
@@ -122,15 +123,15 @@ class FactorPlan:
 
     def design(self) -> np.ndarray:
         return design_for(len(self.factors), self.level_count(),
-                          max_runs=self.max_strategies)
+                          max_runs=MAX_STRATEGIES)
 
     def strategy_labels(self) -> list:
         """One dict of factor -> level label per design row."""
         design = self.design()
-        if design.shape[0] > self.max_strategies:
+        if design.shape[0] > MAX_STRATEGIES:
             raise DesignError(
                 f"{design.shape[0]} strategies exceed the budget of "
-                f"{self.max_strategies}")
+                f"{MAX_STRATEGIES}")
         out = []
         for row in design:
             out.append({f.name: f.levels[code]
@@ -177,21 +178,18 @@ def refine_plan(plan: FactorPlan, effects, g: int | None = None) -> RefineResult
             else:
                 new_factors.append(PlanFactor(f.name, f.levels))
         next_g = 1 if decomposed else 2
-        new_plan = FactorPlan(_fit_budget(new_factors, by_name, 2),
-                              g=next_g, max_strategies=plan.max_strategies)
+        new_plan = FactorPlan(_fit_budget(new_factors, by_name, 2), g=next_g)
         return RefineResult(plan=new_plan)
 
     # g == 2: densify levels
     if all(len(f.levels) == 4 for f in plan.factors):
         return RefineResult(plan=None, terminated=True)
     dense = [PlanFactor(f.name, LEVEL_LABELS) for f in plan.factors]
-    new_plan = FactorPlan(_fit_budget(dense, by_name, 4), g=2,
-                          max_strategies=plan.max_strategies)
+    new_plan = FactorPlan(_fit_budget(dense, by_name, 4), g=2)
     return RefineResult(plan=new_plan)
 
 
-def _fit_budget(factors: list, by_name: dict, levels: int,
-                max_strategies: int = 16) -> list:
+def _fit_budget(factors: list, by_name: dict, levels: int) -> list:
     """Drop the weakest factors until a 16-run design can host the rest."""
     cap = 8 if levels == 2 else 5
     if len(factors) <= cap:

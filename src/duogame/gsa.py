@@ -132,9 +132,7 @@ class GsaIterationReport:
 class GsaResult:
     reports: list
     games: list
-    plans: list
     baselines: list
-    solution_samples: list         # pooled per-iteration solution payoffs
 
 
 def profile_tag(iteration: int, a: int, b: int) -> int:
@@ -165,9 +163,9 @@ class SimulationPayoffSource:
         specs = [pair for pair in pairs for _ in range(n)]
         seeds = [seed for tag in tags
                  for seed in replication_seeds(self.master_seed, tag, n, start=start)]
-        sample = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
-                                  seeds, jobs=jobs)
-        return sample.payoffs.reshape(len(pairs), n, 2)
+        payoffs = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
+                                   seeds, jobs=jobs)
+        return payoffs.reshape(len(pairs), n, 2)
 
 
 def _replay_labels(labels: dict, baseline: dict) -> dict:
@@ -431,7 +429,7 @@ def _solution_profile(game: EmpiricalGame, equilibria):
 def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
             gsa: GsaSettings | None = None, schedule=None,
             baseline: dict | None = None, jobs: int = 1,
-            stability_seed: int = 1, on_iteration=None,
+            stability_seed: int = 1,
             checkpoints=None) -> GsaResult:
     """Execute the full loop and return per-iteration reports.
 
@@ -444,8 +442,8 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     gsa = (gsa or GsaSettings()).validate()
     policy.validate()
     baseline = dict(baseline or {})
-    reports, games, plans, baselines = [], [], [], []
-    solution_samples = []
+    reports, games, baselines = [], [], []
+    solution_samples = []         # pooled per-iteration solution payoffs
 
     iteration = 0
     current = plan
@@ -458,7 +456,6 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
             effects = [FactorEffect(**e) for e in report.effects]
             reports.append(report)
             games.append(game)
-            plans.append(current)
             baselines.append(dict(baseline))
             solution_samples.append(np.concatenate(
                 [game.samples(solution, 0), game.samples(solution, 1)]))
@@ -525,10 +522,7 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
                 runtime_seconds=time.perf_counter() - t0)
             reports.append(report)
             games.append(game)
-            plans.append(current)
             baselines.append(dict(baseline))
-            if on_iteration is not None:
-                on_iteration(report, game)
 
             # freeze every active factor at the solution's row-strategy level
             solution_labels = labels[solution[0]]
@@ -549,5 +543,4 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
         # the iteration budget ran out before refinement finished
         reports[-1].truncated = True
 
-    return GsaResult(reports=reports, games=games, plans=plans,
-                     baselines=baselines, solution_samples=solution_samples)
+    return GsaResult(reports=reports, games=games, baselines=baselines)

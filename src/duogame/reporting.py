@@ -22,6 +22,7 @@ from .game import EmpiricalGame, StrategySpace
 
 TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
                 "labor", "wip"]
+TRACE_SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
 
 
 def _cell(game: EmpiricalGame, a: int, b: int) -> str:
@@ -100,39 +101,26 @@ def _cell_stats(cell: str) -> list:
 def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:
     if count <= 1 or variance <= 0:
         return np.full(max(count, 1), mean)
-    # symmetric two-point set reproducing the mean and ddof=1 variance
-    spread = np.sqrt(variance * (count - 1) / count)
+    # symmetric two-point set reproducing the mean and ddof=1 variance; an
+    # odd count leaves its middle sample at the mean
+    k = count // 2
+    spread = np.sqrt(variance * (count - 1) / (2 * k))
     out = np.full(count, mean)
-    half = count // 2
-    out[:half] += spread
-    out[count - half:] -= spread
-    if count % 2 == 1:
-        # odd counts need a correction so the variance matches exactly
-        k = half
-        spread = np.sqrt(variance * (count - 1) / (2 * k))
-        out = np.full(count, mean)
-        out[:k] += spread
-        out[count - k:] -= spread
+    out[:k] += spread
+    out[count - k:] -= spread
     return out
 
 
 def write_trace_csv(rep, path) -> None:
     path = Path(path)
+    columns = [rep.series[name] for name in TRACE_SERIES]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for day in range(rep.run_length):
             for company in (0, 1):
-                writer.writerow([
-                    day, company + 1,
-                    repr(rep.series["price"][day, company]),
-                    repr(rep.series["inv"][day, company]),
-                    repr(rep.series["backlog"][day, company]),
-                    repr(rep.series["ship_r"][day, company]),
-                    repr(rep.series["ms"][day, company]),
-                    repr(rep.series["labor"][day, company]),
-                    repr(rep.series["wip"][day, company]),
-                ])
+                writer.writerow([day, company + 1] + [
+                    repr(float(column[day, company])) for column in columns])
 
 
 def report_to_dict(report) -> dict:

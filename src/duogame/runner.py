@@ -14,14 +14,15 @@ of every row run the day's sub-steps. Only the sub-step body depends on the
 row count: from ``WIDE`` rows on, both companies of every row are one
 stacked :class:`SDState` of (rows, 2) arrays, stepped by one array step and
 one array pricing step per sub-step; below it, where the array step's fixed
-cost of 100-200 us per sub-step outweighs the 2.6 us of a plain-float
+cost of 100-200 us per sub-step outweighs the 5 us of a plain-float
 company step, each replication steps its two companies and its pricing in
-plain floats. Both bodies perform the same float operations in the same
-order. :func:`estimate_payoffs` splits its rows once, into passes of at
-most ``PASS_ROWS`` rows run in process or on a worker pool. Replications
-share nothing but the population, so every output depends on its pair and
-seed alone; results do not depend on the sample count ``n``, the width,
-the body or the passes.
+plain floats. Both bodies run the one supply-chain step, in its array or
+its float form, and the same bookkeeping, so they perform the same float
+operations in the same order. :func:`estimate_payoffs` splits its rows
+once, into passes of at most ``PASS_ROWS`` rows run in process or on a
+worker pool. Replications share nothing but the population, so every
+output depends on its pair and seed alone; results do not depend on the
+sample count ``n``, the width, the body or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -167,9 +168,10 @@ _network_cache: dict = {}
 # Rows from which the supply chains step as (rows, 2) arrays, one array step
 # per sub-step for the whole call; fewer rows step in plain floats, one
 # company at a time. An array step costs 100-200 us whatever the width up to
-# a few dozen rows, a plain-float company step about 2.6 us; at 20 rows the
-# two sub-step bodies measured even per replication.
-WIDE = 20
+# a few dozen rows, a plain-float company step about 5 us; per replication
+# the array body measured 1.13 times the float body's time at 14 rows and
+# 0.90 times at 16.
+WIDE = 16
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a
 # process holds at once, whatever the number of rows.
@@ -344,16 +346,7 @@ class _Rows:
                 step_company(s, p, orders, noise, dt)
             except StateError as exc:
                 failed = exc
-            income = s.ship_r * s.price * dt
-            if collect:
-                t = self.totals
-                t[0] += income
-                t[1] += s.prod_br * dt
-                t[2] += s.rm_order_r * dt
-                t[3] += s.ship_r * dt
-                t[4] += s.inv * dt
-                t[5] += s.backlog * dt
-            self.period_revenue += income
+            _book(self.totals, self.period_revenue, ..., s, s.price, dt, collect)
             try:
                 step_pricing(s.price, self.pricing, p, s.inv_cov, dt=dt,
                              mp_bounds=(self.bounds[:, 0], self.bounds[:, 1]))
@@ -392,16 +385,7 @@ class _Rows:
                 for _ in range(substeps):
                     for i in COMPANIES:
                         s = step_company(sd[i], params[i], orders[r][i], noises[r][i], dt)
-                        income = s.ship_r * price[i] * dt
-                        if collect:
-                            t = totals[r][i]
-                            t[0] += income
-                            t[1] += s.prod_br * dt
-                            t[2] += s.rm_order_r * dt
-                            t[3] += s.ship_r * dt
-                            t[4] += s.inv * dt
-                            t[5] += s.backlog * dt
-                        period_revenue[i] += income
+                        _book(totals[r][i], period_revenue, i, s, price[i], dt, collect)
                     price, pricing = step_pricing(price, pricing, params,
                                                   (sd[0].inv_cov, sd[1].inv_cov),
                                                   dt=dt, mp_bounds=bounds[r])
@@ -440,6 +424,22 @@ class _Rows:
             units_shipped=t[3, r], inv_unit_days=t[4, r], backlog_unit_days=t[5, r],
             marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=self.sunk_total[r])
             for r, seed in enumerate(self.seeds)]
+
+
+def _book(totals, revenue, key, s: SDState, price, dt: float, collect: bool) -> None:
+    """Book one sub-step of ``s``: its income into ``revenue[key]`` and,
+    when ``collect``, its income and quantities into ``totals[0]`` to
+    ``totals[5]``. Either one company's plain floats (``totals`` its list,
+    ``key`` its column) or every row's arrays (``key`` is ``...``)."""
+    income = s.ship_r * price * dt
+    if collect:
+        totals[0] += income
+        totals[1] += s.prod_br * dt
+        totals[2] += s.rm_order_r * dt
+        totals[3] += s.ship_r * dt
+        totals[4] += s.inv * dt
+        totals[5] += s.backlog * dt
+    revenue[key] += income
 
 
 def _run_rows(setups, index, seeds, settings: SimulationSettings,
@@ -544,31 +544,6 @@ def compute_payoff(rep: ReplicationOutput, rates: CostRates,
     return rep.revenue - cost
 
 
-@dataclass
-class PayoffSampleSet:
-    """Independent payoff replications for one strategy profile."""
-
-    payoffs: np.ndarray          # shape (n, 2)
-    seeds: list
-
-    @property
-    def n(self) -> int:
-        return self.payoffs.shape[0]
-
-    def mean(self, player=None):
-        if player is None:
-            return self.payoffs.mean(axis=0)
-        return float(self.payoffs[:, player].mean())
-
-    def variance(self, player: int) -> float:
-        if self.n < 2:
-            return 0.0
-        return float(self.payoffs[:, player].var(ddof=1))
-
-    def samples(self, player: int) -> np.ndarray:
-        return self.payoffs[:, player].copy()
-
-
 def replication_seeds(master_seed: int, profile_tag: int, n: int,
                       start: int = 0) -> list:
     """Deterministic per-replication seeds for a profile's sample stream."""
@@ -586,8 +561,9 @@ def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
                      n: int, seeds, mirror: bool = False,
-                     jobs: int = 1) -> PayoffSampleSet:
-    """Run ``n`` independent replications and collect both players' payoffs.
+                     jobs: int = 1) -> np.ndarray:
+    """Run ``n`` independent replications and return both players' payoffs,
+    shape (n, 2), row ``j`` for ``seeds[j]``.
 
     ``specs`` is one spec pair for every replication, or a sequence of ``n``
     pairs, one per seed. The rows are split once into even contiguous kernel
@@ -622,7 +598,7 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     except ReplicationError as exc:
         exc.index += bounds[len(done)]    # passes finish in order
         raise
-    return PayoffSampleSet(payoffs=np.concatenate(done), seeds=seeds)
+    return np.concatenate(done)
 
 
 def detect_warmup(rep: ReplicationOutput, rel_tol: float = 0.02,

@@ -14,15 +14,19 @@ exact up to floating point.
 :func:`step_company` and :func:`step_pricing` advance either one company
 pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
 once (an :class:`SDState` from :meth:`SDState.stacked`, and
-:class:`SDParamRows`), every quantity then a (rows, 2) array stepped with the
-same operations in the same order, so a row's numbers do not depend on the
-form that computed them.
+:class:`SDParamRows`), every quantity then a (rows, 2) array. The company
+step has one body, :func:`_advance`, in two forms: it takes its clamps,
+minima and choices as plain-float conditionals or as numpy calls, which
+perform the same operations in the same order, so a row's numbers do not
+depend on the form that computed them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -181,23 +185,6 @@ class SDState:
     def stocks(self) -> dict:
         return {name: getattr(self, name) for name in self.STOCK_FIELDS}
 
-    def check_finite(self):
-        total = (self.wip + self.inv + self.labor + self.vac + self.backlog
-                 + self.rm_inv + self.rm_transit)
-        if math.isfinite(total) and self.wip >= 0 and self.inv >= 0 \
-                and self.labor >= 0 and self.vac >= 0 and self.backlog >= 0 \
-                and self.rm_inv >= 0 and self.rm_transit >= 0:
-            if not math.isfinite(self.price) or self.price <= 0:
-                raise StateError(f"inadmissible price: {self.price}")
-            return
-        for name in self.STOCK_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise StateError(f"non-finite stock {name}: {value}")
-            if value < 0:
-                raise StateError(f"negative stock {name}: {value}")
-        raise StateError("inadmissible state")
-
 
 @dataclass
 class PricingState:
@@ -263,131 +250,155 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     adjuster closes its gap exponentially smoothed,
     ``lam * (desired - actual) / time + (1 - lam) * previous``, and
     shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
-    [0, 1]. Returns ``state``.
+    [0, 1]. ``ledger`` books each stock's net flow. Returns ``state``.
 
     With an :class:`SDParamRows` ``p``, ``state`` is a stacked state and
     ``order_rate`` and the noise fields are (rows, 2) arrays (or scalars);
     every row advances, then the lowest inadmissible row raises with its
-    own message and ``row`` set. ``ledger`` is for one company only.
+    own message and ``row`` set.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
     if isinstance(p, SDParamRows):
-        return _step_rows(state, p, order_rate, noise, dt)
-    # ``y if y < x else x`` is ``min(x, y)`` and ``x if x > 0.0 else 0.0`` is
-    # ``max(0.0, x)``, NaN included, at a fraction of the call's cost
-    wip, inv, labor, vac = state.wip, state.inv, state.labor, state.vac
-    backlog, rm_inv, rm_transit = state.backlog, state.rm_inv, state.rm_transit
-    x = order_rate + noise.order
-    order_r = x if x > 0.0 else 0.0
+        with np.errstate(all="ignore"):
+            flows = _advance(state, p, order_rate, noise, dt, _ARRAYS)
+        _check_rows(state)
+    else:
+        flows = _advance(state, p, order_rate, noise, dt, _FLOATS)
+        s = state
+        if not (s.wip >= 0 and s.inv >= 0 and s.labor >= 0 and s.vac >= 0
+                and s.backlog >= 0 and s.rm_inv >= 0 and s.rm_transit >= 0
+                and math.isfinite(s.wip + s.inv + s.labor + s.vac + s.backlog
+                                  + s.rm_inv + s.rm_transit)):
+            raise _stock_error(state.stocks())
+    if ledger is not None:
+        for name, net in zip(SDState.STOCK_FIELDS, flows):
+            ledger.add(name, net, dt)
+    return state
+
+
+class _Ops(NamedTuple):
+    """The operations of :func:`_advance` whose form depends on whether it
+    steps plain floats or (rows, 2) arrays; both forms give an element the
+    same result, NaN included."""
+
+    pos: Callable       # ``x if x > 0.0 else 0.0``
+    lesser: Callable    # ``y if y < x else x``
+    pick: Callable      # ``a if c else b``
+    ratio: Callable     # ``a / b``, only where ``b == 0`` is not picked
+
+
+_FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
+               lesser=lambda x, y: y if y < x else x,
+               pick=lambda c, a, b: a if c else b,
+               ratio=lambda a, b: a / b if b else 0.0)
+# ``fmax`` drops NaN for 0.0 and adding 0.0 turns its -0.0 into 0.0
+_ARRAYS = _Ops(pos=lambda x: np.fmax(x, 0.0) + 0.0,
+               lesser=lambda x, y: np.where(y < x, y, x),
+               pick=np.where,
+               ratio=operator.truediv)
+
+
+def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
+             ops: _Ops) -> tuple:
+    """The body of :func:`step_company`, unchecked: writes the stepped state
+    to ``s`` and returns the seven net flows in ``SDState.STOCK_FIELDS``
+    order. Both branches of a choice are computed, so each element of the
+    array form rounds as its plain-float counterpart does."""
+    pos, lesser, pick, ratio = ops
+    wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
+    backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
+    order_r = pos(order_rate + noise.order)
 
     # production: smoothed gap-closing toward desired inventory and WIP
     lam = p.lam_prod
-    x = (p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv
-    d_inv = x if x > 0.0 else 0.0
-    a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * state.a_prod
+    d_inv = pos((p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv)
+    a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * s.a_prod
     lam = p.lam_wip
-    x = (a_prod + order_r) * p.cycle_time + noise.wip
-    d_wip = x if x > 0.0 else 0.0
-    a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * state.a_wip
-    x = a_wip + a_prod + order_r + noise.prod
-    d_prod_br = x if x > 0.0 else 0.0
+    d_wip = pos((a_prod + order_r) * p.cycle_time + noise.wip)
+    a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * s.a_wip
+    d_prod_br = pos(a_wip + a_prod + order_r + noise.prod)
 
     # raw material sub-chain, mirroring finished-goods logistics with an
     # infinite upstream and a first-order transit delay
     rm_desired = p.rm_inventory_cov * d_prod_br
-    if rm_desired > 0:
-        x = rm_inv / rm_desired
-        x = x if x > 0.0 else 0.0
-        rm_fulfill = x if x < 1.0 else 1.0
-    else:
-        rm_fulfill = 1.0
-    x, y = d_prod_br * rm_fulfill, rm_inv / dt
-    msr = y if y < x else x
-    x, y = rm_transit / p.rm_lead_time, rm_transit / dt
-    rm_arrival_r = y if y < x else x
+    rm_fulfill = pick(rm_desired > 0, lesser(1.0, pos(ratio(rm_inv, rm_desired))), 1.0)
+    msr = lesser(d_prod_br * rm_fulfill, rm_inv / dt)
+    rm_arrival_r = lesser(rm_transit / p.rm_lead_time, rm_transit / dt)
 
     per_worker = p.labor_productivity * p.labor_hours
-    x = labor * per_worker
-    if msr < x:
-        x = msr
-    if d_prod_br < x:
-        x = d_prod_br
-    prod_br = x if x > 0.0 else 0.0
-    x, y = wip / p.cycle_time, wip / dt
-    prod_cr = y if y < x else x
+    prod_br = pos(lesser(lesser(labor * per_worker, msr), d_prod_br))
+    prod_cr = lesser(wip / p.cycle_time, wip / dt)
     # reorder to replace actual usage plus an inventory-gap correction
-    x = prod_br + (rm_desired - rm_inv) / p.rm_lead_time
-    rm_order_r = x if x > 0.0 else 0.0
+    rm_order_r = pos(prod_br + (rm_desired - rm_inv) / p.rm_lead_time)
 
     # labor chain
     lam = p.lam_labor
     a_labor = (lam * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
-               + (1.0 - lam) * state.a_labor)
-    x = p.vac_fulfillment_time * a_labor
-    d_vac = x if x > 0.0 else 0.0
+               + (1.0 - lam) * s.a_labor)
+    d_vac = pos(p.vac_fulfillment_time * a_labor)
     lam = p.lam_vac
-    a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * state.a_vac
-    x = a_labor + a_vac
-    vac_br = x if x > 0.0 else 0.0
-    x, y = vac / p.vac_fulfillment_time, vac / dt
-    hire_r = y if y < x else x
+    a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * s.a_vac
+    vac_br = pos(a_labor + a_vac)
+    hire_r = lesser(vac / p.vac_fulfillment_time, vac / dt)
     retire_r = labor / p.employment_time
-    x = -a_labor
-    x = x if x > 0.0 else 0.0
-    y = labor / p.layoff_time
-    layoff_r = y if y < x else x
-    if p.max_layoff_rate is not None and p.max_layoff_rate < layoff_r:
-        layoff_r = p.max_layoff_rate
-    labor_out = retire_r + layoff_r
-    if labor_out * dt > labor:
-        scale = labor / (labor_out * dt)
-        retire_r *= scale
-        layoff_r *= scale
+    layoff_r = lesser(pos(-a_labor), labor / p.layoff_time)
+    if p.max_layoff_rate is not None:     # the array form holds None as +inf
+        layoff_r = lesser(layoff_r, p.max_layoff_rate)
+    # the outflow may take at most the workforce on hand
+    out = (retire_r + layoff_r) * dt
+    over = out > labor
+    scale = ratio(labor, out)
+    retire_r = pick(over, retire_r * scale, retire_r)
+    layoff_r = pick(over, layoff_r * scale, layoff_r)
 
     # shipments with backlog clearance, limited by on-hand inventory
-    if d_inv > 0:
-        x = inv / d_inv
-        x = x if x > 0.0 else 0.0
-        fulfill = x if x < 1.0 else 1.0
-    else:
-        fulfill = 1.0 if inv > 0 else 0.0
+    fulfill = pick(d_inv > 0, lesser(1.0, pos(ratio(inv, d_inv))),
+                   pick(inv > 0, 1.0, 0.0))
     x = (order_r + backlog / p.order_processing_time) * fulfill
-    y = inv / dt
-    if y < x:
-        x = y
-    y = order_r + backlog / dt
-    if y < x:
-        x = y
-    ship_r = x if x > 0.0 else 0.0
+    ship_r = pos(lesser(lesser(x, inv / dt), order_r + backlog / dt))
 
-    state.wip = wip = wip + dt * (prod_br - prod_cr)
-    state.inv = inv = inv + dt * (prod_cr - ship_r)
-    state.labor = labor = labor + dt * (hire_r - retire_r - layoff_r)
-    state.vac = vac = vac + dt * (vac_br - hire_r)
-    state.backlog = backlog = backlog + dt * (order_r - ship_r)
-    state.rm_inv = rm_inv = rm_inv + dt * (rm_arrival_r - prod_br)
-    state.rm_transit = rm_transit = rm_transit + dt * (rm_order_r - rm_arrival_r)
-    if not (wip >= 0 and inv >= 0 and labor >= 0 and vac >= 0 and backlog >= 0
-            and rm_inv >= 0 and rm_transit >= 0
-            and math.isfinite(wip + inv + labor + vac + backlog + rm_inv
-                              + rm_transit)):
-        state.check_finite()
-
-    state.a_prod, state.a_wip, state.a_labor, state.a_vac = a_prod, a_wip, a_labor, a_vac
-    state.prod_br, state.ship_r, state.rm_order_r = prod_br, ship_r, rm_order_r
+    flows = (prod_br - prod_cr, prod_cr - ship_r, hire_r - retire_r - layoff_r,
+             vac_br - hire_r, order_r - ship_r, rm_arrival_r - prod_br,
+             rm_order_r - rm_arrival_r)
+    s.wip = wip + dt * flows[0]
+    s.inv = inv = inv + dt * flows[1]
+    s.labor = labor + dt * flows[2]
+    s.vac = vac + dt * flows[3]
+    s.backlog = backlog + dt * flows[4]
+    s.rm_inv = rm_inv + dt * flows[5]
+    s.rm_transit = rm_transit + dt * flows[6]
+    s.a_prod, s.a_wip, s.a_labor, s.a_vac = a_prod, a_wip, a_labor, a_vac
+    s.prod_br, s.ship_r, s.rm_order_r = prod_br, ship_r, rm_order_r
     # idle line: coverage pegged to capacity
-    state.inv_cov = inv / ship_r if ship_r > 0 else p.max_inv_cov
+    s.inv_cov = pick(ship_r > 0, ratio(inv, ship_r), p.max_inv_cov)
+    return flows
 
-    if ledger is not None:
-        ledger.add("wip", prod_br - prod_cr, dt)
-        ledger.add("inv", prod_cr - ship_r, dt)
-        ledger.add("labor", hire_r - retire_r - layoff_r, dt)
-        ledger.add("vac", vac_br - hire_r, dt)
-        ledger.add("backlog", order_r - ship_r, dt)
-        ledger.add("rm_inv", rm_arrival_r - prod_br, dt)
-        ledger.add("rm_transit", rm_order_r - rm_arrival_r, dt)
-    return state
+
+def _check_rows(s: SDState) -> None:
+    """Raise :class:`StateError` for the lowest row of the stacked ``s``
+    holding an inadmissible stock, with the row's own message and ``row``
+    set."""
+    with np.errstate(all="ignore"):
+        ok = ((s.wip >= 0) & (s.inv >= 0) & (s.labor >= 0) & (s.vac >= 0)
+              & (s.backlog >= 0) & (s.rm_inv >= 0) & (s.rm_transit >= 0)
+              & np.isfinite(s.wip + s.inv + s.labor + s.vac + s.backlog
+                            + s.rm_inv + s.rm_transit))
+    if ok.all():
+        return
+    row, company = divmod(int(np.argmin(ok.ravel())), 2)
+    raise _stock_error({name: float(getattr(s, name)[row, company])
+                        for name in SDState.STOCK_FIELDS}, row=row)
+
+
+def _stock_error(stocks: dict, row: int | None = None) -> StateError:
+    """The error for the first non-finite or negative entry of ``stocks``."""
+    for name, value in stocks.items():
+        if not math.isfinite(value):
+            return StateError(f"non-finite stock {name}: {value}", row=row)
+        if value < 0:
+            return StateError(f"negative stock {name}: {value}", row=row)
+    return StateError("inadmissible state", row=row)
 
 
 def step_pricing(prices: tuple, shared: PricingState, params: tuple,
@@ -435,115 +446,6 @@ def step_pricing(prices: tuple, shared: PricingState, params: tuple,
             mp = mp_bounds[1]
     shared.mp, shared.price_cr = mp, price_cr
     return tuple(new_prices), shared
-
-
-def _pos(x):
-    """``x if x > 0.0 else 0.0`` elementwise: ``fmax`` drops NaN for 0.0 and
-    adding 0.0 turns its -0.0 into 0.0."""
-    return np.fmax(x, 0.0) + 0.0
-
-
-def _step_rows(s: SDState, p: SDParamRows, order_rate, noise: NoiseDraws,
-               dt: float) -> SDState:
-    """:func:`step_company` over every row of ``s`` at once.
-
-    The operations and their order are those of the scalar step, with
-    ``np.where(y < x, y, x)`` for ``y if y < x else x`` (NaN included) and
-    both branches of a guarded division computed, so each element rounds as
-    its plain-float counterpart does.
-    """
-    where = np.where
-    with np.errstate(all="ignore"):
-        wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
-        backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
-        x = order_rate + noise.order
-        order_r = _pos(x)
-
-        lam = p.lam_prod
-        x = (p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv
-        d_inv = _pos(x)
-        a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * s.a_prod
-        lam = p.lam_wip
-        x = (a_prod + order_r) * p.cycle_time + noise.wip
-        d_wip = _pos(x)
-        a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * s.a_wip
-        x = a_wip + a_prod + order_r + noise.prod
-        d_prod_br = _pos(x)
-
-        rm_desired = p.rm_inventory_cov * d_prod_br
-        x = rm_inv / rm_desired
-        x = _pos(x)
-        rm_fulfill = where(rm_desired > 0, where(x < 1.0, x, 1.0), 1.0)
-        x, y = d_prod_br * rm_fulfill, rm_inv / dt
-        msr = where(y < x, y, x)
-        x, y = rm_transit / p.rm_lead_time, rm_transit / dt
-        rm_arrival_r = where(y < x, y, x)
-
-        per_worker = p.labor_productivity * p.labor_hours
-        x = labor * per_worker
-        x = where(msr < x, msr, x)
-        x = where(d_prod_br < x, d_prod_br, x)
-        prod_br = _pos(x)
-        x, y = wip / p.cycle_time, wip / dt
-        prod_cr = where(y < x, y, x)
-        x = prod_br + (rm_desired - rm_inv) / p.rm_lead_time
-        rm_order_r = _pos(x)
-
-        lam = p.lam_labor
-        a_labor = (lam * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
-                   + (1.0 - lam) * s.a_labor)
-        x = p.vac_fulfillment_time * a_labor
-        d_vac = _pos(x)
-        lam = p.lam_vac
-        a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * s.a_vac
-        x = a_labor + a_vac
-        vac_br = _pos(x)
-        x, y = vac / p.vac_fulfillment_time, vac / dt
-        hire_r = where(y < x, y, x)
-        retire_r = labor / p.employment_time
-        x = -a_labor
-        x = _pos(x)
-        y = labor / p.layoff_time
-        layoff_r = where(y < x, y, x)
-        layoff_r = where(p.max_layoff_rate < layoff_r, p.max_layoff_rate, layoff_r)
-        out = (retire_r + layoff_r) * dt
-        over = out > labor
-        scale = labor / out
-        retire_r = where(over, retire_r * scale, retire_r)
-        layoff_r = where(over, layoff_r * scale, layoff_r)
-
-        x = inv / d_inv
-        x = _pos(x)
-        fulfill = where(d_inv > 0, where(x < 1.0, x, 1.0), where(inv > 0, 1.0, 0.0))
-        x = (order_r + backlog / p.order_processing_time) * fulfill
-        y = inv / dt
-        x = where(y < x, y, x)
-        y = order_r + backlog / dt
-        x = where(y < x, y, x)
-        ship_r = _pos(x)
-
-        s.wip = wip = wip + dt * (prod_br - prod_cr)
-        s.inv = inv = inv + dt * (prod_cr - ship_r)
-        s.labor = labor = labor + dt * (hire_r - retire_r - layoff_r)
-        s.vac = vac = vac + dt * (vac_br - hire_r)
-        s.backlog = backlog = backlog + dt * (order_r - ship_r)
-        s.rm_inv = rm_inv = rm_inv + dt * (rm_arrival_r - prod_br)
-        s.rm_transit = rm_transit = rm_transit + dt * (rm_order_r - rm_arrival_r)
-        s.a_prod, s.a_wip, s.a_labor, s.a_vac = a_prod, a_wip, a_labor, a_vac
-        s.prod_br, s.ship_r, s.rm_order_r = prod_br, ship_r, rm_order_r
-        s.inv_cov = where(ship_r > 0, inv / ship_r, p.max_inv_cov)
-        ok = ((wip >= 0) & (inv >= 0) & (labor >= 0) & (vac >= 0) & (backlog >= 0)
-              & (rm_inv >= 0) & (rm_transit >= 0)
-              & np.isfinite(wip + inv + labor + vac + backlog + rm_inv + rm_transit))
-    if not ok.all():
-        row, company = divmod(int(np.argmin(ok.ravel())), 2)
-        stocks = {name: float(getattr(s, name)[row, company])
-                  for name in SDState.STOCK_FIELDS}
-        try:
-            SDState(**stocks).check_finite()
-        except StateError as exc:
-            raise StateError(str(exc), row=row) from None
-    return s
 
 
 def _price_rows(prices, shared: PricingState, p: SDParamRows, inv_covs,

@@ -210,6 +210,15 @@ class TestSimulateCommand:
         lines = (out / "trace_000.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 25 * 2  # header + one row per day per company
 
+    def test_trace_cells_are_numbers(self, desk_config, tmp_path):
+        out = tmp_path / "t"
+        main(["simulate", "--config", str(desk_config), "--n", "1", "--trace",
+              "--out", str(out)])
+        rows = (out / "trace_000.csv").read_text().strip().splitlines()[1:]
+        for row in rows:
+            for cell in row.split(","):
+                float(cell)
+
     def test_missing_factor_rejected(self, desk_config, tmp_path, capsys):
         code = main(["simulate", "--config", str(desk_config),
                      "--profile", '{"availability": "H"}',

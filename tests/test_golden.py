@@ -81,9 +81,9 @@ CASES = {
 def check_payoff_pin(name):
     make_specs, settings, n, master, mirror, pin = CASES[name]
     seeds = replication_seeds(master, 0, n)
-    sample = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds,
-                              mirror=mirror)
-    assert digest(sample.payoffs) == pin
+    payoffs = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds,
+                               mirror=mirror)
+    assert digest(payoffs) == pin
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -105,12 +105,12 @@ def test_batch_rows_equal_single_replications():
     rates = CostRates()
     specs = (CompanySpec(), CompanySpec())
     seeds = replication_seeds(101, 0, 70)
-    sample = estimate_payoffs(specs, settings, rates, 70, seeds)
+    payoffs = estimate_payoffs(specs, settings, rates, 70, seeds)
     block = run_replication(specs, settings, seeds)
     assert len(block) == 70
     for j, seed in enumerate(seeds):
         alone = run_replication(specs, settings, seed)
-        assert np.array_equal(sample.payoffs[j],
+        assert np.array_equal(payoffs[j],
                               compute_payoff(alone, rates, settings.sunk_cost_mode))
         assert block[j].seed == seed
         for name, series in alone.series.items():

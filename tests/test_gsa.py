@@ -482,7 +482,7 @@ def reference_build(plan, source, policy, iteration):
             def run(n, start):
                 seeds = replication_seeds(source.master_seed, tag, n, start=start)
                 return estimate_payoffs(specs, source.settings, source.rates, n,
-                                        seeds).payoffs
+                                        seeds)
 
             payoffs = run(policy.initial_n, 0)
             total = policy.initial_n

@@ -9,7 +9,6 @@ from duogame.errors import ParameterError, ReplicationError, StateError
 from duogame.runner import (
     CompanySpec,
     CostRates,
-    PayoffSampleSet,
     SimulationSettings,
     compute_payoff,
     detect_warmup,
@@ -285,6 +284,9 @@ def special_companies():
         (p, replace(base, **{n: 1e308 for n in SDState.STOCK_FIELDS}), 100.0, quiet),
         # unbounded coverage drives the price to zero
         (p, replace(base, inv=math.inf, backlog=0.0), 0.0, quiet),
+        # a NaN layoff cap caps nothing: the one NaN that reaches the second
+        # argument of ``y if y < x else x`` in an admissible step
+        (SDParams(max_layoff_rate=math.nan), layoffs, 100.0, quiet),
     ]
 
 
@@ -557,32 +559,27 @@ class TestEstimatePayoffs:
     def test_single_replication_mean(self):
         settings = SimulationSettings(run_length_days=25)
         seeds = replication_seeds(7, 0, 1)
-        ss = estimate_payoffs(pricing_asymmetric_specs(), settings, CostRates(),
-                              n=1, seeds=seeds)
-        assert ss.n == 1
-        assert ss.mean(0) == ss.payoffs[0, 0]
+        payoffs = estimate_payoffs(pricing_asymmetric_specs(), settings, CostRates(),
+                                   n=1, seeds=seeds)
+        rep = run_replication(pricing_asymmetric_specs(), settings, seeds[0])
+        assert payoffs.shape == (1, 2)
+        assert np.array_equal(payoffs[0], compute_payoff(rep, CostRates()))
 
     def test_zero_noise_zero_variance(self):
         settings = SimulationSettings(run_length_days=25, deterministic_marketing=True)
         seeds = replication_seeds(7, 1, 4)
-        ss = estimate_payoffs(pricing_asymmetric_specs(), settings, CostRates(),
-                              n=4, seeds=seeds)
-        assert ss.variance(0) == pytest.approx(0.0, abs=1e-18)
-        assert ss.variance(1) == pytest.approx(0.0, abs=1e-18)
-
-    def test_sample_set_mean(self):
-        ss = PayoffSampleSet(payoffs=np.array([[1.0, 4.0], [2.0, 3.0],
-                                               [3.0, 2.0], [4.0, 1.0]]),
-                             seeds=[1, 2, 3, 4])
-        assert ss.mean(0) == pytest.approx(2.5)
-        assert ss.variance(0) == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
+        payoffs = estimate_payoffs(pricing_asymmetric_specs(), settings, CostRates(),
+                                   n=4, seeds=seeds)
+        variance = payoffs.var(axis=0, ddof=1)
+        assert variance[0] == pytest.approx(0.0, abs=1e-18)
+        assert variance[1] == pytest.approx(0.0, abs=1e-18)
 
     def test_run_order_permutation_same_multiset(self):
         settings = SimulationSettings(run_length_days=20)
         seeds = replication_seeds(3, 2, 3)
         fwd = estimate_payoffs(default_specs(), settings, CostRates(), 3, seeds)
         rev = estimate_payoffs(default_specs(), settings, CostRates(), 3, seeds[::-1])
-        assert sorted(fwd.payoffs[:, 0]) == pytest.approx(sorted(rev.payoffs[:, 0]))
+        assert sorted(fwd[:, 0]) == pytest.approx(sorted(rev[:, 0]))
 
     def test_passes_agree_across_jobs_and_report_global_index(self):
         # more than two passes' worth of short rows: four passes at jobs 2
@@ -593,7 +590,7 @@ class TestEstimatePayoffs:
         seeds = replication_seeds(11, 0, n)
         one, two = (estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
                     for jobs in (1, 2))
-        assert np.array_equal(one.payoffs, two.payoffs)
+        assert np.array_equal(one, two)
         # an infinite initial WIP diverges on day 0, here in the last pass
         j = n - 7
         specs[j] = (CompanySpec(sd=SDParams(cycle_time=1e308)), CompanySpec())

@@ -9,6 +9,7 @@ from duogame.supply_chain import (
     FlowLedger,
     NoiseDraws,
     PricingState,
+    SDParamRows,
     SDParams,
     SDState,
     steady_state,
@@ -329,6 +330,32 @@ class TestInvariants:
                 xt = getattr(s, name)
                 scale = max(abs(xt), abs(x0), 1.0)
                 assert abs((xt - x0) - ledger.flows[name]) / scale < 1e-9, name
+
+    def test_conservation_stacked_rows(self):
+        # five company pairs stepped as (5, 2) arrays; the first company of
+        # row 4 is idle (no orders, no backlog), so it never ships
+        rng = np.random.default_rng(43)
+        params = [(random_params(rng), random_params(rng)) for _ in range(5)]
+        states = [tuple(steady_state(p, 100.0) for p in pair) for pair in params]
+        states[4][0].backlog = 0.0
+        busy = np.ones((5, 2))
+        busy[4, 0] = 0.0
+        p = SDParamRows(params, np.arange(5))
+        s = SDState.stacked(states, np.arange(5))
+        start = s.stocks()
+        ledger = FlowLedger()
+        for day in range(100):
+            noise = NoiseDraws(wip=rng.normal(0, 5, (5, 2)), prod=rng.normal(0, 5, (5, 2)),
+                               order=busy * rng.normal(0, 8, (5, 2)),
+                               inv=rng.normal(0, 5, (5, 2)))
+            for _ in range(4):
+                assert step_company(s, p, busy * rng.uniform(50, 150, (5, 2)), noise,
+                                    dt=DT, ledger=ledger) is s
+                assert s.ship_r[4, 0] == 0.0 and s.inv_cov[4, 0] == p.max_inv_cov[4, 0]
+        for name, x0 in start.items():
+            xt = getattr(s, name)
+            scale = np.maximum(np.maximum(abs(xt), abs(x0)), 1.0)
+            assert (abs((xt - x0) - ledger.flows[name]) / scale < 1e-9).all(), name
 
     def test_non_negativity_fuzz(self):
         rng = np.random.default_rng(3)
