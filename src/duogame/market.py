@@ -8,8 +8,8 @@ a cross-company interaction co-state and per-brand marketing forces.
 
 One :class:`ConsumerMarket` advances many replications in lockstep. Their
 marketing and co-state arrays update together; agents are scored in slices
-of at most ``BLOCK`` replications, which keeps the per-agent temporaries in
-cache.
+of at most ``BLOCK`` replications, in brand-major (agents, 2, rows) buffers
+allocated once per day and filled in place, which keeps them in cache.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import ParameterError
 from .network import SocialNetwork
 
 NO_BRAND = -1
-BRANDS = np.arange(2)
 
 # The interaction co-state is positively unstable whenever the co-state
 # factors and total force are positive, so forward integration saturates it
@@ -31,8 +30,8 @@ BRANDS = np.arange(2)
 # advertisement and promotion force terms at their mid levels.
 DEFAULT_INTER_CAP = 0.7
 
-# Replications scored together. The cap bounds the per-day temporaries,
-# (agents, 2 * BLOCK) floats: at 200 agents they stay at 100 KiB, under the
+# Replications scored together. The cap bounds the scoring buffers,
+# (agents, 2, BLOCK) floats: at 200 agents each holds 100 KiB, under the
 # 128 KiB at which the C allocator hands out fresh memory maps, and larger
 # slices ran slower per replication-day.
 BLOCK = 32
@@ -54,9 +53,9 @@ def marketing_force(ad, pm, inter, w1, w2, w3):
     return w1 * ad + w2 * pm + w3 * ad * pm + inter
 
 
-def update_perceptions(mf, i_ad, i_pm, i_ft):
-    """Scale the initial perception constants by the current marketing force."""
-    return mf * i_ad, mf * i_pm, mf * i_ft
+def update_perceptions(mf, i_ad, i_pm, i_ft, out=(None, None, None)):
+    """Scale the initial perception constants by the marketing force, into ``out``."""
+    return tuple(np.multiply(mf, i, out=o) for i, o in zip((i_ad, i_pm, i_ft), out))
 
 
 def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
@@ -69,9 +68,7 @@ def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    inter = np.asarray(inter, dtype=float)
-    prices = np.asarray(prices, dtype=float)
-    pms = np.asarray(pms, dtype=float)
+    inter, prices, pms = (np.asarray(x, dtype=float) for x in (inter, prices, pms))
     force = np.asarray(force, dtype=float)[..., None]
     coupling = np.array([[d1, d1 * d2], [d2 * d1, d2]])
     drift = (coupling @ ((rho + force) * inter)[..., None])[..., 0] - prices * (1.0 - pms)
@@ -82,16 +79,22 @@ def sunk_cost(mbs, inters) -> float:
     return float(np.dot(np.asarray(mbs, float), np.asarray(inters, float)))
 
 
-def price_sensitivity(price, pm, price_sum, s, m_agent):
-    """Exponential response to a brand's promotion-adjusted price against the
-    market reference, offset by the agent's socio-economic constant."""
+def price_response(price, pm, price_sum, s):
+    """A brand's exponential response to its promotion-adjusted price against the
+    market reference; an agent's price sensitivity adds its own constant to it."""
     if s <= 1:
         raise ParameterError(f"price parameter s must be > 1, got {s}")
-    return -np.power(s, price * (1.0 - pm) - price_sum) + m_agent
+    return -np.power(s, price * (1.0 - pm) - price_sum)
 
 
-def motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft, inf):
-    return sens_p * price * (1.0 - pm) + sus_ad * ad + sens_pm * pm + ft * inf
+def motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft, inf, out=None):
+    """``sens_p * price * (1 - pm) + sus_ad * ad + sens_pm * pm + ft * inf`` left to
+    right; given ``out``, formed there in place, each perception taking its product."""
+    score = np.multiply(np.multiply(sens_p, price, out=out), 1.0 - pm, out=out)
+    for weight, level in ((sus_ad, ad), (sens_pm, pm), (ft, inf)):
+        term = np.multiply(weight, level, out=None if out is None else weight)
+        score = np.add(score, term, out=out)
+    return score
 
 
 @dataclass
@@ -172,12 +175,14 @@ class ConsumerMarket:
         self.network = network
         self.params = params
         self.n = network.n
-        self.m_agent = population_rng.uniform(params.m_low, params.m_high, size=self.n)
+        # per-agent constants: (n, 1, 1) columns against brand-major row terms
+        agents = (self.n, 1, 1)
+        self.m_agent = population_rng.uniform(params.m_low, params.m_high, size=agents)
         # heterogeneous initial perceptions keep the population from acting in
         # lockstep; the spread is clipped so the configured mean is preserved
         def draw(center):
             half = min(params.perception_spread, center)
-            return population_rng.uniform(center - half, center + half, size=self.n)
+            return population_rng.uniform(center - half, center + half, size=agents)
         self.i_ad = draw(params.i_ad)
         self.i_pm = draw(params.i_pm)
         self.i_ft = draw(params.i_ft)
@@ -186,7 +191,7 @@ class ConsumerMarket:
         self._adjacency = sparse.csr_matrix(
             (np.ones(network.indices.size), network.indices, network.indptr),
             shape=(self.n, self.n))
-        self._degrees = np.maximum(network.degrees, 1)
+        self._degrees = np.maximum(network.degrees, 1).astype(float)
 
     def truncate(self, replications: int) -> None:
         """Keep only the first ``replications`` rows."""
@@ -197,13 +202,15 @@ class ConsumerMarket:
 
     def neighbor_influence(self, rows: slice) -> np.ndarray:
         """Fraction of each agent's neighbors adopting each brand in the
-        replications ``rows``, shape (n, 2 * replications) with column
-        ``2 * r + b`` for brand ``b`` in the ``r``-th of them."""
+        replications ``rows``, brand-major: shape (n, 2, replications)."""
         adopted = self.adopted[:, rows]
         n, r = adopted.shape
-        # one indicator column per (replication, brand), counted in one product
-        indicator = (adopted[:, :, None] == BRANDS).reshape(n, 2 * r)
-        return (self._adjacency @ indicator.astype(float)) / self._degrees[:, None]
+        # one indicator column per (brand, replication), counted in one product
+        indicator = np.empty((n, 2, r))
+        np.equal(adopted[:, None], [[0], [1]], out=indicator)
+        counts = self._adjacency @ indicator.reshape(n, 2 * r)
+        counts /= self._degrees[:, None]
+        return counts.reshape(n, 2, r)
 
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
         """Advance every replication one day; returns the (replications, 2)
@@ -214,7 +221,7 @@ class ConsumerMarket:
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. Marketing updates for every row at once; agents are
-        scored ``BLOCK`` rows at a time.
+        scored ``BLOCK`` rows at a time, in four (agents, 2, rows) buffers.
         """
         p = self.params
         mk = self.marketing
@@ -231,32 +238,26 @@ class ConsumerMarket:
         if p.price_sum_mode == "average":
             price_sum = price_sum / 2
 
+        response = price_response(prices, mk.pm, price_sum[:, None], p.s)
+        buffers = [np.empty((self.n, 2, min(len(prices), BLOCK))) for _ in range(4)]
         shares = np.empty((len(prices), 2))
         for lo in range(0, len(prices), BLOCK):
             block = slice(lo, lo + BLOCK)
-            inf = self.neighbor_influence(block)
-            # scores per agent (rows) and per replication and brand (columns
-            # 2r + b) via broadcasting
-            flat_prices = prices[block].ravel()
-            pm, ad = mk.pm[block].ravel(), mk.ad[block].ravel()
-            sens_p = price_sensitivity(flat_prices, pm, np.repeat(price_sum[block], 2),
-                                       p.s, self.m_agent[:, None])
-            sus_ad, sens_pm, ft = update_perceptions(
-                mk.force[block].ravel(), self.i_ad[:, None], self.i_pm[:, None],
-                self.i_ft[:, None])
-            scores = motivation(sens_p, flat_prices, pm, sus_ad, ad, sens_pm, ft, inf)
-
-            diff = scores[:, 0::2] - scores[:, 1::2]
-            choice = np.where(diff > 0, 0, 1).astype(np.int8)
+            resp, price, pm, ad, mf = (np.ascontiguousarray(x[block].T) for x in (
+                response, prices, mk.pm, mk.ad, mk.force))
+            sens_p, sus_ad, sens_pm, ft = (b[..., :price.shape[1]] for b in buffers)
+            np.add(resp, self.m_agent, out=sens_p)
+            update_perceptions(mf, self.i_ad, self.i_pm, self.i_ft,
+                               out=(sus_ad, sens_pm, ft))
+            score = motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft,
+                               self.neighbor_influence(block), out=sens_p)
+            diff = score[:, 0] - score[:, 1]
+            choice = np.logical_not(diff > 0).view(np.int8)   # NaN goes to brand 1
             tied = diff == 0
             for r in np.flatnonzero(tied.any(axis=0)):
                 draws = rngs[lo + r].integers(0, 2, size=int(tied[:, r].sum()))
-                draws = draws.astype(np.int8)
-                if mirror:
-                    draws = 1 - draws
-                choice[tied[:, r], r] = draws
+                choice[tied[:, r], r] = 1 - draws if mirror else draws
             self.adopted[:, block] = choice
-            first = np.count_nonzero(choice == 0, axis=0)
-            shares[block, 0] = first / self.n
-            shares[block, 1] = (self.n - first) / self.n
+            first = self.n - choice.sum(axis=0)
+            shares[block] = np.column_stack((first, self.n - first)) / self.n
         return shares

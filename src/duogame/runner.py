@@ -9,11 +9,12 @@ payoffs can be priced with any cost-rate vector afterwards.
 All replications of a call run in lockstep, one day at a time, held by one
 row-state class: every row's prices, market-price band, RNG streams and
 accumulators are one list or array entry per row, whatever the width. Each
-day one market call advances every row, then the supply chains and pricing
-of every row run the day's sub-steps. Only the sub-step body depends on the
-row count: from ``WIDE`` rows on, both companies of every row are one
-stacked :class:`SDState` of (rows, 2) arrays, stepped by one array step and
-one array pricing step per sub-step; below it, where the array step's fixed
+day one market call advances every row, scoring the agents brand-major in
+slices of ``market.BLOCK`` rows, then the supply chains and pricing of
+every row run the day's sub-steps, whose body alone depends on the width:
+from ``WIDE`` rows on, both companies of every row are one stacked
+:class:`SDState` of (rows, 2) arrays, stepped by one array step and one
+array pricing step per sub-step; below it, where the array step's fixed
 cost of 100-200 us per sub-step outweighs the 5 us of a plain-float
 company step, each replication steps its two companies and its pricing in
 plain floats. Both bodies run the one supply-chain step, in its array or
@@ -27,9 +28,9 @@ sample count ``n``, the width, the body or the passes.
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
 replication's seed spawns separate streams for tie-breaking and for each
-company's noise. Mirrored runs swap the two company streams and flip the
-tie-break labels, which makes the strategy-swapped replication an exact
-mirror of the original.
+company's marketing levels and noise. Mirrored runs swap the two company
+streams and flip the tie-break labels, which makes the strategy-swapped
+replication an exact mirror of the original.
 """
 
 from __future__ import annotations
@@ -190,12 +191,6 @@ def _population(settings: SimulationSettings):
     return _network_cache[key]
 
 
-def _period_draw(rng, lo, hi, deterministic):
-    if deterministic:
-        return (lo + hi) / 2.0
-    return rng.uniform(lo, hi)
-
-
 def _setup(specs, settings: SimulationSettings):
     """A validated spec pair's kernel inputs: the specs, their SD parameters,
     both companies' initial states and the market-price band."""
@@ -231,7 +226,7 @@ def _streams(seed, mirror):
 
 
 class _Rows:
-    """Every row of a kernel pass: its spec pair, RNG streams, prices,
+    """Every row of a kernel pass: its RNG streams, marketing ranges, prices,
     market-price band, noisy companies and accumulators, each one list or
     array entry per row, plus the two companies' supply chains.
 
@@ -246,17 +241,18 @@ class _Rows:
     def __init__(self, setups, index, seeds, settings, mirror):
         n = len(seeds)
         self.seeds = list(seeds)
-        self.specs = [setups[k][0] for k in index]
+        pairs = [setups[k][0] for k in index]
         streams = [_streams(seed, mirror) for seed in seeds]
         self.tie_rngs = [tie for tie, _ in streams]
         self.rngs = [rngs for _, rngs in streams]
-        self.mb_pct = np.array([[spec.mb_pct for spec in specs] for specs in self.specs])
-        self.prices = np.array([[spec.sd.mfg_price for spec in specs]
-                                for specs in self.specs])
+        self.mb_pct = np.array([[spec.mb_pct for spec in specs] for specs in pairs])
+        self.ranges = np.array([[(spec.ad_range, spec.pm_range) for spec in specs]
+                                for specs in pairs])
+        self.prices = np.array([[spec.sd.mfg_price for spec in specs] for specs in pairs])
         self.pricing = PricingState(mp=(self.prices[:, 0] + self.prices[:, 1]) / 2.0)
         self.bounds = np.array([setup[3] for setup in setups])[index]
         self.noisy = []     # (row, company, sigmas) of each noisy company
-        for r, specs in enumerate(self.specs):
+        for r, specs in enumerate(pairs):
             for i, spec in enumerate(specs):
                 sd = spec.sd
                 sigmas = (sd.sigma_wip, sd.sigma_prod, sd.sigma_order, sd.sigma_inv)
@@ -283,7 +279,7 @@ class _Rows:
 
     def truncate(self, rows: int) -> None:
         """Keep only the first ``rows`` rows."""
-        for name in ("seeds", "specs", "tie_rngs", "rngs", "mb_pct", "prices",
+        for name in ("seeds", "tie_rngs", "rngs", "mb_pct", "ranges", "prices",
                      "bounds", "period_revenue", "sunk_total"):
             setattr(self, name, getattr(self, name)[:rows])
         self.pricing.mp = self.pricing.mp[:rows]
@@ -298,20 +294,21 @@ class _Rows:
             self.sd, self.params = self.sd[:rows], self.params[:rows]
 
     def start_period(self, day, settings):
-        """Budgets and advertising and promotion levels of a marketing period."""
+        """Budgets and advertising and promotion levels of a marketing period;
+        each company stream draws ad, then pm, as ``Generator.uniform`` would."""
         if day == 0:
             mb = (self.mb_pct * self.prices * settings.total_order_rate
                   * settings.marketing_period)
         else:
             mb = self.mb_pct * self.period_revenue
         self.period_revenue = np.zeros_like(self.period_revenue)
-        det = settings.deterministic_marketing
-        ad, pm = np.empty_like(mb), np.empty_like(mb)
-        for r, (specs, rngs) in enumerate(zip(self.specs, self.rngs)):
-            for i in COMPANIES:
-                ad[r, i] = _period_draw(rngs[i], *specs[i].ad_range, det)
-                pm[r, i] = _period_draw(rngs[i], *specs[i].pm_range, det)
-        return mb, ad, pm
+        lo, hi = self.ranges[..., 0], self.ranges[..., 1]   # (rows, company, ad|pm)
+        if settings.deterministic_marketing:
+            levels = (lo + hi) / 2.0
+        else:
+            u = np.array([[rng.random(2) for rng in rngs] for rngs in self.rngs])
+            levels = lo + (hi - lo) * u
+        return mb, levels[..., 0], levels[..., 1]
 
     def _noise(self):
         """The day's noise draws, (4, rows, 2) in :class:`NoiseDraws` field

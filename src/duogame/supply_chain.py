@@ -122,6 +122,8 @@ class SDParams:
             raise ParameterError("mfg_price must be > 0")
         if self.unit_cost < 0:
             raise ParameterError("unit_cost must be >= 0")
+        if self.max_layoff_rate is not None and not self.max_layoff_rate >= 0:  # or NaN
+            raise ParameterError("max_layoff_rate must be None or >= 0")
         return self
 
     @property

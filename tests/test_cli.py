@@ -90,6 +90,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="price_sens_invcov"):
             load_config(path)
 
+    @pytest.mark.parametrize("cap", [-5.0, float("nan")], ids=["negative", "nan"])
+    def test_bad_layoff_cap_exits_2(self, tmp_path, capsys, cap):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sd_defaults": {"max_layoff_rate": cap}}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "max_layoff_rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dt_must_divide_a_day(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"dt": 0.3}))  # 3 sub-steps make 0.9 days

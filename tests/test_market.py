@@ -8,7 +8,7 @@ from duogame.market import (
     marketing_force,
     marketing_spend,
     motivation,
-    price_sensitivity,
+    price_response,
     sunk_cost,
     update_costate,
     update_perceptions,
@@ -86,19 +86,22 @@ class TestSunkCost:
 
 
 class TestPriceSensitivity:
+    """An agent's price sensitivity is its socio-economic constant plus the
+    brand's price response."""
+
     def test_direct_evaluation(self):
-        assert price_sensitivity(1.0, 0.0, 2.0, 2.0, 1.0) == pytest.approx(0.5)
+        assert price_response(1.0, 0.0, 2.0, 2.0) + 1.0 == pytest.approx(0.5)
 
     def test_zero_exponent(self):
         # effective price equals the reference sum
-        assert price_sensitivity(2.0, 0.0, 2.0, 3.0, 0.7) == pytest.approx(-0.3)
+        assert price_response(2.0, 0.0, 2.0, 3.0) + 0.7 == pytest.approx(-0.3)
 
     def test_expensive_brand(self):
-        assert price_sensitivity(3.0, 0.0, 2.0, 2.0, 0.0) == pytest.approx(-2.0)
+        assert price_response(3.0, 0.0, 2.0, 2.0) + 0.0 == pytest.approx(-2.0)
 
     def test_s_must_exceed_one(self):
         with pytest.raises(ParameterError):
-            price_sensitivity(1.0, 0.0, 2.0, 1.0, 0.5)
+            price_response(1.0, 0.0, 2.0, 1.0)
 
 
 class TestMotivation:
@@ -112,6 +115,40 @@ class TestMotivation:
         a = motivation(0.4, 1.2, 0.1, 0.5, 0.3, 0.2, 0.1, 0.6)
         b = motivation(0.4, 1.2, 0.1, 0.5, 0.3, 0.2, 0.1, 0.6)
         assert a == b
+
+
+def interleaved_day(market, adopted, prices, rngs, mirror):
+    """The day's choices, shares and tie count scored as one (agents, 2 * rows)
+    array with column ``2 * r + b`` for brand ``b`` of row ``r``, each term in
+    the original operation order, from the adoption before the step and the
+    marketing it updated."""
+    p, mk, net = market.params, market.marketing, market.network
+    n, rows = adopted.shape
+    prices = np.asarray(prices, dtype=float)
+    price_sum = prices.sum(axis=1)
+    if p.price_sum_mode == "average":
+        price_sum = price_sum / 2
+    flat_prices = prices.ravel()
+    pm, ad, mf = mk.pm.ravel(), mk.ad.ravel(), mk.force.ravel()
+    m_agent, i_ad, i_pm, i_ft = (c[:, :, 0] for c in (market.m_agent, market.i_ad,
+                                                      market.i_pm, market.i_ft))
+    sens_p = -np.power(p.s, flat_prices * (1.0 - pm) - np.repeat(price_sum, 2)) + m_agent
+    sus_ad, sens_pm, ft = mf * i_ad, mf * i_pm, mf * i_ft
+    inf = np.empty((n, 2 * rows))
+    for a in range(n):
+        neighbors = adopted[net.indices[net.indptr[a]:net.indptr[a + 1]]]
+        counts = (neighbors[:, :, None] == np.arange(2)).sum(axis=0).ravel()
+        inf[a] = counts / max(net.degrees[a], 1)
+    scores = sens_p * flat_prices * (1.0 - pm) + sus_ad * ad + sens_pm * pm + ft * inf
+    diff = scores[:, 0::2] - scores[:, 1::2]
+    choice = np.where(diff > 0, 0, 1).astype(np.int8)
+    tied = diff == 0
+    for r in np.flatnonzero(tied.any(axis=0)):
+        draws = rngs[r].integers(0, 2, size=int(tied[:, r].sum())).astype(np.int8)
+        choice[tied[:, r], r] = 1 - draws if mirror else draws
+    first = np.count_nonzero(choice == 0, axis=0)
+    shares = np.stack([first / n, (n - first) / n], axis=1)
+    return choice, shares, int(tied.sum())
 
 
 def make_market(seed=0, n=200, params=None, replications=1):
@@ -240,6 +277,45 @@ class TestStepMarket:
                     assert np.array_equal(block.adopted[:, r], single.adopted[:, 0])
                     assert np.array_equal(block.marketing.inter[r],
                                           single.marketing.inter[0])
+
+    @pytest.mark.parametrize("width", [1, 31, 33, 70])
+    @pytest.mark.parametrize("mode", ["sum", "average"])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_step_matches_interleaved_reference(self, width, mode, mirror):
+        # hand-set states: rows alternate symmetric brand pairs (exact ties
+        # wherever an agent's neighbors split evenly, e.g. all still
+        # NO_BRAND) with asymmetric ones, some rows start with agents that
+        # have not chosen yet, and the last of several rows scores NaN
+        params = MarketParams(price_sum_mode=mode).validate()
+        market = make_market(seed=7, params=params, replications=width)
+        twin = np.random.default_rng(width)
+        symmetric = np.arange(width) % 3 != 1
+        mk = market.marketing
+        mk.mb[:] = twin.uniform(50.0, 150.0, (width, 1))
+        for name, lo, hi in (("ad", 0.25, 0.35), ("pm", 0.25, 0.35), ("inter", -0.2, 0.2)):
+            level = twin.uniform(lo, hi, (width, 2))
+            level[symmetric, 1] = level[symmetric, 0]
+            setattr(mk, name, level)
+        prices = twin.uniform(1.2, 1.8, (width, 2))
+        prices[symmetric, 1] = prices[symmetric, 0]
+        if width > 1:
+            prices[-1] = np.nan
+        unset = twin.random((market.n, width)) < np.linspace(0.0, 1.0, width)
+        market.adopted[:] = np.where(unset, -1, twin.integers(0, 2, (market.n, width)))
+
+        rngs = [np.random.default_rng(300 + r) for r in range(width)]
+        reference_rngs = [np.random.default_rng(300 + r) for r in range(width)]
+        ties = 0
+        for _ in range(3):
+            before = market.adopted.copy()
+            with np.errstate(invalid="ignore"):
+                shares = market.step(prices, rngs, mirror=mirror)
+                choice, expected, tied = interleaved_day(market, before, prices,
+                                                         reference_rngs, mirror)
+            ties += tied
+            assert np.array_equal(market.adopted, choice)
+            assert np.array_equal(shares, expected)
+        assert ties > 0
 
     def test_truncate_keeps_leading_rows(self):
         market = make_market(seed=2, n=50, replications=4)

@@ -262,6 +262,14 @@ class TestStepAdmissibility:
             step_pricing((1.5, 1.5), PricingState(mp=1.5), (p, p),
                          (math.inf, 10.0), dt=DT)
 
+    def test_layoff_cap_must_be_none_or_nonnegative(self):
+        # a negative cap would hire through the layoff term, a NaN one caps nothing
+        for cap in (-5.0, -1e-9, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match="max_layoff_rate"):
+                SDParams(max_layoff_rate=cap).validate()
+        for cap in (None, 0.0, 0.05, math.inf):
+            SDParams(max_layoff_rate=cap).validate()
+
 
 class TestStepPricing:
     def test_neutral_multipliers_give_market_price(self):
