@@ -26,24 +26,8 @@ class SocialNetwork:
     indices: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, node: int) -> np.ndarray:
         return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
-    def is_connected(self) -> bool:
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
 
 
 def _csr_from_edges(n: int, edges: list) -> tuple:
@@ -61,14 +45,6 @@ def _csr_from_edges(n: int, edges: list) -> tuple:
         indices[cursor[v]] = u
         cursor[v] += 1
     return indptr, indices, degrees
-
-
-def from_edges(n: int, edges: list, seed: int = 0) -> SocialNetwork:
-    """Build a network from an explicit edge list (mostly for tests)."""
-    edges = [(int(u), int(v)) for u, v in edges]
-    indptr, indices, degrees = _csr_from_edges(n, edges)
-    return SocialNetwork(n=n, m0=n, m=0, seed=seed, edges=edges,
-                         indptr=indptr, indices=indices, degrees=degrees)
 
 
 def generate_ba_network(n: int, m0: int = 5, m: int = 3, seed: int = 0) -> SocialNetwork:
@@ -102,19 +78,3 @@ def generate_ba_network(n: int, m0: int = 5, m: int = 3, seed: int = 0) -> Socia
     return SocialNetwork(n=n, m0=m0, m=m, seed=seed, edges=edges,
                          indptr=indptr, indices=indices, degrees=degrees)
 
-
-def degree_ccdf_slope(net: SocialNetwork, min_degree: int | None = None) -> float:
-    """Log-log slope of the empirical degree CCDF over degrees >= min_degree."""
-    min_degree = net.m if min_degree is None else min_degree
-    degs = np.sort(net.degrees[net.degrees >= min_degree])
-    if degs.size == 0:
-        raise ParameterError("no degrees at or above min_degree")
-    uniq = np.unique(degs)
-    ccdf = np.array([(degs >= d).mean() for d in uniq])
-    keep = ccdf > 0
-    x = np.log10(uniq[keep].astype(float))
-    y = np.log10(ccdf[keep])
-    if x.size < 2:
-        raise ParameterError("not enough distinct degrees for a slope fit")
-    slope, _ = np.polyfit(x, y, 1)
-    return float(slope)

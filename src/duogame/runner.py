@@ -7,23 +7,24 @@ steps and prices are re-set at the market level. Physical quantities
 payoffs can be priced with any cost-rate vector afterwards.
 
 All replications of a call run in lockstep, one day at a time, held by one
-row-state class: every row's prices, market-price band, RNG streams and
-accumulators are one list or array entry per row, whatever the width. Each
-day one market call advances every row, scoring the agents brand-major in
-slices of ``market.BLOCK`` rows, then the supply chains and pricing of
-every row run the day's sub-steps, whose body alone depends on the width:
-from ``WIDE`` rows on, both companies of every row are one stacked
-:class:`SDState` of (rows, 2) arrays, stepped by one array step and one
-array pricing step per sub-step; below it, where the array step's fixed
-cost of 100-200 us per sub-step outweighs the 5 us of a plain-float
-company step, each replication steps its two companies and its pricing in
-plain floats. Both bodies run the one supply-chain step, in its array or
-its float form, and the same bookkeeping, so they perform the same float
-operations in the same order. :func:`estimate_payoffs` splits its rows
-once, into passes of at most ``PASS_ROWS`` rows run in process or on a
-worker pool. Replications share nothing but the population, so every
-output depends on its pair and seed alone; results do not depend on the
-sample count ``n``, the width, the body or the passes.
+row-state class: every row's prices, market expected price and band, RNG
+streams and accumulators are one list or array entry per row, whatever the
+width. Each day one market call advances every row, scoring the agents
+brand-major in slices of ``market.BLOCK`` rows, then the supply chains and
+pricing of every row run the day's sub-steps, whose body alone depends on
+the width: from ``WIDE`` rows on, both companies of every row are one
+stacked :class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped
+by the company step and the pricing step in their array form once per
+sub-step; below it each replication runs both steps in their plain-float
+form. The float body stays because the array body's fixed cost per sub-step
+is some 200 numpy calls of 1-2 us each: a one-row replication takes 80-120
+ms on it and 23-25 ms in plain floats (minima). Both forms perform the same float
+operations in the same order, and both bodies the same bookkeeping.
+:func:`estimate_payoffs` splits its rows once, into passes of at most
+``PASS_ROWS`` rows run in process or on a worker pool. Replications share
+nothing but the population, so every output depends on its pair and seed
+alone; results do not depend on the sample count ``n``, the width, the body
+or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -35,7 +36,6 @@ replication an exact mirror of the original.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,8 +46,6 @@ from .network import generate_ba_network
 from .supply_chain import (
     ZERO_NOISE,
     NoiseDraws,
-    PricingState,
-    SDParamRows,
     SDParams,
     SDState,
     steady_state,
@@ -166,12 +164,12 @@ class ReplicationOutput:
 
 _network_cache: dict = {}
 
-# Rows from which the supply chains step as (rows, 2) arrays, one array step
-# per sub-step for the whole call; fewer rows step in plain floats, one
-# company at a time. An array step costs 100-200 us whatever the width up to
-# a few dozen rows, a plain-float company step about 5 us; per replication
-# the array body measured 1.13 times the float body's time at 14 rows and
-# 0.90 times at 16.
+# Rows from which the supply chains and pricing step as (rows, 2) arrays, one
+# company step and one pricing step per sub-step for the whole call; fewer
+# rows step in plain floats, one company at a time. An array sub-step costs
+# 100-200 us whatever the width up to a few dozen rows, a plain-float company
+# step about 5 us; per replication the array body measured 1.13 times the
+# float body's time at 14 rows and 0.90 times at 16.
 WIDE = 16
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a
@@ -227,15 +225,11 @@ def _streams(seed, mirror):
 
 class _Rows:
     """Every row of a kernel pass: its RNG streams, marketing ranges, prices,
-    market-price band, noisy companies and accumulators, each one list or
-    array entry per row, plus the two companies' supply chains.
+    market expected price and band, noisy companies and accumulators, each
+    one list or array entry per row, plus the two companies' supply chains.
 
-    Only a day's sub-steps depend on the width, fixed for the pass: from
-    ``WIDE`` rows on the supply chains are one stacked :class:`SDState` of
-    (rows, 2) arrays, advanced by one array step and one array pricing step
-    per sub-step; below it each row steps its two companies and its pricing
-    in plain floats. Both bodies perform the same float operations in the
-    same order.
+    Only a day's sub-steps depend on the width, fixed for the pass: the
+    array body from ``WIDE`` rows on, the plain-float body below it.
     """
 
     def __init__(self, setups, index, seeds, settings, mirror):
@@ -249,7 +243,7 @@ class _Rows:
         self.ranges = np.array([[(spec.ad_range, spec.pm_range) for spec in specs]
                                 for specs in pairs])
         self.prices = np.array([[spec.sd.mfg_price for spec in specs] for specs in pairs])
-        self.pricing = PricingState(mp=(self.prices[:, 0] + self.prices[:, 1]) / 2.0)
+        self.mp = (self.prices[:, 0] + self.prices[:, 1]) / 2.0
         self.bounds = np.array([setup[3] for setup in setups])[index]
         self.noisy = []     # (row, company, sigmas) of each noisy company
         for r, specs in enumerate(pairs):
@@ -266,7 +260,7 @@ class _Rows:
         self.daily = np.empty((settings.run_length_days, len(SERIES), n, 2))
         self.wide = n >= WIDE
         if self.wide:
-            self.p = SDParamRows([setup[1] for setup in setups], index)
+            self.p = SDParams.stacked([setup[1] for setup in setups], index)
             self.s = SDState.stacked([setup[2] for setup in setups], index)
             self.s.price = self.prices     # stepped in place by the array pricing
         else:
@@ -280,16 +274,15 @@ class _Rows:
     def truncate(self, rows: int) -> None:
         """Keep only the first ``rows`` rows."""
         for name in ("seeds", "tie_rngs", "rngs", "mb_pct", "ranges", "prices",
-                     "bounds", "period_revenue", "sunk_total"):
+                     "mp", "bounds", "period_revenue", "sunk_total"):
             setattr(self, name, getattr(self, name)[:rows])
-        self.pricing.mp = self.pricing.mp[:rows]
         self.noisy = [entry for entry in self.noisy if entry[0] < rows]
         self.totals = self.totals[:, :rows]
         self.daily = self.daily[:, :, :rows]
         if self.wide:
-            for name, value in list(vars(self.s).items()):
-                setattr(self.s, name, value[:rows])
-            self.p.truncate(rows)
+            for record in (self.s, self.p):
+                for name, value in list(vars(record).items()):
+                    setattr(record, name, value[:rows])
         else:
             self.sd, self.params = self.sd[:rows], self.params[:rows]
 
@@ -345,8 +338,7 @@ class _Rows:
                 failed = exc
             _book(self.totals, self.period_revenue, ..., s, s.price, dt, collect)
             try:
-                step_pricing(s.price, self.pricing, p, s.inv_cov, dt=dt,
-                             mp_bounds=(self.bounds[:, 0], self.bounds[:, 1]))
+                step_pricing(s.price, self.mp, p, s.inv_cov, dt=dt, mp_bounds=self.bounds.T)
             except StateError as exc:
                 if failed is None or exc.row < failed.row:
                     failed = exc
@@ -371,31 +363,30 @@ class _Rows:
         else:
             noises = [[NoiseDraws(*d) for d in row]
                       for row in np.moveaxis(draws, 0, -1).tolist()]
-        prices, mps = self.prices.tolist(), self.pricing.mp.tolist()
+        prices, mps = self.prices.tolist(), self.mp.tolist()
         totals = self.totals.transpose(1, 2, 0).tolist()
         revenue = self.period_revenue.tolist()
         ends, failure = [], None
         for r, (sd, params) in enumerate(zip(self.sd, self.params)):
-            price, period_revenue = prices[r], revenue[r]
-            pricing = PricingState(mp=mps[r])
+            price, mp, period_revenue = prices[r], mps[r], revenue[r]
             try:
                 for _ in range(substeps):
                     for i in COMPANIES:
                         s = step_company(sd[i], params[i], orders[r][i], noises[r][i], dt)
                         _book(totals[r][i], period_revenue, i, s, price[i], dt, collect)
-                    price, pricing = step_pricing(price, pricing, params,
-                                                  (sd[0].inv_cov, sd[1].inv_cov),
-                                                  dt=dt, mp_bounds=bounds[r])
+                    price, mp = step_pricing(price, mp, params,
+                                             (sd[0].inv_cov, sd[1].inv_cov),
+                                             dt=dt, mp_bounds=bounds[r])
             except StateError as exc:
                 failure = (r, exc)
                 break
-            prices[r], mps[r] = price, pricing.mp
+            prices[r], mps[r] = price, mp
             s0, s1 = sd
             ends.append((price, (s0.inv, s1.inv), (s0.backlog, s1.backlog),
                          (s0.ship_r, s1.ship_r), shares[r], (s0.labor, s1.labor),
                          (s0.wip, s1.wip)))
         self.prices[:] = prices
-        self.pricing.mp[:] = mps
+        self.mp[:] = mps
         self.totals.transpose(1, 2, 0)[:] = totals
         self.period_revenue[:] = revenue
         if ends:    # the rows that finished the day
@@ -621,9 +612,3 @@ def detect_warmup(rep: ReplicationOutput, rel_tol: float = 0.02,
             worst = max(worst, first_ok)
     return worst
 
-
-def time_replication(specs, settings: SimulationSettings, seed: int = 0) -> float:
-    """Wall-clock seconds for a single replication (used by perf checks)."""
-    start = time.perf_counter()
-    run_replication(specs, settings, seed)
-    return time.perf_counter() - start

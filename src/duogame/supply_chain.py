@@ -13,12 +13,12 @@ exact up to floating point.
 
 :func:`step_company` and :func:`step_pricing` advance either one company
 pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
-once (an :class:`SDState` from :meth:`SDState.stacked`, and
-:class:`SDParamRows`), every quantity then a (rows, 2) array. The company
-step has one body, :func:`_advance`, in two forms: it takes its clamps,
-minima and choices as plain-float conditionals or as numpy calls, which
-perform the same operations in the same order, so a row's numbers do not
-depend on the form that computed them.
+once (:meth:`SDState.stacked`, :meth:`SDParams.stacked`), every quantity
+then a (rows, 2) array. Each has one body, :func:`_advance` and
+:func:`_price`, in two forms: its clamps, minima, choices and powers are
+plain-float operations, fastest for one pair, or numpy calls, which perform
+the same operations in the same order, so a row's numbers do not depend on
+the form that computed them.
 """
 
 from __future__ import annotations
@@ -35,6 +35,24 @@ from .errors import ParameterError, StateError
 # Floor for inventory coverage before it enters the price multiplier, so a
 # negative exponent never sees zero.
 EPS_COVERAGE = 0.1
+
+# A stock less than this below zero after a step is zero: an outflow capped at
+# ``stock / dt`` empties the stock only in exact arithmetic, a few ulp of the
+# flows off (-2.2e-16 from a backlog of 1.79); 1e-9 covers flows up to 1e6 a day.
+ROUNDING_SLACK = 1e-9
+
+
+def _stacked(cls, pairs, index):
+    """``pairs``, a sequence of pairs of ``cls`` records (:class:`SDParams`
+    or :class:`SDState`), as one record of (rows, 2) float arrays, one row
+    per entry of ``index``; None (``max_layoff_rate``) is held as +inf,
+    which never caps."""
+    def value(obj, name):
+        v = getattr(obj, name)
+        return math.inf if v is None else v
+    return cls(**{f.name: np.array([[value(obj, f.name) for obj in pair] for pair in pairs],
+                                   dtype=float)[index]
+                  for f in fields(cls)})
 
 
 @dataclass
@@ -130,6 +148,8 @@ class SDParams:
     def daily_capacity_per_worker(self) -> float:
         return self.labor_productivity * self.labor_hours
 
+    stacked = classmethod(_stacked)
+
 
 @dataclass
 class NoiseDraws:
@@ -178,22 +198,10 @@ class SDState:
 
     STOCK_FIELDS = ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit")
 
-    @classmethod
-    def stacked(cls, pairs, index) -> "SDState":
-        """The states of ``pairs``, a sequence of :class:`SDState` pairs, as
-        one state of (rows, 2) arrays, one row per entry of ``index``."""
-        return cls(**_tables(pairs, [f.name for f in fields(cls)], index))
+    stacked = classmethod(_stacked)
 
     def stocks(self) -> dict:
         return {name: getattr(self, name) for name in self.STOCK_FIELDS}
-
-
-@dataclass
-class PricingState:
-    """Market-level pricing co-state shared by the two companies."""
-
-    mp: float                      # market expected price
-    price_cr: float = 0.0          # last change rate of ``mp`` (per day)
 
 
 @dataclass
@@ -204,39 +212,6 @@ class FlowLedger:
 
     def add(self, stock: str, net_rate: float, dt: float):
         self.flows[stock] = self.flows.get(stock, 0.0) + net_rate * dt
-
-
-class SDParamRows:
-    """:class:`SDParams` of many replications' company pairs, each field a
-    (rows, 2) array; ``max_layoff_rate`` None is held as +inf, which never
-    caps."""
-
-    FIELDS = tuple(f.name for f in fields(SDParams))
-
-    def __init__(self, pairs, index):
-        """The parameters of ``pairs``, a sequence of :class:`SDParams`
-        pairs, one row per entry of ``index``."""
-        vars(self).update(_tables(pairs, self.FIELDS, index))
-        # the coverage multiplier is a per-element C ``pow``: ``np.power``
-        # rounds differently on a few percent of arguments
-        self.invcov_exponents = self.price_sens_invcov.ravel().tolist()
-
-    def truncate(self, rows: int) -> None:
-        """Keep only the first ``rows`` rows."""
-        for name in self.FIELDS:
-            setattr(self, name, getattr(self, name)[:rows])
-        self.invcov_exponents = self.invcov_exponents[:2 * rows]
-
-
-def _tables(pairs, names, index) -> dict:
-    """(len(index), 2) float arrays of the attributes ``names`` of the pairs
-    ``pairs[index]``, None read as +inf."""
-    def value(obj, name):
-        v = getattr(obj, name)
-        return math.inf if v is None else v
-    return {name: np.array([[value(obj, name) for obj in pair] for pair in pairs],
-                           dtype=float)[index]
-            for name in names}
 
 
 def step_company(state: SDState, p: SDParams, order_rate: float,
@@ -254,24 +229,26 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
     [0, 1]. ``ledger`` books each stock's net flow. Returns ``state``.
 
-    With an :class:`SDParamRows` ``p``, ``state`` is a stacked state and
-    ``order_rate`` and the noise fields are (rows, 2) arrays (or scalars);
-    every row advances, then the lowest inadmissible row raises with its
-    own message and ``row`` set.
+    With a stacked ``state`` and ``p`` (:meth:`SDState.stacked`,
+    :meth:`SDParams.stacked`), ``order_rate`` and the noise fields are
+    (rows, 2) arrays (or scalars); every row advances, then the lowest
+    inadmissible row raises with its own message and ``row`` set.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    if isinstance(p, SDParamRows):
+    if isinstance(p.cycle_time, np.ndarray):
         with np.errstate(all="ignore"):
             flows = _advance(state, p, order_rate, noise, dt, _ARRAYS)
-        _check_rows(state)
+            ok = _admissible(state)
+            if not ok.all():
+                ok = _settle(state, np.where)
+        if not ok.all():
+            row, company = divmod(int(np.argmin(ok.ravel())), 2)
+            raise _stock_error({name: float(getattr(state, name)[row, company])
+                                for name in SDState.STOCK_FIELDS}, row=row)
     else:
         flows = _advance(state, p, order_rate, noise, dt, _FLOATS)
-        s = state
-        if not (s.wip >= 0 and s.inv >= 0 and s.labor >= 0 and s.vac >= 0
-                and s.backlog >= 0 and s.rm_inv >= 0 and s.rm_transit >= 0
-                and math.isfinite(s.wip + s.inv + s.labor + s.vac + s.backlog
-                                  + s.rm_inv + s.rm_transit)):
+        if not (_admissible(state) or _settle(state, _FLOATS.pick)):
             raise _stock_error(state.stocks())
     if ledger is not None:
         for name, net in zip(SDState.STOCK_FIELDS, flows):
@@ -280,25 +257,46 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
 
 
 class _Ops(NamedTuple):
-    """The operations of :func:`_advance` whose form depends on whether it
-    steps plain floats or (rows, 2) arrays; both forms give an element the
-    same result, NaN included."""
+    """The operations of :func:`_advance` and :func:`_price` whose form
+    depends on whether they step plain floats or (rows, 2) arrays; both
+    forms give an element the same result, NaN included."""
 
     pos: Callable       # ``x if x > 0.0 else 0.0``
     lesser: Callable    # ``y if y < x else x``
     pick: Callable      # ``a if c else b``
     ratio: Callable     # ``a / b``, only where ``b == 0`` is not picked
+    power: Callable     # C ``pow(x, y)`` of a positive ``x``, an overflow +inf
+
+
+def _pow(x, y):
+    try:
+        return pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _pow_each(x, y):
+    """:func:`_pow` of each element pair of the arrays ``x`` and ``y``, in
+    C ``pow``: ``np.power`` rounds differently on a few percent of them."""
+    args = x.ravel().tolist(), y.ravel().tolist()
+    try:
+        z = list(map(pow, *args))     # without the wrapper's call per element
+    except OverflowError:
+        z = list(map(_pow, *args))
+    return np.array(z).reshape(x.shape)
 
 
 _FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
                lesser=lambda x, y: y if y < x else x,
                pick=lambda c, a, b: a if c else b,
-               ratio=lambda a, b: a / b if b else 0.0)
+               ratio=lambda a, b: a / b if b else 0.0,
+               power=_pow)
 # ``fmax`` drops NaN for 0.0 and adding 0.0 turns its -0.0 into 0.0
 _ARRAYS = _Ops(pos=lambda x: np.fmax(x, 0.0) + 0.0,
                lesser=lambda x, y: np.where(y < x, y, x),
                pick=np.where,
-               ratio=operator.truediv)
+               ratio=operator.truediv,
+               power=_pow_each)
 
 
 def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
@@ -307,7 +305,7 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     to ``s`` and returns the seven net flows in ``SDState.STOCK_FIELDS``
     order. Both branches of a choice are computed, so each element of the
     array form rounds as its plain-float counterpart does."""
-    pos, lesser, pick, ratio = ops
+    pos, lesser, pick, ratio, _ = ops
     wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
     backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
     order_r = pos(order_rate + noise.order)
@@ -377,20 +375,22 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     return flows
 
 
-def _check_rows(s: SDState) -> None:
-    """Raise :class:`StateError` for the lowest row of the stacked ``s``
-    holding an inadmissible stock, with the row's own message and ``row``
-    set."""
-    with np.errstate(all="ignore"):
-        ok = ((s.wip >= 0) & (s.inv >= 0) & (s.labor >= 0) & (s.vac >= 0)
-              & (s.backlog >= 0) & (s.rm_inv >= 0) & (s.rm_transit >= 0)
-              & np.isfinite(s.wip + s.inv + s.labor + s.vac + s.backlog
-                            + s.rm_inv + s.rm_transit))
-    if ok.all():
-        return
-    row, company = divmod(int(np.argmin(ok.ravel())), 2)
-    raise _stock_error({name: float(getattr(s, name)[row, company])
-                        for name in SDState.STOCK_FIELDS}, row=row)
+def _admissible(s: SDState):
+    """Whether every stock of ``s`` is finite and non-negative, per row and
+    company of a stacked ``s``."""
+    return ((s.wip >= 0) & (s.inv >= 0) & (s.labor >= 0) & (s.vac >= 0)
+            & (s.backlog >= 0) & (s.rm_inv >= 0) & (s.rm_transit >= 0)
+            & (abs(s.wip + s.inv + s.labor + s.vac + s.backlog + s.rm_inv
+                   + s.rm_transit) < math.inf))
+
+
+def _settle(s: SDState, pick):
+    """Set each stock of ``s`` less than ``ROUNDING_SLACK`` below zero to
+    0.0 and return :func:`_admissible` of the result."""
+    for name in SDState.STOCK_FIELDS:
+        x = getattr(s, name)
+        setattr(s, name, pick((x < 0) & (x >= -ROUNDING_SLACK), 0.0, x))
+    return _admissible(s)
 
 
 def _stock_error(stocks: dict, row: int | None = None) -> StateError:
@@ -403,84 +403,74 @@ def _stock_error(stocks: dict, row: int | None = None) -> StateError:
     return StateError("inadmissible state", row=row)
 
 
-def step_pricing(prices: tuple, shared: PricingState, params: tuple,
-                 inv_covs: tuple, dt: float = 0.25,
+def _price_error(mp, prices, row: int | None = None) -> StateError:
+    """The error for a market expected price ``mp`` that is not positive,
+    else for the first of ``prices`` that is not finite and positive."""
+    if mp <= 0:
+        return StateError(f"market expected price must be > 0, got {mp}", row=row)
+    price = next(x for x in prices if not 0.0 < x < math.inf)
+    return StateError(f"inadmissible price: {price}", row=row)
+
+
+def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
                  mp_bounds: tuple | None = None) -> tuple:
-    """Update both prices and, in place, the market expected price.
+    """Both companies' new prices and the new market expected price ``mp``.
 
     ``params`` and ``inv_covs`` are per-company pairs. A price is the
     market expected price times a cost multiplier (floored at 1e-9) and a
     coverage multiplier ``(cov / max_inv_cov) ** price_sens_invcov``, with
-    ``cov`` floored at ``EPS_COVERAGE``. ``mp_bounds`` clips the market
-    expected price into a saturation band. Returns ``(new_prices, shared)``
-    and raises :class:`StateError` when a new price is not finite and
-    positive.
+    ``cov`` floored at ``EPS_COVERAGE``; ``mp`` then moves toward the mean
+    of the two prices, and ``mp_bounds`` clips it into a saturation band.
+    Returns ``(prices, mp)`` and raises :class:`StateError` when ``mp`` is
+    not positive or a new price is not finite and positive.
 
-    With :class:`SDParamRows` ``params``, ``prices`` and ``inv_covs`` are
-    (rows, 2) arrays and ``shared.mp`` and both bounds (rows,) arrays;
-    every row is updated, ``prices`` in place, then the lowest inadmissible
-    row raises with its own message and ``row`` set.
+    With stacked ``params`` (:meth:`SDParams.stacked`), ``prices`` and
+    ``inv_covs`` are (rows, 2) arrays and ``mp`` and both bounds (rows,)
+    arrays; every row is updated, ``prices`` and ``mp`` in place, then the
+    lowest inadmissible row raises with its own message and ``row`` set.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    if isinstance(params, SDParamRows):
-        return _price_rows(prices, shared, params, inv_covs, dt, mp_bounds)
-    mp = shared.mp
-    if mp <= 0:
-        raise StateError(f"market expected price must be > 0, got {mp}")
-    new_prices = []
-    for p, cov in zip(params, inv_covs):
-        f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / mp - 1.0)
-        if f_cost < 1e-9:
-            f_cost = 1e-9
-        if cov < EPS_COVERAGE:
-            cov = EPS_COVERAGE
-        price = mp * f_cost * (cov / p.max_inv_cov) ** p.price_sens_invcov
-        if not 0.0 < price < math.inf:
-            raise StateError(f"inadmissible price: {price}")
-        new_prices.append(price)
-    price_cr = ((new_prices[0] + new_prices[1]) / 2.0 - mp) / params[0].mp_fulfillment_time
-    mp = mp + dt * price_cr
-    if mp_bounds is not None:
-        if mp_bounds[0] > mp:
-            mp = mp_bounds[0]
-        if mp_bounds[1] < mp:
-            mp = mp_bounds[1]
-    shared.mp, shared.price_cr = mp, price_cr
-    return tuple(new_prices), shared
-
-
-def _price_rows(prices, shared: PricingState, p: SDParamRows, inv_covs,
-                dt: float, mp_bounds) -> tuple:
-    """:func:`step_pricing` over every row at once, in the scalar step's
-    operations and order."""
-    where = np.where
-    mp = shared.mp
+    if not isinstance(params, SDParams):
+        if mp <= 0:     # before ``unit_cost / mp`` can divide by zero
+            raise _price_error(mp, ())
+        new = (_price(mp, params[0], inv_covs[0], _FLOATS),
+               _price(mp, params[1], inv_covs[1], _FLOATS))
+        if not (0.0 < new[0] < math.inf and 0.0 < new[1] < math.inf):
+            raise _price_error(mp, new)
+        return new, _market_price(mp, new, params[0].mp_fulfillment_time, dt,
+                                  mp_bounds, _FLOATS)
     with np.errstate(all="ignore"):
-        m = mp[:, None]
-        f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / m - 1.0)
-        f_cost = where(f_cost < 1e-9, 1e-9, f_cost)
-        cov = where(inv_covs < EPS_COVERAGE, EPS_COVERAGE, inv_covs)
-        base = (cov / p.max_inv_cov).ravel().tolist()
-        f_invcov = np.array(list(map(pow, base, p.invcov_exponents)))
-        new = m * f_cost * f_invcov.reshape(cov.shape)
-        price_cr = ((new[:, 0] + new[:, 1]) / 2.0 - mp) / p.mp_fulfillment_time[:, 0]
-        new_mp = mp + dt * price_cr
-        if mp_bounds is not None:
-            new_mp = where(mp_bounds[0] > new_mp, mp_bounds[0], new_mp)
-            new_mp = where(mp_bounds[1] < new_mp, mp_bounds[1], new_mp)
-        ok = (new > 0.0) & (new < math.inf)
-    prices[...] = new
-    shared.mp, shared.price_cr = new_mp, price_cr
-    bad = (mp <= 0) | ~ok.all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
-        if mp[row] <= 0:
-            message = f"market expected price must be > 0, got {float(mp[row])}"
-        else:
-            message = f"inadmissible price: {float(new[row, int(np.argmin(ok[row]))])}"
-        raise StateError(message, row=row)
-    return prices, shared
+        new = _price(mp[:, None], params, inv_covs, _ARRAYS)
+        new_mp = _market_price(mp, new.T, params.mp_fulfillment_time[:, 0], dt,
+                               mp_bounds, _ARRAYS)
+        # a price is mp times positive multipliers: not positive if mp <= 0
+        bad = ~((new > 0.0) & (new < math.inf)).all(axis=1)
+    try:
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise _price_error(float(mp[row]), new[row].tolist(), row)
+    finally:
+        prices[...], mp[...] = new, new_mp
+    return prices, mp
+
+
+def _price(mp, p: SDParams, cov, ops: _Ops):
+    """The body of :func:`step_pricing`: a company's price, unchecked."""
+    f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / mp - 1.0)
+    f_cost = ops.pick(f_cost < 1e-9, 1e-9, f_cost)
+    cov = ops.pick(cov < EPS_COVERAGE, EPS_COVERAGE, cov)
+    return mp * f_cost * ops.power(cov / p.max_inv_cov, p.price_sens_invcov)
+
+
+def _market_price(mp, prices, time: float, dt: float, mp_bounds, ops: _Ops):
+    """``mp`` after one step toward the mean of the pair ``prices`` with
+    adjustment time ``time``, clipped into ``mp_bounds``."""
+    mp = mp + dt * (((prices[0] + prices[1]) / 2.0 - mp) / time)
+    if mp_bounds is not None:
+        mp = ops.pick(mp_bounds[0] > mp, mp_bounds[0], mp)
+        mp = ops.pick(mp_bounds[1] < mp, mp_bounds[1], mp)
+    return mp
 
 
 def steady_state(p: SDParams, order_rate: float) -> SDState:

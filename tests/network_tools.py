@@ -1,0 +1,44 @@
+"""Network constructors and diagnostics that only the tests use."""
+
+import numpy as np
+
+from duogame.errors import ParameterError
+from duogame.network import SocialNetwork, _csr_from_edges
+
+
+def from_edges(n: int, edges: list, seed: int = 0) -> SocialNetwork:
+    """Build a network from an explicit edge list."""
+    edges = [(int(u), int(v)) for u, v in edges]
+    indptr, indices, degrees = _csr_from_edges(n, edges)
+    return SocialNetwork(n=n, m0=n, m=0, seed=seed, edges=edges,
+                         indptr=indptr, indices=indices, degrees=degrees)
+
+
+def is_connected(net: SocialNetwork) -> bool:
+    seen = np.zeros(net.n, dtype=bool)
+    stack = [0]
+    seen[0] = True
+    while stack:
+        u = stack.pop()
+        for v in net.neighbors(u):
+            if not seen[v]:
+                seen[v] = True
+                stack.append(int(v))
+    return bool(seen.all())
+
+
+def degree_ccdf_slope(net: SocialNetwork, min_degree: int | None = None) -> float:
+    """Log-log slope of the empirical degree CCDF over degrees >= min_degree."""
+    min_degree = net.m if min_degree is None else min_degree
+    degs = np.sort(net.degrees[net.degrees >= min_degree])
+    if degs.size == 0:
+        raise ParameterError("no degrees at or above min_degree")
+    uniq = np.unique(degs)
+    ccdf = np.array([(degs >= d).mean() for d in uniq])
+    keep = ccdf > 0
+    x = np.log10(uniq[keep].astype(float))
+    y = np.log10(ccdf[keep])
+    if x.size < 2:
+        raise ParameterError("not enough distinct degrees for a slope fit")
+    slope, _ = np.polyfit(x, y, 1)
+    return float(slope)

@@ -271,6 +271,17 @@ class TestSimulateCommand:
         assert (tmp_path / "f" / "payoffs.json").read_bytes() == \
             (out / "payoffs.json").read_bytes()
 
+    def test_price_overflow_exits_3(self, tmp_path, capsys):
+        # (0.1 / 1e308) ** -1 overflows the coverage multiplier on day 0
+        sd = {"max_inv_cov": 1e308, "price_sens_invcov": -1.0,
+              "safety_stock_cov": 0.5, "order_processing_time": 0.2}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sd_defaults": sd}))
+        assert main(["simulate", "--config", str(path), "--n", "3",
+                     "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err.strip() == (
+            "runtime error: replication diverged on day 0: inadmissible price: inf")
+
     def test_replays_gsa_failure(self, tmp_path, capsys):
         # without the price band the asymmetric manufacturing profile runs
         # away first, in the first of its replications

@@ -13,7 +13,8 @@ from duogame.market import (
     update_costate,
     update_perceptions,
 )
-from duogame.network import from_edges, generate_ba_network
+from duogame.network import generate_ba_network
+from network_tools import from_edges
 
 
 class TestMarketingSpend:

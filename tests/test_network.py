@@ -2,27 +2,28 @@ import numpy as np
 import pytest
 
 from duogame.errors import ParameterError
-from duogame.network import degree_ccdf_slope, from_edges, generate_ba_network
+from duogame.network import generate_ba_network
+from network_tools import degree_ccdf_slope, from_edges, is_connected
 
 
 def test_seed_only_graph_is_complete():
     net = generate_ba_network(5, m0=5, m=3, seed=1)
-    assert net.edge_count == 10
-    assert net.is_connected()
+    assert len(net.edges) == 10
+    assert is_connected(net)
 
 
 def test_edge_count_identity():
     net = generate_ba_network(100, m0=5, m=3, seed=2)
-    assert net.edge_count == 10 + 3 * 95 == 295
+    assert len(net.edges) == 10 + 3 * 95 == 295
     for n, m0, m, seed in [(50, 4, 2, 0), (200, 8, 8, 5), (30, 3, 1, 9)]:
         net = generate_ba_network(n, m0=m0, m=m, seed=seed)
-        assert net.edge_count == m0 * (m0 - 1) // 2 + m * (n - m0)
-        assert net.is_connected()
+        assert len(net.edges) == m0 * (m0 - 1) // 2 + m * (n - m0)
+        assert is_connected(net)
 
 
 def test_degree_sum_is_twice_edges():
     net = generate_ba_network(150, m0=5, m=3, seed=3)
-    assert net.degrees.sum() == 2 * net.edge_count
+    assert net.degrees.sum() == 2 * len(net.edges)
 
 
 def test_deterministic_given_seed():
@@ -49,6 +50,6 @@ def test_power_law_tail():
 
 def test_from_edges_path_graph():
     net = from_edges(3, [(0, 1), (1, 2)])
-    assert net.edge_count == 2
+    assert len(net.edges) == 2
     assert list(net.neighbors(1)) == [0, 2]
-    assert net.is_connected()
+    assert is_connected(net)

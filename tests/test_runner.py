@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,12 +16,10 @@ from duogame.runner import (
     estimate_payoffs,
     replication_seeds,
     run_replication,
-    time_replication,
 )
 from duogame.supply_chain import (
+    EPS_COVERAGE,
     NoiseDraws,
-    PricingState,
-    SDParamRows,
     SDParams,
     SDState,
     steady_state,
@@ -61,8 +60,12 @@ class TestRunReplication:
 
     def test_default_run_under_time_budget(self):
         settings = SimulationSettings()
-        best = min(time_replication(default_specs(), settings, seed=s)
-                   for s in range(3))
+        times = []
+        for s in range(3):
+            start = time.perf_counter()
+            run_replication(default_specs(), settings, seed=s)
+            times.append(time.perf_counter() - start)
+        best = min(times)
         assert best < 0.050, f"replication took {best * 1e3:.1f} ms"
 
     def test_series_shapes(self):
@@ -240,7 +243,7 @@ def random_company(rng):
         price_sens_cost=rng.uniform(0, 1), price_sens_invcov=rng.uniform(-1, 0),
         mfg_price=rng.uniform(1, 2), lam_wip=rng.uniform(0.1, 1),
         lam_prod=rng.uniform(0.1, 1), lam_labor=rng.uniform(0.1, 1),
-        lam_vac=rng.uniform(0.1, 1),
+        lam_vac=rng.uniform(0.1, 1), mp_fulfillment_time=rng.uniform(10, 30),
         max_layoff_rate=None if rng.random() < 0.5 else rng.uniform(0.01, 3)).validate()
     s = steady_state(p, 100.0)
     for name in SDState.STOCK_FIELDS:
@@ -291,35 +294,34 @@ def special_companies():
 
 
 def scalar_step(row, dt=0.25):
-    """One sub-step of a row in plain floats: the new states, prices and
-    pricing state, or the error message."""
+    """One sub-step of a row in plain floats: the new states (prices
+    included) and market expected price, or the error message."""
     params, states, orders, noises, mp, bounds = row
     states = [replace(s) for s in states]
     try:
         for i in (0, 1):
             step_company(states[i], params[i], orders[i], noises[i], dt)
-        prices, shared = step_pricing((states[0].price, states[1].price),
-                                      PricingState(mp=mp), params,
-                                      (states[0].inv_cov, states[1].inv_cov),
-                                      dt=dt, mp_bounds=bounds)
+        prices, mp = step_pricing((states[0].price, states[1].price), mp, params,
+                                  (states[0].inv_cov, states[1].inv_cov),
+                                  dt=dt, mp_bounds=bounds)
     except StateError as exc:
         return str(exc)
     for s, price in zip(states, prices):
         s.price = price
-    return states, shared
+    return states, mp
 
 
 def array_step(rows, dt=0.25):
-    """One array sub-step of ``rows``: the rows' state, pricing state and
-    the error of the lowest failing row (None if none failed)."""
+    """One array sub-step of ``rows``: the rows' state, market expected
+    prices and the error of the lowest failing row (None if none failed)."""
     index = np.arange(len(rows))
-    params = SDParamRows([row[0] for row in rows], index)
+    params = SDParams.stacked([row[0] for row in rows], index)
     state = SDState.stacked([row[1] for row in rows], index)
     orders = np.array([row[2] for row in rows], dtype=float)
     noise = NoiseDraws(*np.array([[[getattr(n, f) for n in row[3]]
                                    for row in rows]
                                   for f in ("wip", "prod", "order", "inv")]))
-    shared = PricingState(mp=np.array([row[4] for row in rows]))
+    mp = np.array([row[4] for row in rows])
     bounds = tuple(np.array([row[5][k] for row in rows]) for k in (0, 1))
     error = None
     try:
@@ -327,14 +329,32 @@ def array_step(rows, dt=0.25):
     except StateError as exc:
         error = exc
     try:
-        step_pricing(state.price, shared, params, state.inv_cov, dt=dt,
-                     mp_bounds=bounds)
+        step_pricing(state.price, mp, params, state.inv_cov, dt=dt, mp_bounds=bounds)
     except StateError as exc:
         if error is None or exc.row < error.row:
             error = exc
-    return state, shared, error
+    return state, mp, error
 
 
+def pricing_rows():
+    """Rows that take pricing to its edges: the cost multiplier's floor, the
+    coverage floor, each bound of the market-price band and an overflowing
+    coverage multiplier."""
+    p = SDParams().validate()
+    base = steady_state(p, 100.0)
+    # nothing in production and a backlog to clear: the inventory ships out
+    drained = replace(base, wip=0.0, inv=1.0, backlog=1e5)
+
+    def row(first=p, state=base, bounds=(0.3, 7.5)):
+        return ((first, p), (state, base), (100.0, 100.0),
+                (NoiseDraws(), NoiseDraws()), 1.5, bounds)
+    return [row(SDParams(price_sens_cost=1.0, unit_cost=0.0).validate()),
+            row(state=drained), row(bounds=(3.0, 7.5)), row(bounds=(0.3, 1.0)),
+            row(SDParams(max_inv_cov=1e308, price_sens_invcov=-1.0).validate(),
+                state=drained)]
+
+
+@pytest.mark.golden
 class TestArrayStep:
     def rows(self):
         rng = np.random.default_rng(2024)
@@ -351,25 +371,24 @@ class TestArrayStep:
         # price and a market price that is not positive
         rows[5] = rows[5][:4] + (math.inf, (0.0, math.inf))
         rows[6] = rows[6][:4] + (-1.0, (-2.0, 0.0))
-        return rows
+        return rows + pricing_rows()
 
     def test_matches_plain_float_step(self):
         rows = self.rows()
         with np.errstate(all="ignore"):
             expected = [scalar_step(row) for row in rows]
-            state, shared, error = array_step(rows)
+            state, mp, error = array_step(rows)
         failed = [r for r, e in enumerate(expected) if isinstance(e, str)]
         assert failed and len(failed) < len(rows)
         assert (error.row, str(error)) == (failed[0], expected[failed[0]])
         for r, result in enumerate(expected):
             if isinstance(result, str):
                 continue
-            states, pricing = result
+            states, row_mp = result
             for name in (f.name for f in fields(SDState)):
                 got = getattr(state, name)[r]
                 assert same(got, [getattr(s, name) for s in states]), (r, name)
-            assert same(shared.mp[r], pricing.mp), r
-            assert same(shared.price_cr[r], pricing.price_cr), r
+            assert same(mp[r], row_mp), r
 
     def test_every_failure_message_matches(self):
         rows = self.rows()
@@ -399,6 +418,13 @@ class TestArrayStep:
         assert states[5].ship_r == 0.0 and states[5].inv_cov == p.max_inv_cov
         assert math.isnan(states[6].a_prod) and math.isfinite(states[6].inv)
 
+    def test_pricing_edges_reached(self):
+        cost, cover, floor, cap, overflow = map(scalar_step, pricing_rows())
+        assert cost[0][0].price < 1.5 * 1e-8
+        assert cover[0][0].inv_cov < EPS_COVERAGE
+        assert (floor[1], cap[1]) == (3.0, 1.0)
+        assert overflow == "inadmissible price: inf"
+
 
 def mixed_pairs():
     corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
@@ -410,6 +436,7 @@ def mixed_pairs():
             (CompanySpec(), noisy), (a, b), (b, a)]
 
 
+@pytest.mark.golden
 class TestKernelWidths:
     SETTINGS = SimulationSettings(run_length_days=14)
 
@@ -463,6 +490,17 @@ class TestKernelWidths:
 
 
 class TestWideDivergence:
+    def test_drain_rounded_below_zero_runs_at_every_width(self):
+        # seed 7 clears a backlog of 1.79 to -2.2e-16 on day 0
+        specs = (CompanySpec(sd=SDParams(safety_stock_cov=0.5, order_processing_time=0.2)),
+                 CompanySpec())
+        settings = SimulationSettings(run_length_days=5)
+        alone = run_replication(specs, settings, 7)
+        for width in (8, runner.WIDE):
+            row = run_replication(specs, settings, list(range(width)))[7]
+            for name, series in alone.series.items():
+                assert same(row.series[name], series), (width, name)
+
     def test_failure_in_second_market_block_matches_replay(self):
         # 40 rows: the diverging row sits in the second market sub-block
         settings = SimulationSettings(run_length_days=57)

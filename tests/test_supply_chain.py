@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ import pytest
 from duogame.errors import ParameterError, StateError
 from duogame.supply_chain import (
     EPS_COVERAGE,
+    ROUNDING_SLACK,
     FlowLedger,
     NoiseDraws,
-    PricingState,
-    SDParamRows,
     SDParams,
     SDState,
     steady_state,
@@ -259,8 +259,7 @@ class TestStepAdmissibility:
         # unbounded coverage drives the coverage multiplier to zero
         p = SDParams().validate()
         with pytest.raises(StateError, match="inadmissible price"):
-            step_pricing((1.5, 1.5), PricingState(mp=1.5), (p, p),
-                         (math.inf, 10.0), dt=DT)
+            step_pricing((1.5, 1.5), 1.5, (p, p), (math.inf, 10.0), dt=DT)
 
     def test_layoff_cap_must_be_none_or_nonnegative(self):
         # a negative cap would hire through the layoff term, a NaN one caps nothing
@@ -274,16 +273,14 @@ class TestStepAdmissibility:
 class TestStepPricing:
     def test_neutral_multipliers_give_market_price(self):
         p = SDParams(price_sens_cost=0.0).validate()
-        shared = PricingState(mp=1.5)
-        prices, _ = step_pricing((1.5, 1.5), shared, (p, p),
+        prices, _ = step_pricing((1.5, 1.5), 1.5, (p, p),
                                  (p.max_inv_cov, p.max_inv_cov), dt=DT)
         assert prices[0] == pytest.approx(1.5)
         assert prices[1] == pytest.approx(1.5)
 
     def test_half_coverage_doubles_price(self):
         p = SDParams(price_sens_cost=0.0, price_sens_invcov=-1.0).validate()
-        shared = PricingState(mp=1.5)
-        prices, _ = step_pricing((1.5, 1.5), shared, (p, p),
+        prices, _ = step_pricing((1.5, 1.5), 1.5, (p, p),
                                  (p.max_inv_cov / 2.0, p.max_inv_cov), dt=DT)
         assert prices[0] == pytest.approx(3.0)
         assert prices[1] == pytest.approx(1.5)
@@ -294,11 +291,10 @@ class TestStepPricing:
         cov = 10.0
         f_invcov = (cov / p.max_inv_cov) ** p.price_sens_invcov
         mp = p.price_sens_cost * p.unit_cost / (1.0 / f_invcov - 1.0 + p.price_sens_cost)
-        shared = PricingState(mp=mp)
-        prices, new_shared = step_pricing((mp, mp), shared, (p, p), (cov, cov), dt=DT)
+        prices, new_mp = step_pricing((mp, mp), mp, (p, p), (cov, cov), dt=DT)
         assert prices[0] == pytest.approx(mp)
-        assert new_shared.price_cr == pytest.approx(0.0, abs=1e-12)
-        assert new_shared.mp == pytest.approx(mp)
+        assert (new_mp - mp) / DT == pytest.approx(0.0, abs=1e-12)
+        assert new_mp == pytest.approx(mp)
 
     def test_monotone_in_coverage_and_cost(self):
         rng = np.random.default_rng(7)
@@ -306,18 +302,96 @@ class TestStepPricing:
             p = random_params(rng)
             mp = rng.uniform(0.5, 3.0)
             covs = tuple(sorted(rng.uniform(EPS_COVERAGE, 40.0, size=2)))
-            (low, high), _ = step_pricing((mp, mp), PricingState(mp=mp), (p, p),
-                                          covs, dt=DT)
+            (low, high), _ = step_pricing((mp, mp), mp, (p, p), covs, dt=DT)
             # price non-increasing in coverage
             assert low >= high - 1e-12
             costs = sorted(rng.uniform(0.1, 2.0, size=2))
             p_low = SDParams(**{**p.__dict__, "unit_cost": costs[0]})
             p_high = SDParams(**{**p.__dict__, "unit_cost": costs[1]})
-            (cheap, dear), _ = step_pricing((mp, mp), PricingState(mp=mp),
-                                            (p_low, p_high), (covs[0], covs[0]),
-                                            dt=DT)
+            (cheap, dear), _ = step_pricing((mp, mp), mp, (p_low, p_high),
+                                            (covs[0], covs[0]), dt=DT)
             if p.price_sens_cost > 0:
                 assert dear >= cheap - 1e-12
+
+
+def both_forms(mp, params, covs, bounds=None):
+    """``step_pricing`` of one pair in plain floats, checked bit for bit
+    against the same pair as a one-row stack: ``(prices, mp)``."""
+    prices, new_mp = step_pricing((mp, mp), mp, params, covs, dt=DT, mp_bounds=bounds)
+    rows = np.array([[mp, mp]]), np.array([mp])
+    step_pricing(*rows, SDParams.stacked([params], [0]), np.array([covs]), dt=DT,
+                 mp_bounds=None if bounds is None else tuple(np.array([b]) for b in bounds))
+    assert rows[0].tolist() == [list(prices)] and rows[1].tolist() == [new_mp]
+    return prices, new_mp
+
+
+@pytest.mark.golden
+class TestPricingEdges:
+    def test_cost_multiplier_floor(self):
+        # full cost sensitivity at zero unit cost: f_cost = 0, floored at 1e-9
+        p = SDParams(price_sens_cost=1.0, unit_cost=0.0).validate()
+        prices, _ = both_forms(1.5, (p, p), (p.max_inv_cov, p.max_inv_cov))
+        assert prices == (1.5 * 1e-9, 1.5 * 1e-9)
+
+    def test_coverage_floor(self):
+        p = SDParams().validate()
+        floored, _ = both_forms(1.5, (p, p), (EPS_COVERAGE, EPS_COVERAGE))
+        for cov in (0.0, -3.0, EPS_COVERAGE / 2):
+            assert both_forms(1.5, (p, p), (cov, cov))[0] == floored
+        assert both_forms(1.5, (p, p), (0.2, 0.2))[0][0] < floored[0]
+
+    def test_market_price_clamped_into_band(self):
+        p = SDParams().validate()
+        covs = (10.0, 12.0)
+        prices, free = both_forms(1.5, (p, p), covs, bounds=(0.3, 7.5))
+        assert free == 1.5 + DT * (((prices[0] + prices[1]) / 2.0 - 1.5)
+                                   / p.mp_fulfillment_time)
+        assert both_forms(1.5, (p, p), covs, bounds=(free * 2, 7.5))[1] == free * 2
+        assert both_forms(1.5, (p, p), covs, bounds=(0.3, free / 2))[1] == free / 2
+        assert both_forms(1.5, (p, p), covs)[1] == free
+
+    def test_coverage_overflow_is_inadmissible(self):
+        # (0.1 / 1e308) ** -1 overflows a float: the price is +inf
+        p = SDParams(max_inv_cov=1e308, price_sens_invcov=-1.0).validate()
+        q = SDParams().validate()
+        with pytest.raises(StateError, match=r"^inadmissible price: inf$"):
+            step_pricing((1.5, 1.5), 1.5, (p, p), (0.05, 10.0), dt=DT)
+        expected = step_pricing((1.5, 1.5), 1.5, (q, q), (0.05, 10.0), dt=DT)
+        prices, mp = np.full((3, 2), 1.5), np.full(3, 1.5)
+        covs = np.array([[0.05, 10.0]] * 3)
+        with pytest.raises(StateError) as err:
+            step_pricing(prices, mp, SDParams.stacked([(q, q), (p, p), (q, q)], [0, 1, 2]),
+                         covs, dt=DT)
+        assert (err.value.row, str(err.value)) == (1, "inadmissible price: inf")
+        for r in (0, 2):
+            assert (tuple(prices[r]), mp[r]) == expected
+
+
+@pytest.mark.golden
+class TestRoundingSlack:
+    def test_drained_backlog_rounds_to_zero(self):
+        # shipping ``order + backlog / dt`` clears a backlog of 1.42 to
+        # -1.8e-15 in floats; both forms read it as zero
+        p = SDParams(safety_stock_cov=0.5, order_processing_time=0.2).validate()
+        s = replace(steady_state(p, 100.0), backlog=1.42, inv=1000.0)
+        rows = SDState.stacked([(s, s)], [0])
+        step_company(s, p, order_rate=100.0, dt=DT)
+        step_company(rows, SDParams.stacked([(p, p)], [0]), 100.0, dt=DT)
+        assert s.backlog == 0.0 and rows.backlog.tolist() == [[0.0, 0.0]]
+
+    def test_slack_bounds_the_rounding(self):
+        # no production and no inflow: a stock's start value carries over
+        p = SDParams().validate()
+        base = replace(steady_state(p, 100.0), wip=0.0)
+        for inv, message in ((-ROUNDING_SLACK / 2, None),
+                             (-2 * ROUNDING_SLACK, "negative stock inv: -2e-09"),
+                             (math.nan, "non-finite stock inv: nan")):
+            s = replace(base, inv=inv)
+            if message is None:
+                assert step_company(s, p, order_rate=100.0, dt=DT).inv == 0.0
+            else:
+                with pytest.raises(StateError, match=f"^{message}$"):
+                    step_company(s, p, order_rate=100.0, dt=DT)
 
 
 class TestInvariants:
@@ -348,7 +422,7 @@ class TestInvariants:
         states[4][0].backlog = 0.0
         busy = np.ones((5, 2))
         busy[4, 0] = 0.0
-        p = SDParamRows(params, np.arange(5))
+        p = SDParams.stacked(params, np.arange(5))
         s = SDState.stacked(states, np.arange(5))
         start = s.stocks()
         ledger = FlowLedger()
