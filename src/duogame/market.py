@@ -8,8 +8,12 @@ a cross-company interaction co-state and per-brand marketing forces.
 
 One :class:`ConsumerMarket` advances many replications in lockstep. Their
 marketing and co-state arrays update together; agents are scored in slices
-of at most ``BLOCK`` replications, in brand-major (agents, 2, rows) buffers
-allocated once per day and filled in place, which keeps them in cache.
+of at most ``BLOCK`` replications, in (rows, 2, agents) buffers allocated
+once per day and filled in place, which keeps them in cache. The agents are
+the contiguous axis: per-agent constants broadcast along it and per-(row,
+brand) terms enter as (rows, 2, 1) columns, so every elementwise loop runs
+over the agents. Each element is formed by the same operations in the same
+order as in the one-replication formulas below.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ NO_BRAND = -1
 # advertisement and promotion force terms at their mid levels.
 DEFAULT_INTER_CAP = 0.7
 
-# Replications scored together. The cap bounds the scoring buffers,
-# (agents, 2, BLOCK) floats: at 200 agents each holds 100 KiB, under the
-# 128 KiB at which the C allocator hands out fresh memory maps, and larger
-# slices ran slower per replication-day.
+# Replications scored together. The cap bounds the five scoring buffers,
+# (BLOCK, 2, agents) floats: at 200 agents each holds 100 KiB, under the
+# 128 KiB at which the C allocator hands out fresh memory maps, and all five
+# fit a core's L2 cache. A 430-row day took 2.1-2.3 ms at 24-48 rows a slice,
+# 2.5 ms at 16 and 2.7 ms at 128 (2-core host).
 BLOCK = 32
 
 
@@ -128,6 +133,9 @@ class MarketParams:
             raise ParameterError("m_low must not exceed m_high")
         if self.price_sum_mode not in ("sum", "average"):
             raise ParameterError(f"unknown price_sum_mode {self.price_sum_mode!r}")
+        for name in ("inter_cap", "perception_spread", "i_ad", "i_pm", "i_ft"):
+            if not getattr(self, name) >= 0:    # or NaN
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
         return self
 
 
@@ -175,7 +183,7 @@ class ConsumerMarket:
         self.network = network
         self.params = params
         self.n = network.n
-        # per-agent constants: (n, 1, 1) columns against brand-major row terms
+        # per-agent constants, held as (n, 1, 1); :meth:`step` reads them as (n,)
         agents = (self.n, 1, 1)
         self.m_agent = population_rng.uniform(params.m_low, params.m_high, size=agents)
         # heterogeneous initial perceptions keep the population from acting in
@@ -191,7 +199,8 @@ class ConsumerMarket:
         self._adjacency = sparse.csr_matrix(
             (np.ones(network.indices.size), network.indices, network.indptr),
             shape=(self.n, self.n))
-        self._degrees = np.maximum(network.degrees, 1).astype(float)
+        self._degree = network.degrees.astype(float)
+        self._divisor = np.maximum(self._degree, 1.0)
 
     def truncate(self, replications: int) -> None:
         """Keep only the first ``replications`` rows."""
@@ -200,17 +209,27 @@ class ConsumerMarket:
         for f in fields(mk):
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
 
-    def neighbor_influence(self, rows: slice) -> np.ndarray:
+    def neighbor_influence(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """Fraction of each agent's neighbors adopting each brand in the
-        replications ``rows``, brand-major: shape (n, 2, replications)."""
+        replications ``rows``, written to ``out``, shape (replications, 2, n).
+
+        Counts are sums of ones, so exact: once every agent of the slice has a
+        brand, one product counts brand 0 and a brand-1 count is the degree
+        less it; while any agent has none, both brands are counted."""
         adopted = self.adopted[:, rows]
-        n, r = adopted.shape
-        # one indicator column per (brand, replication), counted in one product
-        indicator = np.empty((n, 2, r))
-        np.equal(adopted[:, None], [[0], [1]], out=indicator)
-        counts = self._adjacency @ indicator.reshape(n, 2 * r)
-        counts /= self._degrees[:, None]
-        return counts.reshape(n, 2, r)
+        if adopted.min() > NO_BRAND:
+            counts = self._adjacency @ (adopted == 0).astype(float)
+            np.divide(counts.T, self._divisor, out=out[:, 0])
+            np.subtract(self._degree, counts.T, out=out[:, 1])
+            np.divide(out[:, 1], self._divisor, out=out[:, 1])
+        else:
+            # one indicator column per (replication, brand) in one product
+            n, r = adopted.shape
+            indicator = np.empty((n, r, 2))
+            np.equal(adopted[..., None], (0, 1), out=indicator)
+            counts = self._adjacency @ indicator.reshape(n, 2 * r)
+            np.divide(counts.T.reshape(r, 2, n), self._divisor, out=out)
+        return out
 
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
         """Advance every replication one day; returns the (replications, 2)
@@ -221,7 +240,7 @@ class ConsumerMarket:
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. Marketing updates for every row at once; agents are
-        scored ``BLOCK`` rows at a time, in four (agents, 2, rows) buffers.
+        scored ``BLOCK`` rows at a time, in five (rows, 2, agents) buffers.
         """
         p = self.params
         mk = self.marketing
@@ -239,25 +258,27 @@ class ConsumerMarket:
             price_sum = price_sum / 2
 
         response = price_response(prices, mk.pm, price_sum[:, None], p.s)
-        buffers = [np.empty((self.n, 2, min(len(prices), BLOCK))) for _ in range(4)]
-        shares = np.empty((len(prices), 2))
+        # per-agent constants along the agent axis, per-(row, brand) terms
+        # as (rows, 2, 1) columns
+        m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
+            self.m_agent, self.i_ad, self.i_pm, self.i_ft))
+        columns = [x[..., None] for x in (response, prices, mk.pm, mk.ad, mk.force)]
+        buffers = [np.empty((min(len(prices), BLOCK), 2, self.n)) for _ in range(5)]
+        second = np.empty(len(prices), dtype=int)     # agents choosing brand 1
         for lo in range(0, len(prices), BLOCK):
             block = slice(lo, lo + BLOCK)
-            resp, price, pm, ad, mf = (np.ascontiguousarray(x[block].T) for x in (
-                response, prices, mk.pm, mk.ad, mk.force))
-            sens_p, sus_ad, sens_pm, ft = (b[..., :price.shape[1]] for b in buffers)
-            np.add(resp, self.m_agent, out=sens_p)
-            update_perceptions(mf, self.i_ad, self.i_pm, self.i_ft,
-                               out=(sus_ad, sens_pm, ft))
+            resp, price, pm, ad, mf = (c[block] for c in columns)
+            sens_p, sus_ad, sens_pm, ft, inf = (b[:len(price)] for b in buffers)
+            np.add(resp, m_agent, out=sens_p)
+            update_perceptions(mf, i_ad, i_pm, i_ft, out=(sus_ad, sens_pm, ft))
             score = motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft,
-                               self.neighbor_influence(block), out=sens_p)
+                               self.neighbor_influence(block, inf), out=sens_p)
             diff = score[:, 0] - score[:, 1]
             choice = np.logical_not(diff > 0).view(np.int8)   # NaN goes to brand 1
             tied = diff == 0
-            for r in np.flatnonzero(tied.any(axis=0)):
-                draws = rngs[lo + r].integers(0, 2, size=int(tied[:, r].sum()))
-                choice[tied[:, r], r] = 1 - draws if mirror else draws
-            self.adopted[:, block] = choice
-            first = self.n - choice.sum(axis=0)
-            shares[block] = np.column_stack((first, self.n - first)) / self.n
-        return shares
+            for r in np.flatnonzero(tied.any(axis=1)):
+                draws = rngs[lo + r].integers(0, 2, size=int(tied[r].sum()))
+                choice[r, tied[r]] = 1 - draws if mirror else draws
+            self.adopted[:, block] = choice.T
+            second[block] = choice.sum(axis=1)
+        return np.column_stack((self.n - second, second)) / self.n

@@ -9,17 +9,18 @@ payoffs can be priced with any cost-rate vector afterwards.
 All replications of a call run in lockstep, one day at a time, held by one
 row-state class: every row's prices, market expected price and band, RNG
 streams and accumulators are one list or array entry per row, whatever the
-width. Each day one market call advances every row, scoring the agents
-brand-major in slices of ``market.BLOCK`` rows, then the supply chains and
-pricing of every row run the day's sub-steps, whose body alone depends on
-the width: from ``WIDE`` rows on, both companies of every row are one
+width. Each day one market call advances every row, scoring the agents in
+slices of ``market.BLOCK`` rows with the agents innermost, then the supply
+chains and pricing of every row run the day's sub-steps, whose body alone
+depends on the width: from ``WIDE`` rows on, both companies of every row are one
 stacked :class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped
 by the company step and the pricing step in their array form once per
 sub-step; below it each replication runs both steps in their plain-float
 form. The float body stays because the array body's fixed cost per sub-step
-is some 200 numpy calls of 1-2 us each: a one-row replication takes 80-120
-ms on it and 23-25 ms in plain floats (minima). Both forms perform the same float
-operations in the same order, and both bodies the same bookkeeping.
+is some 200 numpy calls of about 1 us each: a one-row replication took 47 ms
+on it and 11.5 ms in plain floats (minima of nine runs, 2-core host). Both
+forms perform the same float operations in the same order, and both bodies
+the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Replications share
 nothing but the population, so every output depends on its pair and seed
@@ -168,8 +169,10 @@ _network_cache: dict = {}
 # company step and one pricing step per sub-step for the whole call; fewer
 # rows step in plain floats, one company at a time. An array sub-step costs
 # 100-200 us whatever the width up to a few dozen rows, a plain-float company
-# step about 5 us; per replication the array body measured 1.13 times the
-# float body's time at 14 rows and 0.90 times at 16.
+# step about 5 us. Per replication the array body took 4.1 times the float
+# body's time at 1 row, 1.0 times at 13 rows, 0.93-0.98 at 14 and 0.85-0.88
+# at 16 (minima and medians of eleven runs, 2-core host); 16 keeps it clear
+# of that tie.
 WIDE = 16
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a

@@ -275,28 +275,19 @@ def _pow(x, y):
         return math.inf
 
 
-def _pow_each(x, y):
-    """:func:`_pow` of each element pair of the arrays ``x`` and ``y``, in
-    C ``pow``: ``np.power`` rounds differently on a few percent of them."""
-    args = x.ravel().tolist(), y.ravel().tolist()
-    try:
-        z = list(map(pow, *args))     # without the wrapper's call per element
-    except OverflowError:
-        z = list(map(_pow, *args))
-    return np.array(z).reshape(x.shape)
-
-
 _FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
                lesser=lambda x, y: y if y < x else x,
                pick=lambda c, a, b: a if c else b,
                ratio=lambda a, b: a / b if b else 0.0,
                power=_pow)
-# ``fmax`` drops NaN for 0.0 and adding 0.0 turns its -0.0 into 0.0
+# ``fmax`` drops NaN for 0.0 and adding 0.0 turns its -0.0 into 0.0;
+# ``float_power`` calls C ``pow`` per element, where ``np.power`` rounds
+# differently on a few percent of them
 _ARRAYS = _Ops(pos=lambda x: np.fmax(x, 0.0) + 0.0,
                lesser=lambda x, y: np.where(y < x, y, x),
                pick=np.where,
                ratio=operator.truediv,
-               power=_pow_each)
+               power=np.float_power)
 
 
 def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
@@ -377,7 +368,11 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
 
 def _admissible(s: SDState):
     """Whether every stock of ``s`` is finite and non-negative, per row and
-    company of a stacked ``s``."""
+    company of a stacked ``s``, checked on one (7, rows, 2) stack of them."""
+    if isinstance(s.wip, np.ndarray):
+        stocks = np.array([getattr(s, name) for name in SDState.STOCK_FIELDS])
+        # an axis-0 reduce adds in field order, as the chained sum below does
+        return (stocks >= 0).all(0) & (abs(np.add.reduce(stocks, axis=0)) < math.inf)
     return ((s.wip >= 0) & (s.inv >= 0) & (s.labor >= 0) & (s.vac >= 0)
             & (s.backlog >= 0) & (s.rm_inv >= 0) & (s.rm_transit >= 0)
             & (abs(s.wip + s.inv + s.labor + s.vac + s.backlog + s.rm_inv

@@ -282,6 +282,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.strip() == (
             "runtime error: replication diverged on day 0: inadmissible price: inf")
 
+    @pytest.mark.parametrize("value", [-0.5, float("nan")], ids=["negative", "nan"])
+    @pytest.mark.parametrize("name", ["inter_cap", "perception_spread", "i_ad",
+                                      "i_pm", "i_ft"])
+    def test_bad_market_parameter_exits_2(self, tmp_path, capsys, name, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"market": {name: value}}))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {name} must be >= 0, got {value}"
+        assert not out.exists()
+
     def test_replays_gsa_failure(self, tmp_path, capsys):
         # without the price band the asymmetric manufacturing profile runs
         # away first, in the first of its replications

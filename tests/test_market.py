@@ -159,6 +159,43 @@ def make_market(seed=0, n=200, params=None, replications=1):
                           replications=replications)
 
 
+@pytest.mark.golden
+class TestNeighborInfluence:
+    """The neighbor shares against the two-brand count, bit for bit: once a
+    slice has no ``NO_BRAND`` agent, brand 1 is counted as the degree less
+    brand 0; while it has one, both brands are counted."""
+
+    def reference(self, market, adopted):
+        n, rows = adopted.shape
+        expected = np.zeros((rows, 2, n))
+        for a in range(n):
+            neighbors = adopted[market.network.neighbors(a)]
+            for b in (0, 1):
+                expected[:, b, a] = (neighbors == b).sum(axis=0) / max(len(neighbors), 1)
+        return expected
+
+    def test_one_and_two_brand_counts_match_reference(self):
+        # agent 7 is isolated, agent 0 a hub, agents 4-6 a triangle
+        net = from_edges(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (4, 5), (5, 6),
+                             (4, 6)])
+        market = ConsumerMarket(net, MarketParams().validate(),
+                                np.random.default_rng(0), replications=6)
+        market.adopted[:] = np.random.default_rng(1).integers(0, 2, (8, 6))
+        rows = slice(1, 5)
+        one_brand = market.neighbor_influence(rows, np.full((4, 2, 8), np.nan))
+        expected = self.reference(market, market.adopted[:, rows])
+        assert one_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert one_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
+
+        market.adopted[2, 3] = -1
+        two_brand = market.neighbor_influence(rows, np.full((4, 2, 8), np.nan))
+        expected = self.reference(market, market.adopted[:, rows])
+        assert two_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert two_brand[2, :, 0].sum() == 0.75         # the hub sees one agent unset
+        assert two_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
+
+
+@pytest.mark.golden
 class TestStepMarket:
     def test_shares_sum_to_one(self):
         market = make_market()

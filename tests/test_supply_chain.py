@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from duogame.errors import ParameterError, StateError
+from duogame.factors import FACTORS, LEVEL_LABELS
 from duogame.supply_chain import (
+    _ARRAYS,
     EPS_COVERAGE,
     ROUNDING_SLACK,
     FlowLedger,
     NoiseDraws,
     SDParams,
     SDState,
+    _pow,
     steady_state,
     step_company,
     step_pricing,
@@ -365,6 +368,31 @@ class TestPricingEdges:
         assert (err.value.row, str(err.value)) == (1, "inadmissible price: inf")
         for r in (0, 2):
             assert (tuple(prices[r]), mp[r]) == expected
+
+    def test_array_power_is_c_pow(self):
+        # the array form raises coverage ratios with C ``pow``, as the
+        # plain-float form does (``np.power`` rounds differently on a few
+        # percent of these draws)
+        rng = np.random.default_rng(12)
+        p = SDParams()
+        levels = [FACTORS["price_sens_invcov"].level_value(label) for label in LEVEL_LABELS]
+        ratio = np.exp(rng.uniform(np.log(EPS_COVERAGE / p.max_inv_cov), np.log(1e3), 20_000))
+        exponent = np.concatenate([np.repeat(levels, 2_000), rng.uniform(-1.0, 0.0, 12_000)])
+        edges = [(0.1 / 1e308, -1.0),           # a subnormal base that overflows to +inf
+                 (5e-324, -0.5), (3e-310, -0.1),
+                 (0.3, 0.0), (0.3, -0.0), (5e-324, -0.0),
+                 (math.nan, -0.5), (math.nan, 0.0), (0.3, math.nan), (1.0, math.nan)]
+        x = np.concatenate([ratio, [b for b, _ in edges]]).reshape(-1, 2)
+        y = np.concatenate([exponent, [e for _, e in edges]]).reshape(-1, 2)
+        with np.errstate(all="ignore"):
+            got = _ARRAYS.power(x, y)
+        expected = np.array(list(map(_pow, x.ravel().tolist(), y.ravel().tolist())))
+        assert got.shape == x.shape
+        assert got.ravel().view(np.int64).tolist() == expected.view(np.int64).tolist()
+        tail = expected[-len(edges):].tolist()
+        assert tail[0] == math.inf and tail[1] == 2.0 ** 537
+        assert tail[3:6] == [1.0] * 3 and tail[7] == tail[9] == 1.0
+        assert math.isnan(tail[6]) and math.isnan(tail[8])
 
 
 @pytest.mark.golden
