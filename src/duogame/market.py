@@ -8,12 +8,24 @@ a cross-company interaction co-state and per-brand marketing forces.
 
 One :class:`ConsumerMarket` advances many replications in lockstep. Their
 marketing and co-state arrays update together; agents are scored in slices
-of at most ``BLOCK`` replications, in (rows, 2, agents) buffers allocated
-once per day and filled in place, which keeps them in cache. The agents are
-the contiguous axis: per-agent constants broadcast along it and per-(row,
-brand) terms enter as (rows, 2, 1) columns, so every elementwise loop runs
-over the agents. Each element is formed by the same operations in the same
-order as in the one-replication formulas below.
+of at most ``BLOCK`` replications. The agents are the contiguous axis:
+per-agent constants broadcast along it and per-(row, brand) terms enter as
+(rows, 2, 1) columns, so every elementwise loop runs over the agents.
+
+An agent's score for a brand is ``sens_p * price * (1 - pm) + sus_ad * ad +
+sens_pm * pm + ft * inf`` taken left to right, where ``sens_p`` is its
+socio-economic constant plus the brand's price response, each perception
+(``sus_ad``, ``sens_pm``, ``ft``) its initial constant times the brand's
+marketing force ``mf``, and ``inf`` its neighbors' share of the brand. The
+terms ``(mf * i_ad) * ad``, ``(mf * i_pm) * pm`` and ``mf * i_ft`` change only
+with the force and the levels, which stay bit-equal through a marketing
+period once the co-state sits at its cap. They are held in three period
+caches of (rows, 2, agents) floats, 48 B per row and agent (4.1 MB at 430
+rows of 200 agents); a row's caches are refilled on its first day and
+whenever its force, ad or pm changes bit-wise. The rest of a day's score is
+formed in two (rows, 2, agents) scoring buffers per slice, allocated once per
+call and filled in place. Every element takes the same operations in the
+same order as the one-replication formula.
 """
 
 from __future__ import annotations
@@ -34,11 +46,13 @@ NO_BRAND = -1
 # advertisement and promotion force terms at their mid levels.
 DEFAULT_INTER_CAP = 0.7
 
-# Replications scored together. The cap bounds the five scoring buffers,
-# (BLOCK, 2, agents) floats: at 200 agents each holds 100 KiB, under the
+# Replications scored together. A slice works on five (BLOCK, 2, agents)
+# float arrays: the two scoring buffers and its rows of the three period
+# caches. At 200 agents each holds 100 KiB, so the buffers stay under the
 # 128 KiB at which the C allocator hands out fresh memory maps, and all five
-# fit a core's L2 cache. A 430-row day took 2.1-2.3 ms at 24-48 rows a slice,
-# 2.5 ms at 16 and 2.7 ms at 128 (2-core host).
+# fit a core's L2 cache. A 430-row day took 2.2-2.3 ms at 32-64 rows a slice
+# and 3.1 ms at 16 (minima of eleven and five runs, 2-core host); the
+# reference tests pick their widths around 32 to cross slice boundaries.
 BLOCK = 32
 
 
@@ -58,11 +72,6 @@ def marketing_force(ad, pm, inter, w1, w2, w3):
     return w1 * ad + w2 * pm + w3 * ad * pm + inter
 
 
-def update_perceptions(mf, i_ad, i_pm, i_ft, out=(None, None, None)):
-    """Scale the initial perception constants by the marketing force, into ``out``."""
-    return tuple(np.multiply(mf, i, out=o) for i, o in zip((i_ad, i_pm, i_ft), out))
-
-
 def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
     """One Euler step of the 2x2 cross-company interaction system.
 
@@ -80,8 +89,13 @@ def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
     return inter + dt * drift
 
 
-def sunk_cost(mbs, inters) -> float:
-    return float(np.dot(np.asarray(mbs, float), np.asarray(inters, float)))
+def sunk_cost(mbs, inters):
+    """Sunk interaction cost ``mb . inter`` of one brand pair, or of every row
+    of stacked pairs (the pair is the last axis). The stacked matmul runs the
+    dot loop of ``np.dot`` on each row, so a row costs the same bits alone or
+    stacked; an elementwise sum rounds differently where that loop fuses."""
+    mbs, inters = (np.asarray(x, dtype=float) for x in (mbs, inters))
+    return (mbs[..., None, :] @ inters[..., :, None])[..., 0, 0]
 
 
 def price_response(price, pm, price_sum, s):
@@ -90,16 +104,6 @@ def price_response(price, pm, price_sum, s):
     if s <= 1:
         raise ParameterError(f"price parameter s must be > 1, got {s}")
     return -np.power(s, price * (1.0 - pm) - price_sum)
-
-
-def motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft, inf, out=None):
-    """``sens_p * price * (1 - pm) + sus_ad * ad + sens_pm * pm + ft * inf`` left to
-    right; given ``out``, formed there in place, each perception taking its product."""
-    score = np.multiply(np.multiply(sens_p, price, out=out), 1.0 - pm, out=out)
-    for weight, level in ((sus_ad, ad), (sens_pm, pm), (ft, inf)):
-        term = np.multiply(weight, level, out=None if out is None else weight)
-        score = np.add(score, term, out=out)
-    return score
 
 
 @dataclass
@@ -201,6 +205,10 @@ class ConsumerMarket:
             shape=(self.n, self.n))
         self._degree = network.degrees.astype(float)
         self._divisor = np.maximum(self._degree, 1.0)
+        # period caches of each row: (mf * i_ad) * ad, (mf * i_pm) * pm and
+        # mf * i_ft, and the force, ad and pm they were filled from
+        self._terms = np.empty((3, replications, 2, self.n))
+        self._key = None
 
     def truncate(self, replications: int) -> None:
         """Keep only the first ``replications`` rows."""
@@ -208,6 +216,9 @@ class ConsumerMarket:
         mk = self.marketing
         for f in fields(mk):
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
+        self._terms = self._terms[:, :replications]
+        if self._key is not None:
+            self._key = self._key[:replications]
 
     def neighbor_influence(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """Fraction of each agent's neighbors adopting each brand in the
@@ -218,10 +229,11 @@ class ConsumerMarket:
         less it; while any agent has none, both brands are counted."""
         adopted = self.adopted[:, rows]
         if adopted.min() > NO_BRAND:
-            counts = self._adjacency @ (adopted == 0).astype(float)
-            np.divide(counts.T, self._divisor, out=out[:, 0])
-            np.subtract(self._degree, counts.T, out=out[:, 1])
-            np.divide(out[:, 1], self._divisor, out=out[:, 1])
+            # one transposing copy, so the three passes below run contiguous
+            counts = np.ascontiguousarray((self._adjacency @ (adopted == 0).astype(float)).T)
+            np.divide(counts, self._divisor, out=out[:, 0])
+            np.subtract(self._degree, counts, out=counts)
+            np.divide(counts, self._divisor, out=out[:, 1])
         else:
             # one indicator column per (replication, brand) in one product
             n, r = adopted.shape
@@ -240,7 +252,9 @@ class ConsumerMarket:
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. Marketing updates for every row at once; agents are
-        scored ``BLOCK`` rows at a time, in five (rows, 2, agents) buffers.
+        scored ``BLOCK`` rows at a time, in two (rows, 2, agents) buffers,
+        from the row's period caches, refilled first where its force,
+        advertisement or promotion level changed.
         """
         p = self.params
         mk = self.marketing
@@ -258,27 +272,46 @@ class ConsumerMarket:
             price_sum = price_sum / 2
 
         response = price_response(prices, mk.pm, price_sum[:, None], p.s)
+        # compared as bits: == would equate -0.0 with 0.0, and a NaN force
+        # with nothing, itself included
+        key = np.stack((mk.force, mk.ad, mk.pm), axis=1)
+        if self._key is None:
+            stale = np.ones(len(prices), dtype=bool)
+        else:
+            stale = (key.view(np.int64) != self._key.view(np.int64)).any(axis=(1, 2))
+        self._key = key
         # per-agent constants along the agent axis, per-(row, brand) terms
         # as (rows, 2, 1) columns
         m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
             self.m_agent, self.i_ad, self.i_pm, self.i_ft))
-        columns = [x[..., None] for x in (response, prices, mk.pm, mk.ad, mk.force)]
-        buffers = [np.empty((min(len(prices), BLOCK), 2, self.n)) for _ in range(5)]
-        second = np.empty(len(prices), dtype=int)     # agents choosing brand 1
+        columns = [x[..., None] for x in (response, prices, 1.0 - mk.pm, mk.ad,
+                                          mk.pm, mk.force)]
+        buffers = [np.empty((min(len(prices), BLOCK), 2, self.n)) for _ in range(2)]
         for lo in range(0, len(prices), BLOCK):
             block = slice(lo, lo + BLOCK)
-            resp, price, pm, ad, mf = (c[block] for c in columns)
-            sens_p, sus_ad, sens_pm, ft, inf = (b[:len(price)] for b in buffers)
-            np.add(resp, m_agent, out=sens_p)
-            update_perceptions(mf, i_ad, i_pm, i_ft, out=(sus_ad, sens_pm, ft))
-            score = motivation(sens_p, price, pm, sus_ad, ad, sens_pm, ft,
-                               self.neighbor_influence(block, inf), out=sens_p)
+            resp, price, paid, ad, pm, mf = (c[block] for c in columns)
+            t1, t2, ft = self._terms[:, block]
+            refill = np.flatnonzero(stale[block])
+            if refill.size:
+                mf, ad, pm = mf[refill], ad[refill], pm[refill]
+                t1[refill] = mf * i_ad * ad
+                t2[refill] = mf * i_pm * pm
+                ft[refill] = mf * i_ft
+            score, inf = (b[:len(price)] for b in buffers)
+            np.add(resp, m_agent, out=score)
+            np.multiply(score, price, out=score)
+            np.multiply(score, paid, out=score)
+            np.add(score, t1, out=score)
+            np.add(score, t2, out=score)
+            np.multiply(ft, self.neighbor_influence(block, inf), out=inf)
+            np.add(score, inf, out=score)
             diff = score[:, 0] - score[:, 1]
             choice = np.logical_not(diff > 0).view(np.int8)   # NaN goes to brand 1
             tied = diff == 0
-            for r in np.flatnonzero(tied.any(axis=1)):
-                draws = rngs[lo + r].integers(0, 2, size=int(tied[r].sum()))
-                choice[r, tied[r]] = 1 - draws if mirror else draws
+            if tied.any():
+                for r in np.flatnonzero(tied.any(axis=1)):
+                    draws = rngs[lo + r].integers(0, 2, size=int(tied[r].sum()))
+                    choice[r, tied[r]] = 1 - draws if mirror else draws
             self.adopted[:, block] = choice.T
-            second[block] = choice.sum(axis=1)
+        second = self.adopted.sum(axis=0)     # agents choosing brand 1
         return np.column_stack((self.n - second, second)) / self.n

@@ -12,11 +12,12 @@ streams and accumulators are one list or array entry per row, whatever the
 width. Each day one market call advances every row, scoring the agents in
 slices of ``market.BLOCK`` rows with the agents innermost, then the supply
 chains and pricing of every row run the day's sub-steps, whose body alone
-depends on the width: from ``WIDE`` rows on, both companies of every row are one
-stacked :class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped
-by the company step and the pricing step in their array form once per
-sub-step; below it each replication runs both steps in their plain-float
-form. The float body stays because the array body's fixed cost per sub-step
+depends on the width: from ``WIDE`` rows on (14, where the array body
+overtakes the float body), both companies of every row are one stacked
+:class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped by the
+company step and the pricing step in their array form once per sub-step;
+below it each replication runs both steps in their plain-float form. The
+float body stays because the array body's fixed cost per sub-step
 is some 200 numpy calls of about 1 us each: a one-row replication took 47 ms
 on it and 11.5 ms in plain floats (minima of nine runs, 2-core host). Both
 forms perform the same float operations in the same order, and both bodies
@@ -169,11 +170,10 @@ _network_cache: dict = {}
 # company step and one pricing step per sub-step for the whole call; fewer
 # rows step in plain floats, one company at a time. An array sub-step costs
 # 100-200 us whatever the width up to a few dozen rows, a plain-float company
-# step about 5 us. Per replication the array body took 4.1 times the float
-# body's time at 1 row, 1.0 times at 13 rows, 0.93-0.98 at 14 and 0.85-0.88
-# at 16 (minima and medians of eleven runs, 2-core host); 16 keeps it clear
-# of that tie.
-WIDE = 16
+# step about 5 us. Per replication the array body took 1.03 times the float
+# body's time at 13 rows, 0.96-0.97 at 14, 0.93 at 15 and 0.88 at 16 (medians
+# of eleven and fifteen runs, both bodies alternating, 2-core host).
+WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a
 # process holds at once, whatever the number of rows.
@@ -259,7 +259,7 @@ class _Rows:
         # inventory and backlog unit-days, marketing spend, own sunk cost
         self.totals = np.zeros((8, n, 2))
         self.period_revenue = np.zeros((n, 2))
-        self.sunk_total = [0.0] * n
+        self.sunk_total = np.zeros(n)
         self.daily = np.empty((settings.run_length_days, len(SERIES), n, 2))
         self.wide = n >= WIDE
         if self.wide:
@@ -400,8 +400,8 @@ class _Rows:
 
     def close_period(self, mb, inter):
         """Sunk interaction cost of a finished marketing period."""
-        for r in range(self.rows):
-            self.sunk_total[r] += max(0.0, sunk_cost(mb[r], inter[r]))
+        cost = sunk_cost(mb, inter)
+        self.sunk_total += np.where(cost > 0.0, cost, 0.0)
         x = mb * inter
         self.totals[7] += np.where(x > 0.0, x, 0.0)
 
@@ -413,7 +413,7 @@ class _Rows:
             series={name: self.daily[:, k, r] for k, name in enumerate(SERIES)},
             revenue=t[0, r], units_produced=t[1, r], units_purchased=t[2, r],
             units_shipped=t[3, r], inv_unit_days=t[4, r], backlog_unit_days=t[5, r],
-            marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=self.sunk_total[r])
+            marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=float(self.sunk_total[r]))
             for r, seed in enumerate(self.seeds)]
 
 

@@ -7,11 +7,9 @@ from duogame.market import (
     MarketParams,
     marketing_force,
     marketing_spend,
-    motivation,
     price_response,
     sunk_cost,
     update_costate,
-    update_perceptions,
 )
 from duogame.network import generate_ba_network
 from network_tools import from_edges
@@ -46,15 +44,54 @@ class TestMarketingForce:
         assert marketing_force(0.4, 0.2, 0.1, 2, 1, 0.5) == pytest.approx(1.14)
 
 
+def pair_market(**params):
+    """Two linked agents with unit socio-economic constants, perception
+    constants of 0.5, no spread and the summed price reference; at prices
+    (1.0, 1.4) the price terms are 0.6211 and 0.7000."""
+    params = MarketParams(**{"m_low": 1.0, "m_high": 1.0, "price_sum_mode": "sum",
+                             "i_ad": 0.5, "i_pm": 0.5, "i_ft": 0.5,
+                             "perception_spread": 0.0, **params}).validate()
+    return ConsumerMarket(from_edges(2, [(0, 1)]), params, np.random.default_rng(0))
+
+
+def pair_shares(ad, inter, **params):
+    """Day-one shares of :func:`pair_market` at prices (1.0, 1.4), no
+    promotion, brand 0's advertisement ``ad`` and both co-states ``inter``."""
+    market = pair_market(**params)
+    market.marketing.ad = np.array([[ad, 0.0]])
+    market.marketing.inter = np.array([[inter, inter]])
+    return market.step([(1.0, 1.4)], [np.random.default_rng(0)])[0].tolist()
+
+
 class TestPerceptions:
+    """Each perception is its initial constant scaled by the brand's force;
+    with w1 = w2 = w3 = 0 the force is the co-state."""
+
     def test_zero_force(self):
-        assert update_perceptions(0.0, 0.3, 0.2, 0.1) == (0.0, 0.0, 0.0)
+        # without force the perception constants cannot change a choice
+        choices = []
+        for scale in (0.0, 1.0, 3.0):
+            market = make_market(seed=3, params=MarketParams(w1=0.0, w2=0.0, w3=0.0))
+            for name in ("i_ad", "i_pm", "i_ft"):
+                setattr(market, name, getattr(market, name) * scale)
+            market.marketing.ad[:] = (0.3, 0.2)
+            market.marketing.pm[:] = (0.1, 0.35)
+            market.adopted[:] = np.arange(market.n)[:, None] % 2
+            market.step([(1.5, 1.45)], [np.random.default_rng(8)])
+            choices.append(market.adopted.tolist())
+        assert choices[0] == choices[1] == choices[2]
 
     def test_unit_force_returns_initials(self):
-        assert update_perceptions(1.0, 0.3, 0.2, 0.1) == (0.3, 0.2, 0.1)
+        # brand 0: 0.6211 + 0.5 * ad against brand 1's 0.7000
+        zero = dict(w1=0.0, w2=0.0, w3=0.0)
+        assert pair_shares(0.2, 1.0, **zero) == [1.0, 0.0]      # 0.7211
+        assert pair_shares(0.1, 1.0, **zero) == [0.0, 1.0]      # 0.6711
 
     def test_scaling(self):
-        assert update_perceptions(2.0, 0.3, 0.2, 0.1) == pytest.approx((0.6, 0.4, 0.2))
+        # a force of 2 doubles the advertisement term: 0.6211 + 2 * 0.5 * 0.1
+        zero = dict(w1=0.0, w2=0.0, w3=0.0)
+        assert pair_shares(0.1, 2.0, **zero) == [1.0, 0.0]      # 0.7211
+        assert pair_shares(0.1, 0.5, **zero) == [0.0, 1.0]      # 0.6461
 
 
 class TestCostate:
@@ -85,6 +122,15 @@ class TestSunkCost:
     def test_one_sided(self):
         assert sunk_cost((0.0, 50.0), (5.0, 0.2)) == pytest.approx(10.0)
 
+    def test_stacked_rows_match_one_pair_dot(self):
+        # the per-replication form was np.dot of one pair; stacked rows keep
+        # its rounding, which an elementwise product and sum does not
+        rng = np.random.default_rng(21)
+        mbs = rng.uniform(0.0, 500.0, (2000, 2))
+        inters = rng.uniform(-0.7, 0.7, (2000, 2))
+        expected = [float(np.dot(mb, inter)) for mb, inter in zip(mbs, inters)]
+        assert sunk_cost(mbs, inters).tolist() == expected
+
 
 class TestPriceSensitivity:
     """An agent's price sensitivity is its socio-economic constant plus the
@@ -106,16 +152,37 @@ class TestPriceSensitivity:
 
 
 class TestMotivation:
+    """A brand's score is its price term plus the advertisement, promotion
+    and neighbor terms, compared across the two brands."""
+
     def test_all_zero(self):
-        assert motivation(0, 1.0, 0.0, 0, 0.5, 0, 0, 0.3) == 0.0
+        # free brands without force score 0 for every agent: all tie, and the
+        # row's stream decides each choice
+        market = pair_market(w1=0.0, w2=0.0, w3=0.0)
+        market.step([(0.0, 0.0)], [np.random.default_rng(4)])
+        draws = np.random.default_rng(4).integers(0, 2, size=2)
+        assert market.adopted[:, 0].tolist() == draws.tolist()
 
     def test_two_terms(self):
-        assert motivation(0.5, 1.0, 0.0, 0.6, 0.5, 0.0, 0.0, 0.0) == pytest.approx(0.8)
+        # force = ad under w1 = 1, so brand 0's advertisement term is
+        # 0.5 * ad**2 on top of its price term 0.6211, against 0.7000
+        only_ad = dict(w1=1.0, w2=0.0, w3=0.0)
+        assert pair_shares(0.5, 0.0, **only_ad) == [1.0, 0.0]    # 0.7461
+        assert pair_shares(0.35, 0.0, **only_ad) == [0.0, 1.0]   # 0.6824
 
     def test_symmetry(self):
-        a = motivation(0.4, 1.2, 0.1, 0.5, 0.3, 0.2, 0.1, 0.6)
-        b = motivation(0.4, 1.2, 0.1, 0.5, 0.3, 0.2, 0.1, 0.6)
-        assert a == b
+        # swapping every brand-indexed level and the prices swaps the choices
+        base, swapped = make_market(seed=4), make_market(seed=4)
+        levels = {"ad": (0.3, 0.26), "pm": (0.27, 0.33), "inter": (0.1, -0.2)}
+        for name, pair in levels.items():
+            setattr(base.marketing, name, np.array([pair]))
+            setattr(swapped.marketing, name, np.array([pair[::-1]]))
+        rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(12):
+            s_a = base.step([(1.45, 1.5)], [rng_a])[0]
+            s_b = swapped.step([(1.5, 1.45)], [rng_b], mirror=True)[0]
+            assert s_a.tolist() == s_b[::-1].tolist()
+            assert np.array_equal(base.adopted, 1 - swapped.adopted)
 
 
 def interleaved_day(market, adopted, prices, rngs, mirror):
@@ -355,6 +422,51 @@ class TestStepMarket:
             assert np.array_equal(shares, expected)
         assert ties > 0
 
+    def test_period_caches_follow_force_and_levels(self):
+        # the step reuses a row's advertisement, promotion and follower terms
+        # while its force, ad and pm stay bit-equal. Under w1 = w2 = w3 = 0
+        # the force is the co-state: every third row sits at the cap, the
+        # others move below it every day, in both slices of 32 + 8 rows. The
+        # brands swap their ad on day 5 and their pm on day 7, which leaves
+        # the capped forces bit-equal; on day 8 the market drops to 35 rows.
+        width = 40
+        market = make_market(seed=11, replications=width,
+                             params=MarketParams(w1=0.0, w2=0.0, w3=0.0).validate())
+        mk = market.marketing
+        twin = np.random.default_rng(5)
+        capped = np.arange(width) % 3 == 0
+        mk.mb[:] = 100.0
+        mk.ad, mk.pm = twin.uniform(0.1, 0.6, (2, width, 2))
+        mk.inter = np.where(capped[:, None], -market.params.inter_cap,
+                            twin.uniform(-0.3, 0.4, (width, 2)))
+        prices = np.where(capped[:, None], twin.uniform(1.3, 1.7, (width, 2)),
+                          twin.uniform(0.04, 0.1, (width, 2)))
+        market.adopted[:] = twin.integers(0, 2, (market.n, width))
+
+        rngs = [np.random.default_rng(500 + r) for r in range(width)]
+        reference_rngs = [np.random.default_rng(500 + r) for r in range(width)]
+        force = None
+        for day in range(12):
+            if day == 5:
+                mk.ad = mk.ad[:, ::-1].copy()
+            if day == 7:
+                mk.pm = mk.pm[:, ::-1].copy()
+            if day == 8:
+                width = 35
+                market.truncate(width)
+                prices, capped, force = prices[:width], capped[:width], force[:width]
+                rngs, reference_rngs = rngs[:width], reference_rngs[:width]
+            before = market.adopted.copy()
+            shares = market.step(prices, rngs)
+            choice, expected, _ = interleaved_day(market, before, prices,
+                                                  reference_rngs, False)
+            assert np.array_equal(market.adopted, choice), day
+            assert np.array_equal(shares, expected), day
+            if force is not None:
+                same = (mk.force.view(np.int64) == force.view(np.int64)).all(axis=1)
+                assert np.array_equal(same, capped), day
+            force = mk.force.copy()
+
     def test_truncate_keeps_leading_rows(self):
         market = make_market(seed=2, n=50, replications=4)
         market.marketing.ad[:] = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
@@ -367,18 +479,25 @@ class TestStepMarket:
         assert shares.shape == (2, 2)
 
     def test_raising_ad_never_lowers_motivation(self):
+        # with a non-negative force every term of brand 0's score rises with
+        # its advertisement, so no agent leaves brand 0 for brand 1
+        width = 200
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            sus_ad = rng.uniform(0, 1)
-            base_ad, hi_ad = np.sort(rng.uniform(0, 1, size=2))
-            rest = dict(sens_p=rng.normal(), price=rng.uniform(0.5, 2.5),
-                        pm=rng.uniform(0, 1), sens_pm=rng.normal(),
-                        ft=rng.normal(), inf=rng.uniform(0, 1))
-            lo = motivation(rest["sens_p"], rest["price"], rest["pm"], sus_ad,
-                            base_ad, rest["sens_pm"], rest["ft"], rest["inf"])
-            hi = motivation(rest["sens_p"], rest["price"], rest["pm"], sus_ad,
-                            hi_ad, rest["sens_pm"], rest["ft"], rest["inf"])
-            assert hi >= lo - 1e-12
+        adopted = rng.integers(0, 2, (200, width))
+        levels = {name: rng.uniform(0, 1, (width, 2)) for name in ("ad", "pm", "inter")}
+        prices = rng.uniform(0.5, 2.5, (width, 2))
+        raised_ad = levels["ad"].copy()
+        raised_ad[:, 0] += rng.uniform(0, 1, width)
+        chosen = []
+        for ad in (levels["ad"], raised_ad):
+            market = make_market(seed=17, replications=width)
+            market.adopted[:] = adopted
+            for name, level in {**levels, "ad": ad}.items():
+                setattr(market.marketing, name, level)
+            market.step(prices, [np.random.default_rng(r) for r in range(width)])
+            chosen.append(market.adopted == 0)
+        assert np.all(chosen[1] >= chosen[0])
+        assert np.any(chosen[1] > chosen[0])
 
     def test_empty_network_rejected(self):
         net = from_edges(0, [])
