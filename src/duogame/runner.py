@@ -23,10 +23,12 @@ on it and 11.5 ms in plain floats (minima of nine runs, 2-core host). Both
 forms perform the same float operations in the same order, and both bodies
 the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
-``PASS_ROWS`` rows run in process or on a worker pool. Replications share
-nothing but the population, so every output depends on its pair and seed
-alone; results do not depend on the sample count ``n``, the width, the body
-or the passes.
+``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
+daily series: a pass prices its rows' accumulators in one call, so what it
+holds per row is mainly the market's period caches (48 B per agent) and
+about 2.5 KB of RNG streams. Replications share nothing but the population,
+so every output depends on its pair and seed alone; results do not depend
+on the sample count ``n``, the width, the body or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -147,7 +149,8 @@ class SimulationSettings:
 
 @dataclass
 class ReplicationOutput:
-    """Daily series plus physical and currency accumulators for one run."""
+    """Daily series plus physical and currency accumulators for one run, or
+    the accumulators of several stacked (see :func:`run_replication`)."""
 
     seed: int
     run_length: int
@@ -175,8 +178,10 @@ _network_cache: dict = {}
 # of eleven and fifteen runs, both bodies alternating, 2-core host).
 WIDE = 14
 
-# Rows per kernel pass of :func:`estimate_payoffs`: bounds the daily series a
-# process holds at once, whatever the number of rows.
+# Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
+# holds at once per row, whatever the number of rows. A pass records no daily
+# series, so that is mainly the market's period caches (48 B per agent) and
+# about 2.5 KB of RNG streams.
 PASS_ROWS = 512
 
 SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
@@ -235,7 +240,7 @@ class _Rows:
     array body from ``WIDE`` rows on, the plain-float body below it.
     """
 
-    def __init__(self, setups, index, seeds, settings, mirror):
+    def __init__(self, setups, index, seeds, settings, mirror, series):
         n = len(seeds)
         self.seeds = list(seeds)
         pairs = [setups[k][0] for k in index]
@@ -260,7 +265,8 @@ class _Rows:
         self.totals = np.zeros((8, n, 2))
         self.period_revenue = np.zeros((n, 2))
         self.sunk_total = np.zeros(n)
-        self.daily = np.empty((settings.run_length_days, len(SERIES), n, 2))
+        self.daily = (np.empty((settings.run_length_days, len(SERIES), n, 2))
+                      if series else None)
         self.wide = n >= WIDE
         if self.wide:
             self.p = SDParams.stacked([setup[1] for setup in setups], index)
@@ -281,7 +287,8 @@ class _Rows:
             setattr(self, name, getattr(self, name)[:rows])
         self.noisy = [entry for entry in self.noisy if entry[0] < rows]
         self.totals = self.totals[:, :rows]
-        self.daily = self.daily[:, :, :rows]
+        if self.daily is not None:
+            self.daily = self.daily[:, :, :rows]
         if self.wide:
             for record in (self.s, self.p):
                 for name, value in list(vars(record).items()):
@@ -328,8 +335,9 @@ class _Rows:
         return body(day, tor * shares, shares, self._noise(), collect, dt, substeps)
 
     def _array_steps(self, day, orders, shares, draws, collect, dt, substeps):
-        """A day's sub-steps of every row at once, then the day's ``SERIES``
-        of the rows left; returns the failure as :meth:`advance_day`."""
+        """A day's sub-steps of every row at once, then, when the pass records
+        them, the day's ``SERIES`` of the rows left; returns the failure as
+        :meth:`advance_day`."""
         s, p = self.s, self.p
         failure = None
         for _ in range(substeps):
@@ -354,7 +362,8 @@ class _Rows:
                     draws = draws[:, :row]
                 if not row:
                     break
-        self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
+        if self.daily is not None:
+            self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
         return failure
 
     def _float_steps(self, day, orders, shares, draws, collect, dt, substeps):
@@ -367,6 +376,7 @@ class _Rows:
             noises = [[NoiseDraws(*d) for d in row]
                       for row in np.moveaxis(draws, 0, -1).tolist()]
         prices, mps = self.prices.tolist(), self.mp.tolist()
+        record = self.daily is not None
         totals = self.totals.transpose(1, 2, 0).tolist()
         revenue = self.period_revenue.tolist()
         ends, failure = [], None
@@ -384,10 +394,11 @@ class _Rows:
                 failure = (r, exc)
                 break
             prices[r], mps[r] = price, mp
-            s0, s1 = sd
-            ends.append((price, (s0.inv, s1.inv), (s0.backlog, s1.backlog),
-                         (s0.ship_r, s1.ship_r), shares[r], (s0.labor, s1.labor),
-                         (s0.wip, s1.wip)))
+            if record:
+                s0, s1 = sd
+                ends.append((price, (s0.inv, s1.inv), (s0.backlog, s1.backlog),
+                             (s0.ship_r, s1.ship_r), shares[r], (s0.labor, s1.labor),
+                             (s0.wip, s1.wip)))
         self.prices[:] = prices
         self.mp[:] = mps
         self.totals.transpose(1, 2, 0)[:] = totals
@@ -406,15 +417,21 @@ class _Rows:
         self.totals[7] += np.where(x > 0.0, x, 0.0)
 
     def outputs(self, settings) -> list:
+        """One output per row or, when the pass records no series, one
+        output stacking every row's accumulators."""
+        if self.daily is None:
+            entries = [(self.seeds, {}, slice(None), self.sunk_total[:, None])]
+        else:
+            entries = [(seed, {name: self.daily[:, k, r] for k, name in enumerate(SERIES)},
+                     r, float(self.sunk_total[r])) for r, seed in enumerate(self.seeds)]
         t = self.totals
         return [ReplicationOutput(
             seed=seed, run_length=settings.run_length_days,
-            warmup=settings.warmup_days,
-            series={name: self.daily[:, k, r] for k, name in enumerate(SERIES)},
+            warmup=settings.warmup_days, series=series,
             revenue=t[0, r], units_produced=t[1, r], units_purchased=t[2, r],
             units_shipped=t[3, r], inv_unit_days=t[4, r], backlog_unit_days=t[5, r],
-            marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=float(self.sunk_total[r]))
-            for r, seed in enumerate(self.seeds)]
+            marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=sunk)
+            for seed, series, r, sunk in entries]
 
 
 def _book(totals, revenue, key, s: SDState, price, dt: float, collect: bool) -> None:
@@ -434,9 +451,10 @@ def _book(totals, revenue, key, s: SDState, price, dt: float, collect: bool) -> 
 
 
 def _run_rows(setups, index, seeds, settings: SimulationSettings,
-              mirror: bool) -> list:
+              mirror: bool, series: bool) -> _Rows:
     """Replications of ``seeds``, row ``r`` under ``setups[index[r]]`` (from
-    :func:`_setup`), one lockstep day at a time.
+    :func:`_setup`), one lockstep day at a time; returns the row state, its
+    daily series recorded only when ``series`` is set.
 
     Each day one market call advances every row, then the supply chains and
     pricing of every row advance. A replication that diverges ends the run
@@ -450,7 +468,7 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
     market = ConsumerMarket(_population(settings), settings.market, pop_rng,
                             replications=len(seeds))
-    chain = _Rows(setups, index, seeds, settings, mirror)
+    chain = _Rows(setups, index, seeds, settings, mirror, series)
     mk = market.marketing
     fixed = settings.fixed_share_split
     failure = None
@@ -474,7 +492,7 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",
                                day=day, seed=seeds[r], index=r) from exc
-    return chain.outputs(settings)
+    return chain
 
 
 def _per_seed(specs, n: int) -> list:
@@ -489,7 +507,7 @@ def _per_seed(specs, n: int) -> list:
 
 
 def run_replication(specs, settings: SimulationSettings, seed,
-                    mirror: bool = False):
+                    mirror: bool = False, *, series: bool = True):
     """Simulate ``run_length_days`` and return the full replication record.
 
     ``specs`` is the pair of company strategies. ``seed`` is one seed, giving
@@ -505,6 +523,12 @@ def run_replication(specs, settings: SimulationSettings, seed,
     tie-break labels flipped; running the swapped strategy pair that way
     reproduces the original replication with the two companies exchanged,
     bit for bit.
+
+    With ``series=False``, as :func:`estimate_payoffs` runs its passes, no
+    daily series are recorded and the call returns one output for all the
+    seeds: ``seed`` is their list, ``series`` is empty, every accumulator is
+    a (rows, 2) array and ``sunk_total`` a (rows, 1) column, which
+    :func:`compute_payoff` prices row by row.
     """
     settings.validate()
     single = isinstance(seed, (int, np.integer))
@@ -515,13 +539,19 @@ def run_replication(specs, settings: SimulationSettings, seed,
             known[id(pair)] = len(setups)
             setups.append(_setup(pair, settings))
         index.append(known[id(pair)])
-    outputs = _run_rows(setups, np.array(index), seeds, settings, mirror)
-    return outputs[0] if single else outputs
+    outputs = _run_rows(setups, np.array(index), seeds, settings, mirror,
+                        series).outputs(settings)
+    return outputs[0] if single or not series else outputs
 
 
 def compute_payoff(rep: ReplicationOutput, rates: CostRates,
                    sunk_cost_mode: str = "total") -> np.ndarray:
-    """Net profit per company: revenue minus all priced cost items."""
+    """Net profit per company: revenue minus all priced cost items.
+
+    ``rep`` is one replication's output, giving a (2,) array, or the stacked
+    output of ``run_replication(..., series=False)``, giving (rows, 2); each
+    element takes the same float operations in the same order either way.
+    """
     cost = (rates.unit_production * rep.units_produced
             + rates.unit_raw * rep.units_purchased
             + rates.inventory_per_unit_day * rep.inv_unit_days
@@ -546,8 +576,8 @@ def replication_seeds(master_seed: int, profile_tag: int, n: int,
 def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,
                   mirror: bool) -> np.ndarray:
     """Payoffs of one kernel pass, (len(seeds), 2)."""
-    reps = run_replication(specs, settings, seeds, mirror=mirror)
-    return np.array([compute_payoff(rep, rates, settings.sunk_cost_mode) for rep in reps])
+    rows = run_replication(specs, settings, seeds, mirror=mirror, series=False)
+    return compute_payoff(rows, rates, settings.sunk_cost_mode)
 
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
@@ -559,12 +589,13 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     ``specs`` is one spec pair for every replication, or a sequence of ``n``
     pairs, one per seed. The rows are split once into even contiguous kernel
     passes of at most ``PASS_ROWS`` rows, a multiple of ``jobs`` of them, so
-    that only one pass's daily series are held per process; with ``jobs`` >
-    1 the passes run on as many worker processes. Each pass runs its
-    replications in lockstep, mixing pairs. The payoffs depend only on each
-    row's pair and seed, not on ``n``, the passes or ``jobs``. A diverging
-    replication raises :class:`ReplicationError` with its position among the
-    ``n`` rows as ``index``.
+    that only one pass's row state is held per process; with ``jobs`` > 1 the
+    passes run on as many worker processes. Each pass runs its replications
+    in lockstep, mixing pairs, records no daily series and prices its
+    accumulators in one :func:`compute_payoff` call. The payoffs depend only
+    on each row's pair and seed, not on ``n``, the passes or ``jobs``. A
+    diverging replication raises :class:`ReplicationError` with its position
+    among the ``n`` rows as ``index``.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
@@ -590,28 +621,4 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
         exc.index += bounds[len(done)]    # passes finish in order
         raise
     return np.concatenate(done)
-
-
-def detect_warmup(rep: ReplicationOutput, rel_tol: float = 0.02,
-                  stocks=("inv", "wip", "labor"), window: int = 5) -> int:
-    """First day from which the monitored stocks stay within ``rel_tol`` of
-    their terminal values.
-
-    Series are smoothed with a trailing moving average first, the usual
-    guard against day-level jitter in warm-up detection.
-    """
-    worst = 0
-    kernel = np.ones(window) / window
-    for name in stocks:
-        arr = rep.series[name]
-        for i in COMPANIES:
-            x = np.convolve(arr[:, i], kernel, mode="valid")
-            terminal = x[-1]
-            scale = max(abs(terminal), 1e-12)
-            dev = np.abs(x - terminal) / scale
-            # last index that violates the band determines this series' warm-up
-            bad = np.nonzero(dev > rel_tol)[0]
-            first_ok = 0 if bad.size == 0 else int(bad[-1]) + window
-            worst = max(worst, first_ok)
-    return worst
 

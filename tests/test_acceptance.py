@@ -18,7 +18,6 @@ from duogame.network import generate_ba_network
 from duogame.runner import (
     CompanySpec,
     SimulationSettings,
-    detect_warmup,
     run_replication,
 )
 from duogame.stats import confidence_interval, trim_samples
@@ -30,6 +29,7 @@ from duogame.supply_chain import (
     step_company,
 )
 from network_tools import degree_ccdf_slope
+from warmup_tools import detect_warmup
 
 DT = 0.25
 

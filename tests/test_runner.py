@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -7,12 +8,12 @@ import pytest
 
 from duogame import runner
 from duogame.errors import ParameterError, ReplicationError, StateError
+from duogame.market import MarketParams
 from duogame.runner import (
     CompanySpec,
     CostRates,
     SimulationSettings,
     compute_payoff,
-    detect_warmup,
     estimate_payoffs,
     replication_seeds,
     run_replication,
@@ -26,6 +27,7 @@ from duogame.supply_chain import (
     step_company,
     step_pricing,
 )
+from warmup_tools import detect_warmup
 
 
 def default_specs():
@@ -637,6 +639,56 @@ class TestEstimatePayoffs:
                 with pytest.raises(ReplicationError) as err:
                     estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
             assert (err.value.index, err.value.seed, err.value.day) == (j, seeds[j], 0)
+
+    def test_pass_holds_no_daily_series(self):
+        # a 128-row pass holds the market's period caches, 3 x 128 x 2 x 200
+        # x 8 B = 1.2 MB, but no daily series, which would add another
+        # 100 x 7 x 128 x 2 x 8 B = 1.4 MB; numpy reports its buffers to
+        # tracemalloc
+        settings = SimulationSettings()
+        rows = 128
+        seeds = replication_seeds(5, 0, rows)
+        estimate_payoffs(default_specs(), settings, CostRates(), 1, seeds)  # population
+        caches = 3 * rows * 2 * settings.n_agents * 8
+        series = settings.run_length_days * len(runner.SERIES) * rows * 2 * 8
+        tracemalloc.start()
+        try:
+            estimate_payoffs(default_specs(), settings, CostRates(), rows, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < caches + series, f"peak {peak} B"
+
+
+@pytest.mark.golden
+class TestPayoffModes:
+    # a pass prices its rows' stacked accumulators in one call, ``sunk_total``
+    # broadcast as a column; each row must equal its lone replication's
+    # payoff. The default market holds every co-state at -inter_cap, which
+    # books no sunk cost, so this one drives co-states positive.
+    MARKET = MarketParams(delta1=-0.5, delta2=0.5, w1=4.0, w2=4.0)
+
+    @pytest.mark.parametrize("width", [runner.WIDE - 1, 2 * runner.WIDE + 3])
+    @pytest.mark.parametrize("mirror,changes", [
+        (False, {}), (True, {}), (False, {"sunk_cost_mode": "own"}),
+        (False, {"warmup_days": 12, "truncate_warmup": True}),
+        (False, {"fixed_share_split": 0.3})],
+        ids=["default", "mirror", "own", "truncate", "fixed_share"])
+    def test_rows_equal_lone_payoffs(self, width, mirror, changes):
+        settings = SimulationSettings(run_length_days=25, market=self.MARKET, **changes)
+        rates = CostRates()
+        pairs = mixed_pairs()
+        specs = [pairs[j % len(pairs)] for j in range(width)]
+        seeds = replication_seeds(width, 3, width)
+        payoffs = estimate_payoffs(specs, settings, rates, width, seeds, mirror=mirror)
+        assert payoffs.shape == (width, 2)
+        sunk = []
+        for j, seed in enumerate(seeds):
+            alone = run_replication(specs[j], settings, seed, mirror=mirror)
+            lone = compute_payoff(alone, rates, settings.sunk_cost_mode)
+            assert same(payoffs[j], lone), j
+            sunk.append(alone.sunk_total)
+        assert np.count_nonzero(sunk) > 0
 
 
 class TestWarmup:
