@@ -26,10 +26,19 @@ whenever its force, ad or pm changes bit-wise. The rest of a day's score is
 formed in two (rows, 2, agents) scoring buffers per slice, allocated once per
 call and filled in place. Every element takes the same operations in the
 same order as the one-replication formula.
+
+The neighbor shares come from one sparse product a day over every row,
+counted in the narrowest integer that holds the network's largest degree
+(int8 at the default 200 agents, 86 KB per brand at 430 rows); a slice
+divides its rows' counts by the degrees. The counts are exact, so each share
+has the bits of a float count's. An agent takes brand 0 where its brand-0
+score is greater, read from the slice's two brand views, and ties where the
+two are equal and finite: the signs of their difference, without forming it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -47,13 +56,21 @@ NO_BRAND = -1
 DEFAULT_INTER_CAP = 0.7
 
 # Replications scored together. A slice works on five (BLOCK, 2, agents)
-# float arrays: the two scoring buffers and its rows of the three period
-# caches. At 200 agents each holds 100 KiB, so the buffers stay under the
+# float arrays, the two scoring buffers and its rows of the three period
+# caches, and reads its rows of the day's integer neighbor counts. At 200
+# agents each float array holds 100 KiB, so the buffers stay under the
 # 128 KiB at which the C allocator hands out fresh memory maps, and all five
-# fit a core's L2 cache. A 430-row day took 2.2-2.3 ms at 32-64 rows a slice
-# and 3.1 ms at 16 (minima of eleven and five runs, 2-core host); the
-# reference tests pick their widths around 32 to cross slice boundaries.
+# fit a core's L2 cache. A 430-row day took 1.7-2.0 ms at 32-64 rows a slice
+# and 2.4-2.5 ms at 16 (best of five 100-day runs, three trials each, 2-core
+# host); the reference tests pick their widths around 32 to cross slice
+# boundaries.
 BLOCK = 32
+
+
+def _narrowest(largest: int):
+    """The narrowest signed integer dtype that holds ``largest``."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= largest)
 
 
 def marketing_spend(mb, ad, pm, k, adj_time) -> tuple:
@@ -140,6 +157,12 @@ class MarketParams:
         for name in ("inter_cap", "perception_spread", "i_ad", "i_pm", "i_ft"):
             if not getattr(self, name) >= 0:    # or NaN
                 raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # NaN slips through every comparison above, and NaN or inf would run
+        # on into wrong or overflowing scores
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         return self
 
 
@@ -200,11 +223,15 @@ class ConsumerMarket:
         self.i_ft = draw(params.i_ft)
         self.adopted = np.full((self.n, replications), NO_BRAND, dtype=np.int8)
         self.marketing = MarketingState.zeros(replications)
+        # a neighbor count never exceeds the agent's degree, and a day's tally
+        # of brand-1 agents never exceeds n
+        count = _narrowest(int(network.degrees.max()))
         self._adjacency = sparse.csr_matrix(
-            (np.ones(network.indices.size), network.indices, network.indptr),
+            (np.ones(network.indices.size, dtype=count), network.indices, network.indptr),
             shape=(self.n, self.n))
-        self._degree = network.degrees.astype(float)
-        self._divisor = np.maximum(self._degree, 1.0)
+        self._degree = network.degrees.astype(count)
+        self._divisor = np.maximum(network.degrees, 1).astype(float)
+        self._tally = _narrowest(self.n)
         # period caches of each row: (mf * i_ad) * ad, (mf * i_pm) * pm and
         # mf * i_ft, and the force, ad and pm they were filled from
         self._terms = np.empty((3, replications, 2, self.n))
@@ -220,28 +247,32 @@ class ConsumerMarket:
         if self._key is not None:
             self._key = self._key[:replications]
 
-    def neighbor_influence(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Fraction of each agent's neighbors adopting each brand in the
-        replications ``rows``, written to ``out``, shape (replications, 2, n).
+    def neighbor_influence(self) -> np.ndarray:
+        """Each agent's count of neighbors adopting each brand in every
+        replication, from the previous day's adoption: integers of the
+        adjacency's dtype, shape (2, replications, agents).
 
-        Counts are sums of ones, so exact: once every agent of the slice has a
-        brand, one product counts brand 0 and a brand-1 count is the degree
-        less it; while any agent has none, both brands are counted."""
-        adopted = self.adopted[:, rows]
+        One sparse product a day counts them. Once every agent has a brand,
+        ``adopted`` is itself the brand-1 indicator and a brand-0 count is the
+        degree less the brand-1 count; while any agent has none, both brands
+        are counted. Counts are sums of ones, so exact: a share formed from
+        them keeps every bit of one formed from a float count."""
+        adopted = self.adopted
+        counts = np.empty((2,) + adopted.shape[::-1], dtype=self._degree.dtype)
         if adopted.min() > NO_BRAND:
-            # one transposing copy, so the three passes below run contiguous
-            counts = np.ascontiguousarray((self._adjacency @ (adopted == 0).astype(float)).T)
-            np.divide(counts, self._divisor, out=out[:, 0])
-            np.subtract(self._degree, counts, out=counts)
-            np.divide(counts, self._divisor, out=out[:, 1])
+            np.copyto(counts[1], (self._adjacency @ adopted).T)
+            np.subtract(self._degree, counts[1], out=counts[0])
         else:
-            # one indicator column per (replication, brand) in one product
-            n, r = adopted.shape
-            indicator = np.empty((n, r, 2))
-            np.equal(adopted[..., None], (0, 1), out=indicator)
-            counts = self._adjacency @ indicator.reshape(n, 2 * r)
-            np.divide(counts.T.reshape(r, 2, n), self._divisor, out=out)
-        return out
+            for b in (0, 1):
+                np.copyto(counts[b], (self._adjacency @ (adopted == b).view(np.int8)).T)
+        return counts
+
+    def neighbor_shares(self, counts: np.ndarray, rows: slice,
+                        out: np.ndarray) -> np.ndarray:
+        """Fraction of each agent's neighbors adopting each brand in the
+        replications ``rows``, from the day's :meth:`neighbor_influence`
+        counts, written to ``out``, shape (replications, 2, agents)."""
+        return np.divide(counts[:, rows].transpose(1, 0, 2), self._divisor, out=out)
 
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
         """Advance every replication one day; returns the (replications, 2)
@@ -251,10 +282,11 @@ class ConsumerMarket:
         tie-break generator per replication, drawn only for that row's tied
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
-        mirror exactly. Marketing updates for every row at once; agents are
-        scored ``BLOCK`` rows at a time, in two (rows, 2, agents) buffers,
-        from the row's period caches, refilled first where its force,
-        advertisement or promotion level changed.
+        mirror exactly. Marketing updates for every row at once and one
+        product counts every row's neighbors; agents are scored ``BLOCK``
+        rows at a time, in two (rows, 2, agents) buffers, from the row's
+        period caches, refilled first where its force, advertisement or
+        promotion level changed.
         """
         p = self.params
         mk = self.marketing
@@ -280,38 +312,50 @@ class ConsumerMarket:
         else:
             stale = (key.view(np.int64) != self._key.view(np.int64)).any(axis=(1, 2))
         self._key = key
+        any_stale = stale.any()
+        counts = self.neighbor_influence()
         # per-agent constants along the agent axis, per-(row, brand) terms
         # as (rows, 2, 1) columns
         m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
             self.m_agent, self.i_ad, self.i_pm, self.i_ft))
         columns = [x[..., None] for x in (response, prices, 1.0 - mk.pm, mk.ad,
                                           mk.pm, mk.force)]
-        buffers = [np.empty((min(len(prices), BLOCK), 2, self.n)) for _ in range(2)]
+        width = min(len(prices), BLOCK)
+        buffers = [np.empty((width, 2, self.n)) for _ in range(2)]
+        flags = np.empty((2, width, self.n), dtype=bool)
         for lo in range(0, len(prices), BLOCK):
             block = slice(lo, lo + BLOCK)
             resp, price, paid, ad, pm, mf = (c[block] for c in columns)
             t1, t2, ft = self._terms[:, block]
-            refill = np.flatnonzero(stale[block])
-            if refill.size:
-                mf, ad, pm = mf[refill], ad[refill], pm[refill]
-                t1[refill] = mf * i_ad * ad
-                t2[refill] = mf * i_pm * pm
-                ft[refill] = mf * i_ft
+            if any_stale:
+                refill = np.flatnonzero(stale[block])
+                if refill.size:
+                    mf, ad, pm = mf[refill], ad[refill], pm[refill]
+                    t1[refill] = mf * i_ad * ad
+                    t2[refill] = mf * i_pm * pm
+                    ft[refill] = mf * i_ft
             score, inf = (b[:len(price)] for b in buffers)
-            np.add(resp, m_agent, out=score)
+            # resp + m_agent as a broadcast copy and a contiguous add, 11 us a
+            # 32-row slice; one add reading resp with stride 0 took 15 us
+            np.copyto(score, resp)
+            np.add(score, m_agent, out=score)
             np.multiply(score, price, out=score)
             np.multiply(score, paid, out=score)
             np.add(score, t1, out=score)
             np.add(score, t2, out=score)
-            np.multiply(ft, self.neighbor_influence(block, inf), out=inf)
+            np.multiply(ft, self.neighbor_shares(counts, block, inf), out=inf)
             np.add(score, inf, out=score)
-            diff = score[:, 0] - score[:, 1]
-            choice = np.logical_not(diff > 0).view(np.int8)   # NaN goes to brand 1
-            tied = diff == 0
-            if tied.any():
+            # not(s0 > s1) and a tie s0 == s1 on finite scores are the signs
+            # of s0 - s1 > 0 and s0 - s1 == 0: a NaN goes to brand 1, and so
+            # does inf against inf, whose difference is NaN
+            s0, s1 = score[:, 0], score[:, 1]
+            choice, tied = flags[:, :len(price)]
+            np.logical_not(np.greater(s0, s1, out=choice), out=choice)
+            if np.equal(s0, s1, out=tied).any():
+                tied &= np.isfinite(s0)
                 for r in np.flatnonzero(tied.any(axis=1)):
                     draws = rngs[lo + r].integers(0, 2, size=int(tied[r].sum()))
                     choice[r, tied[r]] = 1 - draws if mirror else draws
-            self.adopted[:, block] = choice.T
-        second = self.adopted.sum(axis=0)     # agents choosing brand 1
+            self.adopted[:, block] = choice.view(np.int8).T
+        second = np.add.reduce(self.adopted, axis=0, dtype=self._tally)  # brand-1 agents
         return np.column_stack((self.n - second, second)) / self.n

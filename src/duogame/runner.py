@@ -9,8 +9,9 @@ payoffs can be priced with any cost-rate vector afterwards.
 All replications of a call run in lockstep, one day at a time, held by one
 row-state class: every row's prices, market expected price and band, RNG
 streams and accumulators are one list or array entry per row, whatever the
-width. Each day one market call advances every row, scoring the agents in
-slices of ``market.BLOCK`` rows with the agents innermost, then the supply
+width. Each day one market call advances every row: one integer sparse
+product counts every row's neighbors, then the agents are scored in slices
+of ``market.BLOCK`` rows with the agents innermost. Then the supply
 chains and pricing of every row run the day's sub-steps, whose body alone
 depends on the width: from ``WIDE`` rows on (14, where the array body
 overtakes the float body), both companies of every row are one stacked

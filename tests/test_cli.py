@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -13,6 +14,7 @@ from duogame.config import config_from_dict, config_to_dict, default_config, loa
 from duogame.errors import ConfigError
 from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
+from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
 
 DESK_CONFIG = {
@@ -291,6 +293,35 @@ class TestSimulateCommand:
         out = tmp_path / "s"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.strip() == f"error: {name} must be >= 0, got {value}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(MarketParams)
+                                      if isinstance(f.default, float)])
+    def test_non_finite_market_parameter_exits_2(self, tmp_path, capsys, name, value):
+        # NaN passes every order comparison, so each float field is checked
+        # for finiteness too; a range check may name the value first
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"market": {name: value}}))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, value", [("s", float("nan")), ("rho", float("nan")),
+                                             ("adj_time_ms", float("nan")),
+                                             ("w1", float("inf")), ("m_high", float("nan"))])
+    def test_market_parameter_must_be_finite(self, tmp_path, capsys, name, value):
+        # each of these ran on (or died in the population draw) before
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"market": {name: value}}))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {name} must be finite, got {value}"
         assert not out.exists()
 
     def test_replays_gsa_failure(self, tmp_path, capsys):

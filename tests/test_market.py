@@ -249,17 +249,62 @@ class TestNeighborInfluence:
                                 np.random.default_rng(0), replications=6)
         market.adopted[:] = np.random.default_rng(1).integers(0, 2, (8, 6))
         rows = slice(1, 5)
-        one_brand = market.neighbor_influence(rows, np.full((4, 2, 8), np.nan))
+        one_brand = market.neighbor_shares(market.neighbor_influence(), rows,
+                                           np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert one_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert one_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
 
         market.adopted[2, 3] = -1
-        two_brand = market.neighbor_influence(rows, np.full((4, 2, 8), np.nan))
+        two_brand = market.neighbor_shares(market.neighbor_influence(), rows,
+                                           np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert two_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert two_brand[2, :, 0].sum() == 0.75         # the hub sees one agent unset
         assert two_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
+
+    @pytest.mark.parametrize("width", [1, 33, 70])
+    def test_hub_counts_match_reference(self, width):
+        # a star of 300 agents with a few leaf pairs: the hub's 299 neighbors
+        # overflow an int8 count, in every row and both brands
+        n = 300
+        edges = [(0, a) for a in range(1, n)] + [(a, a + 1) for a in range(1, n - 1, 7)]
+        market = ConsumerMarket(from_edges(n, edges), MarketParams().validate(),
+                                np.random.default_rng(0), replications=width)
+        twin = np.random.default_rng(width)
+        market.adopted[:] = twin.integers(0, 2, (n, width))
+        market.adopted[1:, 0] = 1                 # the hub sees 299 of brand 1
+        market.adopted[1:, -1] = 0                # ... and 299 of brand 0
+        market.adopted[1:, width // 2] = np.arange(1, n) % 2
+        for unset in (0.0, 0.3):
+            market.adopted[twin.random((n, width)) < unset] = -1
+            counts = market.neighbor_influence()
+            assert counts.dtype == np.int16
+            expected = self.reference(market, market.adopted)
+            for b in (0, 1):
+                assert counts[b, :, 0].tolist() == (market.adopted[1:] == b).sum(axis=0).tolist()
+            shares = market.neighbor_shares(counts, slice(0, width),
+                                            np.full((width, 2, n), np.nan))
+            assert shares.view(np.int64).tolist() == expected.view(np.int64).tolist()
+            for lo in range(0, width, 32):
+                rows = slice(lo, lo + 32)
+                part = market.neighbor_shares(counts, rows, np.full_like(shares[rows], np.nan))
+                assert part.view(np.int64).tolist() == expected[rows].view(np.int64).tolist()
+        assert (market.adopted == -1).any() and (market.adopted[:, 0] == -1).any()
+
+    @pytest.mark.parametrize("leaves, dtype", [(127, np.int8), (128, np.int16),
+                                               (32767, np.int16), (32768, np.int32)])
+    def test_count_dtype_holds_the_largest_degree(self, leaves, dtype):
+        # the narrowest integer that holds the hub's degree, so a count of
+        # every neighbor does not wrap
+        net = from_edges(leaves + 1, [(0, a) for a in range(1, leaves + 1)])
+        market = ConsumerMarket(net, MarketParams().validate(), np.random.default_rng(0))
+        market.adopted[:] = 1
+        counts = market.neighbor_influence()
+        assert counts.dtype == dtype
+        assert counts[:, 0, 0].tolist() == [0, leaves]
+        market.adopted[:] = 0
+        assert market.neighbor_influence()[:, 0, 0].tolist() == [leaves, 0]
 
 
 @pytest.mark.golden
@@ -421,6 +466,49 @@ class TestStepMarket:
             assert np.array_equal(market.adopted, choice)
             assert np.array_equal(shares, expected)
         assert ties > 0
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_decision_rule_on_equal_infinite_and_nan_scores(self, mirror):
+        # brand 0 wins only where s0 > s1; an equal finite pair is a tie and
+        # draws from the row's stream, an equal infinite pair or a NaN goes to
+        # brand 1 without a draw, as the sign of s0 - s1 decides. Rows are
+        # symmetric except every fourth; agents 1::7 follow no neighbor, so
+        # they tie in every symmetric row, and agents 0::7, 3::7 and 5::7
+        # score +inf, -inf and NaN for both brands
+        width = 40
+        market = make_market(seed=8, replications=width)
+        mk = market.marketing
+        mk.mb[:] = 100.0
+        mk.ad[:] = 0.3
+        mk.pm[:] = 0.3
+        prices = np.full((width, 2), 1.5)
+        prices[1::4, 1] = 1.6
+        market.i_ft[1::7] = 0.0
+        for start, value in ((0, np.inf), (3, -np.inf), (5, np.nan)):
+            market.m_agent[start::7] = value
+        twin = np.random.default_rng(2)
+        market.adopted[:] = np.where(twin.random((market.n, width)) < 0.1, -1,
+                                     twin.integers(0, 2, (market.n, width)))
+
+        rngs = [np.random.default_rng(700 + r) for r in range(width)]
+        reference_rngs = [np.random.default_rng(700 + r) for r in range(width)]
+        ties = 0
+        for _ in range(3):
+            before = market.adopted.copy()
+            with np.errstate(invalid="ignore"):
+                shares = market.step(prices, rngs, mirror=mirror)
+                choice, expected, tied = interleaved_day(market, before, prices,
+                                                         reference_rngs, mirror)
+            ties += tied
+            assert np.array_equal(market.adopted, choice)
+            assert np.array_equal(shares, expected)
+            for rng, reference in zip(rngs, reference_rngs):
+                assert rng.bit_generator.state == reference.bit_generator.state
+            for start in (0, 3, 5):
+                assert (market.adopted[start::7] == 1).all()
+        assert ties > 0
+        drawn = market.adopted[1::7, np.arange(width) % 4 != 1]
+        assert 0 < drawn.sum() < drawn.size       # the ties went both ways
 
     def test_period_caches_follow_force_and_levels(self):
         # the step reuses a row's advertisement, promotion and follower terms
