@@ -28,6 +28,7 @@ from .reporting import (
     read_payoff_matrix,
     write_figure_data,
     write_iteration_report,
+    write_json,
     write_payoff_matrix,
     write_trace_csv,
 )
@@ -77,7 +78,8 @@ def _source(config):
     return SimulationPayoffSource(config.settings, config.cost_rates,
                                   config.master_seed,
                                   sd_defaults=config.sd_defaults,
-                                  spec_defaults=config.spec_defaults)
+                                  spec_defaults=config.spec_defaults,
+                                  jobs=config.jobs)
 
 
 def cmd_simulate(args) -> int:
@@ -111,8 +113,7 @@ def cmd_simulate(args) -> int:
               "mean": [float(means[0]), float(means[1])]}
     if opponent != profile:
         record["opponent"] = opponent
-    (out_dir / "payoffs.json").write_text(json.dumps(record, indent=2,
-                                                     sort_keys=True) + "\n")
+    write_json(record, out_dir / "payoffs.json")
     print(f"simulated {args.n} replications -> {out_dir / 'payoffs.json'}")
     return 0
 
@@ -122,14 +123,12 @@ def cmd_estimate(args) -> int:
     plan = config.first_plan()
     from .gsa import build_empirical_game
     game, sizes = build_empirical_game(plan, _source(config), {},
-                                       config.sampling, iteration=0,
-                                       jobs=config.jobs)
+                                       config.sampling, iteration=0)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_payoff_matrix(game, out_dir / "payoff_matrix.csv")
-    (out_dir / "strategies.json").write_text(json.dumps(
-        {"strategies": plan.strategy_labels(), "sample_sizes": sizes},
-        indent=2, sort_keys=True) + "\n")
+    write_json({"strategies": plan.strategy_labels(), "sample_sizes": sizes},
+               out_dir / "strategies.json")
     print(f"estimated {game.n} strategies, "
           f"{symmetric_profile_count(game.n)} profiles -> {out_dir}")
     return 0
@@ -146,11 +145,7 @@ def cmd_solve(args) -> int:
                        for p in equilibria],
         "min_regret_profile": list(game.min_regret_profile()),
     }
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    write_json(result, args.out)
     return 0
 
 
@@ -164,8 +159,7 @@ def cmd_gsa(args) -> int:
 
     result = run_gsa(config.first_plan(), config.sampling, source,
                      gsa=config.gsa, schedule=config.schedule,
-                     jobs=config.jobs, stability_seed=config.master_seed + 1,
-                     checkpoints=store)
+                     stability_seed=config.master_seed + 1, checkpoints=store)
 
     for report, game, baseline in zip(result.reports, result.games,
                                       result.baselines):
@@ -186,8 +180,7 @@ def cmd_gsa(args) -> int:
         "stability": [r.stability["ratios"] if r.stability else None
                       for r in result.reports],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2,
-                                                     sort_keys=True) + "\n")
+    write_json(summary, out_dir / "summary.json")
     print(f"{len(result.reports)} iterations -> {out_dir}")
     return 0
 
@@ -206,12 +199,7 @@ def cmd_stability(args) -> int:
     report = stability_analysis(game, solution, epsilon=args.epsilon,
                                 steps=args.steps, seed=args.seed or 0,
                                 noise=args.noise)
-    result = {"solution": list(solution), **report.as_dict()}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    write_json({"solution": list(solution), **report.as_dict()}, args.out)
     return 0
 
 
@@ -231,11 +219,7 @@ def cmd_report(args) -> int:
         "payoff_trend_increasing":
             rows[-1]["solution"]["mean"][0] > rows[0]["solution"]["mean"][0],
     }
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    write_json(summary, args.out)
     return 0
 
 
@@ -246,9 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "solve and analyze.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", help="JSON config file (defaults ship built in)")
+    def common(p):
+        p.add_argument("--config", help="JSON config file (defaults ship built in)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory or file")
         p.add_argument("--jobs", type=int, help="parallel worker processes")

@@ -148,16 +148,16 @@ class RefineResult:
     terminated: bool = False
 
 
-def refine_plan(plan: FactorPlan, effects, g: int | None = None) -> RefineResult:
+def refine_plan(plan: FactorPlan, effects) -> RefineResult:
     """One refinement move: decompose significant factors or densify levels.
 
     Phase 1 swaps significant aggregated factors for their detailed children
     and drops insignificant factors (keeping the largest absolute effect when
     everything fails the test, so the plan never empties). Phase 2 widens
     every factor to four levels; once a four-level plan comes back it signals
-    termination.
+    termination. ``plan.g`` picks the phase.
     """
-    g = plan.g if g is None else g
+    g = plan.g
     by_name = {e.name: e for e in effects} if effects else {}
 
     if g == 1:

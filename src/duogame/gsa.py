@@ -140,22 +140,25 @@ def profile_tag(iteration: int, a: int, b: int) -> int:
 
 
 class SimulationPayoffSource:
-    """Default payoff source: the coupled simulator behind a seed protocol."""
+    """Default payoff source: the coupled simulator behind a seed protocol,
+    run on ``jobs`` worker processes."""
 
     def __init__(self, settings: SimulationSettings, rates: CostRates,
-                 master_seed: int, sd_defaults=None, spec_defaults=None):
+                 master_seed: int, sd_defaults=None, spec_defaults=None,
+                 jobs: int = 1):
         self.settings = settings
         self.rates = rates
         self.master_seed = master_seed
         self.sd_defaults = sd_defaults
         self.spec_defaults = spec_defaults
+        self.jobs = jobs
 
     def specs_for(self, labels_a: dict, labels_b: dict, baseline: dict):
         spec_a = materialize(labels_a, baseline, self.sd_defaults, self.spec_defaults)
         spec_b = materialize(labels_b, baseline, self.sd_defaults, self.spec_defaults)
         return spec_a, spec_b
 
-    def __call__(self, labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
+    def __call__(self, labels_a, labels_b, baseline, n, tags, start=0):
         """Payoffs of replications ``start`` to ``start + n`` of each profile,
         shape (profiles, n, 2), for equal-length sequences of row labels,
         column labels and profile tags, simulated together."""
@@ -164,7 +167,7 @@ class SimulationPayoffSource:
         seeds = [seed for tag in tags
                  for seed in replication_seeds(self.master_seed, tag, n, start=start)]
         payoffs = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
-                                   seeds, jobs=jobs)
+                                   seeds, jobs=self.jobs)
         return payoffs.reshape(len(pairs), n, 2)
 
 
@@ -177,7 +180,7 @@ def _replay_labels(labels: dict, baseline: dict) -> dict:
     return {**kept, **labels}
 
 
-def _simulate_profile(source, labels, a, b, baseline, policy, tag, jobs=1):
+def _simulate_profile(source, labels, a, b, baseline, policy, tag):
     """Initial batch plus value-of-information top-up for one profile, or for
     equal-length sequences ``a``, ``b`` and ``tag`` of profiles together.
 
@@ -197,7 +200,7 @@ def _simulate_profile(source, labels, a, b, baseline, policy, tag, jobs=1):
         try:
             return source([labels[a[k]] for k in profiles],
                           [labels[b[k]] for k in profiles], baseline, n,
-                          [tag[k] for k in profiles], start=start, jobs=jobs)
+                          [tag[k] for k in profiles], start=start)
         except ReplicationError as exc:
             k, j = divmod(exc.index, n)
             k, j = profiles[k], start + j
@@ -225,22 +228,20 @@ def _simulate_profile(source, labels, a, b, baseline, policy, tag, jobs=1):
 
 
 def build_empirical_game(plan: FactorPlan, source, baseline: dict,
-                         policy: SamplingPolicy, iteration: int,
-                         jobs: int = 1):
+                         policy: SamplingPolicy, iteration: int):
     """Simulate every unordered profile of the plan's strategy set.
 
     All profiles are sampled together: their replications share lockstep
-    blocks and, with ``jobs`` > 1, one process pool per source call.
+    blocks and source calls, which run on the source's worker processes.
     """
     labels = plan.strategy_labels()
-    space = StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))])
-    game = EmpiricalGame(space)
+    game = EmpiricalGame(StrategySpace(labels))
     n = len(labels)
     tasks = [(a, b) for a in range(n) for b in range(a, n)]
     rows, cols = zip(*tasks)
     tags = [profile_tag(iteration, a, b) for a, b in tasks]
     results = _simulate_profile(source, labels, rows, cols, baseline, policy,
-                                tags, jobs=jobs)
+                                tags)
     sizes = {}
     for (a, b), payoffs in zip(tasks, results):
         sizes[f"{a},{b}"] = int(payoffs.shape[0])
@@ -334,8 +335,8 @@ def _sample_bank(game: EmpiricalGame):
 
 def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                        steps: int = 2000, noise: str = "resample",
-                       update: str = "alternating", seed: int = 0,
-                       as_tol: float | None = None) -> StabilityReport:
+                       update: str = "alternating",
+                       seed: int = 0) -> StabilityReport:
     """Classify every initial profile by its noisy best-response trajectory.
 
     From each ordered initial profile the players repeatedly best-respond,
@@ -361,13 +362,12 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     n = game.n
     u = game.mean
 
-    if as_tol is None:
-        sol_samples = game.samples(solution, 0)
-        if sol_samples.size >= 2 and sol_samples.std(ddof=1) > 0:
-            as_tol = max(confidence_interval(sol_samples)[1],
-                         confidence_interval(game.samples(solution, 1))[1])
-        else:
-            as_tol = 1e-9
+    sol_samples = game.samples(solution, 0)
+    if sol_samples.size >= 2 and sol_samples.std(ddof=1) > 0:
+        as_tol = max(confidence_interval(sol_samples)[1],
+                     confidence_interval(game.samples(solution, 1))[1])
+    else:
+        as_tol = 1e-9
     sol_pay = u[:, solution[0], solution[1], None]
 
     # column k of a player's table: its n candidates against opponent
@@ -428,20 +428,19 @@ def _solution_profile(game: EmpiricalGame, equilibria):
 
 def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
             gsa: GsaSettings | None = None, schedule=None,
-            baseline: dict | None = None, jobs: int = 1,
-            stability_seed: int = 1,
-            checkpoints=None) -> GsaResult:
+            stability_seed: int = 1, checkpoints=None) -> GsaResult:
     """Execute the full loop and return per-iteration reports.
 
     With ``schedule`` given (a list of factor plans), refinement follows it
     verbatim; otherwise the adaptive rule drives the loop until level
     densification is exhausted. Factors leaving the active set are frozen at
-    the latest solution's levels through ``baseline``. A ``checkpoints``
-    store resumes interrupted runs iteration by iteration.
+    the latest solution's levels through a baseline that starts empty. A
+    ``checkpoints`` store resumes interrupted runs iteration by iteration.
+    The worker count is the ``source``'s, not the loop's.
     """
     gsa = (gsa or GsaSettings()).validate()
     policy.validate()
-    baseline = dict(baseline or {})
+    baseline = {}
     reports, games, baselines = [], [], []
     solution_samples = []         # pooled per-iteration solution payoffs
 
@@ -463,7 +462,7 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
         else:
             t0 = time.perf_counter()
             game, sizes = build_empirical_game(current, source, baseline, policy,
-                                               iteration, jobs=jobs)
+                                               iteration)
             labels = current.strategy_labels()
             equilibria = game.pure_nash(gsa.epsilon_solve)
             solution = _solution_profile(game, equilibria)

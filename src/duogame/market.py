@@ -176,8 +176,6 @@ class MarketingState:
     mb: np.ndarray
     ad: np.ndarray
     pm: np.ndarray
-    ad_spend: np.ndarray
-    pm_spend: np.ndarray
     spend_rate: np.ndarray
     force: np.ndarray
     inter: np.ndarray
@@ -185,7 +183,7 @@ class MarketingState:
 
     @classmethod
     def zeros(cls, replications: int) -> "MarketingState":
-        pairs = [np.zeros((replications, 2)) for _ in range(8)]
+        pairs = [np.zeros((replications, 2)) for _ in range(6)]
         return cls(*pairs, total_force=np.zeros(replications))
 
 
@@ -292,7 +290,7 @@ class ConsumerMarket:
         mk = self.marketing
         prices = np.asarray(prices, dtype=float)
 
-        mk.ad_spend, mk.pm_spend, mk.spend_rate = marketing_spend(
+        _, _, mk.spend_rate = marketing_spend(
             mk.mb, mk.ad, mk.pm, p.k, p.adj_time_ms)
         mk.force = marketing_force(mk.ad, mk.pm, mk.inter, p.w1, p.w2, p.w3)
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,

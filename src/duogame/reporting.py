@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .game import EmpiricalGame, StrategySpace
+from .runner import SERIES
 
 TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
                 "labor", "wip"]
-TRACE_SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
 
 
 def _cell(game: EmpiricalGame, a: int, b: int) -> str:
@@ -48,8 +48,8 @@ def write_payoff_matrix(game: EmpiricalGame, path) -> None:
             writer.writerow(row)
 
 
-def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
-    """Rebuild a game from a matrix CSV.
+def read_payoff_matrix(path) -> EmpiricalGame:
+    """Rebuild a symmetric game from a matrix CSV.
 
     Only summary statistics survive the round trip; each profile comes back
     as a synthetic sample set with exactly the stored mean, count and
@@ -68,9 +68,8 @@ def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
     if len(rows) != n + 1:
         raise ConfigError(f"payoff matrix {path} has {len(rows) - 1} rows for "
                           f"{n} strategies")
-    space = StrategySpace([{"index": i} for i in range(n)], labels=labels,
-                          symmetric=symmetric)
-    game = EmpiricalGame(space)
+    game = EmpiricalGame(StrategySpace([{"index": i} for i in range(n)],
+                                       labels=labels))
     stats = {}
     for a, row in enumerate(rows[1:]):
         if len(row) != n + 1:
@@ -82,7 +81,7 @@ def read_payoff_matrix(path, symmetric: bool = True) -> EmpiricalGame:
                 raise ConfigError(f"malformed payoff cell {cell!r} at row {a}, "
                                   f"column {b} in {path}") from None
     for (a, b), per_player in stats.items():
-        if symmetric and a > b:
+        if a > b:
             continue
         p1, p2 = (_synthetic_samples(*stat) for stat in per_player)
         game.set_samples((a, b), p1, p2, stats=per_player)
@@ -113,7 +112,7 @@ def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:
 
 def write_trace_csv(rep, path) -> None:
     path = Path(path)
-    columns = [rep.series[name] for name in TRACE_SERIES]
+    columns = [rep.series[name] for name in SERIES]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
@@ -127,10 +126,18 @@ def report_to_dict(report) -> dict:
     return dataclasses.asdict(report)
 
 
+def write_json(data, path=None) -> None:
+    """``data`` as indented JSON with sorted keys: into the file ``path``,
+    or on stdout when no path is given."""
+    text = json.dumps(data, indent=2, sort_keys=True)
+    if path:
+        Path(path).write_text(text + "\n")
+    else:
+        print(text)
+
+
 def write_iteration_report(report, path) -> None:
-    Path(path).write_text(json.dumps(
-        {"schema_version": 1, "report": report_to_dict(report)},
-        indent=2, sort_keys=True) + "\n")
+    write_json({"schema_version": 1, "report": report_to_dict(report)}, path)
 
 
 def write_figure_data(reports, out_dir) -> None:
@@ -201,9 +208,7 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
         print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
               f"this run {fingerprint}; recomputing", file=sys.stderr)
         return None
-    labels = payload["labels"]
-    space = StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))])
-    game = EmpiricalGame(space)
+    game = EmpiricalGame(StrategySpace(payload["labels"]))
     for key, (p1, p2) in payload["samples"].items():
         a, b = (int(x) for x in key.split(","))
         game.set_samples((a, b), p1, p2)

@@ -151,11 +151,12 @@ class SimulationSettings:
 @dataclass
 class ReplicationOutput:
     """Daily series plus physical and currency accumulators for one run, or
-    the accumulators of several stacked (see :func:`run_replication`)."""
+    the accumulators of several stacked (see :func:`run_replication`): then
+    ``seed`` lists their seeds, ``series`` is empty, every array has one row
+    per run and ``sunk_total`` is a (rows, 1) column."""
 
-    seed: int
+    seed: int | list
     run_length: int
-    warmup: int
     series: dict           # name -> array of shape (days, 2)
     revenue: np.ndarray    # currency, per company
     units_produced: np.ndarray
@@ -165,7 +166,7 @@ class ReplicationOutput:
     backlog_unit_days: np.ndarray
     marketing_spend: np.ndarray
     sunk_own: np.ndarray
-    sunk_total: float
+    sunk_total: float | np.ndarray
 
 
 _network_cache: dict = {}
@@ -427,8 +428,7 @@ class _Rows:
                      r, float(self.sunk_total[r])) for r, seed in enumerate(self.seeds)]
         t = self.totals
         return [ReplicationOutput(
-            seed=seed, run_length=settings.run_length_days,
-            warmup=settings.warmup_days, series=series,
+            seed=seed, run_length=settings.run_length_days, series=series,
             revenue=t[0, r], units_produced=t[1, r], units_purchased=t[2, r],
             units_shipped=t[3, r], inv_unit_days=t[4, r], backlog_unit_days=t[5, r],
             marketing_spend=t[6, r], sunk_own=t[7, r], sunk_total=sunk)

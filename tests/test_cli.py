@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import shutil
@@ -371,6 +372,29 @@ class TestEstimateCommand:
         strategies = json.loads((out / "strategies.json").read_text())
         assert len(strategies["strategies"]) == 4
         assert len(strategies["sample_sizes"]) == 10  # (16 - 4) / 2 + 4
+
+    def test_jobs_reaches_the_worker_pool(self, desk_config, tmp_path, monkeypatch):
+        import duogame.gsa
+        original = duogame.gsa.estimate_payoffs
+        signature = inspect.signature(original)
+        seen = []
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["jobs"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(duogame.gsa, "estimate_payoffs", spy)
+        matrices = {}
+        for jobs in (1, 2):
+            out = tmp_path / f"e{jobs}"
+            seen.clear()
+            assert main(["estimate", "--config", str(desk_config),
+                         "--out", str(out), "--jobs", str(jobs)]) == 0
+            assert seen and set(seen) == {jobs}
+            matrices[jobs] = (out / "payoff_matrix.csv").read_bytes()
+        assert matrices[1] == matrices[2]
 
 
 class TestGsaCommand:

@@ -148,7 +148,7 @@ class TestRefinePlan:
 def stub_source_factory(coef=None, sigma=0.5):
     coef = coef or {}
 
-    def source(labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
+    def source(labels_a, labels_b, baseline, n, tags, start=0):
         def score(lbl):
             total = 0.0
             for name, label in lbl.items():
@@ -455,7 +455,7 @@ class TestStabilityAgainstReference:
 
 
 def test_simulate_profile_failure_names_profile_and_tag():
-    def source(labels_a, labels_b, baseline, n, tags, start=0, jobs=1):
+    def source(labels_a, labels_b, baseline, n, tags, start=0):
         raise ReplicationError("replication diverged on day 7: x", day=7,
                                seed=1234, index=2)
 
@@ -472,7 +472,7 @@ def reference_build(plan, source, policy, iteration):
     """The game built one profile at a time: each profile's initial batch,
     its top-up target and its top-up through ``estimate_payoffs`` alone."""
     labels = plan.strategy_labels()
-    game = EmpiricalGame(StrategySpace(labels, labels=[f"s{i}" for i in range(len(labels))]))
+    game = EmpiricalGame(StrategySpace(labels))
     sizes = {}
     for a in range(len(labels)):
         for b in range(a, len(labels)):
@@ -504,9 +504,9 @@ def reference_build(plan, source, policy, iteration):
 class TestBatchedBuild:
     PLAN = FactorPlan([PlanFactor("pricing"), PlanFactor("marketing")])
 
-    def source(self):
+    def source(self, jobs=1):
         settings = SimulationSettings(run_length_days=30, warmup_days=10, n_agents=50)
-        return SimulationPayoffSource(settings, CostRates(), 11)
+        return SimulationPayoffSource(settings, CostRates(), 11, jobs=jobs)
 
     def assert_same_game(self, built, reference):
         (game, sizes), (ref, ref_sizes) = built, reference
@@ -518,16 +518,16 @@ class TestBatchedBuild:
     def test_equals_per_profile_reference(self, jobs):
         # 10 profiles of 2 replications: 20 rows, not a multiple of 3
         policy = SamplingPolicy(initial_n=2, trim_per_tail=0, cap=2)
-        source = self.source()
+        source = self.source(jobs)
         self.assert_same_game(
-            build_empirical_game(self.PLAN, source, {}, policy, 1, jobs=jobs),
+            build_empirical_game(self.PLAN, source, {}, policy, 1),
             reference_build(self.PLAN, source, policy, 1))
 
     def test_topups_equal_per_profile_reference(self):
         policy = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
                                 ecvi_floor=20.0)
-        source = self.source()
-        built = build_empirical_game(self.PLAN, source, {}, policy, 0, jobs=2)
+        source = self.source(jobs=2)
+        built = build_empirical_game(self.PLAN, source, {}, policy, 0)
         # no top-up, and top-ups of more than one extra count
         assert len(set(built[1].values()) - {policy.initial_n}) >= 2
         assert policy.initial_n in built[1].values()
@@ -540,7 +540,7 @@ def test_divergence_in_second_pool_chunk_names_profile_and_seed():
     settings = SimulationSettings(run_length_days=55)
     sd = SDParams(max_inv_cov=1e6, mp_cap_ratio=float("inf"), sigma_order=20.0,
                   price_sens_invcov=-0.7)
-    source = SimulationPayoffSource(settings, CostRates(), 3, sd_defaults=sd)
+    source = SimulationPayoffSource(settings, CostRates(), 3, sd_defaults=sd, jobs=2)
     labels = [{"logistics": "L"}, {"logistics": "H"},
               {"manufacturing": "L"}, {"manufacturing": "H"}]
     a, b = [1, 1, 2, 2], [1, 2, 3, 2]
@@ -550,7 +550,7 @@ def test_divergence_in_second_pool_chunk_names_profile_and_seed():
     # the second chunk's block of rows from (2, 3) and (2, 2)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ReplicationError) as err:
-            _simulate_profile(source, labels, a, b, {}, policy, tags, jobs=2)
+            _simulate_profile(source, labels, a, b, {}, policy, tags)
         seed = replication_seeds(3, tags[2], 1, start=4)[0]
         with pytest.raises(ReplicationError) as alone:
             run_replication(source.specs_for(labels[2], labels[3], {}), settings, seed)

@@ -548,7 +548,7 @@ class TestWideDivergence:
 
 class TestComputePayoff:
     def make_rep(self, **kw):
-        base = dict(seed=0, run_length=3, warmup=0, series={},
+        base = dict(seed=0, run_length=3, series={},
                     revenue=np.array([100.0, 80.0]),
                     units_produced=np.array([50.0, 40.0]),
                     units_purchased=np.array([30.0, 20.0]),
