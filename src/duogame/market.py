@@ -7,33 +7,65 @@ brand (ties broken uniformly at random). Marketing budgets drive spend,
 a cross-company interaction co-state and per-brand marketing forces.
 
 One :class:`ConsumerMarket` advances many replications in lockstep. Their
-marketing and co-state arrays update together; agents are scored in slices
-of at most ``BLOCK`` replications. The agents are the contiguous axis:
-per-agent constants broadcast along it and per-(row, brand) terms enter as
-(rows, 2, 1) columns, so every elementwise loop runs over the agents.
+marketing and co-state arrays update together, and only where a row's
+co-state, levels or budget changed; agents are decided in slices of at most
+``BLOCK`` replications, with the agents as the contiguous axis.
 
 An agent's score for a brand is ``sens_p * price * (1 - pm) + sus_ad * ad +
 sens_pm * pm + ft * inf`` taken left to right, where ``sens_p`` is its
-socio-economic constant plus the brand's price response, each perception
-(``sus_ad``, ``sens_pm``, ``ft``) its initial constant times the brand's
-marketing force ``mf``, and ``inf`` its neighbors' share of the brand. The
-terms ``(mf * i_ad) * ad``, ``(mf * i_pm) * pm`` and ``mf * i_ft`` change only
-with the force and the levels, which stay bit-equal through a marketing
-period once the co-state sits at its cap. They are held in three period
-caches of (rows, 2, agents) floats, 48 B per row and agent (4.1 MB at 430
-rows of 200 agents); a row's caches are refilled on its first day and
-whenever its force, ad or pm changes bit-wise. The rest of a day's score is
-formed in two (rows, 2, agents) scoring buffers per slice, allocated once per
-call and filled in place. Every element takes the same operations in the
-same order as the one-replication formula.
+socio-economic constant ``m`` plus the brand's price response ``r``, each
+perception (``sus_ad``, ``sens_pm``, ``ft``) its initial constant times the
+brand's marketing force ``mf``, and ``inf`` its neighbors' share of the
+brand, ``c / D`` for ``c`` neighbors of the brand among ``D`` (1 for an
+isolated agent). Only the sign of the brand-0 less the brand-1 score
+matters. With ``p`` the price, ``q = 1 - pm``, ``t1 = (mf * i_ad) * ad``,
+``t2 = (mf * i_pm) * pm`` and ``ft = mf * i_ft``, in real arithmetic
 
-The neighbor shares come from one sparse product a day over every row,
+    s0 - s1 = m a + b + K + F0 c0 - F1 c1,
+
+with the day's row terms ``a = p0 q0 - p1 q1`` and ``b = r0 p0 q0 -
+r1 p1 q1`` and the period terms ``K = (t1_0 + t2_0) - (t1_1 + t2_1)`` and
+``F_b = ft_b / D`` of each row and agent. The period terms change only with
+the force and the levels, which stay bit-equal through a marketing period
+once the co-state sits at its cap. They are held in three period caches of
+(rows, agents) floats, 24 B per row and agent (2.1 MB at 430 rows of 200
+agents), refilled on a row's first day and whenever its co-state, ad, pm or
+budget changes bit-wise. A slice forms the float value ``d`` of the sum,
+``m a + b`` as one matrix product of its rows' ``(a, b)`` with ``[m; 1]``.
+An agent with ``|d|`` above its row's bound takes brand 1 where ``d < 0``.
+Every other agent (within the bound, NaN, or in a row whose bound is not
+finite) is scored exactly: both scores in the one-replication operation
+order, brand 0 only where its score is greater, equal finite scores a tie
+drawn from the row's stream in agent order, an equal infinite pair or a NaN
+brand 1.
+
+The bound is ``2**-40 M``, with the row's size
+
+    M = max_b (|r_b| + max|m| + 1)(|p_b| + 1)(|q_b| + 1)
+        + max|t1| + max|t2| + max|ft|
+
+(the last three over both brands and every agent). Let ``u = 2**-53``. Each
+term of a score is at most ``M`` in size (a share is at most 1) and passes
+through at most six rounded operations, so each exact score is within
+``6.01 u M`` of its value in real arithmetic on the same inputs. Each term of
+``d`` passes through at most seven, and its terms over both brands sum to at
+most ``2 M``, so ``d`` is within ``14.02 u M`` of the real ``s0 - s1``.
+Together the error is below ``27 u M < 2**-48 M``, a 256th of the bound: an
+agent beyond the bound has a nonzero ``s0 - s1`` of ``d``'s sign, so the
+exact rule gives it the same brand and no tie draw is skipped. The ``+ 1``
+factors make ``M`` bound every intermediate product and every factor that
+scales a rounding error, not only the terms. So nothing overflows while
+``4 M`` is finite, and the bound is formed from ``4 M`` so that it is
+infinite otherwise; an underflowing product errs by at most ``2**-1075``
+times ``M`` or a neighbor count, far below the bound as ``M >= 1``; and a NaN
+or infinite input gives an infinite or NaN bound, sending its row to the
+exact scores. ``M`` is rounded itself, by a few ulps, which the margin
+absorbs.
+
+The neighbor counts come from one sparse product a day over every row,
 counted in the narrowest integer that holds the network's largest degree
-(int8 at the default 200 agents, 86 KB per brand at 430 rows); a slice
-divides its rows' counts by the degrees. The counts are exact, so each share
-has the bits of a float count's. An agent takes brand 0 where its brand-0
-score is greater, read from the slice's two brand views, and ties where the
-two are equal and finite: the signs of their difference, without forming it.
+(int8 at the default 200 agents, 86 KB per brand at 430 rows). The counts
+are exact, so each exact score's share has the bits of a float count's.
 """
 
 from __future__ import annotations
@@ -55,16 +87,15 @@ NO_BRAND = -1
 # advertisement and promotion force terms at their mid levels.
 DEFAULT_INTER_CAP = 0.7
 
-# Replications scored together. A slice works on five (BLOCK, 2, agents)
-# float arrays, the two scoring buffers and its rows of the three period
-# caches, and reads its rows of the day's integer neighbor counts. At 200
-# agents each float array holds 100 KiB, so the buffers stay under the
-# 128 KiB at which the C allocator hands out fresh memory maps, and all five
-# fit a core's L2 cache. A 430-row day took 1.7-2.0 ms at 32-64 rows a slice
-# and 2.4-2.5 ms at 16 (best of five 100-day runs, three trials each, 2-core
-# host); the reference tests pick their widths around 32 to cross slice
-# boundaries.
-BLOCK = 32
+# Replications decided together. A slice works on two (BLOCK, agents) float
+# buffers, its score differences and a scratch term, and its rows of the
+# three period caches, and reads its rows of the day's integer neighbor
+# counts. At 200 agents each buffer holds 100 KiB, under the 128 KiB at which
+# the C allocator hands out fresh memory maps. A 430-row day with its caches
+# filled took 1.07 ms at 64 rows a slice, 1.23 ms at 32 and 1.04 ms at 128
+# (medians of fifteen alternating trials, 2-core host). The reference tests
+# pick widths past 64 to cross slice boundaries.
+BLOCK = 64
 
 
 def _narrowest(largest: int):
@@ -230,10 +261,16 @@ class ConsumerMarket:
         self._degree = network.degrees.astype(count)
         self._divisor = np.maximum(network.degrees, 1).astype(float)
         self._tally = _narrowest(self.n)
-        # period caches of each row: (mf * i_ad) * ad, (mf * i_pm) * pm and
-        # mf * i_ft, and the force, ad and pm they were filled from
-        self._terms = np.empty((3, replications, 2, self.n))
+        # period caches of each row: K, F0 and F1 of every agent, the summed
+        # largest sizes of t1, t2 and ft, and the co-state, levels and budget
+        # they were filled from (module docstring)
+        self._diff = np.empty((3, replications, self.n))
+        self._size = np.empty(replications)
         self._key = None
+        # [m; 1] and max|m| + 1, read with the perception constants when
+        # caches are filled
+        self._m_ones = np.ones((2, self.n))
+        self._lift = math.nan
 
     def truncate(self, replications: int) -> None:
         """Keep only the first ``replications`` rows."""
@@ -241,7 +278,8 @@ class ConsumerMarket:
         mk = self.marketing
         for f in fields(mk):
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
-        self._terms = self._terms[:, :replications]
+        self._diff = self._diff[:, :replications]
+        self._size = self._size[:replications]
         if self._key is not None:
             self._key = self._key[:replications]
 
@@ -265,13 +303,6 @@ class ConsumerMarket:
                 np.copyto(counts[b], (self._adjacency @ (adopted == b).view(np.int8)).T)
         return counts
 
-    def neighbor_shares(self, counts: np.ndarray, rows: slice,
-                        out: np.ndarray) -> np.ndarray:
-        """Fraction of each agent's neighbors adopting each brand in the
-        replications ``rows``, from the day's :meth:`neighbor_influence`
-        counts, written to ``out``, shape (replications, 2, agents)."""
-        return np.divide(counts[:, rows].transpose(1, 0, 2), self._divisor, out=out)
-
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
         """Advance every replication one day; returns the (replications, 2)
         market shares (each row sums to 1).
@@ -280,80 +311,137 @@ class ConsumerMarket:
         tie-break generator per replication, drawn only for that row's tied
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
-        mirror exactly. Marketing updates for every row at once and one
-        product counts every row's neighbors; agents are scored ``BLOCK``
-        rows at a time, in two (rows, 2, agents) buffers, from the row's
-        period caches, refilled first where its force, advertisement or
-        promotion level changed.
+        mirror exactly. The co-state updates for every row at once, the
+        force and spend rate where a row's co-state, levels or budget changed,
+        and one product counts every row's neighbors. Agents are decided
+        ``BLOCK`` rows at a time from their score difference, whose period
+        terms come from the row's caches, refilled first where those inputs
+        changed; agents the difference cannot decide are scored exactly
+        (:meth:`_exact`).
         """
         p = self.params
         mk = self.marketing
         prices = np.asarray(prices, dtype=float)
 
-        _, _, mk.spend_rate = marketing_spend(
-            mk.mb, mk.ad, mk.pm, p.k, p.adj_time_ms)
-        mk.force = marketing_force(mk.ad, mk.pm, mk.inter, p.w1, p.w2, p.w3)
+        # a row's force, spend rate and period caches follow from its co-state,
+        # levels and budget alone, so they are recomputed only where one of
+        # those changed; compared as bits: == would equate -0.0 with 0.0, and
+        # a NaN with nothing, itself included
+        key = np.concatenate((mk.inter, mk.ad, mk.pm, mk.mb), axis=1)
+        if self._key is None:
+            stale = np.ones(len(prices), dtype=bool)
+        else:
+            stale = (key.view(np.int64) != self._key.view(np.int64)).any(axis=1)
+        self._key = key
+        any_stale = stale.any()
+        if any_stale:
+            _, _, mk.spend_rate = marketing_spend(
+                mk.mb, mk.ad, mk.pm, p.k, p.adj_time_ms)
+            mk.force = marketing_force(mk.ad, mk.pm, mk.inter, p.w1, p.w2, p.w3)
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,
                                    mk.total_force, prices, mk.pm, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
-        mk.total_force = mk.force.sum(axis=1)
+        if any_stale:
+            mk.total_force = mk.force.sum(axis=1)
         price_sum = prices.sum(axis=1)
         if p.price_sum_mode == "average":
             price_sum = price_sum / 2
 
         response = price_response(prices, mk.pm, price_sum[:, None], p.s)
-        # compared as bits: == would equate -0.0 with 0.0, and a NaN force
-        # with nothing, itself included
-        key = np.stack((mk.force, mk.ad, mk.pm), axis=1)
-        if self._key is None:
-            stale = np.ones(len(prices), dtype=bool)
-        else:
-            stale = (key.view(np.int64) != self._key.view(np.int64)).any(axis=(1, 2))
-        self._key = key
-        any_stale = stale.any()
+        paid = 1.0 - mk.pm
         counts = self.neighbor_influence()
-        # per-agent constants along the agent axis, per-(row, brand) terms
-        # as (rows, 2, 1) columns
-        m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
-            self.m_agent, self.i_ad, self.i_pm, self.i_ft))
-        columns = [x[..., None] for x in (response, prices, 1.0 - mk.pm, mk.ad,
-                                          mk.pm, mk.force)]
-        width = min(len(prices), BLOCK)
-        buffers = [np.empty((width, 2, self.n)) for _ in range(2)]
+        if any_stale:
+            # per-agent constants are read here: the rows [m; 1] that turn a
+            # row's (a, b) into m a + b, and the largest |m| and perception
+            # constants, which times a brand's levels give the largest size of
+            # each period term over the agents, as rounding is monotone
+            m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
+                self.m_agent, self.i_ad, self.i_pm, self.i_ft))
+            self._m_ones[0] = m_agent
+            reach = np.abs(np.stack((m_agent, i_ad, i_pm, i_ft))).max(axis=1)
+            self._lift = reach[0] + 1.0
+            mf, ad, pm = (np.abs(x[stale]) for x in (mk.force, mk.ad, mk.pm))
+            sizes = np.stack((mf * reach[1] * ad, mf * reach[2] * pm, mf * reach[3]))
+            self._size[stale] = sizes.max(axis=2).sum(axis=0)
+        # the day's terms of the difference, a = p0 q0 - p1 q1 and
+        # b = r0 p0 q0 - r1 p1 q1, and its rounding bound (module docstring)
+        rows = len(prices)
+        pq = prices * paid
+        ab = np.empty((rows, 2))
+        np.subtract(pq[:, 0], pq[:, 1], out=ab[:, 0])
+        pq *= response
+        np.subtract(pq[:, 0], pq[:, 1], out=ab[:, 1])
+        size = np.abs(response) + self._lift
+        size *= np.abs(prices) + 1.0
+        size *= np.abs(paid) + 1.0
+        bound = np.maximum(size[:, 0], size[:, 1]) + self._size
+        bound *= 4.0            # inf where 4 M overflows
+        bound *= 2.0 ** -42
+        loose = bound.max()     # NaN if some row's is
+        width = min(rows, BLOCK)
+        diffs, parts = np.empty((2, width, self.n))
         flags = np.empty((2, width, self.n), dtype=bool)
-        for lo in range(0, len(prices), BLOCK):
+        for lo in range(0, rows, BLOCK):
             block = slice(lo, lo + BLOCK)
-            resp, price, paid, ad, pm, mf = (c[block] for c in columns)
-            t1, t2, ft = self._terms[:, block]
+            k, f0, f1 = self._diff[:, block]
             if any_stale:
                 refill = np.flatnonzero(stale[block])
                 if refill.size:
-                    mf, ad, pm = mf[refill], ad[refill], pm[refill]
-                    t1[refill] = mf * i_ad * ad
-                    t2[refill] = mf * i_pm * pm
-                    ft[refill] = mf * i_ft
-            score, inf = (b[:len(price)] for b in buffers)
-            # resp + m_agent as a broadcast copy and a contiguous add, 11 us a
-            # 32-row slice; one add reading resp with stride 0 took 15 us
-            np.copyto(score, resp)
-            np.add(score, m_agent, out=score)
-            np.multiply(score, price, out=score)
-            np.multiply(score, paid, out=score)
-            np.add(score, t1, out=score)
-            np.add(score, t2, out=score)
-            np.multiply(ft, self.neighbor_shares(counts, block, inf), out=inf)
-            np.add(score, inf, out=score)
-            # not(s0 > s1) and a tie s0 == s1 on finite scores are the signs
-            # of s0 - s1 > 0 and s0 - s1 == 0: a NaN goes to brand 1, and so
-            # does inf against inf, whose difference is NaN
-            s0, s1 = score[:, 0], score[:, 1]
-            choice, tied = flags[:, :len(price)]
-            np.logical_not(np.greater(s0, s1, out=choice), out=choice)
-            if np.equal(s0, s1, out=tied).any():
-                tied &= np.isfinite(s0)
-                for r in np.flatnonzero(tied.any(axis=1)):
-                    draws = rngs[lo + r].integers(0, 2, size=int(tied[r].sum()))
-                    choice[r, tied[r]] = 1 - draws if mirror else draws
+                    # one brand at a time, in the slice's two free buffers
+                    mf, ad, pm = (x[lo + refill].T[..., None] for x in (mk.force, mk.ad, mk.pm))
+                    sums = diffs[:refill.size], parts[:refill.size]
+                    for b, total in enumerate(sums):
+                        np.multiply(mf[b], i_ad, out=total)
+                        total *= ad[b]
+                        term = mf[b] * i_pm
+                        term *= pm[b]
+                        total += term
+                    k[refill] = np.subtract(*sums, out=sums[0])
+                    for b, f in enumerate((f0, f1)):
+                        f[refill] = np.divide(np.multiply(mf[b], i_ft, out=sums[1]),
+                                              self._divisor, out=sums[1])
+            d, part = diffs[:len(k)], parts[:len(k)]
+            np.matmul(ab[block], self._m_ones, out=d)
+            d += k
+            d += np.multiply(f0, counts[0, block], out=part)
+            d -= np.multiply(f1, counts[1, block], out=part)
+            choice, sure = flags[:, :len(k)]
+            np.less(d, 0.0, out=choice)
+            # every agent beyond the day's largest bound is decided; of the
+            # others, those within their own row's bound are scored exactly
+            if not np.greater(np.abs(d, out=part), loose, out=sure).all():
+                near, agents = np.nonzero(~sure)
+                keep = ~(part[near, agents] > bound[lo + near])
+                near, agents = near[keep], agents[keep]
+                choice[near, agents] = self._exact(lo + near, agents, response, prices,
+                                                   paid, counts, rngs, mirror)
             self.adopted[:, block] = choice.view(np.int8).T
-        second = np.add.reduce(self.adopted, axis=0, dtype=self._tally)  # brand-1 agents
-        return np.column_stack((self.n - second, second)) / self.n
+        tally = np.empty((rows, 2), dtype=self._tally)
+        np.add.reduce(self.adopted, axis=0, out=tally[:, 1])    # brand-1 agents
+        np.subtract(self.n, tally[:, 1], out=tally[:, 0])
+        return tally / self.n
+
+    def _exact(self, rows, agents, response, prices, paid, counts, rngs, mirror):
+        """Whether each agent ``agents[j]`` of row ``rows[j]`` (pairs in
+        row-then-agent order) takes brand 1, from both brands' scores formed
+        in the one-replication operation order. Brand 0 wins only where its
+        score is greater; equal finite scores tie and draw from the row's
+        stream, and an equal infinite pair or a NaN goes to brand 1."""
+        mk = self.marketing
+        m, i_ad, i_pm, i_ft = (c.reshape(self.n)[agents, None] for c in (
+            self.m_agent, self.i_ad, self.i_pm, self.i_ft))
+        mf = mk.force[rows]
+        score = response[rows] + m
+        score *= prices[rows]
+        score *= paid[rows]
+        score += mf * i_ad * mk.ad[rows]
+        score += mf * i_pm * mk.pm[rows]
+        score += mf * i_ft * (counts[:, rows, agents].T / self._divisor[agents, None])
+        s0, s1 = score.T
+        brand1 = ~(s0 > s1)
+        tied = (s0 == s1) & np.isfinite(s0)
+        for r in np.unique(rows[tied]):
+            at = tied & (rows == r)
+            draws = rngs[r].integers(0, 2, size=int(at.sum()))
+            brand1[at] = 1 - draws if mirror else draws
+        return brand1

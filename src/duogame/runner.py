@@ -10,10 +10,10 @@ All replications of a call run in lockstep, one day at a time, held by one
 row-state class: every row's prices, market expected price and band, RNG
 streams and accumulators are one list or array entry per row, whatever the
 width. Each day one market call advances every row: one integer sparse
-product counts every row's neighbors, then the agents are scored in slices
-of ``market.BLOCK`` rows with the agents innermost. Then the supply
-chains and pricing of every row run the day's sub-steps, whose body alone
-depends on the width: from ``WIDE`` rows on (14, where the array body
+product counts every row's neighbors, then the agents are decided from
+their score differences in slices of ``market.BLOCK`` rows with the agents
+innermost. Then the supply chains and pricing of every row run the day's
+sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (14, where the array body
 overtakes the float body), both companies of every row are one stacked
 :class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped by the
 company step and the pricing step in their array form once per sub-step;
@@ -26,7 +26,7 @@ the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
-holds per row is mainly the market's period caches (48 B per agent) and
+holds per row is mainly the market's period caches (24 B per agent) and
 about 2.5 KB of RNG streams. Replications share nothing but the population,
 so every output depends on its pair and seed alone; results do not depend
 on the sample count ``n``, the width, the body or the passes.
@@ -182,7 +182,7 @@ WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
 # holds at once per row, whatever the number of rows. A pass records no daily
-# series, so that is mainly the market's period caches (48 B per agent) and
+# series, so that is mainly the market's period caches (24 B per agent) and
 # about 2.5 KB of RNG streams.
 PASS_ROWS = 512
 
@@ -600,6 +600,8 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     seeds = list(seeds)[:n]
     if len(seeds) < n:
         raise ParameterError("not enough seeds supplied")

@@ -523,6 +523,13 @@ class TestBatchedBuild:
             build_empirical_game(self.PLAN, source, {}, policy, 1),
             reference_build(self.PLAN, source, policy, 1))
 
+    def test_zero_jobs_rejected(self):
+        # a worker count below one is a parameter error, raised before any
+        # replication runs
+        source = self.source(jobs=0)
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
+            source([{}], [{}], {}, 2, [profile_tag(0, 0, 0)])
+
     def test_topups_equal_per_profile_reference(self):
         policy = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
                                 ecvi_floor=20.0)

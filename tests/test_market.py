@@ -3,6 +3,7 @@ import pytest
 
 from duogame.errors import ParameterError
 from duogame.market import (
+    BLOCK,
     ConsumerMarket,
     MarketParams,
     marketing_force,
@@ -186,10 +187,11 @@ class TestMotivation:
 
 
 def interleaved_day(market, adopted, prices, rngs, mirror):
-    """The day's choices, shares and tie count scored as one (agents, 2 * rows)
-    array with column ``2 * r + b`` for brand ``b`` of row ``r``, each term in
-    the original operation order, from the adoption before the step and the
-    marketing it updated."""
+    """The day's choices, shares, tie count and (agents, rows) score
+    differences, scored as one (agents, 2 * rows) array with column
+    ``2 * r + b`` for brand ``b`` of row ``r``, each term in the original
+    operation order, from the adoption before the step and the marketing it
+    updated."""
     p, mk, net = market.params, market.marketing, market.network
     n, rows = adopted.shape
     prices = np.asarray(prices, dtype=float)
@@ -216,7 +218,7 @@ def interleaved_day(market, adopted, prices, rngs, mirror):
         choice[tied[:, r], r] = 1 - draws if mirror else draws
     first = np.count_nonzero(choice == 0, axis=0)
     shares = np.stack([first / n, (n - first) / n], axis=1)
-    return choice, shares, int(tied.sum())
+    return choice, shares, int(tied.sum()), diff
 
 
 def make_market(seed=0, n=200, params=None, replications=1):
@@ -224,6 +226,14 @@ def make_market(seed=0, n=200, params=None, replications=1):
     params = params or MarketParams().validate()
     return ConsumerMarket(net, params, np.random.default_rng(seed + 1000),
                           replications=replications)
+
+
+def neighbor_shares(market, counts, rows, out):
+    """Each agent's share of neighbors adopting each brand in the replications
+    ``rows``, (replications, 2, agents), from the day's counts over the
+    agent's degree (1 for an isolated agent), as the market forms a share."""
+    divisor = np.maximum(market.network.degrees, 1).astype(float)
+    return np.divide(counts[:, rows].transpose(1, 0, 2), divisor, out=out)
 
 
 @pytest.mark.golden
@@ -249,15 +259,15 @@ class TestNeighborInfluence:
                                 np.random.default_rng(0), replications=6)
         market.adopted[:] = np.random.default_rng(1).integers(0, 2, (8, 6))
         rows = slice(1, 5)
-        one_brand = market.neighbor_shares(market.neighbor_influence(), rows,
-                                           np.full((4, 2, 8), np.nan))
+        one_brand = neighbor_shares(market, market.neighbor_influence(), rows,
+                                    np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert one_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert one_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
 
         market.adopted[2, 3] = -1
-        two_brand = market.neighbor_shares(market.neighbor_influence(), rows,
-                                           np.full((4, 2, 8), np.nan))
+        two_brand = neighbor_shares(market, market.neighbor_influence(), rows,
+                                    np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert two_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert two_brand[2, :, 0].sum() == 0.75         # the hub sees one agent unset
@@ -283,12 +293,13 @@ class TestNeighborInfluence:
             expected = self.reference(market, market.adopted)
             for b in (0, 1):
                 assert counts[b, :, 0].tolist() == (market.adopted[1:] == b).sum(axis=0).tolist()
-            shares = market.neighbor_shares(counts, slice(0, width),
-                                            np.full((width, 2, n), np.nan))
+            shares = neighbor_shares(market, counts, slice(0, width),
+                                     np.full((width, 2, n), np.nan))
             assert shares.view(np.int64).tolist() == expected.view(np.int64).tolist()
             for lo in range(0, width, 32):
                 rows = slice(lo, lo + 32)
-                part = market.neighbor_shares(counts, rows, np.full_like(shares[rows], np.nan))
+                part = neighbor_shares(market, counts, rows,
+                                       np.full_like(shares[rows], np.nan))
                 assert part.view(np.int64).tolist() == expected[rows].view(np.int64).tolist()
         assert (market.adopted == -1).any() and (market.adopted[:, 0] == -1).any()
 
@@ -400,7 +411,7 @@ class TestStepMarket:
     def test_block_rows_equal_single_markets(self):
         # each row of a lockstep block follows its own prices, marketing and
         # tie-break stream exactly as a one-replication market does, also
-        # across the market's internal slices of BLOCK rows (widths 33, 70)
+        # across the market's internal slices of BLOCK rows (width 70)
         base_prices = [(1.5, 1.5), (1.3, 1.7), (1.6, 1.2), (1.5, 1.5), (1.4, 1.45)]
         base_ad = [[0.3, 0.3], [0.25, 0.35], [0.3, 0.28], [0.3, 0.3], [0.33, 0.26]]
         for width in (5, 33, 70):
@@ -460,8 +471,8 @@ class TestStepMarket:
             before = market.adopted.copy()
             with np.errstate(invalid="ignore"):
                 shares = market.step(prices, rngs, mirror=mirror)
-                choice, expected, tied = interleaved_day(market, before, prices,
-                                                         reference_rngs, mirror)
+                choice, expected, tied, _ = interleaved_day(market, before, prices,
+                                                            reference_rngs, mirror)
             ties += tied
             assert np.array_equal(market.adopted, choice)
             assert np.array_equal(shares, expected)
@@ -474,8 +485,9 @@ class TestStepMarket:
         # brand 1 without a draw, as the sign of s0 - s1 decides. Rows are
         # symmetric except every fourth; agents 1::7 follow no neighbor, so
         # they tie in every symmetric row, and agents 0::7, 3::7 and 5::7
-        # score +inf, -inf and NaN for both brands
-        width = 40
+        # score +inf, -inf and NaN for both brands, in both slices of 64 + 6
+        # rows
+        width = 70
         market = make_market(seed=8, replications=width)
         mk = market.marketing
         mk.mb[:] = 100.0
@@ -497,8 +509,8 @@ class TestStepMarket:
             before = market.adopted.copy()
             with np.errstate(invalid="ignore"):
                 shares = market.step(prices, rngs, mirror=mirror)
-                choice, expected, tied = interleaved_day(market, before, prices,
-                                                         reference_rngs, mirror)
+                choice, expected, tied, _ = interleaved_day(market, before, prices,
+                                                            reference_rngs, mirror)
             ties += tied
             assert np.array_equal(market.adopted, choice)
             assert np.array_equal(shares, expected)
@@ -510,14 +522,59 @@ class TestStepMarket:
         drawn = market.adopted[1::7, np.arange(width) % 4 != 1]
         assert 0 < drawn.sum() < drawn.size       # the ties went both ways
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_one_ulp_apart_brands_match_interleaved_reference(self, mirror):
+        # brands equal but for one ulp of brand 1's advertisement (rows 0::4),
+        # promotion (1::4) or price (2::4); rows 3::4 are ordinary. Agents
+        # whose neighbors split evenly, every agent on the first day, score
+        # the two brands equal or a few ulps apart: the score difference
+        # cannot decide them, so they must be scored exactly, ties drawn in
+        # agent order, in every slice of BLOCK + BLOCK + 6 rows
+        width = 2 * BLOCK + 6
+        market = make_market(seed=12, replications=width)
+        mk = market.marketing
+        twin = np.random.default_rng(9)
+        mk.mb[:] = 100.0
+        for name, lo, hi in (("ad", 0.2, 0.4), ("pm", 0.2, 0.4), ("inter", -0.2, 0.2)):
+            setattr(mk, name, twin.uniform(lo, hi, (width, 1)).repeat(2, axis=1))
+        prices = twin.uniform(1.3, 1.7, (width, 1)).repeat(2, axis=1)
+        kind = np.arange(width) % 4
+        mk.ad[kind == 0, 1] = np.nextafter(mk.ad[kind == 0, 0], np.inf)
+        mk.pm[kind == 1, 1] = np.nextafter(mk.pm[kind == 1, 0], -np.inf)
+        prices[kind == 2, 1] = np.nextafter(prices[kind == 2, 0], np.inf)
+        mk.ad[kind == 3] = twin.uniform(0.2, 0.4, (np.count_nonzero(kind == 3), 2))
+
+        rngs = [np.random.default_rng(900 + r) for r in range(width)]
+        reference_rngs = [np.random.default_rng(900 + r) for r in range(width)]
+        ties, near = np.zeros(width, dtype=int), np.zeros(width, dtype=int)
+        for _ in range(4):
+            before = market.adopted.copy()
+            shares = market.step(prices, rngs, mirror=mirror)
+            choice, expected, _, diff = interleaved_day(market, before, prices,
+                                                        reference_rngs, mirror)
+            assert np.array_equal(market.adopted, choice)
+            assert np.array_equal(shares, expected)
+            for rng, reference in zip(rngs, reference_rngs):
+                assert rng.bit_generator.state == reference.bit_generator.state
+            ties += (diff == 0).sum(axis=0)
+            near += ((diff != 0) & (np.abs(diff) < 1e-13)).sum(axis=0)
+        # each kind of one-ulp row, in every slice, has exact ties and scores
+        # a few ulps apart
+        for lo in range(0, width, BLOCK):
+            block = np.arange(lo, min(lo + BLOCK, width))
+            for k in (0, 1, 2):
+                rows = block[block % 4 == k]
+                assert ties[rows].sum() > 0 and near[rows].sum() > 0, (lo, k)
+
     def test_period_caches_follow_force_and_levels(self):
         # the step reuses a row's advertisement, promotion and follower terms
-        # while its force, ad and pm stay bit-equal. Under w1 = w2 = w3 = 0
-        # the force is the co-state: every third row sits at the cap, the
-        # others move below it every day, in both slices of 32 + 8 rows. The
-        # brands swap their ad on day 5 and their pm on day 7, which leaves
-        # the capped forces bit-equal; on day 8 the market drops to 35 rows.
-        width = 40
+        # while its co-state, ad, pm and budget stay bit-equal. Under
+        # w1 = w2 = w3 = 0 the force is the co-state: every third row sits at
+        # the cap, the others move below it every day, in both slices of
+        # 64 + 6 rows. The brands swap their ad on day 5 and their pm on day
+        # 7, which leaves the capped forces bit-equal; on day 8 the market
+        # drops to 67 rows.
+        width = 70
         market = make_market(seed=11, replications=width,
                              params=MarketParams(w1=0.0, w2=0.0, w3=0.0).validate())
         mk = market.marketing
@@ -525,8 +582,9 @@ class TestStepMarket:
         capped = np.arange(width) % 3 == 0
         mk.mb[:] = 100.0
         mk.ad, mk.pm = twin.uniform(0.1, 0.6, (2, width, 2))
+        # the others start low enough that none reaches the cap in 12 days
         mk.inter = np.where(capped[:, None], -market.params.inter_cap,
-                            twin.uniform(-0.3, 0.4, (width, 2)))
+                            twin.uniform(-0.3, 0.25, (width, 2)))
         prices = np.where(capped[:, None], twin.uniform(1.3, 1.7, (width, 2)),
                           twin.uniform(0.04, 0.1, (width, 2)))
         market.adopted[:] = twin.integers(0, 2, (market.n, width))
@@ -540,14 +598,14 @@ class TestStepMarket:
             if day == 7:
                 mk.pm = mk.pm[:, ::-1].copy()
             if day == 8:
-                width = 35
+                width = 67
                 market.truncate(width)
                 prices, capped, force = prices[:width], capped[:width], force[:width]
                 rngs, reference_rngs = rngs[:width], reference_rngs[:width]
             before = market.adopted.copy()
             shares = market.step(prices, rngs)
-            choice, expected, _ = interleaved_day(market, before, prices,
-                                                  reference_rngs, False)
+            choice, expected, _, _ = interleaved_day(market, before, prices,
+                                                     reference_rngs, False)
             assert np.array_equal(market.adopted, choice), day
             assert np.array_equal(shares, expected), day
             if force is not None:
