@@ -7,60 +7,67 @@ brand (ties broken uniformly at random). Marketing budgets drive spend,
 a cross-company interaction co-state and per-brand marketing forces.
 
 One :class:`ConsumerMarket` advances many replications in lockstep. Their
-marketing and co-state arrays update together, and only where a row's
-co-state, levels or budget changed; agents are decided in slices of at most
-``BLOCK`` replications, with the agents as the contiguous axis.
+marketing and co-state arrays update together, the force, spend rate and
+rounding size only on days where some row's co-state, levels or budget
+changed bit-wise, and the per-agent constants are read on the first day;
+agents are decided in slices of at most ``BLOCK`` replications, with the
+agents as the contiguous axis. Nothing is kept per row and agent but the
+adoption and the day's neighbor counts.
 
 An agent's score for a brand is ``sens_p * price * (1 - pm) + sus_ad * ad +
 sens_pm * pm + ft * inf`` taken left to right, where ``sens_p`` is its
 socio-economic constant ``m`` plus the brand's price response ``r``, each
-perception (``sus_ad``, ``sens_pm``, ``ft``) its initial constant times the
-brand's marketing force ``mf``, and ``inf`` its neighbors' share of the
-brand, ``c / D`` for ``c`` neighbors of the brand among ``D`` (1 for an
-isolated agent). Only the sign of the brand-0 less the brand-1 score
-matters. With ``p`` the price, ``q = 1 - pm``, ``t1 = (mf * i_ad) * ad``,
-``t2 = (mf * i_pm) * pm`` and ``ft = mf * i_ft``, in real arithmetic
+perception (``sus_ad``, ``sens_pm``, ``ft``) its initial constant (``i_ad``,
+``i_pm``, ``i_ft``) times the brand's marketing force ``mf``, and ``inf``
+its neighbors' share of the brand, ``c / D`` for ``c`` neighbors of the
+brand among ``D`` (1 for an isolated agent). Only the sign of the brand-0
+less the brand-1 score matters. With ``p`` the price and ``q = 1 - pm``,
+and per agent ``g = i_ft / D`` and ``h = g deg`` for its degree ``deg``,
+once every agent has a brand (so ``c0 = deg - c1``) in real arithmetic
 
-    s0 - s1 = m a + b + K + F0 c0 - F1 c1,
+    s0 - s1 = [a, b, alpha, beta, mf0] . [m; 1; i_ad; i_pm; h] - sigma g c1,
 
-with the day's row terms ``a = p0 q0 - p1 q1`` and ``b = r0 p0 q0 -
-r1 p1 q1`` and the period terms ``K = (t1_0 + t2_0) - (t1_1 + t2_1)`` and
-``F_b = ft_b / D`` of each row and agent. The period terms change only with
-the force and the levels, which stay bit-equal through a marketing period
-once the co-state sits at its cap. They are held in three period caches of
-(rows, agents) floats, 24 B per row and agent (2.1 MB at 430 rows of 200
-agents), refilled on a row's first day and whenever its co-state, ad, pm or
-budget changes bit-wise. A slice forms the float value ``d`` of the sum,
-``m a + b`` as one matrix product of its rows' ``(a, b)`` with ``[m; 1]``.
-An agent with ``|d|`` above its row's bound takes brand 1 where ``d < 0``.
-Every other agent (within the bound, NaN, or in a row whose bound is not
-finite) is scored exactly: both scores in the one-replication operation
-order, brand 0 only where its score is greater, equal finite scores a tie
-drawn from the row's stream in agent order, an equal infinite pair or a NaN
-brand 1.
+with each row's day terms ``a = p0 q0 - p1 q1``, ``b = r0 p0 q0 - r1 p1
+q1``, ``alpha = mf0 ad0 - mf1 ad1``, ``beta = mf0 pm0 - mf1 pm1`` and
+``sigma = mf0 + mf1``. A slice forms its float value ``d`` as one (rows, 5)
+by (5, agents) matrix product, less the outer product of ``sigma`` and ``g``
+times ``c1``. While some agent has no brand, the fifth coefficient is 0,
+``sigma`` is ``mf1`` and the slice adds ``(mf0 g) c0``. An agent with
+``|d|`` above its row's bound takes brand 1 where ``d < 0``. Every other
+agent (within the bound, NaN, or in a row whose bound is not finite) is
+scored exactly: both scores in the one-replication operation order, brand 0
+only where its score is greater, equal finite scores a tie drawn from the
+row's stream in agent order, an equal infinite pair or a NaN brand 1.
 
 The bound is ``2**-40 M``, with the row's size
 
     M = max_b (|r_b| + max|m| + 1)(|p_b| + 1)(|q_b| + 1)
-        + max|t1| + max|t2| + max|ft|
+        + max_b (|mf_b| + 1)(|ad_b| + |pm_b| + 1)(I + 1),
 
-(the last three over both brands and every agent). Let ``u = 2**-53``. Each
-term of a score is at most ``M`` in size (a share is at most 1) and passes
-through at most six rounded operations, so each exact score is within
-``6.01 u M`` of its value in real arithmetic on the same inputs. Each term of
-``d`` passes through at most seven, and its terms over both brands sum to at
-most ``2 M``, so ``d`` is within ``14.02 u M`` of the real ``s0 - s1``.
-Together the error is below ``27 u M < 2**-48 M``, a 256th of the bound: an
-agent beyond the bound has a nonzero ``s0 - s1`` of ``d``'s sign, so the
-exact rule gives it the same brand and no tie draw is skipped. The ``+ 1``
-factors make ``M`` bound every intermediate product and every factor that
-scales a rounding error, not only the terms. So nothing overflows while
-``4 M`` is finite, and the bound is formed from ``4 M`` so that it is
-infinite otherwise; an underflowing product errs by at most ``2**-1075``
-times ``M`` or a neighbor count, far below the bound as ``M >= 1``; and a NaN
-or infinite input gives an infinite or NaN bound, sending its row to the
-exact scores. ``M`` is rounded itself, by a few ulps, which the margin
-absorbs.
+``I`` the largest of every agent's ``|i_ad|``, ``|i_pm|`` and ``|i_ft|``.
+Let ``u = 2**-53`` and ``g_k = k u / (1 - k u)``, the bound on ``k``
+rounded operations (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, section 3.1). The terms of a score sum in size to at
+most ``M`` (a share is at most 1) and each passes through at most six
+rounded operations, so each exact score is within ``g_6 M < 6.01 u M`` of
+its value in real arithmetic on the same inputs. Expanded into products of
+inputs, ``d``'s terms sum in size to at most ``3 M`` (``deg / D`` and ``c /
+D`` are at most 1, so brand 0's follower terms count twice). Each passes
+through at most ten rounded operations: three to form ``b``, five in the
+product (``g_5`` bounds a five-term dot product summed in any order, fused
+or not) and two updates after it while some agent has no brand; one fewer
+once all have one. So ``d`` is within ``3 g_10 M < 30.01 u M`` of the real
+``s0 - s1``. Together the error is below ``43 u M < 2**-47 M``, a 128th of
+the bound: an agent beyond the bound has a nonzero ``s0 - s1`` of ``d``'s
+sign, so the exact rule gives it the same brand and no tie draw is skipped.
+The ``+ 1`` factors make ``M`` bound every intermediate product (``mf0 ad0``
+among them) and every factor that scales a rounding error, not only the
+terms. So nothing overflows while ``4 M`` is finite, and the bound is formed
+from ``4 M`` so that it is infinite otherwise; an underflowing product errs
+by at most ``2**-1075`` times ``M`` and a neighbor count, far below the
+bound as ``M >= 1``; and a NaN or infinite input gives an infinite or NaN
+bound, sending its row to the exact scores. ``M`` is rounded itself, by a
+few ulps, which the margin absorbs.
 
 The neighbor counts come from one sparse product a day over every row,
 counted in the narrowest integer that holds the network's largest degree
@@ -88,13 +95,12 @@ NO_BRAND = -1
 DEFAULT_INTER_CAP = 0.7
 
 # Replications decided together. A slice works on two (BLOCK, agents) float
-# buffers, its score differences and a scratch term, and its rows of the
-# three period caches, and reads its rows of the day's integer neighbor
-# counts. At 200 agents each buffer holds 100 KiB, under the 128 KiB at which
-# the C allocator hands out fresh memory maps. A 430-row day with its caches
-# filled took 1.07 ms at 64 rows a slice, 1.23 ms at 32 and 1.04 ms at 128
-# (medians of fifteen alternating trials, 2-core host). The reference tests
-# pick widths past 64 to cross slice boundaries.
+# buffers, its score differences and a scratch term, and two boolean ones, its
+# choices and sure decisions, 100 KiB and 12.5 KiB each at 200 agents. A
+# 430-row day took 0.72-0.88 ms at 64 rows a slice, 0.85-1.02 ms at 32 and
+# 0.65-0.82 ms at 128 (medians of 300 interleaved days, two runs, 2-core
+# host); 64 holds half of 128's buffers, and the reference tests pick widths
+# past 64 to cross slice boundaries.
 BLOCK = 64
 
 
@@ -261,16 +267,14 @@ class ConsumerMarket:
         self._degree = network.degrees.astype(count)
         self._divisor = np.maximum(network.degrees, 1).astype(float)
         self._tally = _narrowest(self.n)
-        # period caches of each row: K, F0 and F1 of every agent, the summed
-        # largest sizes of t1, t2 and ft, and the co-state, levels and budget
-        # they were filled from (module docstring)
-        self._diff = np.empty((3, replications, self.n))
-        self._size = np.empty(replications)
-        self._key = None
-        # [m; 1] and max|m| + 1, read with the perception constants when
-        # caches are filled
-        self._m_ones = np.ones((2, self.n))
-        self._lift = math.nan
+        # read on the first day (module docstring): the agents' rows [m; 1;
+        # i_ad; i_pm; h] of the score difference's product and their g,
+        # max|m| + 1 and the largest perception constant plus 1; and each
+        # row's perception size, formed with the force
+        self._basis = np.ones((5, self.n))
+        self._follow = np.empty(self.n)
+        self._lift = self._reach = math.nan
+        self._size = self._key = None
 
     def truncate(self, replications: int) -> None:
         """Keep only the first ``replications`` rows."""
@@ -278,10 +282,7 @@ class ConsumerMarket:
         mk = self.marketing
         for f in fields(mk):
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
-        self._diff = self._diff[:, :replications]
-        self._size = self._size[:replications]
-        if self._key is not None:
-            self._key = self._key[:replications]
+        self._key = None
 
     def neighbor_influence(self) -> np.ndarray:
         """Each agent's count of neighbors adopting each brand in every
@@ -312,32 +313,43 @@ class ConsumerMarket:
         agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. The co-state updates for every row at once, the
-        force and spend rate where a row's co-state, levels or budget changed,
-        and one product counts every row's neighbors. Agents are decided
-        ``BLOCK`` rows at a time from their score difference, whose period
-        terms come from the row's caches, refilled first where those inputs
-        changed; agents the difference cannot decide are scored exactly
-        (:meth:`_exact`).
+        force, spend rate and size on days where some row's co-state, levels
+        or budget changed, and one product counts every row's neighbors.
+        Agents are decided ``BLOCK`` rows at a time from their score
+        difference, one matrix product and one outer-product term; agents the
+        difference cannot decide are scored exactly (:meth:`_exact`).
         """
         p = self.params
         mk = self.marketing
         prices = np.asarray(prices, dtype=float)
 
-        # a row's force, spend rate and period caches follow from its co-state,
-        # levels and budget alone, so they are recomputed only where one of
-        # those changed; compared as bits: == would equate -0.0 with 0.0, and
-        # a NaN with nothing, itself included
-        key = np.concatenate((mk.inter, mk.ad, mk.pm, mk.mb), axis=1)
-        if self._key is None:
-            stale = np.ones(len(prices), dtype=bool)
-        else:
-            stale = (key.view(np.int64) != self._key.view(np.int64)).any(axis=1)
+        # the rows' forces, spend rates and sizes follow from their co-states,
+        # levels and budgets alone, so they are recomputed only on days where
+        # one of those changed; compared as bits: == would equate -0.0 with
+        # 0.0, and a NaN with nothing, itself included
+        key = np.stack((mk.inter, mk.ad, mk.pm, mk.mb)).view(np.int64)
+        first = self._key is None
+        any_stale = first or not np.array_equal(key, self._key)
         self._key = key
-        any_stale = stale.any()
+        if first:
+            # per-agent constants are read on the first day, with the largest
+            # |m| and perception constant, which bound the terms (module
+            # docstring)
+            m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
+                self.m_agent, self.i_ad, self.i_pm, self.i_ft))
+            basis = self._basis
+            basis[0], basis[2], basis[3] = m_agent, i_ad, i_pm
+            np.divide(i_ft, self._divisor, out=self._follow)
+            np.multiply(self._follow, self._degree, out=basis[4])
+            self._lift = np.abs(m_agent).max() + 1.0
+            self._reach = np.max([np.abs(c).max() for c in (i_ad, i_pm, i_ft)]) + 1.0
         if any_stale:
             _, _, mk.spend_rate = marketing_spend(
                 mk.mb, mk.ad, mk.pm, p.k, p.adj_time_ms)
             mk.force = marketing_force(mk.ad, mk.pm, mk.inter, p.w1, p.w2, p.w3)
+            size = np.abs(mk.ad) + np.abs(mk.pm) + 1.0
+            size *= np.abs(mk.force) + 1.0
+            self._size = np.maximum(size[:, 0], size[:, 1]) * self._reach
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,
                                    mk.total_force, prices, mk.pm, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
@@ -349,28 +361,19 @@ class ConsumerMarket:
 
         response = price_response(prices, mk.pm, price_sum[:, None], p.s)
         paid = 1.0 - mk.pm
+        settled = self.adopted.min() > NO_BRAND
         counts = self.neighbor_influence()
-        if any_stale:
-            # per-agent constants are read here: the rows [m; 1] that turn a
-            # row's (a, b) into m a + b, and the largest |m| and perception
-            # constants, which times a brand's levels give the largest size of
-            # each period term over the agents, as rounding is monotone
-            m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
-                self.m_agent, self.i_ad, self.i_pm, self.i_ft))
-            self._m_ones[0] = m_agent
-            reach = np.abs(np.stack((m_agent, i_ad, i_pm, i_ft))).max(axis=1)
-            self._lift = reach[0] + 1.0
-            mf, ad, pm = (np.abs(x[stale]) for x in (mk.force, mk.ad, mk.pm))
-            sizes = np.stack((mf * reach[1] * ad, mf * reach[2] * pm, mf * reach[3]))
-            self._size[stale] = sizes.max(axis=2).sum(axis=0)
-        # the day's terms of the difference, a = p0 q0 - p1 q1 and
-        # b = r0 p0 q0 - r1 p1 q1, and its rounding bound (module docstring)
+        # each row's coefficients of the score difference, a = p0 q0 - p1 q1,
+        # b = r0 p0 q0 - r1 p1 q1, alpha, beta and mf0 (0 while some agent
+        # has no brand), and its rounding bound (module docstring)
         rows = len(prices)
+        coef = np.empty((rows, 5))
         pq = prices * paid
-        ab = np.empty((rows, 2))
-        np.subtract(pq[:, 0], pq[:, 1], out=ab[:, 0])
-        pq *= response
-        np.subtract(pq[:, 0], pq[:, 1], out=ab[:, 1])
+        pairs = (pq, pq * response, mk.force * mk.ad, mk.force * mk.pm)
+        for j, pair in enumerate(pairs):
+            np.subtract(pair[:, 0], pair[:, 1], out=coef[:, j])
+        coef[:, 4] = mk.force[:, 0] if settled else 0.0
+        sigma = mk.total_force if settled else mk.force[:, 1]
         size = np.abs(response) + self._lift
         size *= np.abs(prices) + 1.0
         size *= np.abs(paid) + 1.0
@@ -383,29 +386,19 @@ class ConsumerMarket:
         flags = np.empty((2, width, self.n), dtype=bool)
         for lo in range(0, rows, BLOCK):
             block = slice(lo, lo + BLOCK)
-            k, f0, f1 = self._diff[:, block]
-            if any_stale:
-                refill = np.flatnonzero(stale[block])
-                if refill.size:
-                    # one brand at a time, in the slice's two free buffers
-                    mf, ad, pm = (x[lo + refill].T[..., None] for x in (mk.force, mk.ad, mk.pm))
-                    sums = diffs[:refill.size], parts[:refill.size]
-                    for b, total in enumerate(sums):
-                        np.multiply(mf[b], i_ad, out=total)
-                        total *= ad[b]
-                        term = mf[b] * i_pm
-                        term *= pm[b]
-                        total += term
-                    k[refill] = np.subtract(*sums, out=sums[0])
-                    for b, f in enumerate((f0, f1)):
-                        f[refill] = np.divide(np.multiply(mf[b], i_ft, out=sums[1]),
-                                              self._divisor, out=sums[1])
-            d, part = diffs[:len(k)], parts[:len(k)]
-            np.matmul(ab[block], self._m_ones, out=d)
-            d += k
-            d += np.multiply(f0, counts[0, block], out=part)
-            d -= np.multiply(f1, counts[1, block], out=part)
-            choice, sure = flags[:, :len(k)]
+            terms = coef[block]
+            d, part = diffs[:len(terms)], parts[:len(terms)]
+            np.matmul(terms, self._basis, out=d)
+            # einsum forms an outer product faster than a broadcast multiply:
+            # 10-14 us against 18-22 us a slice (2-core host)
+            np.einsum("i,j->ij", sigma[block], self._follow, out=part)
+            part *= counts[1, block]
+            d -= part
+            if not settled:
+                np.einsum("i,j->ij", mk.force[block, 0], self._follow, out=part)
+                part *= counts[0, block]
+                d += part
+            choice, sure = flags[:, :len(d)]
             np.less(d, 0.0, out=choice)
             # every agent beyond the day's largest bound is decided; of the
             # others, those within their own row's bound are scored exactly
@@ -416,10 +409,8 @@ class ConsumerMarket:
                 choice[near, agents] = self._exact(lo + near, agents, response, prices,
                                                    paid, counts, rngs, mirror)
             self.adopted[:, block] = choice.view(np.int8).T
-        tally = np.empty((rows, 2), dtype=self._tally)
-        np.add.reduce(self.adopted, axis=0, out=tally[:, 1])    # brand-1 agents
-        np.subtract(self.n, tally[:, 1], out=tally[:, 0])
-        return tally / self.n
+        ones = np.add.reduce(self.adopted, axis=0, dtype=self._tally)  # brand-1 agents
+        return np.stack((self.n - ones, ones), axis=1) / self.n
 
     def _exact(self, rows, agents, response, prices, paid, counts, rngs, mirror):
         """Whether each agent ``agents[j]`` of row ``rows[j]`` (pairs in

@@ -26,10 +26,11 @@ the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
-holds per row is mainly the market's period caches (24 B per agent) and
-about 2.5 KB of RNG streams. Replications share nothing but the population,
-so every output depends on its pair and seed alone; results do not depend
-on the sample count ``n``, the width, the body or the passes.
+holds per row is mainly about 2.5 KB of RNG streams and the market's
+adoption and neighbor counts (3 B per agent at int8). Replications share
+nothing but the population, so every output depends on its pair and seed
+alone; results do not depend on the sample count ``n``, the width, the body
+or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -182,8 +183,8 @@ WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
 # holds at once per row, whatever the number of rows. A pass records no daily
-# series, so that is mainly the market's period caches (24 B per agent) and
-# about 2.5 KB of RNG streams.
+# series, so that is mainly about 2.5 KB of RNG streams and the market's
+# adoption and neighbor counts (3 B per agent at int8).
 PASS_ROWS = 512
 
 SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")

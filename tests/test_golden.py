@@ -2,9 +2,10 @@
 small ``gsa`` run.
 
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
-cover the kernel's branches: a market sub-block boundary, the saturated
-price band with tie-breaks, all four noise draws and mirrored runs; each
-pin holds for the plain-float and the array sub-step body alike. The
+cover the kernel's branches: a market sub-block boundary, a co-state that
+never reaches its cap, the saturated price band with tie-breaks, all four
+noise draws and mirrored runs; each pin holds for the plain-float and the
+array sub-step body alike. The
 stability classes of a seeded 16-strategy game pin the ``resample`` stream,
 and ``tests/golden/`` holds the config and output hashes (payoff matrix,
 iteration report, solution trace) of a one-iteration ``gsa`` run on four
@@ -23,6 +24,7 @@ from duogame import runner
 from duogame.cli import main
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
+from duogame.market import MarketParams
 from duogame.runner import (
     CompanySpec,
     CostRates,
@@ -66,6 +68,10 @@ CASES = {
     "default_n70": (lambda: (CompanySpec(), CompanySpec()),
                     SimulationSettings(), 70, 101, False,
                     "13c3023912b04fdc01901d5778c9a51bebb521a4590885b9fd92704565d0dcff"),
+    "uncapped_n70": (lambda: (CompanySpec(), CompanySpec()),
+                     SimulationSettings(market=MarketParams(inter_cap=1000.0)),
+                     70, 105, False,
+                     "32ddae8b5fb9a3e24dbd63ae18b8006f2f41dcbc16b013ad2e7162029f912b7f"),
     "runaway_corner": (corner_specs,
                        SimulationSettings(deterministic_marketing=True),
                        6, 102, False,

@@ -566,9 +566,53 @@ class TestStepMarket:
                 rows = block[block % 4 == k]
                 assert ties[rows].sum() > 0 and near[rows].sum() > 0, (lo, k)
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_moving_forces_match_interleaved_reference(self, mirror):
+        # with an inter_cap that never binds, every row's co-state, and so its
+        # force, moves every day, so every day recomputes the forces, spend
+        # rates and sizes. Rows alternate symmetric brand pairs (exact ties wherever
+        # an agent's neighbors split evenly) with asymmetric ones, and a
+        # growing share of each row's agents starts unset, so the first day
+        # takes the unset form of the score difference and the other eleven
+        # the settled one, in both slices of 64 + 6 rows
+        width = 70
+        market = make_market(seed=13, replications=width,
+                             params=MarketParams(inter_cap=1000.0).validate())
+        mk = market.marketing
+        twin = np.random.default_rng(14)
+        symmetric = np.arange(width) % 3 != 1
+        mk.mb[:] = twin.uniform(50.0, 150.0, (width, 1))
+        for name, lo, hi in (("ad", 0.2, 0.4), ("pm", 0.2, 0.4), ("inter", -0.3, 0.3)):
+            level = twin.uniform(lo, hi, (width, 2))
+            level[symmetric, 1] = level[symmetric, 0]
+            setattr(mk, name, level)
+        prices = twin.uniform(1.3, 1.7, (width, 2))
+        prices[symmetric, 1] = prices[symmetric, 0]
+        unset = twin.random((market.n, width)) < np.linspace(0.0, 0.8, width)
+        market.adopted[:] = np.where(unset, -1, twin.integers(0, 2, (market.n, width)))
+
+        rngs = [np.random.default_rng(1100 + r) for r in range(width)]
+        reference_rngs = [np.random.default_rng(1100 + r) for r in range(width)]
+        ties, force = 0, None
+        for day in range(12):
+            before = market.adopted.copy()
+            shares = market.step(prices, rngs, mirror=mirror)
+            choice, expected, tied, _ = interleaved_day(market, before, prices,
+                                                        reference_rngs, mirror)
+            ties += tied
+            assert np.array_equal(market.adopted, choice), day
+            assert np.array_equal(shares, expected), day
+            for rng, reference in zip(rngs, reference_rngs):
+                assert rng.bit_generator.state == reference.bit_generator.state
+            if force is not None:
+                assert (mk.force != force).all(), day
+            force = mk.force.copy()
+        assert ties > 0
+        assert (np.abs(mk.inter) < market.params.inter_cap).all()
+
     def test_period_caches_follow_force_and_levels(self):
-        # the step reuses a row's advertisement, promotion and follower terms
-        # while its co-state, ad, pm and budget stay bit-equal. Under
+        # the step reuses the rows' forces, spend rates and sizes while every
+        # co-state, ad, pm and budget stays bit-equal. Under
         # w1 = w2 = w3 = 0 the force is the co-state: every third row sits at
         # the cap, the others move below it every day, in both slices of
         # 64 + 6 rows. The brands swap their ad on day 5 and their pm on day

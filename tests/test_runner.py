@@ -641,15 +641,13 @@ class TestEstimatePayoffs:
             assert (err.value.index, err.value.seed, err.value.day) == (j, seeds[j], 0)
 
     def test_pass_holds_no_daily_series(self):
-        # a 128-row pass holds the market's period caches, 3 x 128 x 200 x 8 B
-        # = 0.6 MB, but no daily series, which would add another
-        # 100 x 7 x 128 x 2 x 8 B = 1.4 MB; numpy reports its buffers to
-        # tracemalloc
+        # a 128-row pass holds no per-agent float state across days and no
+        # daily series, which alone would take 100 x 7 x 128 x 2 x 8 B =
+        # 1.4 MB; numpy reports its buffers to tracemalloc
         settings = SimulationSettings()
         rows = 128
         seeds = replication_seeds(5, 0, rows)
         estimate_payoffs(default_specs(), settings, CostRates(), 1, seeds)  # population
-        caches = 3 * rows * settings.n_agents * 8
         series = settings.run_length_days * len(runner.SERIES) * rows * 2 * 8
         tracemalloc.start()
         try:
@@ -657,7 +655,7 @@ class TestEstimatePayoffs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < caches + series, f"peak {peak} B"
+        assert peak < series, f"peak {peak} B"
 
 
 @pytest.mark.golden
