@@ -318,6 +318,80 @@ class StabilityReport:
                 "steps": self.steps}
 
 
+_SPAN = np.uint64(1 << 32)
+
+
+class _IndexDraws:
+    """``np.random.default_rng(seed).integers(0, high)`` for integer arrays
+    ``high`` of counts up to 2**32, value for value, from the raw words of
+    the same PCG64 stream.
+
+    numpy draws each element, in C order, by Lemire's rule on the stream's
+    32-bit halves, a word's low half first: ``high == 1`` takes no half and
+    gives 0; otherwise m = x * high of the next half x gives m >> 32, unless
+    m mod 2**32 < (2**32 - high) mod high, when the element takes the next
+    half instead. Here one product covers a call; since every threshold is
+    below ``high``, a call whose remainders all reach its largest ``high``
+    rejects nothing, and a rejection redraws from that element on.
+    ``rejections`` counts the rejected halves.
+    """
+
+    def __init__(self, seed, words: int = 2048):
+        self._bitgen = np.random.PCG64(seed)
+        self._words = words
+        self._halves = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self.rejections = 0
+
+    def _take(self, k: int) -> np.ndarray:
+        """The stream's next k 32-bit halves, as uint64."""
+        if self._pos + k > self._halves.size:
+            rest = self._halves[self._pos:]
+            words = self._bitgen.random_raw(max(self._words, (k - rest.size + 1) // 2))
+            # little-endian words read as little-endian 32-bit pairs: the low
+            # half first on every host
+            halves = words.astype("<u8", copy=False).view("<u4")
+            self._halves = np.concatenate((rest, halves))
+            self._pos = 0
+        self._pos += k
+        return self._halves[self._pos - k:self._pos]
+
+    def integers(self, high) -> np.ndarray:
+        """int64 draws in [0, high) of the shape of ``high``, whose
+        elements must be at least 1."""
+        high = np.asarray(high, dtype=np.uint64)
+        flat = high.ravel()
+        top = flat.max(initial=1)
+        if top > _SPAN:
+            raise ParameterError(f"cannot draw an index below {top}: "
+                                 f"a cell holds more than 2**32 samples")
+        live = None if flat.min(initial=2) > 1 else flat > 1
+        span = flat if live is None else flat[live]
+        k = span.size
+        m = np.empty(k, dtype=np.uint64)
+        done = 0
+        while done < k:
+            np.multiply(self._take(k - done), span[done:], out=m[done:])
+            low = m[done:].astype(np.uint32)    # m mod 2**32
+            if low.min() >= top:
+                break
+            left = span[done:]
+            rejected = np.flatnonzero(low < (_SPAN - left) % left)
+            if not rejected.size:
+                break
+            # the rejected element draws again from the half after its own
+            self.rejections += 1
+            done += int(rejected[0])
+            self._pos -= k - done - 1
+        # below 2**32, so the same bits as int64, which gathers faster
+        m >>= np.uint64(32)
+        if live is None:
+            return m.view(np.int64).reshape(high.shape)
+        out = np.zeros(flat.size, dtype=np.int64)
+        out[live] = m
+        return out.reshape(high.shape)
+
+
 def _sample_bank(game: EmpiricalGame):
     """Every stored sample in one flat array and the (2, n, n) offsets of
     each cell's samples; a symmetric game's transposed cells point at the
@@ -346,8 +420,11 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     the tolerance band are marginally stable, anything else is instable.
 
     All n² trajectories advance together. Under ``resample`` each move draws
-    the sample indices of every start in one call, from a generator on child
-    n² of ``SeedSequence(seed)``; child i breaks the ties of start i
+    the sample indices of every start at once: they are exactly those of
+    ``default_rng(child).integers(0, counts)`` on child n² of
+    ``SeedSequence(seed)``, reproduced from the raw PCG64 words by
+    ``_IndexDraws`` (``test_index_draws_match_numpy_integers`` in
+    tests/test_gsa.py guards this). Child i breaks the ties of start i
     (row-major), and only those.
     """
     if noise not in STABILITY_NOISE:
@@ -374,12 +451,18 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     # strategy k; a move gathers one (n, n²) block, a column per start
     means = (u[0], u[1].T)
     resample = noise == "resample"
+    children = np.random.SeedSequence(seed).spawn(n * n + 1)
     if resample:
+        # the draws come back int64, as the offsets are: a uint64 index
+        # would add to them as floats, and gathers at half the speed
         flat, offsets = _sample_bank(game)
         offsets = (offsets[0], offsets[1].T)
-        sizes = (game.count[0], game.count[1].T)
-    children = np.random.SeedSequence(seed).spawn(n * n + 1)
-    draws = np.random.default_rng(children[-1])
+        counts = game.count.astype(np.uint64)
+        sizes = (counts[0], counts[1].T)
+        draws = _IndexDraws(children[-1])
+    # without NaN payoffs every column holds a maximum, so n² maxima in all
+    # mean that no column ties
+    nan_free = not np.isnan(flat if resample else u).any()
     tie_rngs = {}
 
     a, b = np.divmod(np.arange(n * n), n)
@@ -391,16 +474,17 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         for player in movers:
             opp = b if player == 0 else a
             if resample:
-                idx = draws.integers(0, sizes[player][:, opp])
+                idx = draws.integers(sizes[player][:, opp])
                 vals = flat[offsets[player][:, opp] + idx]
             else:
                 vals = means[player][:, opp]
             tied = vals == vals.max(axis=0)
             pick = tied.argmax(axis=0)
-            for r in np.flatnonzero(tied.sum(axis=0) > 1):
-                if r not in tie_rngs:
-                    tie_rngs[r] = np.random.default_rng(children[r])
-                pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
+            if not (nan_free and np.count_nonzero(tied) == n * n):
+                for r in np.flatnonzero(tied.sum(axis=0) > 1):
+                    if r not in tie_rngs:
+                        tie_rngs[r] = np.random.default_rng(children[r])
+                    pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
             picks[player] = pick
         a, b = picks.get(0, a), picks.get(1, b)
         if step >= steps - window:

@@ -353,9 +353,11 @@ class ConsumerMarket:
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,
                                    mk.total_force, prices, mk.pm, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
+        # the pair sums start from +0.0 as numpy's sum does, so a pair of
+        # -0.0 sums to +0.0; a reduction over a length-2 axis is slow
         if any_stale:
-            mk.total_force = mk.force.sum(axis=1)
-        price_sum = prices.sum(axis=1)
+            mk.total_force = (0.0 + mk.force[:, 0]) + mk.force[:, 1]
+        price_sum = (0.0 + prices[:, 0]) + prices[:, 1]
         if p.price_sum_mode == "average":
             price_sum = price_sum / 2
 

@@ -1,15 +1,17 @@
-"""Golden pins of the replication kernel, the stability analysis and a
-small ``gsa`` run.
+"""Golden pins of the replication kernel, the market day, the stability
+analysis and a small ``gsa`` run.
 
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
 cover the kernel's branches: a market sub-block boundary, a co-state that
 never reaches its cap, the saturated price band with tie-breaks, all four
 noise draws and mirrored runs; each pin holds for the plain-float and the
-array sub-step body alike. The
-stability classes of a seeded 16-strategy game pin the ``resample`` stream,
-and ``tests/golden/`` holds the config and output hashes (payoff matrix,
-iteration report, solution trace) of a one-iteration ``gsa`` run on four
-two-level factors. A pin may change only for a stated
+array sub-step body alike. A market day whose brand forces and prices are
+pairs of -0.0 pins the sign of their sums. The stability classes of seeded
+games pin the ``resample`` stream: alternating and simultaneous updates, an
+odd strategy count with one-sample cells, and ``duogame stability`` on a
+re-read matrix. ``tests/golden/`` holds the config and output hashes
+(payoff matrix, iteration report, solution trace) of a one-iteration
+``gsa`` run on four two-level factors. A pin may change only for a stated
 reason, such as a changed RNG protocol.
 """
 
@@ -24,7 +26,9 @@ from duogame import runner
 from duogame.cli import main
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
-from duogame.market import MarketParams
+from duogame.market import ConsumerMarket, MarketParams, marketing_force
+from duogame.network import generate_ba_network
+from duogame.reporting import write_payoff_matrix
 from duogame.runner import (
     CompanySpec,
     CostRates,
@@ -123,28 +127,108 @@ def test_batch_rows_equal_single_replications():
             assert np.array_equal(block[j].series[name], series), (j, name)
 
 
-# sha256 of "a,b,class" lines, row-major, of the resample run below
-STABILITY_PIN = "63c3e866a8b62cd6cb1d0d2a8c4524d06b228df041ae54889b16b1f83b477c51"
+def class_digest(report) -> str:
+    """sha256 of a stability report's "a,b,class" lines, row-major."""
+    text = "\n".join(f"{a},{b},{cls.value}"
+                     for (a, b), cls in sorted(report.classes.items()))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_stability_resample_pin():
-    rng = np.random.default_rng(16)
-    n = 16
+def noisy_game(seed, n, fewest, most):
+    """A symmetric game of mean payoffs about 5000 with two boosted diagonal
+    cells and fewest to most - 1 normal samples per profile."""
+    rng = np.random.default_rng(seed)
     u = rng.normal(5000.0, 800.0, (n, n))
     for s in (3, 9):
         u[s, s] = u[:, s].max() + 400.0
     game = EmpiricalGame(StrategySpace([{"i": i} for i in range(n)]))
     for a in range(n):
         for b in range(a, n):
-            k = int(rng.integers(5, 60))
+            k = int(rng.integers(fewest, most))
             game.set_samples((a, b), rng.normal(u[a, b], 100.0, k),
                              rng.normal(u[b, a], 100.0, k))
+    return game
+
+
+# class digests of resample runs: alternating updates with 5-59 samples a
+# cell, simultaneous updates, and an odd n with one-sample cells, which
+# draw nothing, and odd draw counts per move
+STABILITY_PIN = "63c3e866a8b62cd6cb1d0d2a8c4524d06b228df041ae54889b16b1f83b477c51"
+SIMULTANEOUS_PIN = "5bc088476d4794037e961879a5aff1093b7bceb72d9e9be70a46a2d23b1aed9d"
+ODD_N_PIN = "f348772bd777bff9068832c8edb0dc224e44048ea4c422ab5d88ce07021c269f"
+# sha256 of the JSON ``duogame stability`` writes for a written and re-read
+# matrix, whose cells come back as synthetic two-point sample sets
+MATRIX_STABILITY_PIN = (
+    "792a23f419607c41e4b2225db50108ed280af28089a49c621eb42cf8b55b2b45")
+
+
+def test_stability_resample_pin():
+    game = noisy_game(16, 16, 5, 60)
     report = stability_analysis(game, game.min_regret_profile(), 300.0,
                                 steps=400, seed=3)
     assert len(set(report.classes.values())) == 3
-    text = "\n".join(f"{a},{b},{cls.value}"
-                     for (a, b), cls in sorted(report.classes.items()))
-    assert hashlib.sha256(text.encode()).hexdigest() == STABILITY_PIN
+    assert class_digest(report) == STABILITY_PIN
+
+
+def test_stability_simultaneous_pin():
+    game = noisy_game(17, 12, 5, 60)
+    report = stability_analysis(game, game.min_regret_profile(), 300.0,
+                                steps=300, update="simultaneous", seed=4)
+    assert class_digest(report) == SIMULTANEOUS_PIN
+
+
+def test_stability_odd_n_one_sample_pin():
+    game = noisy_game(18, 11, 1, 3)
+    assert (game.count == 1).any() and (game.count > 1).any()
+    report = stability_analysis(game, game.min_regret_profile(), 300.0,
+                                steps=101, seed=5)
+    assert class_digest(report) == ODD_N_PIN
+
+
+def test_stability_cli_matrix_pin(tmp_path):
+    # two samples a cell, so every index is drawn below 2; at 20 steps the
+    # ratios still move with the seed
+    game = noisy_game(19, 10, 2, 3)
+    write_payoff_matrix(game, tmp_path / "m.csv")
+    assert main(["stability", "--game", str(tmp_path / "m.csv"), "--steps",
+                 "20", "--seed", "6", "--epsilon", "300",
+                 "--out", str(tmp_path / "s.json")]) == 0
+    digest = hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest()
+    assert digest == MATRIX_STABILITY_PIN
+
+
+MARKET_ZERO_PIN = "16b8277dd06454b09577399aef77c2657158de688c0b1da330a247398516585c"
+
+
+def test_market_negative_zero_sums_pin():
+    # a row whose brand forces and prices are pairs of -0.0: the pair sums
+    # start from +0.0, as numpy's sum does, so the total force is +0.0, not
+    # -0.0; the shares, co-states and total forces of three days are pinned
+    # bit for bit
+    width = 3
+    params = MarketParams(w3=-0.5).validate()
+    net = generate_ba_network(60, m0=5, m=3, seed=2)
+    market = ConsumerMarket(net, params, np.random.default_rng(8),
+                            replications=width)
+    mk = market.marketing
+    mk.mb[:] = 100.0
+    mk.ad[:] = [[-0.0, -0.0], [0.3, 0.25], [-0.0, 0.2]]
+    mk.pm[:] = [[-0.0, -0.0], [0.2, 0.3], [0.1, -0.0]]
+    mk.inter[:] = [[-0.0, -0.0], [0.1, -0.1], [-0.0, 0.0]]
+    market.adopted[:] = np.random.default_rng(9).integers(0, 2, (60, width))
+    prices = np.array([[-0.0, -0.0], [1.5, 1.4], [1.3, -0.0]])
+    rngs = [np.random.default_rng(50 + r) for r in range(width)]
+    assert np.signbit(marketing_force(mk.ad, mk.pm, mk.inter, params.w1,
+                                      params.w2, params.w3)[0]).all()
+    bits = []
+    for day in range(3):
+        shares = market.step(prices, rngs)
+        if day == 0:
+            assert not np.signbit(mk.total_force[0])
+        for x in (shares, mk.inter, mk.total_force):
+            bits.append(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    assert hashlib.sha256(b"".join(bits)).hexdigest() == MARKET_ZERO_PIN
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -16,6 +16,7 @@ from duogame.gsa import (
     SamplingPolicy,
     SimulationPayoffSource,
     StabilityClass,
+    _IndexDraws,
     _replay_labels,
     _simulate_profile,
     build_empirical_game,
@@ -337,6 +338,32 @@ class TestStability:
             final = enumerate_path(a0, b0)
             expect_as = final == (0, 0)
             assert (cls is StabilityClass.ASYMPTOTICALLY_STABLE) == expect_as
+
+
+def test_index_draws_match_numpy_integers():
+    # successive calls on one stream, through a 16-word buffer: ragged
+    # shapes, one-sample cells (no draw), odd draw counts that leave a
+    # word's high half for the next call, the full 32-bit range, and ranges
+    # from 2**31 on, where up to half the draws are rejected
+    shapes = np.random.default_rng(41)
+    seed = np.random.SeedSequence(12)
+    draws, reference = _IndexDraws(seed, words=16), np.random.default_rng(seed)
+    for call in range(60):
+        shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
+        lows, highs = ((1, 3), (1, 60), (2**31, 2**32), (2**32, 2**32 + 1))[call % 4]
+        high = shapes.integers(lows, highs, shape)
+        if call % 3 == 0:
+            high.flat[::2] = 1
+        expected = reference.integers(0, high)
+        got = draws.integers(high)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, call
+        assert got.tolist() == expected.tolist(), call
+    assert draws.rejections > 0
+
+
+def test_index_draws_reject_counts_above_32_bits():
+    with pytest.raises(ParameterError, match="2\\*\\*32"):
+        _IndexDraws(0).integers(np.array([[3, 2**32 + 1]]))
 
 
 def reference_stability(game, solution, epsilon, steps, noise, update, seed):
