@@ -336,25 +336,25 @@ class _IndexDraws:
     ``rejections`` counts the rejected halves.
     """
 
-    def __init__(self, seed, words: int = 2048):
+    def __init__(self, seed):
         self._bitgen = np.random.PCG64(seed)
-        self._words = words
-        self._halves = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        self._pending = np.empty(0, dtype=np.uint32)   # drawn, not yet used
         self.rejections = 0
 
-    def _take(self, k: int) -> np.ndarray:
-        """The stream's next k 32-bit halves, as uint64."""
-        if self._pos + k > self._halves.size:
-            rest = self._halves[self._pos:]
-            words = self._bitgen.random_raw(max(self._words, (k - rest.size + 1) // 2))
+    def _next(self, k: int) -> np.ndarray:
+        """The stream's next k 32-bit halves."""
+        have = self._pending.size
+        if have >= k:
+            halves = self._pending
+        else:
+            words = self._bitgen.random_raw((k - have + 1) // 2)
             # little-endian words read as little-endian 32-bit pairs: the low
             # half first on every host
             halves = words.astype("<u8", copy=False).view("<u4")
-            self._halves = np.concatenate((rest, halves))
-            self._pos = 0
-        self._pos += k
-        return self._halves[self._pos - k:self._pos]
+            if have:
+                halves = np.concatenate((self._pending, halves))
+        self._pending = halves[k:].copy()
+        return halves[:k]
 
     def integers(self, high) -> np.ndarray:
         """int64 draws in [0, high) of the shape of ``high``, whose
@@ -371,7 +371,8 @@ class _IndexDraws:
         m = np.empty(k, dtype=np.uint64)
         done = 0
         while done < k:
-            np.multiply(self._take(k - done), span[done:], out=m[done:])
+            m[done:] = self._next(k - done)
+            m[done:] *= span[done:]
             low = m[done:].astype(np.uint32)    # m mod 2**32
             if low.min() >= top:
                 break
@@ -379,10 +380,13 @@ class _IndexDraws:
             rejected = np.flatnonzero(low < (_SPAN - left) % left)
             if not rejected.size:
                 break
-            # the rejected element draws again from the half after its own
+            # the rejected element takes the half after its own, which went
+            # to the next element: the exact products give the halves back
             self.rejections += 1
-            done += int(rejected[0])
-            self._pos -= k - done - 1
+            j = done + int(rejected[0])
+            drawn = (m[j + 1:] // span[j + 1:]).astype(np.uint32)
+            self._pending = np.concatenate((drawn, self._pending))
+            done = j
         # below 2**32, so the same bits as int64, which gathers faster
         m >>= np.uint64(32)
         if live is None:
@@ -451,7 +455,6 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     # strategy k; a move gathers one (n, n²) block, a column per start
     means = (u[0], u[1].T)
     resample = noise == "resample"
-    children = np.random.SeedSequence(seed).spawn(n * n + 1)
     if resample:
         # the draws come back int64, as the offsets are: a uint64 index
         # would add to them as floats, and gathers at half the speed
@@ -459,6 +462,8 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         offsets = (offsets[0], offsets[1].T)
         counts = game.count.astype(np.uint64)
         sizes = (counts[0], counts[1].T)
+    children = np.random.SeedSequence(seed).spawn(n * n + 1)
+    if resample:
         draws = _IndexDraws(children[-1])
     # without NaN payoffs every column holds a maximum, so n² maxima in all
     # mean that no column ties
@@ -474,8 +479,8 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         for player in movers:
             opp = b if player == 0 else a
             if resample:
-                idx = draws.integers(sizes[player][:, opp])
-                vals = flat[offsets[player][:, opp] + idx]
+                vals = flat[draws.integers(sizes[player][:, opp])
+                            + offsets[player][:, opp]]
             else:
                 vals = means[player][:, opp]
             tied = vals == vals.max(axis=0)

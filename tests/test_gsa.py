@@ -341,13 +341,13 @@ class TestStability:
 
 
 def test_index_draws_match_numpy_integers():
-    # successive calls on one stream, through a 16-word buffer: ragged
-    # shapes, one-sample cells (no draw), odd draw counts that leave a
-    # word's high half for the next call, the full 32-bit range, and ranges
-    # from 2**31 on, where up to half the draws are rejected
+    # successive calls on one stream: ragged shapes, one-sample cells (no
+    # draw), odd draw counts that leave a word's high half for the next
+    # call, the full 32-bit range, and ranges from 2**31 on, where up to
+    # half the draws are rejected
     shapes = np.random.default_rng(41)
     seed = np.random.SeedSequence(12)
-    draws, reference = _IndexDraws(seed, words=16), np.random.default_rng(seed)
+    draws, reference = _IndexDraws(seed), np.random.default_rng(seed)
     for call in range(60):
         shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
         lows, highs = ((1, 3), (1, 60), (2**31, 2**32), (2**32, 2**32 + 1))[call % 4]
