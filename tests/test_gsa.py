@@ -10,13 +10,13 @@ from duogame.factors import (
     refine_plan,
 )
 from duogame.doe import FactorEffect
+from duogame.draws import IndexDraws
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import (
     GsaSettings,
     SamplingPolicy,
     SimulationPayoffSource,
     StabilityClass,
-    _IndexDraws,
     _replay_labels,
     _simulate_profile,
     build_empirical_game,
@@ -340,6 +340,7 @@ class TestStability:
             assert (cls is StabilityClass.ASYMPTOTICALLY_STABLE) == expect_as
 
 
+@pytest.mark.golden
 def test_index_draws_match_numpy_integers():
     # successive calls on one stream: ragged shapes, one-sample cells (no
     # draw), odd draw counts that leave a word's high half for the next
@@ -347,7 +348,7 @@ def test_index_draws_match_numpy_integers():
     # half the draws are rejected
     shapes = np.random.default_rng(41)
     seed = np.random.SeedSequence(12)
-    draws, reference = _IndexDraws(seed), np.random.default_rng(seed)
+    draws, reference = IndexDraws(seed), np.random.default_rng(seed)
     for call in range(60):
         shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
         lows, highs = ((1, 3), (1, 60), (2**31, 2**32), (2**32, 2**32 + 1))[call % 4]
@@ -361,9 +362,10 @@ def test_index_draws_match_numpy_integers():
     assert draws.rejections > 0
 
 
+@pytest.mark.golden
 def test_index_draws_reject_counts_above_32_bits():
     with pytest.raises(ParameterError, match="2\\*\\*32"):
-        _IndexDraws(0).integers(np.array([[3, 2**32 + 1]]))
+        IndexDraws(0).integers(np.array([[3, 2**32 + 1]]))
 
 
 def reference_stability(game, solution, epsilon, steps, noise, update, seed):
