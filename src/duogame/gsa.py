@@ -378,7 +378,13 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     # strategy k; a move gathers one (n, n²) block, a column per start
     means = (u[0], u[1].T)
     resample = noise == "resample"
-    children = np.random.SeedSequence(seed).spawn(n * n + 1)
+    root = np.random.SeedSequence(seed)
+
+    def child(i):
+        """Child i of ``root.spawn``, made only when it is used."""
+        return np.random.SeedSequence(root.entropy, spawn_key=(i,),
+                                      pool_size=root.pool_size)
+
     if resample:
         # the counts go to the draws as uint64, and the draws come back
         # int64, as the offsets are: a uint64 index would add to them as
@@ -387,7 +393,7 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         offsets = (offsets[0], offsets[1].T)
         counts = game.count.astype(np.uint64)
         sizes = (counts[0], counts[1].T)
-        draws = IndexDraws(children[-1])
+        draws = IndexDraws(child(n * n))
     # without NaN payoffs every column holds a maximum, so n² maxima in all
     # mean that no column ties
     nan_free = not np.isnan(flat if resample else u).any()
@@ -411,7 +417,7 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
             if not (nan_free and np.count_nonzero(tied) == n * n):
                 for r in np.flatnonzero(tied.sum(axis=0) > 1):
                     if r not in tie_rngs:
-                        tie_rngs[r] = np.random.default_rng(children[r])
+                        tie_rngs[r] = np.random.default_rng(child(r))
                     pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
             picks[player] = pick
         a, b = picks.get(0, a), picks.get(1, b)
