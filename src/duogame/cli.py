@@ -19,6 +19,8 @@ from .errors import ConfigError, DesignError, DuogameError, ParameterError
 from .factors import validate_profile_values
 from .game import symmetric_profile_count
 from .gsa import (
+    STABILITY_NOISE,
+    STABILITY_UPDATE,
     SimulationPayoffSource,
     run_gsa,
     stability_analysis,
@@ -198,7 +200,7 @@ def cmd_stability(args) -> int:
         solution = game.min_regret_profile()
     report = stability_analysis(game, solution, epsilon=args.epsilon,
                                 steps=args.steps, seed=args.seed or 0,
-                                noise=args.noise)
+                                noise=args.noise, update=args.update)
     write_json({"solution": list(solution), **report.as_dict()}, args.out)
     return 0
 
@@ -268,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1500.0)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--noise", choices=("resample", "none"), default="resample")
+    p.add_argument("--noise", choices=STABILITY_NOISE, default="resample")
+    p.add_argument("--update", choices=STABILITY_UPDATE, default="alternating",
+                   help="best-response update rule, as the gsa config's "
+                        "stability_update")
     p.add_argument("--solution", help="profile as 'a,b'; defaults to min regret")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stability)

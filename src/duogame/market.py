@@ -37,7 +37,12 @@ times ``c1``. While some agent has no brand, the fifth coefficient is 0,
 agent (within the bound, NaN, or in a row whose bound is not finite) is
 scored exactly: both scores in the one-replication operation order, brand 0
 only where its score is greater, equal finite scores a tie drawn from the
-row's stream in agent order, an equal infinite pair or a NaN brand 1.
+row's stream in agent order, an equal infinite pair or a NaN brand 1. A
+slice first compares ``|d|`` with the day's largest bound, one scalar that
+decides every agent of most slices; only where it leaves some agent does the
+slice compare ``|d|`` with each row's own bound, so a row whose bound is
+large (a price at the top of its band) sends no other row's agents to the
+exact scores.
 
 The bound is ``2**-40 M``, with the row's size
 
@@ -402,12 +407,13 @@ class ConsumerMarket:
                 d += part
             choice, sure = flags[:, :len(d)]
             np.less(d, 0.0, out=choice)
-            # every agent beyond the day's largest bound is decided; of the
-            # others, those within their own row's bound are scored exactly
-            if not np.greater(np.abs(d, out=part), loose, out=sure).all():
+            # the day's largest bound decides most slices in one compare;
+            # where it leaves some agent, each row's own bound decides, and
+            # only agents within it (or NaN) are scored exactly
+            np.abs(d, out=part)
+            if not (np.greater(part, loose, out=sure).all()
+                    or np.greater(part, bound[block, None], out=sure).all()):
                 near, agents = np.nonzero(~sure)
-                keep = ~(part[near, agents] > bound[lo + near])
-                near, agents = near[keep], agents[keep]
                 choice[near, agents] = self._exact(lo + near, agents, response, prices,
                                                    paid, counts, rngs, mirror)
             self.adopted[:, block] = choice.view(np.int8).T

@@ -15,6 +15,7 @@ from duogame.config import config_from_dict, config_to_dict, default_config, loa
 from duogame.errors import ConfigError
 from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
+from duogame.gsa import stability_analysis
 from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
 
@@ -499,6 +500,32 @@ class TestSolveAndStability:
         result = json.loads(capsys.readouterr().out)
         assert result["ratios"]["instable"] == 0.0
         assert sum(result["ratios"].values()) == pytest.approx(1.0)
+
+    def test_stability_update_rule_replays_the_analysis(self, tmp_path, capsys):
+        # a coordination game: simultaneous updates from a miscoordinated
+        # start swap forever, alternating ones settle, so the ratios differ
+        game = EmpiricalGame.from_payoff_matrices(np.array([[3.0, 0.0], [0.0, 2.0]]))
+        path = tmp_path / "coordination.csv"
+        write_payoff_matrix(game, path)
+        ratios = {}
+        for rule in ("alternating", "simultaneous"):
+            assert main(["stability", "--game", str(path), "--epsilon", "0.5",
+                         "--steps", "20", "--seed", "3", "--update", rule]) == 0
+            result = json.loads(capsys.readouterr().out)
+            imported = read_payoff_matrix(path)
+            solution = imported.min_regret_profile()
+            report = stability_analysis(imported, solution, epsilon=0.5, steps=20,
+                                        seed=3, update=rule)
+            assert result == {"solution": list(solution), **report.as_dict()}
+            ratios[rule] = result["ratios"]
+        assert ratios["alternating"] != ratios["simultaneous"]
+
+    def test_unknown_update_rule_exits_2(self, tmp_path, capsys):
+        path = self.make_matrix(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["stability", "--game", str(path), "--update", "sequential"])
+        assert exit_.value.code == 2
+        assert "--update" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solution", ["1,2,3", "x"])
     def test_malformed_solution_is_validation_error(self, tmp_path, capsys,

@@ -1,3 +1,4 @@
+import inspect
 import math
 import time
 import tracemalloc
@@ -6,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from duogame import runner
+from duogame import market, runner
 from duogame.errors import ParameterError, ReplicationError, StateError
 from duogame.market import MarketParams
 from duogame.runner import (
@@ -219,6 +220,38 @@ class TestMixedBlocks:
             for name in ACCUMULATORS:
                 assert np.array_equal(getattr(block[j], name),
                                       getattr(alone, name)), (j, name)
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_exact_scores_see_only_agents_within_their_rows_bound(
+            self, monkeypatch, deterministic):
+        # the runaway corner's prices raise the day's largest bound for every
+        # row; the other rows' agents are still decided by their
+        # own bounds, so the exact scores are never asked for nothing and see
+        # no agent that its row's bound decides. The spy reads the calling
+        # step's slice of score differences (d, from row lo) and the day's
+        # per-row bounds. Under random marketing no agent needs exact scores;
+        # under pinned marketing every agent of the symmetric first day does
+        seen = []
+        exact = market.ConsumerMarket._exact
+
+        def spy(self, rows, agents, *rest):
+            step = inspect.currentframe().f_back.f_locals
+            d = step["d"][rows - step["lo"], agents]
+            assert rows.size > 0
+            assert not (np.abs(d) > step["bound"][rows]).any()
+            seen.append(rows.size)
+            return exact(self, rows, agents, *rest)
+
+        monkeypatch.setattr(market.ConsumerMarket, "_exact", spy)
+        corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
+                                         safety_stock_cov=2.0))
+        width = 72
+        specs = [(corner, corner) if j % 4 == 1 else default_specs()
+                 for j in range(width)]
+        settings = SimulationSettings(deterministic_marketing=deterministic)
+        run_replication(specs, settings, replication_seeds(105, 0, width),
+                        series=False)
+        assert sum(seen) == (width * settings.n_agents if deterministic else 0)
 
     def test_pair_count_must_match_seeds(self):
         with pytest.raises(ParameterError):
