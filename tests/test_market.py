@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -565,6 +567,64 @@ class TestStepMarket:
             for k in (0, 1, 2):
                 rows = block[block % 4 == k]
                 assert ties[rows].sum() > 0 and near[rows].sum() > 0, (lo, k)
+
+    def test_exact_scores_take_the_agents_within_their_rows_bound(self, monkeypatch):
+        # rows alternate ordinary brand pairs, brands one ulp apart and near
+        # brands (brand 1's ad larger by 1e-10 of it); rows 5 and 66, one in
+        # each slice of 64 + 6 rows, price at 20, which raises the day's
+        # largest bound about sixfold. On the first day the near rows hold
+        # agents within their own row's bound beside agents between it and
+        # the day's largest. Each row must send to the exact scores the
+        # agents it sends when stepped alone, where the day's largest bound
+        # is its own, in row-then-agent order, and never an empty selection
+        width = BLOCK + 6
+        market = make_market(seed=21, replications=width)
+        mk = market.marketing
+        twin = np.random.default_rng(4)
+        mk.mb[:] = 100.0
+        for name, lo, hi in (("ad", 0.2, 0.4), ("pm", 0.2, 0.4), ("inter", -0.2, 0.2)):
+            setattr(mk, name, twin.uniform(lo, hi, (width, 2)))
+        prices = twin.uniform(1.3, 1.7, (width, 2))
+        kind = np.arange(width) % 3
+        for level in (mk.ad, mk.pm, mk.inter, prices):
+            level[kind > 0, 1] = level[kind > 0, 0]
+        mk.ad[kind == 1, 1] = np.nextafter(mk.ad[kind == 1, 0], np.inf)
+        mk.ad[kind == 2, 1] *= 1.0 + 1e-10
+        prices[[5, 66]] = 20.0
+        alone = []
+        for r in range(width):
+            lone = make_market(seed=21)
+            for f in fields(mk):
+                setattr(lone.marketing, f.name, getattr(mk, f.name)[r:r + 1].copy())
+            alone.append(lone)
+
+        calls = []
+        exact = ConsumerMarket._exact
+
+        def spy(self, rows, agents, *rest):
+            assert rows.size > 0
+            calls.append((self, rows, agents))
+            return exact(self, rows, agents, *rest)
+
+        monkeypatch.setattr(ConsumerMarket, "_exact", spy)
+        rngs = [np.random.default_rng(40 + r) for r in range(width)]
+        lone_rngs = [np.random.default_rng(40 + r) for r in range(width)]
+        for day in range(2):
+            calls.clear()
+            market.step(prices, rngs)
+            for r, lone in enumerate(alone):
+                lone.step(prices[r:r + 1], lone_rngs[r:r + 1])
+                assert np.array_equal(lone.adopted[:, 0], market.adopted[:, r]), (day, r)
+            seen = [(rows, agents) for m, rows, agents in calls if m is market]
+            expected = [(np.full(agents.size, r), agents) for m, _, agents in calls
+                        for r in range(width) if m is alone[r]]
+            got, want = (np.concatenate(pairs, axis=1) for pairs in (seen, expected))
+            assert np.array_equal(got, want), day
+            if day == 0:
+                counts = np.bincount(got[0], minlength=width)
+                assert (counts[kind == 0] == 0).all()
+                assert (counts[kind == 1] == market.n).all()
+                assert 0 < counts[kind == 2].sum() < market.n * np.count_nonzero(kind == 2)
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_moving_forces_match_interleaved_reference(self, mirror):
