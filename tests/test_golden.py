@@ -4,9 +4,11 @@ analysis and a small ``gsa`` run.
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
 cover the kernel's branches: a market sub-block boundary, a co-state that
 never reaches its cap, the saturated price band with tie-breaks, all four
-noise draws and mirrored runs; each pin holds for the plain-float and the
-array sub-step body alike. A market day whose brand forces and prices are
-pairs of -0.0 pins the sign of their sums. The stability classes of seeded
+noise draws, mirrored runs with fixed and with drawn marketing levels, and
+one pass mixing quiet and noisy companies over a cut-short marketing period;
+each pin holds for the plain-float and the array sub-step body alike. A
+market day whose brand forces and prices are pairs of -0.0 pins the sign of
+their sums. The stability classes of seeded
 games pin the ``resample`` stream: alternating and simultaneous updates, an
 odd strategy count with one-sample cells, and ``duogame stability`` on a
 re-read matrix. ``tests/golden/`` holds the config and output hashes
@@ -67,6 +69,23 @@ def mirror_specs():
     return (CompanySpec(sd=sd), CompanySpec(sd=sd))
 
 
+def quiet_mirror_specs():
+    # no noise and unequal ranges, so every period draw of both company
+    # streams moves the payoffs
+    return (CompanySpec(ad_range=(0.2, 0.4)),
+            CompanySpec(sd=SDParams(mfg_price=1.6), pm_range=(0.1, 0.5)))
+
+
+def mixed_noise_specs():
+    # 20 rows cycling through quiet, half-noisy and fully noisy pairs, so one
+    # pass draws its period levels from both kinds of company stream
+    noisy_a, noisy_b = noisy_specs()
+    quiet = CompanySpec(pm_range=(0.2, 0.45))
+    cycle = [(CompanySpec(), CompanySpec()), (noisy_a, quiet),
+             (quiet, noisy_b), (noisy_a, noisy_b), (quiet, quiet)]
+    return [cycle[r % len(cycle)] for r in range(20)]
+
+
 # name -> (specs, settings, n, master seed, mirror, sha256 of the payoffs)
 CASES = {
     "default_n70": (lambda: (CompanySpec(), CompanySpec()),
@@ -85,6 +104,12 @@ CASES = {
     "mirror": (mirror_specs, SimulationSettings(deterministic_marketing=True),
                6, 104, True,
                "2be800e36fce4b89219884e3ec56066d213ecafcbb4606bdbcf9fc286808ec3d"),
+    "mirror_random_n70": (quiet_mirror_specs, SimulationSettings(), 70, 106, True,
+                          "e9e1849ff21a6d27c6e3a4324032b46e70046baeb499b4f4b2b141f828ea96cb"),
+    # 25 days: the last marketing period is cut short
+    "mixed_noise_n20": (mixed_noise_specs, SimulationSettings(run_length_days=25),
+                        20, 107, False,
+                        "7f9c37812e2d1345f5c75f6a3c27e9c671334c7f7ad75e5404409cb080113384"),
 }
 
 
@@ -104,7 +129,7 @@ def test_payoff_pin(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_payoff_pin_other_kernel(name, monkeypatch):
     # the same pins through the sub-step body that the row count does not
-    # pick: plain floats for the 70-row case, arrays for the 6-row ones
+    # pick: plain floats for the wide cases, arrays for the 6-row ones
     n = CASES[name][2]
     monkeypatch.setattr(runner, "WIDE", n + 1 if n >= runner.WIDE else 1)
     check_payoff_pin(name)
