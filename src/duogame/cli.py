@@ -34,7 +34,7 @@ from .reporting import (
     write_payoff_matrix,
     write_trace_csv,
 )
-from .runner import compute_payoff, replication_seeds, run_replication
+from .runner import SEED_LIMIT, compute_payoff, replication_seeds, run_replication
 
 VALIDATION_ERRORS = (ConfigError, ParameterError, DesignError)
 
@@ -87,8 +87,9 @@ def _source(config):
 def cmd_simulate(args) -> int:
     if args.n < 1:
         raise ParameterError(f"--n must be >= 1, got {args.n}")
-    if args.replication_seed is not None and args.replication_seed < 0:
-        raise ParameterError(f"--replication-seed must be >= 0, got {args.replication_seed}")
+    if args.replication_seed is not None and not 0 <= args.replication_seed < SEED_LIMIT:
+        raise ParameterError(f"--replication-seed must be in [0, 2**128), "
+                             f"got {args.replication_seed}")
     config = _config_from_args(args)
     profile = _load_profile(args.profile) or dict(config.default_profile)
     opponent = _load_profile(args.opponent) or profile

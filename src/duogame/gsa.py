@@ -165,8 +165,7 @@ class SimulationPayoffSource:
         column labels and profile tags, simulated together."""
         pairs = [self.specs_for(la, lb, baseline) for la, lb in zip(labels_a, labels_b)]
         specs = [pair for pair in pairs for _ in range(n)]
-        seeds = [seed for tag in tags
-                 for seed in replication_seeds(self.master_seed, tag, n, start=start)]
+        seeds = replication_seeds(self.master_seed, tags, n, start=start)
         payoffs = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
                                    seeds, jobs=self.jobs)
         return payoffs.reshape(len(pairs), n, 2)

@@ -313,9 +313,9 @@ class ConsumerMarket:
         """Advance every replication one day; returns the (replications, 2)
         market shares (each row sums to 1).
 
-        ``prices`` has one brand pair per replication and ``rngs`` one
-        tie-break generator per replication, drawn only for that row's tied
-        agents. ``mirror`` flips the interpretation of tie-break draws, which
+        ``prices`` has one brand pair per replication and ``rngs[r]`` is
+        row ``r``'s tie-break generator, read and drawn only for that row's
+        tied agents. ``mirror`` flips the interpretation of tie-break draws, which
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. The co-state updates for every row at once, the
         force, spend rate and size on days where some row's co-state, levels

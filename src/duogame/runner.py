@@ -26,26 +26,32 @@ the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
-holds per row is mainly about 2.5 KB of RNG streams and the market's
-adoption and neighbor counts (3 B per agent at int8). Replications share
-nothing but the population, so every output depends on its pair and seed
-alone; results do not depend on the sample count ``n``, the width, the body
-or the passes.
+holds per row is mainly the market's adoption and neighbor counts (3 B per
+agent at int8) and 78 B of company streams, plus about 0.9 KB for a tie
+generator on a row that has had a tie. Replications share nothing but the
+population, so every output depends on its pair and seed alone; results do
+not depend on the sample count ``n``, the width, the body or the passes.
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
-replication's seed spawns separate streams for tie-breaking and for each
-company's marketing levels and noise. Mirrored runs swap the two company
-streams and flip the tie-break labels, which makes the strategy-swapped
-replication an exact mirror of the original.
+replication's seed in [0, 2**128) spawns separate streams, as
+``SeedSequence(seed).spawn(3)`` does: child 0 for tie-breaking and one child
+for each company's marketing levels and noise. :class:`draws.RowStreams`
+seeds and steps the company streams of every row as arrays, bit for bit as
+numpy's generators would; a row's tie generator is made only on its first
+tie, and a noisy company keeps a numpy generator. Mirrored runs swap the two
+company streams and flip the tie-break labels, which makes the
+strategy-swapped replication an exact mirror of the original.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .draws import RowStreams, entropy_words, spawn_state
 from .errors import ParameterError, ReplicationError, StateError
 from .market import ConsumerMarket, MarketParams, sunk_cost
 from .network import generate_ba_network
@@ -183,9 +189,14 @@ WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
 # holds at once per row, whatever the number of rows. A pass records no daily
-# series, so that is mainly about 2.5 KB of RNG streams and the market's
-# adoption and neighbor counts (3 B per agent at int8).
+# series, so that is mainly the market's adoption and neighbor counts (3 B
+# per agent at int8) and 78 B of company streams (tracemalloc at 512 rows),
+# plus about 0.9 KB for the tie generator of a row that has tied.
 PASS_ROWS = 512
+
+# Replication seeds lie below 2**128: numpy's run entropy of such a seed is
+# four uint32 words once padded, so every row's streams seed in one array hash
+SEED_LIMIT = 1 << 128
 
 SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
 
@@ -225,15 +236,6 @@ def _setup(specs, settings: SimulationSettings):
     return specs, params, initial, mp_bounds
 
 
-def _streams(seed, mirror):
-    """A replication's tie-break generator and its two company generators."""
-    child = np.random.SeedSequence(seed).spawn(3)
-    rngs = [np.random.default_rng(child[1]), np.random.default_rng(child[2])]
-    if mirror:
-        rngs.reverse()
-    return np.random.default_rng(child[0]), rngs
-
-
 class _Rows:
     """Every row of a kernel pass: its RNG streams, marketing ranges, prices,
     market expected price and band, noisy companies and accumulators, each
@@ -245,24 +247,23 @@ class _Rows:
 
     def __init__(self, setups, index, seeds, settings, mirror, series):
         n = len(seeds)
-        self.seeds = list(seeds)
+        self.streams = RowStreams(seeds, mirror)
         pairs = [setups[k][0] for k in index]
-        streams = [_streams(seed, mirror) for seed in seeds]
-        self.tie_rngs = [tie for tie, _ in streams]
-        self.rngs = [rngs for _, rngs in streams]
         self.mb_pct = np.array([[spec.mb_pct for spec in specs] for specs in pairs])
         self.ranges = np.array([[(spec.ad_range, spec.pm_range) for spec in specs]
                                 for specs in pairs])
         self.prices = np.array([[spec.sd.mfg_price for spec in specs] for specs in pairs])
         self.mp = (self.prices[:, 0] + self.prices[:, 1]) / 2.0
         self.bounds = np.array([setup[3] for setup in setups])[index]
-        self.noisy = []     # (row, company, sigmas) of each noisy company
+        # (row, company, sigmas, generator) of each noisy company: its own
+        # generator draws its period levels and its noise
+        self.noisy = []
         for r, specs in enumerate(pairs):
             for i, spec in enumerate(specs):
                 sd = spec.sd
                 sigmas = (sd.sigma_wip, sd.sigma_prod, sd.sigma_order, sd.sigma_inv)
                 if any(sigma > 0 for sigma in sigmas):
-                    self.noisy.append((r, i, sigmas))
+                    self.noisy.append((r, i, sigmas, self.streams.generator(r, i)))
         # per company: revenue, units produced, purchased and shipped,
         # inventory and backlog unit-days, marketing spend, own sunk cost
         self.totals = np.zeros((8, n, 2))
@@ -281,12 +282,13 @@ class _Rows:
 
     @property
     def rows(self) -> int:
-        return len(self.seeds)
+        return len(self.streams.seeds)
 
     def truncate(self, rows: int) -> None:
         """Keep only the first ``rows`` rows."""
-        for name in ("seeds", "tie_rngs", "rngs", "mb_pct", "ranges", "prices",
-                     "mp", "bounds", "period_revenue", "sunk_total"):
+        self.streams.truncate(rows)
+        for name in ("mb_pct", "ranges", "prices", "mp", "bounds",
+                     "period_revenue", "sunk_total"):
             setattr(self, name, getattr(self, name)[:rows])
         self.noisy = [entry for entry in self.noisy if entry[0] < rows]
         self.totals = self.totals[:, :rows]
@@ -301,7 +303,8 @@ class _Rows:
 
     def start_period(self, day, settings):
         """Budgets and advertising and promotion levels of a marketing period;
-        each company stream draws ad, then pm, as ``Generator.uniform`` would."""
+        each company stream draws ad, then pm, as ``Generator.uniform`` would,
+        a noisy company's from its own generator."""
         if day == 0:
             mb = (self.mb_pct * self.prices * settings.total_order_rate
                   * settings.marketing_period)
@@ -312,7 +315,9 @@ class _Rows:
         if settings.deterministic_marketing:
             levels = (lo + hi) / 2.0
         else:
-            u = np.array([[rng.random(2) for rng in rngs] for rngs in self.rngs])
+            u = self.streams.uniforms()
+            for r, i, _, rng in self.noisy:
+                u[r, i] = rng.random(2)
             levels = lo + (hi - lo) * u
         return mb, levels[..., 0], levels[..., 1]
 
@@ -322,8 +327,7 @@ class _Rows:
         if not self.noisy:
             return None
         draws = np.zeros((4, self.rows, 2))
-        for r, i, sigmas in self.noisy:
-            rng = self.rngs[r][i]
+        for r, i, sigmas, rng in self.noisy:
             for k, sigma in enumerate(sigmas):
                 if sigma > 0:
                     draws[k, r, i] = rng.normal(0, sigma)
@@ -422,11 +426,12 @@ class _Rows:
     def outputs(self, settings) -> list:
         """One output per row or, when the pass records no series, one
         output stacking every row's accumulators."""
+        seeds = self.streams.seeds
         if self.daily is None:
-            entries = [(self.seeds, {}, slice(None), self.sunk_total[:, None])]
+            entries = [(seeds, {}, slice(None), self.sunk_total[:, None])]
         else:
             entries = [(seed, {name: self.daily[:, k, r] for k, name in enumerate(SERIES)},
-                     r, float(self.sunk_total[r])) for r, seed in enumerate(self.seeds)]
+                     r, float(self.sunk_total[r])) for r, seed in enumerate(seeds)]
         t = self.totals
         return [ReplicationOutput(
             seed=seed, run_length=settings.run_length_days, series=series,
@@ -478,7 +483,7 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
         collect = not (settings.truncate_warmup and day < settings.warmup_days)
         if day % period == 0:
             mk.mb[:], mk.ad[:], mk.pm[:] = chain.start_period(day, settings)
-        shares = market.step(chain.prices, chain.tie_rngs, mirror=mirror)
+        shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
         if fixed is not None:
             shares[:] = (fixed, 1.0 - fixed)
         failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor, dt, substeps)
@@ -531,10 +536,15 @@ def run_replication(specs, settings: SimulationSettings, seed,
     seeds: ``seed`` is their list, ``series`` is empty, every accumulator is
     a (rows, 2) array and ``sunk_total`` a (rows, 1) column, which
     :func:`compute_payoff` prices row by row.
+
+    Every seed must lie in [0, ``SEED_LIMIT``).
     """
     settings.validate()
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else list(seed)
+    seeds = [operator.index(s) for s in ([seed] if single else seed)]
+    for s in seeds:
+        if not 0 <= s < SEED_LIMIT:
+            raise ParameterError(f"replication seed {s} is outside [0, 2**128)")
     setups, index, known = [], [], {}     # one setup per distinct pair object
     for pair in _per_seed(specs, len(seeds)):
         if id(pair) not in known:
@@ -567,12 +577,27 @@ def compute_payoff(rep: ReplicationOutput, rates: CostRates,
     return rep.revenue - cost
 
 
-def replication_seeds(master_seed: int, profile_tag: int, n: int,
+def replication_seeds(master_seed: int, profile_tag, n: int,
                       start: int = 0) -> list:
-    """Deterministic per-replication seeds for a profile's sample stream."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(profile_tag,))
-    return [int(s.generate_state(1)[0] & 0x7FFFFFFF)
-            for s in ss.spawn(start + n)[start:]]
+    """Deterministic per-replication seeds of a profile's sample stream: the
+    first state word, less its top bit, of children ``start`` to ``start +
+    n`` of ``SeedSequence(master_seed, spawn_key=(profile_tag,))``.
+
+    ``profile_tag`` is one tag or a sequence of tags, giving ``n`` seeds per
+    tag, tag by tag, from one array hash (:func:`draws.spawn_state`). Tags
+    and child indices must be below 2**32, one spawn-key word each."""
+    tags = [profile_tag] if isinstance(profile_tag, (int, np.integer)) else list(profile_tag)
+    if not (0 <= start and start + n <= 1 << 32 and all(0 <= t < 1 << 32 for t in tags)):
+        raise ParameterError(f"profile tags and replication indices must lie in "
+                             f"[0, 2**32), got tags {tags}, start {start}, n {n}")
+    run = entropy_words(master_seed)
+    run += [0] * (4 - len(run))   # a spawned child's run entropy
+    entropy = np.empty((len(tags), n, len(run) + 2), dtype=np.uint32)
+    entropy[..., :-2] = run
+    entropy[..., -2] = np.array(tags, dtype=np.uint32)[:, None]
+    entropy[..., -1] = np.arange(start, start + n, dtype=np.uint32)
+    words = spawn_state(entropy.reshape(-1, len(run) + 2), 1)[:, 0]
+    return (words & 0x7FFFFFFF).tolist()
 
 
 def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,

@@ -354,8 +354,10 @@ class TestSimulateCommand:
 @pytest.mark.parametrize("argv", [
     ["estimate", "--jobs", "0"], ["gsa", "--jobs", "0"], ["simulate", "--seed", "-1"],
     ["simulate", "--n", "-1"], ["simulate", "--n", "0"],
-    ["simulate", "--replication-seed", "-1"]],
-    ids=["estimate-jobs", "gsa-jobs", "seed", "n-negative", "n-zero", "replication-seed"])
+    ["simulate", "--replication-seed", "-1"],
+    ["simulate", "--replication-seed", str(2**128)]],
+    ids=["estimate-jobs", "gsa-jobs", "seed", "n-negative", "n-zero", "replication-seed",
+         "replication-seed-large"])
 def test_bad_override_exits_2_before_any_output(desk_config, tmp_path, capsys, argv):
     out = tmp_path / "o"
     assert main([*argv, "--config", str(desk_config), "--out", str(out)]) == 2

@@ -8,13 +8,13 @@ noise draws, mirrored runs with fixed and with drawn marketing levels, and
 one pass mixing quiet and noisy companies over a cut-short marketing period;
 each pin holds for the plain-float and the array sub-step body alike. A
 market day whose brand forces and prices are pairs of -0.0 pins the sign of
-their sums. The stability classes of seeded
-games pin the ``resample`` stream: alternating and simultaneous updates, an
-odd strategy count with one-sample cells, and ``duogame stability`` on a
-re-read matrix. ``tests/golden/`` holds the config and output hashes
-(payoff matrix, iteration report, solution trace) of a one-iteration
-``gsa`` run on four two-level factors. A pin may change only for a stated
-reason, such as a changed RNG protocol.
+their sums. The stability classes of seeded games pin the ``resample``
+stream: alternating and simultaneous updates, an odd strategy count with
+one-sample cells, and ``duogame stability`` on a re-read matrix.
+``tests/golden/`` holds the config and output hashes (payoff matrix,
+iteration report, solution trace) of a one-iteration ``gsa`` run on four
+two-level factors. A pin may change only for a stated reason, such as a
+changed RNG protocol.
 """
 
 import hashlib

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from duogame import market, runner
+from duogame.draws import RowStreams
 from duogame.errors import ParameterError, ReplicationError, StateError
 from duogame.market import MarketParams
 from duogame.runner import (
@@ -118,6 +119,20 @@ class TestRunReplication:
     def test_no_seeds_rejected(self):
         with pytest.raises(ParameterError, match="replications must be >= 1"):
             run_replication(default_specs(), SimulationSettings(), [])
+
+    @pytest.mark.parametrize("seeds,bad", [(-1, -1), (1 << 128, 1 << 128),
+                                           ([3, -(1 << 32)], -(1 << 32)),
+                                           ([5, (1 << 130) + 5], (1 << 130) + 5)],
+                             ids=["negative", "2**128", "negative-in-list", "2**130-in-list"])
+    def test_seed_outside_range_rejected(self, seeds, bad):
+        # named as given, not wrapped through a uint32 or uint64 cast
+        with pytest.raises(ParameterError, match=rf"replication seed {bad} is outside"):
+            run_replication(default_specs(), SimulationSettings(run_length_days=2), seeds)
+
+    def test_largest_seed_runs(self):
+        settings = SimulationSettings(run_length_days=2)
+        rep = run_replication(default_specs(), settings, (1 << 128) - 1)
+        assert rep.seed == (1 << 128) - 1
 
     def test_mirrored_runs_swap_exactly(self):
         a, b = pricing_asymmetric_specs()
@@ -732,3 +747,67 @@ class TestWarmup:
         b = run_replication(default_specs(), trunc, seed=0)
         assert b.revenue[0] < a.revenue[0]
         assert b.units_produced[0] < a.units_produced[0]
+
+
+# the edges of numpy's split of a seed into uint32 words, then seeds of every
+# size from 1 to 128 bits
+EDGE_SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1]
+
+
+def stream_seeds(count=10_000):
+    rng = np.random.default_rng(2026)
+    bits = rng.integers(1, 129, count - len(EDGE_SEEDS))
+    return EDGE_SEEDS + [int.from_bytes(rng.bytes(16), "little") >> (128 - int(b))
+                         for b in bits]
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("mirror", [False, True])
+def test_row_streams_match_numpy(mirror):
+    # each row's company streams are children 1 and 2 of
+    # SeedSequence(seed).spawn(3), swapped under mirror: the PCG64 state and
+    # increment after seeding, then ten periods of ad and pm uniforms; the
+    # tie generator is child 0
+    seeds = stream_seeds()
+    streams = RowStreams(seeds, mirror)
+    children = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
+    order = (2, 1) if mirror else (1, 2)
+    rngs = [[np.random.default_rng(child[k]) for k in order] for child in children]
+
+    def halves(high, low):
+        return [[(int(h) << 64) | int(lo) for h, lo in zip(*row)]
+                for row in zip(high.tolist(), low.tolist())]
+
+    states = [[rng.bit_generator.state["state"] for rng in row] for row in rngs]
+    assert halves(streams.hi, streams.lo) == [[s["state"] for s in row] for row in states]
+    assert halves(streams.inc_hi, streams.inc_lo) == [[s["inc"] for s in row]
+                                                      for row in states]
+    for period in range(10):
+        expected = np.array([[rng.random(2) for rng in row] for row in rngs])
+        assert np.array_equal(streams.uniforms(), expected), period
+    if not mirror:
+        for r, child in enumerate(children):
+            assert (streams.ties[r].bit_generator.state
+                    == np.random.default_rng(child[0]).bit_generator.state), seeds[r]
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("master,tag,n,start", [
+    (0, 0, 70, 0), (20240101, (1 << 19) + 3, 40, 0), (2**32, 5, 30, 7),
+    (2**40 + 5, 2**32 - 1, 20, 500), (2**128, 3, 25, 0), (2**130 + 7, 0, 10, 3)])
+def test_replication_seeds_match_numpy(master, tag, n, start):
+    def spawned(tag):
+        ss = np.random.SeedSequence(master, spawn_key=(tag,))
+        return [int(child.generate_state(1)[0] & 0x7FFFFFFF)
+                for child in ss.spawn(start + n)[start:]]
+
+    assert replication_seeds(master, tag, n, start=start) == spawned(tag)
+    tags = [tag, tag // 2, 1]
+    assert (replication_seeds(master, tags, n, start=start)
+            == [seed for t in tags for seed in spawned(t)])
+
+
+@pytest.mark.parametrize("tag,start", [(-1, 0), (1 << 32, 0), (0, -1), (0, (1 << 32) - 2)])
+def test_replication_seeds_reject_wide_spawn_keys(tag, start):
+    with pytest.raises(ParameterError, match="must lie in"):
+        replication_seeds(1, tag, 3, start=start)
