@@ -162,8 +162,18 @@ class SimulationPayoffSource:
     def __call__(self, labels_a, labels_b, baseline, n, tags, start=0):
         """Payoffs of replications ``start`` to ``start + n`` of each profile,
         shape (profiles, n, 2), for equal-length sequences of row labels,
-        column labels and profile tags, simulated together."""
-        pairs = [self.specs_for(la, lb, baseline) for la, lb in zip(labels_a, labels_b)]
+        column labels and profile tags, simulated together. Each distinct
+        strategy, its labels in key order, is materialized once."""
+        made = {}
+
+        def spec(labels):
+            key = tuple(labels.items())
+            if key not in made:
+                made[key] = materialize(labels, baseline, self.sd_defaults,
+                                        self.spec_defaults)
+            return made[key]
+
+        pairs = [(spec(la), spec(lb)) for la, lb in zip(labels_a, labels_b)]
         specs = [pair for pair in pairs for _ in range(n)]
         seeds = replication_seeds(self.master_seed, tags, n, start=start)
         payoffs = estimate_payoffs(specs, self.settings, self.rates, len(seeds),

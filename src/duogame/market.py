@@ -289,10 +289,11 @@ class ConsumerMarket:
             setattr(mk, f.name, getattr(mk, f.name)[:replications])
         self._key = None
 
-    def neighbor_influence(self) -> np.ndarray:
+    def neighbor_influence(self, least=None) -> np.ndarray:
         """Each agent's count of neighbors adopting each brand in every
         replication, from the previous day's adoption: integers of the
-        adjacency's dtype, shape (2, replications, agents).
+        adjacency's dtype, shape (2, replications, agents). ``least`` is
+        ``adopted.min()`` when the caller has it already.
 
         One sparse product a day counts them. Once every agent has a brand,
         ``adopted`` is itself the brand-1 indicator and a brand-0 count is the
@@ -301,7 +302,7 @@ class ConsumerMarket:
         them keeps every bit of one formed from a float count."""
         adopted = self.adopted
         counts = np.empty((2,) + adopted.shape[::-1], dtype=self._degree.dtype)
-        if adopted.min() > NO_BRAND:
+        if (adopted.min() if least is None else least) > NO_BRAND:
             np.copyto(counts[1], (self._adjacency @ adopted).T)
             np.subtract(self._degree, counts[1], out=counts[0])
         else:
@@ -368,8 +369,9 @@ class ConsumerMarket:
 
         response = price_response(prices, mk.pm, price_sum[:, None], p.s)
         paid = 1.0 - mk.pm
-        settled = self.adopted.min() > NO_BRAND
-        counts = self.neighbor_influence()
+        least = self.adopted.min()
+        settled = least > NO_BRAND
+        counts = self.neighbor_influence(least)
         # each row's coefficients of the score difference, a = p0 q0 - p1 q1,
         # b = r0 p0 q0 - r1 p1 q1, alpha, beta and mf0 (0 while some agent
         # has no brand), and its rounding bound (module docstring)

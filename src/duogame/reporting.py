@@ -90,11 +90,15 @@ def read_payoff_matrix(path) -> EmpiricalGame:
 
 def _cell_stats(cell: str) -> list:
     """Both players' ``(mean, n, variance)`` in a matrix cell; raises
-    ValueError when the cell is malformed."""
+    ValueError when the cell is malformed or holds what no sample set has:
+    a count below 1, or a negative or NaN variance."""
     parts = [part.split(";") for part in cell.split("|")]
     if len(parts) != 2 or any(len(part) != 3 for part in parts):
         raise ValueError(cell)
-    return [(float(mean), int(count), float(var)) for mean, count, var in parts]
+    stats = [(float(mean), int(count), float(var)) for mean, count, var in parts]
+    if any(count < 1 or not var >= 0.0 for _, count, var in stats):
+        raise ValueError(cell)
+    return stats
 
 
 def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:

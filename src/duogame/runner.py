@@ -13,16 +13,17 @@ width. Each day one market call advances every row: one integer sparse
 product counts every row's neighbors, then the agents are decided from
 their score differences in slices of ``market.BLOCK`` rows with the agents
 innermost. Then the supply chains and pricing of every row run the day's
-sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (14, where the array body
-overtakes the float body), both companies of every row are one stacked
-:class:`SDState` and :class:`SDParams` of (rows, 2) arrays, stepped by the
-company step and the pricing step in their array form once per sub-step;
-below it each replication runs both steps in their plain-float form. The
-float body stays because the array body's fixed cost per sub-step
-is some 200 numpy calls of about 1 us each: a one-row replication took 47 ms
-on it and 11.5 ms in plain floats (minima of nine runs, 2-core host). Both
-forms perform the same float operations in the same order, and both bodies
-the same bookkeeping.
+sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (14,
+just past where the array body overtakes the float body), both companies of
+every row are one stacked :class:`SDState` and :class:`SDParams` of (rows,
+2) arrays, stepped by the company step and the pricing step in their array
+form once per sub-step; below it each replication runs both steps in their
+plain-float form. The float body stays because the array body's fixed cost
+per sub-step is some 175 numpy calls of under 1 us each: a one-row
+replication took 3.7 times as long on it as in plain floats (112 against
+30 ms, medians of 15 alternating runs, 2-core host). Both forms perform the
+same float operations in the same order, and both bodies the same
+bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
@@ -181,10 +182,11 @@ _network_cache: dict = {}
 # Rows from which the supply chains and pricing step as (rows, 2) arrays, one
 # company step and one pricing step per sub-step for the whole call; fewer
 # rows step in plain floats, one company at a time. An array sub-step costs
-# 100-200 us whatever the width up to a few dozen rows, a plain-float company
-# step about 5 us. Per replication the array body took 1.03 times the float
-# body's time at 13 rows, 0.96-0.97 at 14, 0.93 at 15 and 0.88 at 16 (medians
-# of eleven and fifteen runs, both bodies alternating, 2-core host).
+# 120-170 us whatever the width up to a few dozen rows, a plain-float company
+# step about 4 us. Per replication the array body took 1.04-1.16 times the
+# float body's time at 11 rows, 0.96-1.05 at 12, 0.91-0.96 at 13 and 0.87 at
+# 14 (medians of eleven and fifteen runs, both bodies alternating, 2-core
+# host). 13 would do as well; tests name their widths after this constant.
 WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
@@ -272,6 +274,9 @@ class _Rows:
         self.daily = (np.empty((settings.run_length_days, len(SERIES), n, 2))
                       if series else None)
         self.wide = n >= WIDE
+        self.substeps = max(1, round(1.0 / settings.dt))
+        # a 0-d array spares numpy converting a float in every operation
+        self.dt = np.array(settings.dt) if self.wide else settings.dt
         if self.wide:
             self.p = SDParams.stacked([setup[1] for setup in setups], index)
             self.s = SDState.stacked([setup[2] for setup in setups], index)
@@ -297,7 +302,8 @@ class _Rows:
         if self.wide:
             for record in (self.s, self.p):
                 for name, value in list(vars(record).items()):
-                    setattr(record, name, value[:rows])
+                    if value is not None:
+                        setattr(record, name, value[:rows])
         else:
             self.sd, self.params = self.sd[:rows], self.params[:rows]
 
@@ -333,21 +339,21 @@ class _Rows:
                     draws[k, r, i] = rng.normal(0, sigma)
         return draws
 
-    def advance_day(self, day, shares, spend_rate, collect, tor, dt, substeps):
+    def advance_day(self, day, shares, spend_rate, collect, tor):
         """Every row through one day; returns ``(row, error)`` for the lowest
         row that diverged, after dropping it and every later row, or None."""
         if collect:
             self.totals[6] += spend_rate     # one day's worth
         body = self._array_steps if self.wide else self._float_steps
-        return body(day, tor * shares, shares, self._noise(), collect, dt, substeps)
+        return body(day, tor * shares, shares, self._noise(), collect)
 
-    def _array_steps(self, day, orders, shares, draws, collect, dt, substeps):
+    def _array_steps(self, day, orders, shares, draws, collect):
         """A day's sub-steps of every row at once, then, when the pass records
         them, the day's ``SERIES`` of the rows left; returns the failure as
         :meth:`advance_day`."""
-        s, p = self.s, self.p
+        s, p, dt = self.s, self.p, self.dt
         failure = None
-        for _ in range(substeps):
+        for _ in range(self.substeps):
             noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
             failed = None
             try:
@@ -373,9 +379,10 @@ class _Rows:
             self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
         return failure
 
-    def _float_steps(self, day, orders, shares, draws, collect, dt, substeps):
+    def _float_steps(self, day, orders, shares, draws, collect):
         """As :meth:`_array_steps`, one row at a time in plain floats read
         from and written back to the row arrays."""
+        dt = self.dt
         orders, shares, bounds = orders.tolist(), shares.tolist(), self.bounds.tolist()
         if draws is None:
             noises = [(ZERO_NOISE, ZERO_NOISE)] * self.rows
@@ -390,7 +397,7 @@ class _Rows:
         for r, (sd, params) in enumerate(zip(self.sd, self.params)):
             price, mp, period_revenue = prices[r], mps[r], revenue[r]
             try:
-                for _ in range(substeps):
+                for _ in range(self.substeps):
                     for i in COMPANIES:
                         s = step_company(sd[i], params[i], orders[r][i], noises[r][i], dt)
                         _book(totals[r][i], period_revenue, i, s, price[i], dt, collect)
@@ -469,8 +476,6 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     lowest-index replication that diverged.
     """
     tor = settings.total_order_rate
-    dt = settings.dt
-    substeps = max(1, round(1.0 / dt))
     period = settings.marketing_period
     pop_rng = np.random.default_rng(np.random.SeedSequence(settings.population_seed + 1))
     market = ConsumerMarket(_population(settings), settings.market, pop_rng,
@@ -486,7 +491,7 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
         shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
         if fixed is not None:
             shares[:] = (fixed, 1.0 - fixed)
-        failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor, dt, substeps)
+        failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor)
         if failed is not None:
             r, exc = failed
             failure = (r, day, exc)

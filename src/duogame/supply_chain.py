@@ -45,14 +45,16 @@ ROUNDING_SLACK = 1e-9
 def _stacked(cls, pairs, index):
     """``pairs``, a sequence of pairs of ``cls`` records (:class:`SDParams`
     or :class:`SDState`), as one record of (rows, 2) float arrays, one row
-    per entry of ``index``; None (``max_layoff_rate``) is held as +inf,
-    which never caps."""
-    def value(obj, name):
-        v = getattr(obj, name)
-        return math.inf if v is None else v
-    return cls(**{f.name: np.array([[value(obj, f.name) for obj in pair] for pair in pairs],
-                                   dtype=float)[index]
-                  for f in fields(cls)})
+    per entry of ``index``. A field that is None (``max_layoff_rate``) in
+    every record stays None; otherwise None is held as +inf, which never
+    caps."""
+    def column(name):
+        values = [[getattr(obj, name) for obj in pair] for pair in pairs]
+        if all(v is None for pair in values for v in pair):
+            return None
+        return np.array([[math.inf if v is None else v for v in pair] for pair in values],
+                        dtype=float)[index]
+    return cls(**{f.name: column(f.name) for f in fields(cls)})
 
 
 @dataclass
@@ -232,7 +234,8 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     With a stacked ``state`` and ``p`` (:meth:`SDState.stacked`,
     :meth:`SDParams.stacked`), ``order_rate`` and the noise fields are
     (rows, 2) arrays (or scalars); every row advances, then the lowest
-    inadmissible row raises with its own message and ``row`` set.
+    inadmissible row raises with its own message and ``row`` set; a 0-d
+    array ``dt`` saves numpy a conversion per operation.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
@@ -265,6 +268,9 @@ class _Ops(NamedTuple):
     lesser: Callable    # ``y if y < x else x``
     pick: Callable      # ``a if c else b``
     ratio: Callable     # ``a / b``, only where ``b == 0`` is not picked
+    share: Callable     # ``lesser(1.0, pos(a / b))``, a zero ``b`` included
+    some: Callable      # whether the condition holds for any element
+    at_least: Callable  # ``lo if x < lo else x`` for a constant ``lo`` > 0
     power: Callable     # C ``pow(x, y)`` of a positive ``x``, an overflow +inf
 
 
@@ -275,18 +281,35 @@ def _pow(x, y):
         return math.inf
 
 
+def _share(a, b):
+    if not b:       # IEEE ``a / 0.0``, as numpy divides: +-inf or NaN
+        return 1.0 if a * math.copysign(1.0, b) > 0.0 else 0.0
+    x = a / b
+    return x if 0.0 < x < 1.0 else (1.0 if x >= 1.0 else 0.0)
+
+
 _FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
                lesser=lambda x, y: y if y < x else x,
                pick=lambda c, a, b: a if c else b,
                ratio=lambda a, b: a / b if b else 0.0,
+               share=_share,
+               some=bool,
+               at_least=lambda x, lo: lo if x < lo else x,
                power=_pow)
-# ``fmax`` drops NaN for 0.0 and adding 0.0 turns its -0.0 into 0.0;
+# 0-d constants spare numpy a conversion per call. ``fmax`` drops NaN for
+# 0.0 and adding 0.0 turns its -0.0 into 0.0. ``minimum`` and ``maximum``
+# keep NaN and part from ``lesser`` only on NaN and ties of signed zeros:
+# ``share`` takes neither from ``pos``, ``at_least`` no zero bound.
 # ``float_power`` calls C ``pow`` per element, where ``np.power`` rounds
 # differently on a few percent of them
-_ARRAYS = _Ops(pos=lambda x: np.fmax(x, 0.0) + 0.0,
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ARRAYS = _Ops(pos=lambda x: np.fmax(x, _ZERO) + _ZERO,
                lesser=lambda x, y: np.where(y < x, y, x),
                pick=np.where,
                ratio=operator.truediv,
+               share=lambda a, b: np.minimum(np.fmax(a / b, _ZERO) + _ZERO, _ONE),
+               some=np.count_nonzero,
+               at_least=np.maximum,
                power=np.float_power)
 
 
@@ -295,31 +318,42 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     """The body of :func:`step_company`, unchecked: writes the stepped state
     to ``s`` and returns the seven net flows in ``SDState.STOCK_FIELDS``
     order. Both branches of a choice are computed, so each element of the
-    array form rounds as its plain-float counterpart does."""
-    pos, lesser, pick, ratio, _ = ops
+    array form rounds as its plain-float counterpart does; a branch that
+    changes no element (the outflow rescale, the layoff cap) is skipped
+    when no element takes it."""
+    pos, lesser, pick, ratio, share, some = ops[:6]
     wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
     backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
-    order_r = pos(order_rate + noise.order)
+    # each draw is added inside ``pos``, which maps -0.0 and NaN as it maps
+    # their sums with 0.0, so the zero draws of ``ZERO_NOISE`` are not added
+    quiet = noise is ZERO_NOISE
+    order_r = pos(order_rate if quiet else order_rate + noise.order)
 
     # production: smoothed gap-closing toward desired inventory and WIP
     lam = p.lam_prod
-    d_inv = pos((p.order_processing_time + p.safety_stock_cov) * order_r + noise.inv)
+    d_inv = (p.order_processing_time + p.safety_stock_cov) * order_r
+    d_inv = pos(d_inv if quiet else d_inv + noise.inv)
     a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * s.a_prod
     lam = p.lam_wip
-    d_wip = pos((a_prod + order_r) * p.cycle_time + noise.wip)
+    d_wip = (a_prod + order_r) * p.cycle_time
+    d_wip = pos(d_wip if quiet else d_wip + noise.wip)
     a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * s.a_wip
-    d_prod_br = pos(a_wip + a_prod + order_r + noise.prod)
+    d_prod_br = a_wip + a_prod + order_r
+    d_prod_br = pos(d_prod_br if quiet else d_prod_br + noise.prod)
 
     # raw material sub-chain, mirroring finished-goods logistics with an
     # infinite upstream and a first-order transit delay
     rm_desired = p.rm_inventory_cov * d_prod_br
-    rm_fulfill = pick(rm_desired > 0, lesser(1.0, pos(ratio(rm_inv, rm_desired))), 1.0)
+    rm_fulfill = pick(rm_desired > 0, share(rm_inv, rm_desired), 1.0)
     msr = lesser(d_prod_br * rm_fulfill, rm_inv / dt)
-    rm_arrival_r = lesser(rm_transit / p.rm_lead_time, rm_transit / dt)
+    # a first-order outflow ``stock / max(time, dt)`` is ``lesser(stock /
+    # time, stock / dt)`` for every stock >= 0, -0.0 and NaN: division by a
+    # positive number is monotone
+    rm_arrival_r = rm_transit / pick(dt > p.rm_lead_time, dt, p.rm_lead_time)
 
     per_worker = p.labor_productivity * p.labor_hours
     prod_br = pos(lesser(lesser(labor * per_worker, msr), d_prod_br))
-    prod_cr = lesser(wip / p.cycle_time, wip / dt)
+    prod_cr = wip / pick(dt > p.cycle_time, dt, p.cycle_time)
     # reorder to replace actual usage plus an inventory-gap correction
     rm_order_r = pos(prod_br + (rm_desired - rm_inv) / p.rm_lead_time)
 
@@ -331,21 +365,23 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     lam = p.lam_vac
     a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * s.a_vac
     vac_br = pos(a_labor + a_vac)
-    hire_r = lesser(vac / p.vac_fulfillment_time, vac / dt)
+    hire_r = vac / pick(dt > p.vac_fulfillment_time, dt, p.vac_fulfillment_time)
     retire_r = labor / p.employment_time
     layoff_r = lesser(pos(-a_labor), labor / p.layoff_time)
-    if p.max_layoff_rate is not None:     # the array form holds None as +inf
+    if p.max_layoff_rate is not None:     # stacked: +inf where uncapped
         layoff_r = lesser(layoff_r, p.max_layoff_rate)
     # the outflow may take at most the workforce on hand
     out = (retire_r + layoff_r) * dt
     over = out > labor
-    scale = ratio(labor, out)
-    retire_r = pick(over, retire_r * scale, retire_r)
-    layoff_r = pick(over, layoff_r * scale, layoff_r)
+    if some(over):
+        scale = ratio(labor, out)
+        retire_r = pick(over, retire_r * scale, retire_r)
+        layoff_r = pick(over, layoff_r * scale, layoff_r)
 
-    # shipments with backlog clearance, limited by on-hand inventory
-    fulfill = pick(d_inv > 0, lesser(1.0, pos(ratio(inv, d_inv))),
-                   pick(inv > 0, 1.0, 0.0))
+    # shipments with backlog clearance, limited by on-hand inventory; with
+    # nothing desired (``d_inv`` is +0.0) the share is 1 if any stock is on
+    # hand, else 0 (0 / 0 is NaN, which ``pos`` maps to 0)
+    fulfill = share(inv, d_inv)
     x = (order_r + backlog / p.order_processing_time) * fulfill
     ship_r = pos(lesser(lesser(x, inv / dt), order_r + backlog / dt))
 
@@ -440,10 +476,10 @@ def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
         new_mp = _market_price(mp, new.T, params.mp_fulfillment_time[:, 0], dt,
                                mp_bounds, _ARRAYS)
         # a price is mp times positive multipliers: not positive if mp <= 0
-        bad = ~((new > 0.0) & (new < math.inf)).all(axis=1)
+        ok = (new > 0.0) & (new < math.inf)
     try:
-        if bad.any():
-            row = int(np.argmax(bad))
+        if not ok.all():    # a reduction over the pair axis is slow: only here
+            row = int(np.argmin(ok.all(axis=1)))
             raise _price_error(float(mp[row]), new[row].tolist(), row)
     finally:
         prices[...], mp[...] = new, new_mp
@@ -453,8 +489,8 @@ def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
 def _price(mp, p: SDParams, cov, ops: _Ops):
     """The body of :func:`step_pricing`: a company's price, unchecked."""
     f_cost = 1.0 + p.price_sens_cost * (p.unit_cost / mp - 1.0)
-    f_cost = ops.pick(f_cost < 1e-9, 1e-9, f_cost)
-    cov = ops.pick(cov < EPS_COVERAGE, EPS_COVERAGE, cov)
+    f_cost = ops.at_least(f_cost, 1e-9)
+    cov = ops.at_least(cov, EPS_COVERAGE)
     return mp * f_cost * ops.power(cov / p.max_inv_cov, p.price_sens_invcov)
 
 

@@ -557,5 +557,24 @@ class TestSolveAndStability:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err and str(path) in err
 
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    @pytest.mark.parametrize("cell", ["1.0;-3;0.0|1.0;-3;0.0", "2.0;0;0.0|3.0;2;0.1",
+                                      "2.0;2;0.1|3.0;2;-0.5", "2.0;2;nan|3.0;2;0.1"],
+                             ids=["negative-count", "zero-count", "negative-variance",
+                                  "nan-variance"])
+    def test_impossible_cell_is_validation_error(self, tmp_path, capsys, command, cell):
+        # no sample set has such a count or variance: refused on read, not
+        # left to fail or run silently in the stability draw
+        path = self.make_matrix(tmp_path)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[2][1] = cell
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        steps = ["--steps", "20"] if command == "stability" else []
+        assert main([command, "--game", str(path), *steps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed payoff cell") and str(path) in err
+        assert "at row 1, column 0" in err
+
     def test_missing_matrix_is_validation_error(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "none.csv")]) == 2

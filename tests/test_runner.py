@@ -9,6 +9,7 @@ import pytest
 from duogame import market, runner
 from duogame.draws import RowStreams
 from duogame.errors import ParameterError, ReplicationError, StateError
+from duogame.factors import FACTOR_DEFS, LEVEL_LABELS, materialize
 from duogame.market import MarketParams
 from duogame.runner import (
     CompanySpec,
@@ -21,13 +22,17 @@ from duogame.runner import (
 )
 from duogame.supply_chain import (
     EPS_COVERAGE,
+    ZERO_NOISE,
     NoiseDraws,
     SDParams,
     SDState,
+    _admissible,
+    _settle,
     steady_state,
     step_company,
     step_pricing,
 )
+from step_reference import REF_ARRAYS, REF_FLOATS, reference_advance
 from warmup_tools import detect_warmup
 
 
@@ -531,6 +536,138 @@ class TestKernelWidths:
         calls.clear()
         run_replication(default_specs(), self.SETTINGS, [1] * runner.WIDE)
         assert calls == [("_array_steps", runner.WIDE)] * days
+
+
+def reference_step(state, p, order_rate, noise=ZERO_NOISE, dt=0.25):
+    """``state`` after one sub-step of the reference body (``step_reference``),
+    settled and checked as ``step_company`` does, and its per-row (array) or
+    whole (float) admissibility; ``state`` itself is left as it was."""
+    ref = replace(state)
+    arrays = isinstance(p.cycle_time, np.ndarray)
+    with np.errstate(all="ignore"):
+        reference_advance(ref, p, order_rate, noise, dt, REF_ARRAYS if arrays else REF_FLOATS)
+        ok = _admissible(ref)
+        if not np.all(ok):
+            ok = _settle(ref, np.where if arrays else REF_FLOATS.pick)
+    return ref, ok
+
+
+def assert_steps_as_reference(state, p, order_rate, noise=ZERO_NOISE, dt=0.25):
+    """Step ``state`` in place with ``step_company`` and check every field
+    against :func:`reference_step`, and the error, if any, against the
+    reference's lowest inadmissible row."""
+    expected, ok = reference_step(state, p, order_rate, noise, dt)
+    error = None
+    try:
+        step_company(state, p, order_rate, noise, dt)
+    except StateError as exc:
+        error = exc
+    for f in fields(SDState):
+        assert same(getattr(state, f.name), getattr(expected, f.name)), f.name
+    if isinstance(p.cycle_time, np.ndarray):
+        failed = np.flatnonzero(~np.all(ok, axis=1))
+        assert (error is None) == (failed.size == 0)
+        assert error is None or error.row == failed[0]
+    else:
+        assert (error is None) == bool(ok)
+    return error
+
+
+def edge_rows():
+    """(params, state, order, noise) rows at the edges of the step's
+    preconditions, each admissible: zero stocks of either sign, nothing
+    wanted (``rm_desired == 0``), ``d_inv == 0`` with and without stock,
+    delays shorter than a sub-step, an outflow over the workforce on hand,
+    capped and uncapped layoffs, NaN outside the stocks; and smoothing
+    factors and capacities that differ from the default company's, so that
+    a term taken from one company's column shows."""
+    p = SDParams().validate()
+    base = steady_state(p, 100.0)
+    quiet = NoiseDraws()
+    short = SDParams(cycle_time=0.1, rm_lead_time=0.2, vac_fulfillment_time=0.05).validate()
+    own = SDParams(lam_wip=0.3, lam_prod=0.7, lam_labor=0.9, lam_vac=0.2, labor_hours=7.0,
+                   labor_productivity=0.7, order_processing_time=1.5).validate()
+    zero = SDState(price=1.5)
+    negative_zero = SDState(**{name: -0.0 for name in SDState.STOCK_FIELDS}, price=1.5)
+    layoffs = replace(base, labor=2.0, a_labor=-40.0)
+    return [row for row in special_companies() if row[1].wip >= 0 and row[1].inv >= 0
+            and math.isfinite(sum(row[1].stocks().values()))] + [
+        (p, zero, 100.0, quiet), (p, zero, 0.0, quiet), (p, negative_zero, 100.0, quiet),
+        (p, negative_zero, 0.0, NoiseDraws(inv=-50.0)), (short, base, 100.0, quiet),
+        (short, replace(base, wip=5000.0, rm_transit=1e-300, vac=7.0), 0.0, quiet),
+        (SDParams(layoff_time=0.1, max_layoff_rate=1e9).validate(), layoffs, 0.0, quiet),
+        (SDParams(layoff_time=0.05).validate(), replace(layoffs, labor=1e-300), 100.0, quiet),
+        (own, base, 100.0, quiet), (own, replace(base, a_labor=-40.0, a_prod=30.0), 50.0, quiet),
+    ]
+
+
+@pytest.mark.golden
+class TestStepAgainstReference:
+    """The company sub-step gives every element the bits of its reference
+    copy (``tests/step_reference.py``) on every state a run reaches: stocks
+    finite and >= 0 at the start of each sub-step."""
+
+    SETTINGS = SimulationSettings(run_length_days=12)
+
+    def test_edge_rows_plain_float(self):
+        for r, (p, state, order, noise) in enumerate(edge_rows()):
+            assert assert_steps_as_reference(replace(state), p, order, noise) is None, r
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_edge_rows_array(self, quiet):
+        rows = edge_rows()
+        rows = [(rows[j][0], rows[(j + 3) % len(rows)][0], rows[j][1],
+                 rows[(j + 3) % len(rows)][1], rows[j][2], rows[(j + 3) % len(rows)][2],
+                 rows[j][3], rows[(j + 3) % len(rows)][3]) for j in range(len(rows))]
+        index = np.arange(len(rows))
+        p = SDParams.stacked([row[:2] for row in rows], index)
+        state = SDState.stacked([row[2:4] for row in rows], index)
+        orders = np.array([row[4:6] for row in rows])
+        noise = ZERO_NOISE if quiet else NoiseDraws(*np.array(
+            [[[getattr(n, f) for n in row[6:]] for row in rows]
+             for f in ("wip", "prod", "order", "inv")]))
+        for _ in range(3):
+            assert assert_steps_as_reference(state, p, orders, noise) is None
+
+    def test_layoff_cap_none_in_every_row_is_kept_none(self):
+        capped = SDParams(max_layoff_rate=0.5)
+        assert SDParams.stacked([(SDParams(), SDParams())], [0]).max_layoff_rate is None
+        assert SDParams.stacked([(capped, SDParams())], [0]).max_layoff_rate.tolist() == \
+            [[0.5, math.inf]]
+
+    @pytest.mark.parametrize("case", ["default", "corner", "noisy", "layoff-cap",
+                                      "factor-levels", "deterministic", "mirror"])
+    def test_every_substep_of_a_pass(self, case, monkeypatch):
+        corner = CompanySpec(sd=SDParams(price_sens_cost=0.1, price_sens_invcov=-0.9,
+                                         safety_stock_cov=2.0))
+        noisy = CompanySpec(sd=SDParams(sigma_wip=2.0, sigma_prod=3.0,
+                                        sigma_order=5.0, sigma_inv=4.0))
+        capped = CompanySpec(sd=SDParams(max_layoff_rate=0.05, layoff_time=0.5))
+        rng = np.random.default_rng(31)
+
+        def drawn():
+            return materialize({f.name: LEVEL_LABELS[rng.integers(4)] for f in FACTOR_DEFS})
+        pairs = {"default": [default_specs()], "corner": [(corner, corner)],
+                 "noisy": [(noisy, noisy), (noisy, CompanySpec())],
+                 "layoff-cap": [(capped, CompanySpec()), (capped, capped)],
+                 "factor-levels": [(drawn(), drawn()) for _ in range(6)]}.get(case, mixed_pairs())
+        settings = replace(self.SETTINGS, deterministic_marketing=case == "deterministic")
+        forms = []
+
+        def checked(state, p, order_rate, noise=ZERO_NOISE, dt=0.25, ledger=None):
+            forms.append(isinstance(p.cycle_time, np.ndarray))
+            error = assert_steps_as_reference(state, p, order_rate, noise, dt)
+            if error is not None:
+                raise error
+            return state
+
+        monkeypatch.setattr(runner, "step_company", checked)
+        for width in (3, runner.WIDE + 2):
+            specs = [pairs[j % len(pairs)] for j in range(width)]
+            run_replication(specs, settings, replication_seeds(9, 2, width),
+                            mirror=case == "mirror", series=False)
+        substeps = settings.run_length_days * 4
+        assert forms.count(True) == substeps and forms.count(False) == 3 * 2 * substeps
 
 
 class TestWideDivergence:

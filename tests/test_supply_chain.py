@@ -8,6 +8,7 @@ from duogame.errors import ParameterError, StateError
 from duogame.factors import FACTORS, LEVEL_LABELS
 from duogame.supply_chain import (
     _ARRAYS,
+    _FLOATS,
     EPS_COVERAGE,
     ROUNDING_SLACK,
     FlowLedger,
@@ -393,6 +394,24 @@ class TestPricingEdges:
         assert tail[0] == math.inf and tail[1] == 2.0 ** 537
         assert tail[3:6] == [1.0] * 3 and tail[7] == tail[9] == 1.0
         assert math.isnan(tail[6]) and math.isnan(tail[8])
+
+
+@pytest.mark.golden
+def test_array_ops_match_plain_float_ops():
+    # every element of the array form's clamps, minima and shares has the
+    # bits of the plain-float operation, at signed zeros, subnormals,
+    # infinities and NaN
+    edges = [-math.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.0, math.inf, math.nan]
+    x, y = np.meshgrid(edges, edges)
+    with np.errstate(all="ignore"):
+        cases = [("pos", (x,)), ("lesser", (x, y)), ("share", (x, y)),
+                 ("at_least", (x, np.full_like(x, 1e-9))),
+                 ("at_least", (x, np.full_like(x, EPS_COVERAGE)))]
+        for name, args in cases:
+            got = getattr(_ARRAYS, name)(*args)
+            expected = list(map(getattr(_FLOATS, name), *(a.ravel().tolist() for a in args)))
+            assert got.ravel().view(np.int64).tolist() == \
+                np.array(expected, dtype=float).view(np.int64).tolist(), name
 
 
 @pytest.mark.golden
