@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -90,13 +91,15 @@ def read_payoff_matrix(path) -> EmpiricalGame:
 
 def _cell_stats(cell: str) -> list:
     """Both players' ``(mean, n, variance)`` in a matrix cell; raises
-    ValueError when the cell is malformed or holds what no sample set has:
-    a count below 1, or a negative or NaN variance."""
+    ValueError when the cell is malformed or holds what no sample set of
+    payoffs has: a count below 1, a mean that is not finite, or a variance
+    that is negative or not finite."""
     parts = [part.split(";") for part in cell.split("|")]
     if len(parts) != 2 or any(len(part) != 3 for part in parts):
         raise ValueError(cell)
     stats = [(float(mean), int(count), float(var)) for mean, count, var in parts]
-    if any(count < 1 or not var >= 0.0 for _, count, var in stats):
+    if any(count < 1 or not math.isfinite(mean) or not 0.0 <= var < math.inf
+           for mean, count, var in stats):
         raise ValueError(cell)
     return stats
 

@@ -14,16 +14,17 @@ product counts every row's neighbors, then the agents are decided from
 their score differences in slices of ``market.BLOCK`` rows with the agents
 innermost. Then the supply chains and pricing of every row run the day's
 sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (14,
-just past where the array body overtakes the float body), both companies of
-every row are one stacked :class:`SDState` and :class:`SDParams` of (rows,
-2) arrays, stepped by the company step and the pricing step in their array
-form once per sub-step; below it each replication runs both steps in their
-plain-float form. The float body stays because the array body's fixed cost
-per sub-step is some 175 numpy calls of under 1 us each: a one-row
-replication took 3.7 times as long on it as in plain floats (112 against
-30 ms, medians of 15 alternating runs, 2-core host). Both forms perform the
-same float operations in the same order, and both bodies the same
-bookkeeping.
+past where the array body overtakes the float body), both companies of
+every row are one stacked :class:`SDState` and one :class:`PassParams` of
+(rows, 2) arrays, stepped by the company step and the pricing step in their
+array form once per sub-step, under one numpy error state for the pass;
+below it each replication runs both steps in their plain-float form. The
+float body stays because the array body's fixed cost per sub-step is still
+124 numpy calls of under 1 us each (99 in the company step with its stock
+check, 5 in the booking, 20 in pricing): a one-row replication took 2.4
+times as long on it as in plain floats (46 against 19 ms, medians of 15
+alternating runs, 2-core host). Both forms perform the same float
+operations in the same order, and both bodies the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
@@ -59,6 +60,7 @@ from .network import generate_ba_network
 from .supply_chain import (
     ZERO_NOISE,
     NoiseDraws,
+    PassParams,
     SDParams,
     SDState,
     steady_state,
@@ -182,11 +184,11 @@ _network_cache: dict = {}
 # Rows from which the supply chains and pricing step as (rows, 2) arrays, one
 # company step and one pricing step per sub-step for the whole call; fewer
 # rows step in plain floats, one company at a time. An array sub-step costs
-# 120-170 us whatever the width up to a few dozen rows, a plain-float company
-# step about 4 us. Per replication the array body took 1.04-1.16 times the
-# float body's time at 11 rows, 0.96-1.05 at 12, 0.91-0.96 at 13 and 0.87 at
-# 14 (medians of eleven and fifteen runs, both bodies alternating, 2-core
-# host). 13 would do as well; tests name their widths after this constant.
+# 80-110 us whatever the width up to 136 rows (160 us at 430), a plain-float
+# company step about 4 us. Per replication the array body took 0.93 times
+# the float body's time at 8 rows, 0.81 at 9 and 0.6-0.73 at 10 to 14
+# (medians of fifteen runs, both bodies alternating, 2-core host), so 8
+# would do; it stays 14 because tests name their widths after it.
 WIDE = 14
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
@@ -275,13 +277,15 @@ class _Rows:
                       if series else None)
         self.wide = n >= WIDE
         self.substeps = max(1, round(1.0 / settings.dt))
-        # a 0-d array spares numpy converting a float in every operation
-        self.dt = np.array(settings.dt) if self.wide else settings.dt
         if self.wide:
-            self.p = SDParams.stacked([setup[1] for setup in setups], index)
+            pairs = [setup[1] for setup in setups]
+            self.p = PassParams(SDParams.stacked(pairs, np.arange(len(pairs))), settings.dt,
+                                index)
+            self.dt = self.p.dt
             self.s = SDState.stacked([setup[2] for setup in setups], index)
             self.s.price = self.prices     # stepped in place by the array pricing
         else:
+            self.dt = settings.dt
             self.params = [setups[k][1] for k in index]
             self.sd = [[replace(state) for state in setups[k][2]] for k in index]
 
@@ -300,10 +304,9 @@ class _Rows:
         if self.daily is not None:
             self.daily = self.daily[:, :, :rows]
         if self.wide:
-            for record in (self.s, self.p):
-                for name, value in list(vars(record).items()):
-                    if value is not None:
-                        setattr(record, name, value[:rows])
+            for name, value in list(vars(self.s).items()):
+                setattr(self.s, name, value[:rows])
+            self.p.truncate(rows)
         else:
             self.sd, self.params = self.sd[:rows], self.params[:rows]
 
@@ -449,18 +452,26 @@ class _Rows:
 
 
 def _book(totals, revenue, key, s: SDState, price, dt: float, collect: bool) -> None:
-    """Book one sub-step of ``s``: its income into ``revenue[key]`` and,
-    when ``collect``, its income and quantities into ``totals[0]`` to
-    ``totals[5]``. Either one company's plain floats (``totals`` its list,
-    ``key`` its column) or every row's arrays (``key`` is ``...``)."""
-    income = s.ship_r * price * dt
-    if collect:
-        totals[0] += income
-        totals[1] += s.prod_br * dt
-        totals[2] += s.rm_order_r * dt
-        totals[3] += s.ship_r * dt
-        totals[4] += s.inv * dt
-        totals[5] += s.backlog * dt
+    """Book one sub-step of ``s``: its income ``ship_r * price * dt`` into
+    ``revenue[key]`` and, when ``collect``, its income and quantities times
+    ``dt`` into ``totals[0]`` to ``totals[5]``. Either one company's plain
+    floats (``totals`` its list, ``key`` its column) or every row's arrays
+    (``key`` is ``...``), their products and adds taken as one block."""
+    if key is not ... or not collect:
+        income = s.ship_r * price * dt
+        if collect:
+            totals[0] += income
+            totals[1] += s.prod_br * dt
+            totals[2] += s.rm_order_r * dt
+            totals[3] += s.ship_r * dt
+            totals[4] += s.inv * dt
+            totals[5] += s.backlog * dt
+    else:
+        booked = np.array((s.ship_r * price, s.prod_br, s.rm_order_r, s.ship_r, s.inv,
+                           s.backlog))
+        booked *= dt
+        totals[:6] += booked
+        income = booked[0]
     revenue[key] += income
 
 
@@ -484,22 +495,26 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     mk = market.marketing
     fixed = settings.fixed_share_split
     failure = None
-    for day in range(settings.run_length_days):
-        collect = not (settings.truncate_warmup and day < settings.warmup_days)
-        if day % period == 0:
-            mk.mb[:], mk.ad[:], mk.pm[:] = chain.start_period(day, settings)
-        shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
-        if fixed is not None:
-            shares[:] = (fixed, 1.0 - fixed)
-        failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor)
-        if failed is not None:
-            r, exc = failed
-            failure = (r, day, exc)
-            market.truncate(r)
-        if not chain.rows:
-            break
-        if collect and day % period == period - 1:
-            chain.close_period(mk.mb, mk.inter)
+    # the array sub-step steps its pass record in this error state (see
+    # ``PassParams``): a diverging row's overflow and NaN are its stock or
+    # price check's to report, not warnings
+    with np.errstate(all="ignore"):
+        for day in range(settings.run_length_days):
+            collect = not (settings.truncate_warmup and day < settings.warmup_days)
+            if day % period == 0:
+                mk.mb[:], mk.ad[:], mk.pm[:] = chain.start_period(day, settings)
+            shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
+            if fixed is not None:
+                shares[:] = (fixed, 1.0 - fixed)
+            failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor)
+            if failed is not None:
+                r, exc = failed
+                failure = (r, day, exc)
+                market.truncate(r)
+            if not chain.rows:
+                break
+            if collect and day % period == period - 1:
+                chain.close_period(mk.mb, mk.inter)
     if failure is not None:
         r, day, exc = failure
         raise ReplicationError(f"replication diverged on day {day}: {exc}",

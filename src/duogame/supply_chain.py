@@ -13,18 +13,20 @@ exact up to floating point.
 
 :func:`step_company` and :func:`step_pricing` advance either one company
 pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
-once (:meth:`SDState.stacked`, :meth:`SDParams.stacked`), every quantity
-then a (rows, 2) array. Each has one body, :func:`_advance` and
-:func:`_price`, in two forms: its clamps, minima, choices and powers are
-plain-float operations, fastest for one pair, or numpy calls, which perform
-the same operations in the same order, so a row's numbers do not depend on
-the form that computed them.
+once (:meth:`SDState.stacked`, :meth:`SDParams.stacked` or a pass's
+:class:`PassParams`), every quantity then a (rows, 2) array. Each has one
+body, :func:`_advance` and :func:`_price`, in two forms: its clamps,
+minima, choices, powers and stock blocks are plain-float operations,
+fastest for one pair, or numpy calls, which perform the same operations in
+the same order, so a row's numbers do not depend on the form that computed
+them.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
@@ -144,6 +146,13 @@ class SDParams:
             raise ParameterError("unit_cost must be >= 0")
         if self.max_layoff_rate is not None and not self.max_layoff_rate >= 0:  # or NaN
             raise ParameterError("max_layoff_rate must be None or >= 0")
+        # the band clamps with ``maximum`` and ``minimum``, which agree with the
+        # plain-float comparisons only for bounds that are positive, not NaN
+        if not self.mp_floor_ratio > 0:
+            raise ParameterError(f"mp_floor_ratio must be > 0, got {self.mp_floor_ratio}")
+        if not self.mp_cap_ratio >= self.mp_floor_ratio:
+            raise ParameterError(f"mp_cap_ratio must be >= mp_floor_ratio "
+                                 f"({self.mp_floor_ratio}), got {self.mp_cap_ratio}")
         return self
 
     @property
@@ -216,6 +225,52 @@ class FlowLedger:
         self.flows[stock] = self.flows.get(stock, 0.0) + net_rate * dt
 
 
+class PassParams:
+    """A stacked :class:`SDParams` (:meth:`SDParams.stacked`) made ready for
+    the sub-steps of one pass at one ``dt``: the fields the array body reads,
+    each a (rows, 2) array (``max_layoff_rate`` None when no row caps its
+    layoffs), the terms that depend on the parameters and ``dt`` alone
+    (:func:`_terms`), company 0's market-price adjustment time ``mp_time``,
+    a (rows,) array, and ``dt``, a 0-d array.
+
+    :func:`step_company` and :func:`step_pricing` step a pass record at its
+    own ``dt`` (pass ``p.dt``) and in the caller's numpy error state, which
+    is to ignore floating-point errors (``runner._run_rows`` enters that
+    state once per pass); a stacked :class:`SDParams` they step in their
+    own.
+    """
+
+    FIELDS = ("lam_prod", "lam_wip", "lam_labor", "lam_vac", "inv_fulfillment_time",
+              "cycle_time", "wip_fulfillment_time", "rm_inventory_cov", "rm_lead_time",
+              "labor_fulfillment_time", "vac_fulfillment_time", "vac_creation_time",
+              "layoff_time", "max_layoff_rate", "order_processing_time", "max_inv_cov",
+              "price_sens_cost", "unit_cost", "price_sens_invcov")
+
+    def __init__(self, p: SDParams, dt: float, index=slice(None)):
+        """The record of rows ``index`` of ``p``: every array is formed on
+        ``p``'s rows (one per distinct pair, for a pass) and taken to the
+        pass's rows once."""
+        if not dt > 0:
+            raise ParameterError(f"dt must be > 0, got {dt}")
+        for name in self.FIELDS:
+            value = getattr(p, name)
+            setattr(self, name, None if value is None else value[index])
+        self.mp_time = p.mp_fulfillment_time[index, 0]
+        # a 0-d array spares numpy converting a float in every operation
+        self.dt = np.array(dt, dtype=float)
+        *terms, delays = _terms(p, self.dt, np.where)
+        self.terms = (*(term[index] for term in terms), np.array(delays)[:, index])
+
+    def truncate(self, rows: int) -> None:
+        """Keep only the first ``rows`` rows."""
+        for name in self.FIELDS + ("mp_time",):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, value[:rows])
+        *terms, delays = self.terms
+        self.terms = (*(term[:rows] for term in terms), delays[:, :rows])
+
+
 def step_company(state: SDState, p: SDParams, order_rate: float,
                  noise: NoiseDraws = ZERO_NOISE, dt: float = 0.25,
                  ledger: FlowLedger | None = None) -> SDState:
@@ -231,32 +286,50 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
     [0, 1]. ``ledger`` books each stock's net flow. Returns ``state``.
 
-    With a stacked ``state`` and ``p`` (:meth:`SDState.stacked`,
-    :meth:`SDParams.stacked`), ``order_rate`` and the noise fields are
-    (rows, 2) arrays (or scalars); every row advances, then the lowest
-    inadmissible row raises with its own message and ``row`` set; a 0-d
-    array ``dt`` saves numpy a conversion per operation.
+    With a stacked ``state`` (:meth:`SDState.stacked`) and a stacked ``p``
+    (:meth:`SDParams.stacked`, or a :class:`PassParams` with ``dt`` its
+    ``p.dt``), ``order_rate`` and the noise fields are (rows, 2) arrays (or
+    scalars, with a stacked :class:`SDParams`); every row advances, then the
+    lowest inadmissible row raises with its own message and ``row`` set.
     """
-    if dt <= 0:
-        raise ParameterError(f"dt must be > 0, got {dt}")
-    if isinstance(p.cycle_time, np.ndarray):
-        with np.errstate(all="ignore"):
-            flows = _advance(state, p, order_rate, noise, dt, _ARRAYS)
-            ok = _admissible(state)
+    if isinstance(p, PassParams):
+        if dt is not p.dt:
+            raise ParameterError("a pass record steps at its own dt, p.dt")
+        stocks, flows = _advance(state, p, p.terms, order_rate, noise, dt, _ARRAYS)
+        # one test of the whole block; the per-row mask only if it fails
+        if not (stocks.min() >= 0.0 and stocks.max() < _SUM_BOUND):
+            ok = _admissible(stocks)
             if not ok.all():
-                ok = _settle(state, np.where)
-        if not ok.all():
-            row, company = divmod(int(np.argmin(ok.ravel())), 2)
-            raise _stock_error({name: float(getattr(state, name)[row, company])
-                                for name in SDState.STOCK_FIELDS}, row=row)
+                ok = _settle(state, stocks)
+                if not ok.all():
+                    row, company = divmod(int(np.argmin(ok.ravel())), 2)
+                    raise _stock_error({name: float(getattr(state, name)[row, company])
+                                        for name in SDState.STOCK_FIELDS}, row=row)
+    elif not dt > 0:    # NaN included
+        raise ParameterError(f"dt must be > 0, got {dt}")
+    elif isinstance(p.cycle_time, np.ndarray):
+        p = PassParams(p, dt)
+        order_rate = np.broadcast_to(order_rate, np.shape(state.wip))
+        with np.errstate(all="ignore"):
+            return step_company(state, p, order_rate, noise, p.dt, ledger)
     else:
-        flows = _advance(state, p, order_rate, noise, dt, _FLOATS)
-        if not (_admissible(state) or _settle(state, _FLOATS.pick)):
+        stocks, flows = _advance(state, p, _terms(p, dt, _FLOATS.pick), order_rate,
+                                 noise, dt, _FLOATS)
+        if not (_admissible(stocks) or _settle(state, stocks)):
             raise _stock_error(state.stocks())
     if ledger is not None:
-        for name, net in zip(SDState.STOCK_FIELDS, flows):
+        for name, net in zip(_BLOCK, flows):
             ledger.add(name, net, dt)
     return state
+
+
+# The order of a company's stocks in the blocks that :func:`_advance` divides,
+# integrates and returns: first the three that a sub-step divides by ``dt``,
+# then the four in its ``delays`` (:func:`_terms`)
+_BLOCK = ("inv", "backlog", "rm_inv", "wip", "labor", "vac", "rm_transit")
+
+# seven stocks in [0, _SUM_BOUND) have a finite sum, however it rounds
+_SUM_BOUND = sys.float_info.max / 8
 
 
 class _Ops(NamedTuple):
@@ -270,8 +343,17 @@ class _Ops(NamedTuple):
     ratio: Callable     # ``a / b``, only where ``b == 0`` is not picked
     share: Callable     # ``lesser(1.0, pos(a / b))``, a zero ``b`` included
     some: Callable      # whether the condition holds for any element
-    at_least: Callable  # ``lo if x < lo else x`` for a constant ``lo`` > 0
+    at_least: Callable  # ``lo if x < lo else x`` for a bound ``lo`` > 0
+    at_most: Callable   # ``hi if x > hi else x`` for a bound ``hi`` > 0
+    neg_part: Callable  # ``pos(-x)``
     power: Callable     # C ``pow(x, y)`` of a positive ``x``, an overflow +inf
+    # a company's seven stocks in ``_BLOCK`` order to ``(stocks, per_day)``:
+    # the stocks as one block, and the first three divided by ``dt``, the
+    # last four by ``delays``
+    per_day: Callable
+    # the stocks and net flows ``ins - outs``, in ``_BLOCK`` order, to
+    # ``(stocks + dt * flows, flows)``
+    integrate: Callable
 
 
 def _pow(x, y):
@@ -288,6 +370,38 @@ def _share(a, b):
     return x if 0.0 < x < 1.0 else (1.0 if x >= 1.0 else 0.0)
 
 
+def _per_day(stocks, delays, dt):
+    x0, x1, x2, x3, x4, x5, x6 = stocks
+    d3, d4, d5, d6 = delays
+    return stocks, (x0 / dt, x1 / dt, x2 / dt, x3 / d3, x4 / d4, x5 / d5, x6 / d6)
+
+
+def _per_day_block(stocks, delays, dt):
+    stocks = np.array(stocks)
+    return stocks, (*(stocks[:3] / dt), *(stocks[3:] / delays))
+
+
+def _integrate(stocks, ins, outs, dt):
+    x0, x1, x2, x3, x4, x5, x6 = stocks
+    a0, a1, a2, a3, a4, a5, a6 = ins
+    b0, b1, b2, b3, b4, b5, b6 = outs
+    f0, f1, f2, f3, f4, f5, f6 = flows = (a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4,
+                                          a5 - b5, a6 - b6)
+    return (x0 + dt * f0, x1 + dt * f1, x2 + dt * f2, x3 + dt * f3, x4 + dt * f4,
+            x5 + dt * f5, x6 + dt * f6), flows
+
+
+def _integrate_block(stocks, ins, outs, dt):
+    # in place, ``stocks`` (the sub-step's own copy) becoming the stepped
+    # block, so that a sub-step allocates three (7, rows, 2) blocks, not five;
+    # an IEEE sum or product does not depend on the order of its two terms
+    flows, scratch = np.array(ins), np.array(outs)
+    np.subtract(flows, scratch, out=flows)
+    np.multiply(flows, dt, out=scratch)
+    np.add(stocks, scratch, out=stocks)
+    return stocks, flows
+
+
 _FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
                lesser=lambda x, y: y if y < x else x,
                pick=lambda c, a, b: a if c else b,
@@ -295,13 +409,20 @@ _FLOATS = _Ops(pos=lambda x: x if x > 0.0 else 0.0,
                share=_share,
                some=bool,
                at_least=lambda x, lo: lo if x < lo else x,
-               power=_pow)
+               at_most=lambda x, hi: hi if x > hi else x,
+               neg_part=lambda x: -x if -x > 0.0 else 0.0,
+               power=_pow,
+               per_day=_per_day,
+               integrate=_integrate)
 # 0-d constants spare numpy a conversion per call. ``fmax`` drops NaN for
 # 0.0 and adding 0.0 turns its -0.0 into 0.0. ``minimum`` and ``maximum``
 # keep NaN and part from ``lesser`` only on NaN and ties of signed zeros:
-# ``share`` takes neither from ``pos``, ``at_least`` no zero bound.
-# ``float_power`` calls C ``pow`` per element, where ``np.power`` rounds
-# differently on a few percent of them
+# ``share`` takes neither from ``pos``, ``at_least`` and ``at_most`` no zero
+# or NaN bound. ``0.0 - fmin(x, 0.0)`` is +0.0 for x >= -0.0 and NaN, as
+# ``pos(-x)`` is, and -x below. ``float_power`` calls C ``pow`` per element,
+# where ``np.power`` rounds differently on a few percent of them.
+# ``per_day`` and ``integrate`` take the element-wise float operations of
+# the plain-float form on (7, rows, 2) blocks
 _ZERO, _ONE = np.array(0.0), np.array(1.0)
 _ARRAYS = _Ops(pos=lambda x: np.fmax(x, _ZERO) + _ZERO,
                lesser=lambda x, y: np.where(y < x, y, x),
@@ -310,34 +431,57 @@ _ARRAYS = _Ops(pos=lambda x: np.fmax(x, _ZERO) + _ZERO,
                share=lambda a, b: np.minimum(np.fmax(a / b, _ZERO) + _ZERO, _ONE),
                some=np.count_nonzero,
                at_least=np.maximum,
-               power=np.float_power)
+               at_most=np.minimum,
+               neg_part=lambda x: _ZERO - np.fmin(x, _ZERO),
+               power=np.float_power,
+               per_day=_per_day_block,
+               integrate=_integrate_block)
 
 
-def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
+def _terms(p, dt, pick) -> tuple:
+    """The terms of :func:`_advance` that depend on ``p`` and ``dt`` alone:
+    the four ``1 - lam``, the desired inventory cover, the daily capacity per
+    worker, and ``delays``, what the WIP, labor, vacancy and raw-material
+    transit stocks are divided by for their outflows."""
+    # a first-order outflow ``stock / max(time, dt)`` is ``lesser(stock /
+    # time, stock / dt)`` for every stock >= 0, -0.0 and NaN: division by a
+    # positive number is monotone
+    return (1.0 - p.lam_prod, 1.0 - p.lam_wip, 1.0 - p.lam_labor, 1.0 - p.lam_vac,
+            p.order_processing_time + p.safety_stock_cov,
+            p.labor_productivity * p.labor_hours,
+            (pick(dt > p.cycle_time, dt, p.cycle_time), p.employment_time,
+             pick(dt > p.vac_fulfillment_time, dt, p.vac_fulfillment_time),
+             pick(dt > p.rm_lead_time, dt, p.rm_lead_time)))
+
+
+def _advance(s: SDState, p, terms: tuple, order_rate, noise: NoiseDraws, dt: float,
              ops: _Ops) -> tuple:
     """The body of :func:`step_company`, unchecked: writes the stepped state
-    to ``s`` and returns the seven net flows in ``SDState.STOCK_FIELDS``
-    order. Both branches of a choice are computed, so each element of the
-    array form rounds as its plain-float counterpart does; a branch that
-    changes no element (the outflow rescale, the layoff cap) is skipped
-    when no element takes it."""
+    to ``s`` and returns its seven stocks, as :func:`_admissible` takes
+    them, and net flows, both in ``_BLOCK`` order. ``terms`` are
+    :func:`_terms` of ``p`` and ``dt``. Both branches of a choice are
+    computed, so each element of the array form rounds as its plain-float
+    counterpart does; a branch that changes no element (the outflow rescale,
+    the layoff cap) is skipped when no element takes it."""
     pos, lesser, pick, ratio, share, some = ops[:6]
+    keep_prod, keep_wip, keep_labor, keep_vac, cover, per_worker, delays = terms
     wip, inv, labor, vac = s.wip, s.inv, s.labor, s.vac
     backlog, rm_inv, rm_transit = s.backlog, s.rm_inv, s.rm_transit
+    stocks, per_day = ops.per_day((inv, backlog, rm_inv, wip, labor, vac, rm_transit),
+                                  delays, dt)
+    inv_dt, backlog_dt, rm_inv_dt, prod_cr, retire_r, hire_r, rm_arrival_r = per_day
     # each draw is added inside ``pos``, which maps -0.0 and NaN as it maps
     # their sums with 0.0, so the zero draws of ``ZERO_NOISE`` are not added
     quiet = noise is ZERO_NOISE
     order_r = pos(order_rate if quiet else order_rate + noise.order)
 
     # production: smoothed gap-closing toward desired inventory and WIP
-    lam = p.lam_prod
-    d_inv = (p.order_processing_time + p.safety_stock_cov) * order_r
+    d_inv = cover * order_r
     d_inv = pos(d_inv if quiet else d_inv + noise.inv)
-    a_prod = lam * (d_inv - inv) / p.inv_fulfillment_time + (1.0 - lam) * s.a_prod
-    lam = p.lam_wip
+    a_prod = p.lam_prod * (d_inv - inv) / p.inv_fulfillment_time + keep_prod * s.a_prod
     d_wip = (a_prod + order_r) * p.cycle_time
     d_wip = pos(d_wip if quiet else d_wip + noise.wip)
-    a_wip = lam * (d_wip - wip) / p.wip_fulfillment_time + (1.0 - lam) * s.a_wip
+    a_wip = p.lam_wip * (d_wip - wip) / p.wip_fulfillment_time + keep_wip * s.a_wip
     d_prod_br = a_wip + a_prod + order_r
     d_prod_br = pos(d_prod_br if quiet else d_prod_br + noise.prod)
 
@@ -345,29 +489,19 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     # infinite upstream and a first-order transit delay
     rm_desired = p.rm_inventory_cov * d_prod_br
     rm_fulfill = pick(rm_desired > 0, share(rm_inv, rm_desired), 1.0)
-    msr = lesser(d_prod_br * rm_fulfill, rm_inv / dt)
-    # a first-order outflow ``stock / max(time, dt)`` is ``lesser(stock /
-    # time, stock / dt)`` for every stock >= 0, -0.0 and NaN: division by a
-    # positive number is monotone
-    rm_arrival_r = rm_transit / pick(dt > p.rm_lead_time, dt, p.rm_lead_time)
+    msr = lesser(d_prod_br * rm_fulfill, rm_inv_dt)
 
-    per_worker = p.labor_productivity * p.labor_hours
     prod_br = pos(lesser(lesser(labor * per_worker, msr), d_prod_br))
-    prod_cr = wip / pick(dt > p.cycle_time, dt, p.cycle_time)
     # reorder to replace actual usage plus an inventory-gap correction
     rm_order_r = pos(prod_br + (rm_desired - rm_inv) / p.rm_lead_time)
 
     # labor chain
-    lam = p.lam_labor
-    a_labor = (lam * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
-               + (1.0 - lam) * s.a_labor)
+    a_labor = (p.lam_labor * (d_prod_br / per_worker - labor) / p.labor_fulfillment_time
+               + keep_labor * s.a_labor)
     d_vac = pos(p.vac_fulfillment_time * a_labor)
-    lam = p.lam_vac
-    a_vac = lam * (d_vac - vac) / p.vac_creation_time + (1.0 - lam) * s.a_vac
+    a_vac = p.lam_vac * (d_vac - vac) / p.vac_creation_time + keep_vac * s.a_vac
     vac_br = pos(a_labor + a_vac)
-    hire_r = vac / pick(dt > p.vac_fulfillment_time, dt, p.vac_fulfillment_time)
-    retire_r = labor / p.employment_time
-    layoff_r = lesser(pos(-a_labor), labor / p.layoff_time)
+    layoff_r = lesser(ops.neg_part(a_labor), labor / p.layoff_time)
     if p.max_layoff_rate is not None:     # stacked: +inf where uncapped
         layoff_r = lesser(layoff_r, p.max_layoff_rate)
     # the outflow may take at most the workforce on hand
@@ -383,45 +517,42 @@ def _advance(s: SDState, p, order_rate, noise: NoiseDraws, dt: float,
     # hand, else 0 (0 / 0 is NaN, which ``pos`` maps to 0)
     fulfill = share(inv, d_inv)
     x = (order_r + backlog / p.order_processing_time) * fulfill
-    ship_r = pos(lesser(lesser(x, inv / dt), order_r + backlog / dt))
+    ship_r = pos(lesser(lesser(x, inv_dt), order_r + backlog_dt))
 
-    flows = (prod_br - prod_cr, prod_cr - ship_r, hire_r - retire_r - layoff_r,
-             vac_br - hire_r, order_r - ship_r, rm_arrival_r - prod_br,
-             rm_order_r - rm_arrival_r)
-    s.wip = wip + dt * flows[0]
-    s.inv = inv = inv + dt * flows[1]
-    s.labor = labor + dt * flows[2]
-    s.vac = vac + dt * flows[3]
-    s.backlog = backlog + dt * flows[4]
-    s.rm_inv = rm_inv + dt * flows[5]
-    s.rm_transit = rm_transit + dt * flows[6]
+    # the net flows ``hire - retire - layoff`` and so on
+    stocks, flows = ops.integrate(
+        stocks,
+        (prod_cr, order_r, rm_arrival_r, prod_br, hire_r - retire_r, vac_br, rm_order_r),
+        (ship_r, ship_r, prod_br, prod_cr, layoff_r, hire_r, rm_arrival_r), dt)
+    s.inv, s.backlog, s.rm_inv, s.wip, s.labor, s.vac, s.rm_transit = stocks
     s.a_prod, s.a_wip, s.a_labor, s.a_vac = a_prod, a_wip, a_labor, a_vac
     s.prod_br, s.ship_r, s.rm_order_r = prod_br, ship_r, rm_order_r
     # idle line: coverage pegged to capacity
-    s.inv_cov = pick(ship_r > 0, ratio(inv, ship_r), p.max_inv_cov)
-    return flows
+    s.inv_cov = pick(ship_r > 0, ratio(s.inv, ship_r), p.max_inv_cov)
+    return stocks, flows
 
 
-def _admissible(s: SDState):
-    """Whether every stock of ``s`` is finite and non-negative, per row and
-    company of a stacked ``s``, checked on one (7, rows, 2) stack of them."""
-    if isinstance(s.wip, np.ndarray):
-        stocks = np.array([getattr(s, name) for name in SDState.STOCK_FIELDS])
-        # an axis-0 reduce adds in field order, as the chained sum below does
-        return (stocks >= 0).all(0) & (abs(np.add.reduce(stocks, axis=0)) < math.inf)
-    return ((s.wip >= 0) & (s.inv >= 0) & (s.labor >= 0) & (s.vac >= 0)
-            & (s.backlog >= 0) & (s.rm_inv >= 0) & (s.rm_transit >= 0)
-            & (abs(s.wip + s.inv + s.labor + s.vac + s.backlog + s.rm_inv
-                   + s.rm_transit) < math.inf))
+def _admissible(stocks):
+    """Whether every stock and the sum of the stocks in
+    ``SDState.STOCK_FIELDS`` order are finite and non-negative: ``stocks``
+    is one company's seven in ``_BLOCK`` order, or a (7, rows, 2) block of
+    them, then checked per row and company."""
+    inv, backlog, rm_inv, wip, labor, vac, rm_transit = stocks
+    return ((wip >= 0) & (inv >= 0) & (labor >= 0) & (vac >= 0)
+            & (backlog >= 0) & (rm_inv >= 0) & (rm_transit >= 0)
+            & (abs(wip + inv + labor + vac + backlog + rm_inv + rm_transit) < math.inf))
 
 
-def _settle(s: SDState, pick):
+def _settle(s: SDState, stocks):
     """Set each stock of ``s`` less than ``ROUNDING_SLACK`` below zero to
-    0.0 and return :func:`_admissible` of the result."""
-    for name in SDState.STOCK_FIELDS:
-        x = getattr(s, name)
-        setattr(s, name, pick((x < 0) & (x >= -ROUNDING_SLACK), 0.0, x))
-    return _admissible(s)
+    0.0, from ``stocks``, its stocks as :func:`_admissible` takes them, and
+    return :func:`_admissible` of the result."""
+    if isinstance(stocks, np.ndarray):
+        stocks = np.where((stocks < 0) & (stocks >= -ROUNDING_SLACK), 0.0, stocks)
+    else:
+        stocks = tuple(0.0 if -ROUNDING_SLACK <= x < 0 else x for x in stocks)
+    s.inv, s.backlog, s.rm_inv, s.wip, s.labor, s.vac, s.rm_transit = stocks
+    return _admissible(stocks)
 
 
 def _stock_error(stocks: dict, row: int | None = None) -> StateError:
@@ -455,14 +586,22 @@ def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
     Returns ``(prices, mp)`` and raises :class:`StateError` when ``mp`` is
     not positive or a new price is not finite and positive.
 
-    With stacked ``params`` (:meth:`SDParams.stacked`), ``prices`` and
+    With stacked ``params`` (:meth:`SDParams.stacked`, or a
+    :class:`PassParams` with ``dt`` its ``params.dt``), ``prices`` and
     ``inv_covs`` are (rows, 2) arrays and ``mp`` and both bounds (rows,)
     arrays; every row is updated, ``prices`` and ``mp`` in place, then the
     lowest inadmissible row raises with its own message and ``row`` set.
     """
-    if dt <= 0:
+    if isinstance(params, PassParams):
+        if dt is not params.dt:
+            raise ParameterError("a pass record steps at its own dt, params.dt")
+    elif not dt > 0:    # NaN included
         raise ParameterError(f"dt must be > 0, got {dt}")
-    if not isinstance(params, SDParams):
+    elif isinstance(params, SDParams):
+        params = PassParams(params, dt)
+        with np.errstate(all="ignore"):
+            return step_pricing(prices, mp, params, inv_covs, params.dt, mp_bounds)
+    else:
         if mp <= 0:     # before ``unit_cost / mp`` can divide by zero
             raise _price_error(mp, ())
         new = (_price(mp, params[0], inv_covs[0], _FLOATS),
@@ -471,15 +610,13 @@ def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
             raise _price_error(mp, new)
         return new, _market_price(mp, new, params[0].mp_fulfillment_time, dt,
                                   mp_bounds, _FLOATS)
-    with np.errstate(all="ignore"):
-        new = _price(mp[:, None], params, inv_covs, _ARRAYS)
-        new_mp = _market_price(mp, new.T, params.mp_fulfillment_time[:, 0], dt,
-                               mp_bounds, _ARRAYS)
-        # a price is mp times positive multipliers: not positive if mp <= 0
-        ok = (new > 0.0) & (new < math.inf)
+    new = _price(mp[:, None], params, inv_covs, _ARRAYS)
+    new_mp = _market_price(mp, new.T, params.mp_time, dt, mp_bounds, _ARRAYS)
     try:
-        if not ok.all():    # a reduction over the pair axis is slow: only here
-            row = int(np.argmin(ok.all(axis=1)))
+        # a price is mp times positive multipliers: not positive if mp <= 0;
+        # NaN fails both tests, and the per-row mask is built only on failure
+        if not (new.min() > 0.0 and new.max() < math.inf):
+            row = int(np.argmin(((new > 0.0) & (new < math.inf)).all(axis=1)))
             raise _price_error(float(mp[row]), new[row].tolist(), row)
     finally:
         prices[...], mp[...] = new, new_mp
@@ -499,8 +636,7 @@ def _market_price(mp, prices, time: float, dt: float, mp_bounds, ops: _Ops):
     adjustment time ``time``, clipped into ``mp_bounds``."""
     mp = mp + dt * (((prices[0] + prices[1]) / 2.0 - mp) / time)
     if mp_bounds is not None:
-        mp = ops.pick(mp_bounds[0] > mp, mp_bounds[0], mp)
-        mp = ops.pick(mp_bounds[1] < mp, mp_bounds[1], mp)
+        mp = ops.at_most(ops.at_least(mp, mp_bounds[0]), mp_bounds[1])
     return mp
 
 

@@ -103,6 +103,21 @@ class TestLoadConfig:
         assert "max_layoff_rate" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("band,name", [
+        ({"mp_floor_ratio": float("nan")}, "mp_floor_ratio"),
+        ({"mp_floor_ratio": -1.0}, "mp_floor_ratio"),
+        ({"mp_floor_ratio": 0.0}, "mp_floor_ratio"),
+        ({"mp_floor_ratio": 6.0, "mp_cap_ratio": 5.0}, "mp_cap_ratio"),
+        ({"mp_cap_ratio": float("nan")}, "mp_cap_ratio")],
+        ids=["nan-floor", "negative-floor", "zero-floor", "floor-over-cap", "nan-cap"])
+    def test_bad_price_band_exits_2(self, tmp_path, capsys, band, name):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sd_defaults": band}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dt_must_divide_a_day(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"dt": 0.3}))  # 3 sub-steps make 0.9 days
@@ -559,12 +574,16 @@ class TestSolveAndStability:
 
     @pytest.mark.parametrize("command", ["solve", "stability"])
     @pytest.mark.parametrize("cell", ["1.0;-3;0.0|1.0;-3;0.0", "2.0;0;0.0|3.0;2;0.1",
-                                      "2.0;2;0.1|3.0;2;-0.5", "2.0;2;nan|3.0;2;0.1"],
+                                      "2.0;2;0.1|3.0;2;-0.5", "2.0;2;nan|3.0;2;0.1",
+                                      "nan;2;0.1|nan;2;0.1", "2.0;2;0.1|inf;2;0.1",
+                                      "-inf;2;0.1|3.0;2;0.1", "2.0;2;inf|3.0;2;0.1"],
                              ids=["negative-count", "zero-count", "negative-variance",
-                                  "nan-variance"])
+                                  "nan-variance", "nan-mean", "infinite-mean",
+                                  "negative-infinite-mean", "infinite-variance"])
     def test_impossible_cell_is_validation_error(self, tmp_path, capsys, command, cell):
-        # no sample set has such a count or variance: refused on read, not
-        # left to fail or run silently in the stability draw
+        # no sample set of payoffs has such a count, mean or variance: refused
+        # on read, not left to fail or run silently (a NaN mean made ``solve``
+        # report no equilibria) or in the stability draw
         path = self.make_matrix(tmp_path)
         rows = list(csv.reader(path.read_text().splitlines()))
         rows[2][1] = cell

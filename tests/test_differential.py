@@ -1,0 +1,114 @@
+"""Differential fuzz of the replication kernel.
+
+Strategy pairs are drawn with a seeded generator from the levels of
+``factors.FACTOR_DEFS``, quiet, with noise (``sigma_*`` > 0 on some
+companies) or under ``deterministic_marketing``, each with a drawn
+replication seed. Every drawn (pair, seed) must give the same payoff bytes
+however it is computed: alone, in a pass of 15 rows or of 70, on either
+sub-step body, and exactly swapped under ``mirror`` with the pair swapped;
+and every company's stocks must move by exactly what its ``FlowLedger``
+booked.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from duogame import runner
+from duogame.factors import FACTOR_DEFS, LEVEL_LABELS, materialize
+from duogame.runner import CostRates, SimulationSettings, estimate_payoffs, step_company
+from duogame.supply_chain import ZERO_NOISE, FlowLedger, SDState
+
+ROWS = 70
+SETTINGS = SimulationSettings(run_length_days=60)
+RATES = CostRates()
+SIGMAS = ("sigma_wip", "sigma_prod", "sigma_order", "sigma_inv")
+VARIANTS = {"quiet": 401, "noisy": 402, "deterministic": 403}
+
+
+def draw(variant):
+    """``ROWS`` drawn spec pairs, their seeds and the settings they run under."""
+    rng = np.random.default_rng(VARIANTS[variant])
+
+    def spec():
+        spec = materialize({f.name: LEVEL_LABELS[rng.integers(4)] for f in FACTOR_DEFS})
+        if variant != "quiet" and rng.random() < 0.5:
+            sigmas = {name: float(rng.uniform(0.5, 8.0)) for name in SIGMAS
+                      if rng.random() < 0.6}
+            spec.sd = replace(spec.sd, **(sigmas or {"sigma_order": 4.0}))
+        return spec
+
+    pairs = [(spec(), spec()) for _ in range(ROWS)]
+    # seeds of every size up to 2**128
+    seeds = [int.from_bytes(rng.bytes(16), "little") >> int(rng.integers(0, 128))
+             for _ in range(ROWS)]
+    settings = replace(SETTINGS, deterministic_marketing=variant == "deterministic")
+    return pairs, seeds, settings
+
+
+def payoffs(pairs, seeds, settings, mirror=False):
+    return estimate_payoffs(pairs, settings, RATES, len(seeds), seeds, mirror=mirror)
+
+
+@pytest.fixture(scope="module", params=list(VARIANTS))
+def drawn(request):
+    pairs, seeds, settings = draw(request.param)
+    noisy = [any(getattr(spec.sd, name) for name in SIGMAS) for pair in pairs for spec in pair]
+    assert any(noisy) == (request.param != "quiet") and not all(noisy)
+    return pairs, seeds, settings, payoffs(pairs, seeds, settings)
+
+
+def test_rows_alone_and_at_width_15(drawn):
+    pairs, seeds, settings, together = drawn
+    for j in range(ROWS):
+        alone = payoffs(pairs[j:j + 1], seeds[j:j + 1], settings)
+        assert alone.tobytes() == together[j:j + 1].tobytes(), j
+    for lo in (0, 15, 30, 45, ROWS - 15):
+        part = payoffs(pairs[lo:lo + 15], seeds[lo:lo + 15], settings)
+        assert part.tobytes() == together[lo:lo + 15].tobytes(), lo
+
+
+def test_both_sub_step_bodies(drawn, monkeypatch):
+    pairs, seeds, settings, together = drawn
+    monkeypatch.setattr(runner, "WIDE", ROWS + 1)      # 70 rows in plain floats
+    assert payoffs(pairs, seeds, settings).tobytes() == together.tobytes()
+    monkeypatch.setattr(runner, "WIDE", 1)             # one row as arrays
+    for j in range(0, ROWS, 7):
+        alone = payoffs(pairs[j:j + 1], seeds[j:j + 1], settings)
+        assert alone.tobytes() == together[j:j + 1].tobytes(), j
+
+
+def test_mirror_swaps_exactly(drawn):
+    pairs, seeds, settings, together = drawn
+    swapped = payoffs([(b, a) for a, b in pairs], seeds, settings, mirror=True)
+    assert swapped.tobytes() == np.ascontiguousarray(together[:, ::-1]).tobytes()
+
+
+@pytest.mark.parametrize("wide", [True, False], ids=["array", "float"])
+def test_stocks_conserved_through_ledger(drawn, monkeypatch, wide):
+    # each stepped state (one per pass in arrays, one per company in plain
+    # floats) books every sub-step's net flows: its stocks end where their
+    # start plus the booked flows puts them
+    pairs, seeds, settings, _ = drawn
+    books = {}
+
+    def ledgered(state, p, order_rate, noise=ZERO_NOISE, dt=0.25, ledger=None):
+        if id(state) not in books:
+            books[id(state)] = (state, {name: np.copy(value)
+                                        for name, value in state.stocks().items()},
+                                FlowLedger())
+        return step_company(state, p, order_rate, noise, dt, books[id(state)][2])
+
+    monkeypatch.setattr(runner, "step_company", ledgered)
+    monkeypatch.setattr(runner, "WIDE", 1 if wide else ROWS + 1)
+    rows = 20
+    payoffs(pairs[:rows], seeds[:rows], settings)
+    assert len(books) == (1 if wide else 2 * rows)
+    for state, start, ledger in books.values():
+        for name in SDState.STOCK_FIELDS:
+            end = np.asarray(getattr(state, name))
+            assert end.shape == start[name].shape
+            scale = np.maximum(np.maximum(abs(end), abs(start[name])), 1.0)
+            drift = abs((end - start[name]) - ledger.flows[name]) / scale
+            assert drift.max() < 1e-9, (name, drift.max())

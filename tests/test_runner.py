@@ -24,8 +24,10 @@ from duogame.supply_chain import (
     EPS_COVERAGE,
     ZERO_NOISE,
     NoiseDraws,
+    PassParams,
     SDParams,
     SDState,
+    _BLOCK,
     _admissible,
     _settle,
     steady_state,
@@ -546,17 +548,18 @@ def reference_step(state, p, order_rate, noise=ZERO_NOISE, dt=0.25):
     arrays = isinstance(p.cycle_time, np.ndarray)
     with np.errstate(all="ignore"):
         reference_advance(ref, p, order_rate, noise, dt, REF_ARRAYS if arrays else REF_FLOATS)
-        ok = _admissible(ref)
+        stocks = tuple(getattr(ref, name) for name in _BLOCK)
+        ok = _admissible(np.array(stocks) if arrays else stocks)
         if not np.all(ok):
-            ok = _settle(ref, np.where if arrays else REF_FLOATS.pick)
+            ok = _settle(ref, np.array(stocks) if arrays else stocks)
     return ref, ok
 
 
-def assert_steps_as_reference(state, p, order_rate, noise=ZERO_NOISE, dt=0.25):
+def assert_steps_as_reference(state, p, order_rate, noise=ZERO_NOISE, dt=0.25, ref_p=None):
     """Step ``state`` in place with ``step_company`` and check every field
-    against :func:`reference_step`, and the error, if any, against the
-    reference's lowest inadmissible row."""
-    expected, ok = reference_step(state, p, order_rate, noise, dt)
+    against :func:`reference_step` (of ``ref_p``, by default ``p``), and the
+    error, if any, against the reference's lowest inadmissible row."""
+    expected, ok = reference_step(state, p if ref_p is None else ref_p, order_rate, noise, dt)
     error = None
     try:
         step_company(state, p, order_rate, noise, dt)
@@ -655,8 +658,11 @@ class TestStepAgainstReference:
         forms = []
 
         def checked(state, p, order_rate, noise=ZERO_NOISE, dt=0.25, ledger=None):
-            forms.append(isinstance(p.cycle_time, np.ndarray))
-            error = assert_steps_as_reference(state, p, order_rate, noise, dt)
+            forms.append(isinstance(p, PassParams))
+            # a pass record holds only what the array body reads: the
+            # reference steps the stacked records of the pass's pairs
+            error = assert_steps_as_reference(state, p, order_rate, noise, dt,
+                                              ref_p=stacked if forms[-1] else p)
             if error is not None:
                 raise error
             return state
@@ -664,6 +670,7 @@ class TestStepAgainstReference:
         monkeypatch.setattr(runner, "step_company", checked)
         for width in (3, runner.WIDE + 2):
             specs = [pairs[j % len(pairs)] for j in range(width)]
+            stacked = SDParams.stacked([(a.sd, b.sd) for a, b in specs], np.arange(width))
             run_replication(specs, settings, replication_seeds(9, 2, width),
                             mirror=case == "mirror", series=False)
         substeps = settings.run_length_days * 4
@@ -948,3 +955,116 @@ def test_replication_seeds_match_numpy(master, tag, n, start):
 def test_replication_seeds_reject_wide_spawn_keys(tag, start):
     with pytest.raises(ParameterError, match="must lie in"):
         replication_seeds(1, tag, 3, start=start)
+
+
+class CountedArray(np.ndarray):
+    """An array whose every numpy call is counted in ``CALLS`` by name, then
+    run on plain arrays, so a call made inside another is not counted; every
+    array it returns is counted too."""
+
+    CALLS: dict = {}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self._count(f"{ufunc.__name__}.{method}")
+        if "out" in kwargs:
+            kwargs["out"] = tuple(map(_plain, kwargs["out"]))
+        return _counted(getattr(ufunc, method)(*map(_plain, inputs), **kwargs))
+
+    def __array_function__(self, func, types, args, kwargs):
+        self._count(func.__name__)
+        return _counted(func(*map(_plain, args), **{k: _plain(v) for k, v in kwargs.items()}))
+
+    @classmethod
+    def _count(cls, name):
+        cls.CALLS[name] = cls.CALLS.get(name, 0) + 1
+
+
+def _plain(x):
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_plain, x))
+    return x.view(np.ndarray) if isinstance(x, CountedArray) else x
+
+
+def _counted(x):
+    return x.view(CountedArray) if type(x) is np.ndarray else x
+
+
+class TestArraySubStepCalls:
+    """The array sub-step's fixed cost is its numpy calls, each well under a
+    microsecond of work at a few hundred rows: their count is pinned, so a
+    structural regression fails without any timing."""
+
+    # company step with its stock check, booking and pricing on a quiet pass
+    BUDGET = {"step_company": 99, "_book": 5, "step_pricing": 20}
+
+    def test_quiet_pass_call_budget(self, monkeypatch):
+        settings = SimulationSettings()
+        rows = 70
+        setups = [runner._setup(default_specs(), settings)]
+        chain = runner._Rows(setups, np.zeros(rows, dtype=int), replication_seeds(1, 0, rows),
+                             settings, False, False)
+        for record in (chain.s, chain.p):
+            for name, value in vars(record).items():
+                value = tuple(map(_counted, value)) if isinstance(value, tuple) else value
+                setattr(record, name, _counted(value))
+        for name in ("totals", "period_revenue", "mp", "bounds", "prices"):
+            setattr(chain, name, _counted(getattr(chain, name)))
+        chain.dt = chain.p.dt
+        shares = _counted(np.full((rows, 2), 0.5))
+        orders = _counted(settings.total_order_rate * np.full((rows, 2), 0.5))
+        calls = dict.fromkeys(self.BUDGET, 0)
+        make_array = np.array
+
+        def array(*args, **kwargs):
+            CountedArray._count("array")
+            return _counted(make_array(*args, **kwargs))
+
+        def tallied(name, function):
+            def call(*args, **kwargs):
+                before = sum(CountedArray.CALLS.values())
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    calls[name] += sum(CountedArray.CALLS.values()) - before
+            return call
+
+        for name in self.BUDGET:
+            monkeypatch.setattr(runner, name, tallied(name, getattr(runner, name)))
+        monkeypatch.setattr(CountedArray, "CALLS", {})
+        monkeypatch.setattr(np, "array", array)
+        with np.errstate(all="ignore"):
+            assert chain._array_steps(0, orders, shares, None, True) is None
+        monkeypatch.setattr(np, "array", make_array)
+        per_substep = {name: count / chain.substeps for name, count in calls.items()}
+        assert per_substep == self.BUDGET, CountedArray.CALLS
+        assert sum(CountedArray.CALLS.values()) == sum(self.BUDGET.values()) * chain.substeps
+        # the pass was stepped: every row booked and priced
+        assert chain.totals[1].min() > 0 and chain.period_revenue.min() > 0
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("collect", [True, False])
+def test_block_booking_matches_float_booking(collect):
+    # the array form books its income and quantities as one (6, rows, 2)
+    # product and add: every element takes the plain-float form's product
+    # and add, at signed zeros, subnormals, infinities and NaN
+    edges = [0.0, -0.0, 5e-324, 0.3, 1.7, 1e308, math.inf, math.nan]
+    rng = np.random.default_rng(5)
+    rows = 40
+    fields_ = ("ship_r", "prod_br", "rm_order_r", "inv", "backlog")
+    state = SDState(**{name: rng.choice(edges, (rows, 2)) for name in fields_})
+    price = rng.choice(edges, (rows, 2))
+    start = rng.choice(edges, (8, rows, 2))
+    totals, revenue = start.copy(), start[0].copy()
+    dt = np.array(0.25)
+    with np.errstate(all="ignore"):
+        runner._book(totals, revenue, ..., state, price, dt, collect)
+    expected = start.transpose(1, 2, 0).tolist()
+    expected_revenue = start[0].tolist()
+    for r in range(rows):
+        for i in (0, 1):
+            one = SDState(**{name: float(getattr(state, name)[r, i]) for name in fields_})
+            runner._book(expected[r][i], expected_revenue[r], i, one, float(price[r, i]),
+                         0.25, collect)
+    assert same(totals, np.array(expected).transpose(2, 0, 1))
+    assert same(revenue, np.array(expected_revenue))

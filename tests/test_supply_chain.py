@@ -13,6 +13,7 @@ from duogame.supply_chain import (
     ROUNDING_SLACK,
     FlowLedger,
     NoiseDraws,
+    PassParams,
     SDParams,
     SDState,
     _pow,
@@ -153,6 +154,41 @@ class TestStepProduction:
         with pytest.raises(ParameterError):
             step_company(s, p, 100.0, dt=0.0)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.25, math.nan], ids=["zero", "negative", "nan"])
+    def test_bad_dt_is_parameter_error_in_both_forms(self, dt):
+        # a NaN dt fails ``dt > 0`` as a zero one does, before any stock is
+        # stepped: a parameter error, not an inadmissible state
+        p = SDParams().validate()
+        s = steady_state(p, 100.0)
+        rows = SDState.stacked([(s, s)], [0])
+        stacked = SDParams.stacked([(p, p)], [0])
+        calls = [lambda: step_company(replace(s), p, 100.0, dt=dt),
+                 lambda: step_company(rows, stacked, 100.0, dt=dt),
+                 lambda: PassParams(stacked, dt),
+                 lambda: step_pricing((1.5, 1.5), 1.5, (p, p), (10.0, 10.0), dt=dt),
+                 lambda: step_pricing(np.full((1, 2), 1.5), np.full(1, 1.5), stacked,
+                                      np.full((1, 2), 10.0), dt=dt)]
+        for call in calls:
+            with pytest.raises(ParameterError, match="dt must be > 0"):
+                call()
+        assert rows.wip.tolist() == [[s.wip, s.wip]]
+
+    def test_pass_record_steps_at_its_own_dt(self):
+        # its terms were formed with its dt: another dt object is refused,
+        # even of the same value
+        p = SDParams().validate()
+        s = steady_state(p, 100.0)
+        record = PassParams(SDParams.stacked([(p, p)], [0]), DT)
+        rows = SDState.stacked([(s, s)], [0])
+        with pytest.raises(ParameterError, match="own dt"):
+            step_company(rows, record, np.full((1, 2), 100.0), dt=DT)
+        with pytest.raises(ParameterError, match="own dt"):
+            step_pricing(rows.price, np.full(1, 1.5), record, rows.inv_cov, dt=np.array(DT))
+        with np.errstate(all="ignore"):
+            step_company(rows, record, np.full((1, 2), 100.0), dt=record.dt)
+        expected = step_company(replace(s), p, 100.0, dt=DT)
+        assert rows.wip.tolist() == [[expected.wip] * 2]
+
     def test_hand_computed_euler_step(self):
         """Straight-line re-evaluation of one sub-step from a documented seed state."""
         p = SDParams().validate()
@@ -272,6 +308,22 @@ class TestStepAdmissibility:
                 SDParams(max_layoff_rate=cap).validate()
         for cap in (None, 0.0, 0.05, math.inf):
             SDParams(max_layoff_rate=cap).validate()
+
+    @pytest.mark.parametrize("floor,cap,name", [
+        (math.nan, 5.0, "mp_floor_ratio"), (0.0, 5.0, "mp_floor_ratio"),
+        (-1.0, 5.0, "mp_floor_ratio"), (-math.inf, 5.0, "mp_floor_ratio"),
+        (6.0, 5.0, "mp_cap_ratio"), (0.2, math.nan, "mp_cap_ratio"),
+        (0.2, -1.0, "mp_cap_ratio"), (0.2, 0.1, "mp_cap_ratio")])
+    def test_price_band_must_be_positive_and_ordered(self, floor, cap, name):
+        # the band clamps with ``maximum`` and ``minimum``, exact only for
+        # positive bounds that are not NaN
+        with pytest.raises(ParameterError, match=name):
+            SDParams(mp_floor_ratio=floor, mp_cap_ratio=cap).validate()
+
+    def test_price_band_edges_accepted(self):
+        # an infinite cap is "uncapped"; a one-point band is a fixed price
+        for floor, cap in ((0.2, math.inf), (1.0, 1.0), (1e-300, 5.0)):
+            SDParams(mp_floor_ratio=floor, mp_cap_ratio=cap).validate()
 
 
 class TestStepPricing:
@@ -404,14 +456,45 @@ def test_array_ops_match_plain_float_ops():
     edges = [-math.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0, 2.0, math.inf, math.nan]
     x, y = np.meshgrid(edges, edges)
     with np.errstate(all="ignore"):
-        cases = [("pos", (x,)), ("lesser", (x, y)), ("share", (x, y)),
+        cases = [("pos", (x,)), ("lesser", (x, y)), ("share", (x, y)), ("neg_part", (x,)),
                  ("at_least", (x, np.full_like(x, 1e-9))),
                  ("at_least", (x, np.full_like(x, EPS_COVERAGE)))]
+        # the price band: bounds positive and not NaN, an infinite cap included
+        for bound in (5e-324, 0.3, 2.0, math.inf):
+            cases += [("at_least", (x, np.full_like(x, bound))),
+                      ("at_most", (x, np.full_like(x, bound)))]
         for name, args in cases:
             got = getattr(_ARRAYS, name)(*args)
             expected = list(map(getattr(_FLOATS, name), *(a.ravel().tolist() for a in args)))
             assert got.ravel().view(np.int64).tolist() == \
                 np.array(expected, dtype=float).view(np.int64).tolist(), name
+
+
+@pytest.mark.golden
+def test_block_ops_match_plain_float_ops():
+    # the array form divides and integrates a company's seven stocks as (7,
+    # rows, 2) blocks: every element takes the plain-float form's division,
+    # subtraction, product and add, at signed zeros, subnormals, infinities
+    # and NaN
+    edges = [-math.inf, -1.5, -5e-324, -0.0, 0.0, 5e-324, 0.3, 1.0, 1e308, math.inf, math.nan]
+    rng = np.random.default_rng(17)
+    rows = 60
+    stocks, ins, outs = (rng.choice(edges, (7, rows, 2)) for _ in range(3))
+    delays = rng.choice(edges[5:], (4, rows, 2))  # > 0 or NaN: what validation lets through
+    dt = np.array(0.25)
+    with np.errstate(all="ignore"):
+        block, per_day = _ARRAYS.per_day(tuple(stocks), delays, dt)
+        stepped, flows = _ARRAYS.integrate(block, tuple(ins), tuple(outs), dt)
+    assert block.shape == stepped.shape == flows.shape == (7, rows, 2)
+    for r in range(rows):
+        for i in (0, 1):
+            one = [tuple(float(x) for x in a[:, r, i]) for a in (stocks, ins, outs, delays)]
+            _, expected_per_day = _FLOATS.per_day(one[0], one[3], 0.25)
+            expected = _FLOATS.integrate(one[0], one[1], one[2], 0.25)
+            for got, want in ((np.array(per_day)[:, r, i], expected_per_day),
+                              (stepped[:, r, i], expected[0]), (flows[:, r, i], expected[1])):
+                assert got.view(np.int64).tolist() == \
+                    np.array(want, dtype=float).view(np.int64).tolist(), (r, i)
 
 
 @pytest.mark.golden
