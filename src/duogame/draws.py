@@ -188,12 +188,6 @@ class RowStreams:
         out *= _DOUBLE
         return out
 
-    def truncate(self, rows: int) -> None:
-        """Keep only the first ``rows`` rows."""
-        self.seeds = self.seeds[:rows]
-        for name in ("hi", "lo", "inc_hi", "inc_lo"):
-            setattr(self, name, getattr(self, name)[:rows])
-
 
 class _Ties(dict):
     """Each row's tie generator, ``default_rng`` of child 0, made on the

@@ -20,7 +20,8 @@ class ConfigError(DuogameError, ValueError):
 class StateError(DuogameError):
     """Simulation state is inadmissible (NaN, negative stock, non-positive price).
 
-    An array step over many rows sets ``row`` to the lowest inadmissible row.
+    An array step over many rows sets ``row`` to the lowest inadmissible row,
+    and a kernel pass sets it to the row of a failed plain-float step.
     """
 
     def __init__(self, message, row=None):

@@ -61,6 +61,8 @@ class SamplingPolicy:
             raise ParameterError("confidence must be in (0, 1)")
         if self.batch < 1:
             raise ParameterError("batch must be >= 1")
+        if not self.ecvi_floor >= 0:    # or NaN
+            raise ParameterError(f"ecvi_floor must be >= 0, got {self.ecvi_floor}")
         return self
 
     @property
@@ -96,9 +98,9 @@ class GsaSettings:
         if self.stability_update not in STABILITY_UPDATE:
             raise ParameterError(
                 f"stability_update must be one of {', '.join(STABILITY_UPDATE)}")
-        if self.epsilon_solve < 0 or self.epsilon_stability < 0:
+        if not (self.epsilon_solve >= 0 and self.epsilon_stability >= 0):  # or NaN
             raise ParameterError("epsilon_solve and epsilon_stability must be >= 0")
-        if any(eps < 0 for eps in self.tolerance_grid):
+        if not all(eps >= 0 for eps in self.tolerance_grid):
             raise ParameterError("tolerance_grid points must be >= 0")
         if self.neighbor_count < 0:
             raise ParameterError("neighbor_count must be >= 0")

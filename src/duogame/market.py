@@ -281,14 +281,6 @@ class ConsumerMarket:
         self._lift = self._reach = math.nan
         self._size = self._key = None
 
-    def truncate(self, replications: int) -> None:
-        """Keep only the first ``replications`` rows."""
-        self.adopted = self.adopted[:, :replications]
-        mk = self.marketing
-        for f in fields(mk):
-            setattr(mk, f.name, getattr(mk, f.name)[:replications])
-        self._key = None
-
     def neighbor_influence(self, least=None) -> np.ndarray:
         """Each agent's count of neighbors adopting each brand in every
         replication, from the previous day's adoption: integers of the

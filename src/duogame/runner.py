@@ -13,12 +13,12 @@ width. Each day one market call advances every row: one integer sparse
 product counts every row's neighbors, then the agents are decided from
 their score differences in slices of ``market.BLOCK`` rows with the agents
 innermost. Then the supply chains and pricing of every row run the day's
-sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (14,
-past where the array body overtakes the float body), both companies of
-every row are one stacked :class:`SDState` and one :class:`PassParams` of
-(rows, 2) arrays, stepped by the company step and the pricing step in their
-array form once per sub-step, under one numpy error state for the pass;
-below it each replication runs both steps in their plain-float form. The
+sub-steps, whose body alone depends on the width: from ``WIDE`` rows on (8,
+where the array body overtakes the float body), both companies of every row
+are one stacked :class:`SDState` and one :class:`PassParams` of (rows, 2)
+arrays, stepped by the company step and the pricing step in their array
+form once per sub-step, under one numpy error state for the pass; below it
+each replication runs both steps in their plain-float form. The
 float body stays because the array body's fixed cost per sub-step is still
 124 numpy calls of under 1 us each (99 in the company step with its stock
 check, 5 in the booking, 20 in pricing): a one-row replication took 2.4
@@ -32,7 +32,8 @@ holds per row is mainly the market's adoption and neighbor counts (3 B per
 agent at int8) and 78 B of company streams, plus about 0.9 KB for a tie
 generator on a row that has had a tie. Replications share nothing but the
 population, so every output depends on its pair and seed alone; results do
-not depend on the sample count ``n``, the width, the body or the passes.
+not depend on the sample count ``n``, the width, the body or the passes, nor
+does the replication that a divergence reports (:func:`_run_rows`).
 
 Seed discipline: the population and social network derive from a dedicated
 population seed shared by every replication of a configuration, while each
@@ -84,8 +85,8 @@ class CostRates:
     def validate(self):
         for name in ("unit_production", "unit_raw", "inventory_per_unit_day",
                      "backlog_per_unit_day", "transport_per_unit"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"cost rate {name} must be >= 0")
+            if not getattr(self, name) >= 0:    # or NaN
+                raise ParameterError(f"cost rate {name} must be >= 0, got {getattr(self, name)}")
         return self
 
 
@@ -140,6 +141,8 @@ class SimulationSettings:
             raise ParameterError(f"dt must divide a day, got {self.dt}")
         if self.n_agents < 2:
             raise ParameterError("n_agents must be >= 2")
+        if not self.per_capita_demand > 0:     # or NaN
+            raise ParameterError(f"per_capita_demand must be > 0, got {self.per_capita_demand}")
         if self.marketing_period < 1:
             raise ParameterError("marketing_period must be >= 1")
         if self.sunk_cost_mode not in ("total", "own"):
@@ -185,11 +188,11 @@ _network_cache: dict = {}
 # company step and one pricing step per sub-step for the whole call; fewer
 # rows step in plain floats, one company at a time. An array sub-step costs
 # 80-110 us whatever the width up to 136 rows (160 us at 430), a plain-float
-# company step about 4 us. Per replication the array body took 0.93 times
-# the float body's time at 8 rows, 0.81 at 9 and 0.6-0.73 at 10 to 14
-# (medians of fifteen runs, both bodies alternating, 2-core host), so 8
-# would do; it stays 14 because tests name their widths after it.
-WIDE = 14
+# company step about 4 us. Per replication the array body took 0.91-0.97
+# times the float body's time at 8 rows and 0.63-0.90 at 9 to 14, but
+# 0.97-1.14 at 7 and 1.12-1.15 at 6 (medians of fifteen default passes per
+# width, both bodies alternating, two sets, 2-core host).
+WIDE = 8
 
 # Rows per kernel pass of :func:`estimate_payoffs`: bounds what a process
 # holds at once per row, whatever the number of rows. A pass records no daily
@@ -293,23 +296,6 @@ class _Rows:
     def rows(self) -> int:
         return len(self.streams.seeds)
 
-    def truncate(self, rows: int) -> None:
-        """Keep only the first ``rows`` rows."""
-        self.streams.truncate(rows)
-        for name in ("mb_pct", "ranges", "prices", "mp", "bounds",
-                     "period_revenue", "sunk_total"):
-            setattr(self, name, getattr(self, name)[:rows])
-        self.noisy = [entry for entry in self.noisy if entry[0] < rows]
-        self.totals = self.totals[:, :rows]
-        if self.daily is not None:
-            self.daily = self.daily[:, :, :rows]
-        if self.wide:
-            for name, value in list(vars(self.s).items()):
-                setattr(self.s, name, value[:rows])
-            self.p.truncate(rows)
-        else:
-            self.sd, self.params = self.sd[:rows], self.params[:rows]
-
     def start_period(self, day, settings):
         """Budgets and advertising and promotion levels of a marketing period;
         each company stream draws ad, then pm, as ``Generator.uniform`` would,
@@ -343,44 +329,26 @@ class _Rows:
         return draws
 
     def advance_day(self, day, shares, spend_rate, collect, tor):
-        """Every row through one day; returns ``(row, error)`` for the lowest
-        row that diverged, after dropping it and every later row, or None."""
+        """Every row through one day. A row that diverges stops the day and
+        raises its :class:`StateError` with ``row`` set: the array body's
+        lowest such row on the first sub-step that has one, the float body's
+        lowest such row."""
         if collect:
             self.totals[6] += spend_rate     # one day's worth
         body = self._array_steps if self.wide else self._float_steps
-        return body(day, tor * shares, shares, self._noise(), collect)
+        body(day, tor * shares, shares, self._noise(), collect)
 
     def _array_steps(self, day, orders, shares, draws, collect):
         """A day's sub-steps of every row at once, then, when the pass records
-        them, the day's ``SERIES`` of the rows left; returns the failure as
-        :meth:`advance_day`."""
+        them, the day's ``SERIES``."""
         s, p, dt = self.s, self.p, self.dt
-        failure = None
+        noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
         for _ in range(self.substeps):
-            noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
-            failed = None
-            try:
-                step_company(s, p, orders, noise, dt)
-            except StateError as exc:
-                failed = exc
+            step_company(s, p, orders, noise, dt)
             _book(self.totals, self.period_revenue, ..., s, s.price, dt, collect)
-            try:
-                step_pricing(s.price, self.mp, p, s.inv_cov, dt=dt, mp_bounds=self.bounds.T)
-            except StateError as exc:
-                if failed is None or exc.row < failed.row:
-                    failed = exc
-            if failed is not None:
-                row = failed.row
-                failure = (row, failed)
-                self.truncate(row)
-                orders, shares = orders[:row], shares[:row]
-                if draws is not None:
-                    draws = draws[:, :row]
-                if not row:
-                    break
+            step_pricing(s.price, self.mp, p, s.inv_cov, dt=dt, mp_bounds=self.bounds.T)
         if self.daily is not None:
             self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
-        return failure
 
     def _float_steps(self, day, orders, shares, draws, collect):
         """As :meth:`_array_steps`, one row at a time in plain floats read
@@ -396,7 +364,7 @@ class _Rows:
         record = self.daily is not None
         totals = self.totals.transpose(1, 2, 0).tolist()
         revenue = self.period_revenue.tolist()
-        ends, failure = [], None
+        ends = []
         for r, (sd, params) in enumerate(zip(self.sd, self.params)):
             price, mp, period_revenue = prices[r], mps[r], revenue[r]
             try:
@@ -408,8 +376,8 @@ class _Rows:
                                              (sd[0].inv_cov, sd[1].inv_cov),
                                              dt=dt, mp_bounds=bounds[r])
             except StateError as exc:
-                failure = (r, exc)
-                break
+                exc.row = r
+                raise
             prices[r], mps[r] = price, mp
             if record:
                 s0, s1 = sd
@@ -420,11 +388,8 @@ class _Rows:
         self.mp[:] = mps
         self.totals.transpose(1, 2, 0)[:] = totals
         self.period_revenue[:] = revenue
-        if ends:    # the rows that finished the day
-            self.daily[day].transpose(1, 0, 2)[:len(ends)] = ends
-        if failure is not None:
-            self.truncate(failure[0])
-        return failure
+        if record:
+            self.daily[day].transpose(1, 0, 2)[:] = ends
 
     def close_period(self, mb, inter):
         """Sunk interaction cost of a finished marketing period."""
@@ -482,9 +447,12 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     daily series recorded only when ``series`` is set.
 
     Each day one market call advances every row, then the supply chains and
-    pricing of every row advance. A replication that diverges ends the run
-    for itself and every later one; the call then raises for the
-    lowest-index replication that diverged.
+    pricing of every row advance. A pass keeps all its rows until it ends or
+    first meets a divergence, at row ``r`` on day ``d``. A lower row may
+    still diverge later, so the rows before ``r`` run again as a pass of
+    their own, which raises for the lowest of them that diverges; if none
+    does, row ``r`` is reported. That costs at most one further, narrower
+    pass per diverging row.
     """
     tor = settings.total_order_rate
     period = settings.marketing_period
@@ -494,7 +462,6 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     chain = _Rows(setups, index, seeds, settings, mirror, series)
     mk = market.marketing
     fixed = settings.fixed_share_split
-    failure = None
     # the array sub-step steps its pass record in this error state (see
     # ``PassParams``): a diverging row's overflow and NaN are its stock or
     # price check's to report, not warnings
@@ -506,19 +473,16 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
             shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
             if fixed is not None:
                 shares[:] = (fixed, 1.0 - fixed)
-            failed = chain.advance_day(day, shares, mk.spend_rate, collect, tor)
-            if failed is not None:
-                r, exc = failed
-                failure = (r, day, exc)
-                market.truncate(r)
-            if not chain.rows:
-                break
+            try:
+                chain.advance_day(day, shares, mk.spend_rate, collect, tor)
+            except StateError as exc:
+                r = exc.row
+                if r:
+                    _run_rows(setups, index[:r], seeds[:r], settings, mirror, False)
+                raise ReplicationError(f"replication diverged on day {day}: {exc}",
+                                       day=day, seed=seeds[r], index=r) from exc
             if collect and day % period == period - 1:
                 chain.close_period(mk.mb, mk.inter)
-    if failure is not None:
-        r, day, exc = failure
-        raise ReplicationError(f"replication diverged on day {day}: {exc}",
-                               day=day, seed=seeds[r], index=r) from exc
     return chain
 
 
@@ -544,7 +508,8 @@ def run_replication(specs, settings: SimulationSettings, seed,
     mixing pairs; each output depends on its pair and seed only, not on the
     other rows or on how many there are. A replication that diverges raises
     :class:`ReplicationError` carrying its day, seed and position ``index``;
-    with several, the lowest position is reported.
+    with several, the lowest position is reported, whatever the days
+    (:func:`_run_rows`).
 
     With ``mirror=True`` the company noise streams are transposed and
     tie-break labels flipped; running the swapped strategy pair that way
@@ -642,7 +607,7 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     accumulators in one :func:`compute_payoff` call. The payoffs depend only
     on each row's pair and seed, not on ``n``, the passes or ``jobs``. A
     diverging replication raises :class:`ReplicationError` with its position
-    among the ``n`` rows as ``index``.
+    among the ``n`` rows as ``index``, the lowest if several diverge.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")

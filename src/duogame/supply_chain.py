@@ -127,7 +127,7 @@ class SDParams:
                      "vac_fulfillment_time", "employment_time", "order_processing_time",
                      "labor_productivity", "labor_hours", "max_inv_cov",
                      "mp_fulfillment_time"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:     # or NaN
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.price_sens_cost <= 1.0:
             raise ParameterError(f"price_sens_cost must be in [0, 1], got {self.price_sens_cost}")
@@ -138,12 +138,12 @@ class SDParams:
             if not 0.0 < lam <= 1.0:
                 raise ParameterError(f"{name} must be in (0, 1], got {lam}")
         for name in ("sigma_wip", "sigma_prod", "sigma_order", "sigma_inv"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
-        if self.mfg_price <= 0:
-            raise ParameterError("mfg_price must be > 0")
-        if self.unit_cost < 0:
-            raise ParameterError("unit_cost must be >= 0")
+            if not getattr(self, name) >= 0:
+                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.mfg_price > 0:
+            raise ParameterError(f"mfg_price must be > 0, got {self.mfg_price}")
+        if not self.unit_cost >= 0:
+            raise ParameterError(f"unit_cost must be >= 0, got {self.unit_cost}")
         if self.max_layoff_rate is not None and not self.max_layoff_rate >= 0:  # or NaN
             raise ParameterError("max_layoff_rate must be None or >= 0")
         # the band clamps with ``maximum`` and ``minimum``, which agree with the
@@ -260,15 +260,6 @@ class PassParams:
         self.dt = np.array(dt, dtype=float)
         *terms, delays = _terms(p, self.dt, np.where)
         self.terms = (*(term[index] for term in terms), np.array(delays)[:, index])
-
-    def truncate(self, rows: int) -> None:
-        """Keep only the first ``rows`` rows."""
-        for name in self.FIELDS + ("mp_time",):
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[:rows])
-        *terms, delays = self.terms
-        self.terms = (*(term[:rows] for term in terms), delays[:, :rows])
 
 
 def step_company(state: SDState, p: SDParams, order_rate: float,

@@ -18,6 +18,7 @@ from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
 from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
+from duogame.runner import CostRates
 
 DESK_CONFIG = {
     "master_seed": 99,
@@ -321,6 +322,41 @@ class TestSimulateCommand:
         # for finiteness too; a range check may name the value first
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"market": {name: value}}))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and name in err
+        assert not out.exists()
+
+    # the SDParams fields checked only against a bound
+    SD_BOUNDED = ("vac_creation_time", "layoff_time", "labor_fulfillment_time",
+                  "wip_fulfillment_time", "inv_fulfillment_time", "rm_lead_time",
+                  "safety_stock_cov", "rm_inventory_cov", "cycle_time",
+                  "vac_fulfillment_time", "employment_time", "order_processing_time",
+                  "labor_productivity", "labor_hours", "max_inv_cov",
+                  "mp_fulfillment_time", "mfg_price", "unit_cost",
+                  "sigma_wip", "sigma_prod", "sigma_order", "sigma_inv")
+
+    @pytest.mark.parametrize("config, name", [
+        *(pytest.param({"sd_defaults": {name: float("nan")}}, name, id=name)
+          for name in SD_BOUNDED),
+        *(pytest.param({"cost_rates": {f.name: float("nan")}}, f.name, id=f.name)
+          for f in dataclasses.fields(CostRates)),
+        *(pytest.param({"per_capita_demand": value}, "per_capita_demand",
+                       id=f"per_capita_demand-{value}") for value in (float("nan"), 0.0, -1.0)),
+        pytest.param({"sampling": {"ecvi_floor": float("nan")}}, "ecvi_floor", id="ecvi_floor"),
+        pytest.param({"gsa": {"epsilon_solve": float("nan")}}, "epsilon_solve",
+                     id="epsilon_solve"),
+        pytest.param({"gsa": {"epsilon_stability": float("nan")}}, "epsilon_stability",
+                     id="epsilon_stability"),
+        pytest.param({"gsa": {"tolerance_grid": [0.0, float("nan")]}}, "tolerance_grid",
+                     id="tolerance_grid")])
+    def test_nan_config_value_exits_2(self, tmp_path, capsys, config, name):
+        # NaN passes any comparison not written to fail on it: such a config
+        # would run on with NaN payoffs or as quiet, or stop at run time
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
         out = tmp_path / "s"
         assert main(["simulate", "--config", str(path), "--seed", "1",
                      "--out", str(out)]) == 2

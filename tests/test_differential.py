@@ -7,7 +7,9 @@ replication seed. Every drawn (pair, seed) must give the same payoff bytes
 however it is computed: alone, in a pass of 15 rows or of 70, on either
 sub-step body, and exactly swapped under ``mirror`` with the pair swapped;
 and every company's stocks must move by exactly what its ``FlowLedger``
-booked.
+booked. Diverging pairs planted among drawn rows at seeded positions must
+report the same row, seed, day and message at every width, on either body
+and at every ``jobs``, as the lone replay of that row.
 """
 
 from dataclasses import replace
@@ -16,9 +18,17 @@ import numpy as np
 import pytest
 
 from duogame import runner
+from duogame.errors import ReplicationError
 from duogame.factors import FACTOR_DEFS, LEVEL_LABELS, materialize
-from duogame.runner import CostRates, SimulationSettings, estimate_payoffs, step_company
-from duogame.supply_chain import ZERO_NOISE, FlowLedger, SDState
+from duogame.runner import (
+    CompanySpec,
+    CostRates,
+    SimulationSettings,
+    estimate_payoffs,
+    run_replication,
+    step_company,
+)
+from duogame.supply_chain import ZERO_NOISE, FlowLedger, SDParams, SDState
 
 ROWS = 70
 SETTINGS = SimulationSettings(run_length_days=60)
@@ -112,3 +122,52 @@ def test_stocks_conserved_through_ledger(drawn, monkeypatch, wide):
             scale = np.maximum(np.maximum(abs(end), abs(start[name])), 1.0)
             drift = abs((end - start[name]) - ledger.flows[name]) / scale
             assert drift.max() < 1e-9, (name, drift.max())
+
+
+# without the price band a large coverage capacity lets the market price run
+# away, and order noise makes the day seed-dependent: in 32 days seed 0
+# diverges on day 30 and seed 1 on day 31
+BAD = (CompanySpec(sd=SDParams(price_sens_invcov=-0.9, max_inv_cov=1e6,
+                               mp_cap_ratio=float("inf"), sigma_order=20.0)),) * 2
+DIVERGING = replace(SETTINGS, run_length_days=32)
+
+
+@pytest.fixture(scope="module")
+def lone_failure():
+    with np.errstate(all="ignore"), pytest.raises(ReplicationError) as err:
+        run_replication(BAD, DIVERGING, 1)
+    return err.value
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("width", [1, runner.WIDE - 1, runner.WIDE, ROWS],
+                         ids=["one", "below-WIDE", "WIDE", str(ROWS)])
+def test_divergence_reported_alike_at_every_width(width, jobs, lone_failure, monkeypatch):
+    # BAD with seed 1 at the lower of two seeded positions (the only one at
+    # width 1), with seed 0 at the higher: a pass meets the higher row first,
+    # on day 30, and must re-run the rows before it to find the lower one,
+    # on day 31
+    pairs, seeds, _ = draw("quiet")
+    pairs, seeds = pairs[:width], seeds[:width]
+    clean_seeds = list(seeds)
+    calls = []
+    run_rows = runner._run_rows
+
+    def recorded(setups, index, pass_seeds, *args):
+        calls.append(list(pass_seeds))
+        return run_rows(setups, index, pass_seeds, *args)
+
+    monkeypatch.setattr(runner, "_run_rows", recorded)
+    clean = estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs)
+    assert np.isfinite(clean).all()
+    spots = sorted(np.random.default_rng(width).choice(width, min(2, width),
+                                                       replace=False).tolist())
+    for spot, seed in zip(spots, (1, 0)):
+        pairs[spot], seeds[spot] = BAD, seed
+    with np.errstate(all="ignore"), pytest.raises(ReplicationError) as err:
+        estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs)
+    assert ((err.value.index, err.value.seed, err.value.day, str(err.value))
+            == (spots[0], 1, 31, str(lone_failure)))
+    if jobs == 1:
+        # one pass when clean; failing, only the rows below each failure again
+        assert calls == [clean_seeds, seeds] + [seeds[:spot] for spot in spots[::-1] if spot]

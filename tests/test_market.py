@@ -676,8 +676,7 @@ class TestStepMarket:
         # w1 = w2 = w3 = 0 the force is the co-state: every third row sits at
         # the cap, the others move below it every day, in both slices of
         # 64 + 6 rows. The brands swap their ad on day 5 and their pm on day
-        # 7, which leaves the capped forces bit-equal; on day 8 the market
-        # drops to 67 rows.
+        # 7, which leaves the capped forces bit-equal.
         width = 70
         market = make_market(seed=11, replications=width,
                              params=MarketParams(w1=0.0, w2=0.0, w3=0.0).validate())
@@ -701,11 +700,6 @@ class TestStepMarket:
                 mk.ad = mk.ad[:, ::-1].copy()
             if day == 7:
                 mk.pm = mk.pm[:, ::-1].copy()
-            if day == 8:
-                width = 67
-                market.truncate(width)
-                prices, capped, force = prices[:width], capped[:width], force[:width]
-                rngs, reference_rngs = rngs[:width], reference_rngs[:width]
             before = market.adopted.copy()
             shares = market.step(prices, rngs)
             choice, expected, _, _ = interleaved_day(market, before, prices,
@@ -716,17 +710,6 @@ class TestStepMarket:
                 same = (mk.force.view(np.int64) == force.view(np.int64)).all(axis=1)
                 assert np.array_equal(same, capped), day
             force = mk.force.copy()
-
-    def test_truncate_keeps_leading_rows(self):
-        market = make_market(seed=2, n=50, replications=4)
-        market.marketing.ad[:] = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]
-        market.truncate(2)
-        assert market.adopted.shape == (50, 2)
-        assert market.marketing.ad.tolist() == [[0.1, 0.2], [0.3, 0.4]]
-        assert market.marketing.total_force.shape == (2,)
-        shares = market.step([(1.5, 1.4), (1.4, 1.5)],
-                             [np.random.default_rng(0), np.random.default_rng(1)])
-        assert shares.shape == (2, 2)
 
     def test_raising_ad_never_lowers_motivation(self):
         # with a non-negative force every term of brand 0's score rises with
