@@ -28,6 +28,7 @@ from .gsa import (
 from .reporting import (
     CheckpointStore,
     read_payoff_matrix,
+    report_to_dict,
     write_figure_data,
     write_iteration_report,
     write_json,
@@ -176,14 +177,8 @@ def cmd_gsa(args) -> int:
         write_trace_csv(rep, out_dir / f"solution_trace_{report.index:02d}.csv")
 
     write_figure_data(result.reports, out_dir)
-    summary = {
-        "iterations": len(result.reports),
-        "solution_payoffs": [r.solution["mean"] for r in result.reports],
-        "equilibrium_counts": [len(r.equilibria) for r in result.reports],
-        "stability": [r.stability["ratios"] if r.stability else None
-                      for r in result.reports],
-    }
-    write_json(summary, out_dir / "summary.json")
+    write_json(_summary([report_to_dict(r) for r in result.reports]),
+               out_dir / "summary.json")
     print(f"{len(result.reports)} iterations -> {out_dir}")
     return 0
 
@@ -206,6 +201,17 @@ def cmd_stability(args) -> int:
     return 0
 
 
+def _summary(rows) -> dict:
+    """A run's summary from its iteration reports, as dicts."""
+    return {
+        "iterations": len(rows),
+        "solution_payoffs": [r["solution"]["mean"] for r in rows],
+        "equilibrium_counts": [len(r["equilibria"]) for r in rows],
+        "stability": [r["stability"]["ratios"] if r["stability"] else None
+                      for r in rows],
+    }
+
+
 def cmd_report(args) -> int:
     src = Path(args.dir)
     report_files = sorted(src.glob("iteration_*.json"))
@@ -213,12 +219,8 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no iteration reports under {src}")
     rows = [json.loads(f.read_text())["report"] for f in report_files]
     summary = {
-        "iterations": len(rows),
+        **_summary(rows),
         "factors": [list(r["factors"]) for r in rows],
-        "solution_payoffs": [r["solution"]["mean"] for r in rows],
-        "equilibrium_counts": [len(r["equilibria"]) for r in rows],
-        "stability": [r["stability"]["ratios"] if r["stability"] else None
-                      for r in rows],
         "payoff_trend_increasing":
             rows[-1]["solution"]["mean"][0] > rows[0]["solution"]["mean"][0],
     }

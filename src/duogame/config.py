@@ -3,7 +3,9 @@
 The shipped defaults reproduce the soft-drink case study: the full factor
 table, the five-iteration refinement schedule, 70 initial samples trimmed by
 10 per tail, and a 100-day replication at 200 agents. ``load_config`` fills
-every omitted key with its default and rejects unknown keys by name.
+every omitted key with its default, and rejects by name an unknown key and a
+value of another kind than its default: a count or seed that is not a JSON
+integer, a flag that is not a boolean, a number that is a string.
 """
 
 from __future__ import annotations
@@ -108,6 +110,7 @@ class ExperimentConfig:
 
 
 def _plan_from_dict(entry: dict) -> FactorPlan:
+    _reject_unknown(entry, {"g", "factors"}, "schedule entry")
     if "factors" not in entry:
         raise ConfigError("schedule entries need a 'factors' list")
     factors = []
@@ -117,7 +120,9 @@ def _plan_from_dict(entry: dict) -> FactorPlan:
         else:
             _reject_unknown(f, {"name", "levels"}, "schedule factor")
             factors.append(PlanFactor(f["name"], tuple(f.get("levels", ("L", "H")))))
-    return FactorPlan(factors, g=int(entry.get("g", 1)))
+    g = entry.get("g", 1)
+    _check_kinds(FactorPlan, {"g": g}, "schedule ")
+    return FactorPlan(factors, g=g)
 
 
 def _plan_to_dict(plan: FactorPlan) -> dict:
@@ -127,15 +132,46 @@ def _plan_to_dict(plan: FactorPlan) -> dict:
 
 
 def _reject_unknown(mapping: dict, allowed, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {json.dumps(mapping)}")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {context}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what a config value must be, by the type of its field's default: a count or
+# seed a JSON integer, a flag a boolean, and a default of None a number or null
+_KINDS = {
+    bool: (lambda x: isinstance(x, bool), "true or false"),
+    int: (lambda x: _is_number(x) and isinstance(x, int), "an integer"),
+    float: (_is_number, "a number"),
+    type(None): (lambda x: x is None or _is_number(x), "a number or null"),
+    str: (lambda x: isinstance(x, str), "a string"),
+    tuple: (lambda x: isinstance(x, list) and all(map(_is_number, x)), "a list of numbers"),
+}
+
+
+def _check_kinds(cls, data: dict, prefix: str = ""):
+    """Raise :class:`ConfigError`, naming the key, for the first value of
+    ``data`` whose kind does not match the default of the field of ``cls``
+    that its key sets."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for key, value in data.items():
+        accepts, kind = _KINDS[type(defaults[FIELD_NAMES.get(key, key)])]
+        if not accepts(value):
+            raise ConfigError(f"{prefix}{key} must be {kind}, got {json.dumps(value)}")
+
+
 def _fill_dataclass(cls, data: dict, context: str, **fixed):
     names = {f.name for f in dataclasses.fields(cls)}
     _reject_unknown(data, names - set(fixed), context)
-    kwargs = dict(data)
+    _check_kinds(cls, data, f"{context}.")
+    kwargs = {key: tuple(value) if isinstance(value, list) else value
+              for key, value in data.items()}
     kwargs.update(fixed)
     try:
         return cls(**kwargs)
@@ -163,30 +199,26 @@ TOP_LEVEL_KEYS = {
 def config_from_dict(data: dict) -> ExperimentConfig:
     _reject_unknown(data, TOP_LEVEL_KEYS, "config")
 
-    network = dict(data.get("network", {}))
+    network = data.get("network", {})
     _reject_unknown(network, NETWORK_KEYS, "network")
+    top_settings = {key: data[key] for key in SETTINGS_KEYS if key in data}
+    _check_kinds(SimulationSettings, top_settings)
+    _check_kinds(SimulationSettings, network, "network.")
     settings = SimulationSettings(
         market=_fill_dataclass(MarketParams, data.get("market", {}), "market"),
-        **{FIELD_NAMES.get(key, key): data[key] for key in SETTINGS_KEYS if key in data},
-        **{FIELD_NAMES.get(key, key): value for key, value in network.items()})
+        **{FIELD_NAMES.get(key, key): value
+           for key, value in (*top_settings.items(), *network.items())})
 
     sd_defaults = _fill_dataclass(SDParams, data.get("sd_defaults", {}),
                                   "sd_defaults")
-    company = dict(data.get("company_defaults", {}))
-    for name in ("ad_range", "pm_range"):
-        if name in company:
-            company[name] = tuple(company[name])
-    spec_defaults = _fill_dataclass(CompanySpec, company, "company_defaults",
-                                    sd=sd_defaults)
+    spec_defaults = _fill_dataclass(CompanySpec, data.get("company_defaults", {}),
+                                    "company_defaults", sd=sd_defaults)
 
     cost_rates = _fill_dataclass(CostRates, data.get("cost_rates", {}),
                                  "cost_rates")
     sampling = _fill_dataclass(SamplingPolicy, data.get("sampling", {}),
                                "sampling")
-    gsa_data = dict(data.get("gsa", {}))
-    if "tolerance_grid" in gsa_data:
-        gsa_data["tolerance_grid"] = tuple(gsa_data["tolerance_grid"])
-    gsa = _fill_dataclass(GsaSettings, gsa_data, "gsa")
+    gsa = _fill_dataclass(GsaSettings, data.get("gsa", {}), "gsa")
 
     schedule_data = data.get("schedule", "default")
     if schedule_data == "default":
@@ -201,6 +233,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     top = {key: data[key] for key in ("schema_version", "master_seed", "out_dir", "jobs")
            if key in data}
+    _check_kinds(ExperimentConfig, top)
     if "default_profile" in data:
         top["default_profile"] = dict(data["default_profile"])
     config = ExperimentConfig(

@@ -131,20 +131,20 @@ def marketing_force(ad, pm, inter, w1, w2, w3):
     return w1 * ad + w2 * pm + w3 * ad * pm + inter
 
 
-def update_costate(inter, rho, d1, d2, force, prices, pms, dt):
+def update_costate(inter, rho, d1, d2, force, pq, dt):
     """One Euler step of the 2x2 cross-company interaction system.
 
-    ``inter``, ``prices`` and ``pms`` hold one brand pair in the last axis,
-    with any leading replication axes; ``force`` has the leading shape. The
-    coupling product is a stacked matrix-vector product, which rounds the
-    same for one pair or many.
+    ``inter`` and ``pq``, each brand's paid price ``price * (1 - pm)``, hold
+    one brand pair in the last axis, with any leading replication axes;
+    ``force`` has the leading shape. The coupling product is a stacked
+    matrix-vector product, which rounds the same for one pair or many.
     """
     if dt <= 0:
         raise ParameterError(f"dt must be > 0, got {dt}")
-    inter, prices, pms = (np.asarray(x, dtype=float) for x in (inter, prices, pms))
+    inter, pq = (np.asarray(x, dtype=float) for x in (inter, pq))
     force = np.asarray(force, dtype=float)[..., None]
     coupling = np.array([[d1, d1 * d2], [d2 * d1, d2]])
-    drift = (coupling @ ((rho + force) * inter)[..., None])[..., 0] - prices * (1.0 - pms)
+    drift = (coupling @ ((rho + force) * inter)[..., None])[..., 0] - pq
     return inter + dt * drift
 
 
@@ -157,12 +157,13 @@ def sunk_cost(mbs, inters):
     return (mbs[..., None, :] @ inters[..., :, None])[..., 0, 0]
 
 
-def price_response(price, pm, price_sum, s):
-    """A brand's exponential response to its promotion-adjusted price against the
-    market reference; an agent's price sensitivity adds its own constant to it."""
+def price_response(pq, price_sum, s):
+    """A brand's exponential response to its paid price ``pq``, ``price * (1 -
+    pm)``, against the market reference; an agent's price sensitivity adds
+    its own constant to it."""
     if s <= 1:
         raise ParameterError(f"price parameter s must be > 1, got {s}")
-    return -np.power(s, price * (1.0 - pm) - price_sum)
+    return -np.power(s, pq - price_sum)
 
 
 @dataclass
@@ -281,11 +282,11 @@ class ConsumerMarket:
         self._lift = self._reach = math.nan
         self._size = self._key = None
 
-    def neighbor_influence(self, least=None) -> np.ndarray:
+    def neighbor_influence(self, least) -> np.ndarray:
         """Each agent's count of neighbors adopting each brand in every
         replication, from the previous day's adoption: integers of the
         adjacency's dtype, shape (2, replications, agents). ``least`` is
-        ``adopted.min()`` when the caller has it already.
+        ``adopted.min()``.
 
         One sparse product a day counts them. Once every agent has a brand,
         ``adopted`` is itself the brand-1 indicator and a brand-0 count is the
@@ -294,7 +295,7 @@ class ConsumerMarket:
         them keeps every bit of one formed from a float count."""
         adopted = self.adopted
         counts = np.empty((2,) + adopted.shape[::-1], dtype=self._degree.dtype)
-        if (adopted.min() if least is None else least) > NO_BRAND:
+        if least > NO_BRAND:
             np.copyto(counts[1], (self._adjacency @ adopted).T)
             np.subtract(self._degree, counts[1], out=counts[0])
         else:
@@ -320,6 +321,8 @@ class ConsumerMarket:
         p = self.params
         mk = self.marketing
         prices = np.asarray(prices, dtype=float)
+        paid = 1.0 - mk.pm
+        pq = prices * paid
 
         # the rows' forces, spend rates and sizes follow from their co-states,
         # levels and budgets alone, so they are recomputed only on days where
@@ -349,7 +352,7 @@ class ConsumerMarket:
             size *= np.abs(mk.force) + 1.0
             self._size = np.maximum(size[:, 0], size[:, 1]) * self._reach
         new_inter = update_costate(mk.inter, p.rho, p.delta1, p.delta2,
-                                   mk.total_force, prices, mk.pm, dt=1.0)
+                                   mk.total_force, pq, dt=1.0)
         mk.inter = np.clip(new_inter, -p.inter_cap, p.inter_cap)
         # the pair sums start from +0.0 as numpy's sum does, so a pair of
         # -0.0 sums to +0.0; a reduction over a length-2 axis is slow
@@ -359,8 +362,7 @@ class ConsumerMarket:
         if p.price_sum_mode == "average":
             price_sum = price_sum / 2
 
-        response = price_response(prices, mk.pm, price_sum[:, None], p.s)
-        paid = 1.0 - mk.pm
+        response = price_response(pq, price_sum[:, None], p.s)
         least = self.adopted.min()
         settled = least > NO_BRAND
         counts = self.neighbor_influence(least)
@@ -369,7 +371,6 @@ class ConsumerMarket:
         # has no brand), and its rounding bound (module docstring)
         rows = len(prices)
         coef = np.empty((rows, 5))
-        pq = prices * paid
         pairs = (pq, pq * response, mk.force * mk.ad, mk.force * mk.pm)
         for j, pair in enumerate(pairs):
             np.subtract(pair[:, 0], pair[:, 1], out=coef[:, j])

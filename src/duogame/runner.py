@@ -22,8 +22,9 @@ each replication runs both steps in their plain-float form. The
 float body stays because the array body's fixed cost per sub-step is still
 124 numpy calls of under 1 us each (99 in the company step with its stock
 check, 5 in the booking, 20 in pricing): a one-row replication took 2.4
-times as long on it as in plain floats (46 against 19 ms, medians of 15
-alternating runs, 2-core host). Both forms perform the same float
+to 2.7 times as long on it as in plain floats (medians of 15 alternating
+runs on a 2-core host: 46 against 19 ms in a fast phase, 82 against 30 ms
+in a slow one). Both forms perform the same float
 operations in the same order, and both bodies the same bookkeeping.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
@@ -104,6 +105,8 @@ class CompanySpec:
         if not 0.0 <= self.mb_pct <= 1.0:
             raise ParameterError(f"mb_pct must be in [0, 1], got {self.mb_pct}")
         for name in ("ad_range", "pm_range"):
+            if len(getattr(self, name)) != 2:
+                raise ParameterError(f"{name} must be two numbers, low and high")
             lo, hi = getattr(self, name)
             if not (0.0 < lo <= hi < 1.0):
                 raise ParameterError(f"{name} must satisfy 0 < low <= high < 1")
@@ -141,6 +144,13 @@ class SimulationSettings:
             raise ParameterError(f"dt must divide a day, got {self.dt}")
         if self.n_agents < 2:
             raise ParameterError("n_agents must be >= 2")
+        # as generate_ba_network requires, and numpy of a seed
+        if not 1 <= self.network_m <= self.network_m0 <= self.n_agents:
+            raise ParameterError(f"network m and m0 must satisfy 1 <= m <= m0 <= agents, got "
+                                 f"m={self.network_m}, m0={self.network_m0}, "
+                                 f"agents={self.n_agents}")
+        if self.population_seed < 0:
+            raise ParameterError(f"population_seed must be >= 0, got {self.population_seed}")
         if not self.per_capita_demand > 0:     # or NaN
             raise ParameterError(f"per_capita_demand must be > 0, got {self.per_capita_demand}")
         if self.marketing_period < 1:

@@ -11,15 +11,16 @@ negative within a step, which keeps the bookkeeping identity
 
 exact up to floating point.
 
-:func:`step_company` and :func:`step_pricing` advance either one company
-pair in plain floats (:class:`SDState`, :class:`SDParams`) or many pairs at
-once (:meth:`SDState.stacked`, :meth:`SDParams.stacked` or a pass's
-:class:`PassParams`), every quantity then a (rows, 2) array. Each has one
-body, :func:`_advance` and :func:`_price`, in two forms: its clamps,
-minima, choices, powers and stock blocks are plain-float operations,
-fastest for one pair, or numpy calls, which perform the same operations in
-the same order, so a row's numbers do not depend on the form that computed
-them.
+:func:`step_company` and :func:`step_pricing` take one of two forms: a
+company pair in plain floats, each company an :class:`SDState` with its
+:class:`SDParams`; or a pass's stacked :class:`SDState`
+(:meth:`SDState.stacked`) with its :class:`PassParams`, every quantity a
+(rows, 2) array, stepped at the record's own ``dt`` in the caller's numpy
+error state. Each step has one body, :func:`_advance` and :func:`_price`,
+whose clamps, minima, choices, powers and stock blocks are plain-float
+operations, fastest for one pair, or numpy calls, which perform the same
+operations in the same order, so a row's numbers do not depend on the form
+that computed them.
 """
 
 from __future__ import annotations
@@ -236,8 +237,7 @@ class PassParams:
     :func:`step_company` and :func:`step_pricing` step a pass record at its
     own ``dt`` (pass ``p.dt``) and in the caller's numpy error state, which
     is to ignore floating-point errors (``runner._run_rows`` enters that
-    state once per pass); a stacked :class:`SDParams` they step in their
-    own.
+    state once per pass).
     """
 
     FIELDS = ("lam_prod", "lam_wip", "lam_labor", "lam_vac", "inv_fulfillment_time",
@@ -277,10 +277,9 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
     shipments scale with the fulfillment ratio ``inv / d_inv`` clamped to
     [0, 1]. ``ledger`` books each stock's net flow. Returns ``state``.
 
-    With a stacked ``state`` (:meth:`SDState.stacked`) and a stacked ``p``
-    (:meth:`SDParams.stacked`, or a :class:`PassParams` with ``dt`` its
-    ``p.dt``), ``order_rate`` and the noise fields are (rows, 2) arrays (or
-    scalars, with a stacked :class:`SDParams`); every row advances, then the
+    With a stacked ``state`` (:meth:`SDState.stacked`) and a
+    :class:`PassParams` ``p`` with ``dt`` its ``p.dt``, ``order_rate`` and
+    the noise fields are (rows, 2) arrays; every row advances, then the
     lowest inadmissible row raises with its own message and ``row`` set.
     """
     if isinstance(p, PassParams):
@@ -298,11 +297,6 @@ def step_company(state: SDState, p: SDParams, order_rate: float,
                                         for name in SDState.STOCK_FIELDS}, row=row)
     elif not dt > 0:    # NaN included
         raise ParameterError(f"dt must be > 0, got {dt}")
-    elif isinstance(p.cycle_time, np.ndarray):
-        p = PassParams(p, dt)
-        order_rate = np.broadcast_to(order_rate, np.shape(state.wip))
-        with np.errstate(all="ignore"):
-            return step_company(state, p, order_rate, noise, p.dt, ledger)
     else:
         stocks, flows = _advance(state, p, _terms(p, dt, _FLOATS.pick), order_rate,
                                  noise, dt, _FLOATS)
@@ -577,21 +571,17 @@ def step_pricing(prices, mp, params, inv_covs, dt: float = 0.25,
     Returns ``(prices, mp)`` and raises :class:`StateError` when ``mp`` is
     not positive or a new price is not finite and positive.
 
-    With stacked ``params`` (:meth:`SDParams.stacked`, or a
-    :class:`PassParams` with ``dt`` its ``params.dt``), ``prices`` and
-    ``inv_covs`` are (rows, 2) arrays and ``mp`` and both bounds (rows,)
-    arrays; every row is updated, ``prices`` and ``mp`` in place, then the
-    lowest inadmissible row raises with its own message and ``row`` set.
+    With a :class:`PassParams` ``params`` and ``dt`` its ``params.dt``,
+    ``prices`` and ``inv_covs`` are (rows, 2) arrays and ``mp`` and both
+    bounds (rows,) arrays; every row is updated, ``prices`` and ``mp`` in
+    place, then the lowest inadmissible row raises with its own message and
+    ``row`` set.
     """
     if isinstance(params, PassParams):
         if dt is not params.dt:
             raise ParameterError("a pass record steps at its own dt, params.dt")
     elif not dt > 0:    # NaN included
         raise ParameterError(f"dt must be > 0, got {dt}")
-    elif isinstance(params, SDParams):
-        params = PassParams(params, dt)
-        with np.errstate(all="ignore"):
-            return step_pricing(prices, mp, params, inv_covs, params.dt, mp_bounds)
     else:
         if mp <= 0:     # before ``unit_cost / mp`` can divide by zero
             raise _price_error(mp, ())

@@ -364,6 +364,75 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and name in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, name", [
+        pytest.param({"marketing_period": 2.5}, "marketing_period", id="float-period"),
+        pytest.param({"deterministic_marketing": "no"}, "deterministic_marketing",
+                     id="string-flag"),
+        pytest.param({"truncate_warmup": "false"}, "truncate_warmup", id="string-false"),
+        pytest.param({"gsa": {"run_stability": 0}}, "run_stability", id="integer-flag"),
+        pytest.param({"network": {"m": 2.5}}, "network.m", id="float-m"),
+        pytest.param({"master_seed": True}, "master_seed", id="bool-seed"),
+        pytest.param({"master_seed": 1.5}, "master_seed", id="float-seed"),
+        pytest.param({"warmup_days": 10.5}, "warmup_days", id="float-warmup"),
+        pytest.param({"run_length_days": 60.5}, "run_length_days", id="float-length"),
+        pytest.param({"agents": 200.5}, "agents", id="float-agents"),
+        pytest.param({"jobs": 2.0}, "jobs", id="float-jobs"),
+        pytest.param({"sampling": {"cap": 500.0}}, "sampling.cap", id="float-cap"),
+        pytest.param({"sd_defaults": {"cycle_time": "3"}}, "cycle_time", id="string-number"),
+        pytest.param({"sd_defaults": {"max_layoff_rate": True}}, "max_layoff_rate",
+                     id="bool-number"),
+        pytest.param({"fixed_share_split": "0.5"}, "fixed_share_split", id="string-split"),
+        pytest.param({"company_defaults": {"ad_range": 0.3}}, "ad_range", id="number-range"),
+        pytest.param({"gsa": {"tolerance_grid": [0.0, "1"]}}, "tolerance_grid",
+                     id="string-in-grid"),
+        pytest.param({"market": {"price_sum_mode": 2}}, "price_sum_mode", id="number-mode"),
+        pytest.param({"network": {"population_seed": -1}}, "population_seed",
+                     id="negative-population-seed"),
+        pytest.param({"network": {"m": 9}}, "m0", id="m-over-m0"),
+        pytest.param({"network": {"m": 0}}, "m0", id="zero-m"),
+        pytest.param({"agents": 4}, "agents", id="m0-over-agents"),
+        pytest.param({"company_defaults": {"pm_range": [0.3]}}, "pm_range", id="short-range"),
+        pytest.param({"market": 5}, "market", id="number-section"),
+        pytest.param({"network": [3]}, "network", id="list-section"),
+        pytest.param({"schedule": [{"g": 1.5, "factors": ["pricing"]}]}, "schedule g",
+                     id="float-g"),
+        pytest.param({"schedule": ["pricing"]}, "schedule entry", id="string-entry"),
+        pytest.param({"schedule": [{"factors": ["pricing"], "levels": ["L", "H"]}]},
+                     "levels", id="unknown-entry-key")])
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, config, name):
+        # each ran on before, as another value (2.5 days a 5-day period, "no"
+        # and "false" true, a g of 1.5 as 1), or stopped with a traceback or
+        # at the first replication; each value is checked against its
+        # field's default, and each section and schedule entry is an object
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and name in err
+        assert not out.exists()
+
+    def test_bad_network_fails_before_gsa_writes(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"network": {"m": 9}}))
+        out = tmp_path / "g"
+        assert main(["gsa", "--config", str(path), "--out", str(out)]) == 2
+        assert "1 <= m <= m0 <= agents" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_for_a_float_and_null_load_as_given(self):
+        # JSON 1 stands for 1.0 and null for an optional number: both load,
+        # and the resolved tree echoes them as given
+        data = {"dt": 1, "per_capita_demand": 2, "fixed_share_split": None,
+                "sd_defaults": {"cycle_time": 3, "max_layoff_rate": None},
+                "gsa": {"tolerance_grid": [0, 500.0]}}
+        echoed = config_to_dict(config_from_dict(data))
+        assert (echoed["dt"], echoed["per_capita_demand"], echoed["fixed_share_split"]) == \
+            (1, 2, None)
+        assert echoed["sd_defaults"]["cycle_time"] == 3
+        assert echoed["gsa"]["tolerance_grid"] == [0, 500.0]
+
     @pytest.mark.parametrize("name, value", [("s", float("nan")), ("rho", float("nan")),
                                              ("adj_time_ms", float("nan")),
                                              ("w1", float("inf")), ("m_high", float("nan"))])
@@ -523,6 +592,9 @@ class TestGsaCommand:
         assert "runtime error: profile (" in err
         assert ", tag " in err and "(seed " in err and "diverged on day" in err
 
+    # sha256 of the desk run's summary.json
+    SUMMARY_PIN = "446d3c87bd4c3ed58d484ee474dfac9af5c17fae3269b18e2c57d33dab945c47"
+
     def test_report_command(self, desk_config, tmp_path, capsys):
         out = tmp_path / "g"
         main(["gsa", "--config", str(desk_config), "--out", str(out)])
@@ -530,6 +602,15 @@ class TestGsaCommand:
         assert main(["report", "--dir", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["iterations"] == 1
+        # report re-reads the iteration reports into the summary gsa wrote,
+        # plus its two fields
+        written = (out / "summary.json").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == self.SUMMARY_PIN
+        fields = json.loads(written)
+        assert sorted(fields) == ["equilibrium_counts", "iterations", "solution_payoffs",
+                                  "stability"]
+        assert {key: summary[key] for key in fields} == fields
+        assert sorted(set(summary) - set(fields)) == ["factors", "payoff_trend_increasing"]
 
 
 class TestSolveAndStability:

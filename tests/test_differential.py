@@ -5,7 +5,8 @@ Strategy pairs are drawn with a seeded generator from the levels of
 companies) or under ``deterministic_marketing``, each with a drawn
 replication seed. Every drawn (pair, seed) must give the same payoff bytes
 however it is computed: alone, in a pass of 15 rows or of 70, on either
-sub-step body, and exactly swapped under ``mirror`` with the pair swapped;
+sub-step body, split into passes of either body at one or two ``jobs``, and
+exactly swapped under ``mirror`` with the pair swapped;
 and every company's stocks must move by exactly what its ``FlowLedger``
 booked. Diverging pairs planted among drawn rows at seeded positions must
 report the same row, seed, day and message at every width, on either body
@@ -87,6 +88,29 @@ def test_both_sub_step_bodies(drawn, monkeypatch):
     for j in range(0, ROWS, 7):
         alone = payoffs(pairs[j:j + 1], seeds[j:j + 1], settings)
         assert alone.tobytes() == together[j:j + 1].tobytes(), j
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("pass_rows, widths", [(6, {5, 6}), (16, {11, 12, 14})],
+                         ids=["float-passes", "array-passes"])
+def test_rows_split_into_passes(drawn, monkeypatch, pass_rows, widths, jobs):
+    # the 70 rows split into passes of 5-6 rows, run in plain floats, or of
+    # 11-14, run as arrays, in process or on two workers
+    pairs, seeds, settings, together = drawn
+    monkeypatch.setattr(runner, "PASS_ROWS", pass_rows)
+    calls = []
+    run_rows = runner._run_rows
+
+    def recorded(setups, index, pass_seeds, *args):
+        calls.append(len(pass_seeds))
+        return run_rows(setups, index, pass_seeds, *args)
+
+    monkeypatch.setattr(runner, "_run_rows", recorded)
+    split = estimate_payoffs(pairs, settings, RATES, ROWS, seeds, jobs=jobs)
+    assert split.tobytes() == together.tobytes()
+    if jobs == 1:       # the workers' calls are not seen here
+        assert sum(calls) == ROWS and set(calls) <= widths and len(calls) > 1
+        assert {width >= runner.WIDE for width in calls} == {pass_rows == 16}
 
 
 def test_mirror_swaps_exactly(drawn):

@@ -100,18 +100,18 @@ class TestPerceptions:
 class TestCostate:
     def test_decoupled_decay(self):
         out = update_costate((0.5, 0.4), rho=0.3, d1=0.0, d2=0.0, force=1.0,
-                             prices=(2.0, 3.0), pms=(0.0, 0.0), dt=0.1)
+                             pq=(2.0, 3.0), dt=0.1)
         assert out == pytest.approx([0.5 - 0.2, 0.4 - 0.3])
 
     def test_origin_is_equilibrium_of_homogeneous_system(self):
         out = update_costate((0.0, 0.0), rho=0.2, d1=0.3, d2=0.4, force=1.0,
-                             prices=(0.0, 0.0), pms=(0.0, 0.0), dt=0.5)
+                             pq=(0.0, 0.0), dt=0.5)
         assert out == pytest.approx([0.0, 0.0])
 
     def test_hand_computed_step(self):
         # coupling [[1,1],[1,1]], (rho+F)=1: drift = (2,2) - (1,1) = (1,1)
         out = update_costate((1.0, 1.0), rho=0.5, d1=1.0, d2=1.0, force=0.5,
-                             prices=(1.0, 1.0), pms=(0.0, 0.0), dt=0.1)
+                             pq=(1.0, 1.0), dt=0.1)
         assert out == pytest.approx([1.1, 1.1])
 
 
@@ -140,18 +140,18 @@ class TestPriceSensitivity:
     brand's price response."""
 
     def test_direct_evaluation(self):
-        assert price_response(1.0, 0.0, 2.0, 2.0) + 1.0 == pytest.approx(0.5)
+        assert price_response(1.0, 2.0, 2.0) + 1.0 == pytest.approx(0.5)
 
     def test_zero_exponent(self):
         # effective price equals the reference sum
-        assert price_response(2.0, 0.0, 2.0, 3.0) + 0.7 == pytest.approx(-0.3)
+        assert price_response(2.0, 2.0, 3.0) + 0.7 == pytest.approx(-0.3)
 
     def test_expensive_brand(self):
-        assert price_response(3.0, 0.0, 2.0, 2.0) + 0.0 == pytest.approx(-2.0)
+        assert price_response(3.0, 2.0, 2.0) + 0.0 == pytest.approx(-2.0)
 
     def test_s_must_exceed_one(self):
         with pytest.raises(ParameterError):
-            price_response(1.0, 0.0, 2.0, 1.0)
+            price_response(1.0, 2.0, 1.0)
 
 
 class TestMotivation:
@@ -230,6 +230,12 @@ def make_market(seed=0, n=200, params=None, replications=1):
                           replications=replications)
 
 
+def day_counts(market):
+    """The day's neighbor counts, given the adoption's least entry as
+    :meth:`ConsumerMarket.step` gives it."""
+    return market.neighbor_influence(market.adopted.min())
+
+
 def neighbor_shares(market, counts, rows, out):
     """Each agent's share of neighbors adopting each brand in the replications
     ``rows``, (replications, 2, agents), from the day's counts over the
@@ -261,14 +267,14 @@ class TestNeighborInfluence:
                                 np.random.default_rng(0), replications=6)
         market.adopted[:] = np.random.default_rng(1).integers(0, 2, (8, 6))
         rows = slice(1, 5)
-        one_brand = neighbor_shares(market, market.neighbor_influence(), rows,
+        one_brand = neighbor_shares(market, day_counts(market), rows,
                                     np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert one_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
         assert one_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
 
         market.adopted[2, 3] = -1
-        two_brand = neighbor_shares(market, market.neighbor_influence(), rows,
+        two_brand = neighbor_shares(market, day_counts(market), rows,
                                     np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
         assert two_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
@@ -290,7 +296,7 @@ class TestNeighborInfluence:
         market.adopted[1:, width // 2] = np.arange(1, n) % 2
         for unset in (0.0, 0.3):
             market.adopted[twin.random((n, width)) < unset] = -1
-            counts = market.neighbor_influence()
+            counts = day_counts(market)
             assert counts.dtype == np.int16
             expected = self.reference(market, market.adopted)
             for b in (0, 1):
@@ -313,11 +319,11 @@ class TestNeighborInfluence:
         net = from_edges(leaves + 1, [(0, a) for a in range(1, leaves + 1)])
         market = ConsumerMarket(net, MarketParams().validate(), np.random.default_rng(0))
         market.adopted[:] = 1
-        counts = market.neighbor_influence()
+        counts = day_counts(market)
         assert counts.dtype == dtype
         assert counts[:, 0, 0].tolist() == [0, leaves]
         market.adopted[:] = 0
-        assert market.neighbor_influence()[:, 0, 0].tolist() == [leaves, 0]
+        assert day_counts(market)[:, 0, 0].tolist() == [leaves, 0]
 
 
 @pytest.mark.golden

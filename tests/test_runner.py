@@ -34,6 +34,7 @@ from duogame.supply_chain import (
     step_company,
     step_pricing,
 )
+from pass_tools import ArrayPass
 from step_reference import REF_ARRAYS, REF_FLOATS, reference_advance
 from warmup_tools import detect_warmup
 
@@ -362,12 +363,11 @@ def scalar_step(row, dt=0.25):
     return states, mp
 
 
-def array_step(rows, dt=0.25):
+def array_step(rows):
     """One array sub-step of ``rows``: the rows' state, market expected
     prices and the error of the lowest failing row (None if none failed)."""
-    index = np.arange(len(rows))
-    params = SDParams.stacked([row[0] for row in rows], index)
-    state = SDState.stacked([row[1] for row in rows], index)
+    run = ArrayPass([row[0] for row in rows])
+    state = SDState.stacked([row[1] for row in rows], np.arange(len(rows)))
     orders = np.array([row[2] for row in rows], dtype=float)
     noise = NoiseDraws(*np.array([[[getattr(n, f) for n in row[3]]
                                    for row in rows]
@@ -376,11 +376,11 @@ def array_step(rows, dt=0.25):
     bounds = tuple(np.array([row[5][k] for row in rows]) for k in (0, 1))
     error = None
     try:
-        step_company(state, params, orders, noise, dt)
+        run.step_company(state, orders, noise)
     except StateError as exc:
         error = exc
     try:
-        step_pricing(state.price, mp, params, state.inv_cov, dt=dt, mp_bounds=bounds)
+        run.step_pricing(state.price, mp, state.inv_cov, bounds)
     except StateError as exc:
         if error is None or exc.row < error.row:
             error = exc
@@ -622,15 +622,16 @@ class TestStepAgainstReference:
         rows = [(rows[j][0], rows[(j + 3) % len(rows)][0], rows[j][1],
                  rows[(j + 3) % len(rows)][1], rows[j][2], rows[(j + 3) % len(rows)][2],
                  rows[j][3], rows[(j + 3) % len(rows)][3]) for j in range(len(rows))]
-        index = np.arange(len(rows))
-        p = SDParams.stacked([row[:2] for row in rows], index)
-        state = SDState.stacked([row[2:4] for row in rows], index)
+        run = ArrayPass([row[:2] for row in rows])
+        state = SDState.stacked([row[2:4] for row in rows], np.arange(len(rows)))
         orders = np.array([row[4:6] for row in rows])
         noise = ZERO_NOISE if quiet else NoiseDraws(*np.array(
             [[[getattr(n, f) for n in row[6:]] for row in rows]
              for f in ("wip", "prod", "order", "inv")]))
         for _ in range(3):
-            assert assert_steps_as_reference(state, p, orders, noise) is None
+            with np.errstate(all="ignore"):
+                assert assert_steps_as_reference(state, run.p, orders, noise, run.p.dt,
+                                                 ref_p=run.stacked) is None
 
     def test_layoff_cap_none_in_every_row_is_kept_none(self):
         capped = SDParams(max_layoff_rate=0.5)

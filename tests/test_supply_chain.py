@@ -21,6 +21,7 @@ from duogame.supply_chain import (
     step_company,
     step_pricing,
 )
+from pass_tools import ArrayPass
 
 DT = 0.25
 
@@ -160,18 +161,14 @@ class TestStepProduction:
         # stepped: a parameter error, not an inadmissible state
         p = SDParams().validate()
         s = steady_state(p, 100.0)
-        rows = SDState.stacked([(s, s)], [0])
-        stacked = SDParams.stacked([(p, p)], [0])
-        calls = [lambda: step_company(replace(s), p, 100.0, dt=dt),
-                 lambda: step_company(rows, stacked, 100.0, dt=dt),
-                 lambda: PassParams(stacked, dt),
-                 lambda: step_pricing((1.5, 1.5), 1.5, (p, p), (10.0, 10.0), dt=dt),
-                 lambda: step_pricing(np.full((1, 2), 1.5), np.full(1, 1.5), stacked,
-                                      np.full((1, 2), 10.0), dt=dt)]
+        state = replace(s)
+        calls = [lambda: step_company(state, p, 100.0, dt=dt),
+                 lambda: PassParams(SDParams.stacked([(p, p)], [0]), dt),
+                 lambda: step_pricing((1.5, 1.5), 1.5, (p, p), (10.0, 10.0), dt=dt)]
         for call in calls:
             with pytest.raises(ParameterError, match="dt must be > 0"):
                 call()
-        assert rows.wip.tolist() == [[s.wip, s.wip]]
+        assert state == s
 
     def test_pass_record_steps_at_its_own_dt(self):
         # its terms were formed with its dt: another dt object is refused,
@@ -375,8 +372,9 @@ def both_forms(mp, params, covs, bounds=None):
     against the same pair as a one-row stack: ``(prices, mp)``."""
     prices, new_mp = step_pricing((mp, mp), mp, params, covs, dt=DT, mp_bounds=bounds)
     rows = np.array([[mp, mp]]), np.array([mp])
-    step_pricing(*rows, SDParams.stacked([params], [0]), np.array([covs]), dt=DT,
-                 mp_bounds=None if bounds is None else tuple(np.array([b]) for b in bounds))
+    ArrayPass([params]).step_pricing(
+        *rows, np.array([covs]),
+        None if bounds is None else tuple(np.array([b]) for b in bounds))
     assert rows[0].tolist() == [list(prices)] and rows[1].tolist() == [new_mp]
     return prices, new_mp
 
@@ -416,8 +414,7 @@ class TestPricingEdges:
         prices, mp = np.full((3, 2), 1.5), np.full(3, 1.5)
         covs = np.array([[0.05, 10.0]] * 3)
         with pytest.raises(StateError) as err:
-            step_pricing(prices, mp, SDParams.stacked([(q, q), (p, p), (q, q)], [0, 1, 2]),
-                         covs, dt=DT)
+            ArrayPass([(q, q), (p, p), (q, q)]).step_pricing(prices, mp, covs)
         assert (err.value.row, str(err.value)) == (1, "inadmissible price: inf")
         for r in (0, 2):
             assert (tuple(prices[r]), mp[r]) == expected
@@ -506,7 +503,7 @@ class TestRoundingSlack:
         s = replace(steady_state(p, 100.0), backlog=1.42, inv=1000.0)
         rows = SDState.stacked([(s, s)], [0])
         step_company(s, p, order_rate=100.0, dt=DT)
-        step_company(rows, SDParams.stacked([(p, p)], [0]), 100.0, dt=DT)
+        ArrayPass([(p, p)]).step_company(rows, 100.0)
         assert s.backlog == 0.0 and rows.backlog.tolist() == [[0.0, 0.0]]
 
     def test_slack_bounds_the_rounding(self):
@@ -552,7 +549,7 @@ class TestInvariants:
         states[4][0].backlog = 0.0
         busy = np.ones((5, 2))
         busy[4, 0] = 0.0
-        p = SDParams.stacked(params, np.arange(5))
+        run = ArrayPass(params)
         s = SDState.stacked(states, np.arange(5))
         start = s.stocks()
         ledger = FlowLedger()
@@ -561,9 +558,9 @@ class TestInvariants:
                                order=busy * rng.normal(0, 8, (5, 2)),
                                inv=rng.normal(0, 5, (5, 2)))
             for _ in range(4):
-                assert step_company(s, p, busy * rng.uniform(50, 150, (5, 2)), noise,
-                                    dt=DT, ledger=ledger) is s
-                assert s.ship_r[4, 0] == 0.0 and s.inv_cov[4, 0] == p.max_inv_cov[4, 0]
+                assert run.step_company(s, busy * rng.uniform(50, 150, (5, 2)), noise,
+                                        ledger=ledger) is s
+                assert s.ship_r[4, 0] == 0.0 and s.inv_cov[4, 0] == run.p.max_inv_cov[4, 0]
         for name, x0 in start.items():
             xt = getattr(s, name)
             scale = np.maximum(np.maximum(abs(xt), abs(x0)), 1.0)
