@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, ParameterError
-from .factors import FactorPlan, PlanFactor
+from .factors import FactorPlan, PlanFactor, validate_profile_values
 from .gsa import GsaSettings, SamplingPolicy
 from .market import MarketParams
 from .runner import CompanySpec, CostRates, SimulationSettings
@@ -111,7 +111,7 @@ class ExperimentConfig:
 
 def _plan_from_dict(entry: dict) -> FactorPlan:
     _reject_unknown(entry, {"g", "factors"}, "schedule entry")
-    if "factors" not in entry:
+    if not isinstance(entry.get("factors"), list):
         raise ConfigError("schedule entries need a 'factors' list")
     factors = []
     for f in entry["factors"]:
@@ -119,7 +119,11 @@ def _plan_from_dict(entry: dict) -> FactorPlan:
             factors.append(PlanFactor(f))
         else:
             _reject_unknown(f, {"name", "levels"}, "schedule factor")
-            factors.append(PlanFactor(f["name"], tuple(f.get("levels", ("L", "H")))))
+            levels = f.get("levels", ["L", "H"])
+            if not isinstance(levels, list):
+                raise ConfigError(f"schedule factor levels must be a list, "
+                                  f"got {json.dumps(levels)}")
+            factors.append(PlanFactor(f["name"], tuple(levels)))
     g = entry.get("g", 1)
     _check_kinds(FactorPlan, {"g": g}, "schedule ")
     return FactorPlan(factors, g=g)
@@ -225,6 +229,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         schedule_data = DEFAULT_SCHEDULE
     schedule = None
     if schedule_data is not None:
+        if not isinstance(schedule_data, list):
+            raise ConfigError(f'schedule must be a list of plans, "default" or '
+                              f'null, got {json.dumps(schedule_data)}')
         schedule = [_plan_from_dict(e) for e in schedule_data]
 
     initial_plan = None
@@ -235,7 +242,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
            if key in data}
     _check_kinds(ExperimentConfig, top)
     if "default_profile" in data:
-        top["default_profile"] = dict(data["default_profile"])
+        profile = data["default_profile"]
+        if not isinstance(profile, dict):
+            raise ConfigError(f"default_profile must map factor names to level "
+                              f"labels, got {json.dumps(profile)}")
+        try:
+            validate_profile_values(profile)
+        except ConfigError as exc:
+            raise ConfigError(f"default_profile: {exc}") from exc
+        top["default_profile"] = dict(profile)
     config = ExperimentConfig(
         settings=settings,
         sd_defaults=sd_defaults,

@@ -215,12 +215,15 @@ class IndexDraws:
     half instead. Here one product covers a call; since every threshold is
     below ``high``, a call whose remainders all reach its largest ``high``
     rejects nothing, and a rejection redraws from that element on.
-    ``rejections`` counts the rejected halves.
+    ``rejections`` counts the rejected halves. :meth:`folded` draws the same
+    numbers for cells that pack a bank offset above each count, and adds the
+    offset inside the product.
     """
 
     def __init__(self, seed):
         self._bitgen = np.random.PCG64(seed)
         self._pending = np.empty(0, dtype=np.uint32)   # drawn, not yet used
+        self._layouts = {}   # folded()'s buffers by cell shape and pending
         self.rejections = 0
 
     def _next(self, k: int) -> np.ndarray:
@@ -276,3 +279,52 @@ class IndexDraws:
         out = np.zeros(flat.size, dtype=np.int64)
         out[live] = m
         return out.reshape(high.shape)
+
+    def folded(self, cells: np.ndarray, top) -> np.ndarray:
+        """``offset + integers(count)`` as int64 for uint64 ``cells`` that
+        pack ``offset << 32 | count``, in a buffer the next call reuses.
+
+        ``top`` is the largest count if every count is at least 2 and every
+        offset + count below 2**32, else None: the call then draws through
+        :meth:`integers`. Halves x (pending ones, then the words'
+        low and high halves, by mask and shift, so on any byte order) times
+        the counts plus the cells is x * count + count + offset * 2**32,
+        whose top 32 bits are offset + (x * count >> 32) unless the count
+        carried. Low halves of the sum all at least 2 * top rule out a carry
+        and a rejection (whose threshold is below the count); otherwise the
+        call hands its halves back and draws through :meth:`integers`.
+        """
+        have = self._pending.size
+        if top is None or have >= cells.size:
+            return self._unfolded(cells)
+        k, key = cells.size, (cells.shape, have)
+        if key not in self._layouts:
+            # the halves, pending first; the views their words' low and high
+            # halves go to; the products; the halves left over; the indices
+            words = (k - have + 1) // 2
+            halves = np.empty(have + 2 * words, dtype=np.uint64)
+            pairs = halves[have:].reshape(-1, 2)
+            m = halves[:k].reshape(cells.shape)
+            self._layouts[key] = (words, halves, pairs[:, 0], pairs[:, 1], m,
+                                  halves[k:], m.view(np.int64))
+        words, halves, lo, hi, m, rest, index = self._layouts[key]
+        if have:
+            halves[:have] = self._pending
+        x = self._bitgen.random_raw(words)
+        np.bitwise_and(x, _LOW32, out=lo)
+        np.right_shift(x, _U32, out=hi)
+        count = cells & _LOW32
+        m *= count
+        m += cells
+        if m.astype(np.uint32).min() < 2 * top:
+            # a carry or a rejection may have happened: the products give
+            # the halves back exactly, for integers to draw from
+            back = np.concatenate((((m - cells) // count).ravel(), rest))
+            self._pending = back.astype(np.uint32)
+            return self._unfolded(cells)
+        self._pending = rest.astype(np.uint32)
+        m >>= _U32
+        return index
+
+    def _unfolded(self, cells: np.ndarray) -> np.ndarray:
+        return self.integers(cells & _LOW32) + (cells >> _U32).view(np.int64)

@@ -198,6 +198,25 @@ class EmpiricalGame:
         return [p for p in self.profiles() if stable[p]]
 
     def min_regret_profile(self):
+        """The profile of least :meth:`regret`, the first in ``profiles()``
+        order among equals (a NaN regret, as ``np.argmin`` takes it, counts
+        as least), from one array pass over the game."""
+        if self.n < 2:
+            raise ParameterError("regret needs at least two strategies")
+        self._require_complete()
+        u0, u1 = self.mean
+        r0 = _best_deviation(u0) - u0
+        r1 = _best_deviation(u1.T).T - u1
+        # builtin max's order: the second only when it is greater
+        regrets = np.where(r1 > r0, r1, r0)
         profiles = self.profiles()
-        regrets = [self.regret(p) for p in profiles]
-        return profiles[int(np.argmin(regrets))]
+        rows, cols = np.array(profiles).T
+        return profiles[int(np.argmin(regrets[rows, cols]))]
+
+
+def _best_deviation(u: np.ndarray) -> np.ndarray:
+    """Cell (a, b): the largest ``u[a', b]`` over a' != a, NaN if one of
+    them is, as ``np.delete(u[:, b], a).max()`` gives it; row a of the
+    (n, n, n) stack holds u with row a masked to -inf."""
+    own = np.eye(u.shape[0], dtype=bool)[:, :, None]
+    return np.where(own, -np.inf, u).max(axis=1)

@@ -364,6 +364,11 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     ``draws.IndexDraws`` (``test_index_draws_match_numpy_integers`` in
     tests/test_gsa.py guards this). Child i breaks the ties of start i
     (row-major), and only those.
+
+    A move gathers the mover's (n, n²) cells, each a bank offset packed
+    above a count, draws bank positions by ``IndexDraws.folded`` (the offset
+    added inside Lemire's product), gathers the samples and best-responds;
+    ``lockstep_stability`` in tests/test_gsa.py is its bit-for-bit oracle.
     """
     if noise not in STABILITY_NOISE:
         raise ParameterError(f"unknown noise model {noise!r}")
@@ -383,7 +388,8 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                      confidence_interval(game.samples(solution, 1))[1])
     else:
         as_tol = 1e-9
-    sol_pay = u[:, solution[0], solution[1], None]
+    # the largest payoff distance from the solution at each profile
+    dist = np.abs(u - u[:, solution[0], solution[1], None, None]).max(axis=0)
 
     # column k of a player's table: its n candidates against opponent
     # strategy k; a move gathers one (n, n²) block, a column per start
@@ -397,13 +403,16 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                                       pool_size=root.pool_size)
 
     if resample:
-        # the counts go to the draws as uint64, and the draws come back
-        # int64, as the offsets are: a uint64 index would add to them as
-        # floats, and gathers at half the speed
         flat, offsets = _sample_bank(game)
-        offsets = (offsets[0], offsets[1].T)
-        counts = game.count.astype(np.uint64)
-        sizes = (counts[0], counts[1].T)
+        if flat.size >= 2**32:
+            raise ParameterError(f"cannot resample from {flat.size} stored "
+                                 f"samples: at most 2**32 - 1")
+        # one gather gives a cell's offset and count; a one-sample cell takes
+        # no draw, so a game with one draws through IndexDraws.integers
+        cells = (offsets.astype(np.uint64) << np.uint64(32)
+                 | game.count.astype(np.uint64))
+        cells = (cells[0], cells[1].T)
+        top = int(game.count.max()) if game.count.min() > 1 else None
         draws = IndexDraws(child(n * n))
     # without NaN payoffs every column holds a maximum, so n² maxima in all
     # mean that no column ties
@@ -415,14 +424,14 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     worst = np.zeros(n * n)  # worst payoff distance from the solution
     for step in range(steps):
         movers = ((step % 2,) if update == "alternating" else (0, 1))
-        picks = {}
+        picks = [a, b]
         for player in movers:
             opp = b if player == 0 else a
             if resample:
-                vals = flat[draws.integers(sizes[player][:, opp])
-                            + offsets[player][:, opp]]
+                vals = flat.take(draws.folded(cells[player].take(opp, axis=1),
+                                              top))
             else:
-                vals = means[player][:, opp]
+                vals = means[player].take(opp, axis=1)
             tied = vals == vals.max(axis=0)
             pick = tied.argmax(axis=0)
             if not (nan_free and np.count_nonzero(tied) == n * n):
@@ -431,9 +440,9 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                         tie_rngs[r] = np.random.default_rng(child(r))
                     pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
             picks[player] = pick
-        a, b = picks.get(0, a), picks.get(1, b)
+        a, b = picks
         if step >= steps - window:
-            worst = np.maximum(worst, np.abs(u[:, a, b] - sol_pay).max(axis=0))
+            worst = np.maximum(worst, dist[a, b])
 
     order = list(StabilityClass)
     codes = np.where(worst <= as_tol, 0, np.where(worst <= epsilon, 1, 2)).tolist()

@@ -398,7 +398,17 @@ class TestSimulateCommand:
                      id="float-g"),
         pytest.param({"schedule": ["pricing"]}, "schedule entry", id="string-entry"),
         pytest.param({"schedule": [{"factors": ["pricing"], "levels": ["L", "H"]}]},
-                     "levels", id="unknown-entry-key")])
+                     "levels", id="unknown-entry-key"),
+        pytest.param({"schedule": 5}, "schedule", id="number-schedule"),
+        pytest.param({"schedule": "pricing"}, "schedule", id="string-schedule"),
+        pytest.param({"schedule": [{"factors": 5}]}, "factors", id="number-factors"),
+        pytest.param({"schedule": [{"factors": [{"name": "pricing", "levels": "LH"}]}]},
+                     "levels", id="string-levels"),
+        pytest.param({"default_profile": [1]}, "default_profile", id="list-profile"),
+        pytest.param({"default_profile": {"nope": "H"}}, "default_profile",
+                     id="unknown-profile-factor"),
+        pytest.param({"default_profile": {"pricing": "X"}}, "default_profile",
+                     id="unknown-profile-label")])
     def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, config, name):
         # each ran on before, as another value (2.5 days a 5-day period, "no"
         # and "false" true, a g of 1.5 as 1), or stopped with a traceback or
@@ -419,6 +429,16 @@ class TestSimulateCommand:
         out = tmp_path / "g"
         assert main(["gsa", "--config", str(path), "--out", str(out)]) == 2
         assert "1 <= m <= m0 <= agents" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_default_profile_label_fails_gsa_at_load(self, tmp_path, capsys):
+        # gsa never reads the default profile, so this loaded and ran before
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"default_profile": {"marketing": "top"}}))
+        out = tmp_path / "g"
+        assert main(["gsa", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "default_profile: unknown level label 'top'" in err
         assert not out.exists()
 
     def test_integer_for_a_float_and_null_load_as_given(self):

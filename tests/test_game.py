@@ -151,3 +151,28 @@ class TestStorage:
     def test_min_regret_profile(self):
         game = EmpiricalGame.from_payoff_matrices(PD_U1)
         assert game.min_regret_profile() == (1, 1)
+
+    def test_min_regret_profile_matches_per_profile_loop(self):
+        # small integer payoffs tie often; NaN cells and infinite payoffs
+        # test builtin max's order, np.delete's NaN and np.argmin's first
+        # least (a NaN counts as least)
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            u1 = rng.integers(-2, 3, size=(n, n)).astype(float)
+            u2 = rng.integers(-2, 3, size=(n, n)).astype(float)
+            for u in (u1, u2):
+                spots = rng.integers(0, n, size=(int(rng.integers(0, 3)), 2))
+                u[tuple(spots.T)] = rng.choice([np.nan, np.inf, -np.inf],
+                                               size=len(spots))
+            game = EmpiricalGame.from_payoff_matrices(
+                u1, None if trial % 2 else u2)
+            profiles = game.profiles()
+            with np.errstate(invalid="ignore"):
+                loop = profiles[int(np.argmin([game.regret(p) for p in profiles]))]
+                assert game.min_regret_profile() == loop, trial
+
+    def test_min_regret_profile_needs_two_strategies(self):
+        game = EmpiricalGame.from_payoff_matrices(np.array([[1.0]]))
+        with pytest.raises(ParameterError, match="two strategies"):
+            game.min_regret_profile()

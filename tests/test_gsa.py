@@ -18,6 +18,7 @@ from duogame.gsa import (
     SimulationPayoffSource,
     StabilityClass,
     _replay_labels,
+    _sample_bank,
     _simulate_profile,
     build_empirical_game,
     neighbor_strictness_test,
@@ -366,6 +367,140 @@ def test_index_draws_match_numpy_integers():
 def test_index_draws_reject_counts_above_32_bits():
     with pytest.raises(ParameterError, match="2\\*\\*32"):
         IndexDraws(0).integers(np.array([[3, 2**32 + 1]]))
+
+
+@pytest.mark.golden
+def test_folded_draws_match_integers_plus_offsets():
+    # the calls of test_index_draws_match_numpy_integers but the one of
+    # 2**32 samples, which does not pack, each count under a bank offset
+    # that leaves offset + count below 2**32. Calls with a one-sample cell
+    # draw through integers, and so do those with counts from 2**31, whose
+    # low halves cannot all reach twice the largest count: they hand back
+    # the halves they drew first
+    shapes = np.random.default_rng(41)
+    seed = np.random.SeedSequence(12)
+    draws, reference = IndexDraws(seed), np.random.default_rng(seed)
+    through_integers, expected_through = [], []
+    integers = draws.integers
+    draws.integers = lambda high: through_integers.append(call) or integers(high)
+    for call in range(60):
+        shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
+        lows, highs = ((1, 3), (1, 60), (2**31, 2**32))[call % 3]
+        high = shapes.integers(lows, highs, shape)
+        if call % 4 == 0:
+            high.flat[::2] = 1
+        offsets = shapes.integers(0, 2**32 - high)
+        cells = offsets.astype(np.uint64) << np.uint64(32) | high.astype(np.uint64)
+        top = int(high.max()) if high.min() > 1 else None
+        if top is None or top >= 2**31:
+            expected_through.append(call)
+        expected = reference.integers(0, high) + offsets
+        got = draws.folded(cells, top)
+        assert got.dtype == np.int64 and got.shape == expected.shape, call
+        assert got.tolist() == expected.tolist(), call
+    assert draws.rejections > 0
+    assert set(expected_through) <= set(through_integers)
+    assert len(through_integers) == 60 - 15   # 15 fold, 4 after a pending half
+
+
+def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
+    """The lockstep loop before the folded draw: each move gathers the
+    counts and the bank offsets apart, draws through
+    ``IndexDraws.integers`` and adds. Kept as a bit-for-bit oracle of
+    ``stability_analysis``; returns its classes and ratios."""
+    n = game.n
+    u = game.mean
+    sol_samples = game.samples(solution, 0)
+    if sol_samples.size >= 2 and sol_samples.std(ddof=1) > 0:
+        as_tol = max(confidence_interval(sol_samples)[1],
+                     confidence_interval(game.samples(solution, 1))[1])
+    else:
+        as_tol = 1e-9
+    sol_pay = u[:, solution[0], solution[1], None]
+    means = (u[0], u[1].T)
+    resample = noise == "resample"
+    root = np.random.SeedSequence(seed)
+
+    def child(i):
+        return np.random.SeedSequence(root.entropy, spawn_key=(i,),
+                                      pool_size=root.pool_size)
+
+    if resample:
+        flat, offsets = _sample_bank(game)
+        offsets = (offsets[0], offsets[1].T)
+        counts = game.count.astype(np.uint64)
+        sizes = (counts[0], counts[1].T)
+        draws = IndexDraws(child(n * n))
+    nan_free = not np.isnan(flat if resample else u).any()
+    tie_rngs = {}
+    a, b = np.divmod(np.arange(n * n), n)
+    window = max(1, steps // 10)
+    worst = np.zeros(n * n)
+    for step in range(steps):
+        movers = ((step % 2,) if update == "alternating" else (0, 1))
+        picks = {}
+        for player in movers:
+            opp = b if player == 0 else a
+            if resample:
+                vals = flat[draws.integers(sizes[player][:, opp])
+                            + offsets[player][:, opp]]
+            else:
+                vals = means[player][:, opp]
+            tied = vals == vals.max(axis=0)
+            pick = tied.argmax(axis=0)
+            if not (nan_free and np.count_nonzero(tied) == n * n):
+                for r in np.flatnonzero(tied.sum(axis=0) > 1):
+                    if r not in tie_rngs:
+                        tie_rngs[r] = np.random.default_rng(child(r))
+                    pick[r] = tie_rngs[r].choice(np.flatnonzero(tied[:, r]))
+            picks[player] = pick
+        a, b = picks.get(0, a), picks.get(1, b)
+        if step >= steps - window:
+            worst = np.maximum(worst, np.abs(u[:, a, b] - sol_pay).max(axis=0))
+    order = list(StabilityClass)
+    codes = np.where(worst <= as_tol, 0, np.where(worst <= epsilon, 1, 2)).tolist()
+    classes = {divmod(i, n): order[c] for i, c in enumerate(codes)}
+    ratios = {c.value: codes.count(k) / len(codes) for k, c in enumerate(order)}
+    return classes, ratios
+
+
+def integer_sample_game(seed, n, fewest, most, symmetric=True, nan=False):
+    """A game whose samples are small integers, so resampled payoffs tie
+    often, with fewest to most - 1 samples a cell; ``nan`` puts a NaN
+    among one cell's samples."""
+    rng = np.random.default_rng(seed)
+    game = EmpiricalGame(StrategySpace([{"i": i} for i in range(n)],
+                                       symmetric=symmetric))
+    for a, b in game.profiles():
+        k = int(rng.integers(fewest, most))
+        game.set_samples((a, b), rng.integers(-2, 3, k).astype(float),
+                         rng.integers(-2, 3, k).astype(float))
+    if nan:
+        samples = game.samples((0, 1), 0)
+        samples[-1] = np.nan
+    return game
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("update", ["alternating", "simultaneous"])
+@pytest.mark.parametrize("n, fewest, most, symmetric, nan", [
+    pytest.param(4, 2, 9, True, False, id="ties"),
+    pytest.param(5, 2, 7, True, False, id="odd-n"),
+    pytest.param(3, 2, 6, False, False, id="general-odd-n"),
+    pytest.param(4, 1, 4, True, False, id="one-sample-cells"),
+    pytest.param(6, 2, 40, False, False, id="general"),
+    pytest.param(4, 2, 9, True, True, id="nan-sample")])
+def test_stability_matches_lockstep_oracle(update, n, fewest, most, symmetric, nan):
+    for seed in range(4):
+        game = integer_sample_game(seed, n, fewest, most, symmetric, nan)
+        if fewest == 1:
+            assert (game.count == 1).any() and (game.count > 1).any()
+        solution = game.min_regret_profile()
+        for steps in (10, 41):
+            report = stability_analysis(game, solution, 1.0, steps=steps,
+                                        update=update, seed=seed)
+            assert (report.classes, report.ratios) == lockstep_stability(
+                game, solution, 1.0, steps, "resample", update, seed), seed
 
 
 def reference_stability(game, solution, epsilon, steps, noise, update, seed):
