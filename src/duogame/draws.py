@@ -6,12 +6,14 @@ analysis thousands of indices a move; here whole arrays of streams advance in
 a few numpy calls and give the same bits.
 
 :class:`IndexDraws` reproduces ``Generator.integers(0, counts)`` from raw
-PCG64 words. :func:`spawn_state` runs numpy's ``SeedSequence`` hash for many
+PCG64 words on the fast path and hands numpy the rare calls it cannot vouch
+for. :func:`spawn_state` runs numpy's ``SeedSequence`` hash for many
 entropy rows at once, and :class:`RowStreams` seeds and steps the PCG64
 company streams of every row of a kernel pass (O'Neill, "PCG: A family of
 simple fast space-efficient statistically good algorithms for random number
 generation", HMC-CS-2014-0905, defines the generator and its seeding step).
-``test_index_draws_match_numpy_integers`` in tests/test_gsa.py and
+``test_index_draws_match_numpy_integers`` and
+``test_folded_draws_match_integers_plus_offsets`` in tests/test_gsa.py and
 ``test_row_streams_match_numpy`` and ``test_replication_seeds_match_numpy``
 in tests/test_runner.py guard the reproductions.
 """
@@ -21,8 +23,6 @@ import operator
 import numpy as np
 
 from .errors import ParameterError
-
-_SPAN = np.uint64(1 << 32)
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
 # uint32 words, mixed from the entropy by hash constants that advance by a
@@ -204,127 +204,87 @@ class _Ties(dict):
 
 
 class IndexDraws:
-    """``np.random.default_rng(seed).integers(0, high)`` for integer arrays
-    ``high`` of counts up to 2**32, value for value, from the raw words of
-    the same PCG64 stream.
+    """``offset + np.random.default_rng(seed).integers(0, count)`` over
+    arrays of cells that pack ``offset << 32 | count``, value for value.
 
     numpy draws each element, in C order, by Lemire's rule on the stream's
-    32-bit halves, a word's low half first: ``high == 1`` takes no half and
-    gives 0; otherwise m = x * high of the next half x gives m >> 32, unless
-    m mod 2**32 < (2**32 - high) mod high, when the element takes the next
-    half instead. Here one product covers a call; since every threshold is
-    below ``high``, a call whose remainders all reach its largest ``high``
-    rejects nothing, and a rejection redraws from that element on.
-    ``rejections`` counts the rejected halves. :meth:`folded` draws the same
-    numbers for cells that pack a bank offset above each count, and adds the
-    offset inside the product.
+    32-bit halves, a word's low half first: a count of 1 takes no half and
+    gives 0; otherwise m = x * count of the next half x gives m >> 32, unless
+    m mod 2**32 < (2**32 - count) mod count, when the element takes the next
+    half instead. :meth:`folded` draws the cells of counts above 1 from one
+    product per call, the offset added inside it. A call the product cannot
+    vouch for (a possible carry or rejection, or a count of 2**31 or more,
+    about one call in a thousand at stability counts) rewinds its words and
+    draws through numpy's own ``Generator.integers`` on the same PCG64.
     """
 
     def __init__(self, seed):
         self._bitgen = np.random.PCG64(seed)
-        self._pending = np.empty(0, dtype=np.uint32)   # drawn, not yet used
-        self._layouts = {}   # folded()'s buffers by cell shape and pending
-        self.rejections = 0
-
-    def _next(self, k: int) -> np.ndarray:
-        """The stream's next k 32-bit halves."""
-        have = self._pending.size
-        if have >= k:
-            halves = self._pending
-        else:
-            words = self._bitgen.random_raw((k - have + 1) // 2)
-            # little-endian words read as little-endian 32-bit pairs: the low
-            # half first on every host
-            halves = words.astype("<u8", copy=False).view("<u4")
-            if have:
-                halves = np.concatenate((self._pending, halves))
-        self._pending = halves[k:].copy()
-        return halves[:k]
-
-    def integers(self, high) -> np.ndarray:
-        """int64 draws in [0, high) of the shape of ``high``, whose
-        elements must be at least 1."""
-        high = np.asarray(high, dtype=np.uint64)
-        flat = high.ravel()
-        top = flat.max(initial=1)
-        if top > _SPAN:
-            raise ParameterError(f"cannot draw an index below {top}: "
-                                 f"a cell holds more than 2**32 samples")
-        live = None if flat.min(initial=2) > 1 else flat > 1
-        span = flat if live is None else flat[live]
-        k = span.size
-        m = np.empty(k, dtype=np.uint64)
-        done = 0
-        while done < k:
-            m[done:] = self._next(k - done)
-            m[done:] *= span[done:]
-            low = m[done:].astype(np.uint32)    # m mod 2**32
-            if low.min() >= top:
-                break
-            left = span[done:]
-            rejected = np.flatnonzero(low < (_SPAN - left) % left)
-            if not rejected.size:
-                break
-            # the rejected element takes the half after its own, which went
-            # to the next element: the exact products give the halves back
-            self.rejections += 1
-            j = done + int(rejected[0])
-            drawn = (m[j + 1:] // span[j + 1:]).astype(np.uint32)
-            self._pending = np.concatenate((drawn, self._pending))
-            done = j
-        # below 2**32, so the same bits as int64, which gathers faster
-        m >>= np.uint64(32)
-        if live is None:
-            return m.view(np.int64).reshape(high.shape)
-        out = np.zeros(flat.size, dtype=np.int64)
-        out[live] = m
-        return out.reshape(high.shape)
+        self._kept = None    # a word's high half, drawn and not yet used
+        self._layouts = {}   # _fold's buffers of the last shape, by kept half
 
     def folded(self, cells: np.ndarray, top) -> np.ndarray:
         """``offset + integers(count)`` as int64 for uint64 ``cells`` that
-        pack ``offset << 32 | count``, in a buffer the next call reuses.
+        pack ``offset << 32 | count`` with offset + count below 2**32, in a
+        buffer the next call may reuse.
 
-        ``top`` is the largest count if every count is at least 2 and every
-        offset + count below 2**32, else None: the call then draws through
-        :meth:`integers`. Halves x (pending ones, then the words'
-        low and high halves, by mask and shift, so on any byte order) times
-        the counts plus the cells is x * count + count + offset * 2**32,
-        whose top 32 bits are offset + (x * count >> 32) unless the count
-        carried. Low halves of the sum all at least 2 * top rule out a carry
-        and a rejection (whose threshold is below the count); otherwise the
-        call hands its halves back and draws through :meth:`integers`.
+        ``top`` is the largest count if every count is at least 2, else
+        None: a count of 1 draws 0 and takes no half, so the call first
+        gathers the cells that draw.
         """
-        have = self._pending.size
-        if top is None or have >= cells.size:
-            return self._unfolded(cells)
-        k, key = cells.size, (cells.shape, have)
-        if key not in self._layouts:
-            # the halves, pending first; the views their words' low and high
-            # halves go to; the products; the halves left over; the indices
+        if top is not None:
+            return self._fold(cells, top)
+        out = (cells >> _U32).view(np.int64)
+        live = (cells & _LOW32) > 1
+        if live.any():
+            drawn = cells[live]
+            out[live] = self._fold(drawn, int((drawn & _LOW32).max()))
+        return out
+
+    def _fold(self, cells, top):
+        """Halves x (the kept one, then the words' low and high halves, by
+        mask and shift, so on any byte order) times the counts plus the
+        cells is x * count + count + offset * 2**32, whose top 32 bits are
+        offset + (x * count >> 32) unless the count carried. Low halves of
+        the sum all at least 2 * top rule out a carry and a rejection (whose
+        threshold is below the count); otherwise numpy draws the call."""
+        have = int(self._kept is not None)
+        k, layout = cells.size, self._layouts.get(have)
+        if layout is None or layout[0].shape != cells.shape:
+            # the products, over the halves (the kept one first); the words;
+            # the halves; the views their words' low and high halves go to;
+            # the half left over; the indices
             words = (k - have + 1) // 2
             halves = np.empty(have + 2 * words, dtype=np.uint64)
             pairs = halves[have:].reshape(-1, 2)
             m = halves[:k].reshape(cells.shape)
-            self._layouts[key] = (words, halves, pairs[:, 0], pairs[:, 1], m,
-                                  halves[k:], m.view(np.int64))
-        words, halves, lo, hi, m, rest, index = self._layouts[key]
+            layout = self._layouts[have] = (m, words, halves, pairs[:, 0],
+                                            pairs[:, 1], halves[k:], m.view(np.int64))
+        m, words, halves, lo, hi, rest, index = layout
         if have:
-            halves[:have] = self._pending
+            halves[0] = self._kept
         x = self._bitgen.random_raw(words)
         np.bitwise_and(x, _LOW32, out=lo)
         np.right_shift(x, _U32, out=hi)
-        count = cells & _LOW32
-        m *= count
+        m *= cells & _LOW32
         m += cells
-        if m.astype(np.uint32).min() < 2 * top:
-            # a carry or a rejection may have happened: the products give
-            # the halves back exactly, for integers to draw from
-            back = np.concatenate((((m - cells) // count).ravel(), rest))
-            self._pending = back.astype(np.uint32)
-            return self._unfolded(cells)
-        self._pending = rest.astype(np.uint32)
+        if int(m.astype(np.uint32).min()) < 2 * top:
+            return self._numpy(cells, words)
+        self._kept = int(rest[0]) if rest.size else None
         m >>= _U32
         return index
 
-    def _unfolded(self, cells: np.ndarray) -> np.ndarray:
-        return self.integers(cells & _LOW32) + (cells >> _U32).view(np.int64)
+    def _numpy(self, cells, words):
+        """The call's draws by ``Generator.integers``: the call's words
+        rewound (``advance`` wraps mod 2**128), and the kept half handed
+        over as the bit generator's buffered half and taken back after."""
+        self._bitgen.advance(2**128 - words)
+        state = self._bitgen.state
+        state["has_uint32"] = int(self._kept is not None)
+        state["uinteger"] = self._kept or 0
+        self._bitgen.state = state
+        rng = np.random.Generator(self._bitgen)
+        index = rng.integers(0, (cells & _LOW32).astype(np.int64))
+        state = self._bitgen.state
+        self._kept = state["uinteger"] if state["has_uint32"] else None
+        return index + (cells >> _U32).view(np.int64)

@@ -189,7 +189,7 @@ class EmpiricalGame:
         player's of its row maximum. Iterative best-response search can miss
         equilibria under payoff noise.
         """
-        if epsilon < 0:
+        if not epsilon >= 0:
             raise ParameterError("epsilon must be >= 0")
         self._require_complete()
         u0, u1 = self.mean

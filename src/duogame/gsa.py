@@ -360,15 +360,17 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     All n² trajectories advance together. Under ``resample`` each move draws
     the sample indices of every start at once: they are exactly those of
     ``default_rng(child).integers(0, counts)`` on child n² of
-    ``SeedSequence(seed)``, reproduced from the raw PCG64 words by
-    ``draws.IndexDraws`` (``test_index_draws_match_numpy_integers`` in
-    tests/test_gsa.py guards this). Child i breaks the ties of start i
-    (row-major), and only those.
+    ``SeedSequence(seed)``. Child i breaks the ties of start i (row-major),
+    and only those.
 
     A move gathers the mover's (n, n²) cells, each a bank offset packed
-    above a count, draws bank positions by ``IndexDraws.folded`` (the offset
-    added inside Lemire's product), gathers the samples and best-responds;
-    ``lockstep_stability`` in tests/test_gsa.py is its bit-for-bit oracle.
+    above a count, draws bank positions by ``draws.IndexDraws.folded`` (from
+    the raw PCG64 words, the offset added inside Lemire's product; numpy
+    itself draws the rare move the product cannot vouch for), gathers the
+    samples and best-responds.
+    ``test_folded_draws_match_integers_plus_offsets`` in tests/test_gsa.py
+    guards the draw, and ``lockstep_stability`` there is the loop's
+    bit-for-bit oracle.
     """
     if noise not in STABILITY_NOISE:
         raise ParameterError(f"unknown noise model {noise!r}")
@@ -376,7 +378,7 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         raise ParameterError(f"unknown update rule {update!r}")
     if steps < 10:
         raise ParameterError("steps must be >= 10")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
     game._require_complete()
     n = game.n
@@ -408,7 +410,7 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
             raise ParameterError(f"cannot resample from {flat.size} stored "
                                  f"samples: at most 2**32 - 1")
         # one gather gives a cell's offset and count; a one-sample cell takes
-        # no draw, so a game with one draws through IndexDraws.integers
+        # no draw, so in a game with one the draw first gathers the others
         cells = (offsets.astype(np.uint64) << np.uint64(32)
                  | game.count.astype(np.uint64))
         cells = (cells[0], cells[1].T)

@@ -218,6 +218,17 @@ class TestMatrixRoundTrip:
         assert back.pure_nash(0.0) == game.pure_nash(0.0)
 
 
+@pytest.mark.parametrize("command", ["solve", "stability"])
+def test_nan_epsilon_exits_2(tmp_path, capsys, command):
+    # NaN fails every comparison, so it must fail the check for epsilon >= 0
+    path = tmp_path / "m.csv"
+    write_payoff_matrix(TestMatrixRoundTrip().build_game(), path)
+    assert main([command, "--game", str(path), "--epsilon", "nan",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestSimulateCommand:
     def test_deterministic_outputs_byte_identical(self, desk_config, tmp_path):
         outs = []

@@ -5,12 +5,14 @@ Strategy pairs are drawn with a seeded generator from the levels of
 companies) or under ``deterministic_marketing``, each with a drawn
 replication seed. Every drawn (pair, seed) must give the same payoff bytes
 however it is computed: alone, in a pass of 15 rows or of 70, on either
-sub-step body, split into passes of either body at one or two ``jobs``, and
-exactly swapped under ``mirror`` with the pair swapped;
-and every company's stocks must move by exactly what its ``FlowLedger``
-booked. Diverging pairs planted among drawn rows at seeded positions must
-report the same row, seed, day and message at every width, on either body
-and at every ``jobs``, as the lone replay of that row.
+sub-step body, split into passes of either body at one or two ``jobs``,
+with every market agent scored exactly, and exactly swapped under
+``mirror`` with the pair swapped; and every company's stocks must move by
+exactly what its ``FlowLedger`` booked. Diverging pairs planted among
+drawn rows at seeded positions must report the same row, seed, day and
+message at every width, on either body and at every ``jobs``, as the lone
+replay of that row. The one-row replays, the largest share of the module's
+time, are marked ``slow``.
 """
 
 from dataclasses import replace
@@ -18,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from duogame import runner
+from duogame import market, runner
 from duogame.errors import ReplicationError
 from duogame.factors import FACTOR_DEFS, LEVEL_LABELS, materialize
 from duogame.runner import (
@@ -70,6 +72,7 @@ def drawn(request):
     return pairs, seeds, settings, payoffs(pairs, seeds, settings)
 
 
+@pytest.mark.slow
 def test_rows_alone_and_at_width_15(drawn):
     pairs, seeds, settings, together = drawn
     for j in range(ROWS):
@@ -80,6 +83,7 @@ def test_rows_alone_and_at_width_15(drawn):
         assert part.tobytes() == together[lo:lo + 15].tobytes(), lo
 
 
+@pytest.mark.slow
 def test_both_sub_step_bodies(drawn, monkeypatch):
     pairs, seeds, settings, together = drawn
     monkeypatch.setattr(runner, "WIDE", ROWS + 1)      # 70 rows in plain floats
@@ -117,6 +121,41 @@ def test_mirror_swaps_exactly(drawn):
     pairs, seeds, settings, together = drawn
     swapped = payoffs([(b, a) for a, b in pairs], seeds, settings, mirror=True)
     assert swapped.tobytes() == np.ascontiguousarray(together[:, ::-1]).tobytes()
+
+
+class _NothingSure:
+    """numpy, as the market module calls it, but with no agent's score
+    difference beyond its rounding bound."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def greater(a, b, out):
+        out[...] = False
+        return out
+
+
+def test_every_agent_scored_exactly(drawn, monkeypatch):
+    # with every agent of every row-day sent to the exact scores, each
+    # decision, and so each payoff, is the one the score difference made
+    pairs, seeds, settings, together = drawn
+    stepped, scored = [], []
+    step, exact = market.ConsumerMarket.step, market.ConsumerMarket._exact
+
+    def counted_step(self, prices, *rest, **options):
+        stepped.append(len(prices) * self.n)
+        return step(self, prices, *rest, **options)
+
+    def counted_exact(self, rows, *rest):
+        scored.append(rows.size)
+        return exact(self, rows, *rest)
+
+    monkeypatch.setattr(market, "np", _NothingSure())
+    monkeypatch.setattr(market.ConsumerMarket, "step", counted_step)
+    monkeypatch.setattr(market.ConsumerMarket, "_exact", counted_exact)
+    assert payoffs(pairs, seeds, settings).tobytes() == together.tobytes()
+    assert sum(scored) == sum(stepped) > 0
 
 
 @pytest.mark.parametrize("wide", [True, False], ids=["array", "float"])

@@ -13,12 +13,14 @@ stream: alternating and simultaneous updates, an odd strategy count with
 one-sample cells, and ``duogame stability`` on a re-read matrix.
 ``tests/golden/`` holds the config and output hashes (payoff matrix,
 iteration report, solution trace) of a one-iteration ``gsa`` run on four
-two-level factors. A pin may change only for a stated reason, such as a
-changed RNG protocol.
+two-level factors, and the hashes of every file the shipped five-iteration
+``duogame gsa --jobs 2`` run writes. A pin may change only for a stated
+reason, such as a changed RNG protocol.
 """
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -278,3 +280,37 @@ def test_small_gsa_run_pin(tmp_path):
 
 def test_small_gsa_run_pin_two_jobs(tmp_path):
     check_small_gsa_run(tmp_path / "g", "--jobs", "2")
+
+
+def run_digests(out) -> dict:
+    """sha256 of each file a ``gsa`` run wrote, by its path under ``out``;
+    the JSON files re-dumped with their sorted keys, less the run's timings
+    and its output directory."""
+    digests = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_dir():
+            continue
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            obj = json.loads(data)
+            obj.pop("out_dir", None)
+            if isinstance(obj.get("report"), dict):
+                obj["report"].pop("runtime_seconds", None)
+            data = json.dumps(obj, sort_keys=True).encode()
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.slow
+def test_paper_scale_gsa_run_pin(tmp_path, capsys):
+    # the shipped default config at two jobs: five iterations whose
+    # value-of-information top-ups sample most profiles to the cap of 500,
+    # and whose stability analyses draw from banks of up to 480 samples a
+    # cell; every payoff matrix, trace, figure table, report and checkpoint
+    t0 = time.perf_counter()
+    assert main(["gsa", "--jobs", "2", "--out", str(tmp_path)]) == 0
+    wall = time.perf_counter() - t0
+    with capsys.disabled():
+        print(f"\npaper-scale gsa run: {wall:.1f} s wall")
+    pins = json.loads((GOLDEN / "paper_gsa_hashes.json").read_text())
+    assert run_digests(tmp_path) == pins

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from duogame import gsa
 from duogame.errors import ConfigError, ParameterError, ReplicationError
 from duogame.factors import (
     FACTORS,
@@ -343,46 +344,39 @@ class TestStability:
 
 @pytest.mark.golden
 def test_index_draws_match_numpy_integers():
-    # successive calls on one stream: ragged shapes, one-sample cells (no
-    # draw), odd draw counts that leave a word's high half for the next
-    # call, the full 32-bit range, and ranges from 2**31 on, where up to
-    # half the draws are rejected
+    # successive calls on one stream with every offset 0: ragged shapes,
+    # one-sample cells (no draw), odd draw counts that keep a word's high
+    # half for the next call, the full 32-bit range, and ranges from 2**31
+    # on, where up to half the draws are rejected
     shapes = np.random.default_rng(41)
     seed = np.random.SeedSequence(12)
     draws, reference = IndexDraws(seed), np.random.default_rng(seed)
     for call in range(60):
         shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
-        lows, highs = ((1, 3), (1, 60), (2**31, 2**32), (2**32, 2**32 + 1))[call % 4]
+        lows, highs = ((1, 3), (1, 60), (2**31, 2**32), (1, 2**32))[call % 4]
         high = shapes.integers(lows, highs, shape)
         if call % 3 == 0:
             high.flat[::2] = 1
         expected = reference.integers(0, high)
-        got = draws.integers(high)
+        top = int(high.max()) if high.min() > 1 else None
+        got = draws.folded(high.astype(np.uint64), top)
         assert got.dtype == expected.dtype and got.shape == expected.shape, call
         assert got.tolist() == expected.tolist(), call
-    assert draws.rejections > 0
-
-
-@pytest.mark.golden
-def test_index_draws_reject_counts_above_32_bits():
-    with pytest.raises(ParameterError, match="2\\*\\*32"):
-        IndexDraws(0).integers(np.array([[3, 2**32 + 1]]))
 
 
 @pytest.mark.golden
 def test_folded_draws_match_integers_plus_offsets():
-    # the calls of test_index_draws_match_numpy_integers but the one of
-    # 2**32 samples, which does not pack, each count under a bank offset
-    # that leaves offset + count below 2**32. Calls with a one-sample cell
-    # draw through integers, and so do those with counts from 2**31, whose
-    # low halves cannot all reach twice the largest count: they hand back
-    # the halves they drew first
+    # successive calls on one stream, each count under a bank offset that
+    # leaves offset + count below 2**32: ragged shapes, one-sample cells (no
+    # draw), odd draw counts that keep a word's high half for the next call,
+    # and counts from 2**31 on, where up to half the draws are rejected and
+    # the call goes to numpy's own draw, kept half and all
     shapes = np.random.default_rng(41)
     seed = np.random.SeedSequence(12)
     draws, reference = IndexDraws(seed), np.random.default_rng(seed)
-    through_integers, expected_through = [], []
-    integers = draws.integers
-    draws.integers = lambda high: through_integers.append(call) or integers(high)
+    through_numpy, expected_through = [], []
+    to_numpy = draws._numpy
+    draws._numpy = lambda cells, words: through_numpy.append(call) or to_numpy(cells, words)
     for call in range(60):
         shape = tuple(shapes.integers(1, 9, int(shapes.integers(1, 3))).tolist())
         lows, highs = ((1, 3), (1, 60), (2**31, 2**32))[call % 3]
@@ -392,21 +386,30 @@ def test_folded_draws_match_integers_plus_offsets():
         offsets = shapes.integers(0, 2**32 - high)
         cells = offsets.astype(np.uint64) << np.uint64(32) | high.astype(np.uint64)
         top = int(high.max()) if high.min() > 1 else None
-        if top is None or top >= 2**31:
+        if high.max() >= 2**31:
             expected_through.append(call)
         expected = reference.integers(0, high) + offsets
         got = draws.folded(cells, top)
         assert got.dtype == np.int64 and got.shape == expected.shape, call
         assert got.tolist() == expected.tolist(), call
-    assert draws.rejections > 0
-    assert set(expected_through) <= set(through_integers)
-    assert len(through_integers) == 60 - 15   # 15 fold, 4 after a pending half
+    assert through_numpy == expected_through and len(through_numpy) > 10
+
+
+@pytest.mark.golden
+def test_stability_rejects_banks_of_2_32_samples(monkeypatch):
+    # a zero-stride view of 2**32 samples, which holds no memory
+    game = EmpiricalGame.from_payoff_matrices(PD_U1)
+    flat, offsets = _sample_bank(game)
+    bank = np.broadcast_to(flat[:1], (2**32,))
+    monkeypatch.setattr(gsa, "_sample_bank", lambda game: (bank, offsets))
+    with pytest.raises(ParameterError, match="2\\*\\*32"):
+        stability_analysis(game, (1, 1), epsilon=0.5, steps=20)
 
 
 def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
     """The lockstep loop before the folded draw: each move gathers the
-    counts and the bank offsets apart, draws through
-    ``IndexDraws.integers`` and adds. Kept as a bit-for-bit oracle of
+    counts and the bank offsets apart, draws through numpy's own
+    ``Generator.integers`` and adds. Kept as a bit-for-bit oracle of
     ``stability_analysis``; returns its classes and ratios."""
     n = game.n
     u = game.mean
@@ -428,9 +431,8 @@ def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
     if resample:
         flat, offsets = _sample_bank(game)
         offsets = (offsets[0], offsets[1].T)
-        counts = game.count.astype(np.uint64)
-        sizes = (counts[0], counts[1].T)
-        draws = IndexDraws(child(n * n))
+        sizes = (game.count[0], game.count[1].T)
+        draws = np.random.default_rng(child(n * n))
     nan_free = not np.isnan(flat if resample else u).any()
     tie_rngs = {}
     a, b = np.divmod(np.arange(n * n), n)
@@ -442,7 +444,7 @@ def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
         for player in movers:
             opp = b if player == 0 else a
             if resample:
-                vals = flat[draws.integers(sizes[player][:, opp])
+                vals = flat[draws.integers(0, sizes[player][:, opp])
                             + offsets[player][:, opp]]
             else:
                 vals = means[player][:, opp]
