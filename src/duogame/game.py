@@ -1,13 +1,14 @@
 """Empirical normal-form game over sampled payoffs.
 
 Two players share a strategy list (symmetric game) or carry separate payoff
-tables (general game). Symmetric storage keeps one record per unordered
-profile, (S^2 - S)/2 + S in total, each holding the raw payoff samples of
-the player using the first strategy and of the player using the second.
+tables (general game). A symmetric game stores each unordered profile once,
+(S^2 - S)/2 + S in total.
 
-Every solver reads one array form of the game: three (2, S, S) arrays
-``mean``, ``count`` and ``var`` indexed ``[player, row, col]``, filled for
-both orders of a symmetric profile whenever its samples are stored.
+Every reader takes one array form of the game: four (2, S, S) arrays
+``mean``, ``count``, ``var`` and ``offset`` indexed ``[player, row, col]``,
+and one flat ``bank`` of raw payoff samples, where cell ``(player, row,
+col)`` holds ``bank[offset:offset + count]``. Storing a symmetric profile
+fills both of its orders, the transposed one with the players swapped.
 """
 
 from __future__ import annotations
@@ -52,17 +53,30 @@ class EmpiricalGame:
     """Payoff samples per profile with symmetric or general storage.
 
     Profiles are ordered pairs ``(row, col)`` of strategy indices. In the
-    symmetric case samples are stored once per unordered pair and queries for
-    the transposed profile swap the player roles.
+    symmetric case samples are stored once per unordered pair and the
+    transposed profile's cells point at them with the player roles swapped.
     """
 
     def __init__(self, space: StrategySpace):
         self.space = space
         self.n = n = len(space)
-        self._samples: dict = {}   # canonical profile -> (samples_p1, samples_p2)
         self.mean = np.full((2, n, n), np.nan)
         self.count = np.zeros((2, n, n), dtype=np.int64)
         self.var = np.full((2, n, n), np.nan)
+        self.offset = np.zeros((2, n, n), dtype=np.int64)
+        # samples stored since the bank was last read, joined on the next
+        # read: one copy per read, not one per store
+        self._bank = np.empty(0)
+        self._parts = []
+        self._size = 0
+
+    @property
+    def bank(self) -> np.ndarray:
+        """Every stored sample in one flat array."""
+        if self._parts:
+            self._bank = np.concatenate([self._bank, *self._parts])
+            self._parts = []
+        return self._bank
 
     # -- construction ------------------------------------------------------
 
@@ -81,7 +95,7 @@ class EmpiricalGame:
         store in place of the sample statistics, so that a matrix import
         keeps the written numbers bit for bit.
         """
-        key, swapped = self._canonical(profile)
+        (a, b), swapped = self._canonical(profile)
         p1 = np.asarray(samples_p1, dtype=float)
         p2 = np.asarray(samples_p2, dtype=float)
         if p1.size == 0 or p2.size == 0:
@@ -93,16 +107,17 @@ class EmpiricalGame:
         if swapped:
             p1, p2 = p2, p1
             stats = stats[::-1]
-        self._samples[key] = (p1, p2)
-        a, b = key
-        for player, (mean, count, var) in enumerate(stats):
+        for player, (samples, (mean, count, var)) in enumerate(zip((p1, p2), stats)):
             self.mean[player, a, b] = mean
             self.count[player, a, b] = count
             self.var[player, a, b] = var
+            self.offset[player, a, b] = self._size
+            self._parts.append(samples.ravel())
+            self._size += samples.size
         if self.space.symmetric and a != b:
             # the transposed profile swaps the player roles; the diagonal
             # keeps its own player order
-            for arr in (self.mean, self.count, self.var):
+            for arr in (self.mean, self.count, self.var, self.offset):
                 arr[:, b, a] = arr[::-1, a, b]
 
     @classmethod
@@ -131,19 +146,19 @@ class EmpiricalGame:
         return [(a, b) for a in range(self.n) for b in range(self.n)]
 
     def missing_profiles(self):
-        return [p for p in self.profiles() if p not in self._samples]
+        return [p for p in self.profiles() if not self.count[(0, *p)]]
 
     def _stored(self, profile):
-        """Canonical key of a simulated profile and whether it was swapped."""
-        key, swapped = self._canonical(profile)
-        if key not in self._samples:
+        """Raise unless the profile is in range and was simulated."""
+        self._canonical(profile)
+        if not self.count[(0, *profile)]:
             raise IncompleteGameError(f"profile {profile} was never simulated",
                                       missing=[profile])
-        return key, swapped
 
     def samples(self, profile, player: int) -> np.ndarray:
-        key, swapped = self._stored(profile)
-        return self._samples[key][player ^ 1 if swapped else player]
+        self._stored(profile)
+        start = self.offset[(player, *profile)]
+        return self.bank[start:start + self.count[(player, *profile)]]
 
     def payoff(self, profile, player: int) -> float:
         self._stored(profile)

@@ -53,6 +53,8 @@ class SamplingPolicy:
     def validate(self):
         if self.initial_n < 1:
             raise ParameterError("initial_n must be >= 1")
+        if self.trim_per_tail < 0:
+            raise ParameterError(f"trim_per_tail must be >= 0, got {self.trim_per_tail}")
         if 2 * self.trim_per_tail >= self.initial_n:
             raise ParameterError("trim must leave samples behind: 2*trim < n")
         if self.cap < self.initial_n:
@@ -305,17 +307,12 @@ def neighbor_strictness_test(game: EmpiricalGame, profile, player: int,
     if k_neighbors == 0:
         return []
     here_samples = game.samples(profile, player)
-    here_mean = float(here_samples.mean())
-    candidates = []
-    for other in game.profiles():
-        if other == profile:
-            continue
-        candidates.append((abs(game.payoff(other, player) - here_mean), other))
-    candidates.sort(key=lambda t: t[0])
-    out = []
-    for _, other in candidates[:k_neighbors]:
-        out.append(t_test(here_samples, game.samples(other, player)))
-    return out
+    others = [p for p in game.profiles() if p != profile]
+    rows, cols = np.array(others, dtype=int).reshape(-1, 2).T
+    distance = np.abs(game.mean[player, rows, cols] - here_samples.mean())
+    # a stable sort keeps profiles() order among equal distances
+    nearest = np.argsort(distance, kind="stable")[:k_neighbors]
+    return [t_test(here_samples, game.samples(others[i], player)) for i in nearest]
 
 
 @dataclass
@@ -328,21 +325,6 @@ class StabilityReport:
     def as_dict(self):
         return {"ratios": dict(self.ratios), "epsilon": self.epsilon,
                 "steps": self.steps}
-
-
-def _sample_bank(game: EmpiricalGame):
-    """Every stored sample in one flat array and the (2, n, n) offsets of
-    each cell's samples; a symmetric game's transposed cells point at the
-    same samples with the players swapped."""
-    cells = [(player, a, b) for a, b in game.profiles() for player in (0, 1)]
-    parts = [game.samples((a, b), player) for player, a, b in cells]
-    offsets = np.zeros((2, game.n, game.n), dtype=np.int64)
-    starts = np.cumsum([0] + [s.size for s in parts[:-1]])
-    offsets[tuple(np.array(cells).T)] = starts
-    if game.space.symmetric:
-        rows, cols = np.tril_indices(game.n, -1)
-        offsets[:, rows, cols] = offsets[::-1, cols, rows]
-    return np.concatenate(parts), offsets
 
 
 def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
@@ -363,11 +345,11 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
     ``SeedSequence(seed)``. Child i breaks the ties of start i (row-major),
     and only those.
 
-    A move gathers the mover's (n, n²) cells, each a bank offset packed
-    above a count, draws bank positions by ``draws.IndexDraws.folded`` (from
-    the raw PCG64 words, the offset added inside Lemire's product; numpy
-    itself draws the rare move the product cannot vouch for), gathers the
-    samples and best-responds.
+    A move gathers the mover's (n, n²) cells, each the game's ``offset``
+    into its sample ``bank`` packed above a ``count``, draws bank positions
+    by ``draws.IndexDraws.folded`` (from the raw PCG64 words, the offset
+    added inside Lemire's product; numpy itself draws the rare move the
+    product cannot vouch for), gathers the samples and best-responds.
     ``test_folded_draws_match_integers_plus_offsets`` in tests/test_gsa.py
     guards the draw, and ``lockstep_stability`` there is the loop's
     bit-for-bit oracle.
@@ -405,13 +387,13 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
                                       pool_size=root.pool_size)
 
     if resample:
-        flat, offsets = _sample_bank(game)
+        flat = game.bank
         if flat.size >= 2**32:
             raise ParameterError(f"cannot resample from {flat.size} stored "
                                  f"samples: at most 2**32 - 1")
         # one gather gives a cell's offset and count; a one-sample cell takes
         # no draw, so in a game with one the draw first gathers the others
-        cells = (offsets.astype(np.uint64) << np.uint64(32)
+        cells = (game.offset.astype(np.uint64) << np.uint64(32)
                  | game.count.astype(np.uint64))
         cells = (cells[0], cells[1].T)
         top = int(game.count.max()) if game.count.min() > 1 else None

@@ -26,27 +26,19 @@ TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
                 "labor", "wip"]
 
 
-def _cell(game: EmpiricalGame, a: int, b: int) -> str:
-    parts = []
-    for player in (0, 1):
-        mean = game.payoff((a, b), player)
-        n = game.sample_count((a, b), player)
-        var = game.sample_variance((a, b), player)
-        parts.append(f"{mean!r};{n};{var!r}")
-    return "|".join(parts)
-
-
 def write_payoff_matrix(game: EmpiricalGame, path) -> None:
-    path = Path(path)
-    n = game.n
-    with path.open("w", newline="") as fh:
+    game._require_complete()
+    # Python numbers, whose repr is the bare float under any numpy
+    mean, count, var = (arr.tolist() for arr in (game.mean, game.count, game.var))
+    labels = game.space.labels
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["strategy"] + [game.space.labels[j] for j in range(n)])
-        for a in range(n):
-            row = [game.space.labels[a]]
-            for b in range(n):
-                row.append(_cell(game, a, b))
-            writer.writerow(row)
+        writer.writerow(["strategy", *labels])
+        for a in range(game.n):
+            writer.writerow([labels[a]] + [
+                "|".join(f"{mean[p][a][b]!r};{count[p][a][b]};{var[p][a][b]!r}"
+                         for p in (0, 1))
+                for b in range(game.n)])
 
 
 def read_payoff_matrix(path) -> EmpiricalGame:

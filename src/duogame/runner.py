@@ -50,6 +50,7 @@ strategy-swapped replication an exact mirror of the original.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, replace
 
@@ -86,8 +87,9 @@ class CostRates:
     def validate(self):
         for name in ("unit_production", "unit_raw", "inventory_per_unit_day",
                      "backlog_per_unit_day", "transport_per_unit"):
-            if not getattr(self, name) >= 0:    # or NaN
-                raise ParameterError(f"cost rate {name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:    # or NaN
+                raise ParameterError(f"cost rate {name} must be >= 0 and finite, "
+                                     f"got {getattr(self, name)}")
         return self
 
 
@@ -151,8 +153,9 @@ class SimulationSettings:
                                  f"agents={self.n_agents}")
         if self.population_seed < 0:
             raise ParameterError(f"population_seed must be >= 0, got {self.population_seed}")
-        if not self.per_capita_demand > 0:     # or NaN
-            raise ParameterError(f"per_capita_demand must be > 0, got {self.per_capita_demand}")
+        if not 0 < self.per_capita_demand < math.inf:     # or NaN
+            raise ParameterError(f"per_capita_demand must be > 0 and finite, "
+                                 f"got {self.per_capita_demand}")
         if self.marketing_period < 1:
             raise ParameterError("marketing_period must be >= 1")
         if self.sunk_cost_mode not in ("total", "own"):

@@ -154,6 +154,15 @@ class SDParams:
         if not self.mp_cap_ratio >= self.mp_floor_ratio:
             raise ParameterError(f"mp_cap_ratio must be >= mp_floor_ratio "
                                  f"({self.mp_floor_ratio}), got {self.mp_cap_ratio}")
+        # an infinity here makes a stock or the price non-finite on day 0 or
+        # 1, or leaves no steady state; the other times and rates run on
+        for name in ("labor_fulfillment_time", "wip_fulfillment_time",
+                     "inv_fulfillment_time", "rm_lead_time", "safety_stock_cov",
+                     "rm_inventory_cov", "cycle_time", "vac_fulfillment_time",
+                     "order_processing_time", "mfg_price", "unit_cost", "max_inv_cov",
+                     "sigma_wip", "sigma_prod", "sigma_order", "sigma_inv"):
+            if getattr(self, name) == math.inf:
+                raise ParameterError(f"{name} must be finite, got inf")
         return self
 
     @property
@@ -331,7 +340,7 @@ class _Ops(NamedTuple):
     at_least: Callable  # ``lo if x < lo else x`` for a bound ``lo`` > 0
     at_most: Callable   # ``hi if x > hi else x`` for a bound ``hi`` > 0
     neg_part: Callable  # ``pos(-x)``
-    power: Callable     # C ``pow(x, y)`` of a positive ``x``, an overflow +inf
+    power: Callable     # C ``pow(x, y)`` of an ``x`` >= +0.0, an overflow +inf
     # a company's seven stocks in ``_BLOCK`` order to ``(stocks, per_day)``:
     # the stocks as one block, and the first three divided by ``dt``, the
     # last four by ``delays``
@@ -344,7 +353,7 @@ class _Ops(NamedTuple):
 def _pow(x, y):
     try:
         return pow(x, y)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # C ``pow(0.0, y < 0)`` is +inf
         return math.inf
 
 

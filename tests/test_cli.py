@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from duogame.cli import main
 from duogame.config import config_from_dict, config_to_dict, default_config, load_config
-from duogame.errors import ConfigError
+from duogame.errors import ConfigError, IncompleteGameError
 from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
@@ -150,23 +151,24 @@ class TestLoadConfig:
             load_config(path)
 
 
-    @pytest.mark.parametrize("gsa, match", [
-        ({"stability_steps": 9}, "stability_steps"),
-        ({"stability_noise": "bogus"}, "stability_noise"),
-        ({"stability_update": "bogus"}, "stability_update"),
-        ({"epsilon_solve": -1.0}, "epsilon"),
-        ({"epsilon_stability": -3.0}, "epsilon"),
-        ({"tolerance_grid": [0.0, -500.0]}, "tolerance_grid"),
-        ({"neighbor_count": -1}, "neighbor_count"),
-        ({"alpha": 0.0}, "alpha"),
-        ({"alpha": 1.0}, "alpha"),
-        ({"max_iterations": 0}, "max_iterations"),
+    @pytest.mark.parametrize("config, match", [
+        ({"gsa": {"stability_steps": 9}}, "stability_steps"),
+        ({"gsa": {"stability_noise": "bogus"}}, "stability_noise"),
+        ({"gsa": {"stability_update": "bogus"}}, "stability_update"),
+        ({"gsa": {"epsilon_solve": -1.0}}, "epsilon"),
+        ({"gsa": {"epsilon_stability": -3.0}}, "epsilon"),
+        ({"gsa": {"tolerance_grid": [0.0, -500.0]}}, "tolerance_grid"),
+        ({"gsa": {"neighbor_count": -1}}, "neighbor_count"),
+        ({"gsa": {"alpha": 0.0}}, "alpha"),
+        ({"gsa": {"alpha": 1.0}}, "alpha"),
+        ({"gsa": {"max_iterations": 0}}, "max_iterations"),
+        ({"sampling": {"trim_per_tail": -1}}, "trim_per_tail"),
     ], ids=["steps", "noise", "update", "epsilon_solve", "epsilon_stability",
             "tolerance_grid", "neighbor_count", "alpha_zero", "alpha_one",
-            "max_iterations"])
-    def test_gsa_setting_rejected(self, tmp_path, gsa, match):
+            "max_iterations", "trim_per_tail"])
+    def test_gsa_setting_rejected(self, tmp_path, config, match):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"gsa": gsa}))
+        path.write_text(json.dumps(config))
         with pytest.raises(ConfigError, match=match):
             load_config(path)
         assert main(["gsa", "--config", str(path),
@@ -192,6 +194,14 @@ class TestMatrixRoundTrip:
             game.set_samples(p, rng.normal(100, 9, size=12),
                              rng.normal(95, 7, size=12))
         return game
+
+    def test_incomplete_game_is_not_written(self, tmp_path):
+        game = EmpiricalGame(StrategySpace([{"i": k} for k in range(3)]))
+        game.set_samples((0, 0), [1.0], [2.0])
+        with pytest.raises(IncompleteGameError) as err:
+            write_payoff_matrix(game, tmp_path / "m.csv")
+        assert err.value.missing == game.missing_profiles() and len(err.value.missing) == 5
+        assert not (tmp_path / "m.csv").exists()
 
     def test_stats_survive_exactly(self, tmp_path):
         game = self.build_game()
@@ -374,6 +384,43 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error: ") and name in err
         assert not out.exists()
+
+    # an infinity in these stops a run, only at run time, or (for cost
+    # rates) fills the payoff matrix with infinite payoffs
+    SD_FINITE = ("labor_fulfillment_time", "wip_fulfillment_time",
+                 "inv_fulfillment_time", "rm_lead_time", "safety_stock_cov",
+                 "rm_inventory_cov", "cycle_time", "vac_fulfillment_time",
+                 "order_processing_time", "mfg_price", "unit_cost", "max_inv_cov",
+                 "sigma_wip", "sigma_prod", "sigma_order", "sigma_inv")
+    # and these run on with an infinity
+    SD_INFINITE_RUNS = ("mp_cap_ratio", "max_layoff_rate", "employment_time",
+                        "layoff_time", "vac_creation_time", "labor_productivity",
+                        "labor_hours", "mp_fulfillment_time")
+
+    @pytest.mark.parametrize("config, name", [
+        *(pytest.param({"sd_defaults": {name: float("inf")}}, name, id=name)
+          for name in SD_FINITE),
+        *(pytest.param({"cost_rates": {f.name: float("inf")}}, f.name, id=f.name)
+          for f in dataclasses.fields(CostRates)),
+        pytest.param({"per_capita_demand": float("inf")}, "per_capita_demand",
+                     id="per_capita_demand")])
+    def test_infinite_config_value_exits_2(self, tmp_path, capsys, config, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and name in err and "inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", SD_INFINITE_RUNS)
+    def test_infinite_config_value_that_runs_exits_0(self, tmp_path, name):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sd_defaults": {name: float("inf")}}))
+        assert getattr(load_config(path).sd_defaults, name) == math.inf
+        assert main(["simulate", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "s")]) == 0
 
     @pytest.mark.parametrize("config, name", [
         pytest.param({"marketing_period": 2.5}, "marketing_period", id="float-period"),

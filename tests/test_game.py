@@ -1,8 +1,17 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from duogame.errors import IncompleteGameError, ParameterError
 from duogame.game import EmpiricalGame, StrategySpace, symmetric_profile_count
+from duogame.reporting import (
+    _synthetic_samples,
+    load_checkpoint,
+    read_payoff_matrix,
+    save_checkpoint,
+    write_payoff_matrix,
+)
 
 # 2x2 symmetric game in prisoner's-dilemma shape: rows/cols are (C, D),
 # row payoffs u1 = [[3, 0], [5, 1]]
@@ -28,6 +37,11 @@ def brute_force_nash(u1, u2, epsilon=0.0):
 def random_symmetric_game(rng, n):
     u1 = rng.integers(-20, 21, size=(n, n)).astype(float)
     return EmpiricalGame.from_payoff_matrices(u1), u1
+
+
+@dataclass
+class CheckpointReport:
+    index: int = 0
 
 
 class TestProfileCount:
@@ -143,6 +157,61 @@ class TestStorage:
         game.set_samples((0, 1), [10.0, 12.0, 14.0], [3.0, 5.0, 7.0])
         assert game.sample_count((0, 1), 0) == 3
         assert game.sample_variance((0, 1), 0) == pytest.approx(4.0)
+
+    @staticmethod
+    def stored_in_random_order(rng, n, symmetric):
+        """A game whose profiles hold 1 to 5 normal samples each, stored in
+        a shuffled order, a symmetric off-diagonal profile now and then
+        through its transpose, with reads between the stores; and the
+        samples each canonical profile was given."""
+        game = EmpiricalGame(StrategySpace([{"x": i} for i in range(n)],
+                                           symmetric=symmetric))
+        expected = {}
+        for k in rng.permutation(len(game.profiles())):
+            a, b = game.profiles()[k]
+            p1, p2 = (rng.normal(size=int(rng.integers(1, 6))) for _ in (0, 1))
+            expected[(a, b)] = (p1, p2)
+            if a != b and symmetric and rng.random() < 0.5:
+                game.set_samples((b, a), p2, p1)
+            else:
+                game.set_samples((a, b), p1, p2)
+            if rng.random() < 0.3:
+                game.samples((a, b), 0)
+        return game, expected
+
+    @staticmethod
+    def assert_bank_slices(game, expected):
+        """Every cell's samples are its ``bank[offset:offset + count]`` and
+        the ones stored for it, the players swapped on a transposed cell."""
+        for a in range(game.n):
+            for b in range(game.n):
+                for player in (0, 1):
+                    start = game.offset[player, a, b]
+                    got = game.samples((a, b), player)
+                    assert got.tolist() == game.bank[
+                        start:start + game.count[player, a, b]].tolist()
+                    if game.space.symmetric and a > b:
+                        want = expected[(b, a)][1 - player]
+                    else:
+                        want = expected[(a, b)][player]
+                    assert got.tolist() == list(want), (a, b, player)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_samples_are_bank_slices(self, symmetric):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5):
+            self.assert_bank_slices(*self.stored_in_random_order(rng, n, symmetric))
+
+    def test_loaded_samples_are_bank_slices(self, tmp_path):
+        # checkpoints and payoff matrices hold symmetric games
+        game, expected = self.stored_in_random_order(np.random.default_rng(4), 5, True)
+        save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(), {})
+        self.assert_bank_slices(load_checkpoint(tmp_path, 0, "fp")[0], expected)
+        write_payoff_matrix(game, tmp_path / "m.csv")
+        self.assert_bank_slices(read_payoff_matrix(tmp_path / "m.csv"), {
+            p: [_synthetic_samples(game.mean[(player, *p)], game.count[(player, *p)],
+                                   game.var[(player, *p)]) for player in (0, 1)]
+            for p in game.profiles()})
 
     def test_duplicate_strategies_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from duogame import gsa
 from duogame.errors import ConfigError, ParameterError, ReplicationError
 from duogame.factors import (
     FACTORS,
@@ -19,7 +18,6 @@ from duogame.gsa import (
     SimulationPayoffSource,
     StabilityClass,
     _replay_labels,
-    _sample_bank,
     _simulate_profile,
     build_empirical_game,
     neighbor_strictness_test,
@@ -397,19 +395,37 @@ def test_folded_draws_match_integers_plus_offsets():
 
 @pytest.mark.golden
 def test_stability_rejects_banks_of_2_32_samples(monkeypatch):
-    # a zero-stride view of 2**32 samples, which holds no memory
+    # the game's bank as a zero-stride view of 2**32 samples, which holds
+    # no memory
     game = EmpiricalGame.from_payoff_matrices(PD_U1)
-    flat, offsets = _sample_bank(game)
-    bank = np.broadcast_to(flat[:1], (2**32,))
-    monkeypatch.setattr(gsa, "_sample_bank", lambda game: (bank, offsets))
+    monkeypatch.setattr(game, "_bank", np.broadcast_to(game.bank[:1], (2**32,)))
+    assert game.bank.size == 2**32
     with pytest.raises(ParameterError, match="2\\*\\*32"):
         stability_analysis(game, (1, 1), epsilon=0.5, steps=20)
+
+
+def sample_bank(game):
+    """Every stored sample in one flat array and the (2, n, n) offsets of
+    each cell's samples, built from ``samples()`` in ``profiles()`` order;
+    a symmetric game's transposed cells point at the same samples with the
+    players swapped. The form stability analysis read before the game kept
+    its own bank."""
+    cells = [(player, a, b) for a, b in game.profiles() for player in (0, 1)]
+    parts = [game.samples((a, b), player) for player, a, b in cells]
+    offsets = np.zeros((2, game.n, game.n), dtype=np.int64)
+    starts = np.cumsum([0] + [s.size for s in parts[:-1]])
+    offsets[tuple(np.array(cells).T)] = starts
+    if game.space.symmetric:
+        rows, cols = np.tril_indices(game.n, -1)
+        offsets[:, rows, cols] = offsets[::-1, cols, rows]
+    return np.concatenate(parts), offsets
 
 
 def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
     """The lockstep loop before the folded draw: each move gathers the
     counts and the bank offsets apart, draws through numpy's own
-    ``Generator.integers`` and adds. Kept as a bit-for-bit oracle of
+    ``Generator.integers`` and adds, on a bank rebuilt by
+    :func:`sample_bank`. Kept as a bit-for-bit oracle of
     ``stability_analysis``; returns its classes and ratios."""
     n = game.n
     u = game.mean
@@ -429,7 +445,7 @@ def lockstep_stability(game, solution, epsilon, steps, noise, update, seed):
                                       pool_size=root.pool_size)
 
     if resample:
-        flat, offsets = _sample_bank(game)
+        flat, offsets = sample_bank(game)
         offsets = (offsets[0], offsets[1].T)
         sizes = (game.count[0], game.count[1].T)
         draws = np.random.default_rng(child(n * n))

@@ -405,19 +405,22 @@ class TestPricingEdges:
         assert both_forms(1.5, (p, p), covs)[1] == free
 
     def test_coverage_overflow_is_inadmissible(self):
-        # (0.1 / 1e308) ** -1 overflows a float: the price is +inf
-        p = SDParams(max_inv_cov=1e308, price_sens_invcov=-1.0).validate()
+        # (0.1 / 1e308) ** -1 overflows a float, and (0.1 / inf) ** -0.5 is
+        # C pow(0.0, -0.5): either way the price is +inf in both forms (a
+        # config cannot load an infinite max_inv_cov; a caller can build it)
         q = SDParams().validate()
-        with pytest.raises(StateError, match=r"^inadmissible price: inf$"):
-            step_pricing((1.5, 1.5), 1.5, (p, p), (0.05, 10.0), dt=DT)
         expected = step_pricing((1.5, 1.5), 1.5, (q, q), (0.05, 10.0), dt=DT)
-        prices, mp = np.full((3, 2), 1.5), np.full(3, 1.5)
-        covs = np.array([[0.05, 10.0]] * 3)
-        with pytest.raises(StateError) as err:
-            ArrayPass([(q, q), (p, p), (q, q)]).step_pricing(prices, mp, covs)
-        assert (err.value.row, str(err.value)) == (1, "inadmissible price: inf")
-        for r in (0, 2):
-            assert (tuple(prices[r]), mp[r]) == expected
+        for p in (SDParams(max_inv_cov=1e308, price_sens_invcov=-1.0).validate(),
+                  SDParams(max_inv_cov=math.inf)):
+            with pytest.raises(StateError, match=r"^inadmissible price: inf$"):
+                step_pricing((1.5, 1.5), 1.5, (p, p), (0.05, 10.0), dt=DT)
+            prices, mp = np.full((3, 2), 1.5), np.full(3, 1.5)
+            covs = np.array([[0.05, 10.0]] * 3)
+            with pytest.raises(StateError) as err:
+                ArrayPass([(q, q), (p, p), (q, q)]).step_pricing(prices, mp, covs)
+            assert (err.value.row, str(err.value)) == (1, "inadmissible price: inf")
+            for r in (0, 2):
+                assert (tuple(prices[r]), mp[r]) == expected
 
     def test_array_power_is_c_pow(self):
         # the array form raises coverage ratios with C ``pow``, as the
@@ -430,6 +433,7 @@ class TestPricingEdges:
         exponent = np.concatenate([np.repeat(levels, 2_000), rng.uniform(-1.0, 0.0, 12_000)])
         edges = [(0.1 / 1e308, -1.0),           # a subnormal base that overflows to +inf
                  (5e-324, -0.5), (3e-310, -0.1),
+                 (0.0, -0.5), (0.0, -1.0),      # +inf, where Python's pow raises
                  (0.3, 0.0), (0.3, -0.0), (5e-324, -0.0),
                  (math.nan, -0.5), (math.nan, 0.0), (0.3, math.nan), (1.0, math.nan)]
         x = np.concatenate([ratio, [b for b, _ in edges]]).reshape(-1, 2)
@@ -440,9 +444,9 @@ class TestPricingEdges:
         assert got.shape == x.shape
         assert got.ravel().view(np.int64).tolist() == expected.view(np.int64).tolist()
         tail = expected[-len(edges):].tolist()
-        assert tail[0] == math.inf and tail[1] == 2.0 ** 537
-        assert tail[3:6] == [1.0] * 3 and tail[7] == tail[9] == 1.0
-        assert math.isnan(tail[6]) and math.isnan(tail[8])
+        assert tail[0] == tail[3] == tail[4] == math.inf and tail[1] == 2.0 ** 537
+        assert tail[5:8] == [1.0] * 3 and tail[9] == tail[11] == 1.0
+        assert math.isnan(tail[8]) and math.isnan(tail[10])
 
 
 @pytest.mark.golden
