@@ -145,7 +145,7 @@ def cmd_solve(args) -> int:
         "epsilon": args.epsilon,
         "equilibria": [{"profile": list(p),
                         "payoff": [game.payoff(p, 0), game.payoff(p, 1)],
-                        "regret": game.regret(p) if game.n > 1 else None}
+                        "regret": game.regret(p)}
                        for p in equilibria],
         "min_regret_profile": list(game.min_regret_profile()),
     }

@@ -26,24 +26,24 @@ _FRACTION_GENERATORS = {
 }
 
 
-def two_level_design(k: int, max_runs: int = 16) -> np.ndarray:
+def two_level_design(k: int) -> np.ndarray:
     """Level codes in {0, 1}, one row per run, one column per factor.
 
-    Full factorial while ``2**k`` fits in ``max_runs``; a regular 16-run
-    fraction for five to eight factors.
+    Full factorial while ``2**k`` fits in the 16 runs, so up to four
+    factors; a regular 16-run fraction for five to eight factors.
     """
     if k < 1:
         raise DesignError("need at least one factor")
-    if 2 ** k <= max_runs:
+    if 2 ** k <= 16:
         rows = 1 << k
         design = np.zeros((rows, k), dtype=np.int8)
         for r in range(rows):
             for c in range(k):
                 design[r, c] = (r >> (k - 1 - c)) & 1
         return design
-    if max_runs != 16 or k > 8:
+    if k > 8:
         raise DesignError(
-            f"{k} two-level factors exceed the {max_runs}-run design budget")
+            f"{k} two-level factors exceed the 16-run design budget")
     base = two_level_design(4)
     cols = [base[:, i] for i in range(4)]
     for gen in _FRACTION_GENERATORS[k]:
@@ -78,9 +78,11 @@ def four_level_design(k: int) -> np.ndarray:
     return np.array(rows, dtype=np.int8)
 
 
-def design_for(k: int, levels: int, max_runs: int = 16) -> np.ndarray:
+def design_for(k: int, levels: int) -> np.ndarray:
+    """Level codes for ``k`` factors at two or four levels: at most 16 runs,
+    one per strategy."""
     if levels == 2:
-        return two_level_design(k, max_runs)
+        return two_level_design(k)
     if levels == 4:
         return four_level_design(k)
     raise DesignError(f"unsupported level count {levels}")

@@ -11,16 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .doe import design_for
 from .errors import ConfigError, DesignError
 from .runner import CompanySpec
 from .supply_chain import SDParams
 
 LEVEL_LABELS = ("L", "ML", "MH", "H")
-# strategies per player in one iteration's design
-MAX_STRATEGIES = 16
 
 
 @dataclass(frozen=True)
@@ -121,41 +117,24 @@ class FactorPlan:
             raise DesignError("mixed level counts within one plan")
         return counts.pop()
 
-    def design(self) -> np.ndarray:
-        return design_for(len(self.factors), self.level_count(),
-                          max_runs=MAX_STRATEGIES)
-
     def strategy_labels(self) -> list:
         """One dict of factor -> level label per design row."""
-        design = self.design()
-        if design.shape[0] > MAX_STRATEGIES:
-            raise DesignError(
-                f"{design.shape[0]} strategies exceed the budget of "
-                f"{MAX_STRATEGIES}")
-        out = []
-        for row in design:
-            out.append({f.name: f.levels[code]
-                        for f, code in zip(self.factors, row)})
-        return out
+        design = design_for(len(self.factors), self.level_count())
+        return [{f.name: f.levels[code] for f, code in zip(self.factors, row)}
+                for row in design]
 
     def names(self):
         return [f.name for f in self.factors]
 
 
-@dataclass
-class RefineResult:
-    plan: FactorPlan | None
-    terminated: bool = False
-
-
-def refine_plan(plan: FactorPlan, effects) -> RefineResult:
-    """One refinement move: decompose significant factors or densify levels.
+def refine_plan(plan: FactorPlan, effects) -> FactorPlan | None:
+    """One refinement move: the next plan, or None once refinement is done.
 
     Phase 1 swaps significant aggregated factors for their detailed children
     and drops insignificant factors (keeping the largest absolute effect when
     everything fails the test, so the plan never empties). Phase 2 widens
-    every factor to four levels; once a four-level plan comes back it signals
-    termination. ``plan.g`` picks the phase.
+    every factor to four levels; a four-level plan has no next plan.
+    ``plan.g`` picks the phase.
     """
     g = plan.g
     by_name = {e.name: e for e in effects} if effects else {}
@@ -178,15 +157,13 @@ def refine_plan(plan: FactorPlan, effects) -> RefineResult:
             else:
                 new_factors.append(PlanFactor(f.name, f.levels))
         next_g = 1 if decomposed else 2
-        new_plan = FactorPlan(_fit_budget(new_factors, by_name, 2), g=next_g)
-        return RefineResult(plan=new_plan)
+        return FactorPlan(_fit_budget(new_factors, by_name, 2), g=next_g)
 
     # g == 2: densify levels
     if all(len(f.levels) == 4 for f in plan.factors):
-        return RefineResult(plan=None, terminated=True)
+        return None
     dense = [PlanFactor(f.name, LEVEL_LABELS) for f in plan.factors]
-    new_plan = FactorPlan(_fit_budget(dense, by_name, 4), g=2)
-    return RefineResult(plan=new_plan)
+    return FactorPlan(_fit_budget(dense, by_name, 4), g=2)
 
 
 def _fit_budget(factors: list, by_name: dict, levels: int) -> list:

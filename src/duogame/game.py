@@ -168,10 +168,6 @@ class EmpiricalGame:
         self._stored(profile)
         return int(self.count[(player, *profile)])
 
-    def sample_variance(self, profile, player: int) -> float:
-        self._stored(profile)
-        return float(self.var[(player, *profile)])
-
     # -- equilibrium machinery ----------------------------------------------
 
     def regret(self, profile) -> float:
@@ -181,14 +177,22 @@ class EmpiricalGame:
         equilibria report negative regret because the profile itself is
         excluded from the deviation candidates.
         """
+        regrets = self._regrets()
+        a, b = profile
+        self._canonical(profile)  # range check: the table wraps negatives
+        return float(regrets[a, b])
+
+    def _regrets(self) -> np.ndarray:
+        """Every ordered profile's :meth:`regret` in one (n, n) table, the
+        larger of the two players' as builtin ``max`` picks it."""
         if self.n < 2:
             raise ParameterError("regret needs at least two strategies")
         self._require_complete()
-        self._canonical(profile)  # range check: np.delete wraps negatives
-        a, b = profile
         u0, u1 = self.mean
-        return float(max(np.delete(u0[:, b], a).max() - u0[a, b],
-                         np.delete(u1[a, :], b).max() - u1[a, b]))
+        r0 = _best_deviation(u0) - u0
+        r1 = _best_deviation(u1.T).T - u1
+        # builtin max's order: the second only when it is greater
+        return np.where(r1 > r0, r1, r0)
 
     def _require_complete(self):
         missing = self.missing_profiles()
@@ -216,14 +220,7 @@ class EmpiricalGame:
         """The profile of least :meth:`regret`, the first in ``profiles()``
         order among equals (a NaN regret, as ``np.argmin`` takes it, counts
         as least), from one array pass over the game."""
-        if self.n < 2:
-            raise ParameterError("regret needs at least two strategies")
-        self._require_complete()
-        u0, u1 = self.mean
-        r0 = _best_deviation(u0) - u0
-        r1 = _best_deviation(u1.T).T - u1
-        # builtin max's order: the second only when it is greater
-        regrets = np.where(r1 > r0, r1, r0)
+        regrets = self._regrets()
         profiles = self.profiles()
         rows, cols = np.array(profiles).T
         return profiles[int(np.argmin(regrets[rows, cols]))]

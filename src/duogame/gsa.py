@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -243,27 +243,25 @@ def _simulate_profile(source, labels, a, b, baseline, policy, tag):
 
 def build_empirical_game(plan: FactorPlan, source, baseline: dict,
                          policy: SamplingPolicy, iteration: int):
-    """Simulate every unordered profile of the plan's strategy set.
+    """Simulate every profile of ``game.profiles()`` for the plan's strategy
+    set and store each player's samples trimmed by ``policy.trim_per_tail``
+    per tail; returns the game and each profile's replication count.
 
     All profiles are sampled together: their replications share lockstep
     blocks and source calls, which run on the source's worker processes.
     """
     labels = plan.strategy_labels()
     game = EmpiricalGame(StrategySpace(labels))
-    n = len(labels)
-    tasks = [(a, b) for a in range(n) for b in range(a, n)]
-    rows, cols = zip(*tasks)
-    tags = [profile_tag(iteration, a, b) for a, b in tasks]
+    profiles = game.profiles()
+    rows, cols = zip(*profiles)
+    tags = [profile_tag(iteration, a, b) for a, b in profiles]
     results = _simulate_profile(source, labels, rows, cols, baseline, policy,
                                 tags)
     sizes = {}
-    for (a, b), payoffs in zip(tasks, results):
+    for (a, b), payoffs in zip(profiles, results):
         sizes[f"{a},{b}"] = int(payoffs.shape[0])
-        p1, p2 = payoffs[:, 0], payoffs[:, 1]
-        if payoffs.shape[0] > 2 * policy.trim_per_tail:
-            p1 = trim_samples(p1, policy.trim_per_tail)
-            p2 = trim_samples(p2, policy.trim_per_tail)
-        game.set_samples((a, b), p1, p2)
+        game.set_samples((a, b), trim_samples(payoffs[:, 0], policy.trim_per_tail),
+                         trim_samples(payoffs[:, 1], policy.trim_per_tail))
     return game, sizes
 
 
@@ -362,6 +360,8 @@ def stability_analysis(game: EmpiricalGame, solution, epsilon: float,
         raise ParameterError("steps must be >= 10")
     if not epsilon >= 0:
         raise ParameterError("epsilon must be >= 0")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     game._require_complete()
     n = game.n
     u = game.mean
@@ -456,9 +456,10 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     With ``schedule`` given (a list of factor plans), refinement follows it
     verbatim; otherwise the adaptive rule drives the loop until level
     densification is exhausted. Factors leaving the active set are frozen at
-    the latest solution's levels through a baseline that starts empty. A
-    ``checkpoints`` store resumes interrupted runs iteration by iteration.
-    The worker count is the ``source``'s, not the loop's.
+    the latest solution's levels through a baseline that starts empty. An
+    iteration runs (saved to the ``checkpoints`` store if one is given) or
+    is restored from that store: its game, report and next baseline; the
+    rest of it is one path. The worker count is the ``source``'s.
     """
     gsa = (gsa or GsaSettings()).validate()
     policy.validate()
@@ -471,16 +472,8 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     while current is not None and iteration < gsa.max_iterations:
         restored = checkpoints.load(iteration) if checkpoints is not None else None
         if restored is not None:
-            game, report_dict, saved_baseline = restored
+            game, report_dict, frozen = restored
             report = GsaIterationReport(**report_dict)
-            solution = tuple(report.solution["profile"])
-            effects = [FactorEffect(**e) for e in report.effects]
-            reports.append(report)
-            games.append(game)
-            baselines.append(dict(baseline))
-            solution_samples.append(np.concatenate(
-                [game.samples(solution, 0), game.samples(solution, 1)]))
-            baseline = dict(saved_baseline)
         else:
             t0 = time.perf_counter()
             game, sizes = build_empirical_game(current, source, baseline, policy,
@@ -507,13 +500,11 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
                 game, solution, player, gsa.neighbor_count, gsa.alpha)
                 for player in (0, 1)}
 
-            pooled = np.concatenate([game.samples(solution, 0),
-                                     game.samples(solution, 1)])
+            pooled = _pooled(game, solution)
             cross = {}
             for j, earlier in enumerate(solution_samples):
                 if earlier.size >= 2 and pooled.size >= 2:
                     cross[str(j)] = t_test(earlier, pooled, alternative="less")
-            solution_samples.append(pooled)
 
             stability = None
             if gsa.run_stability:
@@ -528,8 +519,7 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
                 n_strategies=len(labels),
                 n_profiles=symmetric_profile_count(len(labels)),
                 sample_sizes=sizes,
-                effects=[{"name": e.name, "effect": e.effect, "p_value": e.p_value,
-                          "significant": e.significant} for e in effects],
+                effects=[asdict(e) for e in effects],
                 equilibria=eq_entries,
                 solution={"profile": list(solution),
                           "labels": [labels[solution[0]], labels[solution[1]]],
@@ -541,27 +531,33 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
                 cross_iteration_p=cross,
                 stability=stability,
                 runtime_seconds=time.perf_counter() - t0)
-            reports.append(report)
-            games.append(game)
-            baselines.append(dict(baseline))
 
             # freeze every active factor at the solution's row-strategy level
-            solution_labels = labels[solution[0]]
-            for name, label in solution_labels.items():
+            frozen = dict(baseline)
+            for name, label in labels[solution[0]].items():
                 for child in detailed_children(name):
-                    baseline[child] = label
+                    frozen[child] = label
 
             if checkpoints is not None:
-                checkpoints.save(iteration, game, report, baseline)
+                checkpoints.save(iteration, game, report, frozen)
+        reports.append(report)
+        games.append(game)
+        baselines.append(baseline)
+        solution_samples.append(_pooled(game, tuple(report.solution["profile"])))
+        baseline = frozen
         iteration += 1
         if schedule is not None:
             current = schedule[iteration] if iteration < len(schedule) else None
         else:
-            result = refine_plan(current, effects)
-            current = None if result.terminated else result.plan
+            current = refine_plan(current, [FactorEffect(**e) for e in report.effects])
 
     if current is not None and reports:
         # the iteration budget ran out before refinement finished
         reports[-1].truncated = True
 
     return GsaResult(reports=reports, games=games, baselines=baselines)
+
+
+def _pooled(game: EmpiricalGame, solution) -> np.ndarray:
+    """Both players' samples at the solution, pooled for the cross-iteration test."""
+    return np.concatenate([game.samples(solution, 0), game.samples(solution, 1)])

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -44,10 +45,11 @@ def write_payoff_matrix(game: EmpiricalGame, path) -> None:
 def read_payoff_matrix(path) -> EmpiricalGame:
     """Rebuild a symmetric game from a matrix CSV.
 
-    Only summary statistics survive the round trip; each profile comes back
-    as a synthetic sample set with exactly the stored mean, count and
-    variance (two-point representation), which keeps solving, confidence
-    intervals and resampling workable.
+    Cell (b, a) must be the mirror of cell (a, b), the two players'
+    statistics swapped. Only summary statistics survive the round trip;
+    each profile comes back as a synthetic sample set with exactly the
+    stored mean, count and variance (two-point representation), which
+    keeps solving, confidence intervals and resampling workable.
     """
     path = Path(path)
     if not path.exists():
@@ -76,6 +78,10 @@ def read_payoff_matrix(path) -> EmpiricalGame:
     for (a, b), per_player in stats.items():
         if a > b:
             continue
+        if a < b and stats[(b, a)] != per_player[::-1]:
+            raise ConfigError(
+                f"payoff cell at row {b}, column {a} is not the mirror of row "
+                f"{a}, column {b} in {path}: a matrix holds a symmetric game")
         p1, p2 = (_synthetic_samples(*stat) for stat in per_player)
         game.set_samples((a, b), p1, p2, stats=per_player)
     return game
@@ -189,19 +195,29 @@ def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
         "samples": samples,
         "report": report_to_dict(report),
     }
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    # written beside and renamed, so an interrupt leaves the old file or the
+    # new one, never half of one; the temporary name does not match *.json
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    os.replace(partial, path)
 
 
 def load_checkpoint(out_dir, iteration: int, fingerprint: str):
-    """Return ``(game, report_dict, baseline)`` or None when absent/stale.
+    """Return ``(game, report_dict, baseline)`` or None when absent, stale
+    or unreadable.
 
-    A stale checkpoint, written under another config fingerprint, is
-    reported on stderr; the caller then recomputes and overwrites it.
+    A stale checkpoint, written under another config fingerprint, or one
+    that does not parse, is reported on stderr; the caller then recomputes
+    and overwrites it.
     """
     path = checkpoint_path(out_dir, iteration)
     if not path.exists():
         return None
-    payload = json.loads(path.read_text())
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        print(f"unreadable checkpoint {path}: {exc}; recomputing", file=sys.stderr)
+        return None
     found = payload.get("fingerprint")
     if found != fingerprint:
         print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "

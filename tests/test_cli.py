@@ -42,6 +42,20 @@ def desk_config(tmp_path):
     return path
 
 
+def written_files(out) -> dict:
+    """Every file under ``out`` by its path there, a JSON file parsed and its
+    report's ``runtime_seconds`` dropped."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.loads(data)
+            if isinstance(data.get("report"), dict):
+                data["report"].pop("runtime_seconds")
+        files[path.relative_to(out).as_posix()] = data
+    return files
+
+
 class TestLoadConfig:
     def test_defaults_materialized(self, tmp_path):
         path = tmp_path / "c.json"
@@ -657,6 +671,29 @@ class TestGsaCommand:
         assert recomputed["samples"] == payload["samples"]
         assert (out / "payoff_matrix_00.csv").read_bytes() == matrix
 
+    @pytest.mark.parametrize("iteration", [0, 1])
+    def test_cut_checkpoint_reported_then_recomputed(self, tmp_path, capsys,
+                                                     iteration):
+        # an interrupted save leaves half a file; cut iteration 1's, iteration
+        # 0 is restored and its saved baseline must reach the recomputed one
+        config = dict(DESK_CONFIG, schedule=[
+            *DESK_CONFIG["schedule"], {"g": 1, "factors": [{"name": "pricing"}]}])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "g"
+        argv = ["gsa", "--config", str(path), "--out", str(out)]
+        assert main(argv) == 0
+        uninterrupted = written_files(out)
+        checkpoint = out / "checkpoints" / f"iteration_{iteration:02d}.json"
+        data = checkpoint.read_bytes()
+        checkpoint.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"unreadable checkpoint {checkpoint}: ")
+        assert written_files(out) == uninterrupted
+
     def test_diverging_replication_names_profile(self, tmp_path, capsys):
         # without the price band the high coverage sensitivity runs away
         config = dict(DESK_CONFIG, sd_defaults={"max_inv_cov": 1e9,
@@ -789,6 +826,26 @@ class TestSolveAndStability:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed payoff cell") and str(path) in err
         assert "at row 1, column 0" in err
+
+    @pytest.mark.parametrize("command", ["solve", "stability"])
+    def test_unmirrored_cell_is_validation_error(self, tmp_path, capsys, command):
+        # matching pennies as a general game: cell (1, 0) is well formed but
+        # not the mirror of cell (0, 1); read as symmetric, ``solve`` found
+        # the pure equilibrium (1, 1) this game does not have
+        u1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        path = tmp_path / "pennies.csv"
+        write_payoff_matrix(EmpiricalGame.from_payoff_matrices(u1, -u1), path)
+        steps = ["--steps", "20"] if command == "stability" else []
+        assert main([command, "--game", str(path), *steps]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: payoff cell at row 1, column 0 is not the "
+                              "mirror of row 0, column 1") and str(path) in err
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        path = self.make_matrix(tmp_path)
+        assert main(["stability", "--game", str(path), "--steps", "20",
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_missing_matrix_is_validation_error(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "none.csv")]) == 2

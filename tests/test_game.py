@@ -156,7 +156,7 @@ class TestStorage:
         game = EmpiricalGame(space)
         game.set_samples((0, 1), [10.0, 12.0, 14.0], [3.0, 5.0, 7.0])
         assert game.sample_count((0, 1), 0) == 3
-        assert game.sample_variance((0, 1), 0) == pytest.approx(4.0)
+        assert game.var[0, 0, 1] == pytest.approx(4.0)
 
     @staticmethod
     def stored_in_random_order(rng, n, symmetric):
@@ -213,6 +213,22 @@ class TestStorage:
                                    game.var[(player, *p)]) for player in (0, 1)]
             for p in game.profiles()})
 
+    def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(), {})
+        path = tmp_path / "checkpoints" / "iteration_00.json"
+        before = path.read_bytes()
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("duogame.reporting.os.replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(1), {"pricing": "H"})
+        assert path.read_bytes() == before
+        # the half-written file is not one a resume reads
+        assert [p.name for p in path.parent.glob("*.json")] == [path.name]
+
     def test_duplicate_strategies_rejected(self):
         with pytest.raises(ParameterError):
             StrategySpace([{"x": 0}, {"x": 0}])
@@ -224,7 +240,7 @@ class TestStorage:
     def test_min_regret_profile_matches_per_profile_loop(self):
         # small integer payoffs tie often; NaN cells and infinite payoffs
         # test builtin max's order, np.delete's NaN and np.argmin's first
-        # least (a NaN counts as least)
+        # least (a NaN counts as least); the oracle is perfbench's
         rng = np.random.default_rng(8)
         for trial in range(300):
             n = int(rng.integers(2, 7))
@@ -236,10 +252,16 @@ class TestStorage:
                                                size=len(spots))
             game = EmpiricalGame.from_payoff_matrices(
                 u1, None if trial % 2 else u2)
+            u = game.mean
             profiles = game.profiles()
             with np.errstate(invalid="ignore"):
-                loop = profiles[int(np.argmin([game.regret(p) for p in profiles]))]
-                assert game.min_regret_profile() == loop, trial
+                oracle = [max(np.delete(u[0, :, b], a).max() - u[0, a, b],
+                              np.delete(u[1, a, :], b).max() - u[1, a, b])
+                          for a, b in profiles]
+                for p, want in zip(profiles, oracle):
+                    got = game.regret(p)
+                    assert got == want or (np.isnan(got) and np.isnan(want)), (trial, p)
+                assert game.min_regret_profile() == profiles[int(np.argmin(oracle))], trial
 
     def test_min_regret_profile_needs_two_strategies(self):
         game = EmpiricalGame.from_payoff_matrices(np.array([[1.0]]))

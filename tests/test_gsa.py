@@ -113,18 +113,16 @@ class TestRefinePlan:
         effects = [effect("manufacturing", 1.0, False),
                    effect("logistics", 30.0, True)]
         out = refine_plan(plan, effects)
-        assert not out.terminated
-        assert out.plan.names() == ["inv_fulfillment_time", "rm_lead_time",
-                                    "safety_stock_cov", "rm_inventory_cov"]
-        assert out.plan.g == 1
+        assert out.names() == ["inv_fulfillment_time", "rm_lead_time",
+                               "safety_stock_cov", "rm_inventory_cov"]
+        assert out.g == 1
 
     def test_all_insignificant_keeps_strongest(self):
         plan = FactorPlan([PlanFactor("manufacturing"), PlanFactor("pricing")])
         effects = [effect("manufacturing", -8.0, False),
                    effect("pricing", 2.0, False)]
         out = refine_plan(plan, effects)
-        assert out.plan is not None
-        assert [n for n in out.plan.names()] == [
+        assert out.names() == [
             "vac_creation_time", "layoff_time", "labor_fulfillment_time",
             "wip_fulfillment_time"]
 
@@ -134,16 +132,14 @@ class TestRefinePlan:
         effects = [effect("safety_stock_cov", 10.0, True),
                    effect("rm_lead_time", 9.0, True)]
         out = refine_plan(plan, effects)
-        assert out.plan.g == 2
-        assert out.plan.names() == ["safety_stock_cov", "rm_lead_time"]
+        assert out.g == 2
+        assert out.names() == ["safety_stock_cov", "rm_lead_time"]
 
     def test_phase_two_densifies_then_terminates(self):
         plan = FactorPlan([PlanFactor("safety_stock_cov")], g=2)
         out = refine_plan(plan, [])
-        assert out.plan.factors[0].levels == ("L", "ML", "MH", "H")
-        done = refine_plan(out.plan, [])
-        assert done.terminated
-        assert done.plan is None
+        assert out.factors[0].levels == ("L", "ML", "MH", "H")
+        assert refine_plan(out, []) is None
 
 
 def stub_source_factory(coef=None, sigma=0.5):
