@@ -10,12 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .config import default_config, load_config, save_config
-from .errors import ConfigError, DesignError, DuogameError, ParameterError
+from .errors import (
+    ConfigError,
+    DesignError,
+    DuogameError,
+    ParameterError,
+    ReplicationError,
+)
 from .factors import validate_profile_values
 from .game import symmetric_profile_count
 from .gsa import (
@@ -35,7 +42,13 @@ from .reporting import (
     write_payoff_matrix,
     write_trace_csv,
 )
-from .runner import SEED_LIMIT, compute_payoff, replication_seeds, run_replication
+from .runner import (
+    PASS_ROWS,
+    SEED_LIMIT,
+    compute_payoff,
+    replication_seeds,
+    run_replication,
+)
 
 VALIDATION_ERRORS = (ConfigError, ParameterError, DesignError)
 
@@ -77,12 +90,36 @@ def _load_profile(raw: str | None) -> dict:
     return profile
 
 
-def _source(config):
+@contextmanager
+def _pool(jobs: int):
+    """A run's one worker pool, or None at one job. Its workers start on the
+    first pass and serve every payoff call and solution trace of the run. On
+    any exit, an error or an interrupt too, its queued work is cancelled, so
+    the run waits only for the passes already running."""
+    if jobs == 1:
+        yield None
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(jobs)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _source(config, executor=None):
     return SimulationPayoffSource(config.settings, config.cost_rates,
                                   config.master_seed,
                                   sd_defaults=config.sd_defaults,
                                   spec_defaults=config.spec_defaults,
-                                  jobs=config.jobs)
+                                  jobs=config.jobs, executor=executor)
+
+
+def _solution_trace(task) -> None:
+    """Run one iteration's solution replication and write its daily trace;
+    ``task`` is (specs, settings, seed, path)."""
+    specs, settings, seed, path = task
+    write_trace_csv(run_replication(specs, settings, seed), path)
 
 
 def cmd_simulate(args) -> int:
@@ -106,12 +143,21 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     payoffs = []
-    for j, rep in enumerate(run_replication(specs, config.settings, seeds)):
-        pay = compute_payoff(rep, config.cost_rates,
-                             config.settings.sunk_cost_mode)
-        payoffs.append({"seed": rep.seed, "payoff": [float(pay[0]), float(pay[1])]})
-        if args.trace:
-            write_trace_csv(rep, out_dir / f"trace_{j:03d}.csv")
+    try:
+        # in passes, so that one pass's daily series are held at a time
+        for lo in range(0, len(seeds), PASS_ROWS):
+            reps = run_replication(specs, config.settings, seeds[lo:lo + PASS_ROWS])
+            for j, rep in enumerate(reps, lo):
+                pay = compute_payoff(rep, config.cost_rates,
+                                     config.settings.sunk_cost_mode)
+                payoffs.append({"seed": rep.seed,
+                                "payoff": [float(pay[0]), float(pay[1])]})
+                if args.trace:
+                    write_trace_csv(rep, out_dir / f"trace_{j:03d}.csv")
+            del reps, rep
+    except ReplicationError as exc:
+        exc.index += lo
+        raise
     means = np.mean([p["payoff"] for p in payoffs], axis=0)
     record = {"profile": profile, "n": args.n, "replications": payoffs,
               "mean": [float(means[0]), float(means[1])]}
@@ -126,8 +172,9 @@ def cmd_estimate(args) -> int:
     config = _config_from_args(args)
     plan = config.first_plan()
     from .gsa import build_empirical_game
-    game, sizes = build_empirical_game(plan, _source(config), {},
-                                       config.sampling, iteration=0)
+    with _pool(config.jobs) as pool:
+        game, sizes = build_empirical_game(plan, _source(config, pool), {},
+                                           config.sampling, iteration=0)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_payoff_matrix(game, out_dir / "payoff_matrix.csv")
@@ -159,22 +206,26 @@ def cmd_gsa(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
     store = CheckpointStore(out_dir, config.fingerprint())
-    source = _source(config)
 
-    result = run_gsa(config.first_plan(), config.sampling, source,
-                     gsa=config.gsa, schedule=config.schedule,
-                     stability_seed=config.master_seed + 1, checkpoints=store)
-
-    for report, game, baseline in zip(result.reports, result.games,
-                                      result.baselines):
-        write_iteration_report(report, out_dir / f"iteration_{report.index:02d}.json")
-        write_payoff_matrix(game, out_dir / f"payoff_matrix_{report.index:02d}.csv")
-        solution = dict(report.solution["labels"][0])
-        specs = source.specs_for(solution, solution, baseline)
-        trace_seed = replication_seeds(config.master_seed,
-                                       (1 << 19) + report.index, 1)[0]
-        rep = run_replication(specs, config.settings, trace_seed)
-        write_trace_csv(rep, out_dir / f"solution_trace_{report.index:02d}.csv")
+    with _pool(config.jobs) as pool:
+        source = _source(config, pool)
+        result = run_gsa(config.first_plan(), config.sampling, source,
+                         gsa=config.gsa, schedule=config.schedule,
+                         stability_seed=config.master_seed + 1, checkpoints=store)
+        tasks = []
+        for report, baseline in zip(result.reports, result.baselines):
+            solution = dict(report.solution["labels"][0])
+            seed = replication_seeds(config.master_seed, (1 << 19) + report.index, 1)[0]
+            tasks.append((source.specs_for(solution, solution, baseline),
+                          config.settings, seed,
+                          out_dir / f"solution_trace_{report.index:02d}.csv"))
+        # one task per iteration, on the pool while the reports are written
+        traces = (pool.map if pool else map)(_solution_trace, tasks)
+        for report, game in zip(result.reports, result.games):
+            write_iteration_report(report, out_dir / f"iteration_{report.index:02d}.json")
+            write_payoff_matrix(game, out_dir / f"payoff_matrix_{report.index:02d}.csv")
+        for _ in traces:
+            pass
 
     write_figure_data(result.reports, out_dir)
     write_json(_summary([report_to_dict(r) for r in result.reports]),

@@ -146,17 +146,17 @@ def profile_tag(iteration: int, a: int, b: int) -> int:
 
 class SimulationPayoffSource:
     """Default payoff source: the coupled simulator behind a seed protocol,
-    run on ``jobs`` worker processes."""
+    its passes split for ``jobs`` workers of ``executor``."""
 
     def __init__(self, settings: SimulationSettings, rates: CostRates,
                  master_seed: int, sd_defaults=None, spec_defaults=None,
-                 jobs: int = 1):
+                 jobs: int = 1, executor=None):
         self.settings = settings
         self.rates = rates
         self.master_seed = master_seed
         self.sd_defaults = sd_defaults
         self.spec_defaults = spec_defaults
-        self.jobs = jobs
+        self.jobs, self.executor = jobs, executor
 
     def specs_for(self, labels_a: dict, labels_b: dict, baseline: dict):
         spec_a = materialize(labels_a, baseline, self.sd_defaults, self.spec_defaults)
@@ -181,7 +181,7 @@ class SimulationPayoffSource:
         specs = [pair for pair in pairs for _ in range(n)]
         seeds = replication_seeds(self.master_seed, tags, n, start=start)
         payoffs = estimate_payoffs(specs, self.settings, self.rates, len(seeds),
-                                   seeds, jobs=self.jobs)
+                                   seeds, jobs=self.jobs, executor=self.executor)
         return payoffs.reshape(len(pairs), n, 2)
 
 

@@ -607,20 +607,21 @@ def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
                      n: int, seeds, mirror: bool = False,
-                     jobs: int = 1) -> np.ndarray:
+                     jobs: int = 1, executor=None) -> np.ndarray:
     """Run ``n`` independent replications and return both players' payoffs,
     shape (n, 2), row ``j`` for ``seeds[j]``.
 
     ``specs`` is one spec pair for every replication, or a sequence of ``n``
     pairs, one per seed. The rows are split once into even contiguous kernel
     passes of at most ``PASS_ROWS`` rows, a multiple of ``jobs`` of them, so
-    that only one pass's row state is held per process; with ``jobs`` > 1 the
-    passes run on as many worker processes. Each pass runs its replications
-    in lockstep, mixing pairs, records no daily series and prices its
-    accumulators in one :func:`compute_payoff` call. The payoffs depend only
-    on each row's pair and seed, not on ``n``, the passes or ``jobs``. A
-    diverging replication raises :class:`ReplicationError` with its position
-    among the ``n`` rows as ``index``, the lowest if several diverge.
+    that only one pass's row state is held per process; they are mapped on
+    ``executor``, or run in process for one pass, ``jobs`` 1 or no executor.
+    Each pass runs its replications in lockstep, mixing pairs, records no
+    daily series and prices its accumulators in one :func:`compute_payoff`
+    call. The payoffs depend only on each row's pair and seed, not on ``n``,
+    the passes or ``jobs``. A diverging replication raises
+    :class:`ReplicationError` with its position among the ``n`` rows as
+    ``index``, the lowest if several diverge.
     """
     if n < 1:
         raise ParameterError("sample count must be >= 1")
@@ -636,14 +637,9 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
              for lo, hi in zip(bounds, bounds[1:])]
     done = []
     try:
-        if jobs == 1 or passes == 1:
-            for part in parts:
-                done.append(_pass_payoffs(*part))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(jobs, passes)) as pool:
-                for payoffs in pool.map(_pass_payoffs, *zip(*parts)):
-                    done.append(payoffs)
+        run = map if jobs == 1 or passes == 1 or executor is None else executor.map
+        for payoffs in run(_pass_payoffs, *zip(*parts)):
+            done.append(payoffs)
     except ReplicationError as exc:
         exc.index += bounds[len(done)]    # passes finish in order
         raise

@@ -4,22 +4,26 @@ import hashlib
 import inspect
 import json
 import math
+import multiprocessing
 import re
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from duogame.cli import main
+from duogame import cli, runner
+from duogame import gsa as gsa_module
+from duogame.cli import build_parser, main
 from duogame.config import config_from_dict, config_to_dict, default_config, load_config
-from duogame.errors import ConfigError, IncompleteGameError
+from duogame.errors import ConfigError, IncompleteGameError, ReplicationError
 from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
 from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
-from duogame.runner import CostRates
+from duogame.runner import PASS_ROWS, CostRates, replication_seeds, run_replication
 
 DESK_CONFIG = {
     "master_seed": 99,
@@ -336,6 +340,46 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "s")]) == 3
         assert capsys.readouterr().err.strip() == (
             "runtime error: replication diverged on day 0: inadmissible price: inf")
+
+    def test_passes_write_the_one_pass_bytes(self, desk_config, tmp_path, monkeypatch):
+        # seven replications in passes of at most three rows
+        widths = []
+
+        def recorded(specs, settings, seeds, *args, **kwargs):
+            widths.append(len(seeds))
+            return run_replication(specs, settings, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_replication", recorded)
+        written = {}
+        for rows in (PASS_ROWS, 3):
+            monkeypatch.setattr(cli, "PASS_ROWS", rows)
+            out = tmp_path / str(rows)
+            assert main(["simulate", "--config", str(desk_config), "--n", "7",
+                         "--trace", "--out", str(out)]) == 0
+            written[rows] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert widths == [7, 3, 3, 1]
+        assert len(written[3]) == 8 and written[3] == written[PASS_ROWS]
+
+    def test_divergence_in_a_later_pass_gives_its_global_index(self, tmp_path,
+                                                               monkeypatch):
+        # without the price band, replication 8 of these twelve diverges
+        # first; in passes of three it is row 2 of the third pass
+        sd = {"max_inv_cov": 1e6, "mp_cap_ratio": float("inf"), "sigma_order": 20.0,
+              "price_sens_invcov": -0.7}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"master_seed": 100, "run_length_days": 55,
+                                    "agents": 50, "sd_defaults": sd}))
+        args = build_parser().parse_args(["simulate", "--config", str(path), "--n", "12",
+                                          "--out", str(tmp_path / "s")])
+        failures = []
+        for rows in (PASS_ROWS, 3):
+            monkeypatch.setattr(cli, "PASS_ROWS", rows)
+            with np.errstate(all="ignore"), pytest.raises(ReplicationError) as err:
+                cli.cmd_simulate(args)
+            e = err.value
+            failures.append((e.index, e.seed, e.day, str(e)))
+        assert failures[0] == failures[1]
+        assert failures[0][:2] == (8, replication_seeds(100, 0, 12)[8])
 
     @pytest.mark.parametrize("value", [-0.5, float("nan")], ids=["negative", "nan"])
     @pytest.mark.parametrize("name", ["inter_cap", "perception_spread", "i_ad",
@@ -726,6 +770,111 @@ class TestGsaCommand:
                                   "stability"]
         assert {key: summary[key] for key in fields} == fields
         assert sorted(set(summary) - set(fields)) == ["factors", "payoff_trend_increasing"]
+
+
+class TestWorkerPool:
+    """One worker pool per ``gsa`` run, its start method passed to the
+    executor, never set for the process."""
+
+    CONFIG = dict(DESK_CONFIG, schedule=[*DESK_CONFIG["schedule"],
+                                         {"g": 1, "factors": [{"name": "pricing"}]}])
+
+    @staticmethod
+    def start_by(monkeypatch, method) -> list:
+        """Make the CLI's executors start their workers by ``method``;
+        returns the list of the methods of those made."""
+        import concurrent.futures
+        made, base = [], concurrent.futures.ProcessPoolExecutor
+
+        def executor(jobs):
+            made.append(method)
+            return base(jobs, mp_context=multiprocessing.get_context(method))
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", executor)
+        return made
+
+    @classmethod
+    def run(cls, out, jobs) -> dict:
+        """The files of a two-iteration ``gsa`` run, less the saved config's
+        ``jobs`` and ``out_dir``."""
+        out.mkdir()
+        path = out / "config.json"
+        path.write_text(json.dumps(cls.CONFIG))
+        assert main(["gsa", "--config", str(path), "--out", str(out / "g"),
+                     "--jobs", str(jobs)]) == 0
+        files = written_files(out / "g")
+        assert files["config.json"].pop("jobs") == jobs
+        assert files["config.json"].pop("out_dir") == str(out / "g")
+        return files
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        files = self.run(tmp_path_factory.mktemp("one-job") / "r", 1)
+        assert "solution_trace_01.csv" in files
+        return files
+
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_same_bytes_under_every_start_method(self, method, reference, tmp_path,
+                                                 monkeypatch):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        made = self.start_by(monkeypatch, method)
+        assert self.run(tmp_path / "g", 2) == reference
+        assert made == [method]
+
+    def test_one_pool_and_no_replication_in_the_cli(self, reference, tmp_path,
+                                                    monkeypatch):
+        # both iterations' payoff calls and solution traces go to the one
+        # pool; the workers' calls are not counted here
+        made = self.start_by(monkeypatch, "spawn")
+        entered = []
+        run_rows = runner._run_rows
+
+        def recorded(*args):
+            entered.append(len(args[2]))
+            return run_rows(*args)
+
+        monkeypatch.setattr(runner, "_run_rows", recorded)
+        assert self.run(tmp_path / "g", 2) == reference
+        assert len(made) == 1 and entered == []
+
+    def test_divergence_in_a_worker_names_it_and_leaves_no_worker(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # without the price band the high coverage sensitivity runs away
+        self.start_by(monkeypatch, "spawn")
+        config = dict(DESK_CONFIG, sd_defaults={"max_inv_cov": 1e9,
+                                                "mp_cap_ratio": float("inf")})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["gsa", "--config", str(path), "--out", str(tmp_path / "g"),
+                     "--jobs", "2"]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"runtime error: profile \(\d+, \d+\), tag \d+, "
+                        r"replication \d+ \(seed \d+\), strategies .* diverged on day",
+                        err)
+        assert multiprocessing.active_children() == []
+
+    def test_interrupt_cancels_queued_work_and_leaves_no_worker(self, tmp_path,
+                                                                monkeypatch):
+        # the second iteration's payoff call queues 40 tasks on the pool and
+        # is interrupted; the run does not wait for them
+        self.start_by(monkeypatch, "spawn")
+        queued = []
+        estimate = gsa_module.estimate_payoffs
+
+        def interrupted(*args, executor=None, **kwargs):
+            if not queued:
+                queued.append(None)
+                return estimate(*args, executor=executor, **kwargs)
+            queued.extend(executor.submit(time.sleep, 0.05) for _ in range(40))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gsa_module, "estimate_payoffs", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.run(tmp_path / "g", 2)
+        assert len(queued) == 41
+        assert sum(f.cancelled() for f in queued[1:]) >= 30
+        assert multiprocessing.active_children() == []
 
 
 class TestSolveAndStability:

@@ -11,8 +11,22 @@ with every market agent scored exactly, and exactly swapped under
 exactly what its ``FlowLedger`` booked. Diverging pairs planted among
 drawn rows at seeded positions must report the same row, seed, day and
 message at every width, on either body and at every ``jobs``, as the lone
-replay of that row. The one-row replays, the largest share of the module's
-time, are marked ``slow``.
+replay of that row. Every path shares each day's noise draws, so those
+alone are checked against numpy's own generators. The one-row replays, the
+largest share of the module's time, are marked ``slow``.
+
+Mutations of a copy of the package, and what the module makes of them:
+- a row stream off by one (row ``r`` given row ``r + 1``'s company
+  streams): 12 failures, in the alone, both-bodies and pass-split checks;
+- ``np.power`` in place of C ``pow`` in the array pricing: 12 failures, in
+  the same checks;
+- a swapped noise order (each day's normals drawn in reverse field order):
+  caught only by the check against numpy, on the noisy and deterministic
+  draws;
+- a market rounding bound of ``2**-50 M`` in place of ``2**-40 M``: not
+  caught. No drawn agent's float score difference errs by more than
+  ``2**-50 M``, so the exact scores agree; ``test_market.py``'s agents
+  planted within a row's bound catch it.
 """
 
 from dataclasses import replace
@@ -97,7 +111,7 @@ def test_both_sub_step_bodies(drawn, monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("pass_rows, widths", [(6, {5, 6}), (16, {11, 12, 14})],
                          ids=["float-passes", "array-passes"])
-def test_rows_split_into_passes(drawn, monkeypatch, pass_rows, widths, jobs):
+def test_rows_split_into_passes(drawn, monkeypatch, pass_rows, widths, jobs, executor):
     # the 70 rows split into passes of 5-6 rows, run in plain floats, or of
     # 11-14, run as arrays, in process or on two workers
     pairs, seeds, settings, together = drawn
@@ -110,11 +124,46 @@ def test_rows_split_into_passes(drawn, monkeypatch, pass_rows, widths, jobs):
         return run_rows(setups, index, pass_seeds, *args)
 
     monkeypatch.setattr(runner, "_run_rows", recorded)
-    split = estimate_payoffs(pairs, settings, RATES, ROWS, seeds, jobs=jobs)
+    split = estimate_payoffs(pairs, settings, RATES, ROWS, seeds, jobs=jobs,
+                             executor=executor)
     assert split.tobytes() == together.tobytes()
     if jobs == 1:       # the workers' calls are not seen here
         assert sum(calls) == ROWS and set(calls) <= widths and len(calls) > 1
         assert {width >= runner.WIDE for width in calls} == {pass_rows == 16}
+
+
+def test_noise_drawn_in_field_order(drawn, monkeypatch):
+    # every path above shares the day's noise draws, so they are checked
+    # against numpy: a noisy company's own stream draws its period levels,
+    # then each day one normal per nonzero sigma in NoiseDraws field order
+    pairs, seeds, settings, together = drawn
+    days = []
+    noise = runner._Rows._noise
+
+    def recorded(self):
+        draws = noise(self)
+        days.append(draws)
+        return draws
+
+    monkeypatch.setattr(runner._Rows, "_noise", recorded)
+    assert payoffs(pairs, seeds, settings).tobytes() == together.tobytes()
+    expected = np.zeros((settings.run_length_days, 4, ROWS, 2))
+    for r, pair in enumerate(pairs):
+        for i, spec in enumerate(pair):
+            sigmas = [getattr(spec.sd, name) for name in SIGMAS]
+            if not any(sigmas):
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence(seeds[r], spawn_key=(i + 1,)))
+            for day in range(settings.run_length_days):
+                if day % settings.marketing_period == 0 and not settings.deterministic_marketing:
+                    rng.random(2)
+                for k, sigma in enumerate(sigmas):
+                    if sigma > 0:
+                        expected[day, k, r, i] = rng.normal(0, sigma)
+    if expected.any():
+        assert np.array(days).tobytes() == expected.tobytes()
+    else:
+        assert days == [None] * settings.run_length_days
 
 
 def test_mirror_swaps_exactly(drawn):
@@ -205,7 +254,8 @@ def lone_failure():
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("width", [1, runner.WIDE - 1, runner.WIDE, ROWS],
                          ids=["one", "below-WIDE", "WIDE", str(ROWS)])
-def test_divergence_reported_alike_at_every_width(width, jobs, lone_failure, monkeypatch):
+def test_divergence_reported_alike_at_every_width(width, jobs, lone_failure, monkeypatch,
+                                                   executor):
     # BAD with seed 1 at the lower of two seeded positions (the only one at
     # width 1), with seed 0 at the higher: a pass meets the higher row first,
     # on day 30, and must re-run the rows before it to find the lower one,
@@ -221,14 +271,16 @@ def test_divergence_reported_alike_at_every_width(width, jobs, lone_failure, mon
         return run_rows(setups, index, pass_seeds, *args)
 
     monkeypatch.setattr(runner, "_run_rows", recorded)
-    clean = estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs)
+    clean = estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs,
+                             executor=executor)
     assert np.isfinite(clean).all()
     spots = sorted(np.random.default_rng(width).choice(width, min(2, width),
                                                        replace=False).tolist())
     for spot, seed in zip(spots, (1, 0)):
         pairs[spot], seeds[spot] = BAD, seed
     with np.errstate(all="ignore"), pytest.raises(ReplicationError) as err:
-        estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs)
+        estimate_payoffs(pairs, DIVERGING, RATES, width, seeds, jobs=jobs,
+                         executor=executor)
     assert ((err.value.index, err.value.seed, err.value.day, str(err.value))
             == (spots[0], 1, 31, str(lone_failure)))
     if jobs == 1:

@@ -682,9 +682,10 @@ def reference_build(plan, source, policy, iteration):
 class TestBatchedBuild:
     PLAN = FactorPlan([PlanFactor("pricing"), PlanFactor("marketing")])
 
-    def source(self, jobs=1):
+    def source(self, jobs=1, executor=None):
         settings = SimulationSettings(run_length_days=30, warmup_days=10, n_agents=50)
-        return SimulationPayoffSource(settings, CostRates(), 11, jobs=jobs)
+        return SimulationPayoffSource(settings, CostRates(), 11, jobs=jobs,
+                                      executor=executor)
 
     def assert_same_game(self, built, reference):
         (game, sizes), (ref, ref_sizes) = built, reference
@@ -693,10 +694,10 @@ class TestBatchedBuild:
             assert np.array_equal(getattr(game, name), getattr(ref, name)), name
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_equals_per_profile_reference(self, jobs):
+    def test_equals_per_profile_reference(self, jobs, executor):
         # 10 profiles of 2 replications: 20 rows, not a multiple of 3
         policy = SamplingPolicy(initial_n=2, trim_per_tail=0, cap=2)
-        source = self.source(jobs)
+        source = self.source(jobs, executor)
         self.assert_same_game(
             build_empirical_game(self.PLAN, source, {}, policy, 1),
             reference_build(self.PLAN, source, policy, 1))
@@ -708,10 +709,10 @@ class TestBatchedBuild:
         with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
             source([{}], [{}], {}, 2, [profile_tag(0, 0, 0)])
 
-    def test_topups_equal_per_profile_reference(self):
+    def test_topups_equal_per_profile_reference(self, executor):
         policy = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
                                 ecvi_floor=20.0)
-        source = self.source(jobs=2)
+        source = self.source(jobs=2, executor=executor)
         built = build_empirical_game(self.PLAN, source, {}, policy, 0)
         # no top-up, and top-ups of more than one extra count
         assert len(set(built[1].values()) - {policy.initial_n}) >= 2
@@ -719,13 +720,14 @@ class TestBatchedBuild:
         self.assert_same_game(built, reference_build(self.PLAN, source, policy, 0))
 
 
-def test_divergence_in_second_pool_chunk_names_profile_and_seed():
+def test_divergence_in_second_pool_chunk_names_profile_and_seed(executor):
     # without the price band these profiles run away; at 55 days, replications
     # 4 and 5 of profile (2, 3) diverge and every other one runs to the end
     settings = SimulationSettings(run_length_days=55)
     sd = SDParams(max_inv_cov=1e6, mp_cap_ratio=float("inf"), sigma_order=20.0,
                   price_sens_invcov=-0.7)
-    source = SimulationPayoffSource(settings, CostRates(), 3, sd_defaults=sd, jobs=2)
+    source = SimulationPayoffSource(settings, CostRates(), 3, sd_defaults=sd, jobs=2,
+                                    executor=executor)
     labels = [{"logistics": "L"}, {"logistics": "H"},
               {"manufacturing": "L"}, {"manufacturing": "H"}]
     a, b = [1, 1, 2, 2], [1, 2, 3, 2]

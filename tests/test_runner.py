@@ -808,14 +808,15 @@ class TestEstimatePayoffs:
         rev = estimate_payoffs(default_specs(), settings, CostRates(), 3, seeds[::-1])
         assert sorted(fwd[:, 0]) == pytest.approx(sorted(rev[:, 0]))
 
-    def test_passes_agree_across_jobs_and_report_global_index(self):
+    def test_passes_agree_across_jobs_and_report_global_index(self, executor):
         # more than two passes' worth of short rows: four passes at jobs 2
         settings = SimulationSettings(run_length_days=3)
         n = 2 * runner.PASS_ROWS + 50
         pairs = mixed_pairs()
         specs = [pairs[j % len(pairs)] for j in range(n)]
         seeds = replication_seeds(11, 0, n)
-        one, two = (estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
+        one, two = (estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs,
+                                     executor=executor)
                     for jobs in (1, 2))
         assert np.array_equal(one, two)
         # an infinite initial WIP diverges on day 0, here in the last pass
@@ -824,7 +825,8 @@ class TestEstimatePayoffs:
         for jobs in (1, 2):
             with np.errstate(all="ignore"):
                 with pytest.raises(ReplicationError) as err:
-                    estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs)
+                    estimate_payoffs(specs, settings, CostRates(), n, seeds, jobs=jobs,
+                                     executor=executor)
             assert (err.value.index, err.value.seed, err.value.day) == (j, seeds[j], 0)
 
     def test_pass_holds_no_daily_series(self):
