@@ -120,23 +120,6 @@ class EmpiricalGame:
             for arr in (self.mean, self.count, self.var, self.offset):
                 arr[:, b, a] = arr[::-1, a, b]
 
-    @classmethod
-    def from_payoff_matrices(cls, u1, u2=None):
-        """Build a game from mean payoff matrices (single-sample sets).
-
-        With only ``u1`` given, the game is symmetric with
-        ``u2[a, b] = u1[b, a]``; with both, it is a general game.
-        """
-        u1 = np.asarray(u1, dtype=float)
-        n = u1.shape[0]
-        symmetric = u2 is None
-        u2 = u1.T if symmetric else np.asarray(u2, dtype=float)
-        space = StrategySpace([{"index": i} for i in range(n)], symmetric=symmetric)
-        game = cls(space)
-        for a, b in game.profiles():
-            game.set_samples((a, b), [u1[a, b]], [u2[a, b]])
-        return game
-
     # -- queries -----------------------------------------------------------
 
     def profiles(self):

@@ -236,6 +236,7 @@ class CheckpointStore:
     def __init__(self, out_dir, fingerprint: str):
         self.out_dir = Path(out_dir)
         self.fingerprint = fingerprint
+        self.saved = 0  # iterations computed, not restored, in this run
 
     def load(self, iteration: int):
         return load_checkpoint(self.out_dir, iteration, self.fingerprint)
@@ -243,3 +244,4 @@ class CheckpointStore:
     def save(self, iteration: int, game, report, baseline: dict) -> None:
         save_checkpoint(self.out_dir, iteration, self.fingerprint, game,
                         report, baseline)
+        self.saved += 1

@@ -11,7 +11,7 @@ import pytest
 
 from duogame.cli import main
 from duogame.doe import doe_significance, two_level_design
-from duogame.game import EmpiricalGame, symmetric_profile_count
+from duogame.game import symmetric_profile_count
 from duogame.gsa import StabilityClass, stability_analysis
 from duogame.market import MarketParams
 from duogame.network import generate_ba_network
@@ -28,6 +28,7 @@ from duogame.supply_chain import (
     steady_state,
     step_company,
 )
+from game_tools import game_from_matrices
 from network_tools import degree_ccdf_slope
 from warmup_tools import detect_warmup
 
@@ -85,7 +86,7 @@ def _random_games(count=200, seed=2024):
     for _ in range(count):
         n = int(rng.integers(2, 9))
         u1 = rng.integers(-50, 51, size=(n, n)).astype(float)
-        games.append((EmpiricalGame.from_payoff_matrices(u1), u1))
+        games.append((game_from_matrices(u1), u1))
     return games
 
 
@@ -220,8 +221,7 @@ def test_c11_doe_recovery():
 
 
 def test_c12_stability_oracle():
-    pd_game = EmpiricalGame.from_payoff_matrices(
-        np.array([[3.0, 0.0], [5.0, 1.0]]))
+    pd_game = game_from_matrices(np.array([[3.0, 0.0], [5.0, 1.0]]))
     pd = stability_analysis(pd_game, (1, 1), epsilon=0.5, steps=50, noise="none")
     assert pd.ratios[StabilityClass.ASYMPTOTICALLY_STABLE.value] == 1.0
     assert sum(pd.ratios.values()) == pytest.approx(1.0)
@@ -239,7 +239,7 @@ def test_c12_stability_oracle():
         assert cls is StabilityClass.ASYMPTOTICALLY_STABLE
 
     mp_u1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    mp_game = EmpiricalGame.from_payoff_matrices(mp_u1, -mp_u1)
+    mp_game = game_from_matrices(mp_u1, -mp_u1)
     mp = stability_analysis(mp_game, (0, 0), epsilon=0.5, steps=50, noise="none")
     assert mp.ratios[StabilityClass.INSTABLE.value] == 1.0
     assert sum(mp.ratios.values()) == pytest.approx(1.0)

@@ -24,6 +24,7 @@ from duogame.gsa import stability_analysis
 from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
 from duogame.runner import PASS_ROWS, CostRates, replication_seeds, run_replication
+from game_tools import game_from_matrices
 
 DESK_CONFIG = {
     "master_seed": 99,
@@ -797,7 +798,7 @@ class TestWorkerPool:
     def run(cls, out, jobs) -> dict:
         """The files of a two-iteration ``gsa`` run, less the saved config's
         ``jobs`` and ``out_dir``."""
-        out.mkdir()
+        out.mkdir(exist_ok=True)
         path = out / "config.json"
         path.write_text(json.dumps(cls.CONFIG))
         assert main(["gsa", "--config", str(path), "--out", str(out / "g"),
@@ -837,6 +838,30 @@ class TestWorkerPool:
         monkeypatch.setattr(runner, "_run_rows", recorded)
         assert self.run(tmp_path / "g", 2) == reference
         assert len(made) == 1 and entered == []
+
+    def test_restored_run_starts_no_worker(self, reference, tmp_path, monkeypatch):
+        # the second run restores both iterations, so it runs their one-row
+        # solution traces in process and submits no task to its pool
+        self.run(tmp_path / "g", 2)
+        import concurrent.futures
+        submitted = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        entered = []
+        run_rows = runner._run_rows
+
+        def recorded(*args):
+            entered.append(len(args[2]))
+            return run_rows(*args)
+
+        monkeypatch.setattr(runner, "_run_rows", recorded)
+        assert self.run(tmp_path / "g", 2) == reference
+        assert submitted == [] and entered == [1, 1]
 
     def test_divergence_in_a_worker_names_it_and_leaves_no_worker(self, tmp_path,
                                                                   monkeypatch, capsys):
@@ -880,7 +905,7 @@ class TestWorkerPool:
 class TestSolveAndStability:
     def make_matrix(self, tmp_path):
         u1 = np.array([[3.0, 0.0], [5.0, 1.0]])
-        game = EmpiricalGame.from_payoff_matrices(u1)
+        game = game_from_matrices(u1)
         path = tmp_path / "pd.csv"
         write_payoff_matrix(game, path)
         return path
@@ -902,7 +927,7 @@ class TestSolveAndStability:
     def test_stability_update_rule_replays_the_analysis(self, tmp_path, capsys):
         # a coordination game: simultaneous updates from a miscoordinated
         # start swap forever, alternating ones settle, so the ratios differ
-        game = EmpiricalGame.from_payoff_matrices(np.array([[3.0, 0.0], [0.0, 2.0]]))
+        game = game_from_matrices(np.array([[3.0, 0.0], [0.0, 2.0]]))
         path = tmp_path / "coordination.csv"
         write_payoff_matrix(game, path)
         ratios = {}
@@ -983,7 +1008,7 @@ class TestSolveAndStability:
         # the pure equilibrium (1, 1) this game does not have
         u1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
         path = tmp_path / "pennies.csv"
-        write_payoff_matrix(EmpiricalGame.from_payoff_matrices(u1, -u1), path)
+        write_payoff_matrix(game_from_matrices(u1, -u1), path)
         steps = ["--steps", "20"] if command == "stability" else []
         assert main([command, "--game", str(path), *steps]) == 2
         err = capsys.readouterr().err

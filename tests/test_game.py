@@ -12,6 +12,7 @@ from duogame.reporting import (
     save_checkpoint,
     write_payoff_matrix,
 )
+from game_tools import game_from_matrices
 
 # 2x2 symmetric game in prisoner's-dilemma shape: rows/cols are (C, D),
 # row payoffs u1 = [[3, 0], [5, 1]]
@@ -36,7 +37,7 @@ def brute_force_nash(u1, u2, epsilon=0.0):
 
 def random_symmetric_game(rng, n):
     u1 = rng.integers(-20, 21, size=(n, n)).astype(float)
-    return EmpiricalGame.from_payoff_matrices(u1), u1
+    return game_from_matrices(u1), u1
 
 
 @dataclass
@@ -61,15 +62,15 @@ class TestProfileCount:
 
 class TestRegret:
     def test_prisoners_dilemma_cooperate(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         assert game.regret((0, 0)) == pytest.approx(2.0)  # defect gains 5 - 3
 
     def test_strict_equilibrium_negative_regret(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         assert game.regret((1, 1)) < 0
 
     def test_single_strategy_rejected(self):
-        game = EmpiricalGame.from_payoff_matrices(np.array([[1.0]]))
+        game = game_from_matrices(np.array([[1.0]]))
         with pytest.raises(ParameterError):
             game.regret((0, 0))
 
@@ -84,11 +85,11 @@ class TestRegret:
 
 class TestPureNash:
     def test_prisoners_dilemma(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         assert game.pure_nash(0.0) == [(1, 1)]
 
     def test_matching_pennies_empty(self):
-        game = EmpiricalGame.from_payoff_matrices(MP_U1, -MP_U1)
+        game = game_from_matrices(MP_U1, -MP_U1)
         assert game.pure_nash(0.0) == []
 
     def test_epsilon_relaxation_is_monotone(self):
@@ -122,7 +123,7 @@ class TestPureNash:
         rng = np.random.default_rng(3)
         game, u1 = random_symmetric_game(rng, 5)
         a, b = 2.5, 17.0
-        scaled = EmpiricalGame.from_payoff_matrices(a * u1 + b)
+        scaled = game_from_matrices(a * u1 + b)
         eps = 4.0
         assert game.pure_nash(eps) == scaled.pure_nash(a * eps)
 
@@ -214,7 +215,7 @@ class TestStorage:
             for p in game.profiles()})
 
     def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(), {})
         path = tmp_path / "checkpoints" / "iteration_00.json"
         before = path.read_bytes()
@@ -234,7 +235,7 @@ class TestStorage:
             StrategySpace([{"x": 0}, {"x": 0}])
 
     def test_min_regret_profile(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         assert game.min_regret_profile() == (1, 1)
 
     def test_min_regret_profile_matches_per_profile_loop(self):
@@ -250,8 +251,7 @@ class TestStorage:
                 spots = rng.integers(0, n, size=(int(rng.integers(0, 3)), 2))
                 u[tuple(spots.T)] = rng.choice([np.nan, np.inf, -np.inf],
                                                size=len(spots))
-            game = EmpiricalGame.from_payoff_matrices(
-                u1, None if trial % 2 else u2)
+            game = game_from_matrices(u1, None if trial % 2 else u2)
             u = game.mean
             profiles = game.profiles()
             with np.errstate(invalid="ignore"):
@@ -264,6 +264,6 @@ class TestStorage:
                 assert game.min_regret_profile() == profiles[int(np.argmin(oracle))], trial
 
     def test_min_regret_profile_needs_two_strategies(self):
-        game = EmpiricalGame.from_payoff_matrices(np.array([[1.0]]))
+        game = game_from_matrices(np.array([[1.0]]))
         with pytest.raises(ParameterError, match="two strategies"):
             game.min_regret_profile()

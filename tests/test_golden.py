@@ -13,13 +13,20 @@ stream: alternating and simultaneous updates, an odd strategy count with
 one-sample cells, and ``duogame stability`` on a re-read matrix.
 ``tests/golden/`` holds the config and output hashes (payoff matrix,
 iteration report, solution trace) of a one-iteration ``gsa`` run on four
-two-level factors, and the hashes of every file the shipped five-iteration
-``duogame gsa --jobs 2`` run writes. A pin may change only for a stated
-reason, such as a changed RNG protocol.
+two-level factors, run in process and through both process entries, the
+console script and ``python -m duogame.cli``; the hashes of every file a
+two-iteration run that tops up writes; and those of every file the shipped
+five-iteration ``duogame gsa --jobs 2`` run writes. A pin may change only
+for a stated reason, such as a changed RNG protocol.
 """
 
+import gc
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -261,9 +268,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def check_small_gsa_run(out, *args):
-    pins = json.loads((GOLDEN / "small_gsa_hashes.json").read_text())
+    frozen = gc.get_freeze_count()
     assert main(["gsa", "--config", str(GOLDEN / "small_gsa_config.json"),
                  "--out", str(out), *args]) == 0
+    # main() given its argv leaves the caller's heap unfrozen
+    assert gc.get_freeze_count() == frozen
+    check_small_gsa_outputs(out)
+
+
+def check_small_gsa_outputs(out):
+    pins = json.loads((GOLDEN / "small_gsa_hashes.json").read_text())
     report = json.loads((out / "iteration_00.json").read_text())
     report["report"].pop("runtime_seconds")
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -280,6 +294,35 @@ def test_small_gsa_run_pin(tmp_path):
 
 def test_small_gsa_run_pin_two_jobs(tmp_path):
     check_small_gsa_run(tmp_path / "g", "--jobs", "2")
+
+
+# the two ways a process enters the CLI, each calling main() with no argv;
+# the console script's form reports the freeze count it exits with
+ENTRY_FORMS = {
+    "module": ["-m", "duogame.cli"],
+    "console-script": [
+        "-c", "import atexit, gc, sys; "
+              "atexit.register(lambda: print('freeze count', gc.get_freeze_count(), "
+              "file=sys.stderr)); "
+              "sys.argv[0] = 'duogame'; from duogame.cli import main; sys.exit(main())"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("form", sorted(ENTRY_FORMS))
+def test_small_gsa_run_pin_process_entry(tmp_path, form, jobs):
+    out = tmp_path / "g"
+    proc = subprocess.run(
+        [sys.executable, *ENTRY_FORMS[form], "gsa",
+         "--config", str(GOLDEN / "small_gsa_config.json"), "--out", str(out),
+         "--jobs", jobs],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    check_small_gsa_outputs(out)
+    if form == "console-script":
+        # the process entry froze the import-time heap
+        assert int(re.search(r"freeze count (\d+)", proc.stderr).group(1)) > 0
 
 
 def run_digests(out) -> dict:
@@ -299,6 +342,17 @@ def run_digests(out) -> dict:
             data = json.dumps(obj, sort_keys=True).encode()
         digests[path.relative_to(out).as_posix()] = hashlib.sha256(data).hexdigest()
     return digests
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_topup_gsa_run_pin(tmp_path, jobs):
+    # two iterations of small replications, 126 rows in six source calls:
+    # two initial batches and four value-of-information top-ups of 4, 6 and
+    # 12 rows a profile; every file the run writes
+    assert main(["gsa", "--config", str(GOLDEN / "topup_gsa_config.json"),
+                 "--out", str(tmp_path), "--jobs", str(jobs)]) == 0
+    pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
+    assert run_digests(tmp_path) == pins[f"jobs_{jobs}"]
 
 
 @pytest.mark.slow

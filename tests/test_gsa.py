@@ -34,6 +34,7 @@ from duogame.runner import (
 )
 from duogame.stats import confidence_interval, decide_sample_size, trim_samples
 from duogame.supply_chain import SDParams
+from game_tools import game_from_matrices
 
 PD_U1 = np.array([[3.0, 0.0], [5.0, 1.0]])
 MP_U1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -238,7 +239,7 @@ class TestRunGsa:
 class TestNeighborTest:
     def game_with_tie(self):
         u1 = np.array([[10.0, 4.0, 10.0], [2.0, 3.0, 1.0], [6.0, 2.0, 0.0]])
-        space_game = EmpiricalGame.from_payoff_matrices(u1)
+        space_game = game_from_matrices(u1)
         # re-insert samples with spread so the tests are defined
         rng = np.random.default_rng(0)
         for p in space_game.profiles():
@@ -266,13 +267,13 @@ class TestNeighborTest:
 
 class TestStability:
     def test_strict_equilibrium_fully_stable(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         report = stability_analysis(game, (1, 1), epsilon=0.5, steps=50,
                                     noise="none")
         assert report.ratios[StabilityClass.ASYMPTOTICALLY_STABLE.value] == 1.0
 
     def test_matching_pennies_fully_instable(self):
-        game = EmpiricalGame.from_payoff_matrices(MP_U1, -MP_U1)
+        game = game_from_matrices(MP_U1, -MP_U1)
         report = stability_analysis(game, (0, 0), epsilon=0.5, steps=50,
                                     noise="none")
         assert report.ratios[StabilityClass.INSTABLE.value] == 1.0
@@ -281,7 +282,7 @@ class TestStability:
         rng = np.random.default_rng(4)
         for _ in range(5):
             u1 = rng.integers(-5, 6, size=(4, 4)).astype(float)
-            game = EmpiricalGame.from_payoff_matrices(u1)
+            game = game_from_matrices(u1)
             sol = game.min_regret_profile()
             report = stability_analysis(game, sol, epsilon=2.0, steps=40,
                                         noise="none", seed=7)
@@ -290,21 +291,21 @@ class TestStability:
     def test_marginal_band(self):
         # second-best basin sits within epsilon of the solution payoff
         u1 = np.array([[5.0, 0.0], [0.0, 4.8]])
-        game = EmpiricalGame.from_payoff_matrices(u1)
+        game = game_from_matrices(u1)
         report = stability_analysis(game, (0, 0), epsilon=1.0, steps=40,
                                     noise="none")
         assert report.ratios[StabilityClass.MARGINALLY_STABLE.value] > 0.0
         assert report.ratios[StabilityClass.INSTABLE.value] == 0.0
 
     def test_negative_epsilon_rejected(self):
-        game = EmpiricalGame.from_payoff_matrices(PD_U1)
+        game = game_from_matrices(PD_U1)
         with pytest.raises(ParameterError, match="epsilon"):
             stability_analysis(game, (1, 1), epsilon=-0.5, steps=20)
 
     def test_resample_noise_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         u1 = rng.normal(0, 1, size=(3, 3))
-        game = EmpiricalGame.from_payoff_matrices(u1)
+        game = game_from_matrices(u1)
         for p in game.profiles():
             game.set_samples(p, game.payoff(p, 0) + rng.normal(0, 0.3, 20),
                              game.payoff(p, 1) + rng.normal(0, 0.3, 20))
@@ -316,7 +317,7 @@ class TestStability:
         # independent oracle: walk deterministic alternating best response
         # by hand over all 4 starts of the stag-hunt shaped game
         u1 = np.array([[4.0, 0.0], [3.0, 2.0]])
-        game = EmpiricalGame.from_payoff_matrices(u1)
+        game = game_from_matrices(u1)
 
         def enumerate_path(a, b, steps=40):
             for step in range(steps):
@@ -393,7 +394,7 @@ def test_folded_draws_match_integers_plus_offsets():
 def test_stability_rejects_banks_of_2_32_samples(monkeypatch):
     # the game's bank as a zero-stride view of 2**32 samples, which holds
     # no memory
-    game = EmpiricalGame.from_payoff_matrices(PD_U1)
+    game = game_from_matrices(PD_U1)
     monkeypatch.setattr(game, "_bank", np.broadcast_to(game.bank[:1], (2**32,)))
     assert game.bank.size == 2**32
     with pytest.raises(ParameterError, match="2\\*\\*32"):
@@ -587,10 +588,10 @@ class TestStabilityAgainstReference:
             n = int(rng.integers(2, 7))
             u1 = rng.integers(-2, 3, size=(n, n)).astype(float)
             if trial % 2:
-                game = EmpiricalGame.from_payoff_matrices(u1)
+                game = game_from_matrices(u1)
             else:
                 u2 = rng.integers(-2, 3, size=(n, n)).astype(float)
-                game = EmpiricalGame.from_payoff_matrices(u1, u2)
+                game = game_from_matrices(u1, u2)
             games_with_ties += any(
                 np.count_nonzero(col == col.max()) > 1
                 for col in np.concatenate([game.mean[0].T, game.mean[1]]))
@@ -611,7 +612,7 @@ class TestStabilityAgainstReference:
         # samples noisy enough that trajectories leave the third one's basin
         rng = np.random.default_rng(11)
         u1 = np.array([[5.0, 0.0, 1.5], [0.0, 4.6, 1.5], [1.5, 1.5, 3.0]])
-        game = EmpiricalGame.from_payoff_matrices(u1)
+        game = game_from_matrices(u1)
         for a, b in game.profiles():
             k = int(rng.integers(8, 15))
             game.set_samples((a, b), u1[a, b] + rng.normal(0, 0.6, k),
