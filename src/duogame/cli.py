@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (defaults ship built in)")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory or file")
-        p.add_argument("--jobs", type=int, help="parallel worker processes")
 
     p = sub.add_parser("simulate", help="run replications of one profile")
     common(p)
@@ -309,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the first-iteration payoff matrix")
     common(p)
+    p.add_argument("--jobs", type=int, help="parallel worker processes")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("solve", help="find pure tolerance equilibria of a matrix")
@@ -319,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gsa", help="run the full solving-and-analysis loop")
     common(p)
+    p.add_argument("--jobs", type=int, help="parallel worker processes")
     p.set_defaults(func=cmd_gsa)
 
     p = sub.add_parser("stability", help="best-response stability of a matrix")

@@ -196,48 +196,47 @@ def _replay_labels(labels: dict, baseline: dict) -> dict:
 
 def _simulate_profile(source, labels, a, b, baseline, policy, tag):
     """Initial batch plus value-of-information top-up for one profile, or for
-    equal-length sequences ``a``, ``b`` and ``tag`` of profiles together.
+    equal-length sequences ``a``, ``b`` and ``tag`` of profiles together;
+    returns the (n, 2) payoffs of one profile, or a list of them.
 
-    Every profile's initial batch goes to the source in one call; top-ups
-    follow in one call per extra count. Returns the (n, 2) payoffs of one
-    profile, or a list of them for sequences. A diverging replication is
-    re-raised with the profile, its tag, the replication's index in the
-    profile's stream and both strategies' factor labels over the baseline
-    (as JSON, the form ``duogame simulate --profile`` and ``--opponent``
-    take); those and the error's seed replay it.
+    Both phases go through ``sample``: replications ``start`` to ``start +
+    counts[k]`` of each profile ``k``, one source call per distinct nonzero
+    count, the smallest first. A diverging replication is re-raised, mapped
+    through its call's group, with the profile, its tag, the replication's
+    index in the profile's stream and both strategies' factor labels over
+    the baseline (as JSON, the form ``duogame simulate --profile`` and
+    ``--opponent`` take); those and the error's seed replay it.
     """
     single = isinstance(tag, (int, np.integer))
     if single:
         a, b, tag = [a], [b], [tag]
 
-    def call(profiles, n, start=0):
-        try:
-            return source([labels[a[k]] for k in profiles],
-                          [labels[b[k]] for k in profiles], baseline, n,
-                          [tag[k] for k in profiles], start=start)
-        except ReplicationError as exc:
-            k, j = divmod(exc.index, n)
-            k, j = profiles[k], start + j
-            row, col = (json.dumps(_replay_labels(labels[x], baseline), sort_keys=True)
-                        for x in (a[k], b[k]))
-            raise ReplicationError(
-                f"profile ({a[k]}, {b[k]}), tag {tag[k]}, replication {j} "
-                f"(seed {exc.seed}), strategies {row} vs {col}: {exc}",
-                day=exc.day, seed=exc.seed, index=j) from exc
+    def sample(counts, start):
+        drawn = {}
+        for n in sorted(set(counts) - {0}):
+            group = [k for k, count in enumerate(counts) if count == n]
+            try:
+                drawn.update(zip(group, source(
+                    [labels[a[k]] for k in group], [labels[b[k]] for k in group],
+                    baseline, n, [tag[k] for k in group], start=start)))
+            except ReplicationError as exc:
+                k, j = group[exc.index // n], start + exc.index % n
+                row, col = (json.dumps(_replay_labels(labels[x], baseline), sort_keys=True)
+                            for x in (a[k], b[k]))
+                raise ReplicationError(
+                    f"profile ({a[k]}, {b[k]}), tag {tag[k]}, replication {j} "
+                    f"(seed {exc.seed}), strategies {row} vs {col}: {exc}",
+                    day=exc.day, seed=exc.seed, index=j) from exc
+        return drawn
 
-    total = policy.initial_n
-    payoffs = list(call(range(len(tag)), total))
-    topups = {}     # extra count -> profiles
-    if total >= 2 and policy.cap > total:
-        for k, p in enumerate(payoffs):
-            spread = float(max(p[:, 0].std(ddof=1), p[:, 1].std(ddof=1)))
-            target = decide_sample_size(total, spread, policy.ecvi_floor,
-                                        policy.cap, policy.batch, policy.alpha)
-            if target > total:
-                topups.setdefault(target - total, []).append(k)
-    for extra, profiles in sorted(topups.items()):
-        for k, more in zip(profiles, call(profiles, extra, start=total)):
-            payoffs[k] = np.vstack([payoffs[k], more])
+    n = policy.initial_n
+    payoffs = sample([n] * len(tag), 0)
+    # the top-up rule: each profile's extra count from its initial payoffs
+    extra = [0 if n < 2 or policy.cap <= n else decide_sample_size(
+        n, float(max(p[:, 0].std(ddof=1), p[:, 1].std(ddof=1))), policy.ecvi_floor,
+        policy.cap, policy.batch, policy.alpha) - n for p in payoffs.values()]
+    more = sample(extra, n)
+    payoffs = [np.vstack([p, more[k]]) if k in more else p for k, p in payoffs.items()]
     return payoffs[0] if single else payoffs
 
 
@@ -247,8 +246,9 @@ def build_empirical_game(plan: FactorPlan, source, baseline: dict,
     set and store each player's samples trimmed by ``policy.trim_per_tail``
     per tail; returns the game and each profile's replication count.
 
-    All profiles are sampled together: their replications share lockstep
-    blocks and source calls, which run on the source's worker processes.
+    All profiles are sampled together by ``_simulate_profile``: every initial
+    batch in one source call, the top-ups in one call per distinct extra
+    count, run in lockstep blocks on the source's worker processes.
     """
     labels = plan.strategy_labels()
     game = EmpiricalGame(StrategySpace(labels))

@@ -26,9 +26,6 @@ class SocialNetwork:
     indices: np.ndarray = field(repr=False)
     degrees: np.ndarray = field(repr=False)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        return self.indices[self.indptr[node]:self.indptr[node + 1]]
-
 
 def _csr_from_edges(n: int, edges: list) -> tuple:
     degrees = np.zeros(n, dtype=np.int64)

@@ -14,13 +14,18 @@ def from_edges(n: int, edges: list, seed: int = 0) -> SocialNetwork:
                          indptr=indptr, indices=indices, degrees=degrees)
 
 
+def neighbors(net: SocialNetwork, node: int) -> np.ndarray:
+    """The nodes adjacent to ``node``, from the network's CSR lists."""
+    return net.indices[net.indptr[node]:net.indptr[node + 1]]
+
+
 def is_connected(net: SocialNetwork) -> bool:
     seen = np.zeros(net.n, dtype=bool)
     stack = [0]
     seen[0] = True
     while stack:
         u = stack.pop()
-        for v in net.neighbors(u):
+        for v in neighbors(net, u):
             if not seen[v]:
                 seen[v] = True
                 stack.append(int(v))

@@ -622,6 +622,17 @@ def test_bad_override_exits_2_before_any_output(desk_config, tmp_path, capsys, a
     assert not out.exists()
 
 
+def test_simulate_refuses_jobs(desk_config, tmp_path, capsys):
+    # simulate runs in process, so a worker count would do nothing
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--config", str(desk_config), "--jobs", "2",
+              "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestEstimateCommand:
     def test_writes_matrix_and_strategies(self, desk_config, tmp_path):
         out = tmp_path / "e"

@@ -12,8 +12,11 @@ exactly what its ``FlowLedger`` booked. Diverging pairs planted among
 drawn rows at seeded positions must report the same row, seed, day and
 message at every width, on either body and at every ``jobs``, as the lone
 replay of that row. Every path shares each day's noise draws, so those
-alone are checked against numpy's own generators. The one-row replays, the
-largest share of the module's time, are marked ``slow``.
+alone are checked against numpy's own generators. Near pairs planted among
+drawn rows hold agents between the market's rounding bound and a bound
+1024 times smaller, and the exact scores must take those agents. The
+one-row replays, the largest share of the module's time, are marked
+``slow``.
 
 Mutations of a copy of the package, and what the module makes of them:
 - a row stream off by one (row ``r`` given row ``r + 1``'s company
@@ -23,12 +26,13 @@ Mutations of a copy of the package, and what the module makes of them:
 - a swapped noise order (each day's normals drawn in reverse field order):
   caught only by the check against numpy, on the noisy and deterministic
   draws;
-- a market rounding bound of ``2**-50 M`` in place of ``2**-40 M``: not
-  caught. No drawn agent's float score difference errs by more than
-  ``2**-50 M``, so the exact scores agree; ``test_market.py``'s agents
-  planted within a row's bound catch it.
+- a market rounding bound of ``2**-50 M`` in place of ``2**-40 M``: no
+  payoff moves, as no drawn agent's float score difference errs by more
+  than ``2**-50 M``; the planted agents' check fails (1 failure), as does
+  ``test_market.py``'s check of agents planted within a row's bound.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -172,17 +176,19 @@ def test_mirror_swaps_exactly(drawn):
     assert swapped.tobytes() == np.ascontiguousarray(together[:, ::-1]).tobytes()
 
 
-class _NothingSure:
-    """numpy, as the market module calls it, but with no agent's score
-    difference beyond its rounding bound."""
+class _BoundScaled:
+    """numpy, as the market module calls it, but with every agent's score
+    difference compared with its rounding bound times ``scale``: at infinity
+    no agent is beyond it."""
+
+    def __init__(self, scale):
+        self.scale = scale
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    @staticmethod
-    def greater(a, b, out):
-        out[...] = False
-        return out
+    def greater(self, a, b, out):
+        return np.greater(a, b * self.scale, out=out)
 
 
 def test_every_agent_scored_exactly(drawn, monkeypatch):
@@ -200,11 +206,52 @@ def test_every_agent_scored_exactly(drawn, monkeypatch):
         scored.append(rows.size)
         return exact(self, rows, *rest)
 
-    monkeypatch.setattr(market, "np", _NothingSure())
+    monkeypatch.setattr(market, "np", _BoundScaled(math.inf))
     monkeypatch.setattr(market.ConsumerMarket, "step", counted_step)
     monkeypatch.setattr(market.ConsumerMarket, "_exact", counted_exact)
     assert payoffs(pairs, seeds, settings).tobytes() == together.tobytes()
     assert sum(scored) == sum(stepped) > 0
+
+
+# brand 1 advertising more by this share of its level, under deterministic
+# marketing, puts each agent's first-day float score difference (no agent
+# has a brand yet) between 2**-50 M and 2**-40 M of its row's size M: a
+# share of 2**-42 leaves some agents below 2**-50 M, one of 2**-34 some
+# beyond 2**-40 M
+NEAR = 2.0 ** -38
+
+
+@pytest.mark.parametrize("scale, taken", [(1.0, True), (2.0 ** -10, False)],
+                         ids=["bound", "bound-over-1024"])
+def test_planted_agents_between_bounds_scored_exactly(monkeypatch, scale, taken):
+    # near pairs planted at seeded rows among the drawn ones: every agent of
+    # theirs lies within the rounding bound of 2**-40 M, so the exact scores
+    # take each on the first day, but beyond 2**-50 M, so under a bound
+    # 1024 times smaller they take none; the payoffs cannot tell the two
+    # apart, as the agents' differences are far above their rounding error
+    pairs, seeds, settings = draw("deterministic")
+    spots = np.random.default_rng(5).choice(ROWS, 6, replace=False)
+    for r in spots:
+        spec = pairs[r][0]
+        pairs[r] = (spec, replace(spec, ad_range=tuple(x * (1.0 + NEAR)
+                                                       for x in spec.ad_range)))
+    days = []
+    step, exact = market.ConsumerMarket.step, market.ConsumerMarket._exact
+
+    def counted_step(self, *args, **options):
+        days.append(np.zeros(ROWS, dtype=int))
+        return step(self, *args, **options)
+
+    def counted_exact(self, rows, *rest):
+        np.add.at(days[-1], rows, 1)
+        return exact(self, rows, *rest)
+
+    monkeypatch.setattr(market, "np", _BoundScaled(scale))
+    monkeypatch.setattr(market.ConsumerMarket, "step", counted_step)
+    monkeypatch.setattr(market.ConsumerMarket, "_exact", counted_exact)
+    payoffs(pairs, seeds, settings)
+    n = settings.n_agents
+    assert days[0][spots].tolist() == [n if taken else 0] * len(spots)
 
 
 @pytest.mark.parametrize("wide", [True, False], ids=["array", "float"])

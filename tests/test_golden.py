@@ -15,7 +15,8 @@ one-sample cells, and ``duogame stability`` on a re-read matrix.
 iteration report, solution trace) of a one-iteration ``gsa`` run on four
 two-level factors, run in process and through both process entries, the
 console script and ``python -m duogame.cli``; the hashes of every file a
-two-iteration run that tops up writes; and those of every file the shipped
+two-iteration run that tops up writes, whole or resumed after an interrupt
+at any of its six source calls; and those of every file the shipped
 five-iteration ``duogame gsa --jobs 2`` run writes. A pin may change only
 for a stated reason, such as a changed RNG protocol.
 """
@@ -36,7 +37,7 @@ import pytest
 from duogame import runner
 from duogame.cli import main
 from duogame.game import EmpiricalGame, StrategySpace
-from duogame.gsa import stability_analysis
+from duogame.gsa import SimulationPayoffSource, stability_analysis
 from duogame.market import ConsumerMarket, MarketParams, marketing_force
 from duogame.network import generate_ba_network
 from duogame.reporting import write_payoff_matrix
@@ -351,6 +352,37 @@ def test_topup_gsa_run_pin(tmp_path, jobs):
     # 12 rows a profile; every file the run writes
     assert main(["gsa", "--config", str(GOLDEN / "topup_gsa_config.json"),
                  "--out", str(tmp_path), "--jobs", str(jobs)]) == 0
+    pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
+    assert run_digests(tmp_path) == pins[f"jobs_{jobs}"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("call", range(6))
+def test_topup_gsa_run_resumed_after_interrupt_at_each_call(tmp_path, monkeypatch,
+                                                            call, jobs):
+    # the run is interrupted as its call-th source call starts, then run
+    # again: it restores the iteration it finished, if any, recomputes the
+    # rest and writes every file of the uninterrupted run
+    args = ["gsa", "--config", str(GOLDEN / "topup_gsa_config.json"),
+            "--out", str(tmp_path), "--jobs", str(jobs)]
+    made, stop = [], call + 1     # the call to interrupt, counted from 1
+    source_call = SimulationPayoffSource.__call__
+
+    def counted(self, *args, **kwargs):
+        made.append(None)
+        if len(made) == stop:
+            raise KeyboardInterrupt
+        return source_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulationPayoffSource, "__call__", counted)
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert len(made) == stop
+    made.clear()
+    stop = None
+    assert main(args) == 0
+    # iteration 0 makes the first two calls, iteration 1 the other four
+    assert len(made) == (6 if call < 2 else 4)
     pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
     assert run_digests(tmp_path) == pins[f"jobs_{jobs}"]
 

@@ -1,6 +1,12 @@
+import json
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from duogame.cli import main
+from duogame.config import load_config
 from duogame.errors import ConfigError, ParameterError, ReplicationError
 from duogame.factors import (
     FACTORS,
@@ -34,6 +40,7 @@ from duogame.runner import (
 )
 from duogame.stats import confidence_interval, decide_sample_size, trim_samples
 from duogame.supply_chain import SDParams
+import fault_tools
 from game_tools import game_from_matrices
 
 PD_U1 = np.array([[3.0, 0.0], [5.0, 1.0]])
@@ -710,15 +717,24 @@ class TestBatchedBuild:
         with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
             source([{}], [{}], {}, 2, [profile_tag(0, 0, 0)])
 
+    TOPUP = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
+                           ecvi_floor=20.0)
+
     def test_topups_equal_per_profile_reference(self, executor):
-        policy = SamplingPolicy(initial_n=4, trim_per_tail=1, cap=12, batch=2,
-                                ecvi_floor=20.0)
         source = self.source(jobs=2, executor=executor)
-        built = build_empirical_game(self.PLAN, source, {}, policy, 0)
+        built = build_empirical_game(self.PLAN, source, {}, self.TOPUP, 0)
         # no top-up, and top-ups of more than one extra count
-        assert len(set(built[1].values()) - {policy.initial_n}) >= 2
-        assert policy.initial_n in built[1].values()
-        self.assert_same_game(built, reference_build(self.PLAN, source, policy, 0))
+        assert len(set(built[1].values()) - {self.TOPUP.initial_n}) >= 2
+        assert self.TOPUP.initial_n in built[1].values()
+        self.assert_same_game(built, reference_build(self.PLAN, source, self.TOPUP, 0))
+
+    def test_topup_source_calls(self, monkeypatch):
+        # the initial batch, then one call per extra count, the smallest first
+        calls = record_source_calls(monkeypatch)
+        build_empirical_game(self.PLAN, self.source(), {}, self.TOPUP, 0)
+        assert calls == source_calls([
+            (4, 0, 0, ALL_PROFILES), (6, 4, 0, [(0, 0)]),
+            (8, 4, 0, [(0, 1), (0, 2), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3)])])
 
 
 def test_divergence_in_second_pool_chunk_names_profile_and_seed(executor):
@@ -747,6 +763,80 @@ def test_divergence_in_second_pool_chunk_names_profile_and_seed(executor):
         f"profile (2, 3), tag {tags[2]}, replication 4 (seed {seed}), "
         'strategies {"manufacturing": "L"} vs {"manufacturing": "H"}: '
         f"{alone.value}")
+
+
+# the profiles of four strategies, in game.profiles() order
+ALL_PROFILES = [(a, b) for a in range(4) for b in range(a, 4)]
+TOPUP_CONFIG = Path(__file__).parent / "golden" / "topup_gsa_config.json"
+# the source calls of the TOPUP_CONFIG run as (n, start, iteration,
+# profiles): in each iteration the initial batch of 4 replications of every
+# profile, then its top-ups from replication 4, one call per extra count in
+# ascending order
+TOPUP_CALLS = [(4, 0, 0, ALL_PROFILES), (12, 4, 0, [(1, 3), (3, 3)]),
+               (4, 0, 1, ALL_PROFILES), (4, 4, 1, [(2, 3)]), (6, 4, 1, [(1, 3)]),
+               (12, 4, 1, [(3, 3)])]
+
+
+def source_calls(plan) -> list:
+    """``plan``'s calls as ``record_source_calls`` records them."""
+    return [(n, start, [profile_tag(iteration, a, b) for a, b in profiles])
+            for n, start, iteration, profiles in plan]
+
+
+def record_source_calls(monkeypatch) -> list:
+    """The list that each source call, made in this process, appends its
+    ``(n, start, tags)`` to."""
+    calls = []
+    call = SimulationPayoffSource.__call__
+
+    def recorded(self, labels_a, labels_b, baseline, n, tags, start=0):
+        calls.append((n, start, list(tags)))
+        return call(self, labels_a, labels_b, baseline, n, tags, start=start)
+
+    monkeypatch.setattr(SimulationPayoffSource, "__call__", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_topup_run_source_calls(tmp_path, monkeypatch, jobs):
+    calls = record_source_calls(monkeypatch)
+    assert main(["gsa", "--config", str(TOPUP_CONFIG), "--out", str(tmp_path),
+                 "--jobs", str(jobs)]) == 0
+    assert calls == source_calls(TOPUP_CALLS)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("call", range(len(TOPUP_CALLS)))
+def test_topup_run_divergence_at_each_source_call(tmp_path, monkeypatch, capsys,
+                                                  call, jobs):
+    # the last replication of the call's last profile diverges, so the
+    # profile's place in the call's group and the call's start both enter
+    # what the run reports; duogame simulate with the strategies and seed
+    # it names replays the failure
+    n, start, iteration, profiles = TOPUP_CALLS[call]
+    a, b = profiles[-1]
+    config = load_config(TOPUP_CONFIG)
+    tag, j = profile_tag(iteration, a, b), start + n - 1
+    seed = replication_seeds(config.master_seed, tag, 1, start=j)[0]
+    fault_tools.diverge(monkeypatch, seed)
+    calls = record_source_calls(monkeypatch)
+    assert main(["gsa", "--config", str(TOPUP_CONFIG), "--out", str(tmp_path / "g"),
+                 "--jobs", str(jobs)]) == 3
+    assert len(calls) == call + 1
+    err = capsys.readouterr().err.strip()
+    failure = f"replication diverged on day {fault_tools.DAY}: injected fault"
+    match = re.fullmatch(rf"runtime error: profile \({a}, {b}\), tag {tag}, "
+                         rf"replication {j} \(seed {seed}\), "
+                         rf"strategies (\{{.*\}}) vs (\{{.*\}}): {failure}", err)
+    assert match, err
+    row, col = match.groups()
+    labels = config.schedule[iteration].strategy_labels()
+    assert labels[a].items() <= json.loads(row).items()
+    assert labels[b].items() <= json.loads(col).items()
+    assert main(["simulate", "--config", str(TOPUP_CONFIG), "--profile", row,
+                 "--opponent", col, "--replication-seed", str(seed),
+                 "--out", str(tmp_path / "s")]) == 3
+    assert capsys.readouterr().err.strip() == f"runtime error: {failure}"
 
 
 def test_replay_labels_materialize_as_labels_over_baseline():

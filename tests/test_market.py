@@ -15,7 +15,7 @@ from duogame.market import (
     update_costate,
 )
 from duogame.network import generate_ba_network
-from network_tools import from_edges
+from network_tools import from_edges, neighbors
 
 
 class TestMarketingSpend:
@@ -254,9 +254,9 @@ class TestNeighborInfluence:
         n, rows = adopted.shape
         expected = np.zeros((rows, 2, n))
         for a in range(n):
-            neighbors = adopted[market.network.neighbors(a)]
+            near = adopted[neighbors(market.network, a)]
             for b in (0, 1):
-                expected[:, b, a] = (neighbors == b).sum(axis=0) / max(len(neighbors), 1)
+                expected[:, b, a] = (near == b).sum(axis=0) / max(len(near), 1)
         return expected
 
     def test_one_and_two_brand_counts_match_reference(self):

@@ -3,7 +3,7 @@ import pytest
 
 from duogame.errors import ParameterError
 from duogame.network import generate_ba_network
-from network_tools import degree_ccdf_slope, from_edges, is_connected
+from network_tools import degree_ccdf_slope, from_edges, is_connected, neighbors
 
 
 def test_seed_only_graph_is_complete():
@@ -51,5 +51,5 @@ def test_power_law_tail():
 def test_from_edges_path_graph():
     net = from_edges(3, [(0, 1), (1, 2)])
     assert len(net.edges) == 2
-    assert list(net.neighbors(1)) == [0, 2]
+    assert list(neighbors(net, 1)) == [0, 2]
     assert is_connected(net)
