@@ -59,6 +59,10 @@ class SamplingPolicy:
             raise ParameterError("trim must leave samples behind: 2*trim < n")
         if self.cap < self.initial_n:
             raise ParameterError("cap must be >= initial_n")
+        # a profile's replication indices are one spawn-key word each
+        # (runner.replication_seeds)
+        if self.cap > 1 << 32:
+            raise ParameterError(f"sampling.cap must be at most 2**32, got {self.cap}")
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError("confidence must be in (0, 1)")
         if self.batch < 1:

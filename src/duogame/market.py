@@ -20,10 +20,13 @@ socio-economic constant ``m`` plus the brand's price response ``r``, each
 perception (``sus_ad``, ``sens_pm``, ``ft``) its initial constant (``i_ad``,
 ``i_pm``, ``i_ft``) times the brand's marketing force ``mf``, and ``inf``
 its neighbors' share of the brand, ``c / D`` for ``c`` neighbors of the
-brand among ``D`` (1 for an isolated agent). Only the sign of the brand-0
-less the brand-1 score matters. With ``p`` the price and ``q = 1 - pm``,
-and per agent ``g = i_ft / D`` and ``h = g deg`` for its degree ``deg``,
-once every agent has a brand (so ``c0 = deg - c1``) in real arithmetic
+brand among ``D`` (1 for an isolated agent). A run's market is in one of
+two adoption states: before its first day no agent has a brand, and after
+it every agent of every row has one, as a day decides every agent. Only the
+sign of the brand-0 less the brand-1 score matters. With ``p`` the price
+and ``q = 1 - pm``, and per agent ``g = i_ft / D`` and ``h = g deg`` for
+its degree ``deg``, once every agent has a brand (so ``c0 = deg - c1``) in
+real arithmetic
 
     s0 - s1 = [a, b, alpha, beta, mf0] . [m; 1; i_ad; i_pm; h] - sigma g c1,
 
@@ -31,8 +34,8 @@ with each row's day terms ``a = p0 q0 - p1 q1``, ``b = r0 p0 q0 - r1 p1
 q1``, ``alpha = mf0 ad0 - mf1 ad1``, ``beta = mf0 pm0 - mf1 pm1`` and
 ``sigma = mf0 + mf1``. A slice forms its float value ``d`` as one (rows, 5)
 by (5, agents) matrix product, less the outer product of ``sigma`` and ``g``
-times ``c1``. While some agent has no brand, the fifth coefficient is 0,
-``sigma`` is ``mf1`` and the slice adds ``(mf0 g) c0``. An agent with
+times ``c1``. On the first day every share is 0: the fifth coefficient is 0
+and the product alone is ``d``. An agent with
 ``|d|`` above its row's bound takes brand 1 where ``d < 0``. Every other
 agent (within the bound, NaN, or in a row whose bound is not finite) is
 scored exactly: both scores in the one-replication operation order, brand 0
@@ -58,11 +61,11 @@ rounded operations, so each exact score is within ``g_6 M < 6.01 u M`` of
 its value in real arithmetic on the same inputs. Expanded into products of
 inputs, ``d``'s terms sum in size to at most ``3 M`` (``deg / D`` and ``c /
 D`` are at most 1, so brand 0's follower terms count twice). Each passes
-through at most ten rounded operations: three to form ``b``, five in the
+through at most nine rounded operations: three to form ``b``, five in the
 product (``g_5`` bounds a five-term dot product summed in any order, fused
-or not) and two updates after it while some agent has no brand; one fewer
-once all have one. So ``d`` is within ``3 g_10 M < 30.01 u M`` of the real
-``s0 - s1``. Together the error is below ``43 u M < 2**-47 M``, a 128th of
+or not) and the one update after it. So ``d`` is within ``3 g_9 M < 27.01 u
+M`` of the real ``s0 - s1``. Together the error is below ``34 u M < 2**-47
+M``, a 128th of
 the bound: an agent beyond the bound has a nonzero ``s0 - s1`` of ``d``'s
 sign, so the exact rule gives it the same brand and no tie draw is skipped.
 The ``+ 1`` factors make ``M`` bound every intermediate product (``mf0 ad0``
@@ -76,8 +79,9 @@ few ulps, which the margin absorbs.
 
 The neighbor counts come from one sparse product a day over every row,
 counted in the narrowest integer that holds the network's largest degree
-(int8 at the default 200 agents, 86 KB per brand at 430 rows). The counts
-are exact, so each exact score's share has the bits of a float count's.
+(int8 at the default 200 agents, 86 KB per brand at 430 rows), from the
+first day on which every agent has a brand. The counts are exact, so each
+exact score's share has the bits of a float count's.
 """
 
 from __future__ import annotations
@@ -251,14 +255,12 @@ class ConsumerMarket:
         self.network = network
         self.params = params
         self.n = network.n
-        # per-agent constants, held as (n, 1, 1); :meth:`step` reads them as (n,)
-        agents = (self.n, 1, 1)
-        self.m_agent = population_rng.uniform(params.m_low, params.m_high, size=agents)
+        self.m_agent = population_rng.uniform(params.m_low, params.m_high, size=self.n)
         # heterogeneous initial perceptions keep the population from acting in
         # lockstep; the spread is clipped so the configured mean is preserved
         def draw(center):
             half = min(params.perception_spread, center)
-            return population_rng.uniform(center - half, center + half, size=agents)
+            return population_rng.uniform(center - half, center + half, size=self.n)
         self.i_ad = draw(params.i_ad)
         self.i_pm = draw(params.i_pm)
         self.i_ft = draw(params.i_ft)
@@ -282,25 +284,19 @@ class ConsumerMarket:
         self._lift = self._reach = math.nan
         self._size = self._key = None
 
-    def neighbor_influence(self, least) -> np.ndarray:
+    def neighbor_influence(self) -> np.ndarray:
         """Each agent's count of neighbors adopting each brand in every
-        replication, from the previous day's adoption: integers of the
-        adjacency's dtype, shape (2, replications, agents). ``least`` is
-        ``adopted.min()``.
+        replication, from the previous day's adoption, in which every agent
+        has a brand: integers of the adjacency's dtype, shape (2,
+        replications, agents).
 
-        One sparse product a day counts them. Once every agent has a brand,
-        ``adopted`` is itself the brand-1 indicator and a brand-0 count is the
-        degree less the brand-1 count; while any agent has none, both brands
-        are counted. Counts are sums of ones, so exact: a share formed from
-        them keeps every bit of one formed from a float count."""
-        adopted = self.adopted
-        counts = np.empty((2,) + adopted.shape[::-1], dtype=self._degree.dtype)
-        if least > NO_BRAND:
-            np.copyto(counts[1], (self._adjacency @ adopted).T)
-            np.subtract(self._degree, counts[1], out=counts[0])
-        else:
-            for b in (0, 1):
-                np.copyto(counts[b], (self._adjacency @ (adopted == b).view(np.int8)).T)
+        ``adopted`` is itself the brand-1 indicator, so one sparse product
+        counts brand 1, and a brand-0 count is the degree less the brand-1
+        count. Counts are sums of ones, so exact: a share formed from them
+        keeps every bit of one formed from a float count."""
+        counts = np.empty((2,) + self.adopted.shape[::-1], dtype=self._degree.dtype)
+        np.copyto(counts[1], (self._adjacency @ self.adopted).T)
+        np.subtract(self._degree, counts[1], out=counts[0])
         return counts
 
     def step(self, prices, rngs, mirror: bool = False) -> np.ndarray:
@@ -313,10 +309,11 @@ class ConsumerMarket:
         is the documented label transposition that makes brand-swapped runs
         mirror exactly. The co-state updates for every row at once, the
         force, spend rate and size on days where some row's co-state, levels
-        or budget changed, and one product counts every row's neighbors.
-        Agents are decided ``BLOCK`` rows at a time from their score
-        difference, one matrix product and one outer-product term; agents the
-        difference cannot decide are scored exactly (:meth:`_exact`).
+        or budget changed, and one product counts every row's neighbors
+        once every agent has a brand. Agents are decided ``BLOCK`` rows at a
+        time from their score difference, one matrix product and one
+        outer-product term; agents the difference cannot decide are scored
+        exactly (:meth:`_exact`).
         """
         p = self.params
         mk = self.marketing
@@ -336,14 +333,13 @@ class ConsumerMarket:
             # per-agent constants are read on the first day, with the largest
             # |m| and perception constant, which bound the terms (module
             # docstring)
-            m_agent, i_ad, i_pm, i_ft = (c.reshape(self.n) for c in (
-                self.m_agent, self.i_ad, self.i_pm, self.i_ft))
             basis = self._basis
-            basis[0], basis[2], basis[3] = m_agent, i_ad, i_pm
-            np.divide(i_ft, self._divisor, out=self._follow)
+            basis[0], basis[2], basis[3] = self.m_agent, self.i_ad, self.i_pm
+            np.divide(self.i_ft, self._divisor, out=self._follow)
             np.multiply(self._follow, self._degree, out=basis[4])
-            self._lift = np.abs(m_agent).max() + 1.0
-            self._reach = np.max([np.abs(c).max() for c in (i_ad, i_pm, i_ft)]) + 1.0
+            self._lift = np.abs(self.m_agent).max() + 1.0
+            self._reach = np.max([np.abs(c).max()
+                                  for c in (self.i_ad, self.i_pm, self.i_ft)]) + 1.0
         if any_stale:
             _, _, mk.spend_rate = marketing_spend(
                 mk.mb, mk.ad, mk.pm, p.k, p.adj_time_ms)
@@ -363,19 +359,20 @@ class ConsumerMarket:
             price_sum = price_sum / 2
 
         response = price_response(pq, price_sum[:, None], p.s)
-        least = self.adopted.min()
-        settled = least > NO_BRAND
-        counts = self.neighbor_influence(least)
-        # each row's coefficients of the score difference, a = p0 q0 - p1 q1,
-        # b = r0 p0 q0 - r1 p1 q1, alpha, beta and mf0 (0 while some agent
-        # has no brand), and its rounding bound (module docstring)
         rows = len(prices)
+        # on the first day no agent has a brand and every count is 0; after
+        # it every agent has one (module docstring)
+        settled = self.adopted.min() > NO_BRAND
+        counts = (self.neighbor_influence() if settled
+                  else np.zeros((2, rows, self.n), dtype=self._degree.dtype))
+        # each row's coefficients of the score difference, a = p0 q0 - p1 q1,
+        # b = r0 p0 q0 - r1 p1 q1, alpha, beta and mf0 (0 on the first day),
+        # and its rounding bound (module docstring)
         coef = np.empty((rows, 5))
         pairs = (pq, pq * response, mk.force * mk.ad, mk.force * mk.pm)
         for j, pair in enumerate(pairs):
             np.subtract(pair[:, 0], pair[:, 1], out=coef[:, j])
         coef[:, 4] = mk.force[:, 0] if settled else 0.0
-        sigma = mk.total_force if settled else mk.force[:, 1]
         size = np.abs(response) + self._lift
         size *= np.abs(prices) + 1.0
         size *= np.abs(paid) + 1.0
@@ -391,15 +388,12 @@ class ConsumerMarket:
             terms = coef[block]
             d, part = diffs[:len(terms)], parts[:len(terms)]
             np.matmul(terms, self._basis, out=d)
-            # einsum forms an outer product faster than a broadcast multiply:
-            # 10-14 us against 18-22 us a slice (2-core host)
-            np.einsum("i,j->ij", sigma[block], self._follow, out=part)
-            part *= counts[1, block]
-            d -= part
-            if not settled:
-                np.einsum("i,j->ij", mk.force[block, 0], self._follow, out=part)
-                part *= counts[0, block]
-                d += part
+            if settled:
+                # einsum forms an outer product faster than a broadcast
+                # multiply: 10-14 us against 18-22 us a slice (2-core host)
+                np.einsum("i,j->ij", mk.total_force[block], self._follow, out=part)
+                part *= counts[1, block]
+                d -= part
             choice, sure = flags[:, :len(d)]
             np.less(d, 0.0, out=choice)
             # the day's largest bound decides most slices in one compare, at
@@ -424,7 +418,7 @@ class ConsumerMarket:
         score is greater; equal finite scores tie and draw from the row's
         stream, and an equal infinite pair or a NaN goes to brand 1."""
         mk = self.marketing
-        m, i_ad, i_pm, i_ft = (c.reshape(self.n)[agents, None] for c in (
+        m, i_ad, i_pm, i_ft = (c[agents, None] for c in (
             self.m_agent, self.i_ad, self.i_pm, self.i_ft))
         mf = mk.force[rows]
         score = response[rows] + m

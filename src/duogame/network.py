@@ -18,9 +18,6 @@ from .errors import ParameterError
 @dataclass
 class SocialNetwork:
     n: int
-    m0: int
-    m: int
-    seed: int
     edges: list = field(repr=False)
     indptr: np.ndarray = field(repr=False)       # CSR layout over neighbor lists
     indices: np.ndarray = field(repr=False)
@@ -72,6 +69,6 @@ def generate_ba_network(n: int, m0: int = 5, m: int = 3, seed: int = 0) -> Socia
             repeated.append(int(t))
 
     indptr, indices, degrees = _csr_from_edges(n, edges)
-    return SocialNetwork(n=n, m0=m0, m=m, seed=seed, edges=edges,
-                         indptr=indptr, indices=indices, degrees=degrees)
+    return SocialNetwork(n=n, edges=edges, indptr=indptr, indices=indices,
+                         degrees=degrees)
 

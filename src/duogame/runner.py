@@ -248,7 +248,6 @@ def _setup(specs, settings: SimulationSettings):
         for name in ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit"):
             setattr(init, name, getattr(base, name) * settings.initial_stock_fraction)
         init.a_wip = init.a_prod = init.a_labor = init.a_vac = 0.0
-        init.price = spec.sd.mfg_price
         initial.append(init)
     mp0 = (params[0].mfg_price + params[1].mfg_price) / 2.0
     mp_bounds = (mp0 * min(params[0].mp_floor_ratio, params[1].mp_floor_ratio),
@@ -598,16 +597,15 @@ def replication_seeds(master_seed: int, profile_tag, n: int,
     return (words & 0x7FFFFFFF).tolist()
 
 
-def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates, seeds,
-                  mirror: bool) -> np.ndarray:
+def _pass_payoffs(specs, settings: SimulationSettings, rates: CostRates,
+                  seeds) -> np.ndarray:
     """Payoffs of one kernel pass, (len(seeds), 2)."""
-    rows = run_replication(specs, settings, seeds, mirror=mirror, series=False)
+    rows = run_replication(specs, settings, seeds, series=False)
     return compute_payoff(rows, rates, settings.sunk_cost_mode)
 
 
 def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
-                     n: int, seeds, mirror: bool = False,
-                     jobs: int = 1, executor=None) -> np.ndarray:
+                     n: int, seeds, jobs: int = 1, executor=None) -> np.ndarray:
     """Run ``n`` independent replications and return both players' payoffs,
     shape (n, 2), row ``j`` for ``seeds[j]``.
 
@@ -633,7 +631,7 @@ def estimate_payoffs(specs, settings: SimulationSettings, rates: CostRates,
     specs = _per_seed(specs, n)
     passes = min(n, jobs * -(-n // (jobs * PASS_ROWS)))
     bounds = [n * k // passes for k in range(passes + 1)]
-    parts = [(specs[lo:hi], settings, rates, seeds[lo:hi], mirror)
+    parts = [(specs[lo:hi], settings, rates, seeds[lo:hi])
              for lo, hi in zip(bounds, bounds[1:])]
     done = []
     try:

@@ -6,12 +6,12 @@ from duogame.errors import ParameterError
 from duogame.network import SocialNetwork, _csr_from_edges
 
 
-def from_edges(n: int, edges: list, seed: int = 0) -> SocialNetwork:
+def from_edges(n: int, edges: list) -> SocialNetwork:
     """Build a network from an explicit edge list."""
     edges = [(int(u), int(v)) for u, v in edges]
     indptr, indices, degrees = _csr_from_edges(n, edges)
-    return SocialNetwork(n=n, m0=n, m=0, seed=seed, edges=edges,
-                         indptr=indptr, indices=indices, degrees=degrees)
+    return SocialNetwork(n=n, edges=edges, indptr=indptr, indices=indices,
+                         degrees=degrees)
 
 
 def neighbors(net: SocialNetwork, node: int) -> np.ndarray:
@@ -32,9 +32,10 @@ def is_connected(net: SocialNetwork) -> bool:
     return bool(seen.all())
 
 
-def degree_ccdf_slope(net: SocialNetwork, min_degree: int | None = None) -> float:
-    """Log-log slope of the empirical degree CCDF over degrees >= min_degree."""
-    min_degree = net.m if min_degree is None else min_degree
+def degree_ccdf_slope(net: SocialNetwork, min_degree: int) -> float:
+    """Log-log slope of the empirical degree CCDF over degrees >= min_degree,
+    for a preferential-attachment graph its ``m``, the least degree of a
+    node it attaches."""
     degs = np.sort(net.degrees[net.degrees >= min_degree])
     if degs.size == 0:
         raise ParameterError("no degrees at or above min_degree")

@@ -203,6 +203,29 @@ class TestLoadConfig:
             "neighbor_count": 0, "alpha": 0.5, "max_iterations": 1}}))
         assert load_config(path).gsa.stability_steps == 10
 
+    def test_cap_past_the_replication_indices_refused(self, tmp_path, capsys):
+        # a profile's replication indices lie below 2**32, one spawn-key word
+        # each (runner.replication_seeds), so a larger cap is refused at
+        # load, before any replication runs, rather than by the top-up that
+        # asks for indices past it. The desk config's ecvi_floor tops up
+        # nothing, and load_config is checked first, so no run starts
+        # while the check is missing
+        path = tmp_path / "c.json"
+        sampling = {**DESK_CONFIG["sampling"], "cap": 2 ** 32 + 1}
+        path.write_text(json.dumps({**DESK_CONFIG, "sampling": sampling}))
+        with pytest.raises(ConfigError, match="sampling.cap"):
+            load_config(path)
+        out = tmp_path / "g"
+        assert main(["gsa", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sampling.cap" in err
+        assert not (out / "checkpoints").exists() and not out.exists()
+
+    def test_cap_at_the_replication_index_limit_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sampling": {"cap": 2 ** 32}}))
+        assert load_config(path).sampling.cap == 2 ** 32
+
 
 class TestMatrixRoundTrip:
     def build_game(self):

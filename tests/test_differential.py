@@ -45,6 +45,7 @@ from duogame.runner import (
     CompanySpec,
     CostRates,
     SimulationSettings,
+    compute_payoff,
     estimate_payoffs,
     run_replication,
     step_company,
@@ -79,7 +80,10 @@ def draw(variant):
 
 
 def payoffs(pairs, seeds, settings, mirror=False):
-    return estimate_payoffs(pairs, settings, RATES, len(seeds), seeds, mirror=mirror)
+    """The payoffs of one kernel pass over ``seeds``, priced as
+    :func:`estimate_payoffs` prices a pass."""
+    rows = run_replication(pairs, settings, seeds, mirror=mirror, series=False)
+    return compute_payoff(rows, RATES, settings.sunk_cost_mode)
 
 
 @pytest.fixture(scope="module", params=list(VARIANTS))

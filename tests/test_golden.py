@@ -4,8 +4,10 @@ analysis and a small ``gsa`` run.
 The sha256 of ``estimate_payoffs`` payoff arrays is pinned for cases that
 cover the kernel's branches: a market sub-block boundary, a co-state that
 never reaches its cap, the saturated price band with tie-breaks, all four
-noise draws, mirrored runs with fixed and with drawn marketing levels, and
-one pass mixing quiet and noisy companies over a cut-short marketing period;
+noise draws, mirrored runs with fixed and with drawn marketing levels (one
+``run_replication`` pass each, priced as ``estimate_payoffs`` prices one),
+and one pass mixing quiet and noisy companies over a cut-short marketing
+period;
 each pin holds for the plain-float and the array sub-step body alike. A
 market day whose brand forces and prices are pairs of -0.0 pins the sign of
 their sums. The stability classes of seeded games pin the ``resample``
@@ -126,8 +128,11 @@ CASES = {
 def check_payoff_pin(name):
     make_specs, settings, n, master, mirror, pin = CASES[name]
     seeds = replication_seeds(master, 0, n)
-    payoffs = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds,
-                               mirror=mirror)
+    if mirror:
+        rows = run_replication(make_specs(), settings, seeds, mirror=True, series=False)
+        payoffs = compute_payoff(rows, CostRates(), settings.sunk_cost_mode)
+    else:
+        payoffs = estimate_payoffs(make_specs(), settings, CostRates(), n, seeds)
     assert digest(payoffs) == pin
 
 

@@ -6,6 +6,7 @@ import pytest
 from duogame.errors import ParameterError
 from duogame.market import (
     BLOCK,
+    NO_BRAND,
     ConsumerMarket,
     MarketParams,
     marketing_force,
@@ -202,7 +203,7 @@ def interleaved_day(market, adopted, prices, rngs, mirror):
         price_sum = price_sum / 2
     flat_prices = prices.ravel()
     pm, ad, mf = mk.pm.ravel(), mk.ad.ravel(), mk.force.ravel()
-    m_agent, i_ad, i_pm, i_ft = (c[:, :, 0] for c in (market.m_agent, market.i_ad,
+    m_agent, i_ad, i_pm, i_ft = (c[:, None] for c in (market.m_agent, market.i_ad,
                                                       market.i_pm, market.i_ft))
     sens_p = -np.power(p.s, flat_prices * (1.0 - pm) - np.repeat(price_sum, 2)) + m_agent
     sus_ad, sens_pm, ft = mf * i_ad, mf * i_pm, mf * i_ft
@@ -230,12 +231,6 @@ def make_market(seed=0, n=200, params=None, replications=1):
                           replications=replications)
 
 
-def day_counts(market):
-    """The day's neighbor counts, given the adoption's least entry as
-    :meth:`ConsumerMarket.step` gives it."""
-    return market.neighbor_influence(market.adopted.min())
-
-
 def neighbor_shares(market, counts, rows, out):
     """Each agent's share of neighbors adopting each brand in the replications
     ``rows``, (replications, 2, agents), from the day's counts over the
@@ -246,9 +241,9 @@ def neighbor_shares(market, counts, rows, out):
 
 @pytest.mark.golden
 class TestNeighborInfluence:
-    """The neighbor shares against the two-brand count, bit for bit: once a
-    slice has no ``NO_BRAND`` agent, brand 1 is counted as the degree less
-    brand 0; while it has one, both brands are counted."""
+    """The neighbor shares against a count of each brand, bit for bit, in
+    the state the counts are taken in, every agent with a brand: brand 0 is
+    counted as the degree less brand 1."""
 
     def reference(self, market, adopted):
         n, rows = adopted.shape
@@ -267,19 +262,21 @@ class TestNeighborInfluence:
                                 np.random.default_rng(0), replications=6)
         market.adopted[:] = np.random.default_rng(1).integers(0, 2, (8, 6))
         rows = slice(1, 5)
-        one_brand = neighbor_shares(market, day_counts(market), rows,
-                                    np.full((4, 2, 8), np.nan))
+        before = neighbor_shares(market, market.neighbor_influence(), rows,
+                                 np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
-        assert one_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
-        assert one_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
+        assert before.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert before[:, :, 7].tolist() == [[0.0, 0.0]] * 4
 
-        market.adopted[2, 3] = -1
-        two_brand = neighbor_shares(market, day_counts(market), rows,
-                                    np.full((4, 2, 8), np.nan))
+        # one neighbor of the hub switches brand in row 3, slice row 2
+        market.adopted[2, 3] = 1 - market.adopted[2, 3]
+        after = neighbor_shares(market, market.neighbor_influence(), rows,
+                                np.full((4, 2, 8), np.nan))
         expected = self.reference(market, market.adopted[:, rows])
-        assert two_brand.view(np.int64).tolist() == expected.view(np.int64).tolist()
-        assert two_brand[2, :, 0].sum() == 0.75         # the hub sees one agent unset
-        assert two_brand[:, :, 7].tolist() == [[0.0, 0.0]] * 4
+        assert after.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        moved = after[2, :, 0] - before[2, :, 0]
+        assert sorted(moved.tolist()) == [-0.25, 0.25]
+        assert after[:, :, 7].tolist() == [[0.0, 0.0]] * 4
 
     @pytest.mark.parametrize("width", [1, 33, 70])
     def test_hub_counts_match_reference(self, width):
@@ -294,9 +291,8 @@ class TestNeighborInfluence:
         market.adopted[1:, 0] = 1                 # the hub sees 299 of brand 1
         market.adopted[1:, -1] = 0                # ... and 299 of brand 0
         market.adopted[1:, width // 2] = np.arange(1, n) % 2
-        for unset in (0.0, 0.3):
-            market.adopted[twin.random((n, width)) < unset] = -1
-            counts = day_counts(market)
+        for _ in range(2):
+            counts = market.neighbor_influence()
             assert counts.dtype == np.int16
             expected = self.reference(market, market.adopted)
             for b in (0, 1):
@@ -309,7 +305,8 @@ class TestNeighborInfluence:
                 part = neighbor_shares(market, counts, rows,
                                        np.full_like(shares[rows], np.nan))
                 assert part.view(np.int64).tolist() == expected[rows].view(np.int64).tolist()
-        assert (market.adopted == -1).any() and (market.adopted[:, 0] == -1).any()
+            # every agent switches brand: the hub's 299 move to the other
+            market.adopted[:] = 1 - market.adopted
 
     @pytest.mark.parametrize("leaves, dtype", [(127, np.int8), (128, np.int16),
                                                (32767, np.int16), (32768, np.int32)])
@@ -319,11 +316,11 @@ class TestNeighborInfluence:
         net = from_edges(leaves + 1, [(0, a) for a in range(1, leaves + 1)])
         market = ConsumerMarket(net, MarketParams().validate(), np.random.default_rng(0))
         market.adopted[:] = 1
-        counts = day_counts(market)
+        counts = market.neighbor_influence()
         assert counts.dtype == dtype
         assert counts[:, 0, 0].tolist() == [0, leaves]
         market.adopted[:] = 0
-        assert day_counts(market)[:, 0, 0].tolist() == [leaves, 0]
+        assert market.neighbor_influence()[:, 0, 0].tolist() == [leaves, 0]
 
 
 @pytest.mark.golden
@@ -403,6 +400,43 @@ class TestStepMarket:
             runs.append(traj)
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("width", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 2])
+    def test_every_agent_has_a_brand_after_each_day(self, width, monkeypatch):
+        # a day decides every agent of every row, in every slice of BLOCK
+        # rows: no agent has a brand before the first day and every agent
+        # has one after it, so the neighbor counts are taken on every later
+        # day and on no other. Rows alternate symmetric brand pairs (every
+        # agent ties on the first day) with asymmetric ones, and the last of
+        # several rows scores NaN, so the exact scores decide some agents
+        counted = []
+        influence = ConsumerMarket.neighbor_influence
+
+        def spy(self):
+            counted.append(bool((self.adopted != NO_BRAND).all()))
+            return influence(self)
+
+        monkeypatch.setattr(ConsumerMarket, "neighbor_influence", spy)
+        market = make_market(seed=15, replications=width)
+        twin = np.random.default_rng(16)
+        symmetric = np.arange(width) % 2 == 0
+        mk = market.marketing
+        mk.mb[:] = 100.0
+        for name, lo, hi in (("ad", 0.2, 0.4), ("pm", 0.2, 0.4), ("inter", -0.2, 0.2)):
+            level = twin.uniform(lo, hi, (width, 2))
+            level[symmetric, 1] = level[symmetric, 0]
+            setattr(mk, name, level)
+        prices = twin.uniform(1.3, 1.7, (width, 2))
+        prices[symmetric, 1] = prices[symmetric, 0]
+        if width > 1:
+            prices[-1] = np.nan
+        rngs = [np.random.default_rng(1200 + r) for r in range(width)]
+        assert (market.adopted == NO_BRAND).all()
+        for day in range(4):
+            with np.errstate(invalid="ignore"):
+                market.step(prices, rngs)
+            assert (market.adopted != NO_BRAND).all(), day
+            assert counted == [True] * day
+
     def test_swap_symmetry_exact_mirror(self):
         base = make_market(seed=4)
         swapped = make_market(seed=4)
@@ -452,39 +486,42 @@ class TestStepMarket:
     @pytest.mark.parametrize("mirror", [False, True])
     def test_step_matches_interleaved_reference(self, width, mode, mirror):
         # hand-set states: rows alternate symmetric brand pairs (exact ties
-        # wherever an agent's neighbors split evenly, e.g. all still
-        # NO_BRAND) with asymmetric ones, some rows start with agents that
-        # have not chosen yet, and the last of several rows scores NaN
+        # wherever an agent's neighbors split evenly, as on the first day,
+        # when none has a brand) with asymmetric ones, and the last of
+        # several rows scores NaN. One market starts on its first day, one
+        # with every agent given a drawn brand
         params = MarketParams(price_sum_mode=mode).validate()
-        market = make_market(seed=7, params=params, replications=width)
         twin = np.random.default_rng(width)
         symmetric = np.arange(width) % 3 != 1
-        mk = market.marketing
-        mk.mb[:] = twin.uniform(50.0, 150.0, (width, 1))
+        levels = {}
         for name, lo, hi in (("ad", 0.25, 0.35), ("pm", 0.25, 0.35), ("inter", -0.2, 0.2)):
-            level = twin.uniform(lo, hi, (width, 2))
-            level[symmetric, 1] = level[symmetric, 0]
-            setattr(mk, name, level)
+            levels[name] = twin.uniform(lo, hi, (width, 2))
+            levels[name][symmetric, 1] = levels[name][symmetric, 0]
+        budget = twin.uniform(50.0, 150.0, (width, 1))
         prices = twin.uniform(1.2, 1.8, (width, 2))
         prices[symmetric, 1] = prices[symmetric, 0]
         if width > 1:
             prices[-1] = np.nan
-        unset = twin.random((market.n, width)) < np.linspace(0.0, 1.0, width)
-        market.adopted[:] = np.where(unset, -1, twin.integers(0, 2, (market.n, width)))
-
-        rngs = [np.random.default_rng(300 + r) for r in range(width)]
-        reference_rngs = [np.random.default_rng(300 + r) for r in range(width)]
-        ties = 0
-        for _ in range(3):
-            before = market.adopted.copy()
-            with np.errstate(invalid="ignore"):
-                shares = market.step(prices, rngs, mirror=mirror)
-                choice, expected, tied, _ = interleaved_day(market, before, prices,
-                                                            reference_rngs, mirror)
-            ties += tied
-            assert np.array_equal(market.adopted, choice)
-            assert np.array_equal(shares, expected)
-        assert ties > 0
+        for planted in (None, twin.integers(0, 2, (200, width))):
+            market = make_market(seed=7, params=params, replications=width)
+            market.marketing.mb[:] = budget
+            for name, level in levels.items():
+                setattr(market.marketing, name, level.copy())
+            if planted is not None:
+                market.adopted[:] = planted
+            rngs = [np.random.default_rng(300 + r) for r in range(width)]
+            reference_rngs = [np.random.default_rng(300 + r) for r in range(width)]
+            ties = 0
+            for _ in range(3):
+                before = market.adopted.copy()
+                with np.errstate(invalid="ignore"):
+                    shares = market.step(prices, rngs, mirror=mirror)
+                    choice, expected, tied, _ = interleaved_day(market, before, prices,
+                                                                reference_rngs, mirror)
+                ties += tied
+                assert np.array_equal(market.adopted, choice)
+                assert np.array_equal(shares, expected)
+            assert ties > 0
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_decision_rule_on_equal_infinite_and_nan_scores(self, mirror):
@@ -494,41 +531,43 @@ class TestStepMarket:
         # symmetric except every fourth; agents 1::7 follow no neighbor, so
         # they tie in every symmetric row, and agents 0::7, 3::7 and 5::7
         # score +inf, -inf and NaN for both brands, in both slices of 64 + 6
-        # rows
+        # rows. One market starts on its first day, one with every agent
+        # given a drawn brand
         width = 70
-        market = make_market(seed=8, replications=width)
-        mk = market.marketing
-        mk.mb[:] = 100.0
-        mk.ad[:] = 0.3
-        mk.pm[:] = 0.3
         prices = np.full((width, 2), 1.5)
         prices[1::4, 1] = 1.6
-        market.i_ft[1::7] = 0.0
-        for start, value in ((0, np.inf), (3, -np.inf), (5, np.nan)):
-            market.m_agent[start::7] = value
         twin = np.random.default_rng(2)
-        market.adopted[:] = np.where(twin.random((market.n, width)) < 0.1, -1,
-                                     twin.integers(0, 2, (market.n, width)))
+        for planted in (None, twin.integers(0, 2, (200, width))):
+            market = make_market(seed=8, replications=width)
+            mk = market.marketing
+            mk.mb[:] = 100.0
+            mk.ad[:] = 0.3
+            mk.pm[:] = 0.3
+            market.i_ft[1::7] = 0.0
+            for start, value in ((0, np.inf), (3, -np.inf), (5, np.nan)):
+                market.m_agent[start::7] = value
+            if planted is not None:
+                market.adopted[:] = planted
 
-        rngs = [np.random.default_rng(700 + r) for r in range(width)]
-        reference_rngs = [np.random.default_rng(700 + r) for r in range(width)]
-        ties = 0
-        for _ in range(3):
-            before = market.adopted.copy()
-            with np.errstate(invalid="ignore"):
-                shares = market.step(prices, rngs, mirror=mirror)
-                choice, expected, tied, _ = interleaved_day(market, before, prices,
-                                                            reference_rngs, mirror)
-            ties += tied
-            assert np.array_equal(market.adopted, choice)
-            assert np.array_equal(shares, expected)
-            for rng, reference in zip(rngs, reference_rngs):
-                assert rng.bit_generator.state == reference.bit_generator.state
-            for start in (0, 3, 5):
-                assert (market.adopted[start::7] == 1).all()
-        assert ties > 0
-        drawn = market.adopted[1::7, np.arange(width) % 4 != 1]
-        assert 0 < drawn.sum() < drawn.size       # the ties went both ways
+            rngs = [np.random.default_rng(700 + r) for r in range(width)]
+            reference_rngs = [np.random.default_rng(700 + r) for r in range(width)]
+            ties = 0
+            for _ in range(3):
+                before = market.adopted.copy()
+                with np.errstate(invalid="ignore"):
+                    shares = market.step(prices, rngs, mirror=mirror)
+                    choice, expected, tied, _ = interleaved_day(market, before, prices,
+                                                                reference_rngs, mirror)
+                ties += tied
+                assert np.array_equal(market.adopted, choice)
+                assert np.array_equal(shares, expected)
+                for rng, reference in zip(rngs, reference_rngs):
+                    assert rng.bit_generator.state == reference.bit_generator.state
+                for start in (0, 3, 5):
+                    assert (market.adopted[start::7] == 1).all()
+            assert ties > 0
+            drawn = market.adopted[1::7, np.arange(width) % 4 != 1]
+            assert 0 < drawn.sum() < drawn.size       # the ties went both ways
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_one_ulp_apart_brands_match_interleaved_reference(self, mirror):
@@ -637,10 +676,10 @@ class TestStepMarket:
         # with an inter_cap that never binds, every row's co-state, and so its
         # force, moves every day, so every day recomputes the forces, spend
         # rates and sizes. Rows alternate symmetric brand pairs (exact ties wherever
-        # an agent's neighbors split evenly) with asymmetric ones, and a
-        # growing share of each row's agents starts unset, so the first day
-        # takes the unset form of the score difference and the other eleven
-        # the settled one, in both slices of 64 + 6 rows
+        # an agent's neighbors split evenly) with asymmetric ones, and no
+        # agent has a brand before the first day, so that day takes the
+        # first day's form of the score difference and the other eleven the
+        # settled one, in both slices of 64 + 6 rows
         width = 70
         market = make_market(seed=13, replications=width,
                              params=MarketParams(inter_cap=1000.0).validate())
@@ -654,8 +693,6 @@ class TestStepMarket:
             setattr(mk, name, level)
         prices = twin.uniform(1.3, 1.7, (width, 2))
         prices[symmetric, 1] = prices[symmetric, 0]
-        unset = twin.random((market.n, width)) < np.linspace(0.0, 0.8, width)
-        market.adopted[:] = np.where(unset, -1, twin.integers(0, 2, (market.n, width)))
 
         rngs = [np.random.default_rng(1100 + r) for r in range(width)]
         reference_rngs = [np.random.default_rng(1100 + r) for r in range(width)]

@@ -42,7 +42,7 @@ def test_invalid_parameters_rejected():
 
 
 def test_power_law_tail():
-    slopes = [degree_ccdf_slope(generate_ba_network(1000, m0=5, m=3, seed=s))
+    slopes = [degree_ccdf_slope(generate_ba_network(1000, m0=5, m=3, seed=s), 3)
               for s in range(20)]
     mean_slope = float(np.mean(slopes))
     assert -3.5 <= mean_slope <= -1.5, mean_slope

@@ -867,7 +867,8 @@ class TestPayoffModes:
         pairs = mixed_pairs()
         specs = [pairs[j % len(pairs)] for j in range(width)]
         seeds = replication_seeds(width, 3, width)
-        payoffs = estimate_payoffs(specs, settings, rates, width, seeds, mirror=mirror)
+        rows = run_replication(specs, settings, seeds, mirror=mirror, series=False)
+        payoffs = compute_payoff(rows, rates, settings.sunk_cost_mode)
         assert payoffs.shape == (width, 2)
         sunk = []
         for j, seed in enumerate(seeds):
