@@ -1,15 +1,16 @@
 """Command line entry points.
 
 Subcommands: simulate | estimate | solve | gsa | stability | report.
-Exit codes: 0 on success, 2 for configuration/validation problems, 3 for
-runtime or numeric failures.
+Exit codes: 0 on success, 2 for configuration/validation problems and for
+an input file that cannot be read or an output path that cannot be written,
+3 for runtime or numeric failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -35,8 +36,10 @@ from .gsa import (
 )
 from .reporting import (
     CheckpointStore,
+    parse_json_object,
+    read_json_object,
     read_payoff_matrix,
-    report_to_dict,
+    read_text,
     write_figure_data,
     write_iteration_report,
     write_json,
@@ -51,7 +54,7 @@ from .runner import (
     run_replication,
 )
 
-VALIDATION_ERRORS = (ConfigError, ParameterError, DesignError)
+VALIDATION_ERRORS = (ConfigError, ParameterError, DesignError, OSError)
 
 
 def _config_from_args(args):
@@ -74,19 +77,8 @@ def _load_profile(raw: str | None) -> dict:
     """A profile given as a JSON object, or as the name of a file holding one."""
     if not raw:
         return {}
-    text = raw
-    if not raw.lstrip().startswith("{"):
-        try:
-            text = Path(raw).read_text()
-        except OSError as exc:
-            raise ConfigError(f"profile is neither a JSON object nor a readable "
-                              f"file: {exc}") from exc
-    try:
-        profile = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"profile is not valid JSON: {exc}") from exc
-    if not isinstance(profile, dict):
-        raise ConfigError("profile must map factor names to level labels")
+    text = raw if raw.lstrip().startswith("{") else read_text(raw, "profile")
+    profile = parse_json_object(text, "profile")
     validate_profile_values(profile)
     return profile
 
@@ -172,12 +164,12 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     config = _config_from_args(args)
     plan = config.first_plan()
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     from .gsa import build_empirical_game
     with _pool(config.jobs) as pool:
         game, sizes = build_empirical_game(plan, _source(config, pool), {},
                                            config.sampling, iteration=0)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_payoff_matrix(game, out_dir / "payoff_matrix.csv")
     write_json({"strategies": plan.strategy_labels(), "sample_sizes": sizes},
                out_dir / "strategies.json")
@@ -230,7 +222,7 @@ def cmd_gsa(args) -> int:
             pass
 
     write_figure_data(result.reports, out_dir)
-    write_json(_summary([report_to_dict(r) for r in result.reports]),
+    write_json(_summary([dataclasses.asdict(r) for r in result.reports]),
                out_dir / "summary.json")
     print(f"{len(result.reports)} iterations -> {out_dir}")
     return 0
@@ -270,13 +262,18 @@ def cmd_report(args) -> int:
     report_files = sorted(src.glob("iteration_*.json"))
     if not report_files:
         raise ConfigError(f"no iteration reports under {src}")
-    rows = [json.loads(f.read_text())["report"] for f in report_files]
-    summary = {
-        **_summary(rows),
-        "factors": [list(r["factors"]) for r in rows],
-        "payoff_trend_increasing":
-            rows[-1]["solution"]["mean"][0] > rows[0]["solution"]["mean"][0],
-    }
+    rows = [read_json_object(f, "iteration report") for f in report_files]
+    try:
+        rows = [row["report"] for row in rows]
+        summary = {
+            **_summary(rows),
+            "factors": [list(r["factors"]) for r in rows],
+            "payoff_trend_increasing":
+                rows[-1]["solution"]["mean"][0] > rows[0]["solution"]["mean"][0],
+        }
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ConfigError(f"an iteration report under {src} lacks a field the "
+                          f"summary reads ({type(exc).__name__}: {exc})") from None
     write_json(summary, args.out)
     return 0
 

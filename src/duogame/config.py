@@ -14,12 +14,12 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ConfigError, ParameterError
 from .factors import FactorPlan, PlanFactor, validate_profile_values
 from .gsa import GsaSettings, SamplingPolicy
 from .market import MarketParams
+from .reporting import read_json_object, write_json
 from .runner import CompanySpec, CostRates, SimulationSettings
 from .supply_chain import SDParams
 
@@ -298,21 +298,8 @@ def default_config() -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
-    if not text.strip():
-        raise ConfigError(f"config file is empty: {path}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path, "config"))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2,
-                                     sort_keys=True) + "\n")
+    write_json(config_to_dict(config), path)

@@ -1,5 +1,9 @@
 """File formats: payoff matrices, daily traces, iteration reports, figure
-data and per-iteration checkpoints.
+data and per-iteration checkpoints, and the one reader every input file goes
+through.
+
+A file that cannot be read as UTF-8 text, or that should hold a JSON object
+and does not, raises :class:`ConfigError` naming what was read and its path.
 
 Payoff matrix CSV: one row per row-player strategy, one column per
 column-player strategy, each cell ``mean;n;variance|mean;n;variance`` for
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -27,19 +32,46 @@ TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
                 "labor", "wip"]
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file ``path``, ``what`` naming it in the error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path}: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from None
+
+
+def parse_json_object(text: str, what: str) -> dict:
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: not JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: not a JSON object")
+    return data
+
+
+def read_json_object(path, what: str) -> dict:
+    return parse_json_object(read_text(path, what), f"{what} {path}")
+
+
+def _write_csv(path, header, rows) -> None:
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_payoff_matrix(game: EmpiricalGame, path) -> None:
     game._require_complete()
     # Python numbers, whose repr is the bare float under any numpy
     mean, count, var = (arr.tolist() for arr in (game.mean, game.count, game.var))
     labels = game.space.labels
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", *labels])
-        for a in range(game.n):
-            writer.writerow([labels[a]] + [
-                "|".join(f"{mean[p][a][b]!r};{count[p][a][b]};{var[p][a][b]!r}"
-                         for p in (0, 1))
-                for b in range(game.n)])
+    _write_csv(path, ["strategy", *labels], (
+        [labels[a]] + ["|".join(f"{mean[p][a][b]!r};{count[p][a][b]};{var[p][a][b]!r}"
+                                for p in (0, 1))
+                       for b in range(game.n)]
+        for a in range(game.n)))
 
 
 def read_payoff_matrix(path) -> EmpiricalGame:
@@ -51,12 +83,8 @@ def read_payoff_matrix(path) -> EmpiricalGame:
     stored mean, count and variance (two-point representation), which
     keeps solving, confidence intervals and resampling workable.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"payoff matrix not found: {path}")
-    with path.open() as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
+    rows = list(csv.reader(io.StringIO(read_text(path, "payoff matrix"))))
+    if len(rows) < 2:
         raise ConfigError(f"payoff matrix {path} is empty")
     labels = rows[0][1:]
     n = len(labels)
@@ -116,19 +144,10 @@ def _synthetic_samples(mean: float, count: int, variance: float) -> np.ndarray:
 
 
 def write_trace_csv(rep, path) -> None:
-    path = Path(path)
     columns = [rep.series[name] for name in SERIES]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for day in range(rep.run_length):
-            for company in (0, 1):
-                writer.writerow([day, company + 1] + [
-                    repr(float(column[day, company])) for column in columns])
-
-
-def report_to_dict(report) -> dict:
-    return dataclasses.asdict(report)
+    _write_csv(path, TRACE_HEADER, (
+        [day, company + 1] + [repr(float(column[day, company])) for column in columns]
+        for day in range(rep.run_length) for company in (0, 1)))
 
 
 def write_json(data, path=None) -> None:
@@ -142,34 +161,24 @@ def write_json(data, path=None) -> None:
 
 
 def write_iteration_report(report, path) -> None:
-    write_json({"schema_version": 1, "report": report_to_dict(report)}, path)
+    write_json({"schema_version": 1, "report": dataclasses.asdict(report)}, path)
 
 
 def write_figure_data(reports, out_dir) -> None:
     """Plot-ready CSVs: tolerance curves, neighbor p-values, cross-iteration
     p-values."""
     out_dir = Path(out_dir)
-    with (out_dir / "equilibrium_share_vs_tolerance.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "epsilon", "fraction", "n_symmetric",
-                         "n_other"])
-        for r in reports:
-            for point in r.tolerance_curve:
-                writer.writerow([r.index, point["epsilon"], point["fraction"],
-                                 point["n_symmetric"], point["n_other"]])
-    with (out_dir / "neighbor_p_values.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "player", "p_value"])
-        for r in reports:
-            for player, ps in r.neighbor_p_values.items():
-                for p in ps:
-                    writer.writerow([r.index, int(player) + 1, p])
-    with (out_dir / "cross_iteration_p_values.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["earlier_iteration", "later_iteration", "p_value"])
-        for r in reports:
-            for earlier, p in r.cross_iteration_p.items():
-                writer.writerow([earlier, r.index, p])
+    _write_csv(out_dir / "equilibrium_share_vs_tolerance.csv",
+               ["iteration", "epsilon", "fraction", "n_symmetric", "n_other"],
+               ([r.index, point["epsilon"], point["fraction"], point["n_symmetric"],
+                 point["n_other"]] for r in reports for point in r.tolerance_curve))
+    _write_csv(out_dir / "neighbor_p_values.csv", ["iteration", "player", "p_value"],
+               ([r.index, int(player) + 1, p] for r in reports
+                for player, ps in r.neighbor_p_values.items() for p in ps))
+    _write_csv(out_dir / "cross_iteration_p_values.csv",
+               ["earlier_iteration", "later_iteration", "p_value"],
+               ([earlier, r.index, p] for r in reports
+                for earlier, p in r.cross_iteration_p.items()))
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -193,7 +202,7 @@ def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
         "labels": game.space.strategies,
         "baseline": baseline,
         "samples": samples,
-        "report": report_to_dict(report),
+        "report": dataclasses.asdict(report),
     }
     # written beside and renamed, so an interrupt leaves the old file or the
     # new one, never half of one; the temporary name does not match *.json
@@ -207,16 +216,16 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
     or unreadable.
 
     A stale checkpoint, written under another config fingerprint, or one
-    that does not parse, is reported on stderr; the caller then recomputes
-    and overwrites it.
+    that cannot be read as a JSON object, is reported on stderr; the caller
+    then recomputes and overwrites it.
     """
     path = checkpoint_path(out_dir, iteration)
     if not path.exists():
         return None
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        print(f"unreadable checkpoint {path}: {exc}; recomputing", file=sys.stderr)
+        payload = read_json_object(path, "checkpoint")
+    except ConfigError as exc:
+        print(f"unreadable {exc}; recomputing", file=sys.stderr)
         return None
     found = payload.get("fingerprint")
     if found != fingerprint:

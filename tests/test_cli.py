@@ -26,6 +26,8 @@ from duogame.reporting import read_payoff_matrix, write_payoff_matrix
 from duogame.runner import PASS_ROWS, CostRates, replication_seeds, run_replication
 from game_tools import game_from_matrices
 
+TOPUP_CONFIG = Path(__file__).parent / "golden" / "topup_gsa_config.json"
+
 DESK_CONFIG = {
     "master_seed": 99,
     "run_length_days": 25,
@@ -806,6 +808,28 @@ class TestGsaCommand:
         assert {key: summary[key] for key in fields} == fields
         assert sorted(set(summary) - set(fields)) == ["factors", "payoff_trend_increasing"]
 
+    def test_report_command_over_two_iterations(self, tmp_path, capsys):
+        # the top-up run's two iterations screen other factors and raise the
+        # solution's payoff, so every field report adds reads both reports
+        config = json.loads(TOPUP_CONFIG.read_text())
+        out = tmp_path / "g"
+        assert main(["gsa", "--config", str(TOPUP_CONFIG), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--dir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        summary = json.loads(printed)
+        assert summary["iterations"] == 2
+        assert summary["factors"] == [sorted(f["name"] for f in plan["factors"])
+                                      for plan in config["schedule"]]
+        first, last = (json.loads((out / f"iteration_{i:02d}.json").read_text())
+                       ["report"]["solution"]["mean"] for i in (0, 1))
+        assert summary["solution_payoffs"] == [first, last]
+        assert summary["payoff_trend_increasing"] is (last[0] > first[0]) is True
+        written = tmp_path / "report.json"
+        assert main(["report", "--dir", str(out), "--out", str(written)]) == 0
+        assert capsys.readouterr().out == ""
+        assert written.read_text() == printed
+
 
 class TestWorkerPool:
     """One worker pool per ``gsa`` run, its start method passed to the
@@ -1057,3 +1081,67 @@ class TestSolveAndStability:
 
     def test_missing_matrix_is_validation_error(self, tmp_path):
         assert main(["solve", "--game", str(tmp_path / "none.csv")]) == 2
+
+
+# the fields of an iteration report that ``duogame report`` reads
+REPORT_FIELDS = {"solution": {"mean": [1.0, 2.0]}, "equilibria": [],
+                 "stability": None, "factors": {"pricing": ["L", "H"]}}
+
+
+@pytest.mark.parametrize("argv, named, report", [
+    (["report", "--dir", "{run}"], "{run}/iteration_00.json", "{"),
+    (["report", "--dir", "{run}"], "{run}", {"schema_version": 1}),
+    (["report", "--dir", "{run}"], "{run}",
+     {"report": {k: v for k, v in REPORT_FIELDS.items() if k != "solution"}}),
+    (["solve", "--game", "{folder}"], "{folder}", None),
+    (["stability", "--game", "{folder}"], "{folder}", None),
+    (["solve", "--game", "{binary}"], "{binary}", None),
+    (["stability", "--game", "{binary}"], "{binary}", None),
+    (["simulate", "--config", "{folder}", "--out", "{out}"], "{folder}", None),
+    (["simulate", "--config", "{binary}", "--out", "{out}"], "{binary}", None),
+    (["simulate", "--config", "{desk}", "--profile", "{binary}", "--out", "{out}"],
+     "{binary}", None),
+    (["solve", "--game", "{matrix}", "--out", "{missing}"], "{missing}", None),
+    (["stability", "--game", "{matrix}", "--steps", "20", "--out", "{missing}"],
+     "{missing}", None),
+    (["report", "--dir", "{run}", "--out", "{missing}"], "{missing}", None),
+    (["gsa", "--config", "{desk}", "--out", "{file}"], "{file}", None),
+    (["estimate", "--config", "{desk}", "--out", "{file}"], "{file}", None),
+    (["simulate", "--config", "{desk}", "--out", "{file}"], "{file}", None),
+], ids=["report-not-json", "report-without-report", "report-without-solution",
+        "solve-game-directory", "stability-game-directory", "solve-game-not-utf8",
+        "stability-game-not-utf8", "config-directory", "config-not-utf8",
+        "profile-not-utf8", "solve-out-missing-directory",
+        "stability-out-missing-directory", "report-out-missing-directory",
+        "gsa-out-file", "estimate-out-file", "simulate-out-file"])
+def test_unreadable_input_or_unwritable_output_exits_2_naming_it(
+        desk_config, tmp_path, capsys, monkeypatch, argv, named, report):
+    # each case fails on the file before any replication runs, and says so
+    # on one error line rather than in a traceback
+    paths = {"run": tmp_path / "run", "folder": tmp_path / "folder",
+             "binary": tmp_path / "binary.json", "matrix": tmp_path / "pd.csv",
+             "out": tmp_path / "o", "missing": tmp_path / "missing" / "out.json",
+             "file": tmp_path / "file", "desk": desk_config}
+    paths["run"].mkdir()
+    if report is None:
+        report = {"schema_version": 1, "report": REPORT_FIELDS}
+    (paths["run"] / "iteration_00.json").write_text(
+        report if isinstance(report, str) else json.dumps(report))
+    paths["folder"].mkdir()
+    paths["binary"].write_bytes("{}".encode("utf-16"))
+    write_payoff_matrix(game_from_matrices(np.array([[3.0, 0.0], [5.0, 1.0]])),
+                        paths["matrix"])
+    paths["file"].write_text("kept")
+
+    def no_replication(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(cli, "run_replication", no_replication)
+    monkeypatch.setattr(gsa_module.SimulationPayoffSource, "__call__", no_replication)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert named.format(**paths) in captured.err
+    assert captured.out == ""
+    assert paths["file"].read_text() == "kept"
+    assert not paths["out"].exists() and not paths["missing"].parent.exists()

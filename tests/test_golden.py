@@ -392,6 +392,25 @@ def test_topup_gsa_run_resumed_after_interrupt_at_each_call(tmp_path, monkeypatc
     assert run_digests(tmp_path) == pins[f"jobs_{jobs}"]
 
 
+def test_topup_gsa_run_recomputes_a_checkpoint_that_is_not_an_object(tmp_path,
+                                                                      capsys):
+    # valid JSON but no checkpoint: reported on one stderr line, recomputed,
+    # and every file of the uninterrupted run written
+    args = ["gsa", "--config", str(GOLDEN / "topup_gsa_config.json"),
+            "--out", str(tmp_path), "--jobs", "1"]
+    assert main(args) == 0
+    checkpoint = tmp_path / "checkpoints" / "iteration_00.json"
+    checkpoint.write_text("[]\n")
+    capsys.readouterr()
+    assert main(args) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"unreadable checkpoint {checkpoint}: ")
+    assert err[0].endswith("; recomputing")
+    pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
+    assert run_digests(tmp_path) == pins["jobs_1"]
+
+
 @pytest.mark.slow
 def test_paper_scale_gsa_run_pin(tmp_path, capsys):
     # the shipped default config at two jobs: five iterations whose
