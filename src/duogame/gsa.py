@@ -476,8 +476,7 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     while current is not None and iteration < gsa.max_iterations:
         restored = checkpoints.load(iteration) if checkpoints is not None else None
         if restored is not None:
-            game, report_dict, frozen = restored
-            report = GsaIterationReport(**report_dict)
+            game, report, frozen = restored
         else:
             t0 = time.perf_counter()
             game, sizes = build_empirical_game(current, source, baseline, policy,

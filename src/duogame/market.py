@@ -77,11 +77,12 @@ bound as ``M >= 1``; and a NaN or infinite input gives an infinite or NaN
 bound, sending its row to the exact scores. ``M`` is rounded itself, by a
 few ulps, which the margin absorbs.
 
-The neighbor counts come from one sparse product a day over every row,
-counted in the narrowest integer that holds the network's largest degree
-(int8 at the default 200 agents, 86 KB per brand at 430 rows), from the
-first day on which every agent has a brand. The counts are exact, so each
-exact score's share has the bits of a float count's.
+The neighbor counts come from one product a day over every row of the
+network's adjacency, built once per population in the narrowest integer
+that holds its largest degree (int8 at the default 200 agents, 86 KB per
+brand at 430 rows), with the adoption, from the first day on which every
+agent has a brand. The counts are exact, so each exact score's share has
+the bits of a float count's.
 """
 
 from __future__ import annotations
@@ -90,10 +91,9 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import sparse
 
 from .errors import ParameterError
-from .network import SocialNetwork
+from .network import SocialNetwork, narrowest_int
 
 NO_BRAND = -1
 
@@ -111,12 +111,6 @@ DEFAULT_INTER_CAP = 0.7
 # host); 64 holds half of 128's buffers, and the reference tests pick widths
 # past 64 to cross slice boundaries.
 BLOCK = 64
-
-
-def _narrowest(largest: int):
-    """The narrowest signed integer dtype that holds ``largest``."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                if np.iinfo(t).max >= largest)
 
 
 def marketing_spend(mb, ad, pm, k, adj_time) -> tuple:
@@ -266,15 +260,12 @@ class ConsumerMarket:
         self.i_ft = draw(params.i_ft)
         self.adopted = np.full((self.n, replications), NO_BRAND, dtype=np.int8)
         self.marketing = MarketingState.zeros(replications)
-        # a neighbor count never exceeds the agent's degree, and a day's tally
-        # of brand-1 agents never exceeds n
-        count = _narrowest(int(network.degrees.max()))
-        self._adjacency = sparse.csr_matrix(
-            (np.ones(network.indices.size, dtype=count), network.indices, network.indptr),
-            shape=(self.n, self.n))
-        self._degree = network.degrees.astype(count)
+        # a neighbor count never exceeds the agent's degree, which the
+        # adjacency's dtype holds, and a day's tally of brand-1 agents never
+        # exceeds n
+        self._degree = network.degrees.astype(network.adjacency.dtype)
         self._divisor = np.maximum(network.degrees, 1).astype(float)
-        self._tally = _narrowest(self.n)
+        self._tally = narrowest_int(self.n)
         # read on the first day (module docstring): the agents' rows [m; 1;
         # i_ad; i_pm; h] of the score difference's product and their g,
         # max|m| + 1 and the largest perception constant plus 1; and each
@@ -295,7 +286,7 @@ class ConsumerMarket:
         count. Counts are sums of ones, so exact: a share formed from them
         keeps every bit of one formed from a float count."""
         counts = np.empty((2,) + self.adopted.shape[::-1], dtype=self._degree.dtype)
-        np.copyto(counts[1], (self._adjacency @ self.adopted).T)
+        np.copyto(counts[1], (self.network.adjacency @ self.adopted).T)
         np.subtract(self._degree, counts[1], out=counts[0])
         return counts
 

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IncompleteGameError
 from .game import EmpiricalGame, StrategySpace
+from .gsa import GsaIterationReport
 from .runner import SERIES
 
 TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
@@ -83,7 +84,11 @@ def read_payoff_matrix(path) -> EmpiricalGame:
     stored mean, count and variance (two-point representation), which
     keeps solving, confidence intervals and resampling workable.
     """
-    rows = list(csv.reader(io.StringIO(read_text(path, "payoff matrix"))))
+    text = read_text(path, "payoff matrix")
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:    # a field over csv's size limit, say
+        raise ConfigError(f"payoff matrix {path}: {exc}") from None
     if len(rows) < 2:
         raise ConfigError(f"payoff matrix {path} is empty")
     labels = rows[0][1:]
@@ -212,11 +217,12 @@ def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
 
 
 def load_checkpoint(out_dir, iteration: int, fingerprint: str):
-    """Return ``(game, report_dict, baseline)`` or None when absent, stale
-    or unreadable.
+    """Return ``(game, report, baseline)`` or None when absent, stale or
+    unreadable.
 
     A stale checkpoint, written under another config fingerprint, or one
-    that cannot be read as a JSON object, is reported on stderr; the caller
+    that cannot be read as a JSON object, or whose labels, samples, report
+    or baseline is missing or malformed, is reported on stderr; the caller
     then recomputes and overwrites it.
     """
     path = checkpoint_path(out_dir, iteration)
@@ -224,19 +230,35 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
         return None
     try:
         payload = read_json_object(path, "checkpoint")
+        found = payload.get("fingerprint")
+        if found != fingerprint:
+            print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
+                  f"this run {fingerprint}; recomputing", file=sys.stderr)
+            return None
+        return _restore(payload, path)
     except ConfigError as exc:
         print(f"unreadable {exc}; recomputing", file=sys.stderr)
         return None
-    found = payload.get("fingerprint")
-    if found != fingerprint:
-        print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
-              f"this run {fingerprint}; recomputing", file=sys.stderr)
-        return None
-    game = EmpiricalGame(StrategySpace(payload["labels"]))
-    for key, (p1, p2) in payload["samples"].items():
-        a, b = (int(x) for x in key.split(","))
-        game.set_samples((a, b), p1, p2)
-    return game, payload["report"], payload["baseline"]
+
+
+def _restore(payload: dict, path):
+    """The game, report and baseline of a checkpoint's ``payload``; raises
+    ConfigError when one is missing or malformed, the game incomplete among
+    them."""
+    try:
+        labels, samples, report, baseline = (
+            payload[key] for key in ("labels", "samples", "report", "baseline"))
+        if not (isinstance(labels, list) and all(isinstance(s, dict) for s in labels)
+                and isinstance(samples, dict) and isinstance(baseline, dict)):
+            raise TypeError("labels, samples or baseline of the wrong kind")
+        game = EmpiricalGame(StrategySpace(labels))
+        for key, (p1, p2) in samples.items():
+            a, b = (int(x) for x in key.split(","))
+            game.set_samples((a, b), p1, p2)
+        game._require_complete()
+        return game, GsaIterationReport(**report), baseline
+    except (IncompleteGameError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from None
 
 
 class CheckpointStore:

@@ -222,6 +222,8 @@ SERIES = ("price", "inv", "backlog", "ship_r", "ms", "labor", "wip")
 
 
 def _population(settings: SimulationSettings):
+    """The population's social network, adjacency and all, built once per
+    process and shared by every kernel pass."""
     key = (settings.population_seed, settings.n_agents,
            settings.network_m0, settings.network_m)
     if key not in _network_cache:
@@ -245,7 +247,7 @@ def _setup(specs, settings: SimulationSettings):
     for spec in specs:
         base = steady_state(spec.sd, tor / 2.0)
         init = replace(base)
-        for name in ("wip", "inv", "labor", "vac", "backlog", "rm_inv", "rm_transit"):
+        for name in SDState.STOCK_FIELDS:
             setattr(init, name, getattr(base, name) * settings.initial_stock_fraction)
         init.a_wip = init.a_prod = init.a_labor = init.a_vac = 0.0
         initial.append(init)

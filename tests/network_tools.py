@@ -3,20 +3,17 @@
 import numpy as np
 
 from duogame.errors import ParameterError
-from duogame.network import SocialNetwork, _csr_from_edges
+from duogame.network import SocialNetwork
 
 
-def from_edges(n: int, edges: list) -> SocialNetwork:
-    """Build a network from an explicit edge list."""
-    edges = [(int(u), int(v)) for u, v in edges]
-    indptr, indices, degrees = _csr_from_edges(n, edges)
-    return SocialNetwork(n=n, edges=edges, indptr=indptr, indices=indices,
-                         degrees=degrees)
+# a network from an explicit edge list, made as the generator makes its own
+from_edges = SocialNetwork.from_edges
 
 
 def neighbors(net: SocialNetwork, node: int) -> np.ndarray:
-    """The nodes adjacent to ``node``, from the network's CSR lists."""
-    return net.indices[net.indptr[node]:net.indptr[node + 1]]
+    """The nodes adjacent to ``node``, from the adjacency's CSR rows."""
+    adjacency = net.adjacency
+    return adjacency.indices[adjacency.indptr[node]:adjacency.indptr[node + 1]]
 
 
 def is_connected(net: SocialNetwork) -> bool:

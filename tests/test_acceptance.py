@@ -181,7 +181,7 @@ def test_c08_market_symmetry():
 def test_c09_network_properties():
     for n, m0, m in [(100, 5, 3), (500, 5, 3), (300, 8, 8), (64, 4, 1)]:
         net = generate_ba_network(n, m0, m, seed=n)
-        assert len(net.edges) == m0 * (m0 - 1) // 2 + m * (n - m0)
+        assert net.adjacency.nnz == 2 * (m0 * (m0 - 1) // 2 + m * (n - m0))
     slopes = [degree_ccdf_slope(generate_ba_network(1000, 5, 3, seed=s), 3)
               for s in range(20)]
     mean_slope = float(np.mean(slopes))

@@ -1097,6 +1097,8 @@ REPORT_FIELDS = {"solution": {"mean": [1.0, 2.0]}, "equilibria": [],
     (["stability", "--game", "{folder}"], "{folder}", None),
     (["solve", "--game", "{binary}"], "{binary}", None),
     (["stability", "--game", "{binary}"], "{binary}", None),
+    (["solve", "--game", "{huge}"], "{huge}", None),
+    (["stability", "--game", "{huge}"], "{huge}", None),
     (["simulate", "--config", "{folder}", "--out", "{out}"], "{folder}", None),
     (["simulate", "--config", "{binary}", "--out", "{out}"], "{binary}", None),
     (["simulate", "--config", "{desk}", "--profile", "{binary}", "--out", "{out}"],
@@ -1110,7 +1112,8 @@ REPORT_FIELDS = {"solution": {"mean": [1.0, 2.0]}, "equilibria": [],
     (["simulate", "--config", "{desk}", "--out", "{file}"], "{file}", None),
 ], ids=["report-not-json", "report-without-report", "report-without-solution",
         "solve-game-directory", "stability-game-directory", "solve-game-not-utf8",
-        "stability-game-not-utf8", "config-directory", "config-not-utf8",
+        "stability-game-not-utf8", "solve-game-field-too-large",
+        "stability-game-field-too-large", "config-directory", "config-not-utf8",
         "profile-not-utf8", "solve-out-missing-directory",
         "stability-out-missing-directory", "report-out-missing-directory",
         "gsa-out-file", "estimate-out-file", "simulate-out-file"])
@@ -1121,7 +1124,8 @@ def test_unreadable_input_or_unwritable_output_exits_2_naming_it(
     paths = {"run": tmp_path / "run", "folder": tmp_path / "folder",
              "binary": tmp_path / "binary.json", "matrix": tmp_path / "pd.csv",
              "out": tmp_path / "o", "missing": tmp_path / "missing" / "out.json",
-             "file": tmp_path / "file", "desk": desk_config}
+             "file": tmp_path / "file", "desk": desk_config,
+             "huge": tmp_path / "huge.csv"}
     paths["run"].mkdir()
     if report is None:
         report = {"schema_version": 1, "report": REPORT_FIELDS}
@@ -1129,6 +1133,8 @@ def test_unreadable_input_or_unwritable_output_exits_2_naming_it(
         report if isinstance(report, str) else json.dumps(report))
     paths["folder"].mkdir()
     paths["binary"].write_bytes("{}".encode("utf-16"))
+    # one cell over csv's field size limit (131072 characters)
+    paths["huge"].write_text(f"strategy,a\na,{'1' * 200_000}\n")
     write_payoff_matrix(game_from_matrices(np.array([[3.0, 0.0], [5.0, 1.0]])),
                         paths["matrix"])
     paths["file"].write_text("kept")

@@ -1,10 +1,9 @@
-from dataclasses import dataclass
-
 import numpy as np
 import pytest
 
 from duogame.errors import IncompleteGameError, ParameterError
 from duogame.game import EmpiricalGame, StrategySpace, symmetric_profile_count
+from duogame.gsa import GsaIterationReport
 from duogame.reporting import (
     _synthetic_samples,
     load_checkpoint,
@@ -40,9 +39,13 @@ def random_symmetric_game(rng, n):
     return game_from_matrices(u1), u1
 
 
-@dataclass
-class CheckpointReport:
-    index: int = 0
+def checkpoint_report(index=0):
+    """An iteration report with every field, as a checkpoint restores one."""
+    return GsaIterationReport(
+        index=index, g=1, factors={}, n_strategies=0, n_profiles=0,
+        sample_sizes={}, effects=[], equilibria=[], solution={}, epsilon=0.0,
+        tolerance_curve=[], neighbor_p_values={}, cross_iteration_p={},
+        stability=None, runtime_seconds=0.0)
 
 
 class TestProfileCount:
@@ -206,7 +209,7 @@ class TestStorage:
     def test_loaded_samples_are_bank_slices(self, tmp_path):
         # checkpoints and payoff matrices hold symmetric games
         game, expected = self.stored_in_random_order(np.random.default_rng(4), 5, True)
-        save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(), {})
+        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(), {})
         self.assert_bank_slices(load_checkpoint(tmp_path, 0, "fp")[0], expected)
         write_payoff_matrix(game, tmp_path / "m.csv")
         self.assert_bank_slices(read_payoff_matrix(tmp_path / "m.csv"), {
@@ -216,7 +219,7 @@ class TestStorage:
 
     def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         game = game_from_matrices(PD_U1)
-        save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(), {})
+        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(), {})
         path = tmp_path / "checkpoints" / "iteration_00.json"
         before = path.read_bytes()
 
@@ -225,7 +228,7 @@ class TestStorage:
 
         monkeypatch.setattr("duogame.reporting.os.replace", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            save_checkpoint(tmp_path, 0, "fp", game, CheckpointReport(1), {"pricing": "H"})
+            save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(1), {"pricing": "H"})
         assert path.read_bytes() == before
         # the half-written file is not one a resume reads
         assert [p.name for p in path.parent.glob("*.json")] == [path.name]

@@ -28,6 +28,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -296,6 +297,51 @@ def check_small_gsa_outputs(out):
 
 def test_small_gsa_run_pin(tmp_path):
     check_small_gsa_run(tmp_path / "g")
+
+
+@pytest.fixture(scope="module")
+def small_gsa_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "g"
+    check_small_gsa_run(out)
+    return out
+
+
+# a field of a checkpoint, made with this run's fingerprint, missing or
+# malformed
+CHECKPOINT_FAULTS = {
+    "no-labels": lambda c: c.pop("labels"),
+    "no-samples": lambda c: c.pop("samples"),
+    "no-report": lambda c: c.pop("report"),
+    "no-baseline": lambda c: c.pop("baseline"),
+    "labels-not-a-list": lambda c: c.update(labels="LHLH"),
+    "samples-not-an-object": lambda c: c.update(samples=[]),
+    "samples-without-a-profile": lambda c: c["samples"].pop("0,1"),
+    "samples-profile-out-of-range": lambda c: c["samples"].update({"0,16": [[1.0], [1.0]]}),
+    "samples-not-numbers": lambda c: c["samples"].update({"0,0": [["x"], [1.0]]}),
+    "report-not-an-object": lambda c: c.update(report=[]),
+    "report-without-a-field": lambda c: c["report"].pop("epsilon"),
+    "report-with-an-unknown-field": lambda c: c["report"].update(extra=1),
+    "baseline-not-an-object": lambda c: c.update(baseline=["H"]),
+}
+
+
+@pytest.mark.parametrize("fault", CHECKPOINT_FAULTS.values(), ids=CHECKPOINT_FAULTS)
+def test_small_gsa_run_recomputes_a_checkpoint_with_a_bad_field(
+        small_gsa_run, tmp_path, capsys, fault):
+    # reported on one stderr line, recomputed, and every pinned file of the
+    # uninterrupted run written
+    out = tmp_path / "g"
+    shutil.copytree(small_gsa_run, out)
+    checkpoint = out / "checkpoints" / "iteration_00.json"
+    payload = json.loads(checkpoint.read_text())
+    fault(payload)
+    checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    capsys.readouterr()
+    check_small_gsa_run(out)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"unreadable checkpoint {checkpoint}: ")
+    assert err[0].endswith("; recomputing")
 
 
 def test_small_gsa_run_pin_two_jobs(tmp_path):

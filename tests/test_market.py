@@ -209,8 +209,8 @@ def interleaved_day(market, adopted, prices, rngs, mirror):
     sus_ad, sens_pm, ft = mf * i_ad, mf * i_pm, mf * i_ft
     inf = np.empty((n, 2 * rows))
     for a in range(n):
-        neighbors = adopted[net.indices[net.indptr[a]:net.indptr[a + 1]]]
-        counts = (neighbors[:, :, None] == np.arange(2)).sum(axis=0).ravel()
+        near = adopted[neighbors(net, a)]
+        counts = (near[:, :, None] == np.arange(2)).sum(axis=0).ravel()
         inf[a] = counts / max(net.degrees[a], 1)
     scores = sens_p * flat_prices * (1.0 - pm) + sus_ad * ad + sens_pm * pm + ft * inf
     diff = scores[:, 0::2] - scores[:, 1::2]
