@@ -15,8 +15,9 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, DesignError, ParameterError
 from .factors import FactorPlan, PlanFactor, validate_profile_values
+from .game import StrategySpace
 from .gsa import GsaSettings, SamplingPolicy
 from .market import MarketParams
 from .reporting import read_json_object, write_json
@@ -109,10 +110,14 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _plan_from_dict(entry: dict) -> FactorPlan:
-    _reject_unknown(entry, {"g", "factors"}, "schedule entry")
+def _plan_from_dict(entry: dict, context: str) -> FactorPlan:
+    """The plan of a schedule entry or initial plan, ``context`` naming it;
+    raises :class:`ConfigError` unless its strategy set can be built."""
+    _reject_unknown(entry, {"g", "factors"}, context)
     if not isinstance(entry.get("factors"), list):
-        raise ConfigError("schedule entries need a 'factors' list")
+        raise ConfigError(f"{context} needs a 'factors' list")
+    if not entry["factors"]:
+        raise ConfigError(f"{context} lists no factors")
     factors = []
     for f in entry["factors"]:
         if isinstance(f, str):
@@ -126,7 +131,12 @@ def _plan_from_dict(entry: dict) -> FactorPlan:
             factors.append(PlanFactor(f["name"], tuple(levels)))
     g = entry.get("g", 1)
     _check_kinds(FactorPlan, {"g": g}, "schedule ")
-    return FactorPlan(factors, g=g)
+    plan = FactorPlan(factors, g=g)
+    try:    # a design of its size and level count, each factor listed once
+        StrategySpace(plan.strategy_labels())
+    except (DesignError, ParameterError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+    return plan
 
 
 def _plan_to_dict(plan: FactorPlan) -> dict:
@@ -232,11 +242,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(schedule_data, list):
             raise ConfigError(f'schedule must be a list of plans, "default" or '
                               f'null, got {json.dumps(schedule_data)}')
-        schedule = [_plan_from_dict(e) for e in schedule_data]
+        schedule = [_plan_from_dict(e, f"schedule entry {k}")
+                    for k, e in enumerate(schedule_data)]
 
     initial_plan = None
     if data.get("initial_plan") is not None:
-        initial_plan = _plan_from_dict(data["initial_plan"])
+        initial_plan = _plan_from_dict(data["initial_plan"], "initial_plan")
 
     top = {key: data[key] for key in ("schema_version", "master_seed", "out_dir", "jobs")
            if key in data}

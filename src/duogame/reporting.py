@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .doe import FactorEffect
 from .errors import ConfigError, IncompleteGameError
 from .game import EmpiricalGame, StrategySpace
 from .gsa import GsaIterationReport
@@ -222,8 +223,9 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
 
     A stale checkpoint, written under another config fingerprint, or one
     that cannot be read as a JSON object, or whose labels, samples, report
-    or baseline is missing or malformed, is reported on stderr; the caller
-    then recomputes and overwrites it.
+    or baseline is missing or malformed, its report another iteration's or
+    another game's, is reported on stderr; the caller then recomputes and
+    overwrites it.
     """
     path = checkpoint_path(out_dir, iteration)
     if not path.exists():
@@ -235,16 +237,17 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
             print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
                   f"this run {fingerprint}; recomputing", file=sys.stderr)
             return None
-        return _restore(payload, path)
+        return _restore(payload, path, iteration)
     except ConfigError as exc:
         print(f"unreadable {exc}; recomputing", file=sys.stderr)
         return None
 
 
-def _restore(payload: dict, path):
+def _restore(payload: dict, path, iteration: int):
     """The game, report and baseline of a checkpoint's ``payload``; raises
     ConfigError when one is missing or malformed, the game incomplete among
-    them."""
+    them, or the report is not the game's at ``iteration``
+    (:func:`_check_report`)."""
     try:
         labels, samples, report, baseline = (
             payload[key] for key in ("labels", "samples", "report", "baseline"))
@@ -256,9 +259,32 @@ def _restore(payload: dict, path):
             a, b = (int(x) for x in key.split(","))
             game.set_samples((a, b), p1, p2)
         game._require_complete()
-        return game, GsaIterationReport(**report), baseline
+        report = GsaIterationReport(**report)
+        _check_report(report, game, iteration)
+        return game, report, baseline
     except (IncompleteGameError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _check_report(report, game, iteration: int) -> None:
+    """Raise KeyError, TypeError or ValueError unless ``report`` is that of
+    ``iteration``, its solution a profile of ``game`` labelled with that
+    profile's two strategies, and each of its effects a
+    :class:`FactorEffect` of a named factor, numbers and a flag."""
+    if type(report.index) is not int or report.index != iteration:
+        raise ValueError(f"report index {report.index!r} in the checkpoint of "
+                         f"iteration {iteration}")
+    profile, labels = report.solution["profile"], report.solution["labels"]
+    if not (isinstance(profile, list) and len(profile) == 2
+            and all(type(x) is int and 0 <= x < game.n for x in profile)):
+        raise ValueError(f"solution profile {profile!r} is not one of the game's")
+    if labels != [game.space.strategies[x] for x in profile]:
+        raise ValueError(f"solution labels {labels!r} are not profile {profile}'s")
+    for entry in report.effects:
+        effect = FactorEffect(**entry)
+        if not (isinstance(effect.name, str) and type(effect.significant) is bool
+                and all(type(x) in (int, float) for x in (effect.effect, effect.p_value))):
+            raise ValueError(f"malformed effect {entry!r}")
 
 
 class CheckpointStore:

@@ -25,7 +25,11 @@ check, 5 in the booking, 20 in pricing): a one-row replication took 2.4
 to 2.7 times as long on it as in plain floats (medians of 15 alternating
 runs on a 2-core host: 46 against 19 ms in a fast phase, 82 against 30 ms
 in a slow one). Both forms perform the same float
-operations in the same order, and both bodies the same bookkeeping.
+operations in the same order, and both bodies the same booking. A body
+holds the sub-steps and nothing more: every day books, and the run
+policies are applied once, in the day loop. The warm-up cut is one reset
+of the accumulators at the start of day ``warmup_days``, and the daily
+series are recorded after the body, whichever body ran.
 :func:`estimate_payoffs` splits its rows once, into passes of at most
 ``PASS_ROWS`` rows run in process or on a worker pool. Its passes record no
 daily series: a pass prices its rows' accumulators in one call, so what it
@@ -263,7 +267,10 @@ class _Rows:
     one list or array entry per row, plus the two companies' supply chains.
 
     Only a day's sub-steps depend on the width, fixed for the pass: the
-    array body from ``WIDE`` rows on, the plain-float body below it.
+    array body from ``WIDE`` rows on, the plain-float body below it. Each
+    body takes the day's orders and noise draws and steps and books every
+    row; :meth:`advance_day` books the marketing spend and records the
+    daily series around it.
     """
 
     def __init__(self, setups, index, seeds, settings, mirror, series):
@@ -342,50 +349,56 @@ class _Rows:
                     draws[k, r, i] = rng.normal(0, sigma)
         return draws
 
-    def advance_day(self, day, shares, spend_rate, collect, tor):
-        """Every row through one day. A row that diverges stops the day and
-        raises its :class:`StateError` with ``row`` set: the array body's
-        lowest such row on the first sub-step that has one, the float body's
+    def advance_day(self, day, shares, spend_rate, tor):
+        """Every row through one day: its marketing spend booked, its
+        sub-steps run by the pass's body and, when the pass records them,
+        the day's ``SERIES``. A row that diverges stops the day and raises
+        its :class:`StateError` with ``row`` set: the array body's lowest
+        such row on the first sub-step that has one, the float body's
         lowest such row."""
-        if collect:
-            self.totals[6] += spend_rate     # one day's worth
+        self.totals[6] += spend_rate     # one day's worth
         body = self._array_steps if self.wide else self._float_steps
-        body(day, tor * shares, shares, self._noise(), collect)
+        body(tor * shares, self._noise())
+        if self.daily is not None:
+            for k, name in enumerate(SERIES):
+                self.daily[day, k] = (self.prices if name == "price" else
+                                      shares if name == "ms" else self._state(name))
 
-    def _array_steps(self, day, orders, shares, draws, collect):
-        """A day's sub-steps of every row at once, then, when the pass records
-        them, the day's ``SERIES``."""
+    def _state(self, name):
+        """One state field of both companies of every row, (rows, 2)."""
+        if self.wide:
+            return getattr(self.s, name)
+        return [[getattr(s, name) for s in sd] for sd in self.sd]
+
+    def _array_steps(self, orders, draws):
+        """A day's sub-steps of every row at once."""
         s, p, dt = self.s, self.p, self.dt
         noise = ZERO_NOISE if draws is None else NoiseDraws(*draws)
         for _ in range(self.substeps):
             step_company(s, p, orders, noise, dt)
-            _book(self.totals, self.period_revenue, ..., s, s.price, dt, collect)
+            _book(self.totals, self.period_revenue, ..., s, s.price, dt)
             step_pricing(s.price, self.mp, p, s.inv_cov, dt=dt, mp_bounds=self.bounds.T)
-        if self.daily is not None:
-            self.daily[day] = (s.price, s.inv, s.backlog, s.ship_r, shares, s.labor, s.wip)
 
-    def _float_steps(self, day, orders, shares, draws, collect):
+    def _float_steps(self, orders, draws):
         """As :meth:`_array_steps`, one row at a time in plain floats read
         from and written back to the row arrays."""
         dt = self.dt
-        orders, shares, bounds = orders.tolist(), shares.tolist(), self.bounds.tolist()
+        orders, bounds = orders.tolist(), self.bounds.tolist()
         if draws is None:
             noises = [(ZERO_NOISE, ZERO_NOISE)] * self.rows
         else:
             noises = [[NoiseDraws(*d) for d in row]
                       for row in np.moveaxis(draws, 0, -1).tolist()]
         prices, mps = self.prices.tolist(), self.mp.tolist()
-        record = self.daily is not None
         totals = self.totals.transpose(1, 2, 0).tolist()
         revenue = self.period_revenue.tolist()
-        ends = []
         for r, (sd, params) in enumerate(zip(self.sd, self.params)):
             price, mp, period_revenue = prices[r], mps[r], revenue[r]
             try:
                 for _ in range(self.substeps):
                     for i in COMPANIES:
                         s = step_company(sd[i], params[i], orders[r][i], noises[r][i], dt)
-                        _book(totals[r][i], period_revenue, i, s, price[i], dt, collect)
+                        _book(totals[r][i], period_revenue, i, s, price[i], dt)
                     price, mp = step_pricing(price, mp, params,
                                              (sd[0].inv_cov, sd[1].inv_cov),
                                              dt=dt, mp_bounds=bounds[r])
@@ -393,17 +406,10 @@ class _Rows:
                 exc.row = r
                 raise
             prices[r], mps[r] = price, mp
-            if record:
-                s0, s1 = sd
-                ends.append((price, (s0.inv, s1.inv), (s0.backlog, s1.backlog),
-                             (s0.ship_r, s1.ship_r), shares[r], (s0.labor, s1.labor),
-                             (s0.wip, s1.wip)))
         self.prices[:] = prices
         self.mp[:] = mps
         self.totals.transpose(1, 2, 0)[:] = totals
         self.period_revenue[:] = revenue
-        if record:
-            self.daily[day].transpose(1, 0, 2)[:] = ends
 
     def close_period(self, mb, inter):
         """Sunk interaction cost of a finished marketing period."""
@@ -430,21 +436,20 @@ class _Rows:
             for seed, series, r, sunk in entries]
 
 
-def _book(totals, revenue, key, s: SDState, price, dt: float, collect: bool) -> None:
+def _book(totals, revenue, key, s: SDState, price, dt: float) -> None:
     """Book one sub-step of ``s``: its income ``ship_r * price * dt`` into
-    ``revenue[key]`` and, when ``collect``, its income and quantities times
-    ``dt`` into ``totals[0]`` to ``totals[5]``. Either one company's plain
-    floats (``totals`` its list, ``key`` its column) or every row's arrays
-    (``key`` is ``...``), their products and adds taken as one block."""
-    if key is not ... or not collect:
+    ``revenue[key]``, and its income and quantities times ``dt`` into
+    ``totals[0]`` to ``totals[5]``. Either one company's plain floats
+    (``totals`` its list, ``key`` its column) or every row's arrays (``key``
+    is ``...``), their products and adds taken as one block."""
+    if key is not ...:
         income = s.ship_r * price * dt
-        if collect:
-            totals[0] += income
-            totals[1] += s.prod_br * dt
-            totals[2] += s.rm_order_r * dt
-            totals[3] += s.ship_r * dt
-            totals[4] += s.inv * dt
-            totals[5] += s.backlog * dt
+        totals[0] += income
+        totals[1] += s.prod_br * dt
+        totals[2] += s.rm_order_r * dt
+        totals[3] += s.ship_r * dt
+        totals[4] += s.inv * dt
+        totals[5] += s.backlog * dt
     else:
         booked = np.array((s.ship_r * price, s.prod_br, s.rm_order_r, s.ship_r, s.inv,
                            s.backlog))
@@ -461,12 +466,14 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     daily series recorded only when ``series`` is set.
 
     Each day one market call advances every row, then the supply chains and
-    pricing of every row advance. A pass keeps all its rows until it ends or
-    first meets a divergence, at row ``r`` on day ``d``. A lower row may
-    still diverge later, so the rows before ``r`` run again as a pass of
-    their own, which raises for the lowest of them that diverges; if none
-    does, row ``r`` is reported. That costs at most one further, narrower
-    pass per diverging row.
+    pricing of every row advance, and every marketing period's last day
+    books its sunk costs. With ``truncate_warmup`` the accumulators, sunk
+    costs included, are reset at the start of day ``warmup_days``. A pass
+    keeps all its rows until it ends or first meets a divergence, at row
+    ``r`` on day ``d``. A lower row may still diverge later, so the rows
+    before ``r`` run again as a pass of their own, which raises for the
+    lowest of them that diverges; if none does, row ``r`` is reported.
+    That costs at most one further, narrower pass per diverging row.
     """
     tor = settings.total_order_rate
     period = settings.marketing_period
@@ -481,21 +488,22 @@ def _run_rows(setups, index, seeds, settings: SimulationSettings,
     # price check's to report, not warnings
     with np.errstate(all="ignore"):
         for day in range(settings.run_length_days):
-            collect = not (settings.truncate_warmup and day < settings.warmup_days)
+            if settings.truncate_warmup and day == settings.warmup_days:
+                chain.totals[:] = chain.sunk_total[:] = 0.0     # the warm-up cut
             if day % period == 0:
                 mk.mb[:], mk.ad[:], mk.pm[:] = chain.start_period(day, settings)
             shares = market.step(chain.prices, chain.streams.ties, mirror=mirror)
             if fixed is not None:
                 shares[:] = (fixed, 1.0 - fixed)
             try:
-                chain.advance_day(day, shares, mk.spend_rate, collect, tor)
+                chain.advance_day(day, shares, mk.spend_rate, tor)
             except StateError as exc:
                 r = exc.row
                 if r:
                     _run_rows(setups, index[:r], seeds[:r], settings, mirror, False)
                 raise ReplicationError(f"replication diverged on day {day}: {exc}",
                                        day=day, seed=seeds[r], index=r) from exc
-            if collect and day % period == period - 1:
+            if day % period == period - 1:
                 chain.close_period(mk.mb, mk.inter)
     return chain
 

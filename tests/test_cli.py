@@ -196,6 +196,37 @@ class TestLoadConfig:
                      "--out", str(tmp_path / "g")]) == 2
         assert not (tmp_path / "g").exists()
 
+    NINE = ["vac_creation_time", "layoff_time", "labor_fulfillment_time",
+            "wip_fulfillment_time", "inv_fulfillment_time", "rm_lead_time",
+            "safety_stock_cov", "rm_inventory_cov", "price_sens_cost"]
+
+    @pytest.mark.parametrize("factors, match", [
+        (NINE, "schedule entry 1: 9 two-level factors exceed"),
+        ([], "schedule entry 1 lists no factors"),
+        (["pricing", {"name": "marketing", "levels": ["L", "ML", "MH", "H"]}],
+         "schedule entry 1: mixed level counts"),
+        (["pricing", "marketing", "pricing"], "schedule entry 1: duplicate strategy"),
+    ], ids=["nine-two-level", "empty", "mixed-levels", "factor-twice"])
+    def test_schedule_plan_rejected(self, tmp_path, factors, match):
+        # every plan is checked at load, before the first iteration runs
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schedule": [{"factors": ["pricing", "marketing"]},
+                                                 {"factors": factors}]}))
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
+        assert main(["gsa", "--config", str(path),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert not (tmp_path / "g").exists()
+
+    def test_empty_initial_plan_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schedule": None, "initial_plan": {"factors": []}}))
+        with pytest.raises(ConfigError, match="initial_plan lists no factors"):
+            load_config(path)
+        assert main(["gsa", "--config", str(path),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert not (tmp_path / "g").exists()
+
     def test_gsa_settings_at_their_bounds_accepted(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"gsa": {

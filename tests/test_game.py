@@ -39,11 +39,13 @@ def random_symmetric_game(rng, n):
     return game_from_matrices(u1), u1
 
 
-def checkpoint_report(index=0):
-    """An iteration report with every field, as a checkpoint restores one."""
+def checkpoint_report(game, index=0):
+    """An iteration report with every field, as a checkpoint of ``game``
+    restores one: its solution is the game's profile (0, 0)."""
+    solution = {"profile": [0, 0], "labels": [game.space.strategies[0]] * 2}
     return GsaIterationReport(
         index=index, g=1, factors={}, n_strategies=0, n_profiles=0,
-        sample_sizes={}, effects=[], equilibria=[], solution={}, epsilon=0.0,
+        sample_sizes={}, effects=[], equilibria=[], solution=solution, epsilon=0.0,
         tolerance_curve=[], neighbor_p_values={}, cross_iteration_p={},
         stability=None, runtime_seconds=0.0)
 
@@ -209,7 +211,7 @@ class TestStorage:
     def test_loaded_samples_are_bank_slices(self, tmp_path):
         # checkpoints and payoff matrices hold symmetric games
         game, expected = self.stored_in_random_order(np.random.default_rng(4), 5, True)
-        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(), {})
+        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(game), {})
         self.assert_bank_slices(load_checkpoint(tmp_path, 0, "fp")[0], expected)
         write_payoff_matrix(game, tmp_path / "m.csv")
         self.assert_bank_slices(read_payoff_matrix(tmp_path / "m.csv"), {
@@ -219,7 +221,7 @@ class TestStorage:
 
     def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
         game = game_from_matrices(PD_U1)
-        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(), {})
+        save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(game), {})
         path = tmp_path / "checkpoints" / "iteration_00.json"
         before = path.read_bytes()
 
@@ -228,7 +230,7 @@ class TestStorage:
 
         monkeypatch.setattr("duogame.reporting.os.replace", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(1), {"pricing": "H"})
+            save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(game, 1), {"pricing": "H"})
         assert path.read_bytes() == before
         # the half-written file is not one a resume reads
         assert [p.name for p in path.parent.glob("*.json")] == [path.name]

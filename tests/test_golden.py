@@ -6,9 +6,11 @@ cover the kernel's branches: a market sub-block boundary, a co-state that
 never reaches its cap, the saturated price band with tie-breaks, all four
 noise draws, mirrored runs with fixed and with drawn marketing levels (one
 ``run_replication`` pass each, priced as ``estimate_payoffs`` prices one),
-and one pass mixing quiet and noisy companies over a cut-short marketing
-period;
-each pin holds for the plain-float and the array sub-step body alike. A
+one pass mixing quiet and noisy companies over a cut-short marketing
+period, and a warm-up cut inside a marketing period under a market that
+books sunk costs, priced by either ``sunk_cost_mode``; each pin holds for
+the plain-float and the array sub-step body alike, as do the pinned daily
+series of a 3-row and a 9-row pass under that cut. A
 market day whose brand forces and prices are pairs of -0.0 pins the sign of
 their sums. The stability classes of seeded games pin the ``resample``
 stream: alternating and simultaneous updates, an odd strategy count with
@@ -45,6 +47,7 @@ from duogame.market import ConsumerMarket, MarketParams, marketing_force
 from duogame.network import generate_ba_network
 from duogame.reporting import write_payoff_matrix
 from duogame.runner import (
+    SERIES,
     CompanySpec,
     CostRates,
     SimulationSettings,
@@ -99,6 +102,19 @@ def mixed_noise_specs():
     return [cycle[r % len(cycle)] for r in range(20)]
 
 
+# a market that books sunk interaction costs, which the default one never
+# does; under it a 22-day warm-up cut, not on a marketing-period boundary,
+# removes costs already booked: at master seed 113 from ``sunk_total`` on 10
+# of 20 default rows and from ``sunk_own`` on 19 (a 12-day cut removes none
+# from ``sunk_total``)
+SUNK_MARKET = MarketParams(delta1=-0.5, delta2=0.5, w1=4.0, w2=4.0)
+
+
+def warmup_cut_settings(sunk_cost_mode):
+    return SimulationSettings(run_length_days=40, market=SUNK_MARKET, warmup_days=22,
+                              truncate_warmup=True, sunk_cost_mode=sunk_cost_mode)
+
+
 # name -> (specs, settings, n, master seed, mirror, sha256 of the payoffs)
 CASES = {
     "default_n70": (lambda: (CompanySpec(), CompanySpec()),
@@ -123,6 +139,12 @@ CASES = {
     "mixed_noise_n20": (mixed_noise_specs, SimulationSettings(run_length_days=25),
                         20, 107, False,
                         "7f9c37812e2d1345f5c75f6a3c27e9c671334c7f7ad75e5404409cb080113384"),
+    "warmup_cut_total_n20": (lambda: (CompanySpec(), CompanySpec()),
+                             warmup_cut_settings("total"), 20, 113, False,
+                             "947bea427bc4b47f75617a71555dfa6a164ffb49e87b8aaae6fb83949634abda"),
+    "warmup_cut_own_n20": (lambda: (CompanySpec(), CompanySpec()),
+                           warmup_cut_settings("own"), 20, 113, False,
+                           "ad5cdcdda59c09b06f125231252e0a11dcbbb48e265ddab9a0e933a49566dc66"),
 }
 
 
@@ -149,6 +171,33 @@ def test_payoff_pin_other_kernel(name, monkeypatch):
     n = CASES[name][2]
     monkeypatch.setattr(runner, "WIDE", n + 1 if n >= runner.WIDE else 1)
     check_payoff_pin(name)
+
+
+# sha256 of every row's daily series, row by row in ``SERIES`` order, of a
+# pass of noisy and quiet pairs with drawn marketing levels under the
+# sunk-cost market and its warm-up cut: 3 rows step in plain floats, 9 as
+# arrays
+SERIES_PINS = {
+    3: "77f447d929ecbd1fe5a1ca6801297d732163b227dd2fc9c9ecfdd7e75246bfab",
+    9: "6cc2f78a2cbac98f5925e0f271ca8eeb576ffad536a354652a59c4531796eab4",
+}
+
+
+def check_series_pin(rows):
+    reps = run_replication(mixed_noise_specs()[:rows], warmup_cut_settings("total"),
+                           replication_seeds(109, 0, rows))
+    assert digest([rep.series[name] for rep in reps for name in SERIES]) == SERIES_PINS[rows]
+
+
+@pytest.mark.parametrize("rows", sorted(SERIES_PINS))
+def test_series_pin(rows):
+    check_series_pin(rows)
+
+
+@pytest.mark.parametrize("rows", sorted(SERIES_PINS))
+def test_series_pin_other_kernel(rows, monkeypatch):
+    monkeypatch.setattr(runner, "WIDE", rows + 1 if rows >= runner.WIDE else 1)
+    check_series_pin(rows)
 
 
 def test_batch_rows_equal_single_replications():
@@ -306,6 +355,12 @@ def small_gsa_run(tmp_path_factory):
     return out
 
 
+def other_solution_labels(c):
+    # the labels of another profile than the solution's
+    a, b = c["report"]["solution"]["profile"]
+    c["report"]["solution"]["labels"] = [c["labels"][a], c["labels"][(b + 1) % 16]]
+
+
 # a field of a checkpoint, made with this run's fingerprint, missing or
 # malformed
 CHECKPOINT_FAULTS = {
@@ -322,6 +377,15 @@ CHECKPOINT_FAULTS = {
     "report-without-a-field": lambda c: c["report"].pop("epsilon"),
     "report-with-an-unknown-field": lambda c: c["report"].update(extra=1),
     "baseline-not-an-object": lambda c: c.update(baseline=["H"]),
+    "report-of-another-iteration": lambda c: c["report"].update(index=1),
+    "report-index-not-a-number": lambda c: c["report"].update(index="0"),
+    "solution-empty": lambda c: c["report"].update(solution={}),
+    "solution-profile-out-of-range": lambda c: c["report"]["solution"].update(profile=[0, 16]),
+    "solution-profile-not-a-pair": lambda c: c["report"]["solution"].update(profile=[0]),
+    "solution-labels-of-another-profile": other_solution_labels,
+    "effect-without-a-field": lambda c: c["report"]["effects"][0].pop("p_value"),
+    "effect-not-an-object": lambda c: c["report"]["effects"].append("pricing"),
+    "effect-of-the-wrong-kind": lambda c: c["report"]["effects"][0].update(effect="large"),
 }
 
 
@@ -338,10 +402,39 @@ def test_small_gsa_run_recomputes_a_checkpoint_with_a_bad_field(
     checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
     capsys.readouterr()
     check_small_gsa_run(out)
+    check_recomputed(capsys, checkpoint)
+
+
+def check_recomputed(capsys, checkpoint):
+    """The one stderr line of a run that found ``checkpoint`` unreadable."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"unreadable checkpoint {checkpoint}: ")
     assert err[0].endswith("; recomputing")
+
+
+def test_adaptive_gsa_run_recomputes_a_checkpoint_with_a_malformed_effect(tmp_path,
+                                                                          capsys):
+    # with no schedule the restored effects drive the refinement: a malformed
+    # one is reported, recomputed, and every file of the uninterrupted run
+    # written
+    config = json.loads((GOLDEN / "small_gsa_config.json").read_text())
+    config.update(schedule=None, initial_plan=config["schedule"][0],
+                  gsa={"max_iterations": 1})
+    path = tmp_path / "adaptive.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "g"
+    args = ["gsa", "--config", str(path), "--out", str(out)]
+    assert main(args) == 0
+    whole = run_digests(out)
+    checkpoint = out / "checkpoints" / "iteration_00.json"
+    payload = json.loads(checkpoint.read_text())
+    payload["report"]["effects"][0] = {"name": "pricing"}
+    checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    capsys.readouterr()
+    assert main(args) == 0
+    check_recomputed(capsys, checkpoint)
+    assert run_digests(out) == whole
 
 
 def test_small_gsa_run_pin_two_jobs(tmp_path):
@@ -449,10 +542,7 @@ def test_topup_gsa_run_recomputes_a_checkpoint_that_is_not_an_object(tmp_path,
     checkpoint.write_text("[]\n")
     capsys.readouterr()
     assert main(args) == 0
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith(f"unreadable checkpoint {checkpoint}: ")
-    assert err[0].endswith("; recomputing")
+    check_recomputed(capsys, checkpoint)
     pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
     assert run_digests(tmp_path) == pins["jobs_1"]
 

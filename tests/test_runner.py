@@ -1014,7 +1014,6 @@ class TestArraySubStepCalls:
         for name in ("totals", "period_revenue", "mp", "bounds", "prices"):
             setattr(chain, name, _counted(getattr(chain, name)))
         chain.dt = chain.p.dt
-        shares = _counted(np.full((rows, 2), 0.5))
         orders = _counted(settings.total_order_rate * np.full((rows, 2), 0.5))
         calls = dict.fromkeys(self.BUDGET, 0)
         make_array = np.array
@@ -1037,7 +1036,7 @@ class TestArraySubStepCalls:
         monkeypatch.setattr(CountedArray, "CALLS", {})
         monkeypatch.setattr(np, "array", array)
         with np.errstate(all="ignore"):
-            assert chain._array_steps(0, orders, shares, None, True) is None
+            assert chain._array_steps(orders, None) is None
         monkeypatch.setattr(np, "array", make_array)
         per_substep = {name: count / chain.substeps for name, count in calls.items()}
         assert per_substep == self.BUDGET, CountedArray.CALLS
@@ -1047,8 +1046,7 @@ class TestArraySubStepCalls:
 
 
 @pytest.mark.golden
-@pytest.mark.parametrize("collect", [True, False])
-def test_block_booking_matches_float_booking(collect):
+def test_block_booking_matches_float_booking():
     # the array form books its income and quantities as one (6, rows, 2)
     # product and add: every element takes the plain-float form's product
     # and add, at signed zeros, subnormals, infinities and NaN
@@ -1062,13 +1060,13 @@ def test_block_booking_matches_float_booking(collect):
     totals, revenue = start.copy(), start[0].copy()
     dt = np.array(0.25)
     with np.errstate(all="ignore"):
-        runner._book(totals, revenue, ..., state, price, dt, collect)
+        runner._book(totals, revenue, ..., state, price, dt)
     expected = start.transpose(1, 2, 0).tolist()
     expected_revenue = start[0].tolist()
     for r in range(rows):
         for i in (0, 1):
             one = SDState(**{name: float(getattr(state, name)[r, i]) for name in fields_})
             runner._book(expected[r][i], expected_revenue[r], i, one, float(price[r, i]),
-                         0.25, collect)
+                         0.25)
     assert same(totals, np.array(expected).transpose(2, 0, 1))
     assert same(revenue, np.array(expected_revenue))
