@@ -86,9 +86,9 @@ def _load_profile(raw: str | None) -> dict:
 @contextmanager
 def _pool(jobs: int):
     """A run's one worker pool, or None at one job. Its workers start on the
-    first pass and serve every payoff call and solution trace of the run. On
+    first task and serve every payoff call and solution trace of the run. On
     any exit, an error or an interrupt too, its queued work is cancelled, so
-    the run waits only for the passes already running."""
+    the run waits only for the tasks already running."""
     if jobs == 1:
         yield None
         return
@@ -166,12 +166,13 @@ def cmd_estimate(args) -> int:
     plan = config.first_plan()
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .gsa import build_empirical_game
+    from .gsa import build_empirical_game, sample_sizes
     with _pool(config.jobs) as pool:
-        game, sizes = build_empirical_game(plan, _source(config, pool), {},
-                                           config.sampling, iteration=0)
+        game = build_empirical_game(plan, _source(config, pool), {},
+                                    config.sampling, iteration=0)
     write_payoff_matrix(game, out_dir / "payoff_matrix.csv")
-    write_json({"strategies": plan.strategy_labels(), "sample_sizes": sizes},
+    write_json({"strategies": plan.strategy_labels(),
+                "sample_sizes": sample_sizes(game, config.sampling)},
                out_dir / "strategies.json")
     print(f"estimated {game.n} strategies, "
           f"{symmetric_profile_count(game.n)} profiles -> {out_dir}")
@@ -198,13 +199,13 @@ def cmd_gsa(args) -> int:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_config(config, out_dir / "config.json")
-    store = CheckpointStore(out_dir, config.fingerprint())
 
     with _pool(config.jobs) as pool:
         source = _source(config, pool)
         result = run_gsa(config.first_plan(), config.sampling, source,
                          gsa=config.gsa, schedule=config.schedule,
-                         stability_seed=config.master_seed + 1, checkpoints=store)
+                         stability_seed=config.master_seed + 1,
+                         checkpoints=CheckpointStore(out_dir, config.fingerprint()))
         tasks = []
         for report, baseline in zip(result.reports, result.baselines):
             solution = dict(report.solution["labels"][0])
@@ -212,9 +213,8 @@ def cmd_gsa(args) -> int:
             tasks.append((source.specs_for(solution, solution, baseline),
                           config.settings, seed,
                           out_dir / f"solution_trace_{report.index:02d}.csv"))
-        # one task per iteration, on the pool while the reports are written;
-        # a run restored wholly from checkpoints starts no workers for them
-        traces = (pool.map if pool and store.saved else map)(_solution_trace, tasks)
+        # one task per iteration, on the pool while the reports are written
+        traces = (pool.map if pool else map)(_solution_trace, tasks)
         for report, game in zip(result.reports, result.games):
             write_iteration_report(report, out_dir / f"iteration_{report.index:02d}.json")
             write_payoff_matrix(game, out_dir / f"payoff_matrix_{report.index:02d}.csv")

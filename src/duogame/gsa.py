@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .doe import FactorEffect, doe_significance
+from .doe import doe_significance
 from .draws import IndexDraws
 from .errors import ParameterError, ReplicationError
 from .factors import (
@@ -245,10 +245,10 @@ def _simulate_profile(source, labels, a, b, baseline, policy, tag):
 
 
 def build_empirical_game(plan: FactorPlan, source, baseline: dict,
-                         policy: SamplingPolicy, iteration: int):
+                         policy: SamplingPolicy, iteration: int) -> EmpiricalGame:
     """Simulate every profile of ``game.profiles()`` for the plan's strategy
     set and store each player's samples trimmed by ``policy.trim_per_tail``
-    per tail; returns the game and each profile's replication count.
+    per tail.
 
     All profiles are sampled together by ``_simulate_profile``: every initial
     batch in one source call, the top-ups in one call per distinct extra
@@ -261,12 +261,17 @@ def build_empirical_game(plan: FactorPlan, source, baseline: dict,
     tags = [profile_tag(iteration, a, b) for a, b in profiles]
     results = _simulate_profile(source, labels, rows, cols, baseline, policy,
                                 tags)
-    sizes = {}
     for (a, b), payoffs in zip(profiles, results):
-        sizes[f"{a},{b}"] = int(payoffs.shape[0])
         game.set_samples((a, b), trim_samples(payoffs[:, 0], policy.trim_per_tail),
                          trim_samples(payoffs[:, 1], policy.trim_per_tail))
-    return game, sizes
+    return game
+
+
+def sample_sizes(game: EmpiricalGame, policy: SamplingPolicy) -> dict:
+    """Each profile's simulated replications, by its ``"a,b"`` tag: its kept
+    samples and the ``2 * trim_per_tail`` that trimming dropped."""
+    return {f"{a},{b}": int(game.count[0, a, b]) + 2 * policy.trim_per_tail
+            for a, b in game.profiles()}
 
 
 def screen_effects(game: EmpiricalGame, plan: FactorPlan, alpha: float):
@@ -461,9 +466,10 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     verbatim; otherwise the adaptive rule drives the loop until level
     densification is exhausted. Factors leaving the active set are frozen at
     the latest solution's levels through a baseline that starts empty. An
-    iteration runs (saved to the ``checkpoints`` store if one is given) or
-    is restored from that store: its game, report and next baseline; the
-    rest of it is one path. The worker count is the ``source``'s.
+    iteration's game is built (and saved to the ``checkpoints`` store if one
+    is given) or restored from that store with its run time; its analysis
+    and next baseline are derived from the game alike. The worker count is
+    the ``source``'s.
     """
     gsa = (gsa or GsaSettings()).validate()
     policy.validate()
@@ -474,85 +480,84 @@ def run_gsa(plan: FactorPlan, policy: SamplingPolicy, source,
     iteration = 0
     current = plan
     while current is not None and iteration < gsa.max_iterations:
-        restored = checkpoints.load(iteration) if checkpoints is not None else None
-        if restored is not None:
-            game, report, frozen = restored
-        else:
+        labels = current.strategy_labels()
+        restored = checkpoints.load(iteration, labels) if checkpoints is not None else None
+        if restored is None:
             t0 = time.perf_counter()
-            game, sizes = build_empirical_game(current, source, baseline, policy,
-                                               iteration)
-            labels = current.strategy_labels()
-            equilibria = game.pure_nash(gsa.epsilon_solve)
-            solution = _solution_profile(game, equilibria)
-            effects = screen_effects(game, current, gsa.alpha)
+            game = build_empirical_game(current, source, baseline, policy, iteration)
+        else:
+            game, runtime = restored
+        equilibria = game.pure_nash(gsa.epsilon_solve)
+        solution = _solution_profile(game, equilibria)
+        effects = screen_effects(game, current, gsa.alpha)
 
-            eq_entries = []
-            for p in equilibria:
-                entry = {"profile": list(p),
-                         "labels": [labels[p[0]], labels[p[1]]],
-                         "mean": [game.payoff(p, 0), game.payoff(p, 1)],
-                         "half_width": [], "n": [game.sample_count(p, 0),
-                                                 game.sample_count(p, 1)]}
-                for player in (0, 1):
-                    s = game.samples(p, player)
-                    entry["half_width"].append(
-                        confidence_interval(s, gsa.alpha)[1] if s.size >= 2 else 0.0)
-                eq_entries.append(entry)
+        eq_entries = []
+        for p in equilibria:
+            entry = {"profile": list(p),
+                     "labels": [labels[p[0]], labels[p[1]]],
+                     "mean": [game.payoff(p, 0), game.payoff(p, 1)],
+                     "half_width": [], "n": [game.sample_count(p, 0),
+                                             game.sample_count(p, 1)]}
+            for player in (0, 1):
+                s = game.samples(p, player)
+                entry["half_width"].append(
+                    confidence_interval(s, gsa.alpha)[1] if s.size >= 2 else 0.0)
+            eq_entries.append(entry)
 
-            neighbor_p = {str(player): neighbor_strictness_test(
-                game, solution, player, gsa.neighbor_count, gsa.alpha)
-                for player in (0, 1)}
+        neighbor_p = {str(player): neighbor_strictness_test(
+            game, solution, player, gsa.neighbor_count, gsa.alpha)
+            for player in (0, 1)}
 
-            pooled = _pooled(game, solution)
-            cross = {}
-            for j, earlier in enumerate(solution_samples):
-                if earlier.size >= 2 and pooled.size >= 2:
-                    cross[str(j)] = t_test(earlier, pooled, alternative="less")
+        pooled = _pooled(game, solution)
+        cross = {}
+        for j, earlier in enumerate(solution_samples):
+            if earlier.size >= 2 and pooled.size >= 2:
+                cross[str(j)] = t_test(earlier, pooled, alternative="less")
+        solution_samples.append(pooled)
 
-            stability = None
-            if gsa.run_stability:
-                stability = stability_analysis(
-                    game, solution, gsa.epsilon_stability, gsa.stability_steps,
-                    noise=gsa.stability_noise, update=gsa.stability_update,
-                    seed=stability_seed + iteration).as_dict()
+        stability = None
+        if gsa.run_stability:
+            stability = stability_analysis(
+                game, solution, gsa.epsilon_stability, gsa.stability_steps,
+                noise=gsa.stability_noise, update=gsa.stability_update,
+                seed=stability_seed + iteration).as_dict()
 
-            report = GsaIterationReport(
-                index=iteration, g=current.g,
-                factors={f.name: list(f.levels) for f in current.factors},
-                n_strategies=len(labels),
-                n_profiles=symmetric_profile_count(len(labels)),
-                sample_sizes=sizes,
-                effects=[asdict(e) for e in effects],
-                equilibria=eq_entries,
-                solution={"profile": list(solution),
-                          "labels": [labels[solution[0]], labels[solution[1]]],
-                          "mean": [game.payoff(solution, 0),
-                                   game.payoff(solution, 1)]},
-                epsilon=gsa.epsilon_solve,
-                tolerance_curve=tolerance_sweep(game, gsa.tolerance_grid),
-                neighbor_p_values=neighbor_p,
-                cross_iteration_p=cross,
-                stability=stability,
-                runtime_seconds=time.perf_counter() - t0)
+        report = GsaIterationReport(
+            index=iteration, g=current.g,
+            factors={f.name: list(f.levels) for f in current.factors},
+            n_strategies=len(labels),
+            n_profiles=symmetric_profile_count(len(labels)),
+            sample_sizes=sample_sizes(game, policy),
+            effects=[asdict(e) for e in effects],
+            equilibria=eq_entries,
+            solution={"profile": list(solution),
+                      "labels": [labels[solution[0]], labels[solution[1]]],
+                      "mean": [game.payoff(solution, 0),
+                               game.payoff(solution, 1)]},
+            epsilon=gsa.epsilon_solve,
+            tolerance_curve=tolerance_sweep(game, gsa.tolerance_grid),
+            neighbor_p_values=neighbor_p,
+            cross_iteration_p=cross,
+            stability=stability,
+            runtime_seconds=time.perf_counter() - t0 if restored is None else runtime)
 
-            # freeze every active factor at the solution's row-strategy level
-            frozen = dict(baseline)
-            for name, label in labels[solution[0]].items():
-                for child in detailed_children(name):
-                    frozen[child] = label
+        # freeze every active factor at the solution's row-strategy level
+        frozen = dict(baseline)
+        for name, label in labels[solution[0]].items():
+            for child in detailed_children(name):
+                frozen[child] = label
 
-            if checkpoints is not None:
-                checkpoints.save(iteration, game, report, frozen)
+        if checkpoints is not None and restored is None:
+            checkpoints.save(iteration, game, report, frozen)
         reports.append(report)
         games.append(game)
         baselines.append(baseline)
-        solution_samples.append(_pooled(game, tuple(report.solution["profile"])))
         baseline = frozen
         iteration += 1
         if schedule is not None:
             current = schedule[iteration] if iteration < len(schedule) else None
         else:
-            current = refine_plan(current, [FactorEffect(**e) for e in report.effects])
+            current = refine_plan(current, effects)
 
     if current is not None and reports:
         # the iteration budget ran out before refinement finished

@@ -24,10 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .doe import FactorEffect
-from .errors import ConfigError, IncompleteGameError
+from .errors import ConfigError
 from .game import EmpiricalGame, StrategySpace
-from .gsa import GsaIterationReport
 from .runner import SERIES
 
 TRACE_HEADER = ["day", "company", "price", "inv", "backlog", "shipR", "MS",
@@ -195,6 +193,9 @@ def checkpoint_path(out_dir, iteration: int) -> Path:
 
 def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
                     report, baseline: dict) -> None:
+    """Write the checkpoint of ``iteration``. Its report and next baseline
+    are kept for readers of the file; a resume reads back only the labels,
+    the samples and the report's ``runtime_seconds``."""
     path = checkpoint_path(out_dir, iteration)
     path.parent.mkdir(parents=True, exist_ok=True)
     samples = {}
@@ -217,15 +218,15 @@ def save_checkpoint(out_dir, iteration: int, fingerprint: str, game,
     os.replace(partial, path)
 
 
-def load_checkpoint(out_dir, iteration: int, fingerprint: str):
-    """Return ``(game, report, baseline)`` or None when absent, stale or
+def load_checkpoint(out_dir, iteration: int, fingerprint: str, labels: list):
+    """Return ``(game, runtime_seconds)`` or None when absent, stale or
     unreadable.
 
-    A stale checkpoint, written under another config fingerprint, or one
-    that cannot be read as a JSON object, or whose labels, samples, report
-    or baseline is missing or malformed, its report another iteration's or
-    another game's, is reported on stderr; the caller then recomputes and
-    overwrites it.
+    A resume reads only the game and the run time a checkpoint stores; the
+    rest of an iteration is a function of its game and is derived again. A
+    stale checkpoint, written under another config fingerprint, or an
+    unreadable one (:func:`_restore`) is reported on stderr; the caller then
+    recomputes and overwrites it.
     """
     path = checkpoint_path(out_dir, iteration)
     if not path.exists():
@@ -237,54 +238,39 @@ def load_checkpoint(out_dir, iteration: int, fingerprint: str):
             print(f"stale checkpoint for iteration {iteration}: fingerprint {found}, "
                   f"this run {fingerprint}; recomputing", file=sys.stderr)
             return None
-        return _restore(payload, path, iteration)
+        return _restore(payload, path, labels)
     except ConfigError as exc:
         print(f"unreadable {exc}; recomputing", file=sys.stderr)
         return None
 
 
-def _restore(payload: dict, path, iteration: int):
-    """The game, report and baseline of a checkpoint's ``payload``; raises
-    ConfigError when one is missing or malformed, the game incomplete among
-    them, or the report is not the game's at ``iteration``
-    (:func:`_check_report`)."""
+def _restore(payload: dict, path, labels: list):
+    """The game and run time of a checkpoint's ``payload``; raises
+    ConfigError unless its labels are ``labels``, its samples are two
+    equally long lists of finite numbers for each profile of that game and
+    for no other, and its ``report.runtime_seconds`` is a number in
+    [0, inf)."""
     try:
-        labels, samples, report, baseline = (
-            payload[key] for key in ("labels", "samples", "report", "baseline"))
-        if not (isinstance(labels, list) and all(isinstance(s, dict) for s in labels)
-                and isinstance(samples, dict) and isinstance(baseline, dict)):
-            raise TypeError("labels, samples or baseline of the wrong kind")
+        if payload["labels"] != labels:
+            raise ValueError("labels are not those of this iteration's plan")
+        samples = payload["samples"]
         game = EmpiricalGame(StrategySpace(labels))
-        for key, (p1, p2) in samples.items():
-            a, b = (int(x) for x in key.split(","))
-            game.set_samples((a, b), p1, p2)
-        game._require_complete()
-        report = GsaIterationReport(**report)
-        _check_report(report, game, iteration)
-        return game, report, baseline
-    except (IncompleteGameError, KeyError, TypeError, ValueError) as exc:
+        profiles = {f"{a},{b}": (a, b) for a, b in game.profiles()}
+        if not (isinstance(samples, dict) and samples.keys() == profiles.keys()):
+            raise ValueError("samples are not one entry per profile of the game")
+        for key, pair in samples.items():
+            pair = np.array(pair, dtype=float)
+            if not (pair.ndim == 2 and len(pair) == 2 and pair.size
+                    and np.isfinite(pair).all()):
+                raise ValueError(f"samples of profile {key} are not two equally "
+                                 f"long lists of finite numbers")
+            game.set_samples(profiles[key], *pair)
+        runtime = payload["report"]["runtime_seconds"]
+        if not (type(runtime) in (int, float) and 0 <= runtime < math.inf):
+            raise ValueError(f"runtime_seconds {runtime!r} is not a number in [0, inf)")
+        return game, float(runtime)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: {type(exc).__name__}: {exc}") from None
-
-
-def _check_report(report, game, iteration: int) -> None:
-    """Raise KeyError, TypeError or ValueError unless ``report`` is that of
-    ``iteration``, its solution a profile of ``game`` labelled with that
-    profile's two strategies, and each of its effects a
-    :class:`FactorEffect` of a named factor, numbers and a flag."""
-    if type(report.index) is not int or report.index != iteration:
-        raise ValueError(f"report index {report.index!r} in the checkpoint of "
-                         f"iteration {iteration}")
-    profile, labels = report.solution["profile"], report.solution["labels"]
-    if not (isinstance(profile, list) and len(profile) == 2
-            and all(type(x) is int and 0 <= x < game.n for x in profile)):
-        raise ValueError(f"solution profile {profile!r} is not one of the game's")
-    if labels != [game.space.strategies[x] for x in profile]:
-        raise ValueError(f"solution labels {labels!r} are not profile {profile}'s")
-    for entry in report.effects:
-        effect = FactorEffect(**entry)
-        if not (isinstance(effect.name, str) and type(effect.significant) is bool
-                and all(type(x) in (int, float) for x in (effect.effect, effect.p_value))):
-            raise ValueError(f"malformed effect {entry!r}")
 
 
 class CheckpointStore:
@@ -293,12 +279,10 @@ class CheckpointStore:
     def __init__(self, out_dir, fingerprint: str):
         self.out_dir = Path(out_dir)
         self.fingerprint = fingerprint
-        self.saved = 0  # iterations computed, not restored, in this run
 
-    def load(self, iteration: int):
-        return load_checkpoint(self.out_dir, iteration, self.fingerprint)
+    def load(self, iteration: int, labels: list):
+        return load_checkpoint(self.out_dir, iteration, self.fingerprint, labels)
 
     def save(self, iteration: int, game, report, baseline: dict) -> None:
         save_checkpoint(self.out_dir, iteration, self.fingerprint, game,
                         report, baseline)
-        self.saved += 1

@@ -166,6 +166,8 @@ class SimulationSettings:
             raise ParameterError(f"unknown sunk_cost_mode {self.sunk_cost_mode!r}")
         if not 0 < self.initial_stock_fraction <= 1:
             raise ParameterError("initial_stock_fraction must be in (0, 1]")
+        if self.warmup_days < 0:
+            raise ParameterError(f"warmup_days must be >= 0, got {self.warmup_days}")
         if self.truncate_warmup and self.warmup_days >= self.run_length_days:
             raise ParameterError("run length must exceed the warm-up")
         if self.fixed_share_split is not None and not 0.0 <= self.fixed_share_split <= 1.0:

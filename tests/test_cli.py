@@ -17,13 +17,19 @@ from duogame import cli, runner
 from duogame import gsa as gsa_module
 from duogame.cli import build_parser, main
 from duogame.config import config_from_dict, config_to_dict, default_config, load_config
-from duogame.errors import ConfigError, IncompleteGameError, ReplicationError
+from duogame.errors import ConfigError, IncompleteGameError, ParameterError, ReplicationError
 from duogame.factors import FACTORS
 from duogame.game import EmpiricalGame, StrategySpace
 from duogame.gsa import stability_analysis
 from duogame.market import MarketParams
 from duogame.reporting import read_payoff_matrix, write_payoff_matrix
-from duogame.runner import PASS_ROWS, CostRates, replication_seeds, run_replication
+from duogame.runner import (
+    PASS_ROWS,
+    CostRates,
+    SimulationSettings,
+    replication_seeds,
+    run_replication,
+)
 from game_tools import game_from_matrices
 
 TOPUP_CONFIG = Path(__file__).parent / "golden" / "topup_gsa_config.json"
@@ -170,6 +176,18 @@ class TestLoadConfig:
         path.write_text(json.dumps({"run_length_days": 30}))  # warm-up is 50
         with pytest.raises(ConfigError, match="warm-up"):
             load_config(path)
+
+    def test_negative_warmup_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"warmup_days": -5, "truncate_warmup": True,
+                                    "run_length_days": 20}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == \
+            "error: warmup_days must be >= 0, got -5"
+        assert not out.exists()
+        with pytest.raises(ParameterError, match="warmup_days"):
+            SimulationSettings(run_length_days=20, warmup_days=-5).validate()
 
 
     @pytest.mark.parametrize("config, match", [
@@ -928,9 +946,10 @@ class TestWorkerPool:
         assert self.run(tmp_path / "g", 2) == reference
         assert len(made) == 1 and entered == []
 
-    def test_restored_run_starts_no_worker(self, reference, tmp_path, monkeypatch):
-        # the second run restores both iterations, so it runs their one-row
-        # solution traces in process and submits no task to its pool
+    def test_restored_run_runs_only_its_traces_on_the_pool(self, reference, tmp_path,
+                                                           monkeypatch):
+        # the second run restores both iterations: it makes no source call
+        # and submits their two solution traces to its pool
         self.run(tmp_path / "g", 2)
         import concurrent.futures
         submitted = []
@@ -941,6 +960,9 @@ class TestWorkerPool:
                 return super().submit(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        calls = []
+        monkeypatch.setattr(gsa_module.SimulationPayoffSource, "__call__",
+                            lambda *args, **kwargs: calls.append(args))
         entered = []
         run_rows = runner._run_rows
 
@@ -950,7 +972,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(runner, "_run_rows", recorded)
         assert self.run(tmp_path / "g", 2) == reference
-        assert submitted == [] and entered == [1, 1]
+        assert calls == [] and entered == [] and len(submitted) == 2
 
     def test_divergence_in_a_worker_names_it_and_leaves_no_worker(self, tmp_path,
                                                                   monkeypatch, capsys):

@@ -165,17 +165,19 @@ class TestStorage:
         assert game.var[0, 0, 1] == pytest.approx(4.0)
 
     @staticmethod
-    def stored_in_random_order(rng, n, symmetric):
-        """A game whose profiles hold 1 to 5 normal samples each, stored in
-        a shuffled order, a symmetric off-diagonal profile now and then
-        through its transpose, with reads between the stores; and the
-        samples each canonical profile was given."""
+    def stored_in_random_order(rng, n, symmetric, equal_counts=False):
+        """A game whose profiles hold 1 to 5 normal samples each, the same
+        number for both players with ``equal_counts`` (as a simulated
+        profile's), stored in a shuffled order, a symmetric off-diagonal
+        profile now and then through its transpose, with reads between the
+        stores; and the samples each canonical profile was given."""
         game = EmpiricalGame(StrategySpace([{"x": i} for i in range(n)],
                                            symmetric=symmetric))
         expected = {}
         for k in rng.permutation(len(game.profiles())):
             a, b = game.profiles()[k]
-            p1, p2 = (rng.normal(size=int(rng.integers(1, 6))) for _ in (0, 1))
+            p1 = rng.normal(size=int(rng.integers(1, 6)))
+            p2 = rng.normal(size=p1.size if equal_counts else int(rng.integers(1, 6)))
             expected[(a, b)] = (p1, p2)
             if a != b and symmetric and rng.random() < 0.5:
                 game.set_samples((b, a), p2, p1)
@@ -210,9 +212,12 @@ class TestStorage:
 
     def test_loaded_samples_are_bank_slices(self, tmp_path):
         # checkpoints and payoff matrices hold symmetric games
-        game, expected = self.stored_in_random_order(np.random.default_rng(4), 5, True)
+        game, expected = self.stored_in_random_order(np.random.default_rng(4), 5, True,
+                                                     equal_counts=True)
         save_checkpoint(tmp_path, 0, "fp", game, checkpoint_report(game), {})
-        self.assert_bank_slices(load_checkpoint(tmp_path, 0, "fp")[0], expected)
+        restored, runtime = load_checkpoint(tmp_path, 0, "fp", game.space.strategies)
+        assert runtime == 0.0
+        self.assert_bank_slices(restored, expected)
         write_payoff_matrix(game, tmp_path / "m.csv")
         self.assert_bank_slices(read_payoff_matrix(tmp_path / "m.csv"), {
             p: [_synthetic_samples(game.mean[(player, *p)], game.count[(player, *p)],

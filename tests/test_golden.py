@@ -28,6 +28,7 @@ for a stated reason, such as a changed RNG protocol.
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -361,19 +362,32 @@ def other_solution_labels(c):
     c["report"]["solution"]["labels"] = [c["labels"][a], c["labels"][(b + 1) % 16]]
 
 
-# a field of a checkpoint, made with this run's fingerprint, missing or
-# malformed
+# a field of a checkpoint, made with this run's fingerprint, that a resume
+# reads, missing or malformed: its labels, samples and run time
 CHECKPOINT_FAULTS = {
     "no-labels": lambda c: c.pop("labels"),
     "no-samples": lambda c: c.pop("samples"),
     "no-report": lambda c: c.pop("report"),
-    "no-baseline": lambda c: c.pop("baseline"),
     "labels-not-a-list": lambda c: c.update(labels="LHLH"),
+    "labels-of-another-plan": lambda c: [s.pop("marketing") for s in c["labels"]],
+    "labels-in-another-order": lambda c: c["labels"].reverse(),
     "samples-not-an-object": lambda c: c.update(samples=[]),
     "samples-without-a-profile": lambda c: c["samples"].pop("0,1"),
     "samples-profile-out-of-range": lambda c: c["samples"].update({"0,16": [[1.0], [1.0]]}),
     "samples-not-numbers": lambda c: c["samples"].update({"0,0": [["x"], [1.0]]}),
+    "sample-not-a-number": lambda c: c["samples"]["0,0"][0].__setitem__(0, math.nan),
+    "samples-of-unequal-counts": lambda c: c["samples"]["0,1"][1].pop(),
     "report-not-an-object": lambda c: c.update(report=[]),
+    "runtime-negative": lambda c: c["report"].update(runtime_seconds=-1.0),
+    "runtime-not-a-number": lambda c: c["report"].update(runtime_seconds=math.nan),
+    "runtime-a-string": lambda c: c["report"].update(runtime_seconds="1.0"),
+}
+
+# a field of a checkpoint that a resume does not read, missing or
+# malformed: the report, less its run time, is derived from the game again,
+# and the baseline too
+REPORT_FAULTS = {
+    "no-baseline": lambda c: c.pop("baseline"),
     "report-without-a-field": lambda c: c["report"].pop("epsilon"),
     "report-with-an-unknown-field": lambda c: c["report"].update(extra=1),
     "baseline-not-an-object": lambda c: c.update(baseline=["H"]),
@@ -383,26 +397,38 @@ CHECKPOINT_FAULTS = {
     "solution-profile-out-of-range": lambda c: c["report"]["solution"].update(profile=[0, 16]),
     "solution-profile-not-a-pair": lambda c: c["report"]["solution"].update(profile=[0]),
     "solution-labels-of-another-profile": other_solution_labels,
+    "solution-mean-malformed": lambda c: c["report"]["solution"].update(mean="x"),
     "effect-without-a-field": lambda c: c["report"]["effects"][0].pop("p_value"),
     "effect-not-an-object": lambda c: c["report"]["effects"].append("pricing"),
     "effect-of-the-wrong-kind": lambda c: c["report"]["effects"][0].update(effect="large"),
+    **{f"{field.replace('_', '-')}-malformed":
+       lambda c, field=field: c["report"].update({field: "x"})
+       for field in ("factors", "sample_sizes", "equilibria", "tolerance_curve",
+                     "neighbor_p_values", "cross_iteration_p", "stability")},
 }
 
 
-@pytest.mark.parametrize("fault", CHECKPOINT_FAULTS.values(), ids=CHECKPOINT_FAULTS)
+@pytest.mark.parametrize("fault", [*CHECKPOINT_FAULTS, *REPORT_FAULTS])
 def test_small_gsa_run_recomputes_a_checkpoint_with_a_bad_field(
         small_gsa_run, tmp_path, capsys, fault):
-    # reported on one stderr line, recomputed, and every pinned file of the
-    # uninterrupted run written
+    # every file of the uninterrupted run written. A checkpoint with a bad
+    # field that a resume reads is reported on one stderr line and
+    # recomputed; one with a bad report or baseline is restored, silently and
+    # left as it is, and its report derived from the game again
     out = tmp_path / "g"
     shutil.copytree(small_gsa_run, out)
     checkpoint = out / "checkpoints" / "iteration_00.json"
     payload = json.loads(checkpoint.read_text())
-    fault(payload)
+    (CHECKPOINT_FAULTS.get(fault) or REPORT_FAULTS[fault])(payload)
     checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    faulty = checkpoint.read_bytes()
     capsys.readouterr()
     check_small_gsa_run(out)
-    check_recomputed(capsys, checkpoint)
+    if fault in CHECKPOINT_FAULTS:
+        check_recomputed(capsys, checkpoint)
+        assert run_digests(out) == run_digests(small_gsa_run)
+    else:
+        check_restored(capsys, out, checkpoint, faulty, run_digests(small_gsa_run))
 
 
 def check_recomputed(capsys, checkpoint):
@@ -413,27 +439,64 @@ def check_recomputed(capsys, checkpoint):
     assert err[0].endswith("; recomputing")
 
 
-def test_adaptive_gsa_run_recomputes_a_checkpoint_with_a_malformed_effect(tmp_path,
-                                                                          capsys):
-    # with no schedule the restored effects drive the refinement: a malformed
-    # one is reported, recomputed, and every file of the uninterrupted run
-    # written
+def check_restored(capsys, out, checkpoint, faulty, whole):
+    """A resume that restored ``checkpoint`` as it was, ``faulty``, printing
+    nothing, and wrote every other file of the uninterrupted run, whose
+    ``run_digests`` are ``whole``."""
+    assert capsys.readouterr().err == ""
+    assert checkpoint.read_bytes() == faulty
+    name = checkpoint.relative_to(out).as_posix()
+    assert {**run_digests(out), name: whole[name]} == whole
+
+
+def adaptive_run_args(tmp_path, max_iterations) -> list:
+    """``gsa`` arguments of the small run with no schedule: its plan as
+    ``initial_plan``, refined by the effects of each iteration."""
     config = json.loads((GOLDEN / "small_gsa_config.json").read_text())
     config.update(schedule=None, initial_plan=config["schedule"][0],
-                  gsa={"max_iterations": 1})
+                  gsa={"max_iterations": max_iterations})
     path = tmp_path / "adaptive.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "g"
-    args = ["gsa", "--config", str(path), "--out", str(out)]
+    return ["gsa", "--config", str(path), "--out", str(tmp_path / "g")]
+
+
+def test_adaptive_gsa_run_recomputes_a_checkpoint_with_a_malformed_effect(tmp_path,
+                                                                          capsys):
+    # with no schedule the effects drive the refinement: a malformed one in
+    # a checkpoint is not read, the checkpoint is restored and its effects
+    # derived again, and every file of the uninterrupted run written
+    args = adaptive_run_args(tmp_path, 1)
     assert main(args) == 0
-    whole = run_digests(out)
-    checkpoint = out / "checkpoints" / "iteration_00.json"
+    checkpoint = tmp_path / "g" / "checkpoints" / "iteration_00.json"
+    whole = run_digests(tmp_path / "g")
     payload = json.loads(checkpoint.read_text())
     payload["report"]["effects"][0] = {"name": "pricing"}
     checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    faulty = checkpoint.read_bytes()
     capsys.readouterr()
     assert main(args) == 0
-    check_recomputed(capsys, checkpoint)
+    check_restored(capsys, tmp_path / "g", checkpoint, faulty, whole)
+
+
+def test_adaptive_gsa_run_resumed_writes_the_uninterrupted_files(tmp_path, capsys):
+    # iteration 1's plan is refined from iteration 0's effects, derived
+    # again from the restored game: a resume from both checkpoints restores
+    # both, and one from iteration 0's alone recomputes iteration 1 alike
+    args = adaptive_run_args(tmp_path, 2)
+    assert main(args) == 0
+    out = tmp_path / "g"
+    whole = run_digests(out)
+    checkpoints = sorted((out / "checkpoints").iterdir())
+    assert len(checkpoints) == 2
+    before = [c.stat().st_mtime_ns for c in checkpoints]
+    capsys.readouterr()
+    assert main(args) == 0
+    assert [c.stat().st_mtime_ns for c in checkpoints] == before
+    assert run_digests(out) == whole
+    checkpoints[1].unlink()
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    assert checkpoints[0].stat().st_mtime_ns == before[0]
     assert run_digests(out) == whole
 
 
@@ -545,6 +608,28 @@ def test_topup_gsa_run_recomputes_a_checkpoint_that_is_not_an_object(tmp_path,
     check_recomputed(capsys, checkpoint)
     pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
     assert run_digests(tmp_path) == pins["jobs_1"]
+
+
+@pytest.mark.parametrize("baseline", [{"mktg_budget_pct": "H"}, {"no_such_factor": "H"}],
+                         ids=["wrong-level", "unknown-factor"])
+def test_topup_gsa_run_derives_the_baseline_of_a_restored_iteration(tmp_path, capsys,
+                                                                     baseline):
+    # iteration 1 runs under the levels that iteration 0's solution freezes,
+    # derived from its restored game; the baseline its checkpoint holds is
+    # not read
+    args = ["gsa", "--config", str(GOLDEN / "topup_gsa_config.json"),
+            "--out", str(tmp_path), "--jobs", "1"]
+    assert main(args) == 0
+    checkpoint = tmp_path / "checkpoints" / "iteration_00.json"
+    payload = json.loads(checkpoint.read_text())
+    payload["baseline"].update(baseline)
+    checkpoint.write_text(json.dumps(payload, sort_keys=True) + "\n")
+    faulty = checkpoint.read_bytes()
+    (tmp_path / "checkpoints" / "iteration_01.json").unlink()
+    capsys.readouterr()
+    assert main(args) == 0
+    pins = json.loads((GOLDEN / "topup_gsa_hashes.json").read_text())
+    check_restored(capsys, tmp_path, checkpoint, faulty, pins["jobs_1"])
 
 
 @pytest.mark.slow

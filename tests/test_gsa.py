@@ -29,6 +29,7 @@ from duogame.gsa import (
     neighbor_strictness_test,
     profile_tag,
     run_gsa,
+    sample_sizes,
     stability_analysis,
 )
 from duogame.runner import (
@@ -695,9 +696,10 @@ class TestBatchedBuild:
         return SimulationPayoffSource(settings, CostRates(), 11, jobs=jobs,
                                       executor=executor)
 
-    def assert_same_game(self, built, reference):
-        (game, sizes), (ref, ref_sizes) = built, reference
-        assert sizes == ref_sizes
+    @staticmethod
+    def assert_same_game(game, policy, reference):
+        ref, ref_sizes = reference
+        assert sample_sizes(game, policy) == ref_sizes
         for name in ("mean", "count", "var"):
             assert np.array_equal(getattr(game, name), getattr(ref, name)), name
 
@@ -707,7 +709,7 @@ class TestBatchedBuild:
         policy = SamplingPolicy(initial_n=2, trim_per_tail=0, cap=2)
         source = self.source(jobs, executor)
         self.assert_same_game(
-            build_empirical_game(self.PLAN, source, {}, policy, 1),
+            build_empirical_game(self.PLAN, source, {}, policy, 1), policy,
             reference_build(self.PLAN, source, policy, 1))
 
     def test_zero_jobs_rejected(self):
@@ -723,10 +725,11 @@ class TestBatchedBuild:
     def test_topups_equal_per_profile_reference(self, executor):
         source = self.source(jobs=2, executor=executor)
         built = build_empirical_game(self.PLAN, source, {}, self.TOPUP, 0)
+        reference = reference_build(self.PLAN, source, self.TOPUP, 0)
         # no top-up, and top-ups of more than one extra count
-        assert len(set(built[1].values()) - {self.TOPUP.initial_n}) >= 2
-        assert self.TOPUP.initial_n in built[1].values()
-        self.assert_same_game(built, reference_build(self.PLAN, source, self.TOPUP, 0))
+        assert len(set(reference[1].values()) - {self.TOPUP.initial_n}) >= 2
+        assert self.TOPUP.initial_n in reference[1].values()
+        self.assert_same_game(built, self.TOPUP, reference)
 
     def test_topup_source_calls(self, monkeypatch):
         # the initial batch, then one call per extra count, the smallest first
